@@ -315,65 +315,72 @@ def cmd_suite(args) -> int:
     return 0 if report["failed"] == 0 else 1
 
 
+_FLAGS = {
+    "--out": {"default": None},
+    "--seed": {"type": int, "default": 0},
+    "--restarts": {"type": int, "default": 8},
+    "--max-subsets": {"type": int, "default": 20},
+    "--fixtures": {"default": None},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="finspace")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_in=True):
+    def command(parent, name, help, fn, *flags, needs_in=True):
+        """A subcommand taking --in (unless needs_in is false) and the named flags."""
+        sp = parent.add_parser(name, help=help)
         if needs_in:
             sp.add_argument("--in", dest="infile", required=True)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--restarts", type=int, default=8)
-        sp.add_argument("--max-subsets", dest="max_subsets", type=int, default=20)
-        sp.add_argument("--fixtures", default=None)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(fn=fn)
         return sp
 
-    sp = common(sub.add_parser("poset", help="summarize a finite space"))
+    sp = command(sub, "poset", "summarize a finite space", cmd_poset, "--out")
     sp.add_argument("--mode", choices=["summary", "collapse"], default="summary")
-    sp.set_defaults(fn=cmd_poset)
 
-    sp = common(sub.add_parser("complex", help="summarize a simplicial complex"))
+    sp = command(
+        sub, "complex", "summarize a simplicial complex", cmd_complex,
+        "--out", "--seed", "--restarts",
+    )
     sp.add_argument("--mode", choices=["summary", "collapse", "order"], default="summary")
-    sp.set_defaults(fn=cmd_complex)
 
-    sp = common(sub.add_parser("cylinder", help="build or check a cylinder of relations"))
+    sp = command(sub, "cylinder", "build or check a cylinder of relations", cmd_cylinder, "--out")
     sp.add_argument(
         "--mode",
         choices=["build", "check-left", "check-right", "intermediate-left", "intermediate-right"],
         default="build",
     )
-    sp.set_defaults(fn=cmd_cylinder)
 
-    sp = common(sub.add_parser("nerve", help="nerve constructions of a cover"))
+    sp = command(sub, "nerve", "nerve constructions of a cover", cmd_nerve)
     sp.add_argument("--mode", choices=["nerve", "face-poset", "reduced"], default="nerve")
-    sp.set_defaults(fn=cmd_nerve)
 
     cover_p = sub.add_parser("cover", help="cover operations")
     cover_sub = cover_p.add_subparsers(dest="cover_command", required=True)
-    sp = common(cover_sub.add_parser("classify", help="good / strong-good verdicts"))
-    sp.add_argument("--mode", default=None)
-    sp.set_defaults(fn=cmd_cover)
+    command(
+        cover_sub, "classify", "good / strong-good verdicts", cmd_cover,
+        "--seed", "--restarts", "--max-subsets",
+    )
 
-    sp = common(sub.add_parser("homology", help="reduced integral homology"))
+    sp = command(sub, "homology", "reduced integral homology", cmd_homology)
     sp.add_argument("--mode", choices=["complex", "poset"], default="complex")
-    sp.set_defaults(fn=cmd_homology)
 
-    sp = common(sub.add_parser("persistence", help="barcode over a chain of index sets"))
+    sp = command(sub, "persistence", "barcode over a chain of index sets", cmd_persistence)
     sp.add_argument("--mode", default=None, help="chain, e.g. 'U1<U1,U2<U1,U2,U3'")
-    sp.set_defaults(fn=cmd_persistence)
 
-    sp = common(sub.add_parser("verify", help="theorem checkers"))
+    sp = command(sub, "verify", "theorem checkers", cmd_verify, "--seed", "--restarts")
     sp.add_argument(
         "flavor", choices=list(FLAVORS) + ["truncation", "replay-complex", "replay-space"]
     )
-    sp.add_argument("--mode", default=None)
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = common(sub.add_parser("suite", help="golden and randomized suites"), needs_in=False)
+    sp = command(
+        sub, "suite", "golden and randomized suites", cmd_suite,
+        "--out", "--seed", "--restarts", "--fixtures", needs_in=False,
+    )
     sp.add_argument("--mode", choices=["quick", "full"], default="quick")
-    sp.set_defaults(fn=cmd_suite)
     return p
 
 

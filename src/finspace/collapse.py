@@ -5,6 +5,12 @@ down to the core).  Collapsibility and homotopical triviality are not, so
 those checkers answer with a three-valued verdict: Yes carries a replayable
 certificate, No carries a non-trivial homology witness, Unknown is honest
 failure of the greedy search.
+
+Each point-removal kind (down-beat, up-beat, down-weak, up-weak) is decided
+in one place, ``removable``.  The core and greedy searches, certificate
+replay and the cylinder executor all call it, so replay accepts any step that
+is valid for its declared kind, whichever other kinds the point also has.
+Free-face search and replay likewise share one unique-coface test.
 """
 
 from __future__ import annotations
@@ -118,66 +124,85 @@ def aggregate_verdict(verdicts: Iterable[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def beat_point_kind(X: FinitePoset, x: str) -> str | None:
-    down = X.down_set(x, strict=True)
-    if down and X.restrict(down).has_maximum():
-        return DOWN_BEAT
-    up = X.up_set(x, strict=True)
-    if up and X.restrict(up).has_minimum():
-        return UP_BEAT
+def removable(X: FinitePoset, x: str, kind: str) -> bool:
+    """Whether x is a point of the given kind in X.
+
+    The down kinds look at the punctured down set of x, the up kinds at its
+    punctured up set.  That set must be non-empty and have a maximum
+    (down-beat), a minimum (up-beat) or be contractible (weak kinds).  An
+    unknown kind is never removable.
+    """
+    if kind in (DOWN_BEAT, DOWN_WEAK):
+        punctured = X.down_set(x, strict=True)
+    elif kind in (UP_BEAT, UP_WEAK):
+        punctured = X.up_set(x, strict=True)
+    else:
+        return False
+    if not punctured:
+        return False
+    sub = X.restrict(punctured)
+    if kind == DOWN_BEAT:
+        return sub.has_maximum()
+    if kind == UP_BEAT:
+        return sub.has_minimum()
+    return is_contractible_space(sub)
+
+
+def _first_kind(X: FinitePoset, x: str, kinds: tuple[str, str]) -> str | None:
+    for kind in kinds:
+        if removable(X, x, kind):
+            return kind
     return None
+
+
+def beat_point_kind(X: FinitePoset, x: str) -> str | None:
+    return _first_kind(X, x, (DOWN_BEAT, UP_BEAT))
+
+
+def weak_point_kind(X: FinitePoset, x: str) -> str | None:
+    return _first_kind(X, x, (DOWN_WEAK, UP_WEAK))
+
+
+def _removable_points(X: FinitePoset, kind_of) -> list[tuple[str, str]]:
+    return [(x, kind) for x in X.elements if (kind := kind_of(X, x))]
 
 
 def beat_points(X: FinitePoset) -> list[tuple[str, str]]:
     """All beat points with their kind, in element order."""
-    out = []
-    for x in X.elements:
-        kind = beat_point_kind(X, x)
-        if kind:
-            out.append((x, kind))
-    return out
+    return _removable_points(X, beat_point_kind)
+
+
+def weak_points(X: FinitePoset) -> list[tuple[str, str]]:
+    return _removable_points(X, weak_point_kind)
+
+
+def _remove_points(
+    X: FinitePoset, kind_of, keep: frozenset[str] = frozenset(), size: int = 0
+) -> tuple[FinitePoset, CollapseCertificate]:
+    """Remove the first point outside keep that kind_of accepts, round after
+    round, until no such point is left or only ``size`` points remain."""
+    steps: list[PointRemoval] = []
+    current = X
+    while len(current) > size:
+        for x in current.elements:
+            if x not in keep and (kind := kind_of(current, x)):
+                steps.append(PointRemoval(x, kind))
+                current = current.remove(x)
+                break
+        else:
+            break
+    return current, CollapseCertificate(tuple(steps))
 
 
 def core(X: FinitePoset) -> tuple[FinitePoset, CollapseCertificate]:
     """Remove beat points (lexicographically first each round) until none remain."""
-    steps: list[PointRemoval] = []
-    current = X
-    while True:
-        found = None
-        for x in current.elements:
-            kind = beat_point_kind(current, x)
-            if kind:
-                found = (x, kind)
-                break
-        if found is None:
-            return current, CollapseCertificate(tuple(steps))
-        steps.append(PointRemoval(*found))
-        current = current.remove(found[0])
+    return _remove_points(X, beat_point_kind)
 
 
 def is_contractible_space(X: FinitePoset) -> bool:
     if not len(X):
         raise EmptySpace("contractibility of the empty space is not defined")
     return len(core(X)[0]) == 1
-
-
-def weak_point_kind(X: FinitePoset, x: str) -> str | None:
-    down = X.down_set(x, strict=True)
-    if down and is_contractible_space(X.restrict(down)):
-        return DOWN_WEAK
-    up = X.up_set(x, strict=True)
-    if up and is_contractible_space(X.restrict(up)):
-        return UP_WEAK
-    return None
-
-
-def weak_points(X: FinitePoset) -> list[tuple[str, str]]:
-    out = []
-    for x in X.elements:
-        kind = weak_point_kind(X, x)
-        if kind:
-            out.append((x, kind))
-    return out
 
 
 def gamma_points(X: FinitePoset) -> list[tuple[str, TriStateResult]]:
@@ -192,6 +217,21 @@ def gamma_points(X: FinitePoset) -> list[tuple[str, TriStateResult]]:
     return out
 
 
+def _stuck(homology, whole, target, note: str) -> TriStateResult:
+    """Verdict of a search that got stuck: No when the homology of the whole
+    object rules out the declared end state, else Unknown."""
+    hom = homology(whole)
+    if target is None:
+        if not hom.is_trivial():
+            return no(hom, "non-trivial reduced homology")
+    else:
+        target_hom = homology(target)
+        if hom.summary() != target_hom.summary():
+            witness = hom if not hom.is_trivial() else target_hom
+            return no(witness, "homology differs from target")
+    return unknown(note)
+
+
 def greedy_collapse_space(
     X: FinitePoset, target: Iterable[str] | None = None
 ) -> TriStateResult:
@@ -201,62 +241,28 @@ def greedy_collapse_space(
     keep = frozenset(target) if target is not None else None
     if keep is not None and not keep <= set(X.elements):
         raise TargetNotInduced(f"target {sorted(keep)} is not a subset of the space")
-    steps: list[PointRemoval] = []
-    current = X
-    while True:
-        if keep is None and len(current) == 1:
-            return yes(CollapseCertificate(tuple(steps)))
-        if keep is not None and set(current.elements) == keep:
-            return yes(CollapseCertificate(tuple(steps)))
-        found = None
-        for x in current.elements:
-            if keep is not None and x in keep:
-                continue
-            kind = weak_point_kind(current, x)
-            if kind:
-                found = (x, kind)
-                break
-        if found is None:
-            break
-        steps.append(PointRemoval(*found))
-        current = current.remove(found[0])
-    if keep is None:
-        hom = homology_of_poset(X)
-        if not hom.is_trivial():
-            return no(hom, "non-trivial reduced homology")
-    else:
-        hom = homology_of_poset(X)
-        target_hom = homology_of_poset(X.restrict(keep))
-        if hom.summary() != target_hom.summary():
-            witness = hom if not hom.is_trivial() else target_hom
-            return no(witness, "homology differs from target")
-    return unknown("greedy weak-point removal got stuck")
+    size = 1 if keep is None else len(keep)
+    current, cert = _remove_points(X, weak_point_kind, keep or frozenset(), size)
+    if len(current) == size:
+        return yes(cert)
+    return _stuck(
+        homology_of_poset,
+        X,
+        None if keep is None else X.restrict(keep),
+        "greedy weak-point removal got stuck",
+    )
 
 
 def replay_space_certificate(
     X: FinitePoset, cert: CollapseCertificate, target: Iterable[str] | None = None
 ) -> bool:
-    """Check each removal really was of the declared kind; verify the end state."""
+    """Check each removal is valid for its declared kind; verify the end state."""
     current = X
     for step in cert.steps:
-        if not isinstance(step, PointRemoval):
+        if not isinstance(step, PointRemoval) or step.element not in current:
             return False
-        if step.element not in current.elements:
+        if not removable(current, step.element, step.kind):
             return False
-        if step.kind in (DOWN_BEAT, UP_BEAT):
-            if beat_point_kind(current, step.element) != step.kind:
-                return False
-        else:
-            down = current.down_set(step.element, strict=True)
-            up = current.up_set(step.element, strict=True)
-            if step.kind == DOWN_WEAK:
-                if not (down and is_contractible_space(current.restrict(down))):
-                    return False
-            elif step.kind == UP_WEAK:
-                if not (up and is_contractible_space(current.restrict(up))):
-                    return False
-            else:
-                return False
         current = current.remove(step.element)
     if target is not None:
         return set(current.elements) == set(target)
@@ -268,14 +274,23 @@ def replay_space_certificate(
 # ---------------------------------------------------------------------------
 
 
+def _unique_coface(simplices: list[frozenset[str]], face: frozenset[str]):
+    """The one simplex properly containing face, when there is exactly one and
+    it has one more vertex; otherwise None."""
+    cofaces = [t for t in simplices if face < t]
+    if len(cofaces) == 1 and len(cofaces[0]) == len(face) + 1:
+        return cofaces[0]
+    return None
+
+
 def free_faces(K: SimplicialComplex) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Pairs (face, unique coface): the face lies in exactly one larger simplex."""
     simplices = [frozenset(s) for s in K.all_simplices()]
     out = []
     for s in simplices:
-        cofaces = [t for t in simplices if s < t]
-        if len(cofaces) == 1 and len(cofaces[0]) == len(s) + 1:
-            out.append((tuple(sorted(s)), tuple(sorted(cofaces[0]))))
+        coface = _unique_coface(simplices, s)
+        if coface is not None:
+            out.append((tuple(sorted(s)), tuple(sorted(coface))))
     return sorted(out, key=lambda p: (len(p[0]), p))
 
 
@@ -328,17 +343,7 @@ def greedy_collapse_complex(
         result, _ = _collapse_run(K, target, random.Random(f"restart:{seed}:{r}"))
         if result is not None:
             return result
-    if target is None:
-        hom = reduced_homology(K)
-        if not hom.is_trivial():
-            return no(hom, "non-trivial reduced homology")
-    else:
-        hom = reduced_homology(K)
-        target_hom = reduced_homology(target)
-        if hom.summary() != target_hom.summary():
-            witness = hom if not hom.is_trivial() else target_hom
-            return no(witness, "homology differs from target")
-    return unknown("no free faces left on any attempted schedule")
+    return _stuck(reduced_homology, K, target, "no free faces left on any attempted schedule")
 
 
 def staged_union_collapse(
@@ -384,14 +389,10 @@ def replay_complex_certificate(
             return False
         face = frozenset(step.face)
         coface = frozenset(step.coface)
-        if len(coface) != len(face) + 1 or not face < coface:
-            return False
         if not current.contains_simplex(face):
             return False
-        cofaces = [
-            frozenset(t) for t in current.all_simplices() if face < frozenset(t)
-        ]
-        if cofaces != [coface]:
+        simplices = [frozenset(t) for t in current.all_simplices()]
+        if _unique_coface(simplices, face) != coface:
             return False
         current = current.without([face, coface])
     if target is not None:
@@ -404,19 +405,30 @@ def replay_complex_certificate(
 # ---------------------------------------------------------------------------
 
 
+def triviality_from_collapse(obj, collapsibility: TriStateResult) -> TriStateResult:
+    """Triviality verdict of obj given its greedy collapsibility verdict.
+
+    Yes carries over (collapsible implies homotopically trivial) and so does
+    No (its witness is non-trivial homology).  After Unknown the object is
+    acyclic; only a finite space has one more test left, its core.
+    """
+    if collapsibility.verdict != "unknown":
+        return collapsibility
+    if isinstance(obj, SimplicialComplex):
+        return unknown("acyclic but greedy collapse got stuck")
+    core_poset, cert = core(obj)
+    if len(core_poset) == 1:
+        return yes(cert)
+    return unknown("acyclic but neither core nor greedy collapse reach a point")
+
+
 def is_homotopically_trivial_poset(X: FinitePoset) -> TriStateResult:
     if not len(X):
         raise EmptyObject("the empty space is not homotopically trivial")
     core_poset, cert = core(X)
     if len(core_poset) == 1:
         return yes(cert)
-    hom = homology_of_poset(X)
-    if not hom.is_trivial():
-        return no(hom, "non-trivial reduced homology")
-    attempt = greedy_collapse_space(X)
-    if attempt.is_yes():
-        return attempt
-    return unknown("acyclic but neither core nor greedy collapse reach a point")
+    return triviality_from_collapse(X, greedy_collapse_space(X))
 
 
 def is_homotopically_trivial_complex(
@@ -424,10 +436,7 @@ def is_homotopically_trivial_complex(
 ) -> TriStateResult:
     if K.is_empty():
         raise EmptyObject("the empty complex is not homotopically trivial")
-    attempt = greedy_collapse_complex(K, restarts=restarts, seed=seed)
-    if attempt.verdict in ("yes", "no"):
-        return attempt
-    return unknown("acyclic but greedy collapse got stuck")
+    return triviality_from_collapse(K, greedy_collapse_complex(K, restarts=restarts, seed=seed))
 
 
 def is_homotopically_trivial(obj, restarts: int = 8, seed: int = 0) -> TriStateResult:
@@ -450,14 +459,3 @@ def shadow_report(K: SimplicialComplex, restarts: int = 8, seed: int = 0) -> dic
         "collapsible": coll.verdict,
         "homology": hom.summary(),
     }
-
-
-def collapsibility_of_poset(X: FinitePoset) -> TriStateResult:
-    """Collapsibility of a finite space: weak-point removals down to a point."""
-    return greedy_collapse_space(X)
-
-
-def collapsibility_of_complex(
-    K: SimplicialComplex, restarts: int = 8, seed: int = 0
-) -> TriStateResult:
-    return greedy_collapse_complex(K, restarts=restarts, seed=seed)

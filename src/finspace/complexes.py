@@ -11,7 +11,6 @@ import json
 from itertools import combinations
 from typing import Iterable
 
-from .errors import UnknownSimplex
 from .posets import FinitePoset, build_poset
 
 Simplex = frozenset
@@ -170,10 +169,3 @@ def cone(apex: str, base: SimplicialComplex) -> SimplicialComplex:
     if base.is_empty():
         return SimplicialComplex([[apex]])
     return SimplicialComplex([f | {apex} for f in base.facets])
-
-
-def require_simplex(K: SimplicialComplex, simplex: Iterable[str]) -> frozenset[str]:
-    s = frozenset(simplex)
-    if not K.contains_simplex(s):
-        raise UnknownSimplex(f"{sorted(s)} is not a simplex of {K!r}")
-    return s

@@ -269,9 +269,9 @@ def classify_cover(
 ) -> CoverClassification:
     """Per-intersection triviality and collapsibility verdicts.
 
-    Empty intersections are recorded and skipped.  A Yes collapsibility
-    verdict forces the triviality verdict to Yes (collapsible implies
-    contractible implies homotopically trivial).
+    Empty intersections are recorded and skipped.  Each non-empty
+    intersection is searched once; its triviality verdict is derived from
+    the collapsibility verdict (see ``triviality_from_collapse``).
     """
     records = []
     for J in _index_sets(cover, max_subsets, nerve_simplices_only):
@@ -280,20 +280,12 @@ def classify_cover(
             records.append(IntersectionRecord(J, obj, True, None, None))
             continue
         if cover.kind == COMPLEX:
-            collapsibility = clp.greedy_collapse_complex(obj, restarts=restarts, seed=seed)
-            triviality = (
-                collapsibility
-                if collapsibility.is_yes()
-                else clp.is_homotopically_trivial_complex(obj, restarts=restarts, seed=seed)
-            )
+            sub = obj
+            collapsibility = clp.greedy_collapse_complex(sub, restarts=restarts, seed=seed)
         else:
             sub = cover.parent.restrict(obj)
             collapsibility = clp.greedy_collapse_space(sub)
-            triviality = (
-                collapsibility
-                if collapsibility.is_yes()
-                else clp.is_homotopically_trivial_poset(sub)
-            )
+        triviality = clp.triviality_from_collapse(sub, collapsibility)
         records.append(IntersectionRecord(J, obj, False, triviality, collapsibility))
     nonempty = [r for r in records if not r.empty]
     good = clp.aggregate_verdict(r.triviality.verdict for r in nonempty)

@@ -76,14 +76,6 @@ class Relation:
         )
 
 
-def relation_image(R: Relation, members) -> frozenset[str]:
-    return R.image(members)
-
-
-def relation_preimage(R: Relation, members) -> frozenset[str]:
-    return R.preimage(members)
-
-
 def compose_relations(R1: Relation, R2: Relation) -> Relation:
     """R2 after R1: pairs (x, z) with some middle y related on both sides."""
     if R1.target != R2.source:
@@ -102,13 +94,6 @@ def compose_relations(R1: Relation, R2: Relation) -> Relation:
         source_name=R1.source_name,
         target_name=R2.target_name,
     )
-
-
-def compose_chain(relations: list[Relation]) -> Relation:
-    out = relations[0]
-    for R in relations[1:]:
-        out = compose_relations(out, R)
-    return out
 
 
 def relation_cylinder(R: Relation) -> FinitePoset:
@@ -341,7 +326,7 @@ def _execute_target_removal(R: Relation, side: str) -> dict:
             kind = clp.UP_WEAK
         if punctured != expected:
             identity_ok = False
-        if not punctured or not clp.is_contractible_space(current.restrict(punctured)):
+        if not clp.removable(current, tz, kind):
             return {
                 "verdict": "failed",
                 "failed_at": z,

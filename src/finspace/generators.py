@@ -12,7 +12,7 @@ import logging
 import random
 
 from .complexes import SimplicialComplex, cone
-from .covers import Cover, CoverClassification, classify_cover
+from .covers import Cover, classify_cover
 from .cylinders import RIGHT, Relation, graph_relation
 from .errors import GenerationExhausted
 from .posets import FinitePoset, build_poset
@@ -193,14 +193,3 @@ def generate_good_space_cover(
     raise GenerationExhausted(
         f"no good space cover within {attempts} attempts for seed {seed}"
     )
-
-
-def verified_strong_good_batch(
-    seeds, params: dict | None = None
-) -> list[tuple[SimplicialComplex, Cover, CoverClassification]]:
-    """Convenience wrapper keeping the classification alongside each cover."""
-    out = []
-    for s in seeds:
-        parent, cover = generate_strong_good_cover(s, params)
-        out.append((parent, cover, classify_cover(cover, max_subsets=2 ** len(cover.members))))
-    return out

@@ -9,7 +9,7 @@ rank serve as independent cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, order_complex
 from .errors import EmptyComplex, EmptySpace
@@ -28,12 +28,10 @@ class ChainComplexData:
         return len(self.bases) - 1
 
 
-def boundary_matrices(K: SimplicialComplex, ring: str = "int") -> ChainComplexData:
-    """Boundary matrices of K; ``ring`` is "int" or "gf2"."""
+def boundary_matrices(K: SimplicialComplex) -> ChainComplexData:
+    """Integer boundary matrices of K (reduce mod 2 for the binary field)."""
     if K.is_empty():
         raise EmptyComplex("cannot build chain complex of the empty complex")
-    if ring not in ("int", "gf2"):
-        raise ValueError(f"unknown ring {ring!r}")
     bases = [tuple(K.simplices_of_dim(d)) for d in range(K.dim() + 1)]
     boundaries: list[tuple[tuple[int, ...], ...]] = [tuple(() for _ in bases[0])]
     for d in range(1, len(bases)):
@@ -43,9 +41,7 @@ def boundary_matrices(K: SimplicialComplex, ring: str = "int") -> ChainComplexDa
         for s in bases[d]:
             col = [0] * rows
             for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                sign = (-1) ** i
-                col[index[face]] = sign if ring == "int" else 1
+                col[index[s[:i] + s[i + 1:]]] = (-1) ** i
             cols.append(col)
         # store row-major
         boundaries.append(tuple(tuple(col[r] for col in cols) for r in range(rows)))
@@ -212,66 +208,45 @@ class HomologyResult:
         return "; ".join(parts) if parts else "trivial"
 
 
+def _per_boundary(data: ChainComplexData, fn, default) -> list:
+    """fn of each non-empty boundary matrix, indexed by degree 0..dim+1;
+    ``default`` where the matrix is empty or out of range."""
+    out = [default] * (data.dim() + 2)
+    for d in range(1, data.dim() + 1):
+        M = [list(r) for r in data.boundaries[d]]
+        if M and M[0]:
+            out[d] = fn(M)
+    return out
+
+
+def _reduced_betti(data: ChainComplexData, ranks: list[int]) -> list[int]:
+    """Reduced Betti numbers from the ranks of the boundary matrices."""
+    betti = [len(basis) - ranks[d] - ranks[d + 1] for d, basis in enumerate(data.bases)]
+    betti[0] -= 1
+    return betti
+
+
 def reduced_homology(K: SimplicialComplex) -> HomologyResult:
     """Reduced integral homology of K via Smith normal form."""
     if K.is_empty():
         raise EmptyComplex("homology of the empty complex is not defined here")
-    data = boundary_matrices(K, ring="int")
-    top = data.dim()
-    ranks = [0] * (top + 2)
-    invariants: list[list[int]] = [[] for _ in range(top + 2)]
-    for d in range(1, top + 1):
-        M = [list(r) for r in data.boundaries[d]]
-        if M and M[0]:
-            inv, rank = smith_normal_form(M)
-            ranks[d] = rank
-            invariants[d] = inv
-    betti = []
-    torsion = []
-    for d in range(top + 1):
-        n_d = len(data.bases[d])
-        b = n_d - ranks[d] - ranks[d + 1]
-        if d == 0:
-            b -= 1  # reduced
-        betti.append(b)
-        torsion.append(tuple(f for f in invariants[d + 1] if f > 1))
-    return HomologyResult(tuple(betti), tuple(torsion), reduced=True)
+    data = boundary_matrices(K)
+    snf = _per_boundary(data, smith_normal_form, ((), 0))
+    betti = _reduced_betti(data, [rank for _, rank in snf])
+    torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(data.dim() + 1))
+    return HomologyResult(tuple(betti), torsion, reduced=True)
 
 
 def betti_numbers_oracle(K: SimplicialComplex) -> list[int]:
     """Rational Betti numbers by fraction-free elimination (reduced convention)."""
-    data = boundary_matrices(K, ring="int")
-    top = data.dim()
-    ranks = [0] * (top + 2)
-    for d in range(1, top + 1):
-        M = [list(r) for r in data.boundaries[d]]
-        if M and M[0]:
-            ranks[d] = rank_fraction_free(M)
-    out = []
-    for d in range(top + 1):
-        b = len(data.bases[d]) - ranks[d] - ranks[d + 1]
-        if d == 0:
-            b -= 1
-        out.append(b)
-    return out
+    data = boundary_matrices(K)
+    return _reduced_betti(data, _per_boundary(data, rank_fraction_free, 0))
 
 
 def betti_numbers_gf2(K: SimplicialComplex) -> list[int]:
     """Reduced Betti numbers over the binary field."""
-    data = boundary_matrices(K, ring="gf2")
-    top = data.dim()
-    ranks = [0] * (top + 2)
-    for d in range(1, top + 1):
-        M = [list(r) for r in data.boundaries[d]]
-        if M and M[0]:
-            ranks[d] = rank_gf2(M)
-    out = []
-    for d in range(top + 1):
-        b = len(data.bases[d]) - ranks[d] - ranks[d + 1]
-        if d == 0:
-            b -= 1
-        out.append(b)
-    return out
+    data = boundary_matrices(K)
+    return _reduced_betti(data, _per_boundary(data, rank_gf2, 0))
 
 
 def homology_of_poset(X: FinitePoset) -> HomologyResult:

@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import SimplicialComplex
 from .covers import Cover, CoverClassification, classify_cover, nerve
 from .errors import InvalidCover, NotAChain
 from .homology import betti_numbers_gf2, homology_equal, reduced_homology
@@ -187,10 +186,3 @@ def check_truncation_theorem(
             "intersection is collapsible"
         )
     return report
-
-
-def subunion(cover: Cover, J) -> SimplicialComplex:
-    """K_J for a complex cover (empty J gives the empty complex)."""
-    if cover.kind != "complex":
-        raise InvalidCover("subunion of complexes needs a complex cover")
-    return cover.subunion(J)

@@ -87,6 +87,28 @@ def test_cover_classify(paths, capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["good"] == "yes" and doc["strong_good"] == "yes"
+    code, out = run(capsys, "cover", "classify", "--in", str(paths["cover"]), "--max-subsets", "20")
+    assert code == 0 and json.loads(out)["good"] == "yes"
+    # three members exceed a cap of two
+    assert main(["cover", "classify", "--in", str(paths["cover"]), "--max-subsets", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "--in", "f", "--seed", "3"],
+        ["nerve", "--in", "f", "--out", "o"],
+        ["poset", "--in", "f", "--restarts", "2"],
+        ["complex", "--in", "f", "--max-subsets", "5"],
+        ["cover", "classify", "--in", "f", "--mode", "x"],
+        ["verify", "truncation", "--in", "f", "--mode", "x"],
+        ["suite", "--max-subsets", "5"],
+    ],
+)
+def test_unread_flag_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_homology_command(paths, capsys):

@@ -6,6 +6,7 @@ from finspace.collapse import (
     CollapseCertificate,
     FreeFacePair,
     PointRemoval,
+    TriStateResult,
     aggregate_verdict,
     beat_points,
     core,
@@ -19,6 +20,7 @@ from finspace.collapse import (
     replay_space_certificate,
     shadow_report,
     staged_union_collapse,
+    triviality_from_collapse,
     weak_points,
 )
 from finspace.complexes import simplex_boundary, solid_simplex
@@ -179,6 +181,39 @@ def test_corrupted_certificate_fails_replay():
     assert replay_complex_certificate(K, CollapseCertificate(tuple(steps))) in (False,)
     bogus = CollapseCertificate((FreeFacePair(("v0",), ("v0", "v9")),))
     assert not replay_complex_certificate(K, bogus)
+
+
+def test_replay_space_accepts_any_valid_kind():
+    # b is both a down-beat and an up-beat point of a < b < c
+    X = chain(["a", "b", "c"])
+    for kinds in (("up-beat", "down-beat"), ("up-weak", "down-weak")):
+        steps = (PointRemoval("b", kinds[0]), PointRemoval("c", kinds[1]))
+        assert replay_space_certificate(X, CollapseCertificate(steps))
+
+
+def test_replay_space_rejects_invalid_steps():
+    X = chain(["a", "b", "c"])
+    for steps in (
+        (PointRemoval("b", "sideways"),),
+        (PointRemoval("b", "down-beat"), PointRemoval("b", "down-beat")),
+    ):
+        assert not replay_space_certificate(X, CollapseCertificate(steps))
+    # a minimum of the finite circle: two incomparable points above it
+    step = PointRemoval("x1", "up-weak")
+    assert not replay_space_certificate(finite_circle(), CollapseCertificate((step,)))
+
+
+def test_triviality_from_collapse():
+    X = chain(["a", "b", "c"])
+    found = greedy_collapse_space(X)
+    assert triviality_from_collapse(X, found) is found
+    # after Unknown, a space still gets its core test
+    res = triviality_from_collapse(X, TriStateResult("unknown", note="stuck"))
+    assert res.is_yes() and replay_space_certificate(X, res.certificate)
+    res = triviality_from_collapse(dunce_hat().face_poset(), TriStateResult("unknown", note="stuck"))
+    assert res.verdict == "unknown" and "core" in res.note
+    res = triviality_from_collapse(dunce_hat(), greedy_collapse_complex(dunce_hat(), restarts=1))
+    assert res.verdict == "unknown" and res.note == "acyclic but greedy collapse got stuck"
 
 
 def test_trivial_poset_verdicts():

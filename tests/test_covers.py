@@ -1,5 +1,6 @@
 import pytest
 
+from finspace import collapse as clp
 from finspace.complexes import SimplicialComplex, simplex_id, solid_simplex
 from finspace.covers import (
     Cover,
@@ -18,6 +19,7 @@ from finspace.errors import InvalidCover
 from finspace.fixtures import (
     circle_arc_cover,
     circle_complex,
+    dunce_hat,
     finite_circle,
     finite_circle_cover,
     two_triangle_cover,
@@ -120,6 +122,33 @@ def test_classify_records_intersection_antimonotone():
         for r2 in cls.records:
             if set(r.index_set) < set(r2.index_set) and not r2.empty:
                 assert not r.empty
+
+
+def test_classify_searches_each_intersection_once(monkeypatch):
+    searched = []
+    search = clp.greedy_collapse_complex
+
+    def counting(K, *args, **kwargs):
+        searched.append(K)
+        return search(K, *args, **kwargs)
+
+    monkeypatch.setattr(clp, "greedy_collapse_complex", counting)
+    square = SimplicialComplex([["c0", "c1"], ["c1", "c2"], ["c2", "c3"], ["c0", "c3"]])
+    arcs = Cover(
+        "complex",
+        square,
+        (
+            ("A", SimplicialComplex([["c0", "c1"], ["c1", "c2"]])),
+            ("B", SimplicialComplex([["c2", "c3"], ["c0", "c3"]])),
+        ),
+    )
+    cls = classify_cover(arcs)
+    assert len(searched) == 3
+    assert cls.record(("A", "B")).triviality.verdict == "no"
+    searched.clear()
+    cls = classify_cover(Cover("complex", dunce_hat(), (("D", dunce_hat()),)))
+    assert len(searched) == 1
+    assert cls.good == "unknown" and cls.strong_good == "unknown"
 
 
 def test_strong_good_implies_good():

@@ -6,11 +6,7 @@ from finspace.covers import Cover
 from finspace.errors import InvalidCover, NotAChain
 from finspace.fixtures import circle_arc_cover, finite_circle_cover
 from finspace.generators import generate_strong_good_cover
-from finspace.persistence import (
-    check_truncation_theorem,
-    persistence_over_chain,
-    subunion,
-)
+from finspace.persistence import check_truncation_theorem, persistence_over_chain
 
 
 def test_chain_must_be_strictly_increasing():
@@ -56,10 +52,10 @@ def test_acyclic_filtration_has_no_positive_bars():
 
 def test_subunion():
     cov = circle_arc_cover()
-    K = subunion(cov, ["U1", "U2"])
+    K = cov.subunion(["U1", "U2"])
     assert K.contains_simplex({"w0", "w1"})
     assert not K.contains_simplex({"w4", "w5"})
-    assert subunion(cov, []).is_empty()
+    assert cov.subunion([]).is_empty()
 
 
 def test_truncation_circle_negative():
