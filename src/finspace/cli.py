@@ -69,34 +69,123 @@ def _emit(doc) -> None:
 
 def _load(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MalformedSpec(f"{path} is not valid JSON: {exc}") from None
+    return _object(doc, "the document")
 
 
-def _poset_from_doc(doc: dict) -> FinitePoset:
-    return FinitePoset.from_json(json.dumps(doc))
+# -- document checks: each raises MalformedSpec naming the offending part ----
 
 
-def _complex_from_doc(doc: dict) -> SimplicialComplex:
-    if "facets" not in doc:
-        raise MalformedSpec("complex document needs a 'facets' key")
-    return SimplicialComplex(doc["facets"])
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise MalformedSpec(f"{what} must be a JSON object")
+    return doc
 
 
-def _cover_from_doc(doc: dict) -> Cover:
+def _field(doc: dict, key: str, what: str):
+    if key not in doc:
+        raise MalformedSpec(f"{what} needs a {key!r} key")
+    return doc[key]
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedSpec(f"{what} must be a string id")
+    return value
+
+
+def _ids(value, what: str, size: int | None = None) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MalformedSpec(f"{what} must be a list of string ids")
+    if size is not None and len(value) != size:
+        raise MalformedSpec(f"{what} must hold {size} ids")
+    return value
+
+
+def _id_lists(value, what: str, size: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise MalformedSpec(f"{what} must be a list")
+    for item in value:
+        _ids(item, f"each entry of {what}", size)
+    return value
+
+
+def _objects(doc: dict, key: str, what: str) -> list:
+    items = _field(doc, key, what)
+    if not isinstance(items, list):
+        raise MalformedSpec(f"{what} {key!r} must be a list")
+    return [_object(item, f"each entry of {what} {key!r}") for item in items]
+
+
+def _check_poset_doc(doc, what: str) -> dict:
+    doc = _object(doc, what)
+    _ids(_field(doc, "elements", what), f"{what} elements")
+    _id_lists(_field(doc, "relations", what), f"{what} relations", size=2)
+    return doc
+
+
+def _check_complex_doc(doc, what: str) -> dict:
+    doc = _object(doc, what)
+    _id_lists(_field(doc, "facets", what), f"{what} facets")
+    return doc
+
+
+def _poset_from_doc(doc, what: str = "the poset") -> FinitePoset:
+    return FinitePoset.from_json(json.dumps(_check_poset_doc(doc, what)))
+
+
+def _complex_from_doc(doc, what: str = "the complex") -> SimplicialComplex:
+    return SimplicialComplex(_check_complex_doc(doc, what)["facets"])
+
+
+def _cover_from_doc(doc) -> Cover:
+    kind = _string(_field(doc, "kind", "the cover"), "the cover kind")
+    if kind == "complex":
+        check, key, ids = _check_complex_doc, "facets", _id_lists
+    else:
+        check, key, ids = _check_poset_doc, "elements", _ids
+    check(_field(doc, "parent", "the cover"), "the cover parent")
+    for m in _objects(doc, "members", "the cover"):
+        _string(_field(m, "name", "a cover member"), "a cover member name")
+        ids(_field(m, key, "a cover member"), f"member {key}")
     return Cover.from_json(json.dumps(doc))
 
 
+def _certificate_from_doc(doc) -> CollapseCertificate:
+    for step in _objects(_object(doc, "the certificate"), "steps", "the certificate"):
+        kind = _string(_field(step, "kind", "a certificate step"), "a step kind")
+        if kind == "free-pair":
+            _ids(_field(step, "face", "a free-pair step"), "a step face")
+            _ids(_field(step, "coface", "a free-pair step"), "a step coface")
+        else:
+            _string(_field(step, "element", "a point-removal step"), "a step element")
+    return CollapseCertificate.from_json(json.dumps(doc))
+
+
 def _cylinder_spec_from_doc(doc: dict) -> CylinderSpec:
-    spaces = [(s["name"], _poset_from_doc(s)) for s in doc["spaces"]]
+    spaces = [
+        (_string(_field(s, "name", "a space"), "a space name"), _poset_from_doc(s, "a space"))
+        for s in _objects(doc, "spaces", "the cylinder")
+    ]
     by_name = dict(spaces)
+
+    def space(r, key):
+        name = _string(_field(r, key, "a relation"), f"a relation {key}")
+        if name not in by_name:
+            raise MalformedSpec(f"relation {key} {name!r} names no space")
+        return by_name[name]
+
     relations = []
-    for r in doc["relations"]:
+    for r in _objects(doc, "relations", "the cylinder"):
         relations.append(
             Relation(
-                by_name[r["source"]],
-                by_name[r["target"]],
-                frozenset(tuple(p) for p in r["pairs"]),
-                r.get("direction", RIGHT),
+                space(r, "source"),
+                space(r, "target"),
+                frozenset(map(tuple, _id_lists(_field(r, "pairs", "a relation"), "pairs", 2))),
+                _string(r.get("direction", RIGHT), "a relation direction"),
                 source_name=r["source"],
                 target_name=r["target"],
             )
@@ -279,16 +368,16 @@ def cmd_verify(args) -> int:
         holds = report["part1_nerve_homology_match"] and report["part2_subunions_acyclic"]
         return 1 if implied and not holds else 0
     if args.flavor == "replay-complex":
-        K = _complex_from_doc(doc["complex"])
-        cert = CollapseCertificate.from_json(json.dumps(doc["certificate"]))
-        target = _complex_from_doc(doc["target"]) if "target" in doc else None
+        K = _complex_from_doc(_field(doc, "complex", "a replay document"))
+        cert = _certificate_from_doc(_field(doc, "certificate", "a replay document"))
+        target = _complex_from_doc(doc["target"], "the target") if "target" in doc else None
         ok = replay_complex_certificate(K, cert, target=target)
         _emit({"replay_ok": ok})
         return 0 if ok else 1
     if args.flavor == "replay-space":
-        X = _poset_from_doc(doc["poset"])
-        cert = CollapseCertificate.from_json(json.dumps(doc["certificate"]))
-        target = frozenset(doc["target"]) if "target" in doc else None
+        X = _poset_from_doc(_field(doc, "poset", "a replay document"))
+        cert = _certificate_from_doc(_field(doc, "certificate", "a replay document"))
+        target = frozenset(_ids(doc["target"], "the target")) if "target" in doc else None
         ok = replay_space_certificate(X, cert, target=target)
         _emit({"replay_ok": ok})
         return 0 if ok else 1
@@ -388,10 +477,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FinspaceError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FinspaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

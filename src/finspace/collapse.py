@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import SimplicialComplex
-from .errors import EmptyObject, EmptySpace, TargetNotInduced
+from .errors import EmptyObject, EmptySpace, InvariantViolation, TargetNotInduced
 from .homology import HomologyResult, homology_of_poset, reduced_homology
 from .posets import FinitePoset
 
@@ -77,11 +77,11 @@ class TriStateResult:
     note: str = ""
 
     def __post_init__(self):
-        if self.verdict == "yes":
-            assert self.certificate is not None
-        if self.verdict == "no":
-            # empty subobjects carry a note instead of a homology witness
-            assert self.witness is not None or self.note
+        if self.verdict == "yes" and self.certificate is None:
+            raise InvariantViolation("a yes verdict needs a certificate")
+        # empty subobjects carry a note instead of a homology witness
+        if self.verdict == "no" and self.witness is None and not self.note:
+            raise InvariantViolation("a no verdict needs a homology witness or a note")
 
     def is_yes(self) -> bool:
         return self.verdict == "yes"

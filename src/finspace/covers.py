@@ -20,7 +20,14 @@ from itertools import combinations
 
 from . import collapse as clp
 from .complexes import SimplicialComplex, order_complex, simplex_id
-from .errors import InvalidCover, UnknownElement, UnknownMember, UnknownSimplex
+from .errors import (
+    InvalidCover,
+    InvariantViolation,
+    MalformedSpec,
+    UnknownElement,
+    UnknownMember,
+    UnknownSimplex,
+)
 from .homology import homology_equal, homology_of_poset, reduced_homology
 from .posets import FinitePoset, build_poset
 
@@ -291,7 +298,7 @@ def classify_cover(
     good = clp.aggregate_verdict(r.triviality.verdict for r in nonempty)
     strong = clp.aggregate_verdict(r.collapsibility.verdict for r in nonempty)
     if strong == "yes" and good != "yes":
-        raise AssertionError("collapsible intersections must classify as good")
+        raise InvariantViolation("collapsible intersections must classify as good")
     return CoverClassification(tuple(records), good, strong)
 
 
@@ -318,7 +325,7 @@ def n_zero_subspace(
     seed: int = 0,
 ) -> NZeroResult:
     if mode not in ("trivial", "collapsible"):
-        raise ValueError(f"mode must be trivial or collapsible, got {mode!r}")
+        raise MalformedSpec(f"mode must be trivial or collapsible, got {mode!r}")
     cls = classification or classify_cover(
         cover, nerve_simplices_only=True, restarts=restarts, seed=seed
     )
@@ -466,7 +473,7 @@ def check_nerve_theorem(
     homotopy equivalence itself is not decided.
     """
     if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; choose from {FLAVORS}")
+        raise MalformedSpec(f"unknown flavor {flavor!r}; choose from {FLAVORS}")
     cls = classify_cover(cover, nerve_simplices_only=True, restarts=restarts, seed=seed)
     report: dict = {"flavor": flavor}
     mode = "collapsible" if ("strong" in flavor or "collapsible" in flavor or "reduced" in flavor) else "trivial"

@@ -359,7 +359,7 @@ def check_intermediate(R1: Relation, R2: Relation, side: str) -> dict:
         composite_report = check_collapse_right(composite)
         bound_intermediate = R2.target.height()
     else:
-        raise ValueError(f"side must be left or right, got {side!r}")
+        raise MalformedSpec(f"side must be left or right, got {side!r}")
     verdict = clp.aggregate_verdict(
         [
             factor_report["hypothesis_collapsibility"],

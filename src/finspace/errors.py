@@ -65,3 +65,7 @@ class NotAChain(FinspaceError):
 
 class GenerationExhausted(FinspaceError):
     pass
+
+
+class InvariantViolation(FinspaceError):
+    """An internal consistency check failed: a bug, not bad input."""

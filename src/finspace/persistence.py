@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .covers import Cover, CoverClassification, classify_cover, nerve
-from .errors import InvalidCover, NotAChain
+from .errors import InvalidCover, InvariantViolation, NotAChain
 from .homology import betti_numbers_gf2, homology_equal, reduced_homology
 
 
@@ -114,7 +114,7 @@ def _check_against_betti(diagram: PersistenceDiagram, complexes) -> None:
             if k == 0:
                 alive -= 1  # reduced convention: one essential component bar
             if alive != b:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"bar count {alive} disagrees with betti_{k}={b} at step {t}"
                 )
 

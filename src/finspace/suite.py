@@ -276,7 +276,15 @@ def _check_fixture_drift(fixtures_dir: str) -> tuple[bool, dict]:
             mismatches.append({"file": name, "reason": "missing"})
             continue
         with open(path) as fh:
-            doc = json.load(fh)
-        if SimplicialComplex(doc["facets"]) != K:
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                doc = None
+        facets = doc.get("facets") if isinstance(doc, dict) else None
+        if not isinstance(facets, list) or not all(
+            isinstance(f, list) and all(isinstance(v, str) for v in f) for f in facets
+        ):
+            mismatches.append({"file": name, "reason": "malformed"})
+        elif SimplicialComplex(facets) != K:
             mismatches.append({"file": name, "reason": "content"})
     return not mismatches, {"mismatches": mismatches}

@@ -203,3 +203,77 @@ def test_collapse_certificate_written_to_file(paths, capsys, tmp_path):
     assert cert_path.exists()
     steps = json.loads(cert_path.read_text())["steps"]
     assert len(steps) == 5
+
+
+_POSET = {"elements": ["a", "b"], "relations": [["a", "b"]]}
+_COMPLEX = {"facets": [["a", "b"], ["b", "c"]]}
+_COVER = {
+    "kind": "complex",
+    "parent": _COMPLEX,
+    "members": [{"name": "U", "facets": [["a", "b"]]}, {"name": "V", "facets": [["b", "c"]]}],
+}
+_CYLINDER = {
+    "spaces": [{"name": "X", **_POSET}, {"name": "Y", **_POSET}],
+    "relations": [{"source": "X", "target": "Y", "pairs": [["a", "a"]]}],
+}
+_CERT = {"steps": [{"kind": "free-pair", "face": ["a"], "coface": ["a", "b"]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["poset"], "[1, 2]"),
+        (["poset"], '{"elements": ["a", "b"], "relations": [["a"'),
+        (["poset"], json.dumps({"elements": ["a"]})),
+        (["poset"], json.dumps({"elements": [1, 2], "relations": []})),
+        (["poset"], json.dumps({"elements": ["a", "b"], "relations": [["a"]]})),
+        (["poset"], json.dumps({"elements": ["a"], "relations": "ab"})),
+        (["homology", "--mode", "poset"], json.dumps({"elements": [["a"]], "relations": []})),
+        (["complex"], '"facets"'),
+        (["complex"], json.dumps({"facets": [[1, 2]]})),
+        (["complex"], json.dumps({"facets": "ab"})),
+        (["homology"], json.dumps({"facets": [["a"], None]})),
+        (["nerve"], json.dumps({k: v for k, v in _COVER.items() if k != "members"})),
+        (["nerve"], json.dumps({**_COVER, "parent": [["a", "b"]]})),
+        (["nerve"], json.dumps({**_COVER, "kind": 3})),
+        (["cover", "classify"], json.dumps({**_COVER, "members": [{"name": 1, "facets": []}]})),
+        (["cover", "classify"], json.dumps({**_COVER, "members": ["U"]})),
+        (["persistence"], "[]"),
+        (["verify", "truncation"], "null"),
+        (["verify", "good-complex"], json.dumps({**_COVER, "members": {"U": []}})),
+        (["cylinder"], json.dumps({**_CYLINDER, "spaces": "X"})),
+        (["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "Z", "target": "Y", "pairs": []}]})),
+        (["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a"]]}]})),
+        (["cylinder"], json.dumps({"spaces": [{"name": "X", "elements": ["a"]}], "relations": []})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{}]}})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": [_CERT]})),
+        (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": _CERT, "target": "a"})),
+        (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "up-beat"}]}})),
+    ],
+)
+def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code = main(argv + ["--in", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_malformed_input_exit_code_from_the_shell(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "finspace.cli", "poset", "--in", str(p)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["error: the document must be a JSON object"]

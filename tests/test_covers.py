@@ -15,7 +15,7 @@ from finspace.covers import (
     reduced_nerve,
     reduced_nerve_complex,
 )
-from finspace.errors import InvalidCover
+from finspace.errors import InvalidCover, MalformedSpec
 from finspace.fixtures import (
     circle_arc_cover,
     circle_complex,
@@ -230,7 +230,7 @@ def test_check_nerve_theorem_reports_failed_hypothesis():
 
 
 def test_check_nerve_theorem_unknown_flavor():
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedSpec):
         check_nerve_theorem(circle_arc_cover(), "no-such-flavor")
 
 

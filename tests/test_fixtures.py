@@ -80,3 +80,18 @@ def test_finite_circle_cover_is_good_not_contractible():
         for J in combinations(cov.names(), k):
             if not cov.intersection_is_empty(J):
                 assert is_contractible_space(X.restrict(cov.intersection(J)))
+
+
+def test_fixture_drift_reports_malformed_documents(tmp_path):
+    from finspace.suite import _check_fixture_drift
+
+    (tmp_path / "dunce-hat.json").write_text(dunce_hat().to_json())
+    (tmp_path / "projective-plane.json").write_text("[1, 2]")
+    (tmp_path / "two-triangles.json").write_text('{"facets": [[1, 2]]}')
+    (tmp_path / "circle.json").write_text('{"facets": [["a"')
+    ok, detail = _check_fixture_drift(str(tmp_path))
+    assert not ok
+    assert detail["mismatches"] == [
+        {"file": name, "reason": "malformed"}
+        for name in ("projective-plane.json", "two-triangles.json", "circle.json")
+    ]

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from finspace.complexes import SimplicialComplex, simplex_boundary, solid_simplex
+from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary, solid_simplex
 from finspace.errors import EmptyComplex
-from finspace.fixtures import projective_plane
-from finspace.generators import generate_complex
+from finspace.fixtures import dunce_hat, projective_plane
+from finspace.generators import generate_complex, generate_poset
 from finspace.homology import (
+    _dense_snf,
     betti_numbers_gf2,
     betti_numbers_oracle,
     boundary_matrices,
@@ -38,14 +41,93 @@ def test_snf_zero_matrix():
 
 
 def test_snf_rank_matches_fraction_free():
-    import random
-
     rng = random.Random("snf-rank")
     for _ in range(40):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         M = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         assert smith_normal_form(M)[1] == rank_fraction_free(M)
+
+
+def _random_matrix(rng, rows, cols, density):
+    """Integer matrix mixing unit and non-unit entries."""
+    values = (1, -1, 2, -2, 3, -4, 6, 9)
+    return [
+        [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _random_matrices(label, count):
+    rng = random.Random(label)
+    for _ in range(count):
+        yield _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), rng.random())
+
+
+def _boundaries(K):
+    return [M for M in boundary_matrices(K).boundaries[1:] if M and M[0]]
+
+
+def test_snf_matches_dense_on_random_matrices():
+    for M in _random_matrices("snf-dense", 500):
+        assert smith_normal_form(M) == _dense_snf(M), M
+
+
+def test_snf_mixed_unit_and_torsion_blocks():
+    assert smith_normal_form([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == ([1, 1, 6], 3)
+    assert smith_normal_form([[2, 0, 0], [0, 1, 0], [0, 0, 4]]) == ([1, 2, 4], 3)
+    # a unit pivot whose elimination leaves the torsion entry 2 behind
+    M = [[1, 1, 0], [1, -1, 0], [0, 0, 0]]
+    assert smith_normal_form(M) == ([1, 2], 2) == _dense_snf(M)
+
+
+@pytest.mark.parametrize(
+    "M, expected",
+    [
+        ([[0]], []),
+        ([[0, 0, 0]], []),
+        ([[0], [0], [0]], []),
+        ([[]], []),
+        ([], []),
+        ([[-5]], [5]),
+        ([[1, 2, 3]], [1]),
+        ([[4], [6], [0]], [2]),
+        ([[0, -1, 0]], [1]),
+    ],
+)
+def test_snf_degenerate_shapes(M, expected):
+    assert smith_normal_form(M) == (expected, len(expected)) == _dense_snf(M)
+
+
+def test_snf_leaves_input_untouched():
+    M = ((1, 2, 0), (1, -1, 3), (0, 2, 2))
+    copy = [list(r) for r in M]
+    for fn in (smith_normal_form, _dense_snf, rank_fraction_free, rank_gf2):
+        fn(M)
+        assert [list(r) for r in M] == copy
+
+
+def test_snf_matches_dense_on_boundary_matrices():
+    for seed in range(30):
+        for M in _boundaries(generate_complex(seed)):
+            assert smith_normal_form(M) == _dense_snf(M)
+    for seed in range(6):
+        for M in _boundaries(order_complex(generate_poset(seed, 9))):
+            assert smith_normal_form(M) == _dense_snf(M)
+    for K in (projective_plane(), dunce_hat()):
+        for M in _boundaries(K):
+            assert smith_normal_form(M) == _dense_snf(M)
+
+
+def test_snf_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    cases = list(_random_matrices("snf-sympy", 150))
+    cases += _boundaries(projective_plane()) + _boundaries(generate_complex(3))
+    for M in cases:
+        expected = [abs(f) for f in invariant_factors(sympy.Matrix(M), domain=sympy.ZZ) if f]
+        assert smith_normal_form(M)[0] == expected, M
 
 
 def test_rank_gf2_basics():
@@ -91,6 +173,10 @@ def test_projective_plane_torsion():
     assert tuple(hom.betti) == (0, 0, 0)
     assert list(hom.torsion[1]) == [2]
     assert not hom.torsion[0] and not hom.torsion[2]
+
+
+def test_dunce_hat_acyclic():
+    assert reduced_homology(dunce_hat()).is_trivial()
 
 
 def test_betti_oracles_agree():
