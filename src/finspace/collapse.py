@@ -10,17 +10,23 @@ Each point-removal kind (down-beat, up-beat, down-weak, up-weak) is decided
 in one place, ``removable``.  The core and greedy searches, certificate
 replay and the cylinder executor all call it, so replay accepts any step that
 is valid for its declared kind, whichever other kinds the point also has.
-Free-face search and replay likewise share one unique-coface test.
+They shrink a set of alive points and read the induced order off the
+parent's reachability tables, so no subposet is built per step.
+
+Free-face search and replay likewise share one state, ``_Shrinking``: a
+present-mask and coface counts over the complex's simplex index, updated in
+O(dim) per removed pair, so no complex is rebuilt per step.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import SimplicialComplex
+from .complexes import SimplexIndex, SimplicialComplex
 from .errors import EmptyObject, EmptySpace, InvariantViolation, TargetNotInduced
 from .homology import HomologyResult, homology_of_poset, reduced_homology
 from .posets import FinitePoset
@@ -124,43 +130,47 @@ def aggregate_verdict(verdicts: Iterable[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def removable(X: FinitePoset, x: str, kind: str) -> bool:
-    """Whether x is a point of the given kind in X.
+BEAT_KINDS = (DOWN_BEAT, UP_BEAT)
+WEAK_KINDS = (DOWN_WEAK, UP_WEAK)
 
-    The down kinds look at the punctured down set of x, the up kinds at its
-    punctured up set.  That set must be non-empty and have a maximum
-    (down-beat), a minimum (up-beat) or be contractible (weak kinds).  An
-    unknown kind is never removable.
+
+def removable(X: FinitePoset, alive: set[str], x: str, kind: str) -> bool:
+    """Whether x is a point of the given kind in the subspace ``alive`` of X.
+
+    The down kinds look at the punctured down set of x in alive, the up kinds
+    at its punctured up set; both are read off X's reachability tables, since
+    a subspace carries the induced order.  That set must be non-empty and
+    have exactly one maximal element (down-beat), exactly one minimal element
+    (up-beat), or be contractible (weak kinds).  An unknown kind is never
+    removable.
     """
     if kind in (DOWN_BEAT, DOWN_WEAK):
-        punctured = X.down_set(x, strict=True)
+        punctured, beyond = X.down_set(x, strict=True) & alive, X._above
     elif kind in (UP_BEAT, UP_WEAK):
-        punctured = X.up_set(x, strict=True)
+        punctured, beyond = X.up_set(x, strict=True) & alive, X._below
     else:
         return False
     if not punctured:
         return False
-    sub = X.restrict(punctured)
-    if kind == DOWN_BEAT:
-        return sub.has_maximum()
-    if kind == UP_BEAT:
-        return sub.has_minimum()
-    return is_contractible_space(sub)
+    if kind in WEAK_KINDS:
+        return _contraction(X, set(punctured)) is not None
+    extremes = sum(1 for y in punctured if beyond[y].isdisjoint(punctured))
+    return extremes == 1
 
 
-def _first_kind(X: FinitePoset, x: str, kinds: tuple[str, str]) -> str | None:
+def _first_kind(X: FinitePoset, alive: set[str], x: str, kinds: tuple[str, str]) -> str | None:
     for kind in kinds:
-        if removable(X, x, kind):
+        if removable(X, alive, x, kind):
             return kind
     return None
 
 
 def beat_point_kind(X: FinitePoset, x: str) -> str | None:
-    return _first_kind(X, x, (DOWN_BEAT, UP_BEAT))
+    return _first_kind(X, set(X.elements), x, BEAT_KINDS)
 
 
 def weak_point_kind(X: FinitePoset, x: str) -> str | None:
-    return _first_kind(X, x, (DOWN_WEAK, UP_WEAK))
+    return _first_kind(X, set(X.elements), x, WEAK_KINDS)
 
 
 def _removable_points(X: FinitePoset, kind_of) -> list[tuple[str, str]]:
@@ -176,33 +186,47 @@ def weak_points(X: FinitePoset) -> list[tuple[str, str]]:
     return _removable_points(X, weak_point_kind)
 
 
-def _remove_points(
-    X: FinitePoset, kind_of, keep: frozenset[str] = frozenset(), size: int = 0
-) -> tuple[FinitePoset, CollapseCertificate]:
-    """Remove the first point outside keep that kind_of accepts, round after
-    round, until no such point is left or only ``size`` points remain."""
+def _peel(
+    X: FinitePoset,
+    alive: set[str],
+    kinds: tuple[str, str],
+    keep: frozenset[str] = frozenset(),
+    size: int = 0,
+) -> CollapseCertificate:
+    """Remove from alive the first point outside keep, in element order, that
+    has one of the kinds, round after round, until no such point is left or
+    only ``size`` points remain.  Shrinks alive in place."""
     steps: list[PointRemoval] = []
-    current = X
-    while len(current) > size:
-        for x in current.elements:
-            if x not in keep and (kind := kind_of(current, x)):
+    order = sorted(alive)
+    while len(alive) > size:
+        for x in order:
+            if x in alive and x not in keep and (kind := _first_kind(X, alive, x, kinds)):
                 steps.append(PointRemoval(x, kind))
-                current = current.remove(x)
+                alive.remove(x)
                 break
         else:
             break
-    return current, CollapseCertificate(tuple(steps))
+    return CollapseCertificate(tuple(steps))
+
+
+def _contraction(X: FinitePoset, alive: set[str]) -> CollapseCertificate | None:
+    """Beat-point removals taking the non-empty subspace alive of X to a
+    point, or None when its core is larger.  Shrinks alive to the core."""
+    cert = _peel(X, alive, BEAT_KINDS)
+    return cert if len(alive) == 1 else None
 
 
 def core(X: FinitePoset) -> tuple[FinitePoset, CollapseCertificate]:
     """Remove beat points (lexicographically first each round) until none remain."""
-    return _remove_points(X, beat_point_kind)
+    alive = set(X.elements)
+    cert = _peel(X, alive, BEAT_KINDS)
+    return X.restrict(alive), cert
 
 
 def is_contractible_space(X: FinitePoset) -> bool:
     if not len(X):
         raise EmptySpace("contractibility of the empty space is not defined")
-    return len(core(X)[0]) == 1
+    return _contraction(X, set(X.elements)) is not None
 
 
 def gamma_points(X: FinitePoset) -> list[tuple[str, TriStateResult]]:
@@ -242,8 +266,9 @@ def greedy_collapse_space(
     if keep is not None and not keep <= set(X.elements):
         raise TargetNotInduced(f"target {sorted(keep)} is not a subset of the space")
     size = 1 if keep is None else len(keep)
-    current, cert = _remove_points(X, weak_point_kind, keep or frozenset(), size)
-    if len(current) == size:
+    alive = set(X.elements)
+    cert = _peel(X, alive, WEAK_KINDS, keep or frozenset(), size)
+    if len(alive) == size:
         return yes(cert)
     return _stuck(
         homology_of_poset,
@@ -257,16 +282,16 @@ def replay_space_certificate(
     X: FinitePoset, cert: CollapseCertificate, target: Iterable[str] | None = None
 ) -> bool:
     """Check each removal is valid for its declared kind; verify the end state."""
-    current = X
+    alive = set(X.elements)
     for step in cert.steps:
-        if not isinstance(step, PointRemoval) or step.element not in current:
+        if not isinstance(step, PointRemoval) or step.element not in alive:
             return False
-        if not removable(current, step.element, step.kind):
+        if not removable(X, alive, step.element, step.kind):
             return False
-        current = current.remove(step.element)
+        alive.remove(step.element)
     if target is not None:
-        return set(current.elements) == set(target)
-    return len(current) == 1
+        return alive == set(target)
+    return len(alive) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -274,52 +299,86 @@ def replay_space_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _unique_coface(simplices: list[frozenset[str]], face: frozenset[str]):
-    """The one simplex properly containing face, when there is exactly one and
-    it has one more vertex; otherwise None."""
-    cofaces = [t for t in simplices if face < t]
-    if len(cofaces) == 1 and len(cofaces[0]) == len(face) + 1:
-        return cofaces[0]
-    return None
+class _Shrinking:
+    """A complex shrinking by free-pair removals, kept on its simplex index.
+
+    Per simplex it holds whether it is present and the number and id sum of
+    its present codimension-1 cofaces; the sum names the coface when there is
+    one.  A simplex s is free exactly when it has one such coface t: a larger
+    simplex s + {p, q} would bring the two cofaces s + {p} and s + {q}, so t
+    is maximal and the only simplex above s.  Simplices in ``keep`` are never
+    free.
+    """
+
+    __slots__ = ("index", "keep", "present", "count", "cosum", "size")
+
+    def __init__(self, index: SimplexIndex, keep: frozenset[int] = frozenset()):
+        self.index = index
+        self.keep = keep
+        self.present = [True] * len(index.simplices)
+        self.count = [len(c) for c in index.cofaces]
+        self.cosum = [sum(c) for c in index.cofaces]
+        self.size = len(index.simplices)
+
+    def coface_if_free(self, s: int) -> int | None:
+        """The coface of s when s is present, outside keep and free; else None."""
+        if self.present[s] and self.count[s] == 1 and s not in self.keep:
+            return self.cosum[s]
+        return None
+
+    def free_ids(self) -> list[int]:
+        return [s for s in range(len(self.present)) if self.coface_if_free(s) is not None]
+
+    def remove_pair(self, s: int, t: int) -> list[int]:
+        """Remove the free face s with its coface t.  Returns the simplices
+        whose freeness may have changed, which are the faces of the pair (s
+        among them): no other simplex's coface count moved."""
+        self.present[s] = self.present[t] = False
+        self.size -= 2
+        touched = []
+        for gone in (t, s):
+            for f in self.index.faces[gone]:
+                self.count[f] -= 1
+                self.cosum[f] -= gone
+                touched.append(f)
+        return touched
 
 
 def free_faces(K: SimplicialComplex) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Pairs (face, unique coface): the face lies in exactly one larger simplex."""
-    simplices = [frozenset(s) for s in K.all_simplices()]
-    out = []
-    for s in simplices:
-        coface = _unique_coface(simplices, s)
-        if coface is not None:
-            out.append((tuple(sorted(s)), tuple(sorted(coface))))
-    return sorted(out, key=lambda p: (len(p[0]), p))
+    state = _Shrinking(K.index())
+    simplices = state.index.simplices
+    return [(simplices[s], simplices[state.cosum[s]]) for s in state.free_ids()]
 
 
 def _collapse_run(
-    K: SimplicialComplex,
-    keep: SimplicialComplex | None,
-    rng: random.Random | None,
-) -> tuple[TriStateResult | None, list[FreeFacePair]]:
-    """One greedy pass; returns (Yes-result or None when stuck, steps so far)."""
+    index: SimplexIndex, keep: frozenset[int], size: int, rng: random.Random | None
+) -> CollapseCertificate | None:
+    """One greedy pass down to ``size`` simplices without touching keep.
+
+    The free faces are kept as a sorted id list, which is the order of
+    ``free_faces``: the deterministic pass takes the first, a restart draws
+    from the whole list.  Returns the certificate, or None when stuck.
+    """
+    state = _Shrinking(index, keep)
+    free = state.free_ids()
+    listed = set(free)
     steps: list[FreeFacePair] = []
-    current = K
-    while True:
-        if keep is None:
-            if len(current.all_simplices()) == 1:
-                return yes(CollapseCertificate(tuple(steps))), steps
-        elif current == keep:
-            return yes(CollapseCertificate(tuple(steps))), steps
-        pairs = free_faces(current)
-        if keep is not None:
-            pairs = [
-                p
-                for p in pairs
-                if not keep.contains_simplex(p[0]) and not keep.contains_simplex(p[1])
-            ]
-        if not pairs:
-            return None, steps
-        face, coface = pairs[0] if rng is None else rng.choice(pairs)
-        steps.append(FreeFacePair(face, coface))
-        current = current.without([face, coface])
+    while state.size != size:
+        if not free:
+            return None
+        s = free[0] if rng is None else rng.choice(free)
+        t = state.cosum[s]
+        steps.append(FreeFacePair(index.simplices[s], index.simplices[t]))
+        for u in state.remove_pair(s, t):
+            if (state.coface_if_free(u) is not None) != (u in listed):
+                if u in listed:
+                    listed.remove(u)
+                    del free[bisect_left(free, u)]
+                else:
+                    listed.add(u)
+                    insort(free, u)
+    return CollapseCertificate(tuple(steps))
 
 
 def greedy_collapse_complex(
@@ -336,13 +395,19 @@ def greedy_collapse_complex(
         raise EmptyObject("cannot collapse the empty complex")
     if target is not None and not target.is_subcomplex_of(K):
         raise TargetNotInduced("target is not a subcomplex")
-    result, _ = _collapse_run(K, target, None)
-    if result is not None:
-        return result
-    for r in range(restarts):
-        result, _ = _collapse_run(K, target, random.Random(f"restart:{seed}:{r}"))
-        if result is not None:
-            return result
+    index = K.index()
+    # target simplices are never removed, so the target is reached exactly
+    # when as many simplices remain as it has
+    if target is None:
+        keep, size = frozenset(), 1
+    else:
+        keep = frozenset(index.id_of[s] for s in target.all_simplices())
+        size = len(keep)
+    for attempt in range(restarts + 1):
+        rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
+        cert = _collapse_run(index, keep, size, rng)
+        if cert is not None:
+            return yes(cert)
     return _stuck(reduced_homology, K, target, "no free faces left on any attempted schedule")
 
 
@@ -382,22 +447,26 @@ def replay_complex_certificate(
     cert: CollapseCertificate,
     target: SimplicialComplex | None = None,
 ) -> bool:
-    """Re-execute free-face pairs, checking freeness at each step."""
-    current = K
+    """Re-execute free-face pairs, checking freeness at each step.
+
+    A face or coface may list its vertices in any order.
+    """
+    state = _Shrinking(K.index())
+    id_of = state.index.id_of
     for step in cert.steps:
         if not isinstance(step, FreeFacePair):
             return False
-        face = frozenset(step.face)
-        coface = frozenset(step.coface)
-        if not current.contains_simplex(face):
+        s = id_of.get(tuple(sorted(frozenset(step.face))))
+        t = None if s is None else state.coface_if_free(s)
+        if t is None or id_of.get(tuple(sorted(frozenset(step.coface)))) != t:
             return False
-        simplices = [frozenset(t) for t in current.all_simplices()]
-        if _unique_coface(simplices, face) != coface:
-            return False
-        current = current.without([face, coface])
-    if target is not None:
-        return current == target
-    return len(current.all_simplices()) == 1
+        state.remove_pair(s, t)
+    if target is None:
+        return state.size == 1
+    remaining = target.all_simplices()
+    return state.size == len(remaining) and all(
+        (s := id_of.get(simplex)) is not None and state.present[s] for simplex in remaining
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +485,8 @@ def triviality_from_collapse(obj, collapsibility: TriStateResult) -> TriStateRes
         return collapsibility
     if isinstance(obj, SimplicialComplex):
         return unknown("acyclic but greedy collapse got stuck")
-    core_poset, cert = core(obj)
-    if len(core_poset) == 1:
+    cert = _contraction(obj, set(obj.elements))
+    if cert is not None:
         return yes(cert)
     return unknown("acyclic but neither core nor greedy collapse reach a point")
 
@@ -425,8 +494,8 @@ def triviality_from_collapse(obj, collapsibility: TriStateResult) -> TriStateRes
 def is_homotopically_trivial_poset(X: FinitePoset) -> TriStateResult:
     if not len(X):
         raise EmptyObject("the empty space is not homotopically trivial")
-    core_poset, cert = core(X)
-    if len(core_poset) == 1:
+    cert = _contraction(X, set(X.elements))
+    if cert is not None:
         return yes(cert)
     return triviality_from_collapse(X, greedy_collapse_space(X))
 

@@ -1,8 +1,9 @@
 """Abstract simplicial complexes stored by facets.
 
 Bridges to finite spaces: the order complex K(X) of a poset and the face
-poset of a complex.  Simplices are materialized on demand; the empty
-complex is representable but the empty simplex is never a member.
+poset of a complex.  Simplices are materialized once per complex, on first
+use, into a :class:`SimplexIndex`; the empty complex is representable but
+the empty simplex is never a member.
 """
 
 from __future__ import annotations
@@ -21,6 +22,39 @@ def simplex_id(s: Iterable[str]) -> str:
     return "|".join(sorted(s))
 
 
+class SimplexIndex:
+    """Every simplex of a complex, interned as an int.
+
+    Ids follow (dimension, lexicographic) order over sorted vertex tuples.
+    ``faces[i]`` lists the ids of the codimension-1 faces of simplex i and
+    ``cofaces[i]`` those of the simplices it is a codimension-1 face of, both
+    ascending.  The ids of dimension d run from ``dim_start[d]`` up to
+    ``dim_start[d + 1]``.
+    """
+
+    __slots__ = ("simplices", "id_of", "faces", "cofaces", "dim_start")
+
+    def __init__(self, facets: Iterable[Simplex]):
+        seen: set[tuple[str, ...]] = set()
+        for f in facets:
+            fs = sorted(f)
+            for k in range(1, len(fs) + 1):
+                seen.update(combinations(fs, k))
+        self.simplices: list[tuple[str, ...]] = sorted(seen, key=lambda s: (len(s), s))
+        self.id_of: dict[tuple[str, ...], int] = {s: i for i, s in enumerate(self.simplices)}
+        self.faces: list[tuple[int, ...]] = []
+        self.cofaces: list[list[int]] = [[] for _ in self.simplices]
+        self.dim_start: list[int] = []
+        for i, s in enumerate(self.simplices):
+            if len(s) > len(self.dim_start):
+                self.dim_start.append(i)
+            faces = tuple(self.id_of[t] for t in combinations(s, len(s) - 1) if t)
+            for f in faces:
+                self.cofaces[f].append(i)
+            self.faces.append(faces)
+        self.dim_start.append(len(self.simplices))
+
+
 class SimplicialComplex:
     """Immutable abstract simplicial complex.
 
@@ -28,11 +62,12 @@ class SimplicialComplex:
     Isolated vertices are singleton facets.
     """
 
-    __slots__ = ("facets", "vertices")
+    __slots__ = ("facets", "vertices", "_index")
 
     def __init__(self, facets: Iterable[Iterable[str]]):
         self.facets: frozenset[Simplex] = _maximalize(frozenset(map(frozenset, facets)))
         self.vertices: frozenset[str] = frozenset(v for f in self.facets for v in f)
+        self._index: SimplexIndex | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
@@ -54,24 +89,30 @@ class SimplicialComplex:
         s = frozenset(simplex)
         return bool(s) and any(s <= f for f in self.facets)
 
+    def index(self) -> SimplexIndex:
+        """The simplex index, built on first use and kept with the complex."""
+        if self._index is None:
+            self._index = SimplexIndex(self.facets)
+        return self._index
+
     def all_simplices(self, max_dim: int | None = None) -> list[tuple[str, ...]]:
         """All simplices, by dimension then lexicographically, as sorted tuples."""
+        index = self.index()
         top = self.dim() if max_dim is None else min(max_dim, self.dim())
-        seen: set[tuple[str, ...]] = set()
-        for f in self.facets:
-            fs = sorted(f)
-            for k in range(1, min(len(fs), top + 1) + 1):
-                seen.update(combinations(fs, k))
-        return sorted(seen, key=lambda s: (len(s), s))
+        return index.simplices[: index.dim_start[max(top + 1, 0)]]
 
     def simplices_of_dim(self, d: int) -> list[tuple[str, ...]]:
-        return [s for s in self.all_simplices() if len(s) == d + 1]
+        if not 0 <= d <= self.dim():
+            return []
+        index = self.index()
+        return index.simplices[index.dim_start[d] : index.dim_start[d + 1]]
 
     def num_simplices(self) -> int:
-        return len(self.all_simplices())
+        return len(self.index().simplices)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.all_simplices())
+        starts = self.index().dim_start
+        return sum((-1) ** d * (starts[d + 1] - starts[d]) for d in range(len(starts) - 1))
 
     # -- subcomplexes and combinations ---------------------------------------
 
@@ -90,12 +131,7 @@ class SimplicialComplex:
         return SimplicialComplex(common)
 
     def without(self, simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
-        """Remove the given simplices (and implicitly all their cofaces).
-
-        Caller is responsible for the removals leaving a complex; used by the
-        collapse engine which only deletes a free face together with its
-        unique coface.
-        """
+        """Remove the given simplices (and implicitly all their cofaces)."""
         gone = {frozenset(s) for s in simplices}
         keep = [
             s

@@ -310,23 +310,23 @@ def _execute_target_removal(R: Relation, side: str) -> dict:
         kept, kept_name = R.target, R.target_name
         far_name = R.source_name
     steps = []
-    current = B
+    alive = set(B.elements)
     identity_ok = True
     for z in order:
         tz = tag(far_name, z)
         if side == "left":
-            punctured = current.down_set(tz, strict=True)
+            punctured = B.down_set(tz, strict=True) & alive
             expected = frozenset(
                 tag(kept_name, x) for x in underline_preimage(R, z)
             )
             kind = clp.DOWN_WEAK
         else:
-            punctured = current.up_set(tz, strict=True)
+            punctured = B.up_set(tz, strict=True) & alive
             expected = frozenset(tag(kept_name, y) for y in overline_image(R, z))
             kind = clp.UP_WEAK
         if punctured != expected:
             identity_ok = False
-        if not clp.removable(current, tz, kind):
+        if not clp.removable(B, alive, tz, kind):
             return {
                 "verdict": "failed",
                 "failed_at": z,
@@ -334,7 +334,7 @@ def _execute_target_removal(R: Relation, side: str) -> dict:
                 "note": "removed point is not a weak point at removal time",
             }
         steps.append(clp.PointRemoval(tz, kind))
-        current = current.remove(tz)
+        alive.remove(tz)
     cert = clp.CollapseCertificate(tuple(steps))
     target_elements = {tag(kept_name, x) for x in kept.elements}
     replay_ok = clp.replay_space_certificate(B, cert, target=target_elements)

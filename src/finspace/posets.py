@@ -23,27 +23,36 @@ class FinitePoset:
     arbitrary acyclic generating relation.
     """
 
-    __slots__ = ("elements", "hasse", "_below", "_above", "_height_of")
+    __slots__ = (
+        "elements", "hasse", "_covers_below", "_covers_above", "_below", "_above", "_height_of"
+    )
 
     def __init__(self, elements: Iterable[str], hasse: Iterable[tuple[str, str]]):
         self.elements: tuple[str, ...] = tuple(sorted(elements))
         if len(set(self.elements)) != len(self.elements):
             raise DuplicateElement(f"duplicate element ids in {self.elements}")
         self.hasse: frozenset[tuple[str, str]] = frozenset((a, b) for a, b in hasse)
+        self._covers_below: dict[str, list[str]] = {x: [] for x in self.elements}
+        self._covers_above: dict[str, list[str]] = {x: [] for x in self.elements}
         for a, b in self.hasse:
-            if a not in self or b not in self:
+            if a not in self._covers_below or b not in self._covers_below:
                 raise UnknownElement(f"hasse pair ({a}, {b}) mentions unknown element")
+            self._covers_below[b].append(a)
+            self._covers_above[a].append(b)
+        for covers in (self._covers_below, self._covers_above):
+            for x in covers:
+                covers[x].sort()
         self._below = _reachability(self.elements, self.hasse)
         self._above = _reachability(self.elements, [(b, a) for a, b in self.hasse])
         self._height_of: dict[str, int] = {}
         for x in self.linear_extension():
-            preds = [self._height_of[y] for y in self.covers_below(x)]
+            preds = [self._height_of[y] for y in self._covers_below[x]]
             self._height_of[x] = 1 + max(preds) if preds else 0
 
     # -- basic queries -----------------------------------------------------
 
     def __contains__(self, x: str) -> bool:
-        return x in self._below if hasattr(self, "_below") else x in self.elements
+        return x in self._below
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -73,10 +82,10 @@ class FinitePoset:
         return a == b and a in self._below or self.lt(a, b)
 
     def covers_below(self, x: str) -> list[str]:
-        return sorted(a for a, b in self.hasse if b == x)
+        return list(self._covers_below.get(x, ()))
 
     def covers_above(self, x: str) -> list[str]:
-        return sorted(b for a, b in self.hasse if a == x)
+        return list(self._covers_above.get(x, ()))
 
     # -- open / closed subsets ---------------------------------------------
 
@@ -129,12 +138,10 @@ class FinitePoset:
         return max(self._height_of.values())
 
     def maximal_elements(self) -> list[str]:
-        tails = {a for a, _ in self.hasse}
-        return sorted(x for x in self.elements if x not in tails)
+        return [x for x in self.elements if not self._covers_above[x]]
 
     def minimal_elements(self) -> list[str]:
-        heads = {b for _, b in self.hasse}
-        return sorted(x for x in self.elements if x not in heads)
+        return [x for x in self.elements if not self._covers_below[x]]
 
     def has_maximum(self) -> bool:
         return len(self.maximal_elements()) == 1
@@ -156,7 +163,7 @@ class FinitePoset:
         while ready:
             x = heapq.heappop(ready)
             out.append(x)
-            for y in self.covers_above(x):
+            for y in self._covers_above[x]:
                 indeg[y] -= 1
                 if indeg[y] == 0:
                     heapq.heappush(ready, y)

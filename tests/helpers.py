@@ -1,15 +1,37 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-These deliberately avoid the library's own algorithms: contractibility is
-decided by searching every beat-point removal order, chains are enumerated
-from the raw order relation, and transitive closures are recomputed from
-scratch.
+The brute-force ones deliberately avoid the library's own algorithms:
+contractibility is decided by searching every beat-point removal order,
+chains are enumerated from the raw order relation, and transitive closures
+are recomputed from scratch.  The slow collapse engine further down is the
+reference for the indexed one.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
+from finspace.collapse import (
+    DOWN_BEAT,
+    DOWN_WEAK,
+    UP_BEAT,
+    UP_WEAK,
+    CollapseCertificate,
+    FreeFacePair,
+    PointRemoval,
+    _stuck,
+    yes,
+)
+from finspace.complexes import SimplicialComplex
+from finspace.cylinders import (
+    Relation,
+    overline_image,
+    relation_cylinder,
+    tag,
+    underline_preimage,
+)
+from finspace.homology import homology_of_poset, reduced_homology
 from finspace.posets import FinitePoset
 
 
@@ -67,3 +89,210 @@ def brute_transitive_closure(
                 if (a, m) in reach and (m, b) in reach:
                     reach.add((a, b))
     return reach
+
+
+# -- the rebuild-based collapse engine ---------------------------------------
+#
+# The library searches and replays collapses on a simplex index (complexes)
+# and on a shrinking set of alive points (spaces).  The functions below are
+# the engine it replaced: every step rescans all simplices for free faces and
+# rebuilds the complex, and every point test builds the induced subposet.
+# They share no code with the indexed engine besides the certificate types
+# and the stuck-verdict tail, and serve as its oracle.
+
+
+def slow_simplices(K: SimplicialComplex) -> list[frozenset]:
+    """All simplices, by dimension then lexicographically, from the facets."""
+    seen = set()
+    for f in K.facets:
+        fs = sorted(f)
+        for k in range(1, len(fs) + 1):
+            seen.update(combinations(fs, k))
+    return [frozenset(s) for s in sorted(seen, key=lambda s: (len(s), s))]
+
+
+def slow_without(K: SimplicialComplex, simplices) -> SimplicialComplex:
+    gone = {frozenset(s) for s in simplices}
+    return SimplicialComplex(
+        s for s in slow_simplices(K) if s not in gone and not any(g <= s for g in gone)
+    )
+
+
+def _slow_unique_coface(simplices, face):
+    cofaces = [t for t in simplices if face < t]
+    if len(cofaces) == 1 and len(cofaces[0]) == len(face) + 1:
+        return cofaces[0]
+    return None
+
+
+def slow_free_faces(K: SimplicialComplex):
+    simplices = slow_simplices(K)
+    out = []
+    for s in simplices:
+        coface = _slow_unique_coface(simplices, s)
+        if coface is not None:
+            out.append((tuple(sorted(s)), tuple(sorted(coface))))
+    return sorted(out, key=lambda p: (len(p[0]), p))
+
+
+def slow_collapse_run(K, keep, rng):
+    """One greedy pass; the certificate, or None when stuck."""
+    steps = []
+    current = K
+    while True:
+        if keep is None:
+            if len(slow_simplices(current)) == 1:
+                return CollapseCertificate(tuple(steps))
+        elif current == keep:
+            return CollapseCertificate(tuple(steps))
+        pairs = slow_free_faces(current)
+        if keep is not None:
+            pairs = [
+                p
+                for p in pairs
+                if not keep.contains_simplex(p[0]) and not keep.contains_simplex(p[1])
+            ]
+        if not pairs:
+            return None
+        face, coface = pairs[0] if rng is None else rng.choice(pairs)
+        steps.append(FreeFacePair(face, coface))
+        current = slow_without(current, [face, coface])
+
+
+def slow_greedy_collapse_complex(K, target=None, restarts=8, seed=0):
+    for rng in [None] + [random.Random(f"restart:{seed}:{r}") for r in range(restarts)]:
+        cert = slow_collapse_run(K, target, rng)
+        if cert is not None:
+            return yes(cert)
+    return _stuck(reduced_homology, K, target, "no free faces left on any attempted schedule")
+
+
+def slow_replay_complex(K, cert, target=None) -> bool:
+    current = K
+    for step in cert.steps:
+        if not isinstance(step, FreeFacePair):
+            return False
+        face = frozenset(step.face)
+        coface = frozenset(step.coface)
+        if not current.contains_simplex(face):
+            return False
+        if _slow_unique_coface(slow_simplices(current), face) != coface:
+            return False
+        current = slow_without(current, [face, coface])
+    if target is not None:
+        return current == target
+    return len(slow_simplices(current)) == 1
+
+
+def slow_removable(X: FinitePoset, x: str, kind: str) -> bool:
+    if kind in (DOWN_BEAT, DOWN_WEAK):
+        punctured = X.down_set(x, strict=True)
+    elif kind in (UP_BEAT, UP_WEAK):
+        punctured = X.up_set(x, strict=True)
+    else:
+        return False
+    if not punctured:
+        return False
+    sub = X.restrict(punctured)
+    if kind == DOWN_BEAT:
+        return sub.has_maximum()
+    if kind == UP_BEAT:
+        return sub.has_minimum()
+    return len(slow_core(sub)[0]) == 1
+
+
+def _slow_first_kind(X, x, kinds):
+    return next((kind for kind in kinds if slow_removable(X, x, kind)), None)
+
+
+def slow_points(X: FinitePoset, kinds) -> list[tuple[str, str]]:
+    return [(x, kind) for x in X.elements if (kind := _slow_first_kind(X, x, kinds))]
+
+
+def _slow_remove_points(X, kinds, keep=frozenset(), size=0):
+    steps = []
+    current = X
+    while len(current) > size:
+        for x in current.elements:
+            if x not in keep and (kind := _slow_first_kind(current, x, kinds)):
+                steps.append(PointRemoval(x, kind))
+                current = current.remove(x)
+                break
+        else:
+            break
+    return current, CollapseCertificate(tuple(steps))
+
+
+def slow_core(X: FinitePoset):
+    return _slow_remove_points(X, (DOWN_BEAT, UP_BEAT))
+
+
+def slow_greedy_collapse_space(X: FinitePoset, target=None):
+    keep = frozenset(target) if target is not None else frozenset()
+    size = 1 if target is None else len(keep)
+    current, cert = _slow_remove_points(X, (DOWN_WEAK, UP_WEAK), keep, size)
+    if len(current) == size:
+        return yes(cert)
+    return _stuck(
+        homology_of_poset,
+        X,
+        None if target is None else X.restrict(keep),
+        "greedy weak-point removal got stuck",
+    )
+
+
+def slow_replay_space(X: FinitePoset, cert, target=None) -> bool:
+    current = X
+    for step in cert.steps:
+        if not isinstance(step, PointRemoval) or step.element not in current:
+            return False
+        if not slow_removable(current, step.element, step.kind):
+            return False
+        current = current.remove(step.element)
+    if target is not None:
+        return set(current.elements) == set(target)
+    return len(current) == 1
+
+
+def slow_execute_target_removal(R: Relation, side: str) -> dict:
+    """The cylinder executor, removing each far point from a rebuilt poset."""
+    B = relation_cylinder(R)
+    if side == "left":
+        order = R.target.linear_extension()
+        kept, kept_name, far_name = R.source, R.source_name, R.target_name
+    else:
+        order = list(reversed(R.source.linear_extension()))
+        kept, kept_name, far_name = R.target, R.target_name, R.source_name
+    steps = []
+    current = B
+    identity_ok = True
+    for z in order:
+        tz = tag(far_name, z)
+        if side == "left":
+            punctured = current.down_set(tz, strict=True)
+            expected = frozenset(tag(kept_name, x) for x in underline_preimage(R, z))
+            kind = DOWN_WEAK
+        else:
+            punctured = current.up_set(tz, strict=True)
+            expected = frozenset(tag(kept_name, y) for y in overline_image(R, z))
+            kind = UP_WEAK
+        if punctured != expected:
+            identity_ok = False
+        if not slow_removable(current, tz, kind):
+            return {
+                "verdict": "failed",
+                "failed_at": z,
+                "proof_identity": identity_ok,
+                "note": "removed point is not a weak point at removal time",
+            }
+        steps.append(PointRemoval(tz, kind))
+        current = current.remove(tz)
+    cert = CollapseCertificate(tuple(steps))
+    target_elements = {tag(kept_name, x) for x in kept.elements}
+    replay_ok = slow_replay_space(B, cert, target=target_elements)
+    return {
+        "verdict": "yes" if replay_ok else "failed",
+        "proof_identity": identity_ok,
+        "certificate": cert,
+        "target": kept_name,
+    }

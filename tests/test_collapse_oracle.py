@@ -1,0 +1,273 @@
+"""The collapse engine against the rebuild-based engine it replaced.
+
+The library searches and replays complexes on a simplex index and spaces on
+a shrinking set of points; ``helpers`` keeps the old engine, which rescans
+and rebuilds at every step.  On seeded families both must give equal
+verdicts, certificates and free-face lists, and their replays must accept
+and reject the same certificates.
+"""
+
+import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+from finspace import collapse as clp
+from finspace.collapse import (
+    BEAT_KINDS,
+    WEAK_KINDS,
+    CollapseCertificate,
+    FreeFacePair,
+    PointRemoval,
+    beat_points,
+    core,
+    free_faces,
+    greedy_collapse_complex,
+    greedy_collapse_space,
+    is_contractible_space,
+    replay_complex_certificate,
+    replay_space_certificate,
+    staged_union_collapse,
+    weak_points,
+)
+from finspace.complexes import SimplicialComplex, cone, order_complex, simplex_boundary
+from finspace.cylinders import _execute_target_removal, compose_relations
+from finspace.fixtures import dunce_hat, projective_plane, two_triangles
+from finspace.generators import generate_complex, generate_composite_instance, generate_poset
+from finspace.posets import FinitePoset
+
+from helpers import (
+    slow_collapse_run,
+    slow_core,
+    slow_execute_target_removal,
+    slow_free_faces,
+    slow_greedy_collapse_complex,
+    slow_greedy_collapse_space,
+    slow_points,
+    slow_replay_complex,
+    slow_replay_space,
+)
+
+
+def _plain(res):
+    witness = res.witness.summary() if res.witness is not None else None
+    return res.verdict, res.note, witness, res.certificate
+
+
+def _complexes():
+    """(seed, K, cone over K) for seeded random complexes."""
+    for seed in range(30):
+        K = generate_complex(seed, max_vertices=6, max_facets=6, max_card=3)
+        yield seed, K, cone("apex", K)
+
+
+def _posets():
+    for seed in range(30):
+        yield generate_poset(seed, 6 + seed % 4)
+
+
+def _cylinder_relations():
+    for seed in range(10):
+        R1, R2 = generate_composite_instance(seed)
+        yield from (R1, R2, compose_relations(R1, R2))
+
+
+def _sd_boundary(n: int) -> SimplicialComplex:
+    """Barycentric subdivision of the boundary of the n-simplex."""
+    return order_complex(simplex_boundary(n).face_poset())
+
+
+def test_free_faces_match_oracle():
+    fixed = [dunce_hat(), projective_plane(), two_triangles(), cone("z", dunce_hat())]
+    for L in fixed + [L for _, K, C in _complexes() for L in (K, C)]:
+        assert free_faces(L) == slow_free_faces(L)
+
+
+def test_greedy_complex_matches_oracle():
+    for seed, K, C in _complexes():
+        for L in (K, C):
+            assert _plain(greedy_collapse_complex(L, restarts=2, seed=seed)) == _plain(
+                slow_greedy_collapse_complex(L, restarts=2, seed=seed)
+            )
+        # a targeted collapse: the cone onto its base
+        assert _plain(greedy_collapse_complex(C, target=K)) == _plain(
+            slow_greedy_collapse_complex(C, target=K)
+        )
+    for L in (dunce_hat(), projective_plane()):
+        assert _plain(greedy_collapse_complex(L, restarts=3, seed=5)) == _plain(
+            slow_greedy_collapse_complex(L, restarts=3, seed=5)
+        )
+
+
+def test_random_schedules_match_oracle():
+    """Restart passes draw from the free list; equal draws need equal lists."""
+    for seed, K, C in list(_complexes())[:12] + [(99, dunce_hat(), cone("z", dunce_hat()))]:
+        index = C.index()
+        base = frozenset(index.id_of[s] for s in K.all_simplices())
+        for r in range(3):
+            for keep, size, target in ((frozenset(), 1, None), (base, len(base), K)):
+                ours = clp._collapse_run(index, keep, size, random.Random(f"{seed}:{r}"))
+                theirs = slow_collapse_run(C, target, random.Random(f"{seed}:{r}"))
+                assert ours == theirs
+
+
+def test_staged_union_matches_oracle(monkeypatch):
+    """staged_union_collapse peels parts with targeted collapses."""
+    cases = []
+    for seed, K, C in list(_complexes())[:15]:
+        other = cone("apex", generate_complex(seed + 100, max_vertices=5, max_facets=4, max_card=3))
+        cases.append([C, other])
+        cases.append([C, other, cone("apex", SimplicialComplex([["w0"]]))])
+    ours = [_plain(staged_union_collapse(parts, restarts=2, seed=1)) for parts in cases]
+    monkeypatch.setattr(clp, "greedy_collapse_complex", slow_greedy_collapse_complex)
+    theirs = [_plain(staged_union_collapse(parts, restarts=2, seed=1)) for parts in cases]
+    assert ours == theirs
+    assert any(v == "yes" for v, *_ in ours)
+
+
+def test_space_searches_match_oracle():
+    for X in _posets():
+        cr, cert = core(X)
+        assert (cr, cert) == slow_core(X)
+        assert is_contractible_space(X) == (len(cr) == 1)
+        assert beat_points(X) == slow_points(X, BEAT_KINDS)
+        assert weak_points(X) == slow_points(X, WEAK_KINDS)
+        assert _plain(greedy_collapse_space(X)) == _plain(slow_greedy_collapse_space(X))
+        keep = X.down_set(X.elements[-1])
+        assert _plain(greedy_collapse_space(X, target=keep)) == _plain(
+            slow_greedy_collapse_space(X, target=keep)
+        )
+
+
+def test_cylinder_executor_matches_oracle():
+    for R in _cylinder_relations():
+        for side in ("left", "right"):
+            assert _execute_target_removal(R, side) == slow_execute_target_removal(R, side)
+
+
+def _complex_tampers(L: SimplicialComplex, steps: list):
+    """(certificate, target) pairs, each broken in one way or kept valid."""
+    first = steps[0]
+    free = {face for face, _ in free_faces(L)}
+    blocked = next(
+        FreeFacePair(s, t)
+        for t in L.all_simplices()
+        for s in combinations(t, len(t) - 1)
+        if s and s not in free
+    )
+    out = [
+        (steps, None),
+        (steps[::-1], None),
+        (steps[1:] + steps[:1], None),
+        ([PointRemoval(first.face[0], "down-beat")] + steps[1:], None),
+        ([blocked] + steps, None),
+        ([FreeFacePair(first.face, steps[1].coface)] + steps[1:], None),
+        (steps[:1] + steps[:1] + steps[1:], None),
+        ([FreeFacePair(first.face[:1] + first.face, first.coface)] + steps[1:], None),
+        ([FreeFacePair(first.face[::-1], first.coface[::-1])] + steps[1:], None),
+        (steps, SimplicialComplex([[first.face[0]]])),
+        (steps, L),
+        (steps[:-1], None),
+        (steps[:-1], SimplicialComplex([set(steps[-1].coface) - set(steps[-1].face)])),
+    ]
+    return [(CollapseCertificate(tuple(s)), target) for s, target in out]
+
+
+def _space_tampers(X: FinitePoset, steps: list):
+    first = steps[0]
+    flipped = dict(zip(BEAT_KINDS + WEAK_KINDS, BEAT_KINDS[::-1] + WEAK_KINDS[::-1]))
+    stuck = [x for x in X.elements if not clp.weak_point_kind(X, x)]
+    out = [
+        (steps, None),
+        (steps[::-1], None),
+        (steps[1:] + steps[:1], None),
+        ([PointRemoval(first.element, flipped[first.kind])] + steps[1:], None),
+        ([PointRemoval(first.element, "sideways")] + steps[1:], None),
+        ([PointRemoval(x, "down-weak") for x in stuck[:1]] + steps, None),
+        (steps[:1] + steps, None),
+        (steps, {X.elements[0]}),
+        (steps, set(X.elements)),
+        (steps[:-1], None),
+    ]
+    return [(CollapseCertificate(tuple(s)), target) for s, target in out]
+
+
+def test_tampered_complex_certificates_match_oracle():
+    verdicts = Counter()
+    for seed, K, C in _complexes():
+        res = greedy_collapse_complex(C)
+        if len(res.certificate.steps) < 2:
+            continue
+        for cert, target in _complex_tampers(C, list(res.certificate.steps)):
+            ours = replay_complex_certificate(C, cert, target)
+            assert ours == slow_replay_complex(C, cert, target)
+            verdicts[ours] += 1
+    assert verdicts[True] and verdicts[False] > verdicts[True]
+
+
+def test_tampered_space_certificates_match_oracle():
+    verdicts = Counter()
+    spaces = [cone("apex", K).face_poset() for _, K, _ in list(_complexes())[:8]]
+    for X in spaces + list(_posets()):
+        res = greedy_collapse_space(X)
+        if res.verdict != "yes" or len(res.certificate.steps) < 2:
+            continue
+        for cert, target in _space_tampers(X, list(res.certificate.steps)):
+            ours = replay_space_certificate(X, cert, target)
+            assert ours == slow_replay_space(X, cert, target)
+            verdicts[ours] += 1
+    assert verdicts[True] and verdicts[False] > verdicts[True]
+
+
+# -- no per-step rebuilds ------------------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of SimplicialComplex and FinitePoset constructions."""
+    counts = Counter()
+    for cls in (SimplicialComplex, FinitePoset):
+
+        def init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return counts
+
+
+def test_complex_search_and_replay_build_no_objects_per_step(builds):
+    seen = []
+    for n in (2, 3, 4):
+        C = cone("apex", _sd_boundary(n))
+        builds.clear()
+        res = greedy_collapse_complex(C)
+        assert res.is_yes() and replay_complex_certificate(C, res.certificate)
+        seen.append((len(res.certificate.steps), dict(builds)))
+    assert len({steps for steps, _ in seen}) == 3
+    assert all(counts == seen[0][1] for _, counts in seen)
+
+
+def test_space_search_and_replay_build_no_objects_per_step(builds):
+    seen = []
+    for n in (3, 6, 9):
+        path = SimplicialComplex([[f"b{i}", f"b{i + 1}"] for i in range(n)])
+        X = cone("a", path).face_poset()
+        builds.clear()
+        res = greedy_collapse_space(X)
+        assert res.is_yes() and replay_space_certificate(X, res.certificate)
+        cr, _ = core(X)
+        assert len(cr) == 1
+        seen.append((len(res.certificate.steps), dict(builds)))
+    assert len({steps for steps, _ in seen}) == 3
+    assert all(counts == seen[0][1] for _, counts in seen)
+
+
+def test_cone_over_sd_boundary_of_4_simplex_collapses_and_replays():
+    """1 081 simplices: tens of seconds for the rebuild-based engine."""
+    C = cone("apex", _sd_boundary(4))
+    assert C.num_simplices() == 1081
+    res = greedy_collapse_complex(C)
+    assert res.is_yes() and len(res.certificate.steps) == 540
+    assert replay_complex_certificate(C, res.certificate)

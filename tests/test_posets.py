@@ -121,3 +121,20 @@ def test_max_min_detection():
     X = build_poset(["a", "b", "m"], [("a", "m"), ("b", "m")])
     assert X.has_maximum()
     assert not X.has_minimum()
+
+
+def test_cover_lists_match_the_hasse_set():
+    """The cover adjacency built once in the constructor against a scan of
+    the Hasse pairs, which is how every call answered before."""
+    for seed in range(40):
+        X = generate_poset(seed, 6 + seed % 10)
+        for x in X.elements:
+            assert X.covers_below(x) == sorted(a for a, b in X.hasse if b == x)
+            assert X.covers_above(x) == sorted(b for a, b in X.hasse if a == x)
+        tails = {a for a, _ in X.hasse}
+        heads = {b for _, b in X.hasse}
+        assert X.maximal_elements() == sorted(set(X.elements) - tails)
+        assert X.minimal_elements() == sorted(set(X.elements) - heads)
+    assert chain(["b", "a"]).covers_above("zzz") == []
+    with pytest.raises(UnknownElement):
+        FinitePoset(["a"], [("a", "z")])

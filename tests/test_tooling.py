@@ -14,3 +14,17 @@ def test_tier1_workflow_parses():
     runs = [step.get("run", "") for step in job["steps"]]
     assert any('pip install -e ".[test]"' in r for r in runs)
     assert any("python -m pytest -q --continue-on-collection-errors" in r for r in runs)
+
+
+def test_tier1_workflow_runs_the_perf_smoke():
+    """Each workload's traced pass runs in CI and must end with correct output."""
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
+        doc = yaml.safe_load(fh)
+    runs = [step.get("run", "") for step in doc["jobs"]["tests"]["steps"]]
+    smoke = [r for r in runs if "perfbench/run.py" in r]
+    assert len(smoke) == 1
+    for workload in ("homology-exact", "collapse-certify", "cover-nerve"):
+        assert workload in smoke[0]
+    assert "--seed 1 --seconds 1 --trace 1" in smoke[0]
+    assert '["correct"] is True' in smoke[0]
