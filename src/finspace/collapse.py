@@ -24,7 +24,7 @@ import json
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .complexes import SimplexIndex, SimplicialComplex
 from .errors import EmptyObject, EmptySpace, InvariantViolation, TargetNotInduced
@@ -307,18 +307,36 @@ class _Shrinking:
     one.  A simplex s is free exactly when it has one such coface t: a larger
     simplex s + {p, q} would bring the two cofaces s + {p} and s + {q}, so t
     is maximal and the only simplex above s.  Simplices in ``keep`` are never
-    free.
+    free.  ``ids``, when given, are the simplices present at the start, a
+    subcomplex (closed under faces) of the indexed one; by default all are.
     """
 
     __slots__ = ("index", "keep", "present", "count", "cosum", "size")
 
-    def __init__(self, index: SimplexIndex, keep: frozenset[int] = frozenset()):
+    def __init__(
+        self,
+        index: SimplexIndex,
+        keep: frozenset[int] = frozenset(),
+        ids: Sequence[int] | None = None,
+    ):
         self.index = index
         self.keep = keep
-        self.present = [True] * len(index.simplices)
-        self.count = [len(c) for c in index.cofaces]
-        self.cosum = [sum(c) for c in index.cofaces]
-        self.size = len(index.simplices)
+        n = len(index.simplices)
+        if ids is None:
+            self.present = [True] * n
+            self.count = [len(c) for c in index.cofaces]
+            self.cosum = [sum(c) for c in index.cofaces]
+            self.size = n
+            return
+        self.present = [False] * n
+        self.count = [0] * n
+        self.cosum = [0] * n
+        self.size = len(ids)
+        for i in ids:
+            self.present[i] = True
+            for f in index.faces[i]:
+                self.count[f] += 1
+                self.cosum[f] += i
 
     def coface_if_free(self, s: int) -> int | None:
         """The coface of s when s is present, outside keep and free; else None."""
@@ -352,15 +370,20 @@ def free_faces(K: SimplicialComplex) -> list[tuple[tuple[str, ...], tuple[str, .
 
 
 def _collapse_run(
-    index: SimplexIndex, keep: frozenset[int], size: int, rng: random.Random | None
+    index: SimplexIndex,
+    keep: frozenset[int],
+    size: int,
+    rng: random.Random | None,
+    ids: Sequence[int] | None = None,
 ) -> CollapseCertificate | None:
-    """One greedy pass down to ``size`` simplices without touching keep.
+    """One greedy pass down to ``size`` simplices without touching keep,
+    starting from the subcomplex ``ids`` (default: all of the index).
 
     The free faces are kept as a sorted id list, which is the order of
     ``free_faces``: the deterministic pass takes the first, a restart draws
     from the whole list.  Returns the certificate, or None when stuck.
     """
-    state = _Shrinking(index, keep)
+    state = _Shrinking(index, keep, ids)
     free = state.free_ids()
     listed = set(free)
     steps: list[FreeFacePair] = []
@@ -379,6 +402,19 @@ def _collapse_run(
                     listed.add(u)
                     insort(free, u)
     return CollapseCertificate(tuple(steps))
+
+
+def collapses_to_vertices(index: SimplexIndex, ids: Sequence[int]) -> bool:
+    """Whether the deterministic free-face pass takes the subcomplex made of
+    the simplex ids (closed under faces) down to isolated vertices, one per
+    connected component.
+
+    A collapse keeps the Euler characteristic and the components, and a
+    state of chi simplices has no edge (edges count against chi), so chi is
+    the target size.  A True makes the subcomplex acyclic in positive degrees.
+    """
+    chi = sum(1 if len(index.simplices[i]) % 2 else -1 for i in ids)
+    return _collapse_run(index, frozenset(), chi, None, ids) is not None
 
 
 def greedy_collapse_complex(

@@ -18,8 +18,13 @@ Simplex = frozenset
 
 
 def simplex_id(s: Iterable[str]) -> str:
-    """Canonical string id of a simplex, used as a face-poset element id."""
-    return "|".join(sorted(s))
+    """Canonical string id of a simplex, used as a face-poset element id.
+
+    The sorted vertex names are joined with ``|``, each with ``\\`` and ``|``
+    escaped by a backslash, so distinct simplices get distinct ids; the id of
+    names without either character is the plain join.
+    """
+    return "|".join(v.replace("\\", "\\\\").replace("|", "\\|") for v in sorted(s))
 
 
 class SimplexIndex:

@@ -15,7 +15,7 @@ exclude them and list them separately.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import collapse as clp
@@ -41,11 +41,18 @@ class Cover:
 
     For ``kind == "complex"`` members map names to subcomplexes; for posets,
     to downward closed element sets.
+
+    Each member is also held as an int bitmask, over the parent's simplex ids
+    for complexes and over element positions for finite spaces, so the
+    intersection of an index set is an AND of masks.  The masks and the nerve
+    are built on first use and kept in ``_memo``, which takes no part in
+    equality or hashing.
     """
 
     kind: str
     parent: object
     members: tuple[tuple[str, object], ...]
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         names = [n for n, _ in self.members]
@@ -54,14 +61,12 @@ class Cover:
         if not self.members:
             raise InvalidCover("a cover needs at least one member")
         if self.kind == COMPLEX:
-            union = SimplicialComplex([])
             for name, sub in self.members:
                 if not isinstance(sub, SimplicialComplex):
                     raise InvalidCover(f"member {name!r} is not a complex")
                 if not sub.is_subcomplex_of(self.parent):
                     raise InvalidCover(f"member {name!r} is not a subcomplex of the parent")
-                union = union.union(sub)
-            if union != self.parent:
+            if SimplicialComplex(f for _, sub in self.members for f in sub.facets) != self.parent:
                 raise InvalidCover("members do not cover the parent complex")
         elif self.kind == POSET:
             union: set[str] = set()
@@ -88,36 +93,72 @@ class Cover:
                 return sub
         raise UnknownMember(f"no cover member named {name!r}")
 
-    def intersection(self, names):
-        names = sorted(names)
-        if not names:
-            raise InvalidCover("intersection of an empty index set")
-        out = self.member(names[0])
-        for n in names[1:]:
+    def _masks(self) -> dict[str, int]:
+        masks = self._memo.get("masks")
+        if masks is None:
             if self.kind == COMPLEX:
-                out = out.intersection(self.member(n))
+                id_of = self.parent.index().id_of
+                masks = {
+                    n: _bits(id_of[s] for s in sub.index().simplices) for n, sub in self.members
+                }
             else:
-                out = frozenset(out) & frozenset(self.member(n))
+                position = {x: i for i, x in enumerate(self.parent.elements)}
+                masks = {n: _bits(position[x] for x in sub) for n, sub in self.members}
+            self._memo["masks"] = masks
+        return masks
+
+    def _mask(self, J: tuple[str, ...]) -> int:
+        """Mask of the intersection over the index set J."""
+        if not J:
+            raise InvalidCover("intersection of an empty index set")
+        masks = self._masks()
+        out = -1
+        for n in J:
+            if n not in masks:
+                self.member(n)  # raises UnknownMember
+            out &= masks[n]
         return out
+
+    def _union_ids(self, J) -> tuple[int, ...]:
+        """Ids of the union of the members in J, ascending: parent simplex
+        ids for complexes, element positions for finite spaces."""
+        masks = self._masks()
+        union = 0
+        for n in J:
+            union |= masks[n]
+        return tuple(_ids(union))
+
+    def _object(self, J: tuple[str, ...], mask: int):
+        """The intersection over the sorted index set J, built from its mask.
+
+        A single member is returned as it is.  For complexes the facets are
+        the masked simplices with no masked coface.
+        """
+        if len(J) == 1:
+            return self.member(J[0])
+        if self.kind == COMPLEX:
+            index = self.parent.index()
+            return SimplicialComplex(
+                index.simplices[i]
+                for i in _ids(mask)
+                if not any(mask >> c & 1 for c in index.cofaces[i])
+            )
+        elements = self.parent.elements
+        return frozenset(elements[i] for i in _ids(mask))
+
+    def intersection(self, names):
+        J = tuple(sorted(names))
+        return self._object(J, self._mask(J))
 
     def subunion(self, names) -> object:
         """K_J: union of the members indexed by J (empty J gives the empty object)."""
-        names = sorted(set(names))
-        for n in names:
-            self.member(n)
+        subs = [self.member(n) for n in sorted(set(names))]
         if self.kind == COMPLEX:
-            out = SimplicialComplex([])
-            for n in names:
-                out = out.union(self.member(n))
-            return out
-        out: frozenset[str] = frozenset()
-        for n in names:
-            out |= frozenset(self.member(n))
-        return out
+            return SimplicialComplex(f for sub in subs for f in sub.facets)
+        return frozenset().union(*subs)
 
     def intersection_is_empty(self, names) -> bool:
-        obj = self.intersection(names)
-        return obj.is_empty() if self.kind == COMPLEX else not obj
+        return not self._mask(tuple(sorted(names)))
 
     def to_json(self) -> str:
         if self.kind == COMPLEX:
@@ -157,30 +198,69 @@ class Cover:
         return Cover(doc["kind"], parent, members)
 
 
+def _bits(ids) -> int:
+    out = 0
+    for i in ids:
+        out |= 1 << i
+    return out
+
+
+def _ids(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _index_sets(cover: Cover, max_subsets: int, nerve_simplices_only: bool):
-    """Non-empty index sets in deterministic order (size, then lexicographic)."""
+    """Non-empty index sets J with the mask of their intersection, in
+    deterministic order (size, then lexicographic).
+
+    Level by level, each J is extended only by names after its last one.
+    With ``nerve_simplices_only`` only sets with a non-empty intersection are
+    listed and extended; the nerve is downward closed, so none is lost.
+    """
     names = sorted(cover.names())
     if len(names) > max_subsets:
         raise InvalidCover(
             f"{len(names)} members exceed the subset-enumeration cap {max_subsets}"
         )
-    out = []
-    for k in range(1, len(names) + 1):
-        for J in combinations(names, k):
-            if nerve_simplices_only and cover.intersection_is_empty(J):
-                continue
-            out.append(J)
-    return out
+    by_name = cover._masks()
+    masks = [by_name[n] for n in names]
+    level = [
+        ((n,), m, k)
+        for k, (n, m) in enumerate(zip(names, masks))
+        if m or not nerve_simplices_only
+    ]
+    while level:
+        for J, m, _ in level:
+            yield J, m
+        level = [
+            (J + (names[k],), meet, k)
+            for J, m, last in level
+            for k in range(last + 1, len(names))
+            if (meet := m & masks[k]) or not nerve_simplices_only
+        ]
 
 
 def nerve(cover: Cover) -> SimplicialComplex:
-    """N(U): simplices are index sets with non-empty intersection."""
-    simplices = [
-        J for J in _index_sets(cover, 20, nerve_simplices_only=True)
-    ]
-    if not simplices:
-        return SimplicialComplex([])
-    return SimplicialComplex(simplices)
+    """N(U): simplices are index sets with non-empty intersection.
+
+    Built once per cover from its maximal index sets.
+    """
+    N = cover._memo.get("nerve")
+    if N is None:
+        masks = cover._masks()
+        N = SimplicialComplex(
+            J
+            for J, m in _index_sets(cover, 20, nerve_simplices_only=True)
+            if not any(m & masks[n] for n in masks if n not in J)
+        )
+        cover._memo["nerve"] = N
+    return N
 
 
 def non_hausdorff_nerve(cover: Cover) -> FinitePoset:
@@ -203,40 +283,17 @@ class ReducedNerve:
 
 
 def reduced_nerve(cover: Cover) -> ReducedNerve:
-    groups: dict[object, list[tuple[str, ...]]] = {}
-    for J in _index_sets(cover, 20, nerve_simplices_only=True):
-        obj = cover.intersection(J)
-        key = obj.facets if cover.kind == COMPLEX else obj
-        groups.setdefault(key, []).append(J)
-    reps = {}
-    for key, Js in groups.items():
-        rep = min(Js, key=lambda J: (len(J), J))
-        reps[key] = simplex_id(rep)
+    groups: dict[int, list[tuple[str, ...]]] = {}
+    for J, m in _index_sets(cover, 20, nerve_simplices_only=True):
+        groups.setdefault(m, []).append(J)
+    # index sets arrive in (size, lexicographic) order: each class's first is its smallest
+    reps = {m: simplex_id(Js[0]) for m, Js in groups.items()}
     # bigger intersection = lower (reverse inclusion)
-    pairs = []
-    keys = list(groups)
-    for a in keys:
-        sa = _as_set(a)
-        for b in keys:
-            if a is not b and _as_set(b) < sa:
-                pairs.append((reps[a], reps[b]))
+    pairs = [(reps[a], reps[b]) for a in groups for b in groups if a != b and a & b == b]
     poset = build_poset(reps.values(), pairs)
-    classes = {reps[k]: tuple(sorted(groups[k])) for k in keys}
-    intersections = {
-        reps[k]: (SimplicialComplex(k) if cover.kind == COMPLEX else k) for k in keys
-    }
+    classes = {reps[m]: tuple(sorted(Js)) for m, Js in groups.items()}
+    intersections = {reps[m]: cover._object(Js[0], m) for m, Js in groups.items()}
     return ReducedNerve(poset, classes, intersections)
-
-
-def _as_set(key) -> frozenset:
-    if isinstance(key, frozenset) and key and isinstance(next(iter(key)), frozenset):
-        # complex facet-set key; compare by simplex sets
-        out = set()
-        for f in key:
-            for k in range(1, len(f) + 1):
-                out.update(map(frozenset, combinations(sorted(f), k)))
-        return frozenset(out)
-    return frozenset(key)
 
 
 def reduced_nerve_complex(cover: Cover) -> SimplicialComplex:
@@ -276,16 +333,18 @@ def classify_cover(
 ) -> CoverClassification:
     """Per-intersection triviality and collapsibility verdicts.
 
-    Empty intersections are recorded and skipped.  Each non-empty
-    intersection is searched once; its triviality verdict is derived from
-    the collapsibility verdict (see ``triviality_from_collapse``).
+    Empty intersections are recorded and skipped; only the non-empty ones
+    are built, from their masks.  Each non-empty intersection is searched
+    once; its triviality verdict is derived from the collapsibility verdict
+    (see ``triviality_from_collapse``).
     """
     records = []
-    for J in _index_sets(cover, max_subsets, nerve_simplices_only):
-        obj = cover.intersection(J)
-        if cover.intersection_is_empty(J):
-            records.append(IntersectionRecord(J, obj, True, None, None))
+    empty = SimplicialComplex([]) if cover.kind == COMPLEX else frozenset()
+    for J, mask in _index_sets(cover, max_subsets, nerve_simplices_only):
+        if not mask:
+            records.append(IntersectionRecord(J, empty, True, None, None))
             continue
+        obj = cover._object(J, mask)
         if cover.kind == COMPLEX:
             sub = obj
             collapsibility = clp.greedy_collapse_complex(sub, restarts=restarts, seed=seed)

@@ -257,12 +257,13 @@ def check_collapse_left(R: Relation) -> dict:
         for z in R.target.elements
     }
     report = _aggregate_hypotheses(per_element)
+    B = relation_cylinder(R)
     if report["hypothesis_collapsibility"] == "yes":
-        report["collapse"] = _execute_target_removal(R, side="left")
+        report["collapse"] = _execute_target_removal(R, B, side="left")
     else:
         report["collapse"] = {"verdict": "not-attempted"}
     report["per_element"] = per_element
-    report["height_bound"] = relation_cylinder(R).height()
+    report["height_bound"] = B.height()
     return report
 
 
@@ -273,12 +274,13 @@ def check_collapse_right(R: Relation) -> dict:
         for x in R.source.elements
     }
     report = _aggregate_hypotheses(per_element)
+    B = relation_cylinder(R)
     if report["hypothesis_collapsibility"] == "yes":
-        report["collapse"] = _execute_target_removal(R, side="right")
+        report["collapse"] = _execute_target_removal(R, B, side="right")
     else:
         report["collapse"] = {"verdict": "not-attempted"}
     report["per_element"] = per_element
-    report["height_bound"] = relation_cylinder(R).height()
+    report["height_bound"] = B.height()
     return report
 
 
@@ -293,14 +295,14 @@ def _aggregate_hypotheses(per_element: dict) -> dict:
     }
 
 
-def _execute_target_removal(R: Relation, side: str) -> dict:
-    """Remove the far copy's points one by one along a linear extension.
+def _execute_target_removal(R: Relation, B: FinitePoset, side: str) -> dict:
+    """Remove the far copy's points of B = B(R) one by one along a linear
+    extension.
 
     Each removal is verified twice: the punctured set of the removed point in
     the remaining poset must equal the tagged hypothesis set, and the point
     must be a weak point of the remaining poset at removal time.
     """
-    B = relation_cylinder(R)
     if side == "left":
         order = R.target.linear_extension()  # ascending: lower points first
         kept, kept_name = R.source, R.source_name

@@ -4,7 +4,9 @@ The brute-force ones deliberately avoid the library's own algorithms:
 contractibility is decided by searching every beat-point removal order,
 chains are enumerated from the raw order relation, and transitive closures
 are recomputed from scratch.  The slow collapse engine further down is the
-reference for the indexed one.
+reference for the indexed one, and the cover layer at the end (pairwise
+intersections, all 2^n index sets, homology on every sub-union) the
+reference for the mask-based one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from finspace import collapse as clp
 from finspace.collapse import (
     DOWN_BEAT,
     DOWN_WEAK,
@@ -23,7 +26,15 @@ from finspace.collapse import (
     _stuck,
     yes,
 )
-from finspace.complexes import SimplicialComplex
+from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary, simplex_id
+from finspace.covers import (
+    COMPLEX,
+    Cover,
+    CoverClassification,
+    IntersectionRecord,
+    NZeroResult,
+    ReducedNerve,
+)
 from finspace.cylinders import (
     Relation,
     overline_image,
@@ -31,8 +42,8 @@ from finspace.cylinders import (
     tag,
     underline_preimage,
 )
-from finspace.homology import homology_of_poset, reduced_homology
-from finspace.posets import FinitePoset
+from finspace.homology import homology_equal, homology_of_poset, reduced_homology
+from finspace.posets import FinitePoset, build_poset
 
 
 def brute_contractible(X: FinitePoset) -> bool:
@@ -296,3 +307,204 @@ def slow_execute_target_removal(R: Relation, side: str) -> dict:
         "certificate": cert,
         "target": kept_name,
     }
+
+
+# -- the cover layer before masks ---------------------------------------------
+#
+# The library holds each cover member as a bitmask over the parent's simplex
+# ids (element positions for finite spaces), enumerates the nerve level by
+# level, and proves sub-unions acyclic by collapse.  The functions below are
+# the code it replaced: pairwise facet intersections, every one of the 2^n
+# index sets, classes compared as expanded simplex sets, and homology on
+# every sub-union.
+
+
+def sd_boundary(n: int) -> SimplicialComplex:
+    """Barycentric subdivision of the boundary of the n-simplex."""
+    return order_complex(simplex_boundary(n).face_poset())
+
+
+def star_cover(K: SimplicialComplex) -> Cover:
+    """One member per vertex: its closed star."""
+    verts = sorted(K.vertices)
+    return Cover(
+        "complex",
+        K,
+        tuple(
+            (f"S{i:02d}", SimplicialComplex(f for f in K.facets if v in f))
+            for i, v in enumerate(verts)
+        ),
+    )
+
+
+def polygon_arc_cover(n: int, cuts: list[int]) -> Cover:
+    """An n-gon covered by the arcs between consecutive cut vertices."""
+    verts = [f"q{i:02d}" for i in range(n)]
+    edges = [[verts[i], verts[(i + 1) % n]] for i in range(n)]
+    members = []
+    for i, a in enumerate(cuts):
+        b = cuts[(i + 1) % len(cuts)]
+        span = (b - a) % n or n
+        members.append((f"A{i}", SimplicialComplex(edges[(a + t) % n] for t in range(span))))
+    return Cover("complex", SimplicialComplex(edges), tuple(members))
+
+
+def slow_intersection(cover, names):
+    names = sorted(names)
+    out = cover.member(names[0])
+    for n in names[1:]:
+        if cover.kind == COMPLEX:
+            out = out.intersection(cover.member(n))
+        else:
+            out = frozenset(out) & frozenset(cover.member(n))
+    return out
+
+
+def slow_intersection_is_empty(cover, names) -> bool:
+    obj = slow_intersection(cover, names)
+    return obj.is_empty() if cover.kind == COMPLEX else not obj
+
+
+def slow_index_sets(cover, max_subsets: int, nerve_simplices_only: bool):
+    names = sorted(cover.names())
+    assert len(names) <= max_subsets
+    return [
+        J
+        for k in range(1, len(names) + 1)
+        for J in combinations(names, k)
+        if not (nerve_simplices_only and slow_intersection_is_empty(cover, J))
+    ]
+
+
+def slow_nerve(cover) -> SimplicialComplex:
+    return SimplicialComplex(slow_index_sets(cover, 20, nerve_simplices_only=True))
+
+
+def _as_set(key) -> frozenset:
+    if isinstance(key, frozenset) and key and isinstance(next(iter(key)), frozenset):
+        out = set()
+        for f in key:
+            for k in range(1, len(f) + 1):
+                out.update(map(frozenset, combinations(sorted(f), k)))
+        return frozenset(out)
+    return frozenset(key)
+
+
+def slow_reduced_nerve(cover) -> ReducedNerve:
+    groups: dict = {}
+    for J in slow_index_sets(cover, 20, nerve_simplices_only=True):
+        obj = slow_intersection(cover, J)
+        key = obj.facets if cover.kind == COMPLEX else obj
+        groups.setdefault(key, []).append(J)
+    reps = {key: simplex_id(min(Js, key=lambda J: (len(J), J))) for key, Js in groups.items()}
+    pairs = [
+        (reps[a], reps[b])
+        for a in groups
+        for b in groups
+        if a is not b and _as_set(b) < _as_set(a)
+    ]
+    return ReducedNerve(
+        build_poset(reps.values(), pairs),
+        {reps[k]: tuple(sorted(groups[k])) for k in groups},
+        {reps[k]: (SimplicialComplex(k) if cover.kind == COMPLEX else k) for k in groups},
+    )
+
+
+def slow_classify_cover(
+    cover, max_subsets=20, nerve_simplices_only=False, restarts=8, seed=0
+) -> CoverClassification:
+    records = []
+    for J in slow_index_sets(cover, max_subsets, nerve_simplices_only):
+        obj = slow_intersection(cover, J)
+        if slow_intersection_is_empty(cover, J):
+            records.append(IntersectionRecord(J, obj, True, None, None))
+            continue
+        if cover.kind == COMPLEX:
+            sub = obj
+            coll = clp.greedy_collapse_complex(sub, restarts=restarts, seed=seed)
+        else:
+            sub = cover.parent.restrict(obj)
+            coll = clp.greedy_collapse_space(sub)
+        records.append(
+            IntersectionRecord(J, obj, False, clp.triviality_from_collapse(sub, coll), coll)
+        )
+    nonempty = [r for r in records if not r.empty]
+    return CoverClassification(
+        tuple(records),
+        clp.aggregate_verdict(r.triviality.verdict for r in nonempty),
+        clp.aggregate_verdict(r.collapsibility.verdict for r in nonempty),
+    )
+
+
+def slow_n_zero_subspace(cover, mode, reduced, classification) -> NZeroResult:
+    verdict_of = {}
+    for r in classification.records:
+        if not r.empty:
+            v = r.triviality if mode == "trivial" else r.collapsibility
+            verdict_of[r.index_set] = v.verdict
+    included = tuple(sorted(J for J, v in verdict_of.items() if v == "yes"))
+    excluded = tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
+    if reduced:
+        rn = slow_reduced_nerve(cover)
+        keep = {rep for rep, Js in rn.classes.items() if any(J in included for J in Js)}
+        poset = rn.poset.restrict(keep)
+    else:
+        chi = slow_nerve(cover).face_poset()
+        poset = chi.restrict({simplex_id(J) for J in included} & set(chi.elements))
+    return NZeroResult(poset, included, excluded)
+
+
+def slow_subunion(cover, names) -> SimplicialComplex:
+    out = SimplicialComplex([])
+    for n in sorted(set(names)):
+        out = out.union(cover.member(n))
+    return out
+
+
+def slow_check_truncation_theorem(
+    cover, max_enum=12, sample_size=64, seed=0, classification=None
+) -> dict:
+    names = sorted(cover.names())
+    cls = classification or slow_classify_cover(cover, nerve_simplices_only=True)
+    part1 = homology_equal(reduced_homology(cover.parent), reduced_homology(slow_nerve(cover)))
+    if len(names) <= max_enum:
+        subsets = [J for k in range(1, len(names) + 1) for J in combinations(names, k)]
+        enumeration = "exhaustive"
+    else:
+        rng = random.Random(seed)
+        subsets = {tuple(sorted(f)) for f in slow_nerve(cover).facets}
+        while len(subsets) < sample_size:
+            k = rng.randint(1, len(names))
+            subsets.add(tuple(sorted(rng.sample(names, k))))
+        subsets = sorted(subsets)
+        enumeration = f"sampled (cap {max_enum} exceeded, seed {seed})"
+    failures = []
+    for J in subsets:
+        K_J = slow_subunion(cover, J)
+        if K_J.is_empty():
+            continue
+        hom = reduced_homology(K_J)
+        if not (all(b == 0 for b in hom.betti[1:]) and all(not t for t in hom.torsion)):
+            failures.append({"index_set": list(J), "homology": hom.summary()})
+    has_empty = not slow_nerve(cover).contains_simplex(frozenset(names))
+    report = {
+        "part1_nerve_homology_match": part1,
+        "part2_subunions_acyclic": not failures,
+        "part2_failures": failures,
+        "good": cls.good,
+        "strong_good": cls.strong_good,
+        "has_empty_intersections": has_empty,
+        "predicted_failure_mode": bool(
+            failures and cls.good == "yes" and cls.strong_good != "yes"
+        ),
+        "enumeration": enumeration,
+        "subsets_checked": len(subsets),
+    }
+    if failures and cls.strong_good == "yes" and has_empty:
+        report["note"] = (
+            "some sub-family has an empty intersection, so the union argument "
+            "behind part 2 does not apply even though every non-empty "
+            "intersection is collapsible"
+        )
+    return report
+

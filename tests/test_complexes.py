@@ -101,6 +101,31 @@ def test_simplex_id_is_sorted_join():
     assert simplex_id(["b", "a"]) == "a|b"
 
 
+def test_simplex_id_escapes_separators():
+    assert simplex_id(["a|b", "c"]) == "a\\|b|c"
+    assert simplex_id(["a", "b|c"]) == "a|b\\|c"
+    assert simplex_id(["a\\", "b"]) == "a\\\\|b"
+    assert simplex_id(["a\\|b"]) != simplex_id(["a\\", "b"])
+    # {a|b, c} and {a, b|c} both joined to "a|b|c" before the escape
+    K = SimplicialComplex([["a|b", "c"], ["a", "b|c"]])
+    chi = K.face_poset()
+    assert len(chi) == K.num_simplices() == 6
+    assert chi.leq(simplex_id(["c"]), simplex_id(["a|b", "c"]))
+    assert not chi.leq(simplex_id(["c"]), simplex_id(["a", "b|c"]))
+
+
+def test_face_poset_of_iterated_subdivision():
+    # vertices of sd(sd K) are simplex ids of sd K, which are ids themselves
+    sd = order_complex(simplex_boundary(2).face_poset())
+    sdsd = order_complex(sd.face_poset())
+    chi = sdsd.face_poset()
+    assert len(chi) == sdsd.num_simplices() == 24
+    assert len(set(chi.elements)) == len(chi)
+    for s in sdsd.simplices_of_dim(1):
+        for v in s:
+            assert chi.leq(simplex_id([v]), simplex_id(s))
+
+
 def test_json_round_trip():
     K = generate_complex(7)
     L = SimplicialComplex.from_json(K.to_json())

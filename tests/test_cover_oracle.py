@@ -1,0 +1,195 @@
+"""The mask-based cover layer against the code it replaced (tests/helpers.py).
+
+Index-set order, intersections, classifications, nerves, reduced nerves, N0
+and truncation reports must be equal on every family below.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from finspace.complexes import SimplicialComplex, simplex_boundary
+from finspace.covers import (
+    Cover,
+    _index_sets,
+    classify_cover,
+    n_zero_subspace,
+    nerve,
+    non_hausdorff_nerve,
+    reduced_nerve,
+)
+from finspace.errors import UnknownMember
+from finspace.fixtures import (
+    circle_arc_cover,
+    dunce_hat,
+    finite_circle_cover,
+    projective_plane,
+    two_triangle_cover,
+)
+from finspace.generators import (
+    generate_complex,
+    generate_good_space_cover,
+    generate_poset,
+    generate_strong_good_cover,
+)
+from finspace.persistence import check_truncation_theorem
+
+from helpers import (
+    polygon_arc_cover,
+    sd_boundary,
+    slow_check_truncation_theorem,
+    slow_classify_cover,
+    slow_index_sets,
+    slow_intersection,
+    slow_intersection_is_empty,
+    slow_n_zero_subspace,
+    slow_nerve,
+    slow_reduced_nerve,
+    slow_subunion,
+    star_cover,
+)
+
+
+def random_complex_cover(seed: int) -> Cover:
+    """The facets of a random complex dealt out to two to four members."""
+    K = generate_complex(seed)
+    rng = random.Random(f"deal:{seed}")
+    facets = sorted(sorted(f) for f in K.facets)
+    k = rng.randint(2, 4)
+    groups = [[] for _ in range(k)]
+    for i, f in enumerate(facets):
+        groups[i if i < k else rng.randrange(k)].append(f)
+    members = tuple((f"M{i}", SimplicialComplex(g)) for i, g in enumerate(groups) if g)
+    return Cover("complex", K, members)
+
+
+def random_space_cover(seed: int) -> Cover:
+    """Down sets of the maxima of a random space, plus random open sets."""
+    X = generate_poset(seed, 8, height_cap=3)
+    rng = random.Random(f"open:{seed}")
+    members = [X.down_set(x) for x in X.maximal_elements()]
+    for _ in range(rng.randint(0, 2)):
+        members.append(X.open_hull(rng.sample(list(X.elements), 2)))
+    return Cover("poset", X, tuple((f"O{i}", frozenset(m)) for i, m in enumerate(members)))
+
+
+def with_hard_member(K: SimplicialComplex) -> Cover:
+    """K with one of its triangles: K is a stuck sub-union."""
+    triangle = min(sorted(f) for f in K.facets)
+    return Cover("complex", K, (("K", K), ("T", SimplicialComplex([triangle]))))
+
+
+def complex_covers() -> list[Cover]:
+    covers = [circle_arc_cover(), two_triangle_cover()]
+    covers += [generate_strong_good_cover(seed)[1] for seed in range(8)]
+    covers += [polygon_arc_cover(12, [0, 3, 6, 9]), polygon_arc_cover(9, [0, 2, 3, 7, 8])]
+    covers += [random_complex_cover(seed) for seed in range(25)]
+    covers += [star_cover(sd_boundary(2)), star_cover(simplex_boundary(3))]
+    covers += [with_hard_member(dunce_hat()), with_hard_member(projective_plane())]
+    return covers
+
+
+def space_covers() -> list[Cover]:
+    covers = [finite_circle_cover()]
+    covers += [generate_good_space_cover(seed)[1] for seed in range(8)]
+    covers += [random_space_cover(seed) for seed in range(12)]
+    return covers
+
+
+def all_covers() -> list[Cover]:
+    return complex_covers() + space_covers()
+
+
+def test_families_have_empty_triple_intersections_and_hard_verdicts():
+    triples = 0
+    verdicts = set()
+    for cov in all_covers():
+        for J in slow_index_sets(cov, 20, nerve_simplices_only=False):
+            if len(J) == 3 and slow_intersection_is_empty(cov, J):
+                triples += 1
+        verdicts.add(classify_cover(cov, nerve_simplices_only=True).strong_good)
+    assert triples >= 10
+    assert verdicts == {"yes", "no", "unknown"}
+
+
+def test_index_sets_and_intersections_match_oracle():
+    for cov in all_covers():
+        for only in (False, True):
+            listed = list(_index_sets(cov, 20, only))
+            assert [J for J, _ in listed] == slow_index_sets(cov, 20, only)
+            for J, mask in listed:
+                assert (mask == 0) == slow_intersection_is_empty(cov, J)
+        for J in slow_index_sets(cov, 20, nerve_simplices_only=False):
+            assert cov.intersection(J) == slow_intersection(cov, J)
+            assert cov.intersection(reversed(J)) == slow_intersection(cov, J)
+            assert cov.intersection_is_empty(J) == slow_intersection_is_empty(cov, J)
+            if cov.kind == "complex":
+                assert cov.subunion(J) == slow_subunion(cov, J)
+        # a single member is its own intersection, as before: nothing is built
+        for name in cov.names():
+            assert cov.intersection([name]) is cov.member(name)
+
+
+def test_classification_matches_oracle():
+    for cov in all_covers():
+        for only in (False, True):
+            assert classify_cover(cov, nerve_simplices_only=only) == slow_classify_cover(
+                cov, nerve_simplices_only=only
+            )
+
+
+def test_nerves_match_oracle():
+    for cov in all_covers():
+        N = slow_nerve(cov)
+        assert nerve(cov) == N
+        assert nerve(cov) is nerve(cov)
+        assert non_hausdorff_nerve(cov) == N.face_poset()
+        rn, slow = reduced_nerve(cov), slow_reduced_nerve(cov)
+        assert rn.poset == slow.poset
+        assert list(rn.poset.elements) == list(slow.poset.elements)
+        assert rn.classes == slow.classes
+        assert rn.intersections == slow.intersections
+
+
+def test_n_zero_matches_oracle():
+    for cov in all_covers():
+        cls = slow_classify_cover(cov, nerve_simplices_only=True)
+        for mode in ("trivial", "collapsible"):
+            for reduced in (False, True):
+                assert n_zero_subspace(
+                    cov, mode=mode, reduced=reduced, classification=cls
+                ) == slow_n_zero_subspace(cov, mode, reduced, cls)
+
+
+def test_truncation_reports_match_oracle():
+    for cov in complex_covers():
+        assert check_truncation_theorem(cov) == slow_check_truncation_theorem(cov)
+        assert check_truncation_theorem(
+            cov, max_enum=2, sample_size=6, seed=3
+        ) == slow_check_truncation_theorem(cov, max_enum=2, sample_size=6, seed=3)
+
+
+def test_star_cover_of_sd_boundary_of_3_simplex_matches_oracle():
+    cov = star_cover(sd_boundary(3))
+    assert len(cov.members) == 14
+    assert nerve(cov) == slow_nerve(cov)
+    rn, slow = reduced_nerve(cov), slow_reduced_nerve(cov)
+    assert (rn.poset, rn.classes, rn.intersections) == (
+        slow.poset,
+        slow.classes,
+        slow.intersections,
+    )
+
+
+@pytest.mark.parametrize("cov", [circle_arc_cover(), finite_circle_cover()])
+def test_unknown_member_raises(cov):
+    for call in (
+        lambda: cov.intersection(["U1", "nope"]),
+        lambda: cov.intersection_is_empty(["nope", "U1"]),
+        lambda: cov.subunion(["U1", "nope"]),
+        lambda: slow_intersection(cov, ["U1", "nope"]),
+    ):
+        with pytest.raises(UnknownMember, match="no cover member named 'nope'"):
+            call()

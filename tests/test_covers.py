@@ -28,6 +28,8 @@ from finspace.generators import generate_good_space_cover, generate_strong_good_
 from finspace.homology import homology_equal, homology_of_poset
 from finspace.posets import build_poset, chain
 
+from helpers import sd_boundary, star_cover
+
 
 def test_cover_must_cover_parent():
     K = circle_complex()
@@ -239,3 +241,24 @@ def test_good_space_cover_generator_shadow():
         X, cov = generate_good_space_cover(seed)
         chi = non_hausdorff_nerve(cov)
         assert homology_equal(homology_of_poset(X), homology_of_poset(chi))
+
+
+def test_star_cover_nerve_builds_in_proportion_to_its_classes(monkeypatch):
+    """14 members, 2^14 index sets: the nerve and the reduced nerve build one
+    complex for the nerve and at most one per reduced-nerve class."""
+    cov = star_cover(sd_boundary(3))
+    built = []
+    init = SimplicialComplex.__init__
+
+    def counting(self, facets):
+        built.append(self)
+        init(self, facets)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    N = nerve(cov)
+    rn = reduced_nerve(cov)
+    assert len(cov.members) == 14
+    assert len(N.all_simplices()) == 830 and N.euler_characteristic() == 2
+    assert len(rn.poset) == len(rn.classes) == 136
+    assert len(built) <= 1 + len(rn.classes)
+

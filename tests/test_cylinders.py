@@ -1,5 +1,6 @@
 import pytest
 
+from finspace import cylinders
 from finspace.collapse import replay_space_certificate
 from finspace.cylinders import (
     LEFT,
@@ -180,6 +181,25 @@ def test_check_collapse_left_certifies_and_replays():
         B = relation_cylinder(R)
         target = {tag(R.source_name, x) for x in R.source.elements}
         assert replay_space_certificate(B, coll["certificate"], target=target)
+
+
+def test_collapse_checks_build_one_cylinder(monkeypatch):
+    R1, R2 = generate_composite_instance(3)
+    R = compose_relations(R1, R2)
+    expected = {"left": check_collapse_left(R), "right": check_collapse_right(R)}
+    built = []
+    build = cylinders.relation_cylinder
+
+    def counting(relation):
+        built.append(relation)
+        return build(relation)
+
+    monkeypatch.setattr(cylinders, "relation_cylinder", counting)
+    for side, check in (("left", check_collapse_left), ("right", check_collapse_right)):
+        built.clear()
+        assert check(R) == expected[side]
+        assert built == [R]
+    assert expected["left"]["collapse"]["verdict"] == "yes"
 
 
 def test_check_collapse_right_on_opposite_instance():

@@ -2,11 +2,21 @@ import json
 
 import pytest
 
-from finspace.covers import Cover
+from finspace import persistence
+from finspace.collapse import collapses_to_vertices
+from finspace.complexes import SimplicialComplex
+from finspace.covers import Cover, nerve
 from finspace.errors import InvalidCover, NotAChain
-from finspace.fixtures import circle_arc_cover, finite_circle_cover
+from finspace.fixtures import (
+    circle_arc_cover,
+    dunce_hat,
+    finite_circle_cover,
+    projective_plane,
+)
 from finspace.generators import generate_strong_good_cover
 from finspace.persistence import check_truncation_theorem, persistence_over_chain
+
+from helpers import polygon_arc_cover, slow_check_truncation_theorem
 
 
 def test_chain_must_be_strictly_increasing():
@@ -95,3 +105,76 @@ def test_truncation_sampling_label_beyond_cap():
     assert report["enumeration"].startswith("sampled")
     assert report["subsets_checked"] >= 13
     assert report["part2_subunions_acyclic"]
+
+
+# -- part 2 by collapse, homology only where the collapse gets stuck ---------
+
+
+@pytest.fixture
+def homology_calls(monkeypatch):
+    """The complexes handed to reduced_homology by the truncation checker;
+    the first two are part 1's, the parent and the nerve."""
+    seen = []
+    real = persistence.reduced_homology
+
+    def counting(K):
+        seen.append(K)
+        return real(K)
+
+    monkeypatch.setattr(persistence, "reduced_homology", counting)
+    return seen
+
+
+def test_cone_cover_part2_computes_no_homology(homology_calls):
+    for seed in range(5):
+        _, cov = generate_strong_good_cover(seed)
+        homology_calls.clear()
+        report = check_truncation_theorem(cov)
+        assert report["part2_subunions_acyclic"]
+        assert homology_calls == [cov.parent, nerve(cov)]
+
+
+def test_arc_cover_part2_computes_only_the_circle(homology_calls):
+    cov = polygon_arc_cover(12, [0, 3, 6, 9])
+    report = check_truncation_theorem(cov)
+    # opposite arcs are disjoint: their sub-unions are disconnected
+    assert cov.intersection_is_empty(["A0", "A2"]) and cov.intersection_is_empty(["A1", "A3"])
+    assert report["subsets_checked"] == 15
+    assert [f["index_set"] for f in report["part2_failures"]] == [["A0", "A1", "A2", "A3"]]
+    assert homology_calls[2:] == [cov.parent]
+    assert report == slow_check_truncation_theorem(cov)
+
+
+def test_disconnected_subunion_collapses_to_its_components():
+    cov = polygon_arc_cover(12, [0, 3, 6, 9])
+    for K, expected in ((cov.subunion(["A0", "A2"]), True), (cov.parent, False)):
+        ids = list(range(K.num_simplices()))
+        assert collapses_to_vertices(K.index(), ids) is expected
+    # the sub-union inside the parent's index
+    parent = cov.parent.index()
+    ids = sorted(parent.id_of[s] for s in cov.subunion(["A0", "A2"]).all_simplices())
+    assert collapses_to_vertices(parent, ids)
+
+
+def test_dunce_hat_subunion_falls_back_to_homology(homology_calls):
+    D = dunce_hat()
+    triangle = SimplicialComplex([min(sorted(f) for f in D.facets)])
+    cov = Cover("complex", D, (("D", D), ("T", triangle)))
+    report = check_truncation_theorem(cov)
+    assert report["part2_subunions_acyclic"]
+    assert not report["part2_failures"]
+    # K_D and K_{D,T} are both the dunce hat: one homology computation
+    assert homology_calls[2:] == [D]
+
+
+def test_projective_plane_subunion_still_fails(homology_calls):
+    P = projective_plane()
+    triangle = SimplicialComplex([min(sorted(f) for f in P.facets)])
+    cov = Cover("complex", P, (("P", P), ("T", triangle)))
+    report = check_truncation_theorem(cov)
+    assert not report["part2_subunions_acyclic"]
+    assert [f["index_set"] for f in report["part2_failures"]] == [["P"], ["P", "T"]]
+    assert report["part2_failures"][0]["homology"]["degrees"][1]["torsion"] == [2]
+    assert report == slow_check_truncation_theorem(cov)
+    assert homology_calls[2:] == [P]
+

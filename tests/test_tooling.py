@@ -28,3 +28,14 @@ def test_tier1_workflow_runs_the_perf_smoke():
         assert workload in smoke[0]
     assert "--seed 1 --seconds 1 --trace 1" in smoke[0]
     assert '["correct"] is True' in smoke[0]
+
+
+def test_tier1_workflow_runs_the_full_suite_after_the_tests():
+    """The end-to-end suite runs in full mode; a failed check exits non-zero."""
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
+        doc = yaml.safe_load(fh)
+    runs = [step.get("run", "") for step in doc["jobs"]["tests"]["steps"]]
+    tier1 = next(i for i, r in enumerate(runs) if "python -m pytest" in r)
+    suite = [i for i, r in enumerate(runs) if "finspace suite --mode full" in r]
+    assert len(suite) == 1 and suite[0] > tier1
