@@ -33,7 +33,8 @@ class SimplexIndex:
     Ids follow (dimension, lexicographic) order over sorted vertex tuples.
     ``faces[i]`` lists the ids of the codimension-1 faces of simplex i and
     ``cofaces[i]`` those of the simplices it is a codimension-1 face of, both
-    ascending.  The ids of dimension d run from ``dim_start[d]`` up to
+    ascending; the k-th face of a d-simplex omits its vertex at position
+    d - k.  The ids of dimension d run from ``dim_start[d]`` up to
     ``dim_start[d + 1]``.
     """
 
@@ -149,15 +150,10 @@ class SimplicialComplex:
 
     def face_poset(self) -> FinitePoset:
         """Poset of all simplices ordered by inclusion (element ids via simplex_id)."""
-        simplices = self.all_simplices()
-        ids = {frozenset(s): simplex_id(s) for s in simplices}
-        pairs = []
-        for s in simplices:
-            fs = frozenset(s)
-            if len(s) > 1:
-                for t in combinations(s, len(s) - 1):
-                    pairs.append((ids[frozenset(t)], ids[fs]))
-        return build_poset(ids.values(), pairs)
+        index = self.index()
+        ids = [simplex_id(s) for s in index.simplices]
+        pairs = [(ids[f], ids[i]) for i, faces in enumerate(index.faces) for f in faces]
+        return build_poset(ids, pairs)
 
     # -- serialization -------------------------------------------------------
 

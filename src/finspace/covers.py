@@ -44,9 +44,9 @@ class Cover:
 
     Each member is also held as an int bitmask, over the parent's simplex ids
     for complexes and over element positions for finite spaces, so the
-    intersection of an index set is an AND of masks.  The masks and the nerve
-    are built on first use and kept in ``_memo``, which takes no part in
-    equality or hashing.
+    intersection of an index set is an AND of masks.  The masks, the nerve
+    and the reduced nerve are built on first use and kept in ``_memo``, which
+    takes no part in equality or hashing.
     """
 
     kind: str
@@ -283,6 +283,10 @@ class ReducedNerve:
 
 
 def reduced_nerve(cover: Cover) -> ReducedNerve:
+    """The reduced nerve, built once per cover and kept with it."""
+    rn = cover._memo.get("reduced_nerve")
+    if rn is not None:
+        return rn
     groups: dict[int, list[tuple[str, ...]]] = {}
     for J, m in _index_sets(cover, 20, nerve_simplices_only=True):
         groups.setdefault(m, []).append(J)
@@ -293,7 +297,8 @@ def reduced_nerve(cover: Cover) -> ReducedNerve:
     poset = build_poset(reps.values(), pairs)
     classes = {reps[m]: tuple(sorted(Js)) for m, Js in groups.items()}
     intersections = {reps[m]: cover._object(Js[0], m) for m, Js in groups.items()}
-    return ReducedNerve(poset, classes, intersections)
+    rn = cover._memo["reduced_nerve"] = ReducedNerve(poset, classes, intersections)
+    return rn
 
 
 def reduced_nerve_complex(cover: Cover) -> SimplicialComplex:

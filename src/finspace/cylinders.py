@@ -28,6 +28,14 @@ LEFT = "left"
 
 
 def tag(copy: str, element: str) -> str:
+    """Id of an element in a named copy: ``<copy>.<element>``.
+
+    The copy name has ``\\`` and ``.`` escaped by a backslash, so the first
+    unescaped ``.`` ends it and distinct pairs get distinct ids; the element
+    name is kept as it is.  The id of a copy name without either character
+    is the plain join.
+    """
+    copy = copy.replace("\\", "\\\\").replace(".", "\\.")
     return f"{copy}.{element}"
 
 

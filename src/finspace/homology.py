@@ -1,20 +1,24 @@
 """Exact simplicial homology over the integers.
 
-Boundary matrices come from the lexicographically sorted simplex bases with
-signs from the sorted-vertex orientation.  Integral homology is read off
+The chain complex is read off the complex's :class:`SimplexIndex`: each
+d-simplex gives one sparse row ``{j: ±1}`` over the positions j of its
+codimension-1 faces among the (d-1)-simplices, signed by the sorted-vertex
+orientation.  These rows form the transpose of the boundary matrix, which
+has the same rank and invariant factors.  Integral homology is read off
 Smith normal form invariant factors (arbitrary-precision Python ints, so no
-overflow is possible).  ``smith_normal_form`` first eliminates unit (±1)
-pivots on a sparse copy of the matrix, then runs the dense minimal-pivot
+overflow is possible).  ``smith_normal_form`` takes the sparse rows as they
+are, eliminates unit (±1) pivots, then runs the dense minimal-pivot
 elimination ``_dense_snf`` only on the residual block, where any torsion
-lives (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).  The dense
-routine is also the tests' oracle for the sparse one.  A fraction-free
-Gaussian elimination rank and a GF(2) rank serve as independent cross-checks.
+lives (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).  Betti
+numbers over the binary field come from the same rows packed as bitmasks.
+The dense boundary builder and the fraction-free rank live in the tests, as
+oracles for this path.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, order_complex
@@ -22,49 +26,42 @@ from .errors import EmptyComplex, EmptySpace
 from .posets import FinitePoset
 
 
-@dataclass(frozen=True)
-class ChainComplexData:
-    """Bases and boundary matrices of a complex, one entry per dimension."""
+def boundary_matrices(K: SimplicialComplex) -> list[list[dict[int, int]]]:
+    """Sparse boundary rows of K per degree, read off its simplex index.
 
-    bases: tuple[tuple[tuple[str, ...], ...], ...]
-    # boundaries[d] maps C_d -> C_{d-1}; boundaries[0] is the empty matrix
-    boundaries: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def dim(self) -> int:
-        return len(self.bases) - 1
-
-
-def boundary_matrices(K: SimplicialComplex) -> ChainComplexData:
-    """Integer boundary matrices of K (reduce mod 2 for the binary field)."""
+    Entry d holds one row per d-simplex (in index order): ``{j: ±1}`` over
+    the positions j of its faces among the (d-1)-simplices, where the face
+    missing vertex i has sign (-1)^i.  Entry d is the transposed boundary
+    C_d -> C_{d-1}; entry 0 is empty.
+    """
     if K.is_empty():
         raise EmptyComplex("cannot build chain complex of the empty complex")
-    bases = [tuple(K.simplices_of_dim(d)) for d in range(K.dim() + 1)]
-    boundaries: list[tuple[tuple[int, ...], ...]] = [tuple(() for _ in bases[0])]
-    for d in range(1, len(bases)):
-        index = {s: i for i, s in enumerate(bases[d - 1])}
-        rows = len(bases[d - 1])
-        cols = []
-        for s in bases[d]:
-            col = [0] * rows
-            for i in range(len(s)):
-                col[index[s[:i] + s[i + 1:]]] = (-1) ** i
-            cols.append(col)
-        # store row-major
-        boundaries.append(tuple(tuple(col[r] for col in cols) for r in range(rows)))
-    return ChainComplexData(tuple(bases), tuple(boundaries))
+    index = K.index()
+    start = index.dim_start
+    out: list[list[dict[int, int]]] = [[]]
+    for d in range(1, len(start) - 1):
+        # faces[i] omits the vertex at position d, d-1, ..., 0 in turn
+        signs = [(-1) ** (d - k) for k in range(d + 1)]
+        base = start[d - 1]
+        out.append([
+            {f - base: sign for f, sign in zip(index.faces[i], signs)}
+            for i in range(start[d], start[d + 1])
+        ])
+    return out
 
 
-def smith_normal_form(M: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """Invariant factors d1 | d2 | ... and the rank of an integer matrix.
+def smith_normal_form(M: Sequence[Mapping[int, int]]) -> tuple[list[int], int]:
+    """Invariant factors d1 | d2 | ... and the rank of a sparse integer matrix.
 
-    Unit pivots are eliminated first on a sparse copy of M: each step takes
-    the shortest row holding a ±1 entry (a lazy heap on row length, lowest
-    row index on ties) and, within it, the ±1 entry whose column has the
-    fewest entries (lowest column index on ties).  A unit pivot contributes
-    the factor 1 and its row and column drop out.  Whatever is left, where
-    any torsion lives, goes to the dense ``_dense_snf``.
+    Each row of M maps column indices to values; M is not modified.  Unit
+    pivots are eliminated first: each step takes the shortest row holding a
+    ±1 entry (a lazy heap on row length, lowest row index on ties) and,
+    within it, the ±1 entry whose column has the fewest entries (lowest
+    column index on ties).  A unit pivot contributes the factor 1 and its
+    row and column drop out.  Whatever is left, where any torsion lives,
+    goes to the dense ``_dense_snf``.
     """
-    rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+    rows = [{j: v for j, v in row.items() if v} for row in M]
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -187,49 +184,17 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def rank_fraction_free(M: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by Bareiss fraction-free elimination."""
-    A = [list(row) for row in M]
-    n = len(A)
-    m = len(A[0]) if n else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(m):
-        piv = next((i for i in range(row, n) if A[i][col]), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        for i in range(row + 1, n):
-            for j in range(col + 1, m):
-                A[i][j] = (A[row][col] * A[i][j] - A[i][col] * A[row][j]) // prev
-            A[i][col] = 0
-        prev = A[row][col]
-        rank += 1
-        row += 1
-        if row == n:
-            break
-    return rank
-
-
-def rank_gf2(M: Sequence[Sequence[int]]) -> int:
-    """Rank over the binary field, rows packed as bitmasks."""
-    rows = []
-    for r in M:
-        mask = 0
-        for j, v in enumerate(r):
-            if v % 2:
-                mask |= 1 << j
-        if mask:
-            rows.append(mask)
-    rank = 0
-    while rows:
-        piv = rows.pop()
-        rank += 1
-        low = piv & -piv
-        rows = [r ^ piv if r & low else r for r in rows]
-        rows = [r for r in rows if r]
-    return rank
+def rank_gf2(rows: Iterable[int]) -> int:
+    """Rank over the binary field of rows packed as int bitmasks."""
+    pivots: dict[int, int] = {}  # lowest set bit -> the reduced row that owns it
+    for row in rows:
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -268,20 +233,16 @@ class HomologyResult:
         return "; ".join(parts) if parts else "trivial"
 
 
-def _per_boundary(data: ChainComplexData, fn, default) -> list:
-    """fn of each non-empty boundary matrix, indexed by degree 0..dim+1;
-    ``default`` where the matrix is empty or out of range."""
-    out = [default] * (data.dim() + 2)
-    for d in range(1, data.dim() + 1):
-        M = data.boundaries[d]
-        if M and M[0]:
-            out[d] = fn(M)
-    return out
+def _per_boundary(K: SimplicialComplex, fn, default) -> list:
+    """fn of the boundary rows of each degree 1..dim of K, indexed by degree
+    0..dim+1; ``default`` in degrees 0 and dim+1."""
+    return [default] + [fn(rows) for rows in boundary_matrices(K)[1:]] + [default]
 
 
-def _reduced_betti(data: ChainComplexData, ranks: list[int]) -> list[int]:
-    """Reduced Betti numbers from the ranks of the boundary matrices."""
-    betti = [len(basis) - ranks[d] - ranks[d + 1] for d, basis in enumerate(data.bases)]
+def _reduced_betti(K: SimplicialComplex, ranks: list[int]) -> list[int]:
+    """Reduced Betti numbers of K from the ranks of its boundaries."""
+    start = K.index().dim_start
+    betti = [start[d + 1] - start[d] - ranks[d] - ranks[d + 1] for d in range(len(start) - 1)]
     betti[0] -= 1
     return betti
 
@@ -290,23 +251,19 @@ def reduced_homology(K: SimplicialComplex) -> HomologyResult:
     """Reduced integral homology of K via Smith normal form."""
     if K.is_empty():
         raise EmptyComplex("homology of the empty complex is not defined here")
-    data = boundary_matrices(K)
-    snf = _per_boundary(data, smith_normal_form, ((), 0))
-    betti = _reduced_betti(data, [rank for _, rank in snf])
-    torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(data.dim() + 1))
+    snf = _per_boundary(K, smith_normal_form, ((), 0))
+    betti = _reduced_betti(K, [rank for _, rank in snf])
+    torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(K.dim() + 1))
     return HomologyResult(tuple(betti), torsion, reduced=True)
-
-
-def betti_numbers_oracle(K: SimplicialComplex) -> list[int]:
-    """Rational Betti numbers by fraction-free elimination (reduced convention)."""
-    data = boundary_matrices(K)
-    return _reduced_betti(data, _per_boundary(data, rank_fraction_free, 0))
 
 
 def betti_numbers_gf2(K: SimplicialComplex) -> list[int]:
     """Reduced Betti numbers over the binary field."""
-    data = boundary_matrices(K)
-    return _reduced_betti(data, _per_boundary(data, rank_gf2, 0))
+
+    def rank(rows):
+        return rank_gf2(sum(1 << j for j in row) for row in rows)
+
+    return _reduced_betti(K, _per_boundary(K, rank, 0))
 
 
 def homology_of_poset(X: FinitePoset) -> HomologyResult:

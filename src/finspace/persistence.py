@@ -2,8 +2,9 @@
 
 The filtration is a strictly increasing chain of index sets; its carrier is
 the chain of sub-unions K_J.  Reduction runs over the binary field (the
-vanishing statement needs no torsion bookkeeping); per-step bar counts are
-cross-checked against independently computed GF(2) Betti numbers.
+vanishing statement needs no torsion bookkeeping) on the parent's simplex
+index; per-step bar counts are cross-checked against GF(2) Betti numbers of
+each sub-union, built as a complex of its own.
 """
 
 from __future__ import annotations
@@ -52,28 +53,30 @@ class PersistenceDiagram:
 
 
 def persistence_over_chain(cover: Cover, chain) -> PersistenceDiagram:
-    """Boundary-matrix column reduction over GF(2) on the sub-union filtration."""
+    """Boundary-matrix column reduction over GF(2) on the sub-union filtration.
+
+    The reduction runs on the parent's simplex index: a simplex enters at the
+    first step whose sub-union holds it, and the filtration orders simplices
+    by (step, id).
+    """
     if cover.kind != "complex":
         raise InvalidCover("persistence needs a cover of a simplicial complex")
     chain = [tuple(sorted(J)) for J in chain]
     for a, b in zip(chain, chain[1:]):
         if not set(a) < set(b):
             raise NotAChain(f"{a} is not strictly contained in {b}")
+    # built for the Betti cross-check; building them also rejects unknown names
     complexes = [cover.subunion(J) for J in chain]
-    appearance: dict[tuple[str, ...], int] = {}
-    for t, K in enumerate(complexes, start=1):
-        for s in K.all_simplices():
-            appearance.setdefault(s, t)
-    ordered = sorted(appearance, key=lambda s: (appearance[s], len(s), s))
-    index = {s: i for i, s in enumerate(ordered)}
-    # columns as bitmasks of row indices
-    columns = []
-    for s in ordered:
-        mask = 0
-        if len(s) > 1:
-            for i in range(len(s)):
-                mask |= 1 << index[s[:i] + s[i + 1:]]
-        columns.append(mask)
+    index = cover.parent.index()
+    appearance: dict[int, int] = {}
+    for t, J in enumerate(chain, start=1):
+        for i in cover._union_ids(J):
+            appearance.setdefault(i, t)
+    # each step adds its new ids in ascending order, so insertion order is (step, id)
+    order = list(appearance)
+    position = {i: p for p, i in enumerate(order)}
+    # columns as bitmasks of filtration positions
+    columns = [sum(1 << position[f] for f in index.faces[i]) for i in order]
     low_owner: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     for j, col in enumerate(columns):
@@ -86,14 +89,15 @@ def persistence_over_chain(cover: Cover, chain) -> PersistenceDiagram:
             col ^= columns[low_owner[low]]
         columns[j] = col
     paired = {i for i, _ in pairs} | {j for _, j in pairs}
+    birth_of = list(appearance.values())
+    degree_of = [len(index.simplices[i]) - 1 for i in order]
     by_degree: dict[int, list[tuple[int, int | None]]] = {}
     for i, j in pairs:
-        birth, death = appearance[ordered[i]], appearance[ordered[j]]
-        if death > birth:
-            by_degree.setdefault(len(ordered[i]) - 1, []).append((birth, death))
-    for i, s in enumerate(ordered):
+        if birth_of[j] > birth_of[i]:
+            by_degree.setdefault(degree_of[i], []).append((birth_of[i], birth_of[j]))
+    for i in range(len(order)):
         if i not in paired:
-            by_degree.setdefault(len(s) - 1, []).append((appearance[s], None))
+            by_degree.setdefault(degree_of[i], []).append((birth_of[i], None))
     diagram = PersistenceDiagram(
         tuple(chain),
         tuple(

@@ -28,6 +28,7 @@ from .cylinders import (
     multiple_cylinder,
     relation_cylinder,
     graph_relation,
+    tag,
 )
 from .homology import homology_equal, homology_of_poset, reduced_homology
 from .persistence import check_truncation_theorem, persistence_over_chain
@@ -57,7 +58,7 @@ def _check_worked_example() -> tuple[bool, dict]:
     B = multiple_cylinder(spec)
     cross = _cross_pairs(B)
     internal_ok = all(
-        B.leq(f"{name}.{a}", f"{name}.{b}")
+        B.leq(tag(name, a), tag(name, b))
         for name, X in spec.spaces
         for a, b in X.hasse
     )

@@ -4,9 +4,11 @@ The brute-force ones deliberately avoid the library's own algorithms:
 contractibility is decided by searching every beat-point removal order,
 chains are enumerated from the raw order relation, and transitive closures
 are recomputed from scratch.  The slow collapse engine further down is the
-reference for the indexed one, and the cover layer at the end (pairwise
+reference for the indexed one, the cover layer after it (pairwise
 intersections, all 2^n index sets, homology on every sub-union) the
-reference for the mask-based one.
+reference for the mask-based one, and the dense chain complex at the end
+(dense boundary matrices, fraction-free and dense GF(2) ranks, persistence
+over rebuilt sub-unions) the reference for the sparse rows.
 """
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ from finspace.cylinders import (
     tag,
     underline_preimage,
 )
-from finspace.homology import homology_equal, homology_of_poset, reduced_homology
+from finspace.homology import (
+    HomologyResult,
+    _dense_snf,
+    homology_equal,
+    homology_of_poset,
+    reduced_homology,
+)
+from finspace.persistence import PersistenceDiagram
 from finspace.posets import FinitePoset, build_poset
 
 
@@ -319,6 +328,19 @@ def slow_execute_target_removal(R: Relation, side: str) -> dict:
 # every sub-union.
 
 
+def slow_face_poset(K: SimplicialComplex) -> FinitePoset:
+    """Face poset with every face re-derived from the vertex tuples."""
+    simplices = K.all_simplices()
+    ids = {frozenset(s): simplex_id(s) for s in simplices}
+    pairs = [
+        (ids[frozenset(t)], ids[frozenset(s)])
+        for s in simplices
+        if len(s) > 1
+        for t in combinations(s, len(s) - 1)
+    ]
+    return build_poset(ids.values(), pairs)
+
+
 def sd_boundary(n: int) -> SimplicialComplex:
     """Barycentric subdivision of the boundary of the n-simplex."""
     return order_complex(simplex_boundary(n).face_poset())
@@ -508,3 +530,165 @@ def slow_check_truncation_theorem(
         )
     return report
 
+
+
+# -- the dense chain complex and the sub-union persistence reduction ---------
+#
+# The library reads sparse boundary rows off the simplex index and reduces
+# persistence on the parent's index.  Below are the paths it replaced: dense
+# row-major boundary matrices over tuple-keyed bases, a fraction-free rank,
+# a dense GF(2) rank, and a persistence reduction over an index rebuilt from
+# the sub-unions' simplices.  Homology from them uses the dense ``_dense_snf``
+# only, never the sparse elimination.
+
+
+def sparse(M) -> list[dict[int, int]]:
+    """A dense integer matrix as sparse rows {column: nonzero value}."""
+    return [{j: v for j, v in enumerate(row) if v} for row in M]
+
+
+def boundary_of_boundary(rows, lower):
+    """Each row of the transposed boundary times the transposed boundary one
+    degree down, as {column: value} with zero sums dropped."""
+    out = []
+    for row in rows:
+        acc: dict[int, int] = {}
+        for j, v in row.items():
+            for k, w in lower[j].items():
+                acc[k] = acc.get(k, 0) + v * w
+        out.append({k: v for k, v in acc.items() if v})
+    return out
+
+
+def dense_boundary_matrices(K: SimplicialComplex):
+    """Bases per dimension and dense boundary matrices C_d -> C_{d-1}, row-major;
+    boundaries[0] is the empty matrix."""
+    bases = [tuple(K.simplices_of_dim(d)) for d in range(K.dim() + 1)]
+    boundaries = [tuple(() for _ in bases[0])]
+    for d in range(1, len(bases)):
+        index = {s: i for i, s in enumerate(bases[d - 1])}
+        rows = len(bases[d - 1])
+        cols = []
+        for s in bases[d]:
+            col = [0] * rows
+            for i in range(len(s)):
+                col[index[s[:i] + s[i + 1:]]] = (-1) ** i
+            cols.append(col)
+        boundaries.append(tuple(tuple(col[r] for col in cols) for r in range(rows)))
+    return bases, boundaries
+
+
+def rank_fraction_free(M) -> int:
+    """Rank over the rationals by Bareiss fraction-free elimination."""
+    A = [list(row) for row in M]
+    n = len(A)
+    m = len(A[0]) if n else 0
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(m):
+        piv = next((i for i in range(row, n) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[row], A[piv] = A[piv], A[row]
+        for i in range(row + 1, n):
+            for j in range(col + 1, m):
+                A[i][j] = (A[row][col] * A[i][j] - A[i][col] * A[row][j]) // prev
+            A[i][col] = 0
+        prev = A[row][col]
+        rank += 1
+        row += 1
+        if row == n:
+            break
+    return rank
+
+
+def dense_rank_gf2(M) -> int:
+    """Rank over the binary field of a dense integer matrix."""
+    rows = [sum(1 << j for j, v in enumerate(r) if v % 2) for r in M]
+    rows = [r for r in rows if r]
+    rank = 0
+    while rows:
+        piv = rows.pop()
+        rank += 1
+        low = piv & -piv
+        rows = [r ^ piv if r & low else r for r in rows]
+        rows = [r for r in rows if r]
+    return rank
+
+
+def _dense_per_boundary(K, fn, default):
+    bases, boundaries = dense_boundary_matrices(K)
+    out = [default] * (len(bases) + 1)
+    for d in range(1, len(bases)):
+        out[d] = fn(boundaries[d])
+    return bases, out
+
+
+def _dense_betti(bases, ranks) -> list[int]:
+    betti = [len(basis) - ranks[d] - ranks[d + 1] for d, basis in enumerate(bases)]
+    betti[0] -= 1
+    return betti
+
+
+def betti_numbers_oracle(K: SimplicialComplex) -> list[int]:
+    """Rational Betti numbers by fraction-free elimination (reduced convention)."""
+    return _dense_betti(*_dense_per_boundary(K, rank_fraction_free, 0))
+
+
+def betti_numbers_gf2_oracle(K: SimplicialComplex) -> list[int]:
+    """Reduced Betti numbers over the binary field from dense matrices."""
+    return _dense_betti(*_dense_per_boundary(K, dense_rank_gf2, 0))
+
+
+def homology_oracle(K: SimplicialComplex) -> HomologyResult:
+    """Reduced integral homology by dense Smith normal form."""
+    bases, snf = _dense_per_boundary(K, _dense_snf, ((), 0))
+    betti = _dense_betti(bases, [rank for _, rank in snf])
+    torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(len(bases)))
+    return HomologyResult(tuple(betti), torsion, reduced=True)
+
+
+def slow_persistence_over_chain(cover, chain) -> PersistenceDiagram:
+    """Column reduction over an index rebuilt from the sub-unions' simplices."""
+    chain = [tuple(sorted(J)) for J in chain]
+    appearance: dict[tuple[str, ...], int] = {}
+    for t, J in enumerate(chain, start=1):
+        for s in slow_subunion(cover, J).all_simplices():
+            appearance.setdefault(s, t)
+    ordered = sorted(appearance, key=lambda s: (appearance[s], len(s), s))
+    index = {s: i for i, s in enumerate(ordered)}
+    columns = []
+    for s in ordered:
+        mask = 0
+        if len(s) > 1:
+            for i in range(len(s)):
+                mask |= 1 << index[s[:i] + s[i + 1:]]
+        columns.append(mask)
+    low_owner: dict[int, int] = {}
+    pairs = []
+    for j, col in enumerate(columns):
+        while col:
+            low = col.bit_length() - 1
+            if low not in low_owner:
+                low_owner[low] = j
+                pairs.append((low, j))
+                break
+            col ^= columns[low_owner[low]]
+        columns[j] = col
+    paired = {i for i, _ in pairs} | {j for _, j in pairs}
+    by_degree: dict[int, list] = {}
+    for i, j in pairs:
+        birth, death = appearance[ordered[i]], appearance[ordered[j]]
+        if death > birth:
+            by_degree.setdefault(len(ordered[i]) - 1, []).append((birth, death))
+    for i, s in enumerate(ordered):
+        if i not in paired:
+            by_degree.setdefault(len(s) - 1, []).append((appearance[s], None))
+    return PersistenceDiagram(
+        tuple(chain),
+        tuple(
+            (deg, tuple(sorted(bs, key=lambda b: (b[0], b[1] is None, b[1]))))
+            for deg, bs in sorted(by_degree.items())
+        ),
+    )

@@ -8,7 +8,7 @@ from finspace.complexes import (
 )
 from finspace.generators import generate_complex, generate_poset
 
-from helpers import brute_chains
+from helpers import brute_chains, slow_face_poset
 
 
 def test_facets_are_maximalized():
@@ -89,6 +89,16 @@ def test_face_poset_adjoint_invariants():
         # Euler characteristic of the order complex of the face poset (the
         # barycentric subdivision) agrees with that of K
         assert order_complex(chi).euler_characteristic() == K.euler_characteristic()
+
+
+def test_face_poset_matches_the_face_rederivation():
+    complexes = [generate_complex(seed) for seed in range(20)]
+    complexes += [order_complex(generate_poset(seed, 7)) for seed in range(5)]
+    complexes += [SimplicialComplex([["a|b", "c"], ["a", "b|c"], ["a\\", "b"]])]
+    for K in complexes:
+        chi, slow = K.face_poset(), slow_face_poset(K)
+        assert chi.elements == slow.elements
+        assert chi.hasse == slow.hasse
 
 
 def test_face_poset_ordering():

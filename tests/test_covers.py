@@ -1,6 +1,7 @@
 import pytest
 
 from finspace import collapse as clp
+from finspace import covers
 from finspace.complexes import SimplicialComplex, simplex_id, solid_simplex
 from finspace.covers import (
     Cover,
@@ -241,6 +242,24 @@ def test_good_space_cover_generator_shadow():
         X, cov = generate_good_space_cover(seed)
         chi = non_hausdorff_nerve(cov)
         assert homology_equal(homology_of_poset(X), homology_of_poset(chi))
+
+
+def test_reduced_nerve_is_built_once_per_cover(monkeypatch):
+    built = []
+    real = covers.ReducedNerve
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(covers, "ReducedNerve", counting)
+    cov = finite_circle_cover()
+    report = check_nerve_theorem(cov, "reduced-space")
+    assert len(built) == 1
+    assert report == check_nerve_theorem(finite_circle_cover(), "reduced-space")
+    assert len(built) == 2  # a second, equal cover builds its own
+    assert reduced_nerve(cov) is reduced_nerve(cov)
+    assert len(built) == 2
 
 
 def test_star_cover_nerve_builds_in_proportion_to_its_classes(monkeypatch):

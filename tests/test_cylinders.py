@@ -183,6 +183,21 @@ def test_check_collapse_left_certifies_and_replays():
         assert replay_space_certificate(B, coll["certificate"], target=target)
 
 
+def test_tag_escapes_the_separator():
+    assert tag("X", "a") == "X.a"
+    assert tag("X.a", "b") == "X\\.a.b"
+    assert tag("X", "a.b") == "X.a.b"
+    assert tag("X\\", "a") == "X\\\\.a"
+    names = [("X.a", "b"), ("X", "a.b"), ("X\\", "b.c"), ("X.b", "c"), ("X.b\\", "c")]
+    assert len({tag(c, e) for c, e in names}) == len(names)
+    # copy X.a over the element b and copy X over the element a.b stay apart
+    X, Y = chain(["a.b"]), chain(["b"])
+    R = Relation(X, Y, frozenset({("a.b", "b")}), source_name="X", target_name="X.a")
+    B = relation_cylinder(R)
+    assert len(B) == 2 and B.lt(tag("X", "a.b"), tag("X.a", "b"))
+    assert len(multiple_cylinder(CylinderSpec((("X", X), ("X.a", Y)), (R,)))) == 2
+
+
 def test_collapse_checks_build_one_cylinder(monkeypatch):
     R1, R2 = generate_composite_instance(3)
     R = compose_relations(R1, R2)

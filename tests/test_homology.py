@@ -9,33 +9,33 @@ from finspace.generators import generate_complex, generate_poset
 from finspace.homology import (
     _dense_snf,
     betti_numbers_gf2,
-    betti_numbers_oracle,
     boundary_matrices,
     homology_equal,
-    rank_fraction_free,
     rank_gf2,
     reduced_homology,
     smith_normal_form,
 )
 
-
-def mat_mul(A, B):
-    if not A or not B:
-        return []
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
+from helpers import (
+    betti_numbers_gf2_oracle,
+    betti_numbers_oracle,
+    boundary_of_boundary,
+    dense_boundary_matrices,
+    homology_oracle,
+    rank_fraction_free,
+    sd_boundary,
+    sparse,
+)
 
 
 def test_snf_divisibility_golden():
-    factors, rank = smith_normal_form([[2, 0], [0, 3]])
+    factors, rank = smith_normal_form(sparse([[2, 0], [0, 3]]))
     assert factors == [1, 6]
     assert rank == 2
 
 
 def test_snf_zero_matrix():
-    factors, rank = smith_normal_form([[0, 0], [0, 0]])
+    factors, rank = smith_normal_form(sparse([[0, 0], [0, 0]]))
     assert factors == []
     assert rank == 0
 
@@ -46,7 +46,7 @@ def test_snf_rank_matches_fraction_free():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         M = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        assert smith_normal_form(M)[1] == rank_fraction_free(M)
+        assert smith_normal_form(sparse(M))[1] == rank_fraction_free(M)
 
 
 def _random_matrix(rng, rows, cols, density):
@@ -65,20 +65,21 @@ def _random_matrices(label, count):
 
 
 def _boundaries(K):
-    return [M for M in boundary_matrices(K).boundaries[1:] if M and M[0]]
+    """(sparse rows, dense matrix) of each boundary of K in degrees 1..dim."""
+    return list(zip(boundary_matrices(K)[1:], dense_boundary_matrices(K)[1][1:]))
 
 
 def test_snf_matches_dense_on_random_matrices():
     for M in _random_matrices("snf-dense", 500):
-        assert smith_normal_form(M) == _dense_snf(M), M
+        assert smith_normal_form(sparse(M)) == _dense_snf(M), M
 
 
 def test_snf_mixed_unit_and_torsion_blocks():
-    assert smith_normal_form([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == ([1, 1, 6], 3)
-    assert smith_normal_form([[2, 0, 0], [0, 1, 0], [0, 0, 4]]) == ([1, 2, 4], 3)
+    assert smith_normal_form(sparse([[1, 0, 0], [0, 2, 0], [0, 0, 3]])) == ([1, 1, 6], 3)
+    assert smith_normal_form(sparse([[2, 0, 0], [0, 1, 0], [0, 0, 4]])) == ([1, 2, 4], 3)
     # a unit pivot whose elimination leaves the torsion entry 2 behind
     M = [[1, 1, 0], [1, -1, 0], [0, 0, 0]]
-    assert smith_normal_form(M) == ([1, 2], 2) == _dense_snf(M)
+    assert smith_normal_form(sparse(M)) == ([1, 2], 2) == _dense_snf(M)
 
 
 @pytest.mark.parametrize(
@@ -96,56 +97,72 @@ def test_snf_mixed_unit_and_torsion_blocks():
     ],
 )
 def test_snf_degenerate_shapes(M, expected):
-    assert smith_normal_form(M) == (expected, len(expected)) == _dense_snf(M)
+    assert smith_normal_form(sparse(M)) == (expected, len(expected)) == _dense_snf(M)
 
 
 def test_snf_leaves_input_untouched():
     M = ((1, 2, 0), (1, -1, 3), (0, 2, 2))
     copy = [list(r) for r in M]
-    for fn in (smith_normal_form, _dense_snf, rank_fraction_free, rank_gf2):
+    for fn in (_dense_snf, rank_fraction_free):
         fn(M)
         assert [list(r) for r in M] == copy
+    rows = sparse(M)
+    smith_normal_form(rows)
+    assert rows == sparse(copy)
+    masks = [0b11, 0b11, 0b10]
+    rank_gf2(masks)
+    assert masks == [0b11, 0b11, 0b10]
+
+
+def test_snf_ignores_stored_zeros():
+    assert smith_normal_form([{0: 1, 1: 0}, {1: 2, 2: 0}]) == ([1, 2], 2)
+    # the pivot row's stored zero lands in a row without that column
+    assert smith_normal_form([{0: 1, 1: 0}, {0: 1, 2: 3}]) == ([1, 3], 2)
 
 
 def test_snf_matches_dense_on_boundary_matrices():
-    for seed in range(30):
-        for M in _boundaries(generate_complex(seed)):
-            assert smith_normal_form(M) == _dense_snf(M)
-    for seed in range(6):
-        for M in _boundaries(order_complex(generate_poset(seed, 9))):
-            assert smith_normal_form(M) == _dense_snf(M)
-    for K in (projective_plane(), dunce_hat()):
-        for M in _boundaries(K):
-            assert smith_normal_form(M) == _dense_snf(M)
+    """The sparse rows are the transposed boundary: same invariant factors."""
+    complexes = [generate_complex(seed) for seed in range(30)]
+    complexes += [order_complex(generate_poset(seed, 9)) for seed in range(6)]
+    complexes += [projective_plane(), dunce_hat()]
+    for K in complexes:
+        for rows, M in _boundaries(K):
+            assert smith_normal_form(rows) == _dense_snf(M)
+
+
+def test_boundary_rows_are_the_transposed_dense_boundary():
+    for K in [generate_complex(seed) for seed in range(20)] + [projective_plane()]:
+        for rows, M in _boundaries(K):
+            assert rows == sparse(zip(*M))
 
 
 def test_snf_matches_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
 
-    cases = list(_random_matrices("snf-sympy", 150))
-    cases += _boundaries(projective_plane()) + _boundaries(generate_complex(3))
-    for M in cases:
-        expected = [abs(f) for f in invariant_factors(sympy.Matrix(M), domain=sympy.ZZ) if f]
-        assert smith_normal_form(M)[0] == expected, M
+    def factors(M):
+        return [abs(f) for f in invariant_factors(sympy.Matrix(M), domain=sympy.ZZ) if f]
+
+    for M in _random_matrices("snf-sympy", 150):
+        assert smith_normal_form(sparse(M))[0] == factors(M), M
+    for K in (projective_plane(), generate_complex(3)):
+        for rows, M in _boundaries(K):
+            assert smith_normal_form(rows)[0] == factors(M)
 
 
 def test_rank_gf2_basics():
-    assert rank_gf2([[1, 0], [0, 1]]) == 2
-    assert rank_gf2([[1, 1], [1, 1]]) == 1
-    assert rank_gf2([[2, 2], [0, 0]]) == 0  # even entries vanish mod 2
+    assert rank_gf2([0b01, 0b10]) == 2
+    assert rank_gf2([0b11, 0b11]) == 1
+    assert rank_gf2([0b110, 0b011, 0b101]) == 2
+    assert rank_gf2([0, 0]) == 0
+    assert rank_gf2([]) == 0
 
 
 def test_boundary_squares_to_zero():
     for seed in range(40):
-        K = generate_complex(seed)
-        data = boundary_matrices(K)
-        for d in range(1, len(data.boundaries)):
-            A, B = data.boundaries[d - 1], data.boundaries[d]
-            if not A or not B or not A[0]:
-                continue
-            prod = mat_mul(A, B)
-            assert all(v == 0 for row in prod for v in row)
+        rows = boundary_matrices(generate_complex(seed))
+        for d in range(2, len(rows)):
+            assert not any(boundary_of_boundary(rows[d], rows[d - 1]))
 
 
 def test_sphere_homology():
@@ -177,6 +194,29 @@ def test_projective_plane_torsion():
 
 def test_dunce_hat_acyclic():
     assert reduced_homology(dunce_hat()).is_trivial()
+
+
+def test_subdivided_five_sphere():
+    """sd of the boundary of the 5-simplex: 4,682 simplices, H~_4 = Z."""
+    K = sd_boundary(5)
+    assert K.num_simplices() == 4682
+    hom = reduced_homology(K)
+    assert hom.betti == (0, 0, 0, 0, 1)
+    assert not any(hom.torsion)
+
+
+def _homology_families():
+    yield from (generate_complex(seed) for seed in range(60))
+    yield from (order_complex(generate_poset(seed, 3 + seed % 7)) for seed in range(20))
+    yield projective_plane()
+    yield dunce_hat()
+
+
+def test_homology_matches_dense_oracle():
+    for K in _homology_families():
+        assert reduced_homology(K) == homology_oracle(K)
+        assert betti_numbers_gf2(K) == betti_numbers_gf2_oracle(K)
+    assert homology_oracle(projective_plane()).torsion[1] == (2,)
 
 
 def test_betti_oracles_agree():

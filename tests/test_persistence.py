@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
 from finspace import persistence
 from finspace.collapse import collapses_to_vertices
-from finspace.complexes import SimplicialComplex
+from finspace.complexes import SimplicialComplex, order_complex
 from finspace.covers import Cover, nerve
 from finspace.errors import InvalidCover, NotAChain
 from finspace.fixtures import (
@@ -13,10 +14,14 @@ from finspace.fixtures import (
     finite_circle_cover,
     projective_plane,
 )
-from finspace.generators import generate_strong_good_cover
+from finspace.generators import generate_good_space_cover, generate_strong_good_cover
 from finspace.persistence import check_truncation_theorem, persistence_over_chain
 
-from helpers import polygon_arc_cover, slow_check_truncation_theorem
+from helpers import (
+    polygon_arc_cover,
+    slow_check_truncation_theorem,
+    slow_persistence_over_chain,
+)
 
 
 def test_chain_must_be_strictly_increasing():
@@ -60,6 +65,61 @@ def test_acyclic_filtration_has_no_positive_bars():
             assert all(death is not None for _, death in bars)
 
 
+def order_complex_cover(space_cover) -> Cover:
+    """K(X) covered by the K(U) of the open members: a chain of X lies in
+    the down set of its top element, hence in every member holding it."""
+    X = space_cover.parent
+    return Cover(
+        "complex",
+        order_complex(X),
+        tuple((n, order_complex(X.restrict(U))) for n, U in space_cover.members),
+    )
+
+
+def seeded_chains(cover, seed, count=3):
+    """Strictly increasing chains: prefixes of a shuffled member order."""
+    rng = random.Random(f"chain:{seed}")
+    names = sorted(cover.names())
+    for _ in range(count):
+        rng.shuffle(names)
+        cuts = sorted(rng.sample(range(1, len(names) + 1), rng.randint(1, len(names))))
+        yield [names[:c] for c in cuts]
+
+
+def _persistence_covers():
+    for seed in range(8):
+        yield generate_strong_good_cover(seed)[1]
+        yield order_complex_cover(generate_good_space_cover(seed)[1])
+    yield circle_arc_cover()
+    for n, cuts in ((12, [0, 3, 6, 9]), (9, [0, 2, 5]), (10, [0, 1, 4, 6, 8])):
+        yield polygon_arc_cover(n, cuts)
+    for K in (projective_plane(), dunce_hat()):
+        triangle = SimplicialComplex([min(sorted(f) for f in K.facets)])
+        yield Cover("complex", K, (("K", K), ("T", triangle)))
+
+
+def test_persistence_matches_the_subunion_rebuild():
+    checked = 0
+    for seed, cov in enumerate(_persistence_covers()):
+        for chain in seeded_chains(cov, seed):
+            assert persistence_over_chain(cov, chain) == slow_persistence_over_chain(cov, chain)
+            checked += 1
+    assert checked == 3 * 22
+
+
+def test_persistence_sees_degree_one_bars_and_torsion_mod_2():
+    cov = polygon_arc_cover(12, [0, 3, 6, 9])
+    diagram = persistence_over_chain(cov, [["A0"], ["A0", "A2"], ["A0", "A1", "A2", "A3"]])
+    assert diagram.bars_in_degree(0) == [(1, None), (2, 3)]
+    assert diagram.bars_in_degree(1) == [(3, None)]
+    P = projective_plane()
+    triangle = SimplicialComplex([min(sorted(f) for f in P.facets)])
+    cov = Cover("complex", P, (("P", P), ("T", triangle)))
+    diagram = persistence_over_chain(cov, [["T"], ["P", "T"]])
+    assert diagram.bars_in_degree(1) == [(2, None)]
+    assert diagram.bars_in_degree(2) == [(2, None)]
+
+
 def test_subunion():
     cov = circle_arc_cover()
     K = cov.subunion(["U1", "U2"])
@@ -93,7 +153,7 @@ def test_truncation_positive_on_strong_good_instances():
 def test_truncation_sampling_label_beyond_cap():
     # a path of 13 edges covered edge by edge: the nerve stays small, but the
     # member count exceeds the exhaustive-enumeration cap
-    from finspace.complexes import SimplicialComplex
+    from finspace.complexes import SimplicialComplex, order_complex
 
     edges = [[f"v{i}", f"v{i + 1}"] for i in range(13)]
     parent = SimplicialComplex(edges)
