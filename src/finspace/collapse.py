@@ -10,8 +10,9 @@ Each point-removal kind (down-beat, up-beat, down-weak, up-weak) is decided
 in one place, ``removable``.  The core and greedy searches, certificate
 replay and the cylinder executor all call it, so replay accepts any step that
 is valid for its declared kind, whichever other kinds the point also has.
-They shrink a set of alive points and read the induced order off the
-parent's reachability tables, so no subposet is built per step.
+They shrink an int mask of alive points over the parent's element
+positions and read the induced order off the parent's reachability masks, so
+no subposet is built per step.
 
 Free-face search and replay likewise share one state, ``_Shrinking``: a
 present-mask and coface counts over the complex's simplex index, updated in
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 from .complexes import SimplexIndex, SimplicialComplex
 from .errors import EmptyObject, EmptySpace, InvariantViolation, TargetNotInduced
 from .homology import HomologyResult, homology_of_poset, reduced_homology
-from .posets import FinitePoset
+from .posets import FinitePoset, _ids
 
 DOWN_BEAT = "down-beat"
 UP_BEAT = "up-beat"
@@ -134,43 +135,48 @@ BEAT_KINDS = (DOWN_BEAT, UP_BEAT)
 WEAK_KINDS = (DOWN_WEAK, UP_WEAK)
 
 
-def removable(X: FinitePoset, alive: set[str], x: str, kind: str) -> bool:
-    """Whether x is a point of the given kind in the subspace ``alive`` of X.
+def removable(X: FinitePoset, alive: int, x: str, kind: str) -> bool:
+    """Whether x is a point of the given kind in the subspace ``alive`` of X,
+    a mask over X's element positions.
 
     The down kinds look at the punctured down set of x in alive, the up kinds
-    at its punctured up set; both are read off X's reachability tables, since
+    at its punctured up set; both are read off X's reachability masks, since
     a subspace carries the induced order.  That set must be non-empty and
     have exactly one maximal element (down-beat), exactly one minimal element
     (up-beat), or be contractible (weak kinds).  An unknown kind is never
     removable.
     """
     if kind in (DOWN_BEAT, DOWN_WEAK):
-        punctured, beyond = X.down_set(x, strict=True) & alive, X._above
+        punctured, beyond = X._below[X._at(x)] & alive, X._above
     elif kind in (UP_BEAT, UP_WEAK):
-        punctured, beyond = X.up_set(x, strict=True) & alive, X._below
+        punctured, beyond = X._above[X._at(x)] & alive, X._below
     else:
         return False
     if not punctured:
         return False
     if kind in WEAK_KINDS:
-        return _contraction(X, set(punctured)) is not None
-    extremes = sum(1 for y in punctured if beyond[y].isdisjoint(punctured))
+        return _contraction(X, punctured) is not None
+    extremes = sum(1 for y in _ids(punctured) if not beyond[y] & punctured)
     return extremes == 1
 
 
-def _first_kind(X: FinitePoset, alive: set[str], x: str, kinds: tuple[str, str]) -> str | None:
+def _first_kind(X: FinitePoset, alive: int, x: str, kinds: tuple[str, str]) -> str | None:
     for kind in kinds:
         if removable(X, alive, x, kind):
             return kind
     return None
 
 
+def _everything(X: FinitePoset) -> int:
+    return (1 << len(X)) - 1
+
+
 def beat_point_kind(X: FinitePoset, x: str) -> str | None:
-    return _first_kind(X, set(X.elements), x, BEAT_KINDS)
+    return _first_kind(X, _everything(X), x, BEAT_KINDS)
 
 
 def weak_point_kind(X: FinitePoset, x: str) -> str | None:
-    return _first_kind(X, set(X.elements), x, WEAK_KINDS)
+    return _first_kind(X, _everything(X), x, WEAK_KINDS)
 
 
 def _removable_points(X: FinitePoset, kind_of) -> list[tuple[str, str]]:
@@ -187,46 +193,41 @@ def weak_points(X: FinitePoset) -> list[tuple[str, str]]:
 
 
 def _peel(
-    X: FinitePoset,
-    alive: set[str],
-    kinds: tuple[str, str],
-    keep: frozenset[str] = frozenset(),
-    size: int = 0,
-) -> CollapseCertificate:
-    """Remove from alive the first point outside keep, in element order, that
-    has one of the kinds, round after round, until no such point is left or
-    only ``size`` points remain.  Shrinks alive in place."""
+    X: FinitePoset, alive: int, kinds: tuple[str, str], keep: int = 0, size: int = 0
+) -> tuple[CollapseCertificate, int]:
+    """Remove from the mask alive the first point outside the mask keep, in
+    element order, that has one of the kinds, round after round, until no
+    such point is left or only ``size`` points remain.  Returns the removals
+    and what is left alive."""
     steps: list[PointRemoval] = []
-    order = sorted(alive)
-    while len(alive) > size:
-        for x in order:
-            if x in alive and x not in keep and (kind := _first_kind(X, alive, x, kinds)):
-                steps.append(PointRemoval(x, kind))
-                alive.remove(x)
+    while alive.bit_count() > size:
+        for i in _ids(alive & ~keep):
+            if kind := _first_kind(X, alive, X.elements[i], kinds):
+                steps.append(PointRemoval(X.elements[i], kind))
+                alive ^= 1 << i
                 break
         else:
             break
-    return CollapseCertificate(tuple(steps))
+    return CollapseCertificate(tuple(steps)), alive
 
 
-def _contraction(X: FinitePoset, alive: set[str]) -> CollapseCertificate | None:
+def _contraction(X: FinitePoset, alive: int) -> CollapseCertificate | None:
     """Beat-point removals taking the non-empty subspace alive of X to a
-    point, or None when its core is larger.  Shrinks alive to the core."""
-    cert = _peel(X, alive, BEAT_KINDS)
-    return cert if len(alive) == 1 else None
+    point, or None when its core is larger."""
+    cert, left = _peel(X, alive, BEAT_KINDS)
+    return cert if left.bit_count() == 1 else None
 
 
 def core(X: FinitePoset) -> tuple[FinitePoset, CollapseCertificate]:
     """Remove beat points (lexicographically first each round) until none remain."""
-    alive = set(X.elements)
-    cert = _peel(X, alive, BEAT_KINDS)
-    return X.restrict(alive), cert
+    cert, alive = _peel(X, _everything(X), BEAT_KINDS)
+    return X.restrict(X._members(alive)), cert
 
 
 def is_contractible_space(X: FinitePoset) -> bool:
     if not len(X):
         raise EmptySpace("contractibility of the empty space is not defined")
-    return _contraction(X, set(X.elements)) is not None
+    return _contraction(X, _everything(X)) is not None
 
 
 def gamma_points(X: FinitePoset) -> list[tuple[str, TriStateResult]]:
@@ -266,9 +267,8 @@ def greedy_collapse_space(
     if keep is not None and not keep <= set(X.elements):
         raise TargetNotInduced(f"target {sorted(keep)} is not a subset of the space")
     size = 1 if keep is None else len(keep)
-    alive = set(X.elements)
-    cert = _peel(X, alive, WEAK_KINDS, keep or frozenset(), size)
-    if len(alive) == size:
+    cert, alive = _peel(X, _everything(X), WEAK_KINDS, X._mask(keep or ()), size)
+    if alive.bit_count() == size:
         return yes(cert)
     return _stuck(
         homology_of_poset,
@@ -282,16 +282,17 @@ def replay_space_certificate(
     X: FinitePoset, cert: CollapseCertificate, target: Iterable[str] | None = None
 ) -> bool:
     """Check each removal is valid for its declared kind; verify the end state."""
-    alive = set(X.elements)
+    alive = _everything(X)
     for step in cert.steps:
-        if not isinstance(step, PointRemoval) or step.element not in alive:
+        if not isinstance(step, PointRemoval) or step.element not in X:
             return False
-        if not removable(X, alive, step.element, step.kind):
+        bit = 1 << X._at(step.element)
+        if not alive & bit or not removable(X, alive, step.element, step.kind):
             return False
-        alive.remove(step.element)
+        alive ^= bit
     if target is not None:
-        return alive == set(target)
-    return len(alive) == 1
+        return X._members(alive) == set(target)
+    return alive.bit_count() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +522,7 @@ def triviality_from_collapse(obj, collapsibility: TriStateResult) -> TriStateRes
         return collapsibility
     if isinstance(obj, SimplicialComplex):
         return unknown("acyclic but greedy collapse got stuck")
-    cert = _contraction(obj, set(obj.elements))
+    cert = _contraction(obj, _everything(obj))
     if cert is not None:
         return yes(cert)
     return unknown("acyclic but neither core nor greedy collapse reach a point")
@@ -530,7 +531,7 @@ def triviality_from_collapse(obj, collapsibility: TriStateResult) -> TriStateRes
 def is_homotopically_trivial_poset(X: FinitePoset) -> TriStateResult:
     if not len(X):
         raise EmptyObject("the empty space is not homotopically trivial")
-    cert = _contraction(X, set(X.elements))
+    cert = _contraction(X, _everything(X))
     if cert is not None:
         return yes(cert)
     return triviality_from_collapse(X, greedy_collapse_space(X))

@@ -166,9 +166,19 @@ class SimplicialComplex:
 
 
 def _maximalize(faces: frozenset[Simplex]) -> frozenset[Simplex]:
-    faces = frozenset(f for f in faces if f)
+    """The non-empty faces in no other face.  A face strictly containing f is
+    larger than the smallest face and passes through f's rarest vertex."""
+    faces = [f for f in faces if f]
+    smallest = min(map(len, faces), default=0)
+    through: dict[str, list[Simplex]] = {}
+    for g in faces:
+        if len(g) > smallest:
+            for v in g:
+                through.setdefault(v, []).append(g)
     return frozenset(
-        f for f in faces if not any(f < g for g in faces)
+        f
+        for f in faces
+        if not through or not any(f < g for g in min((through.get(v, ()) for v in f), key=len))
     )
 
 

@@ -29,7 +29,7 @@ from .errors import (
     UnknownSimplex,
 )
 from .homology import homology_equal, homology_of_poset, reduced_homology
-from .posets import FinitePoset, build_poset
+from .posets import FinitePoset, _ids, build_poset
 
 COMPLEX = "complex"
 POSET = "poset"
@@ -102,8 +102,7 @@ class Cover:
                     n: _bits(id_of[s] for s in sub.index().simplices) for n, sub in self.members
                 }
             else:
-                position = {x: i for i, x in enumerate(self.parent.elements)}
-                masks = {n: _bits(position[x] for x in sub) for n, sub in self.members}
+                masks = {n: self.parent._mask(sub) for n, sub in self.members}
             self._memo["masks"] = masks
         return masks
 
@@ -143,8 +142,7 @@ class Cover:
                 for i in _ids(mask)
                 if not any(mask >> c & 1 for c in index.cofaces[i])
             )
-        elements = self.parent.elements
-        return frozenset(elements[i] for i in _ids(mask))
+        return self.parent._members(mask)
 
     def intersection(self, names):
         J = tuple(sorted(names))
@@ -202,16 +200,6 @@ def _bits(ids) -> int:
     out = 0
     for i in ids:
         out |= 1 << i
-    return out
-
-
-def _ids(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
     return out
 
 

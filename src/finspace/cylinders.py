@@ -313,28 +313,19 @@ def _execute_target_removal(R: Relation, B: FinitePoset, side: str) -> dict:
     """
     if side == "left":
         order = R.target.linear_extension()  # ascending: lower points first
-        kept, kept_name = R.source, R.source_name
-        far_name = R.target_name
+        kept, kept_name, far_name = R.source, R.source_name, R.target_name
+        strict, hypothesis, kind = B._below, underline_preimage, clp.DOWN_WEAK
     else:
         order = list(reversed(R.source.linear_extension()))  # upper points first
-        kept, kept_name = R.target, R.target_name
-        far_name = R.source_name
+        kept, kept_name, far_name = R.target, R.target_name, R.source_name
+        strict, hypothesis, kind = B._above, overline_image, clp.UP_WEAK
     steps = []
-    alive = set(B.elements)
+    alive = (1 << len(B)) - 1
     identity_ok = True
     for z in order:
         tz = tag(far_name, z)
-        if side == "left":
-            punctured = B.down_set(tz, strict=True) & alive
-            expected = frozenset(
-                tag(kept_name, x) for x in underline_preimage(R, z)
-            )
-            kind = clp.DOWN_WEAK
-        else:
-            punctured = B.up_set(tz, strict=True) & alive
-            expected = frozenset(tag(kept_name, y) for y in overline_image(R, z))
-            kind = clp.UP_WEAK
-        if punctured != expected:
+        i = B._at(tz)
+        if strict[i] & alive != B._mask(tag(kept_name, w) for w in hypothesis(R, z)):
             identity_ok = False
         if not clp.removable(B, alive, tz, kind):
             return {
@@ -344,7 +335,7 @@ def _execute_target_removal(R: Relation, B: FinitePoset, side: str) -> dict:
                 "note": "removed point is not a weak point at removal time",
             }
         steps.append(clp.PointRemoval(tz, kind))
-        alive.remove(tz)
+        alive ^= 1 << i
     cert = clp.CollapseCertificate(tuple(steps))
     target_elements = {tag(kept_name, x) for x in kept.elements}
     replay_ok = clp.replay_space_certificate(B, cert, target=target_elements)

@@ -2,29 +2,35 @@
 
 A finite T0-space is the same data as a finite poset: the minimal open set
 of a point is its down-set, the closure of a point is its up-set.  Posets
-are immutable; every query is answered from a precomputed reachability
-table.  All deterministic orderings tie-break by lexicographic element id.
+are immutable.  The constructor indexes the elements by sorted position and
+builds, once, each position's strict down- and up-set as int bitmasks, cover
+lists and height; queries are mask operations.  All deterministic orderings
+tie-break by lexicographic element id.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from typing import Iterable, Mapping
+from functools import reduce
+from operator import or_
+from typing import Iterable, Sequence
 
-from .errors import CycleDetected, DuplicateElement, UnknownElement
+from .errors import CycleDetected, DuplicateElement, MalformedSpec, UnknownElement
 
 
 class FinitePoset:
     """Immutable finite poset given by its Hasse diagram.
 
     ``hasse`` holds covering pairs ``(a, b)`` meaning ``a < b`` with nothing
-    strictly between.  Use :func:`build_poset` to construct one from an
-    arbitrary acyclic generating relation.
+    strictly between; a pair that is not covering raises MalformedSpec.  Use
+    :func:`build_poset` to construct one from an arbitrary acyclic
+    generating relation.
     """
 
     __slots__ = (
-        "elements", "hasse", "_covers_below", "_covers_above", "_below", "_above", "_height_of"
+        "elements", "hasse", "_pos", "_covers_below", "_covers_above", "_below", "_above",
+        "_order", "_height_of",
     )
 
     def __init__(self, elements: Iterable[str], hasse: Iterable[tuple[str, str]]):
@@ -32,27 +38,26 @@ class FinitePoset:
         if len(set(self.elements)) != len(self.elements):
             raise DuplicateElement(f"duplicate element ids in {self.elements}")
         self.hasse: frozenset[tuple[str, str]] = frozenset((a, b) for a, b in hasse)
-        self._covers_below: dict[str, list[str]] = {x: [] for x in self.elements}
-        self._covers_above: dict[str, list[str]] = {x: [] for x in self.elements}
+        self._pos: dict[str, int] = {x: i for i, x in enumerate(self.elements)}
+        edges = []
         for a, b in self.hasse:
-            if a not in self._covers_below or b not in self._covers_below:
+            if a not in self._pos or b not in self._pos:
                 raise UnknownElement(f"hasse pair ({a}, {b}) mentions unknown element")
-            self._covers_below[b].append(a)
-            self._covers_above[a].append(b)
-        for covers in (self._covers_below, self._covers_above):
-            for x in covers:
-                covers[x].sort()
-        self._below = _reachability(self.elements, self.hasse)
-        self._above = _reachability(self.elements, [(b, a) for a, b in self.hasse])
-        self._height_of: dict[str, int] = {}
-        for x in self.linear_extension():
-            preds = [self._height_of[y] for y in self._covers_below[x]]
-            self._height_of[x] = 1 + max(preds) if preds else 0
+            edges.append((self._pos[a], self._pos[b]))
+        preds, succs, self._order, self._below, self._above, self._height_of = _closure(
+            self.elements, edges
+        )
+        for (a, b), (i, j) in zip(self.hasse, edges):
+            if self._above[i] & self._below[j]:
+                raise MalformedSpec(f"hasse pair ({a}, {b}) is not a covering pair")
+        names = self.elements
+        self._covers_below = [[names[i] for i in ids] for ids in preds]
+        self._covers_above = [[names[i] for i in ids] for ids in succs]
 
     # -- basic queries -----------------------------------------------------
 
     def __contains__(self, x: str) -> bool:
-        return x in self._below
+        return x in self._pos
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -70,78 +75,70 @@ class FinitePoset:
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements, {len(self.hasse)} covers)"
 
-    def _check(self, x: str) -> None:
-        if x not in self._below:
+    def _at(self, x: str) -> int:
+        """Position of x in ``elements``."""
+        i = self._pos.get(x)
+        if i is None:
             raise UnknownElement(f"{x!r} is not an element of this poset")
+        return i
+
+    def _mask(self, members: Iterable[str]) -> int:
+        out = 0
+        for x in members:
+            out |= 1 << self._at(x)
+        return out
+
+    def _members(self, mask: int) -> frozenset[str]:
+        return frozenset(map(self.elements.__getitem__, _ids(mask)))
 
     def lt(self, a: str, b: str) -> bool:
-        self._check(a), self._check(b)
-        return a in self._below[b]
+        return bool(self._below[self._at(b)] >> self._at(a) & 1)
 
     def leq(self, a: str, b: str) -> bool:
-        return a == b and a in self._below or self.lt(a, b)
+        return a == b and a in self._pos or self.lt(a, b)
 
     def covers_below(self, x: str) -> list[str]:
-        return list(self._covers_below.get(x, ()))
+        return list(self._covers_below[self._at(x)])
 
     def covers_above(self, x: str) -> list[str]:
-        return list(self._covers_above.get(x, ()))
+        return list(self._covers_above[self._at(x)])
 
     # -- open / closed subsets ---------------------------------------------
 
     def down_set(self, x: str, strict: bool = False) -> frozenset[str]:
         """Minimal open set U_x; with ``strict`` the punctured version."""
-        self._check(x)
-        below = self._below[x]
-        return below if strict else below | {x}
+        i = self._at(x)
+        return self._members(self._below[i] if strict else self._below[i] | 1 << i)
 
     def up_set(self, x: str, strict: bool = False) -> frozenset[str]:
         """Closure F_x of the point x; with ``strict`` the punctured version."""
-        self._check(x)
-        above = self._above[x]
-        return above if strict else above | {x}
+        i = self._at(x)
+        return self._members(self._above[i] if strict else self._above[i] | 1 << i)
 
     def open_hull(self, members: Iterable[str]) -> frozenset[str]:
-        members = frozenset(members)
-        for x in members:
-            self._check(x)
-        out: set[str] = set()
-        for x in members:
-            out |= self.down_set(x)
-        return frozenset(out)
+        return self._members(_hull(self._mask(members), self._below))
 
     def closure(self, members: Iterable[str]) -> frozenset[str]:
-        members = frozenset(members)
-        for x in members:
-            self._check(x)
-        out: set[str] = set()
-        for x in members:
-            out |= self.up_set(x)
-        return frozenset(out)
+        return self._members(_hull(self._mask(members), self._above))
 
     def is_open(self, members: Iterable[str]) -> bool:
-        members = frozenset(members)
-        for x in members:
-            self._check(x)
-        return all(self._below[x] <= members for x in members)
+        mask = self._mask(members)
+        return _hull(mask, self._below) == mask
 
     # -- global structure ----------------------------------------------------
 
     def height_of(self, x: str) -> int:
         """Length (edge count) of the longest chain ending at x."""
-        self._check(x)
-        return self._height_of[x]
+        return self._height_of[self._at(x)]
 
     def height(self) -> int:
-        if not self.elements:
-            return 0
-        return max(self._height_of.values())
+        return max(self._height_of, default=0)
 
     def maximal_elements(self) -> list[str]:
-        return [x for x in self.elements if not self._covers_above[x]]
+        return [x for x, up in zip(self.elements, self._covers_above) if not up]
 
     def minimal_elements(self) -> list[str]:
-        return [x for x in self.elements if not self._covers_below[x]]
+        return [x for x, down in zip(self.elements, self._covers_below) if not down]
 
     def has_maximum(self) -> bool:
         return len(self.maximal_elements()) == 1
@@ -154,41 +151,31 @@ class FinitePoset:
 
     def linear_extension(self) -> list[str]:
         """Total order respecting the partial order, lexicographic tie-break."""
-        indeg = {x: 0 for x in self.elements}
-        for _, b in self.hasse:
-            indeg[b] += 1
-        ready = [x for x in self.elements if indeg[x] == 0]
-        heapq.heapify(ready)
-        out: list[str] = []
-        while ready:
-            x = heapq.heappop(ready)
-            out.append(x)
-            for y in self._covers_above[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    heapq.heappush(ready, y)
-        return out
+        return [self.elements[i] for i in self._order]
 
     def restrict(self, members: Iterable[str]) -> "FinitePoset":
-        """Induced subposet on a subset of elements."""
-        members = frozenset(members)
-        for x in members:
-            self._check(x)
-        pairs = [
-            (a, b)
-            for b in members
-            for a in self._below[b]
-            if a in members
-        ]
-        return build_poset(members, pairs)
+        """Induced subposet on a subset of elements: b covers a there when
+        a < b and no member lies strictly between them."""
+        keep = self._mask(members)
+        names = self.elements
+        hasse = []
+        for j in _ids(keep):
+            below = self._below[j] & keep
+            hasse.extend(
+                (names[i], names[j]) for i in _ids(below) if not self._above[i] & below
+            )
+        return FinitePoset(map(names.__getitem__, _ids(keep)), hasse)
 
     def order_pairs(self) -> frozenset[tuple[str, str]]:
         """All strict order pairs (a, b) with a < b."""
-        return frozenset((a, b) for b in self.elements for a in self._below[b])
+        names = self.elements
+        return frozenset(
+            (names[i], b) for b, below in zip(names, self._below) for i in _ids(below)
+        )
 
     def remove(self, x: str) -> "FinitePoset":
-        self._check(x)
-        return self.restrict(set(self.elements) - {x})
+        i = self._at(x)
+        return self.restrict(self.elements[:i] + self.elements[i + 1 :])
 
     # -- serialization -------------------------------------------------------
 
@@ -206,58 +193,79 @@ class FinitePoset:
         return build_poset(doc["elements"], [tuple(p) for p in doc["relations"]])
 
 
-def _reachability(
-    elements: Iterable[str], edges: Iterable[tuple[str, str]]
-) -> dict[str, frozenset[str]]:
-    """For each node, the set of nodes strictly reachable *into* it.
-
-    Edges run (a, b) with a below b; the table maps b -> all a with a < b.
-    """
-    preds: dict[str, set[str]] = {x: set() for x in elements}
-    for a, b in edges:
-        preds[b].add(a)
-    order = _toposort(elements, edges)
-    below: dict[str, frozenset[str]] = {}
-    for x in order:
-        acc: set[str] = set()
-        for p in preds[x]:
-            acc.add(p)
-            acc |= below[p]
-        below[x] = frozenset(acc)
-    return below
-
-
-def _toposort(elements: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[str]:
-    succ: dict[str, list[str]] = {x: [] for x in elements}
-    indeg = {x: 0 for x in succ}
-    for a, b in edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    stack = sorted((x for x in succ if indeg[x] == 0), reverse=True)
-    out: list[str] = []
-    while stack:
-        x = stack.pop()
-        out.append(x)
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                stack.append(y)
-    if len(out) != len(succ):
-        raise CycleDetected(_find_cycle(succ, indeg))
+def _ids(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _find_cycle(succ: Mapping[str, list[str]], indeg: Mapping[str, int]) -> list[str]:
-    remaining = {x for x, d in indeg.items() if d > 0}
-    start = min(remaining)
-    seen: dict[str, int] = {}
-    path: list[str] = []
-    x = start
-    while x not in seen:
-        seen[x] = len(path)
-        path.append(x)
-        x = min(y for y in succ[x] if y in remaining)
-    return path[seen[x]:]
+def _hull(mask: int, strict: list[int]) -> int:
+    """mask together with the strict sets of its positions."""
+    out = mask
+    for i in _ids(mask):
+        out |= strict[i]
+    return out
+
+
+def _closure(elements: Sequence[str], edges: Iterable[tuple[int, int]]):
+    """The strict order generated by edges (i, j), i below j, over the
+    positions of elements: sorted predecessor and successor lists, the
+    topological order taking the least ready position first, below- and
+    above-masks (the transpose, built in reverse order) and heights (a
+    longest path along a generating relation is a longest chain).  Raises
+    CycleDetected when the edges close a cycle."""
+    n = len(elements)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        preds[j].append(i)
+        succs[i].append(j)
+    indeg = [len(p) for p in preds]
+    ready = [i for i in range(n) if not indeg[i]]
+    order: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in succs[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                heapq.heappush(ready, j)
+    if len(order) != n:
+        raise CycleDetected([elements[i] for i in _find_cycle(succs, indeg)])
+    below, above, height = [0] * n, [0] * n, [0] * n
+    down, up = [0] * n, [0] * n  # the masks with the position's own bit
+    for j in order:
+        below[j] = reduce(or_, map(down.__getitem__, preds[j]), 0)
+        down[j] = below[j] | 1 << j
+        height[j] = 1 + max(map(height.__getitem__, preds[j]), default=-1)
+    for i in reversed(order):
+        above[i] = reduce(or_, map(up.__getitem__, succs[i]), 0)
+        up[i] = above[i] | 1 << i
+    for ids in (*preds, *succs):
+        ids.sort()
+    return preds, succs, order, below, above, height
+
+
+def _find_cycle(succs: list[list[int]], indeg: list[int]) -> list[int]:
+    """A cycle among the positions a topological sort left with positive
+    in-degree, starting from the least and stepping to the least next one;
+    positions above a cycle that lead to none are dropped first, so the walk
+    cannot end at one of them."""
+    remaining = {i for i, d in enumerate(indeg) if d > 0}
+    while dead := {i for i in remaining if remaining.isdisjoint(succs[i])}:
+        remaining -= dead
+    seen: dict[int, int] = {}
+    path: list[int] = []
+    i = min(remaining)
+    while i not in seen:
+        seen[i] = len(path)
+        path.append(i)
+        i = min(j for j in succs[i] if j in remaining)
+    return path[seen[i]:]
 
 
 def build_poset(
@@ -266,26 +274,23 @@ def build_poset(
     """Build a poset from any acyclic generating relation.
 
     The order is the transitive closure of ``relation_pairs``; the stored
-    Hasse diagram is its transitive reduction.
+    Hasse diagram is its transitive reduction: the generating pairs (a, b)
+    with nothing both above a and below b (a covering pair of the closure
+    is generating, as a longer path passes an element between its ends).
     """
-    elements = list(elements)
+    elements = sorted(elements)
     if len(set(elements)) != len(elements):
-        raise DuplicateElement(f"duplicate element ids in {sorted(elements)}")
-    known = set(elements)
-    pairs = set()
+        raise DuplicateElement(f"duplicate element ids in {elements}")
+    pos = {x: i for i, x in enumerate(elements)}
+    edges = set()
     for a, b in relation_pairs:
-        if a not in known or b not in known:
+        if a not in pos or b not in pos:
             raise UnknownElement(f"relation pair ({a}, {b}) mentions unknown element")
         if a == b:
             raise CycleDetected([a])
-        pairs.add((a, b))
-    below = _reachability(elements, pairs)  # raises CycleDetected
-    hasse = [
-        (a, b)
-        for b in elements
-        for a in below[b]
-        if not any(a in below[c] for c in below[b])
-    ]
+        edges.add((pos[a], pos[b]))
+    _, _, _, below, above, _ = _closure(elements, edges)
+    hasse = [(elements[i], elements[j]) for i, j in edges if not above[i] & below[j]]
     return FinitePoset(elements, hasse)
 
 

@@ -6,13 +6,16 @@ chains are enumerated from the raw order relation, and transitive closures
 are recomputed from scratch.  The slow collapse engine further down is the
 reference for the indexed one, the cover layer after it (pairwise
 intersections, all 2^n index sets, homology on every sub-union) the
-reference for the mask-based one, and the dense chain complex at the end
+reference for the mask-based one, the dense chain complex after that
 (dense boundary matrices, fraction-free and dense GF(2) ranks, persistence
-over rebuilt sub-unions) the reference for the sparse rows.
+over rebuilt sub-unions) the reference for the sparse rows, and the
+string-set poset at the end (frozenset reachability, cubic reduction,
+restriction by rebuild) the reference for the bitmask poset index.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
 
@@ -44,6 +47,7 @@ from finspace.cylinders import (
     tag,
     underline_preimage,
 )
+from finspace.errors import CycleDetected
 from finspace.homology import (
     HomologyResult,
     _dense_snf,
@@ -692,3 +696,129 @@ def slow_persistence_over_chain(cover, chain) -> PersistenceDiagram:
             for deg, bs in sorted(by_degree.items())
         ),
     )
+
+
+# -- the string-set poset ------------------------------------------------------
+#
+# The library interns a poset's elements as sorted positions and keeps strict
+# reachability as int bitmasks, built once per poset.  SlowPoset is the
+# representation it replaced: per element, frozensets of the elements below
+# and above, each recomputed by its own topological sort; the transitive
+# reduction tests every comparable pair against every element between; and
+# restriction runs the closed pairs through a fresh build.  Its cycle report
+# walks the string relation.
+
+
+def _slow_toposort(elements, edges) -> list[str]:
+    succ: dict[str, list[str]] = {x: [] for x in elements}
+    indeg = {x: 0 for x in succ}
+    for a, b in edges:
+        succ[a].append(b)
+        indeg[b] += 1
+    stack = sorted((x for x in succ if indeg[x] == 0), reverse=True)
+    out: list[str] = []
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                stack.append(y)
+    if len(out) != len(succ):
+        raise CycleDetected(_slow_find_cycle(succ, indeg))
+    return out
+
+
+def _slow_find_cycle(succ, indeg) -> list[str]:
+    remaining = {x for x, d in indeg.items() if d > 0}
+    seen: dict[str, int] = {}
+    path: list[str] = []
+    x = min(remaining)
+    while x not in seen:
+        seen[x] = len(path)
+        path.append(x)
+        x = min(y for y in succ[x] if y in remaining)
+    return path[seen[x]:]
+
+
+def _slow_reachability(elements, edges) -> dict[str, frozenset[str]]:
+    """For each element, the set of elements strictly below it along edges."""
+    preds: dict[str, set[str]] = {x: set() for x in elements}
+    for a, b in edges:
+        preds[b].add(a)
+    below: dict[str, frozenset[str]] = {}
+    for x in _slow_toposort(elements, edges):
+        acc: set[str] = set()
+        for p in preds[x]:
+            acc.add(p)
+            acc |= below[p]
+        below[x] = frozenset(acc)
+    return below
+
+
+class SlowPoset:
+    """The poset generated by relation_pairs, as the string-set code built it."""
+
+    def __init__(self, elements, relation_pairs):
+        elements = list(elements)
+        pairs = set()
+        for a, b in relation_pairs:
+            if a == b:
+                raise CycleDetected([a])
+            pairs.add((a, b))
+        below = _slow_reachability(elements, pairs)
+        self.hasse = frozenset(
+            (a, b)
+            for b in elements
+            for a in below[b]
+            if not any(a in below[c] for c in below[b])
+        )
+        self.elements = tuple(sorted(elements))
+        self.below = _slow_reachability(self.elements, self.hasse)
+        self.above = _slow_reachability(self.elements, [(b, a) for a, b in self.hasse])
+        self.covers_below = {x: sorted(a for a, b in self.hasse if b == x) for x in self.elements}
+        self.covers_above = {x: sorted(b for a, b in self.hasse if a == x) for x in self.elements}
+        indeg = {x: len(self.covers_below[x]) for x in self.elements}
+        ready = [x for x in self.elements if not indeg[x]]
+        self.linear_extension: list[str] = []
+        while ready:
+            x = heapq.heappop(ready)
+            self.linear_extension.append(x)
+            for y in self.covers_above[x]:
+                indeg[y] -= 1
+                if not indeg[y]:
+                    heapq.heappush(ready, y)
+        self.height_of: dict[str, int] = {}
+        for x in self.linear_extension:
+            preds = [self.height_of[y] for y in self.covers_below[x]]
+            self.height_of[x] = 1 + max(preds) if preds else 0
+
+    def restrict(self, members) -> "SlowPoset":
+        members = frozenset(members)
+        return SlowPoset(members, [(a, b) for b in members for a in self.below[b] if a in members])
+
+    def order_pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset((a, b) for b in self.elements for a in self.below[b])
+
+
+def assert_same_poset(X: FinitePoset, S: SlowPoset) -> None:
+    """Every query of the indexed poset X against the string-set oracle S."""
+    assert X.elements == S.elements
+    assert X.hasse == S.hasse
+    assert X.order_pairs() == S.order_pairs()
+    for x in X.elements:
+        assert X.down_set(x, strict=True) == S.below[x]
+        assert X.up_set(x, strict=True) == S.above[x]
+        assert X.down_set(x) == S.below[x] | {x}
+        assert X.up_set(x) == S.above[x] | {x}
+        assert X.covers_below(x) == S.covers_below[x]
+        assert X.covers_above(x) == S.covers_above[x]
+        assert X.height_of(x) == S.height_of[x]
+    assert X.linear_extension() == S.linear_extension
+    assert X.height() == max(S.height_of.values(), default=0)
+
+
+def slow_maximalize(faces) -> frozenset:
+    """The non-empty faces contained in no other, each tested against all."""
+    faces = frozenset(f for f in faces if f)
+    return frozenset(f for f in faces if not any(f < g for g in faces))

@@ -217,6 +217,11 @@ _CYLINDER = {
     "relations": [{"source": "X", "target": "Y", "pairs": [["a", "a"]]}],
 }
 _CERT = {"steps": [{"kind": "free-pair", "face": ["a"], "coface": ["a", "b"]}]}
+# a cycle a < c < a whose least element's least successor, b, leads to no cycle
+_CYCLIC = {
+    "elements": list("abcd"),
+    "relations": [["a", "b"], ["a", "c"], ["c", "d"], ["d", "c"], ["c", "a"]],
+}
 
 
 @pytest.mark.parametrize(
@@ -250,6 +255,7 @@ _CERT = {"steps": [{"kind": "free-pair", "face": ["a"], "coface": ["a", "b"]}]}
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": [_CERT]})),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": _CERT, "target": "a"})),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "up-beat"}]}})),
+        (["poset"], json.dumps(_CYCLIC)),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):

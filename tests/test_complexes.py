@@ -1,5 +1,8 @@
+import random
+
 from finspace.complexes import (
     SimplicialComplex,
+    _maximalize,
     cone,
     order_complex,
     simplex_boundary,
@@ -8,12 +11,36 @@ from finspace.complexes import (
 )
 from finspace.generators import generate_complex, generate_poset
 
-from helpers import brute_chains, slow_face_poset
+from helpers import brute_chains, sd_boundary, slow_face_poset, slow_maximalize
 
 
 def test_facets_are_maximalized():
     K = SimplicialComplex([["a", "b"], ["a"], ["a", "b", "c"]])
     assert K.facets == frozenset({frozenset("abc")})
+
+
+def _facet_families():
+    """Seeded face families: random faces of mixed sizes (with repeats, nested
+    faces and the empty face), all simplices of complexes, and the maximal
+    chains of posets of varying height."""
+    for seed in range(40):
+        rng = random.Random(f"faces:{seed}")
+        pool = [f"v{i}" for i in range(rng.randint(1, 9))]
+        sizes = [rng.randint(0, len(pool)) for _ in range(rng.randint(0, 25))]
+        faces = [frozenset(rng.sample(pool, k)) for k in sizes]
+        faces += [f - {min(f)} for f in faces[:5] if f]
+        yield frozenset(faces)
+    for seed in range(10):
+        yield frozenset(map(frozenset, generate_complex(seed).all_simplices()))
+    for seed in range(20):
+        X = generate_poset(seed, 8 + seed)
+        yield frozenset(map(frozenset, order_complex(X).all_simplices(max_dim=2)))
+    yield frozenset(map(frozenset, sd_boundary(3).all_simplices()))
+
+
+def test_maximalize_matches_the_pairwise_test():
+    for faces in _facet_families():
+        assert _maximalize(faces) == slow_maximalize(faces)
 
 
 def test_dim_and_counts():

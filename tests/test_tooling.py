@@ -33,17 +33,31 @@ def test_tier1_workflow_runs_the_perf_smoke():
     assert "--seed 1 --seconds 1 --trace 1" in smoke[0]
     assert '["correct"] is True' in smoke[0]
     assert '["hook_errors"] == 0' in smoke[0]
+    assert '["missing_functions"]' in smoke[0]
+
+
+# the oracles that left the library; the tracer still lists them
+GONE = ["homology.rank_fraction_free", "homology.betti_numbers_oracle"]
 
 
 @pytest.mark.parametrize(
-    "correct, hook_errors, exit_code",
-    [(True, 0, 0), (True, 1, 1), (False, 0, 1), (False, 2, 1)],
+    "correct, hook_errors, missing, exit_code",
+    [
+        pytest.param(True, 0, GONE, 0, id="True-0-0"),
+        pytest.param(True, 1, GONE, 1, id="True-1-1"),
+        pytest.param(False, 0, GONE, 1, id="False-0-1"),
+        pytest.param(False, 2, GONE, 1, id="False-2-1"),
+        pytest.param(True, 0, [], 0, id="nothing-missing"),
+        pytest.param(True, 0, GONE + ["posets.build_poset"], 1, id="traced-function-missing"),
+    ],
 )
 def test_perf_smoke_check_fails_on_wrong_output_or_hook_errors(
-    tmp_path, correct, hook_errors, exit_code
+    tmp_path, correct, hook_errors, missing, exit_code
 ):
     """The smoke's check reads the traced report (first, indented JSON
-    document) and the result line (last line) that perfbench/run.py prints."""
+    document) and the result line (last line) that perfbench/run.py prints.
+    A listed function the tracer could not find, beyond the oracles that
+    left the library, fails it too: a rename would stop its counts."""
     yaml = pytest.importorskip("yaml")
     with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
         doc = yaml.safe_load(fh)
@@ -51,7 +65,12 @@ def test_perf_smoke_check_fails_on_wrong_output_or_hook_errors(
     smoke = next(r for r in runs if "perfbench/run.py" in r)
     check = next(line for line in smoke.splitlines() if "python3 -c" in line)
     code = shlex.split(check)[-1]
-    report = {"workload": "w", "hook_errors": hook_errors, "functions": {}}
+    report = {
+        "workload": "w",
+        "hook_errors": hook_errors,
+        "missing_functions": missing,
+        "functions": {},
+    }
     result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1}
     text = json.dumps(report, indent=1) + "\n" + json.dumps(result) + "\n"
     (tmp_path / "smoke.out").write_text(text)
