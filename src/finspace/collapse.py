@@ -312,7 +312,7 @@ class _Shrinking:
     subcomplex (closed under faces) of the indexed one; by default all are.
     """
 
-    __slots__ = ("index", "keep", "present", "count", "cosum", "size")
+    __slots__ = ("index", "keep", "start", "present", "count", "cosum", "size")
 
     def __init__(
         self,
@@ -323,6 +323,7 @@ class _Shrinking:
         self.index = index
         self.keep = keep
         n = len(index.simplices)
+        self.start = range(n) if ids is None else ids
         if ids is None:
             self.present = [True] * n
             self.count = [len(c) for c in index.cofaces]
@@ -346,7 +347,9 @@ class _Shrinking:
         return None
 
     def free_ids(self) -> list[int]:
-        return [s for s in range(len(self.present)) if self.coface_if_free(s) is not None]
+        """The free simplices, ascending; only the starting ids are scanned,
+        since they hold every present simplex."""
+        return [s for s in self.start if self.coface_if_free(s) is not None]
 
     def remove_pair(self, s: int, t: int) -> list[int]:
         """Remove the free face s with its coface t.  Returns the simplices
@@ -378,7 +381,8 @@ def _collapse_run(
     ids: Sequence[int] | None = None,
 ) -> CollapseCertificate | None:
     """One greedy pass down to ``size`` simplices without touching keep,
-    starting from the subcomplex ``ids`` (default: all of the index).
+    starting from the subcomplex ``ids`` (ascending; default: all of the
+    index).
 
     The free faces are kept as a sorted id list, which is the order of
     ``free_faces``: the deterministic pass takes the first, a restart draws
@@ -412,10 +416,48 @@ def collapses_to_vertices(index: SimplexIndex, ids: Sequence[int]) -> bool:
 
     A collapse keeps the Euler characteristic and the components, and a
     state of chi simplices has no edge (edges count against chi), so chi is
-    the target size.  A True makes the subcomplex acyclic in positive degrees.
+    the target size, counted per dimension by bisecting the ascending ids.
+    A True makes the subcomplex acyclic in positive degrees.
     """
-    chi = sum(1 if len(index.simplices[i]) % 2 else -1 for i in ids)
+    cuts = index.dim_cuts(ids)
+    chi = sum((-1) ** d * (hi - lo) for d, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
     return _collapse_run(index, frozenset(), chi, None, ids) is not None
+
+
+def _free_face_search(
+    index: SimplexIndex,
+    keep: frozenset[int],
+    size: int,
+    restarts: int,
+    seed: int,
+    ids: Sequence[int] | None = None,
+) -> CollapseCertificate | None:
+    """The deterministic pass, then ``restarts`` seeded random ones, on the
+    subcomplex ``ids`` (ascending; default: all of the index).  Returns the
+    first certificate found, or None when every schedule gets stuck.
+
+    Any index that holds the subcomplex lists its simplices in the same
+    relative (dimension, lexicographic) order, so the first free face and
+    the position a restart draws are the same on each, and so is the
+    certificate.
+    """
+    for attempt in range(restarts + 1):
+        rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
+        cert = _collapse_run(index, keep, size, rng, ids)
+        if cert is not None:
+            return cert
+    return None
+
+
+def _search_verdict(
+    cert: CollapseCertificate | None,
+    K: SimplicialComplex,
+    target: SimplicialComplex | None = None,
+) -> TriStateResult:
+    """Verdict on collapsing K (onto target) given what the free-face search found."""
+    if cert is not None:
+        return yes(cert)
+    return _stuck(reduced_homology, K, target, "no free faces left on any attempted schedule")
 
 
 def greedy_collapse_complex(
@@ -440,12 +482,7 @@ def greedy_collapse_complex(
     else:
         keep = frozenset(index.id_of[s] for s in target.all_simplices())
         size = len(keep)
-    for attempt in range(restarts + 1):
-        rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
-        cert = _collapse_run(index, keep, size, rng)
-        if cert is not None:
-            return yes(cert)
-    return _stuck(reduced_homology, K, target, "no free faces left on any attempted schedule")
+    return _search_verdict(_free_face_search(index, keep, size, restarts, seed), K, target)
 
 
 def staged_union_collapse(

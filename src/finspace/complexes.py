@@ -9,8 +9,9 @@ the empty simplex is never a member.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .posets import FinitePoset, build_poset
 
@@ -59,6 +60,12 @@ class SimplexIndex:
                 self.cofaces[f].append(i)
             self.faces.append(faces)
         self.dim_start.append(len(self.simplices))
+
+    def dim_cuts(self, ids: Sequence[int]) -> list[int]:
+        """For ascending ids, the positions in ids where each dimension's
+        ids begin, followed by len(ids): the counterpart of ``dim_start``
+        for the subset, found by bisection."""
+        return [bisect_left(ids, start) for start in self.dim_start]
 
 
 class SimplicialComplex:

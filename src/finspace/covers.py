@@ -29,7 +29,7 @@ from .errors import (
     UnknownSimplex,
 )
 from .homology import homology_equal, homology_of_poset, reduced_homology
-from .posets import FinitePoset, _ids, build_poset
+from .posets import FinitePoset, _bits, _ids, build_poset
 
 COMPLEX = "complex"
 POSET = "poset"
@@ -44,9 +44,10 @@ class Cover:
 
     Each member is also held as an int bitmask, over the parent's simplex ids
     for complexes and over element positions for finite spaces, so the
-    intersection of an index set is an AND of masks.  The masks, the nerve
-    and the reduced nerve are built on first use and kept in ``_memo``, which
-    takes no part in equality or hashing.
+    intersection of an index set is an AND of masks.  The masks, the nerve,
+    the reduced nerve and the classification verdicts per intersection mask
+    are built on first use and kept in ``_memo``, which takes no part in
+    equality or hashing.
     """
 
     kind: str
@@ -118,14 +119,15 @@ class Cover:
             out &= masks[n]
         return out
 
-    def _union_ids(self, J) -> tuple[int, ...]:
-        """Ids of the union of the members in J, ascending: parent simplex
-        ids for complexes, element positions for finite spaces."""
+    def _union_mask(self, J) -> int:
+        """Mask of the union of the members in J (0 for an empty J)."""
         masks = self._masks()
         union = 0
         for n in J:
+            if n not in masks:
+                self.member(n)  # raises UnknownMember
             union |= masks[n]
-        return tuple(_ids(union))
+        return union
 
     def _object(self, J: tuple[str, ...], mask: int):
         """The intersection over the sorted index set J, built from its mask.
@@ -194,13 +196,6 @@ class Cover:
                 (m["name"], frozenset(m["elements"])) for m in doc["members"]
             )
         return Cover(doc["kind"], parent, members)
-
-
-def _bits(ids) -> int:
-    out = 0
-    for i in ids:
-        out |= 1 << i
-    return out
 
 
 def _index_sets(cover: Cover, max_subsets: int, nerve_simplices_only: bool):
@@ -326,25 +321,23 @@ def classify_cover(
 ) -> CoverClassification:
     """Per-intersection triviality and collapsibility verdicts.
 
-    Empty intersections are recorded and skipped; only the non-empty ones
-    are built, from their masks.  Each non-empty intersection is searched
-    once; its triviality verdict is derived from the collapsibility verdict
-    (see ``triviality_from_collapse``).
+    Empty intersections are recorded and skipped.  Each distinct non-empty
+    intersection is searched once: every index set with the same mask shares
+    its object and verdicts, which the cover keeps per (restarts, seed), so
+    a later classification of the same cover runs no search.  The
+    triviality verdict is derived from the collapsibility verdict (see
+    ``triviality_from_collapse``).
     """
+    known = cover._memo.setdefault(("verdicts", restarts, seed), {})
     records = []
     empty = SimplicialComplex([]) if cover.kind == COMPLEX else frozenset()
     for J, mask in _index_sets(cover, max_subsets, nerve_simplices_only):
         if not mask:
             records.append(IntersectionRecord(J, empty, True, None, None))
             continue
-        obj = cover._object(J, mask)
-        if cover.kind == COMPLEX:
-            sub = obj
-            collapsibility = clp.greedy_collapse_complex(sub, restarts=restarts, seed=seed)
-        else:
-            sub = cover.parent.restrict(obj)
-            collapsibility = clp.greedy_collapse_space(sub)
-        triviality = clp.triviality_from_collapse(sub, collapsibility)
+        if mask not in known:
+            known[mask] = _classify_intersection(cover, J, mask, restarts, seed)
+        obj, triviality, collapsibility = known[mask]
         records.append(IntersectionRecord(J, obj, False, triviality, collapsibility))
     nonempty = [r for r in records if not r.empty]
     good = clp.aggregate_verdict(r.triviality.verdict for r in nonempty)
@@ -352,6 +345,29 @@ def classify_cover(
     if strong == "yes" and good != "yes":
         raise InvariantViolation("collapsible intersections must classify as good")
     return CoverClassification(tuple(records), good, strong)
+
+
+def _classify_intersection(
+    cover: Cover, J: tuple[str, ...], mask: int, restarts: int, seed: int
+) -> tuple[object, clp.TriStateResult, clp.TriStateResult]:
+    """The object, triviality and collapsibility of the non-empty
+    intersection over J with the given mask.
+
+    A complex intersection is searched on the parent's simplex index, on
+    the ids of its mask; its own index is built only when every schedule
+    gets stuck and its homology decides between No and Unknown.
+    """
+    obj = cover._object(J, mask)
+    if cover.kind == COMPLEX:
+        sub = obj
+        cert = clp._free_face_search(
+            cover.parent.index(), frozenset(), 1, restarts, seed, _ids(mask)
+        )
+        collapsibility = clp._search_verdict(cert, sub)
+    else:
+        sub = cover.parent.restrict(obj)
+        collapsibility = clp.greedy_collapse_space(sub)
+    return obj, clp.triviality_from_collapse(sub, collapsibility), collapsibility
 
 
 @dataclass(frozen=True)

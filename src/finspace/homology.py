@@ -10,7 +10,8 @@ overflow is possible).  ``smith_normal_form`` takes the sparse rows as they
 are, eliminates unit (±1) pivots, then runs the dense minimal-pivot
 elimination ``_dense_snf`` only on the residual block, where any torsion
 lives (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).  Betti
-numbers over the binary field come from the same rows packed as bitmasks.
+numbers over the binary field come from the index's face lists packed as
+bitmasks, for a whole complex or a subcomplex given by its simplex ids.
 The dense boundary builder and the fraction-free rank live in the tests, as
 oracles for this path.
 """
@@ -21,9 +22,9 @@ import heapq
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, order_complex
+from .complexes import SimplexIndex, SimplicialComplex, order_complex
 from .errors import EmptyComplex, EmptySpace
-from .posets import FinitePoset
+from .posets import FinitePoset, _bits
 
 
 def boundary_matrices(K: SimplicialComplex) -> list[list[dict[int, int]]]:
@@ -233,15 +234,10 @@ class HomologyResult:
         return "; ".join(parts) if parts else "trivial"
 
 
-def _per_boundary(K: SimplicialComplex, fn, default) -> list:
-    """fn of the boundary rows of each degree 1..dim of K, indexed by degree
-    0..dim+1; ``default`` in degrees 0 and dim+1."""
-    return [default] + [fn(rows) for rows in boundary_matrices(K)[1:]] + [default]
-
-
-def _reduced_betti(K: SimplicialComplex, ranks: list[int]) -> list[int]:
-    """Reduced Betti numbers of K from the ranks of its boundaries."""
-    start = K.index().dim_start
+def _reduced_betti(start: Sequence[int], ranks: Sequence[int]) -> list[int]:
+    """Reduced Betti numbers from where each dimension's simplices start,
+    followed by their total (as ``SimplexIndex.dim_start``), and the ranks
+    of the boundaries, indexed by degree 0..dim+1."""
     betti = [start[d + 1] - start[d] - ranks[d] - ranks[d + 1] for d in range(len(start) - 1)]
     betti[0] -= 1
     return betti
@@ -251,19 +247,37 @@ def reduced_homology(K: SimplicialComplex) -> HomologyResult:
     """Reduced integral homology of K via Smith normal form."""
     if K.is_empty():
         raise EmptyComplex("homology of the empty complex is not defined here")
-    snf = _per_boundary(K, smith_normal_form, ((), 0))
-    betti = _reduced_betti(K, [rank for _, rank in snf])
+    # (factors, rank) per degree 0..dim+1; degrees 0 and dim+1 have no boundary
+    none = ((), 0)
+    snf = [none] + [smith_normal_form(rows) for rows in boundary_matrices(K)[1:]] + [none]
+    betti = _reduced_betti(K.index().dim_start, [rank for _, rank in snf])
     torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(K.dim() + 1))
     return HomologyResult(tuple(betti), torsion, reduced=True)
 
 
 def betti_numbers_gf2(K: SimplicialComplex) -> list[int]:
     """Reduced Betti numbers over the binary field."""
+    if K.is_empty():
+        raise EmptyComplex("cannot build chain complex of the empty complex")
+    index = K.index()
+    return _betti_gf2(index, range(len(index.simplices)))
 
-    def rank(rows):
-        return rank_gf2(sum(1 << j for j in row) for row in rows)
 
-    return _reduced_betti(K, _per_boundary(K, rank, 0))
+def _betti_gf2(index: SimplexIndex, ids: Sequence[int]) -> list[int]:
+    """Reduced Betti numbers over the binary field of the non-empty
+    subcomplex made of the simplex ids of index (ascending, closed under
+    faces).
+
+    Each boundary row is the bitmask of a simplex's face ids; ranks need no
+    renumbering, so the rows are read off the index as they are.
+    """
+    cuts = index.dim_cuts(ids)
+    while cuts[-1] == cuts[-2]:  # no simplex of the top dimension
+        cuts.pop()
+    ranks = [0] * len(cuts)
+    for d in range(1, len(cuts) - 1):
+        ranks[d] = rank_gf2(_bits(index.faces[i]) for i in ids[cuts[d] : cuts[d + 1]])
+    return _reduced_betti(cuts, ranks)
 
 
 def homology_of_poset(X: FinitePoset) -> HomologyResult:

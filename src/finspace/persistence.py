@@ -4,20 +4,24 @@ The filtration is a strictly increasing chain of index sets; its carrier is
 the chain of sub-unions K_J.  Reduction runs over the binary field (the
 vanishing statement needs no torsion bookkeeping) on the parent's simplex
 index; per-step bar counts are cross-checked against GF(2) Betti numbers of
-each sub-union, built as a complex of its own.
+each sub-union, read off the same index restricted to the sub-union's ids by
+a rank computation of their own, independent of the column reduction.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import collapse as clp
+from .complexes import SimplexIndex
 from .covers import Cover, CoverClassification, classify_cover, nerve
 from .errors import InvalidCover, InvariantViolation, NotAChain
-from .homology import betti_numbers_gf2, homology_equal, reduced_homology
+from .homology import _betti_gf2, homology_equal, reduced_homology
+from .posets import _ids
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,12 @@ def persistence_over_chain(cover: Cover, chain) -> PersistenceDiagram:
     for a, b in zip(chain, chain[1:]):
         if not set(a) < set(b):
             raise NotAChain(f"{a} is not strictly contained in {b}")
-    # built for the Betti cross-check; building them also rejects unknown names
-    complexes = [cover.subunion(J) for J in chain]
+    # the ids of each step's sub-union, ascending; an unknown name raises
+    steps = [_ids(cover._union_mask(J)) for J in chain]
     index = cover.parent.index()
     appearance: dict[int, int] = {}
-    for t, J in enumerate(chain, start=1):
-        for i in cover._union_ids(J):
+    for t, ids in enumerate(steps, start=1):
+        for i in ids:
             appearance.setdefault(i, t)
     # each step adds its new ids in ascending order, so insertion order is (step, id)
     order = list(appearance)
@@ -105,15 +109,20 @@ def persistence_over_chain(cover: Cover, chain) -> PersistenceDiagram:
             for deg, bs in sorted(by_degree.items())
         ),
     )
-    _check_against_betti(diagram, complexes)
+    _check_against_betti(diagram, index, steps)
     return diagram
 
 
-def _check_against_betti(diagram: PersistenceDiagram, complexes) -> None:
-    for t, K in enumerate(complexes, start=1):
-        if K.is_empty():
+def _check_against_betti(
+    diagram: PersistenceDiagram, index: SimplexIndex, steps: Sequence[Sequence[int]]
+) -> None:
+    """Raise InvariantViolation unless the bars alive at each step count the
+    GF(2) Betti numbers of that step's sub-union, given by its simplex ids
+    on the index."""
+    for t, ids in enumerate(steps, start=1):
+        if not ids:
             continue
-        betti = betti_numbers_gf2(K)
+        betti = _betti_gf2(index, ids)
         for k, b in enumerate(betti):
             alive = diagram.alive_at(t, k)
             if k == 0:
@@ -189,20 +198,21 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
 
     A K_J that collapses to isolated vertices is acyclic in positive degrees,
     so only one on which the deterministic free-face pass gets stuck is built
-    and has its homology computed.  The pass runs on the parent's simplex
-    index, on the simplices of the members in J, once per distinct sub-union.
+    and has its homology computed.  Sub-unions are told apart by the OR of
+    their members' masks; the pass runs once per distinct one, on the
+    parent's simplex index restricted to its ids.
     """
     index = cover.parent.index()
-    failure_of: dict[tuple[int, ...], dict | None] = {}
+    failure_of: dict[int, dict | None] = {}
     failures = []
     for J in subsets:
-        ids = cover._union_ids(J)
-        if ids not in failure_of:
-            failure_of[ids] = None
-            if ids and not clp.collapses_to_vertices(index, ids):
+        union = cover._union_mask(J)
+        if union not in failure_of:
+            failure_of[union] = None
+            if union and not clp.collapses_to_vertices(index, _ids(union)):
                 hom = reduced_homology(cover.subunion(J))
                 if any(hom.betti[1:]) or any(hom.torsion):
-                    failure_of[ids] = hom.summary()
-        if failure_of[ids] is not None:
-            failures.append({"index_set": list(J), "homology": failure_of[ids]})
+                    failure_of[union] = hom.summary()
+        if failure_of[union] is not None:
+            failures.append({"index_set": list(J), "homology": failure_of[union]})
     return failures

@@ -203,6 +203,14 @@ def _ids(mask: int) -> list[int]:
     return out
 
 
+def _bits(ids: Iterable[int]) -> int:
+    """The mask with the given positions set."""
+    out = 0
+    for i in ids:
+        out |= 1 << i
+    return out
+
+
 def _hull(mask: int, strict: list[int]) -> int:
     """mask together with the strict sets of its positions."""
     out = mask

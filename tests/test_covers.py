@@ -27,6 +27,7 @@ from finspace.fixtures import (
 )
 from finspace.generators import generate_good_space_cover, generate_strong_good_cover
 from finspace.homology import homology_equal, homology_of_poset
+from finspace.persistence import check_truncation_theorem
 from finspace.posets import build_poset, chain
 
 from helpers import sd_boundary, star_cover
@@ -127,15 +128,26 @@ def test_classify_records_intersection_antimonotone():
                 assert not r.empty
 
 
-def test_classify_searches_each_intersection_once(monkeypatch):
-    searched = []
-    search = clp.greedy_collapse_complex
+@pytest.fixture
+def searches(monkeypatch):
+    """The id sets handed to the free-face search, one entry per search (None
+    for a whole index); classify_cover runs it on the parent's index."""
+    seen = []
+    search = clp._free_face_search
 
-    def counting(K, *args, **kwargs):
-        searched.append(K)
-        return search(K, *args, **kwargs)
+    def counting(index, keep, size, restarts, seed, ids=None):
+        seen.append(None if ids is None else tuple(ids))
+        return search(index, keep, size, restarts, seed, ids)
 
-    monkeypatch.setattr(clp, "greedy_collapse_complex", counting)
+    monkeypatch.setattr(clp, "_free_face_search", counting)
+    return seen
+
+
+def _distinct_nonempty_masks(cov, nerve_simplices_only=False):
+    return {m for _, m in covers._index_sets(cov, 20, nerve_simplices_only) if m}
+
+
+def test_classify_searches_each_intersection_once(searches):
     square = SimplicialComplex([["c0", "c1"], ["c1", "c2"], ["c2", "c3"], ["c0", "c3"]])
     arcs = Cover(
         "complex",
@@ -146,12 +158,46 @@ def test_classify_searches_each_intersection_once(monkeypatch):
         ),
     )
     cls = classify_cover(arcs)
-    assert len(searched) == 3
+    assert len(searches) == 3
     assert cls.record(("A", "B")).triviality.verdict == "no"
-    searched.clear()
+    searches.clear()
     cls = classify_cover(Cover("complex", dunce_hat(), (("D", dunce_hat()),)))
-    assert len(searched) == 1
+    assert len(searches) == 1
     assert cls.good == "unknown" and cls.strong_good == "unknown"
+
+
+def test_index_sets_sharing_a_mask_share_one_search(searches):
+    """Cones with a shared apex over disjoint edges: every index set of two
+    or more members meets in the apex alone."""
+    edges = [["b0", "b1"], ["b2", "b3"], ["b4", "b5"], ["b6", "b7"], ["b8", "b9"]]
+    members = tuple((f"U{i}", SimplicialComplex([e + ["a"]])) for i, e in enumerate(edges))
+    parent = SimplicialComplex(e + ["a"] for e in edges)
+    cov = Cover("complex", parent, members)
+    cls = classify_cover(cov)
+    assert len(cls.records) == 31
+    assert len(searches) == len(_distinct_nonempty_masks(cov)) == 6
+    apex = parent.index().id_of[("a",)]
+    assert searches[-1] == (apex,)
+    shared = [r for r in cls.records if len(r.index_set) > 1]
+    assert all(r.object == SimplicialComplex([["a"]]) for r in shared)
+    assert all(r.collapsibility is shared[0].collapsibility for r in shared)
+    assert cls.strong_good == "yes"
+
+
+def test_a_second_classification_runs_no_search(searches):
+    """The verdicts stay with the cover: the truncation checker, given no
+    classification, reuses the generator's instead of searching again."""
+    _, cov = generate_strong_good_cover(3)
+    generated = len(searches)
+    assert generated >= len(_distinct_nonempty_masks(cov))
+    searches.clear()
+    first = classify_cover(cov, nerve_simplices_only=True)
+    report = check_truncation_theorem(cov)
+    assert searches == [] and report["strong_good"] == "yes"
+    # other restarts or another seed are other verdicts, searched afresh
+    again = classify_cover(cov, nerve_simplices_only=True, seed=1)
+    assert len(searches) == len(_distinct_nonempty_masks(cov, nerve_simplices_only=True))
+    assert again.strong_good == first.strong_good == "yes"
 
 
 def test_strong_good_implies_good():

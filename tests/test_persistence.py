@@ -5,9 +5,9 @@ import pytest
 
 from finspace import persistence
 from finspace.collapse import collapses_to_vertices
-from finspace.complexes import SimplicialComplex, order_complex
+from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary
 from finspace.covers import Cover, nerve
-from finspace.errors import InvalidCover, NotAChain
+from finspace.errors import InvalidCover, NotAChain, UnknownMember
 from finspace.fixtures import (
     circle_arc_cover,
     dunce_hat,
@@ -15,12 +15,17 @@ from finspace.fixtures import (
     projective_plane,
 )
 from finspace.generators import generate_good_space_cover, generate_strong_good_cover
+from finspace.homology import _betti_gf2, betti_numbers_gf2
 from finspace.persistence import check_truncation_theorem, persistence_over_chain
+from finspace.posets import _ids
 
 from helpers import (
+    betti_numbers_gf2_oracle,
     polygon_arc_cover,
+    sd_boundary,
     slow_check_truncation_theorem,
     slow_persistence_over_chain,
+    star_cover,
 )
 
 
@@ -105,6 +110,33 @@ def test_persistence_matches_the_subunion_rebuild():
             assert persistence_over_chain(cov, chain) == slow_persistence_over_chain(cov, chain)
             checked += 1
     assert checked == 3 * 22
+
+
+def test_restricted_betti_numbers_match_each_subunion_of_its_own():
+    """The cross-check's GF(2) Betti numbers, read off the parent's index on
+    a sub-union's ids, against the sub-union built as a complex, some of
+    them of lower dimension than the parent."""
+    covers = [generate_strong_good_cover(seed)[1] for seed in range(6)]
+    covers += [polygon_arc_cover(12, [0, 3, 6, 9]), polygon_arc_cover(10, [0, 1, 4, 6, 8])]
+    covers += [star_cover(sd_boundary(2)), star_cover(simplex_boundary(3))]
+    checked = lower = 0
+    for seed, cov in enumerate(covers):
+        index = cov.parent.index()
+        names = sorted(cov.names())
+        rng = random.Random(f"subunion:{seed}")
+        subsets = [names] + [rng.sample(names, rng.randint(1, len(names))) for _ in range(8)]
+        for J in subsets:
+            K = cov.subunion(J)
+            betti = _betti_gf2(index, _ids(cov._union_mask(J)))
+            assert betti == betti_numbers_gf2(K) == betti_numbers_gf2_oracle(K), (seed, J)
+            checked += 1
+            lower += K.dim() < cov.parent.dim()
+    assert checked == 9 * len(covers) and lower >= 5
+
+
+def test_persistence_rejects_unknown_member_names():
+    with pytest.raises(UnknownMember, match="no cover member named 'nope'"):
+        persistence_over_chain(circle_arc_cover(), [["U1"], ["U1", "nope"]])
 
 
 def test_persistence_sees_degree_one_bars_and_torsion_mod_2():
