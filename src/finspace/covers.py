@@ -7,6 +7,13 @@ non-Hausdorff nerve is its face poset; the reduced nerve identifies index
 sets with literally equal intersections and orders the distinct
 intersections by reverse inclusion.
 
+Constructing a cover turns each member into an int bitmask, over the
+parent's simplex ids for a complex and over element positions for a finite
+space, and validates the cover on those masks.  An intersection is an AND
+of masks, and every containment question the checkers ask (does the
+intersection over an index set, a member or a reduced-nerve class hold this
+point or simplex) is one bit test.
+
 Classification verdicts are three-valued and Unknown intersections are
 never silently treated as trivial or collapsible: the N0 constructions
 exclude them and list them separately.
@@ -16,7 +23,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 from . import collapse as clp
 from .complexes import SimplicialComplex, order_complex, simplex_id
@@ -42,17 +51,20 @@ class Cover:
     For ``kind == "complex"`` members map names to subcomplexes; for posets,
     to downward closed element sets.
 
-    Each member is also held as an int bitmask, over the parent's simplex ids
-    for complexes and over element positions for finite spaces, so the
-    intersection of an index set is an AND of masks.  The masks, the nerve,
-    the reduced nerve and the classification verdicts per intersection mask
-    are built on first use and kept in ``_memo``, which takes no part in
-    equality or hashing.
+    Construction builds and validates, in one pass, one int bitmask per
+    member: for a complex, the member's facets looked up in the parent's
+    simplex index and closed downward through its faces; for a finite space,
+    the member's element positions.  The members cover the parent when the
+    OR of their masks is full.  ``_masks`` is the cover's only record of
+    what each member contains; the nerve, the reduced nerve and the
+    classification verdicts per intersection mask are built on first use
+    and kept in ``_memo``.  Neither takes part in equality or hashing.
     """
 
     kind: str
     parent: object
     members: tuple[tuple[str, object], ...]
+    _masks: dict = field(init=False, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -61,27 +73,34 @@ class Cover:
             raise InvalidCover("duplicate member names")
         if not self.members:
             raise InvalidCover("a cover needs at least one member")
-        if self.kind == COMPLEX:
-            for name, sub in self.members:
-                if not isinstance(sub, SimplicialComplex):
-                    raise InvalidCover(f"member {name!r} is not a complex")
-                if not sub.is_subcomplex_of(self.parent):
-                    raise InvalidCover(f"member {name!r} is not a subcomplex of the parent")
-            if SimplicialComplex(f for _, sub in self.members for f in sub.facets) != self.parent:
-                raise InvalidCover("members do not cover the parent complex")
-        elif self.kind == POSET:
-            union: set[str] = set()
-            for name, sub in self.members:
-                sub = frozenset(sub)
-                if not sub <= set(self.parent.elements):
-                    raise InvalidCover(f"member {name!r} is not a subset of the space")
-                if not self.parent.is_open(sub):
-                    raise InvalidCover(f"member {name!r} is not open (not downward closed)")
-                union |= sub
-            if union != set(self.parent.elements):
-                raise InvalidCover("members do not cover the space")
-        else:
+        if self.kind not in (COMPLEX, POSET):
             raise InvalidCover(f"unknown cover kind {self.kind!r}")
+        masks = {name: self._validated_mask(name, sub) for name, sub in self.members}
+        if self.kind == COMPLEX:
+            size, whole = len(self.parent.index().simplices), "parent complex"
+        else:
+            size, whole = len(self.parent), "space"
+        if reduce(or_, masks.values()) != (1 << size) - 1:
+            raise InvalidCover(f"members do not cover the {whole}")
+        object.__setattr__(self, "_masks", masks)
+
+    def _validated_mask(self, name: str, sub) -> int:
+        """The mask of one member, raising InvalidCover when it is not a
+        subcomplex (a complex cover) or an open subset (a finite space)."""
+        if self.kind == COMPLEX:
+            if not isinstance(sub, SimplicialComplex):
+                raise InvalidCover(f"member {name!r} is not a complex")
+            index = self.parent.index()
+            ids = [index.id_of.get(tuple(sorted(f))) for f in sub.facets]
+            if None in ids:
+                raise InvalidCover(f"member {name!r} is not a subcomplex of the parent")
+            return _down_closure(index.faces, ids)
+        X = self.parent
+        if not all(x in X for x in sub):
+            raise InvalidCover(f"member {name!r} is not a subset of the space")
+        if not X.is_open(sub):
+            raise InvalidCover(f"member {name!r} is not open (not downward closed)")
+        return X._mask(sub)
 
     # -- member accessors ----------------------------------------------------
 
@@ -94,40 +113,22 @@ class Cover:
                 return sub
         raise UnknownMember(f"no cover member named {name!r}")
 
-    def _masks(self) -> dict[str, int]:
-        masks = self._memo.get("masks")
-        if masks is None:
-            if self.kind == COMPLEX:
-                id_of = self.parent.index().id_of
-                masks = {
-                    n: _bits(id_of[s] for s in sub.index().simplices) for n, sub in self.members
-                }
-            else:
-                masks = {n: self.parent._mask(sub) for n, sub in self.members}
-            self._memo["masks"] = masks
-        return masks
+    def _member_masks(self, J):
+        """The masks of the members named in J."""
+        for n in J:
+            if n not in self._masks:
+                self.member(n)  # raises UnknownMember
+            yield self._masks[n]
 
     def _mask(self, J: tuple[str, ...]) -> int:
         """Mask of the intersection over the index set J."""
         if not J:
             raise InvalidCover("intersection of an empty index set")
-        masks = self._masks()
-        out = -1
-        for n in J:
-            if n not in masks:
-                self.member(n)  # raises UnknownMember
-            out &= masks[n]
-        return out
+        return reduce(and_, self._member_masks(J), -1)
 
     def _union_mask(self, J) -> int:
         """Mask of the union of the members in J (0 for an empty J)."""
-        masks = self._masks()
-        union = 0
-        for n in J:
-            if n not in masks:
-                self.member(n)  # raises UnknownMember
-            union |= masks[n]
-        return union
+        return reduce(or_, self._member_masks(J), 0)
 
     def _object(self, J: tuple[str, ...], mask: int):
         """The intersection over the sorted index set J, built from its mask.
@@ -198,6 +199,18 @@ class Cover:
         return Cover(doc["kind"], parent, members)
 
 
+def _down_closure(faces: list[tuple[int, ...]], ids) -> int:
+    """Mask of the given simplex ids and all their faces."""
+    seen = set(ids)
+    todo = list(seen)
+    while todo:
+        for f in faces[todo.pop()]:
+            if f not in seen:
+                seen.add(f)
+                todo.append(f)
+    return _bits(seen)
+
+
 def _index_sets(cover: Cover, max_subsets: int, nerve_simplices_only: bool):
     """Non-empty index sets J with the mask of their intersection, in
     deterministic order (size, then lexicographic).
@@ -211,8 +224,7 @@ def _index_sets(cover: Cover, max_subsets: int, nerve_simplices_only: bool):
         raise InvalidCover(
             f"{len(names)} members exceed the subset-enumeration cap {max_subsets}"
         )
-    by_name = cover._masks()
-    masks = [by_name[n] for n in names]
+    masks = [cover._masks[n] for n in names]
     level = [
         ((n,), m, k)
         for k, (n, m) in enumerate(zip(names, masks))
@@ -236,7 +248,7 @@ def nerve(cover: Cover) -> SimplicialComplex:
     """
     N = cover._memo.get("nerve")
     if N is None:
-        masks = cover._masks()
+        masks = cover._masks
         N = SimplicialComplex(
             J
             for J, m in _index_sets(cover, 20, nerve_simplices_only=True)
@@ -384,6 +396,38 @@ class NZeroResult:
     excluded_unknown: tuple[tuple[str, ...], ...]
 
 
+def _verdicts(cover: Cover, mode: str, classification, restarts: int = 8, seed: int = 0):
+    """Each non-empty index set's verdict under mode, and the sorted index
+    sets whose verdict is Unknown."""
+    cls = classification or classify_cover(
+        cover, nerve_simplices_only=True, restarts=restarts, seed=seed
+    )
+    verdict_of = {
+        r.index_set: (r.triviality if mode == "trivial" else r.collapsibility).verdict
+        for r in cls.records
+        if not r.empty
+    }
+    return verdict_of, tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
+
+
+def _masks_by_id(cover: Cover) -> dict[str, int]:
+    """The mask of every nerve index set, keyed by the set's simplex id: the
+    element naming it in the non-Hausdorff nerve and, for the smallest set
+    of a class, in the reduced nerve.  Built once per cover."""
+    masks = cover._memo.get("masks_by_id")
+    if masks is None:
+        masks = cover._memo["masks_by_id"] = {
+            simplex_id(J): m for J, m in _index_sets(cover, 20, nerve_simplices_only=True)
+        }
+    return masks
+
+
+def _holding(masks: dict, keys, i: int) -> set:
+    """The keys whose mask holds position i: a point's position in the
+    covered space, or a simplex id in the covered complex's index."""
+    return {k for k in keys if masks[k] >> i & 1}
+
+
 def n_zero_subspace(
     cover: Cover,
     mode: str = "trivial",
@@ -394,24 +438,14 @@ def n_zero_subspace(
 ) -> NZeroResult:
     if mode not in ("trivial", "collapsible"):
         raise MalformedSpec(f"mode must be trivial or collapsible, got {mode!r}")
-    cls = classification or classify_cover(
-        cover, nerve_simplices_only=True, restarts=restarts, seed=seed
-    )
-    verdict_of = {}
-    for r in cls.records:
-        if r.empty:
-            continue
-        v = r.triviality if mode == "trivial" else r.collapsibility
-        verdict_of[r.index_set] = v.verdict
+    verdict_of, excluded = _verdicts(cover, mode, classification, restarts, seed)
     included = tuple(sorted(J for J, v in verdict_of.items() if v == "yes"))
-    excluded = tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
     if reduced:
         rn = reduced_nerve(cover)
-        keep = set()
-        for rep, Js in rn.classes.items():
-            if any(J in included for J in Js):
-                keep.add(rep)
-        poset = rn.poset.restrict(keep)
+        yes = set(included)
+        poset = rn.poset.restrict(
+            rep for rep, Js in rn.classes.items() if any(J in yes for J in Js)
+        )
     else:
         chi = non_hausdorff_nerve(cover)
         keep = {simplex_id(J) for J in included}
@@ -432,23 +466,9 @@ def containing_intersections(
         raise InvalidCover("containing_intersections needs a cover of a finite space")
     if x not in cover.parent:
         raise UnknownElement(f"{x!r} is not a point of the covered space")
-    result = n0 or n_zero_subspace(
-        cover, mode=mode, reduced=reduced, classification=classification
-    )
-    if reduced:
-        rn = reduced_nerve(cover)
-        keep = {
-            rep
-            for rep in result.poset.elements
-            if x in rn.intersections[rep]
-        }
-    else:
-        keep = {
-            simplex_id(J)
-            for J in result.included
-            if x in cover.intersection(J)
-        }
-    return result.poset.restrict(keep & set(result.poset.elements))
+    n0 = n0 or n_zero_subspace(cover, mode=mode, reduced=reduced, classification=classification)
+    P = n0.poset
+    return P.restrict(_holding(_masks_by_id(cover), P.elements, cover.parent._at(x)))
 
 
 def n_zero_complex(
@@ -461,12 +481,7 @@ def n_zero_complex(
     Only index sets all of whose non-empty subsets are also verified are kept,
     so the result is honestly downward closed.
     """
-    cls = classification or classify_cover(cover, nerve_simplices_only=True)
-    verdict_of = {}
-    for r in cls.records:
-        if not r.empty:
-            v = r.triviality if mode == "trivial" else r.collapsibility
-            verdict_of[r.index_set] = v.verdict
+    verdict_of, excluded = _verdicts(cover, mode, classification)
     ok = {J for J, v in verdict_of.items() if v == "yes"}
     closed = [
         J
@@ -478,9 +493,6 @@ def n_zero_complex(
             if tuple(sub) in verdict_of
         )
     ]
-    excluded = tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
-    if not closed:
-        return SimplicialComplex([]), excluded
     return SimplicialComplex(closed), excluded
 
 
@@ -495,13 +507,11 @@ def chains_containing(
     if cover.kind != COMPLEX:
         raise InvalidCover("chains_containing needs a cover of a complex")
     s = frozenset(sigma)
-    if not cover.parent.contains_simplex(s):
+    i = cover.parent.index().id_of.get(tuple(sorted(s)))
+    if i is None:
         raise UnknownSimplex(f"{sorted(s)} is not a simplex of the parent")
     n0, _ = n_zero_complex(cover, mode=mode, classification=classification)
-    verts = {
-        name for name, sub in cover.members if sub.contains_simplex(s)
-    }
-    return n0.full_subcomplex(verts & n0.vertices)
+    return n0.full_subcomplex(_holding(cover._masks, n0.vertices, i))
 
 
 # ---------------------------------------------------------------------------
@@ -553,120 +563,73 @@ def check_nerve_theorem(
             if cover.kind == COMPLEX
             else homology_of_poset(non_hausdorff_nerve(cover))
         )
-    elif flavor in ("trivial-subnerve-space", "collapsible-subnerve-space"):
-        if cover.kind != POSET:
-            raise InvalidCover(f"{flavor} applies to covers of finite spaces")
-        n0 = n_zero_subspace(cover, mode=mode, classification=cls)
-        per_point = {}
-        for x in cover.parent.elements:
-            ix = containing_intersections(cover, x, mode=mode, n0=n0, classification=cls)
-            if not len(ix):
-                per_point[x] = clp.TriStateResult("no", note="I_x is empty")
-            elif mode == "trivial":
-                per_point[x] = clp.is_homotopically_trivial_poset(ix)
-            else:
-                per_point[x] = clp.greedy_collapse_space(ix)
-        report["per_point"] = {x: v.to_doc() for x, v in per_point.items()}
-        report["excluded_unknown"] = list(n0.excluded_unknown)
-        report["hypothesis_verdict"] = clp.aggregate_verdict(
-            [v.verdict for v in per_point.values()]
-            + ["unknown"] * len(n0.excluded_unknown)
-        )
-        if not len(n0.poset):
-            raise InvalidCover("N0 is empty; no verified intersections")
-        nerve_obj_hom = homology_of_poset(n0.poset)
-    elif flavor == "trivial-subnerve-complex":
-        if cover.kind != COMPLEX:
-            raise InvalidCover(f"{flavor} applies to covers of complexes")
-        n0c, excluded = n_zero_complex(cover, mode="trivial", classification=cls)
-        per_simplex = {}
-        for s in cover.parent.all_simplices():
-            ss = chains_containing(cover, s, mode="trivial", classification=cls)
-            if ss.is_empty():
-                per_simplex[s] = clp.TriStateResult("no", note="S_sigma is empty")
-            else:
-                per_simplex[s] = clp.is_homotopically_trivial_complex(
-                    ss, restarts=restarts, seed=seed
-                )
-        report["per_simplex"] = {simplex_id(s): v.to_doc() for s, v in per_simplex.items()}
+    else:
+        space = flavor.endswith("-space")
+        if cover.kind != (POSET if space else COMPLEX):
+            raise InvalidCover(
+                f"{flavor} applies to covers of {'finite spaces' if space else 'complexes'}"
+            )
+        reduced = flavor.startswith("reduced")
+        X = cover.parent
+        if flavor == "trivial-subnerve-complex":
+            n0c, excluded = n_zero_complex(cover, mode=mode, classification=cls)
+        else:
+            n0 = n_zero_subspace(cover, mode=mode, reduced=reduced, classification=cls)
+            excluded, P, by_id = n0.excluded_unknown, n0.poset, _masks_by_id(cover)
+        if reduced:
+            bound = "height" if space else "dim"
+            cap = X.height() if space else X.dim()
+            report[f"{bound}_cap"] = cap
+            report[f"n0_{bound}_ok"] = P.height() <= cap if len(P) else True
+        per_element = {}
+        bounds_ok = True
+        if space:  # I_x per point x
+            test = clp.greedy_collapse_space
+            if mode == "trivial":
+                test = clp.is_homotopically_trivial_poset
+            for i, x in enumerate(X.elements):
+                ix = P.restrict(_holding(by_id, P.elements, i))
+                if not len(ix):
+                    per_element[x] = clp.TriStateResult("no", note="I_x is empty")
+                    continue
+                per_element[x] = test(ix)
+                bounds_ok &= not reduced or ix.height() <= cap - X.height_of(x)
+        else:  # S_sigma per simplex sigma
+            test = clp.greedy_collapse_complex if reduced else clp.is_homotopically_trivial_complex
+            for i, s in enumerate(X.all_simplices()):
+                if reduced:
+                    s_sigma = order_complex(P.restrict(_holding(by_id, P.elements, i)))
+                else:
+                    s_sigma = n0c.full_subcomplex(_holding(cover._masks, n0c.vertices, i))
+                if s_sigma.is_empty():
+                    per_element[simplex_id(s)] = clp.TriStateResult("no", note="S_sigma is empty")
+                    continue
+                per_element[simplex_id(s)] = test(s_sigma, restarts=restarts, seed=seed)
+                bounds_ok &= not reduced or s_sigma.dim() <= cap - (len(s) - 1)
+        report["per_point" if space else "per_simplex"] = {
+            k: v.to_doc() for k, v in per_element.items()
+        }
+        verdicts = [v.verdict for v in per_element.values()]
+        if reduced:
+            report[f"{bound}_bounds_ok"] = bounds_ok
+            if not bounds_ok or not report[f"n0_{bound}_ok"]:
+                verdicts.append("no")
         report["excluded_unknown"] = list(excluded)
         report["hypothesis_verdict"] = clp.aggregate_verdict(
-            [v.verdict for v in per_simplex.values()] + ["unknown"] * len(excluded)
+            verdicts + ["unknown"] * len(excluded)
         )
-        if n0c.is_empty():
-            raise InvalidCover("N0 is empty; no verified intersections")
-        nerve_obj_hom = reduced_homology(n0c)
-    elif flavor == "reduced-space":
-        if cover.kind != POSET:
-            raise InvalidCover(f"{flavor} applies to covers of finite spaces")
-        n = cover.parent.height()
-        n0 = n_zero_subspace(cover, mode="collapsible", reduced=True, classification=cls)
-        report["height_cap"] = n
-        report["n0_height_ok"] = n0.poset.height() <= n if len(n0.poset) else True
-        per_point = {}
-        bounds_ok = True
-        for x in cover.parent.elements:
-            ix = containing_intersections(
-                cover, x, mode="collapsible", reduced=True, n0=n0, classification=cls
-            )
-            if not len(ix):
-                per_point[x] = clp.TriStateResult("no", note="I_x is empty")
-                continue
-            per_point[x] = clp.greedy_collapse_space(ix)
-            if ix.height() > n - cover.parent.height_of(x):
-                bounds_ok = False
-        report["per_point"] = {x: v.to_doc() for x, v in per_point.items()}
-        report["height_bounds_ok"] = bounds_ok
-        report["excluded_unknown"] = list(n0.excluded_unknown)
-        verdicts = [v.verdict for v in per_point.values()]
-        if not bounds_ok or not report["n0_height_ok"]:
-            verdicts.append("no")
-        report["hypothesis_verdict"] = clp.aggregate_verdict(
-            verdicts + ["unknown"] * len(n0.excluded_unknown)
-        )
-        if not len(n0.poset):
-            raise InvalidCover("reduced N0 is empty; no verified intersections")
-        nerve_obj_hom = homology_of_poset(n0.poset)
-        report["assumption"] = REDUCED_NERVE_ASSUMPTION
-    else:  # reduced-complex
-        if cover.kind != COMPLEX:
-            raise InvalidCover(f"{flavor} applies to covers of complexes")
-        n = cover.parent.dim()
-        rn = reduced_nerve(cover)
-        n0 = n_zero_subspace(cover, mode="collapsible", reduced=True, classification=cls)
-        n0_complex = order_complex(n0.poset) if len(n0.poset) else SimplicialComplex([])
-        report["dim_cap"] = n
-        report["n0_dim_ok"] = (n0_complex.dim() <= n) if not n0_complex.is_empty() else True
-        per_simplex = {}
-        bounds_ok = True
-        for s in cover.parent.all_simplices():
-            keep = {
-                rep for rep in n0.poset.elements
-                if rn.intersections[rep].contains_simplex(frozenset(s))
-            }
-            sub = n0.poset.restrict(keep)
-            if not len(sub):
-                per_simplex[s] = clp.TriStateResult("no", note="S_sigma is empty")
-                continue
-            s_sigma = order_complex(sub)
-            per_simplex[s] = clp.greedy_collapse_complex(
-                s_sigma, restarts=restarts, seed=seed
-            )
-            if s_sigma.dim() > n - (len(s) - 1):
-                bounds_ok = False
-        report["per_simplex"] = {simplex_id(s): v.to_doc() for s, v in per_simplex.items()}
-        report["dim_bounds_ok"] = bounds_ok
-        report["excluded_unknown"] = list(n0.excluded_unknown)
-        verdicts = [v.verdict for v in per_simplex.values()]
-        if not bounds_ok or not report["n0_dim_ok"]:
-            verdicts.append("no")
-        report["hypothesis_verdict"] = clp.aggregate_verdict(
-            verdicts + ["unknown"] * len(n0.excluded_unknown)
-        )
-        if n0_complex.is_empty():
-            raise InvalidCover("reduced N0 is empty; no verified intersections")
-        nerve_obj_hom = reduced_homology(n0_complex)
-        report["assumption"] = REDUCED_NERVE_ASSUMPTION
+        if flavor == "trivial-subnerve-complex":
+            if n0c.is_empty():
+                raise InvalidCover("N0 is empty; no verified intersections")
+            nerve_obj_hom = reduced_homology(n0c)
+        else:
+            if not len(P):
+                raise InvalidCover(
+                    f"{'reduced N0' if reduced else 'N0'} is empty; no verified intersections"
+                )
+            nerve_obj_hom = homology_of_poset(P)
+        if reduced:
+            report["assumption"] = REDUCED_NERVE_ASSUMPTION
 
     parent_hom = _parent_homology(cover)
     report["parent_homology"] = parent_hom.summary()

@@ -260,31 +260,29 @@ def _subspace_verdicts(X: FinitePoset, members: frozenset[str]) -> dict:
 def check_collapse_left(R: Relation) -> dict:
     """Hypotheses of the preimage-side collapse and, when they all hold,
     an executed certificate that B(R) collapses onto the source copy."""
-    per_element = {
-        z: _subspace_verdicts(R.source, underline_preimage(R, z))
-        for z in R.target.elements
-    }
-    report = _aggregate_hypotheses(per_element)
-    B = relation_cylinder(R)
-    if report["hypothesis_collapsibility"] == "yes":
-        report["collapse"] = _execute_target_removal(R, B, side="left")
-    else:
-        report["collapse"] = {"verdict": "not-attempted"}
-    report["per_element"] = per_element
-    report["height_bound"] = B.height()
-    return report
+    return _check_collapse(R, "left")
 
 
 def check_collapse_right(R: Relation) -> dict:
     """Dual checker: image-side hypotheses and collapse onto the target copy."""
-    per_element = {
-        x: _subspace_verdicts(R.target, overline_image(R, x))
-        for x in R.source.elements
-    }
+    return _check_collapse(R, "right")
+
+
+def _side(R: Relation, side: str):
+    """Kept space and copy name, far space and copy name, the hypothesis set
+    of a far point, and the weak-point kind it is removed as."""
+    if side == "left":
+        return R.source, R.source_name, R.target, R.target_name, underline_preimage, clp.DOWN_WEAK
+    return R.target, R.target_name, R.source, R.source_name, overline_image, clp.UP_WEAK
+
+
+def _check_collapse(R: Relation, side: str) -> dict:
+    kept, _, far, _, hypothesis, _ = _side(R, side)
+    per_element = {z: _subspace_verdicts(kept, hypothesis(R, z)) for z in far.elements}
     report = _aggregate_hypotheses(per_element)
     B = relation_cylinder(R)
     if report["hypothesis_collapsibility"] == "yes":
-        report["collapse"] = _execute_target_removal(R, B, side="right")
+        report["collapse"] = _execute_target_removal(R, B, side)
     else:
         report["collapse"] = {"verdict": "not-attempted"}
     report["per_element"] = per_element
@@ -311,14 +309,12 @@ def _execute_target_removal(R: Relation, B: FinitePoset, side: str) -> dict:
     the remaining poset must equal the tagged hypothesis set, and the point
     must be a weak point of the remaining poset at removal time.
     """
-    if side == "left":
-        order = R.target.linear_extension()  # ascending: lower points first
-        kept, kept_name, far_name = R.source, R.source_name, R.target_name
-        strict, hypothesis, kind = B._below, underline_preimage, clp.DOWN_WEAK
-    else:
-        order = list(reversed(R.source.linear_extension()))  # upper points first
-        kept, kept_name, far_name = R.target, R.target_name, R.source_name
-        strict, hypothesis, kind = B._above, overline_image, clp.UP_WEAK
+    kept, kept_name, far, far_name, hypothesis, kind = _side(R, side)
+    order = far.linear_extension()  # ascending: lower points first
+    strict = B._below
+    if kind == clp.UP_WEAK:  # upper points first
+        order.reverse()
+        strict = B._above
     steps = []
     alive = (1 << len(B)) - 1
     identity_ok = True

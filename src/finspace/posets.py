@@ -34,25 +34,24 @@ class FinitePoset:
     )
 
     def __init__(self, elements: Iterable[str], hasse: Iterable[tuple[str, str]]):
-        self.elements: tuple[str, ...] = tuple(sorted(elements))
-        if len(set(self.elements)) != len(self.elements):
-            raise DuplicateElement(f"duplicate element ids in {self.elements}")
-        self.hasse: frozenset[tuple[str, str]] = frozenset((a, b) for a, b in hasse)
-        self._pos: dict[str, int] = {x: i for i, x in enumerate(self.elements)}
-        edges = []
-        for a, b in self.hasse:
-            if a not in self._pos or b not in self._pos:
-                raise UnknownElement(f"hasse pair ({a}, {b}) mentions unknown element")
-            edges.append((self._pos[a], self._pos[b]))
-        preds, succs, self._order, self._below, self._above, self._height_of = _closure(
-            self.elements, edges
-        )
-        for (a, b), (i, j) in zip(self.hasse, edges):
-            if self._above[i] & self._below[j]:
-                raise MalformedSpec(f"hasse pair ({a}, {b}) is not a covering pair")
-        names = self.elements
-        self._covers_below = [[names[i] for i in ids] for ids in preds]
-        self._covers_above = [[names[i] for i in ids] for ids in succs]
+        hasse = frozenset((a, b) for a, b in hasse)
+        elements, pos, edges = _intern(elements, hasse, "hasse")
+        _, _, _, below, above, _ = closure = _closure(elements, edges)
+        for i, j in edges:
+            if above[i] & below[j]:
+                raise MalformedSpec(
+                    f"hasse pair ({elements[i]}, {elements[j]}) is not a covering pair"
+                )
+        self._assign(elements, pos, hasse, *closure)
+
+    def _assign(self, elements, pos, hasse, preds, succs, order, below, above, height):
+        """Store the interned elements, the Hasse diagram and their closure."""
+        self.elements: tuple[str, ...] = elements
+        self.hasse: frozenset[tuple[str, str]] = hasse
+        self._pos: dict[str, int] = pos
+        self._order, self._below, self._above, self._height_of = order, below, above, height
+        self._covers_below = [[elements[i] for i in ids] for ids in preds]
+        self._covers_above = [[elements[i] for i in ids] for ids in succs]
 
     # -- basic queries -----------------------------------------------------
 
@@ -219,6 +218,21 @@ def _hull(mask: int, strict: list[int]) -> int:
     return out
 
 
+def _intern(elements: Iterable[str], pairs: Iterable[tuple[str, str]], what: str):
+    """The sorted elements, their positions and the pairs as position pairs
+    in the order given; raises on duplicate or unknown elements."""
+    elements = tuple(sorted(elements))
+    if len(set(elements)) != len(elements):
+        raise DuplicateElement(f"duplicate element ids in {list(elements)}")
+    pos = {x: i for i, x in enumerate(elements)}
+    edges = []
+    for a, b in pairs:
+        if a not in pos or b not in pos:
+            raise UnknownElement(f"{what} pair ({a}, {b}) mentions unknown element")
+        edges.append((pos[a], pos[b]))
+    return elements, pos, edges
+
+
 def _closure(elements: Sequence[str], edges: Iterable[tuple[int, int]]):
     """The strict order generated by edges (i, j), i below j, over the
     positions of elements: sorted predecessor and successor lists, the
@@ -286,20 +300,20 @@ def build_poset(
     with nothing both above a and below b (a covering pair of the closure
     is generating, as a longer path passes an element between its ends).
     """
-    elements = sorted(elements)
-    if len(set(elements)) != len(elements):
-        raise DuplicateElement(f"duplicate element ids in {elements}")
-    pos = {x: i for i, x in enumerate(elements)}
-    edges = set()
-    for a, b in relation_pairs:
-        if a not in pos or b not in pos:
-            raise UnknownElement(f"relation pair ({a}, {b}) mentions unknown element")
-        if a == b:
-            raise CycleDetected([a])
-        edges.add((pos[a], pos[b]))
-    _, _, _, below, above, _ = _closure(elements, edges)
-    hasse = [(elements[i], elements[j]) for i, j in edges if not above[i] & below[j]]
-    return FinitePoset(elements, hasse)
+    elements, pos, edges = _intern(elements, relation_pairs, "relation")
+    for i, j in edges:
+        if i == j:
+            raise CycleDetected([elements[i]])
+    preds, succs, order, below, above, height = _closure(elements, set(edges))
+    # the closure of the generating relation is the order itself, with the
+    # same masks and heights, and its least-ready-first order is the same:
+    # either edge set makes ready exactly the minimal unplaced positions
+    preds = [[i for i in ids if not above[i] & below[j]] for j, ids in enumerate(preds)]
+    succs = [[j for j in ids if not above[i] & below[j]] for i, ids in enumerate(succs)]
+    hasse = frozenset((elements[i], elements[j]) for j, ids in enumerate(preds) for i in ids)
+    X = FinitePoset.__new__(FinitePoset)
+    X._assign(elements, pos, hasse, preds, succs, order, below, above, height)
+    return X
 
 
 def antichain(elements: Iterable[str]) -> FinitePoset:

@@ -1,8 +1,11 @@
+import argparse
 import json
+import os
+import re
 
 import pytest
 
-from finspace.cli import main
+from finspace.cli import build_parser, main
 from finspace.collapse import greedy_collapse_complex
 from finspace.fixtures import (
     circle_arc_cover,
@@ -283,3 +286,50 @@ def test_malformed_input_exit_code_from_the_shell(tmp_path):
     )
     assert out.returncode == 2
     assert out.stderr.splitlines() == ["error: the document must be a JSON object"]
+
+
+def _readme_flag_table():
+    """Subcommand -> {option string: --mode choices or None} from the README."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        # "verify FLAVOR" names its positional argument in capitals
+        name = " ".join(w for w in command.strip("`").split() if not w.isupper())
+        options = {}
+        for flag in re.findall(r"`(--[^`]*)`", flags):
+            option, _, rest = flag.partition(" ")
+            choices = re.fullmatch(r"\{(.*)\}", rest)
+            options[option] = tuple(choices.group(1).split(",")) if choices else None
+        table[name] = options
+    return table
+
+
+def _parser_flag_table():
+    table = {}
+
+    def walk(parser, name):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for action in subs:
+            for child, sp in action.choices.items():
+                walk(sp, f"{name} {child}".strip())
+        if not subs:
+            table[name] = {
+                option: tuple(a.choices) if a.choices else None
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+                for option in a.option_strings
+            }
+
+    walk(build_parser(), "")
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    """Each subcommand's option strings and --mode choices in the README are
+    the parser's, so a flag added or removed without the README fails."""
+    assert _readme_flag_table() == _parser_flag_table()

@@ -2,6 +2,7 @@ import pytest
 
 from finspace import collapse as clp
 from finspace import covers
+from finspace import complexes
 from finspace.complexes import SimplicialComplex, simplex_id, solid_simplex
 from finspace.covers import (
     Cover,
@@ -43,6 +44,120 @@ def test_poset_cover_members_must_be_open():
     X = chain(["a", "b"])
     with pytest.raises(InvalidCover):
         Cover("poset", X, (("U", frozenset({"b"})), ("V", frozenset({"a", "b"}))))
+
+
+_PATH = SimplicialComplex([["a", "b"], ["b", "c"]])
+_SPACE = build_poset(["a", "b", "c"], [("a", "b")])  # a < b, c apart
+
+
+def _sub(*facets):
+    return SimplicialComplex(facets)
+
+
+@pytest.mark.parametrize(
+    "kind, parent, members, message",
+    [
+        pytest.param(
+            "complex", _PATH, (("U", _PATH), ("U", _PATH)), "duplicate member names",
+            id="complex-duplicate-names",
+        ),
+        pytest.param(
+            "poset", _SPACE, (("U", {"a"}), ("U", {"a", "b", "c"})), "duplicate member names",
+            id="poset-duplicate-names",
+        ),
+        pytest.param(
+            "bogus", _PATH, (("U", _PATH), ("U", _PATH)), "duplicate member names",
+            id="duplicate-names-before-kind",
+        ),
+        pytest.param(
+            "complex", _PATH, (), "a cover needs at least one member", id="complex-no-members"
+        ),
+        pytest.param(
+            "poset", _SPACE, (), "a cover needs at least one member", id="poset-no-members"
+        ),
+        pytest.param(
+            "bogus", _PATH, (), "a cover needs at least one member", id="no-members-before-kind"
+        ),
+        pytest.param(
+            "bogus", _PATH, (("U", _PATH),), "unknown cover kind 'bogus'", id="unknown-kind"
+        ),
+        pytest.param(
+            "complex", _PATH, (("U", frozenset({"a", "b", "c"})),),
+            "member 'U' is not a complex", id="complex-member-not-a-complex",
+        ),
+        pytest.param(
+            "complex", _PATH, (("U", _sub(["a", "c"])), ("V", _PATH)),
+            "member 'U' is not a subcomplex of the parent", id="complex-member-not-a-subcomplex",
+        ),
+        pytest.param(
+            "complex", _PATH, (("U", _sub(["a", "z"])),),
+            "member 'U' is not a subcomplex of the parent", id="complex-member-unknown-vertex",
+        ),
+        pytest.param(
+            "complex", _PATH, (("U", _PATH), ("V", _sub(["a", "c"])), ("W", frozenset())),
+            "member 'V' is not a subcomplex of the parent", id="complex-first-bad-member-wins",
+        ),
+        pytest.param(
+            "complex", _PATH, (("U", _sub(["a", "b"])),),
+            "members do not cover the parent complex", id="complex-vertex-uncovered",
+        ),
+        pytest.param(
+            "complex", _PATH, (("U", _sub(["a", "b"])), ("V", _sub(["c"]))),
+            "members do not cover the parent complex", id="complex-edge-uncovered",
+        ),
+        pytest.param(
+            "poset", _SPACE, (("U", {"a", "z"}),),
+            "member 'U' is not a subset of the space", id="poset-member-not-a-subset",
+        ),
+        pytest.param(
+            "poset", _SPACE, (("U", {"b", "z"}),),
+            "member 'U' is not a subset of the space", id="poset-subset-before-open",
+        ),
+        pytest.param(
+            "poset", _SPACE, (("U", {"b"}),),
+            "member 'U' is not open (not downward closed)", id="poset-member-not-open",
+        ),
+        pytest.param(
+            "poset", _SPACE, (("U", {"a", "b", "c"}), ("V", {"b"}), ("W", {"z"})),
+            "member 'V' is not open (not downward closed)", id="poset-first-bad-member-wins",
+        ),
+        pytest.param(
+            "poset", _SPACE, (("U", {"a", "b"}),),
+            "members do not cover the space", id="poset-point-uncovered",
+        ),
+    ],
+)
+def test_cover_validation_messages(kind, parent, members, message):
+    with pytest.raises(InvalidCover) as raised:
+        Cover(kind, parent, members)
+    assert str(raised.value) == message
+
+
+def test_cover_construction_builds_no_member_index(monkeypatch):
+    """The members' masks come from the parent's index: constructing the 14
+    vertex stars of sd ∂Δ³ over a fresh parent and reading the masks
+    builds that one index and no complex."""
+    members = star_cover(sd_boundary(3)).members
+    parent = sd_boundary(3)
+    built = {"index": 0, "complex": 0}
+    index_init, complex_init = complexes.SimplexIndex.__init__, SimplicialComplex.__init__
+
+    def counting_index(self, facets):
+        built["index"] += 1
+        index_init(self, facets)
+
+    def counting_complex(self, facets):
+        built["complex"] += 1
+        complex_init(self, facets)
+
+    monkeypatch.setattr(complexes.SimplexIndex, "__init__", counting_index)
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_complex)
+    cov = Cover("complex", parent, members)
+    masks = cov._masks
+    assert built == {"index": 1, "complex": 0}
+    index = parent.index()
+    for name, sub in members:
+        assert masks[name] == sum(1 << index.id_of[s] for s in sub.all_simplices())
 
 
 def test_cover_accessors():
@@ -327,3 +442,20 @@ def test_star_cover_nerve_builds_in_proportion_to_its_classes(monkeypatch):
     assert len(rn.poset) == len(rn.classes) == 136
     assert len(built) <= 1 + len(rn.classes)
 
+
+
+def test_subnerve_complex_check_builds_n0_once(monkeypatch):
+    """S_sigma of every simplex is read off one N0 and the members' masks."""
+    calls = []
+    real = covers.n_zero_complex
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(covers, "n_zero_complex", counting)
+    cov = star_cover(sd_boundary(3))
+    report = check_nerve_theorem(cov, "trivial-subnerve-complex")
+    assert len(calls) == 1
+    assert len(report["per_simplex"]) == len(cov.parent.all_simplices()) == 74
+    assert report["hypothesis_verdict"] == "yes" and report["conclusion_homology_match"]

@@ -137,3 +137,22 @@ def test_cover_lists_match_the_hasse_set():
         assert X.minimal_elements() == sorted(set(X.elements) - heads)
     with pytest.raises(UnknownElement):
         FinitePoset(["a"], [("a", "z")])
+
+
+def test_build_poset_runs_the_closure_once(monkeypatch):
+    """The closure of the generating relation gives the masks, heights and
+    order; only the Hasse pairs are filtered from it, with no second pass."""
+    from finspace import posets
+
+    calls = []
+    closure = posets._closure
+
+    def counting(elements, edges):
+        calls.append(len(elements))
+        return closure(elements, edges)
+
+    monkeypatch.setattr(posets, "_closure", counting)
+    X = build_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")])
+    assert calls == [4]
+    assert X == FinitePoset(X.elements, X.hasse)
+    assert X.hasse == frozenset({("a", "b"), ("b", "c"), ("a", "d")})
