@@ -7,12 +7,14 @@ certificate, No carries a non-trivial homology witness, Unknown is honest
 failure of the greedy search.
 
 Each point-removal kind (down-beat, up-beat, down-weak, up-weak) is decided
-in one place, ``removable``.  The core and greedy searches, certificate
-replay and the cylinder executor all call it, so replay accepts any step that
-is valid for its declared kind, whichever other kinds the point also has.
-They shrink an int mask of alive points over the parent's element
-positions and read the induced order off the parent's reachability masks, so
-no subposet is built per step.
+in one place, ``removable``, for a point given by its position.  The core and
+greedy searches, certificate replay and the cylinder executor all call it,
+so replay accepts any step that is valid for its declared kind.  A subspace
+is an int mask over its parent's element positions, read with the parent's
+reachability masks; one weak-point collapse and one triviality fallback act
+on such masks for whole spaces, links, cylinder hypothesis sets and cover
+intersections, with the certificates of the subposets they stand for.  A
+subposet is built only for the homology of a stuck search.
 
 Free-face search and replay likewise share one state, ``_Shrinking``: a
 present-mask and coface counts over the complex's simplex index, updated in
@@ -135,21 +137,21 @@ BEAT_KINDS = (DOWN_BEAT, UP_BEAT)
 WEAK_KINDS = (DOWN_WEAK, UP_WEAK)
 
 
-def removable(X: FinitePoset, alive: int, x: str, kind: str) -> bool:
-    """Whether x is a point of the given kind in the subspace ``alive`` of X,
-    a mask over X's element positions.
+def removable(X: FinitePoset, alive: int, i: int, kind: str) -> bool:
+    """Whether the point at position i is of the given kind in the subspace
+    ``alive`` of X, a mask over X's element positions.
 
-    The down kinds look at the punctured down set of x in alive, the up kinds
-    at its punctured up set; both are read off X's reachability masks, since
-    a subspace carries the induced order.  That set must be non-empty and
-    have exactly one maximal element (down-beat), exactly one minimal element
-    (up-beat), or be contractible (weak kinds).  An unknown kind is never
-    removable.
+    The down kinds look at the punctured down set of the point in alive, the
+    up kinds at its punctured up set; both are read off X's reachability
+    masks, since a subspace carries the induced order.  That set must be
+    non-empty and have exactly one maximal element (down-beat), exactly one
+    minimal element (up-beat), or be contractible (weak kinds).  An unknown
+    kind is never removable.
     """
     if kind in (DOWN_BEAT, DOWN_WEAK):
-        punctured, beyond = X._below[X._at(x)] & alive, X._above
+        punctured, beyond = X._below[i] & alive, X._above
     elif kind in (UP_BEAT, UP_WEAK):
-        punctured, beyond = X._above[X._at(x)] & alive, X._below
+        punctured, beyond = X._above[i] & alive, X._below
     else:
         return False
     if not punctured:
@@ -160,9 +162,9 @@ def removable(X: FinitePoset, alive: int, x: str, kind: str) -> bool:
     return extremes == 1
 
 
-def _first_kind(X: FinitePoset, alive: int, x: str, kinds: tuple[str, str]) -> str | None:
+def _first_kind(X: FinitePoset, alive: int, i: int, kinds: tuple[str, str]) -> str | None:
     for kind in kinds:
-        if removable(X, alive, x, kind):
+        if removable(X, alive, i, kind):
             return kind
     return None
 
@@ -172,11 +174,11 @@ def _everything(X: FinitePoset) -> int:
 
 
 def beat_point_kind(X: FinitePoset, x: str) -> str | None:
-    return _first_kind(X, _everything(X), x, BEAT_KINDS)
+    return _first_kind(X, _everything(X), X._at(x), BEAT_KINDS)
 
 
 def weak_point_kind(X: FinitePoset, x: str) -> str | None:
-    return _first_kind(X, _everything(X), x, WEAK_KINDS)
+    return _first_kind(X, _everything(X), X._at(x), WEAK_KINDS)
 
 
 def _removable_points(X: FinitePoset, kind_of) -> list[tuple[str, str]]:
@@ -202,7 +204,7 @@ def _peel(
     steps: list[PointRemoval] = []
     while alive.bit_count() > size:
         for i in _ids(alive & ~keep):
-            if kind := _first_kind(X, alive, X.elements[i], kinds):
+            if kind := _first_kind(X, alive, i, kinds):
                 steps.append(PointRemoval(X.elements[i], kind))
                 alive ^= 1 << i
                 break
@@ -233,12 +235,9 @@ def is_contractible_space(X: FinitePoset) -> bool:
 def gamma_points(X: FinitePoset) -> list[tuple[str, TriStateResult]]:
     """Per element, the triviality verdict of its link (punctured down + up sets)."""
     out = []
-    for x in X.elements:
-        link = X.down_set(x, strict=True) | X.up_set(x, strict=True)
-        if not link:
-            out.append((x, unknown("empty link")))
-            continue
-        out.append((x, is_homotopically_trivial_poset(X.restrict(link))))
+    for x, below, above in zip(X.elements, X._below, X._above):
+        link = below | above
+        out.append((x, _triviality(X, link) if link else unknown("empty link")))
     return out
 
 
@@ -257,6 +256,18 @@ def _stuck(homology, whole, target, note: str) -> TriStateResult:
     return unknown(note)
 
 
+def _weak_collapse(X: FinitePoset, alive: int, target: int | None = None) -> TriStateResult:
+    """Greedy weak-point collapse of the non-empty subspace alive of X to a
+    point, or onto the subspace target (both masks over X's positions).  A
+    stuck search builds the subposets whose homology decides No or Unknown."""
+    size = 1 if target is None else target.bit_count()
+    cert, left = _peel(X, alive, WEAK_KINDS, target or 0, size)
+    if left.bit_count() == size:
+        return yes(cert)
+    note = "greedy weak-point removal got stuck"
+    return _stuck(lambda m: homology_of_poset(X.restrict(X._members(m))), alive, target, note)
+
+
 def greedy_collapse_space(
     X: FinitePoset, target: Iterable[str] | None = None
 ) -> TriStateResult:
@@ -266,16 +277,7 @@ def greedy_collapse_space(
     keep = frozenset(target) if target is not None else None
     if keep is not None and not keep <= set(X.elements):
         raise TargetNotInduced(f"target {sorted(keep)} is not a subset of the space")
-    size = 1 if keep is None else len(keep)
-    cert, alive = _peel(X, _everything(X), WEAK_KINDS, X._mask(keep or ()), size)
-    if alive.bit_count() == size:
-        return yes(cert)
-    return _stuck(
-        homology_of_poset,
-        X,
-        None if keep is None else X.restrict(keep),
-        "greedy weak-point removal got stuck",
-    )
+    return _weak_collapse(X, _everything(X), None if keep is None else X._mask(keep))
 
 
 def replay_space_certificate(
@@ -286,10 +288,10 @@ def replay_space_certificate(
     for step in cert.steps:
         if not isinstance(step, PointRemoval) or step.element not in X:
             return False
-        bit = 1 << X._at(step.element)
-        if not alive & bit or not removable(X, alive, step.element, step.kind):
+        i = X._at(step.element)
+        if not alive >> i & 1 or not removable(X, alive, i, step.kind):
             return False
-        alive ^= bit
+        alive ^= 1 << i
     if target is not None:
         return X._members(alive) == set(target)
     return alive.bit_count() == 1
@@ -555,23 +557,36 @@ def triviality_from_collapse(obj, collapsibility: TriStateResult) -> TriStateRes
     No (its witness is non-trivial homology).  After Unknown the object is
     acyclic; only a finite space has one more test left, its core.
     """
+    if not isinstance(obj, SimplicialComplex):
+        return _after_collapse(obj, _everything(obj), collapsibility)
     if collapsibility.verdict != "unknown":
         return collapsibility
-    if isinstance(obj, SimplicialComplex):
-        return unknown("acyclic but greedy collapse got stuck")
-    cert = _contraction(obj, _everything(obj))
+    return unknown("acyclic but greedy collapse got stuck")
+
+
+def _after_collapse(X: FinitePoset, alive: int, collapsibility: TriStateResult) -> TriStateResult:
+    """``triviality_from_collapse`` for the subspace alive of X."""
+    if collapsibility.verdict != "unknown":
+        return collapsibility
+    cert = _contraction(X, alive)
     if cert is not None:
         return yes(cert)
     return unknown("acyclic but neither core nor greedy collapse reach a point")
 
 
+def _triviality(X: FinitePoset, alive: int) -> TriStateResult:
+    """Triviality of the non-empty subspace alive of X: a contraction by beat
+    points when its core is a point, else the verdict after greedy collapse."""
+    cert = _contraction(X, alive)
+    if cert is not None:
+        return yes(cert)
+    return _after_collapse(X, alive, _weak_collapse(X, alive))
+
+
 def is_homotopically_trivial_poset(X: FinitePoset) -> TriStateResult:
     if not len(X):
         raise EmptyObject("the empty space is not homotopically trivial")
-    cert = _contraction(X, _everything(X))
-    if cert is not None:
-        return yes(cert)
-    return triviality_from_collapse(X, greedy_collapse_space(X))
+    return _triviality(X, _everything(X))
 
 
 def is_homotopically_trivial_complex(

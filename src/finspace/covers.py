@@ -367,19 +367,19 @@ def _classify_intersection(
 
     A complex intersection is searched on the parent's simplex index, on
     the ids of its mask; its own index is built only when every schedule
-    gets stuck and its homology decides between No and Unknown.
+    gets stuck and its homology decides between No and Unknown.  A space
+    intersection is collapsed as the subspace mask of the parent, and a
+    subposet is built only for the homology of a stuck search.
     """
     obj = cover._object(J, mask)
     if cover.kind == COMPLEX:
-        sub = obj
         cert = clp._free_face_search(
             cover.parent.index(), frozenset(), 1, restarts, seed, _ids(mask)
         )
-        collapsibility = clp._search_verdict(cert, sub)
-    else:
-        sub = cover.parent.restrict(obj)
-        collapsibility = clp.greedy_collapse_space(sub)
-    return obj, clp.triviality_from_collapse(sub, collapsibility), collapsibility
+        collapsibility = clp._search_verdict(cert, obj)
+        return obj, clp.triviality_from_collapse(obj, collapsibility), collapsibility
+    collapsibility = clp._weak_collapse(cover.parent, mask)
+    return obj, clp._after_collapse(cover.parent, mask, collapsibility), collapsibility
 
 
 @dataclass(frozen=True)

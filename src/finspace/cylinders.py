@@ -6,7 +6,8 @@ relations induce the multiple cylinder, where even-indexed spaces sit below
 their odd-indexed neighbours.  The hypothesis checkers evaluate, per point,
 the triviality/collapsibility of the open hull of preimages (or the closure
 of images) and, when everything is collapsible, execute and verify the
-corresponding collapse of the cylinder onto one end.
+corresponding collapse of the cylinder onto one end.  Hypothesis sets are
+masks over the kept end, decided once per distinct set on its own masks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     NotOrderPreserving,
     UnknownElement,
 )
-from .posets import FinitePoset, build_poset
+from .posets import FinitePoset, _hull, _ids, build_poset
 
 RIGHT = "right"
 LEFT = "left"
@@ -112,12 +113,19 @@ def relation_cylinder(R: Relation) -> FinitePoset:
     sn, tn = R.source_name, R.target_name
     if sn == tn:
         raise MalformedSpec("source and target copies need distinct names")
-    elements = [tag(sn, x) for x in R.source.elements] + [
-        tag(tn, y) for y in R.target.elements
-    ]
-    gen = [(tag(sn, a), tag(sn, b)) for a, b in R.source.hasse]
-    gen += [(tag(tn, a), tag(tn, b)) for a, b in R.target.hasse]
-    gen += [(tag(sn, a), tag(tn, b)) for a, b in R.pairs]
+    return _cylinder(((sn, R.source), (tn, R.target)), [(sn, tn, R.pairs)])
+
+
+def _cylinder(spaces, cross) -> FinitePoset:
+    """The order on the tagged copies of the named spaces generated by their
+    Hasse pairs and by (lower copy, upper copy, pairs (lower, upper)) in cross."""
+    elements: list[str] = []
+    gen: list[tuple[str, str]] = []
+    for name, X in spaces:
+        elements += [tag(name, x) for x in X.elements]
+        gen += [(tag(name, a), tag(name, b)) for a, b in X.hasse]
+    for lo, hi, pairs in cross:
+        gen += [(tag(lo, a), tag(hi, b)) for a, b in pairs]
     return build_poset(elements, gen)
 
 
@@ -190,22 +198,14 @@ def multiple_cylinder(spec: CylinderSpec) -> FinitePoset:
     Both stored orientations of a relation normalize to lower-space x
     upper-space pairs before the order is generated.
     """
-    elements: list[str] = []
-    gen: list[tuple[str, str]] = []
-    for name, X in spec.spaces:
-        elements += [tag(name, x) for x in X.elements]
-        gen += [(tag(name, a), tag(name, b)) for a, b in X.hasse]
+    cross = []
     for i, R in enumerate(spec.relations):
-        even = i if i % 2 == 0 else i + 1
-        odd = i + 1 if i % 2 == 0 else i
-        even_name = spec.spaces[even][0]
-        odd_name = spec.spaces[odd][0]
+        even, odd = (i, i + 1) if i % 2 == 0 else (i + 1, i)
         # relation pairs run source -> target; orient each to (even, odd)
         source_is_even = (R.direction == RIGHT) == (even == i)
-        for a, b in R.pairs:
-            lo, hi = (a, b) if source_is_even else (b, a)
-            gen.append((tag(even_name, lo), tag(odd_name, hi)))
-    return build_poset(elements, gen)
+        pairs = R.pairs if source_is_even else [(b, a) for a, b in R.pairs]
+        cross.append((spec.spaces[even][0], spec.spaces[odd][0], pairs))
+    return _cylinder(spec.spaces, cross)
 
 
 def multiple_mapping_cylinder(
@@ -234,26 +234,45 @@ def multiple_mapping_cylinder(
 
 def underline_preimage(R: Relation, y: str) -> frozenset[str]:
     """Open hull in the source of the preimage of U_y."""
-    return R.source.open_hull(R.preimage(R.target.down_set(y)))
+    return R.source._members(_hypothesis_masks(R, "left")[R.target._at(y)])
 
 
 def overline_image(R: Relation, x: str) -> frozenset[str]:
     """Closure in the target of the image of F_x."""
-    return R.target.closure(R.image(R.source.up_set(x)))
+    return R.target._members(_hypothesis_masks(R, "right")[R.source._at(x)])
 
 
-def _subspace_verdicts(X: FinitePoset, members: frozenset[str]) -> dict:
-    if not members:
-        return {
-            "empty": True,
-            "triviality": clp.TriStateResult("no", note="empty subspace"),
-            "collapsibility": clp.TriStateResult("no", note="empty subspace"),
-        }
-    sub = X.restrict(members)
+def _hypothesis_masks(R: Relation, side: str) -> list[int]:
+    """Per far position, the hypothesis set as a mask over the kept space:
+    the kept points related to the far point's down set (left) or up set
+    (right), hulled the same way in the kept space."""
+    kept, _, far, _, _ = _side(R, side)
+    related = [0] * len(far)
+    for a, b in R.pairs:
+        k, z = (a, b) if side == "left" else (b, a)
+        related[far._at(z)] |= 1 << kept._at(k)
+    out = []
+    for i, beyond in enumerate(_strict(far, side)):
+        mask = related[i]
+        for j in _ids(beyond):
+            mask |= related[j]
+        out.append(_hull(mask, _strict(kept, side)))
+    return out
+
+
+def _strict(X: FinitePoset, side: str) -> list[int]:
+    """X's strict down sets (left) or up sets (right), by position."""
+    return X._below if side == "left" else X._above
+
+
+def _subspace_verdicts(X: FinitePoset, mask: int) -> dict:
+    if not mask:
+        empty = clp.TriStateResult("no", note="empty subspace")
+        return {"empty": True, "triviality": empty, "collapsibility": empty}
     return {
         "empty": False,
-        "triviality": clp.is_homotopically_trivial_poset(sub),
-        "collapsibility": clp.greedy_collapse_space(sub),
+        "triviality": clp._triviality(X, mask),
+        "collapsibility": clp._weak_collapse(X, mask),
     }
 
 
@@ -269,20 +288,22 @@ def check_collapse_right(R: Relation) -> dict:
 
 
 def _side(R: Relation, side: str):
-    """Kept space and copy name, far space and copy name, the hypothesis set
-    of a far point, and the weak-point kind it is removed as."""
+    """Kept space and copy name, far space and copy name, and the weak-point
+    kind a far point is removed as."""
     if side == "left":
-        return R.source, R.source_name, R.target, R.target_name, underline_preimage, clp.DOWN_WEAK
-    return R.target, R.target_name, R.source, R.source_name, overline_image, clp.UP_WEAK
+        return R.source, R.source_name, R.target, R.target_name, clp.DOWN_WEAK
+    return R.target, R.target_name, R.source, R.source_name, clp.UP_WEAK
 
 
 def _check_collapse(R: Relation, side: str) -> dict:
-    kept, _, far, _, hypothesis, _ = _side(R, side)
-    per_element = {z: _subspace_verdicts(kept, hypothesis(R, z)) for z in far.elements}
+    kept, _, far, _, _ = _side(R, side)
+    masks = _hypothesis_masks(R, side)
+    verdicts = {m: _subspace_verdicts(kept, m) for m in set(masks)}
+    per_element = {z: dict(verdicts[m]) for z, m in zip(far.elements, masks)}
     report = _aggregate_hypotheses(per_element)
     B = relation_cylinder(R)
     if report["hypothesis_collapsibility"] == "yes":
-        report["collapse"] = _execute_target_removal(R, B, side)
+        report["collapse"] = _execute_target_removal(R, B, side, masks)
     else:
         report["collapse"] = {"verdict": "not-attempted"}
     report["per_element"] = per_element
@@ -292,38 +313,35 @@ def _check_collapse(R: Relation, side: str) -> dict:
 
 def _aggregate_hypotheses(per_element: dict) -> dict:
     return {
-        "hypothesis_triviality": clp.aggregate_verdict(
-            v["triviality"].verdict for v in per_element.values()
-        ),
-        "hypothesis_collapsibility": clp.aggregate_verdict(
-            v["collapsibility"].verdict for v in per_element.values()
-        ),
+        f"hypothesis_{key}": clp.aggregate_verdict(v[key].verdict for v in per_element.values())
+        for key in ("triviality", "collapsibility")
     }
 
 
-def _execute_target_removal(R: Relation, B: FinitePoset, side: str) -> dict:
+def _execute_target_removal(R: Relation, B: FinitePoset, side: str, masks: list[int]) -> dict:
     """Remove the far copy's points of B = B(R) one by one along a linear
     extension.
 
     Each removal is verified twice: the punctured set of the removed point in
-    the remaining poset must equal the tagged hypothesis set, and the point
-    must be a weak point of the remaining poset at removal time.
+    the remaining poset must equal the tagged hypothesis set (``masks``, by
+    far position), and the point must be a weak point of the remaining poset
+    at removal time.
     """
-    kept, kept_name, far, far_name, hypothesis, kind = _side(R, side)
-    order = far.linear_extension()  # ascending: lower points first
-    strict = B._below
+    kept, kept_name, far, far_name, kind = _side(R, side)
+    order = list(far._order)  # ascending: lower points first
     if kind == clp.UP_WEAK:  # upper points first
         order.reverse()
-        strict = B._above
+    strict = _strict(B, side)
     steps = []
     alive = (1 << len(B)) - 1
     identity_ok = True
-    for z in order:
+    for k in order:
+        z = far.elements[k]
         tz = tag(far_name, z)
         i = B._at(tz)
-        if strict[i] & alive != B._mask(tag(kept_name, w) for w in hypothesis(R, z)):
+        if strict[i] & alive != B._mask(tag(kept_name, w) for w in kept._members(masks[k])):
             identity_ok = False
-        if not clp.removable(B, alive, tz, kind):
+        if not clp.removable(B, alive, i, kind):
             return {
                 "verdict": "failed",
                 "failed_at": z,
@@ -347,29 +365,21 @@ def check_intermediate(R1: Relation, R2: Relation, side: str) -> dict:
     """Both hypothesis families (on one factor and on the composite), with the
     two one-sided collapse certificates and the height bounds."""
     composite = compose_relations(R1, R2)
-    if side == "left":
-        factor_report = check_collapse_left(R1)
-        composite_report = check_collapse_left(composite)
-        bound_intermediate = R1.source.height()
-    elif side == "right":
-        factor_report = check_collapse_right(R2)
-        composite_report = check_collapse_right(composite)
-        bound_intermediate = R2.target.height()
-    else:
+    if side not in ("left", "right"):
         raise MalformedSpec(f"side must be left or right, got {side!r}")
+    factor, kept = (R1, R1.source) if side == "left" else (R2, R2.target)
+    check = check_collapse_left if side == "left" else check_collapse_right
+    factor_report, composite_report = check(factor), check(composite)
     verdict = clp.aggregate_verdict(
-        [
-            factor_report["hypothesis_collapsibility"],
-            composite_report["hypothesis_collapsibility"],
-        ]
+        r["hypothesis_collapsibility"] for r in (factor_report, composite_report)
     )
     return {
         "side": side,
         "factor": factor_report,
         "composite": composite_report,
         "verdict": verdict,
-        "height_bound_intermediate": bound_intermediate,
-        "height_bound_cylinder": relation_cylinder(composite).height(),
+        "height_bound_intermediate": kept.height(),
+        "height_bound_cylinder": composite_report["height_bound"],
         "note": (
             "bounded-deformation claims are reported as two one-sided "
             "collapse certificates; the deformation itself is not synthesized"

@@ -11,8 +11,9 @@ from __future__ import annotations
 import logging
 import random
 
+from .collapse import _contraction
 from .complexes import SimplicialComplex, cone
-from .covers import Cover, classify_cover
+from .covers import Cover, _index_sets, classify_cover
 from .cylinders import RIGHT, Relation, graph_relation
 from .errors import GenerationExhausted
 from .posets import FinitePoset, build_poset
@@ -116,80 +117,50 @@ def generate_complex(
     return SimplicialComplex(facets)
 
 
-def generate_strong_good_cover(
-    seed: int,
-    params: dict | None = None,
-) -> tuple[SimplicialComplex, Cover]:
+def generate_strong_good_cover(seed: int) -> tuple[SimplicialComplex, Cover]:
     """Cover whose members are cones over a shared apex.
 
     Every non-empty intersection of members is again a cone over the apex,
     so each is collapsible and the cover classifies as strong-good.  The
     classifier verdict is still required before an instance is returned.
     """
-    params = params or {}
-    max_members = params.get("max_members", 5)
-    max_facets = params.get("max_facets", 40)
-    attempts = params.get("attempts", 20)
     rng = random.Random(f"strong-good:{seed}")
-    for attempt in range(attempts):
+    for attempt in range(20):
         pool = [f"b{i}" for i in range(rng.randint(3, 7))]
         members = []
-        for i in range(rng.randint(2, max_members)):
+        for i in range(rng.randint(2, 5)):
             base = []
             for _ in range(rng.randint(1, 4)):
                 k = rng.randint(1, min(3, len(pool)))
                 base.append(rng.sample(pool, k))
             members.append((f"U{i + 1}", cone("a", SimplicialComplex(base))))
-        parent = SimplicialComplex([])
-        for _, sub in members:
-            parent = parent.union(sub)
-        if len(parent.facets) > max_facets:
+        parent = SimplicialComplex(f for _, sub in members for f in sub.facets)
+        if len(parent.facets) > 40:
             continue
         cover = Cover("complex", parent, tuple(members))
-        cls = classify_cover(cover, max_subsets=2 ** len(members))
-        if cls.strong_good == "yes":
+        if classify_cover(cover).strong_good == "yes":
             if attempt:
                 log.debug("strong-good cover for seed %d took %d attempts", seed, attempt + 1)
             return parent, cover
-    raise GenerationExhausted(
-        f"no strong-good cover within {attempts} attempts for seed {seed}"
-    )
+    raise GenerationExhausted(f"no strong-good cover within 20 attempts for seed {seed}")
 
 
-def generate_good_space_cover(
-    seed: int,
-    size: int = 7,
-    attempts: int = 60,
-) -> tuple[FinitePoset, Cover]:
+def generate_good_space_cover(seed: int) -> tuple[FinitePoset, Cover]:
     """Good cover of a random finite space by minimal open sets of its maxima.
 
     Accepted only when every non-empty intersection of members is
-    contractible (checked through cores), so the cover is good by
-    construction rather than by luck.
+    contractible (checked through cores on the nerve's intersection masks),
+    so the cover is good by construction rather than by luck.
     """
-    from itertools import combinations
-
-    from .collapse import is_contractible_space
-
     rng = random.Random(f"good-space:{seed}")
-    for _ in range(attempts):
-        X = generate_poset(rng.randrange(2**31), rng.randint(3, size), height_cap=3)
+    for _ in range(60):
+        X = generate_poset(rng.randrange(2**31), rng.randint(3, 7), height_cap=3)
         maxima = sorted(X.maximal_elements())
         if not 2 <= len(maxima) <= 5:
             continue
         members = tuple((f"U{i + 1}", X.down_set(x)) for i, x in enumerate(maxima))
         cover = Cover("poset", X, members)
-        ok = True
-        for k in range(1, len(members) + 1):
-            for J in combinations([n for n, _ in members], k):
-                inter = cover.intersection(J)
-                if inter and not is_contractible_space(X.restrict(inter)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        masks = (m for _, m in _index_sets(cover, 20, nerve_simplices_only=True))
+        if all(_contraction(X, m) is not None for m in masks):
             return X, cover
-    raise GenerationExhausted(
-        f"no good space cover within {attempts} attempts for seed {seed}"
-    )
+    raise GenerationExhausted(f"no good space cover within 60 attempts for seed {seed}")

@@ -4,7 +4,9 @@ The brute-force ones deliberately avoid the library's own algorithms:
 contractibility is decided by searching every beat-point removal order,
 chains are enumerated from the raw order relation, and transitive closures
 are recomputed from scratch.  The slow collapse engine further down is the
-reference for the indexed one, the cover layer after it (pairwise
+reference for the indexed one, the string-set cylinder checkers after it
+(pair scans and a subposet per hypothesis set) the reference for the
+mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, homology on every sub-union) the
 reference for the mask-based one, the dense chain complex after that
 (dense boundary matrices, fraction-free and dense GF(2) ranks, persistence
@@ -39,14 +41,10 @@ from finspace.covers import (
     IntersectionRecord,
     NZeroResult,
     ReducedNerve,
+    nerve,
+    non_hausdorff_nerve,
 )
-from finspace.cylinders import (
-    Relation,
-    overline_image,
-    relation_cylinder,
-    tag,
-    underline_preimage,
-)
+from finspace.cylinders import Relation, relation_cylinder, tag
 from finspace.errors import CycleDetected
 from finspace.homology import (
     HomologyResult,
@@ -278,6 +276,86 @@ def slow_replay_space(X: FinitePoset, cert, target=None) -> bool:
     return len(current) == 1
 
 
+# -- the cylinder checkers on string sets --------------------------------------
+#
+# The library keeps each hypothesis set as a mask over the kept space, finds
+# all of them in one pass over the relation's pairs and decides each distinct
+# set once on the kept space's masks.  The functions below are the checkers
+# it replaced: preimages and images by a scan of all pairs per point, and a
+# subposet built for every hypothesis set and every point link.
+
+
+def slow_underline_preimage(R: Relation, y: str) -> frozenset[str]:
+    return R.source.open_hull(R.preimage(R.target.down_set(y)))
+
+
+def slow_overline_image(R: Relation, x: str) -> frozenset[str]:
+    return R.target.closure(R.image(R.source.up_set(x)))
+
+
+def slow_check_collapse(R: Relation, side: str) -> dict:
+    if side == "left":
+        kept, far, hypothesis = R.source, R.target, slow_underline_preimage
+    else:
+        kept, far, hypothesis = R.target, R.source, slow_overline_image
+    per_element = {}
+    for z in far.elements:
+        members = hypothesis(R, z)
+        if not members:
+            empty = clp.TriStateResult("no", note="empty subspace")
+            per_element[z] = {"empty": True, "triviality": empty, "collapsibility": empty}
+            continue
+        sub = kept.restrict(members)
+        per_element[z] = {
+            "empty": False,
+            "triviality": clp.is_homotopically_trivial_poset(sub),
+            "collapsibility": clp.greedy_collapse_space(sub),
+        }
+    report = {
+        key: clp.aggregate_verdict(v[field].verdict for v in per_element.values())
+        for key, field in (
+            ("hypothesis_triviality", "triviality"),
+            ("hypothesis_collapsibility", "collapsibility"),
+        )
+    }
+    if report["hypothesis_collapsibility"] == "yes":
+        report["collapse"] = slow_execute_target_removal(R, side)
+    else:
+        report["collapse"] = {"verdict": "not-attempted"}
+    report["per_element"] = per_element
+    report["height_bound"] = relation_cylinder(R).height()
+    return report
+
+
+def slow_gamma_points(X: FinitePoset):
+    out = []
+    for x in X.elements:
+        link = X.down_set(x, strict=True) | X.up_set(x, strict=True)
+        if not link:
+            out.append((x, clp.unknown("empty link")))
+            continue
+        out.append((x, clp.is_homotopically_trivial_poset(X.restrict(link))))
+    return out
+
+
+def nerve_relation(cover: Cover) -> Relation:
+    """sigma R J when the simplex sigma lies in the intersection over J: a
+    relation from the face poset X(K) of the covered complex to the opposite
+    of its non-Hausdorff nerve, whose cylinder compares the two."""
+    pairs = frozenset(
+        (simplex_id(s), simplex_id(J))
+        for J in nerve(cover).all_simplices()
+        for s in cover.intersection(J).all_simplices()
+    )
+    return Relation(
+        cover.parent.face_poset(),
+        non_hausdorff_nerve(cover).opposite(),
+        pairs,
+        source_name="X",
+        target_name="N",
+    )
+
+
 def slow_execute_target_removal(R: Relation, side: str) -> dict:
     """The cylinder executor, removing each far point from a rebuilt poset."""
     B = relation_cylinder(R)
@@ -294,11 +372,11 @@ def slow_execute_target_removal(R: Relation, side: str) -> dict:
         tz = tag(far_name, z)
         if side == "left":
             punctured = current.down_set(tz, strict=True)
-            expected = frozenset(tag(kept_name, x) for x in underline_preimage(R, z))
+            expected = frozenset(tag(kept_name, x) for x in slow_underline_preimage(R, z))
             kind = DOWN_WEAK
         else:
             punctured = current.up_set(tz, strict=True)
-            expected = frozenset(tag(kept_name, y) for y in overline_image(R, z))
+            expected = frozenset(tag(kept_name, y) for y in slow_overline_image(R, z))
             kind = UP_WEAK
         if punctured != expected:
             identity_ok = False

@@ -32,7 +32,12 @@ from finspace.collapse import (
     weak_points,
 )
 from finspace.complexes import SimplicialComplex, cone, order_complex, simplex_boundary
-from finspace.cylinders import _execute_target_removal, compose_relations, relation_cylinder
+from finspace.cylinders import (
+    _execute_target_removal,
+    _hypothesis_masks,
+    compose_relations,
+    relation_cylinder,
+)
 from finspace.fixtures import dunce_hat, projective_plane, two_triangles
 from finspace.generators import generate_complex, generate_composite_instance, generate_poset
 from finspace.posets import FinitePoset
@@ -144,7 +149,8 @@ def test_cylinder_executor_matches_oracle():
     for R in _cylinder_relations():
         for side in ("left", "right"):
             B = relation_cylinder(R)
-            assert _execute_target_removal(R, B, side) == slow_execute_target_removal(R, side)
+            masks = _hypothesis_masks(R, side)
+            assert _execute_target_removal(R, B, side, masks) == slow_execute_target_removal(R, side)
 
 
 def _complex_tampers(L: SimplicialComplex, steps: list):

@@ -217,6 +217,27 @@ def test_collapse_checks_build_one_cylinder(monkeypatch):
     assert expected["left"]["collapse"]["verdict"] == "yes"
 
 
+def test_check_intermediate_builds_two_cylinders(monkeypatch):
+    # one per one-sided check; the composite's height is read off its report
+    R1, R2 = generate_composite_instance(3)
+    expected = {side: check_intermediate(R1, R2, side) for side in ("left", "right")}
+    built = []
+    build = cylinders.relation_cylinder
+
+    def counting(relation):
+        built.append(relation)
+        return build(relation)
+
+    monkeypatch.setattr(cylinders, "relation_cylinder", counting)
+    composite = compose_relations(R1, R2)
+    for side, factor in (("left", R1), ("right", R2)):
+        built.clear()
+        report = check_intermediate(R1, R2, side)
+        assert report == expected[side]
+        assert built == [factor, composite]
+        assert report["height_bound_cylinder"] == build(composite).height()
+
+
 def test_check_collapse_right_on_opposite_instance():
     # dualize: relate z to everything above g(z) by flipping a left instance
     X = build_poset(["a", "b", "m"], [("m", "a"), ("m", "b")])

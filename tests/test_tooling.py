@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import shlex
@@ -76,6 +78,34 @@ def test_perf_smoke_check_fails_on_wrong_output_or_hook_errors(
     (tmp_path / "smoke.out").write_text(text)
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, timeout=60)
     assert run.returncode == exit_code
+
+
+def _tracer_layers() -> dict:
+    """LAYERS of perfbench/tracer.py, read from its source without running
+    the tracer."""
+    with open(os.path.join(ROOT, "perfbench", "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    node = next(
+        n for n in tree.body
+        if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["LAYERS"]
+    )
+    return ast.literal_eval(node.value)
+
+
+def test_tracer_finds_every_listed_function():
+    """Each LAYERS entry resolves by the tracer's own rule: the name in
+    finspace.<layer>, or the method on its class there.  A rename fails
+    here, naming the entry, instead of silently zeroing its counts."""
+    untraced = []
+    for layer, names in _tracer_layers().items():
+        module = importlib.import_module(f"finspace.{layer}")
+        for qual in names:
+            owner, _, attr = qual.rpartition(".")
+            holder = getattr(module, owner, None) if owner else module
+            if holder is None or vars(holder).get(attr) is None:
+                untraced.append(f"{layer}.{qual}")
+    missing = sorted(set(untraced) - set(GONE))
+    assert not missing, f"untraced LAYERS entries: {missing}"
 
 
 def test_tier1_workflow_runs_the_full_suite_after_the_tests():
