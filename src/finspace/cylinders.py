@@ -269,10 +269,15 @@ def _subspace_verdicts(X: FinitePoset, mask: int) -> dict:
     if not mask:
         empty = clp.TriStateResult("no", note="empty subspace")
         return {"empty": True, "triviality": empty, "collapsibility": empty}
+    # one collapse serves both verdicts; a point core's contraction comes first
+    collapsibility = clp._weak_collapse(X, mask)
+    cert = clp._contraction(X, mask)
     return {
         "empty": False,
-        "triviality": clp._triviality(X, mask),
-        "collapsibility": clp._weak_collapse(X, mask),
+        "triviality": (
+            clp.yes(cert) if cert is not None else clp._after_collapse(X, mask, collapsibility)
+        ),
+        "collapsibility": collapsibility,
     }
 
 

@@ -1,24 +1,34 @@
 """Exact simplicial homology over the integers.
 
-The chain complex is read off the complex's :class:`SimplexIndex`: each
-d-simplex gives one sparse row ``{j: ±1}`` over the positions j of its
-codimension-1 faces among the (d-1)-simplices, signed by the sorted-vertex
-orientation.  These rows form the transpose of the boundary matrix, which
-has the same rank and invariant factors.  Integral homology is read off
-Smith normal form invariant factors (arbitrary-precision Python ints, so no
-overflow is possible).  ``smith_normal_form`` takes the sparse rows as they
-are, eliminates unit (±1) pivots, then runs the dense minimal-pivot
-elimination ``_dense_snf`` only on the residual block, where any torsion
-lives (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).  Betti
-numbers over the binary field come from the index's face lists packed as
-bitmasks, for a whole complex or a subcomplex given by its simplex ids.
-The dense boundary builder and the fraction-free rank live in the tests, as
-oracles for this path.
+``reduced_homology`` first coreduces the complex on its
+:class:`SimplexIndex` (Mrozek and Batko, *Coreduction homology algorithm*,
+DCG 41, 2009): the lowest vertex of each connected component goes, the
+first together with the empty simplex and each further one as a class of
+reduced H~0, and then, first in first out, every simplex with exactly one
+live face goes together with that face.  Boundary coefficients are ±1, so
+the boundary restricted to the simplices left has the same integral
+homology, torsion included.  On those simplices each d-simplex gives one
+sparse row ``{j: ±1}`` over the positions j of its remaining
+codimension-1 faces among the remaining (d-1)-simplices, signed by the
+sorted-vertex orientation; ``boundary_matrices`` builds the same rows for
+every simplex.  These rows form the transpose of the boundary matrix,
+which has the same rank and invariant factors.  Integral homology is read
+off Smith normal form invariant factors (arbitrary-precision Python ints,
+so no overflow is possible).  ``smith_normal_form`` takes the sparse rows
+as they are, eliminates unit (±1) pivots, then runs the dense
+minimal-pivot elimination ``_dense_snf`` only on the residual block, where
+any torsion lives (Dumas, Saunders and Villard, J. Symb. Comput. 32,
+2001).  Betti numbers over the binary field come from the index's face
+lists packed as bitmasks, for a whole complex or a subcomplex given by its
+simplex ids.  Smith normal form of the whole boundary, the dense boundary
+builder and the fraction-free rank live in the tests, as oracles for this
+path.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -38,17 +48,77 @@ def boundary_matrices(K: SimplicialComplex) -> list[list[dict[int, int]]]:
     if K.is_empty():
         raise EmptyComplex("cannot build chain complex of the empty complex")
     index = K.index()
-    start = index.dim_start
+    return _boundary_rows(index, range(len(index.simplices)), index.dim_start)
+
+
+def _boundary_rows(
+    index: SimplexIndex, ids: Sequence[int], cuts: Sequence[int]
+) -> list[list[dict[int, int]]]:
+    """Sparse boundary rows per degree of the simplex ids (ascending) of
+    index, whose dimension d begins at position ``cuts[d]`` of ids.
+
+    Entry d holds one row per d-simplex among ids: ``{j: ±1}`` over its
+    faces among ids, j being the face's position among their
+    (d-1)-simplices; faces not among ids are left out.
+    """
     out: list[list[dict[int, int]]] = [[]]
-    for d in range(1, len(start) - 1):
+    for d in range(1, len(cuts) - 1):
         # faces[i] omits the vertex at position d, d-1, ..., 0 in turn
         signs = [(-1) ** (d - k) for k in range(d + 1)]
-        base = start[d - 1]
+        column = {f: j for j, f in enumerate(ids[cuts[d - 1] : cuts[d]])}
         out.append([
-            {f - base: sign for f, sign in zip(index.faces[i], signs)}
-            for i in range(start[d], start[d + 1])
+            {column[f]: sign for f, sign in zip(index.faces[i], signs) if f in column}
+            for i in ids[cuts[d] : cuts[d + 1]]
         ])
     return out
+
+
+def _coreduce(index: SimplexIndex) -> tuple[list[int], int]:
+    """Coreduction of the complex of index (Mrozek and Batko, DCG 41, 2009):
+    the ascending ids of the simplices it leaves, and the number of
+    connected components beyond the first.
+
+    The lowest vertex of each component goes first: the first one together
+    with the empty simplex, each further one with an empty simplex of its
+    own, which raises reduced H~0 by one.  Then, first in first out, every
+    simplex with exactly one live face goes together with that face.  All
+    boundary coefficients are ±1, so the boundary restricted to what is
+    left has the homology of the whole over the integers, torsion included.
+    """
+    faces, cofaces = index.faces, index.cofaces
+    live = [len(f) for f in faces]  # live faces per simplex
+    alive = bytearray(b"\x01") * len(faces)
+    queue: deque[int] = deque()
+
+    def remove(x: int) -> None:
+        alive[x] = 0
+        for c in cofaces[x]:
+            if alive[c]:
+                live[c] -= 1
+                if live[c] == 1:
+                    queue.append(c)
+
+    components = 0
+    seen = bytearray(len(faces))
+    for v in range(index.dim_start[1]):
+        if seen[v]:
+            continue
+        components += 1
+        seen[v] = 1
+        stack = [v]
+        while stack:  # the component of v, through its edges
+            for e in cofaces[stack.pop()]:
+                for w in faces[e]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        stack.append(w)
+        remove(v)
+    while queue:
+        c = queue.popleft()
+        if alive[c] and live[c] == 1:
+            remove(c)
+            remove(next(f for f in faces[c] if alive[f]))
+    return [i for i, a in enumerate(alive) if a], components - 1
 
 
 def smith_normal_form(M: Sequence[Mapping[int, int]]) -> tuple[list[int], int]:
@@ -244,13 +314,21 @@ def _reduced_betti(start: Sequence[int], ranks: Sequence[int]) -> list[int]:
 
 
 def reduced_homology(K: SimplicialComplex) -> HomologyResult:
-    """Reduced integral homology of K via Smith normal form."""
+    """Reduced integral homology of K: Smith normal form of the boundary
+    restricted to the simplices a coreduction leaves."""
     if K.is_empty():
         raise EmptyComplex("homology of the empty complex is not defined here")
+    index = K.index()
+    ids, extra = _coreduce(index)
+    cuts = index.dim_cuts(ids)
     # (factors, rank) per degree 0..dim+1; degrees 0 and dim+1 have no boundary
     none = ((), 0)
-    snf = [none] + [smith_normal_form(rows) for rows in boundary_matrices(K)[1:]] + [none]
-    betti = _reduced_betti(K.index().dim_start, [rank for _, rank in snf])
+    rows = _boundary_rows(index, ids, cuts)
+    snf = [none] + [smith_normal_form(degree) for degree in rows[1:]] + [none]
+    betti = _reduced_betti(cuts, [rank for _, rank in snf])
+    # the empty simplex went with the first component's lowest vertex; the
+    # lowest vertex of each further component is one more class of H~0
+    betti[0] += 1 + extra
     torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(K.dim() + 1))
     return HomologyResult(tuple(betti), torsion, reduced=True)
 

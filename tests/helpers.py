@@ -10,7 +10,9 @@ mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, homology on every sub-union) the
 reference for the mask-based one, the dense chain complex after that
 (dense boundary matrices, fraction-free and dense GF(2) ranks, persistence
-over rebuilt sub-unions) the reference for the sparse rows, and the
+over rebuilt sub-unions) the reference for the sparse rows, Smith normal
+form on every simplex's boundary row the reference for homology after
+coreduction, and the
 string-set poset at the end (frozenset reachability, cubic reduction,
 restriction by rebuild) the reference for the bitmask poset index.
 """
@@ -49,9 +51,12 @@ from finspace.errors import CycleDetected
 from finspace.homology import (
     HomologyResult,
     _dense_snf,
+    _reduced_betti,
+    boundary_matrices,
     homology_equal,
     homology_of_poset,
     reduced_homology,
+    smith_normal_form,
 )
 from finspace.persistence import PersistenceDiagram
 from finspace.posets import FinitePoset, build_poset
@@ -621,7 +626,8 @@ def slow_check_truncation_theorem(
 # row-major boundary matrices over tuple-keyed bases, a fraction-free rank,
 # a dense GF(2) rank, and a persistence reduction over an index rebuilt from
 # the sub-unions' simplices.  Homology from them uses the dense ``_dense_snf``
-# only, never the sparse elimination.
+# only, never the sparse elimination.  Homology with the sparse elimination
+# on every row, before the library coreduced the complex first, is kept too.
 
 
 def sparse(M) -> list[dict[int, int]]:
@@ -728,6 +734,17 @@ def homology_oracle(K: SimplicialComplex) -> HomologyResult:
     bases, snf = _dense_per_boundary(K, _dense_snf, ((), 0))
     betti = _dense_betti(bases, [rank for _, rank in snf])
     torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(len(bases)))
+    return HomologyResult(tuple(betti), torsion, reduced=True)
+
+
+def full_snf_homology(K: SimplicialComplex) -> HomologyResult:
+    """Reduced integral homology by sparse Smith normal form of the whole
+    boundary, every simplex's row included: the library's path before it
+    ran Smith normal form only on the simplices a coreduction leaves."""
+    none = ((), 0)
+    snf = [none] + [smith_normal_form(rows) for rows in boundary_matrices(K)[1:]] + [none]
+    betti = _reduced_betti(K.index().dim_start, [rank for _, rank in snf])
+    torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(K.dim() + 1))
     return HomologyResult(tuple(betti), torsion, reduced=True)
 
 

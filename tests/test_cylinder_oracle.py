@@ -7,6 +7,7 @@ subposet per hypothesis set.  On seeded families both must give equal
 reports, certificates included.
 """
 
+from finspace import collapse as clp
 from finspace import cylinders
 from finspace.collapse import gamma_points
 from finspace.covers import classify_cover
@@ -123,6 +124,25 @@ def test_each_distinct_hypothesis_set_is_decided_once(monkeypatch):
     # the nerve's 24 index sets share 18 distinct hypothesis sets
     left = cylinders._hypothesis_masks(R, "left")
     assert (len(left), len(set(left))) == (24, 18)
+
+
+def test_each_hypothesis_set_is_collapsed_once(monkeypatch):
+    # 70 more runs, one per set whose core is not a point, when triviality
+    # ran a collapse of its own
+    collapse = clp._weak_collapse
+    runs = []
+
+    def counting(X, alive, target=None):
+        runs.append(alive)
+        return collapse(X, alive, target)
+
+    monkeypatch.setattr(clp, "_weak_collapse", counting)
+    sets = 0
+    for R in _composite_relations():
+        for side, check in CHECKS.items():
+            check(R)
+            sets += len(set(cylinders._hypothesis_masks(R, side)) - {0})
+    assert len(runs) == sets == 638
 
 
 def _counting_restrict(monkeypatch) -> list:
