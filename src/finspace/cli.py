@@ -15,6 +15,7 @@ from .collapse import (
     CollapseCertificate,
     TriStateResult,
     beat_points,
+    check_restarts,
     core,
     free_faces,
     greedy_collapse_complex,
@@ -476,6 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checked up front, since some subcommands run no free-face search
+        check_restarts(getattr(args, "restarts", 0))
         return args.fn(args)
     except (FinspaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,10 @@ is an int mask over its parent's element positions, read with the parent's
 reachability masks; one weak-point collapse and one triviality fallback act
 on such masks for whole spaces, links, cylinder hypothesis sets and cover
 intersections, with the certificates of the subposets they stand for.  A
-subposet is built only for the homology of a stuck search.
+subposet is built only for the homology of a stuck search.  Every search
+removes points through one worklist loop, ``_peel``: since a point's kind
+reads only its punctured set, a point that failed is retested only after a
+point comparable to it was removed, and the scan never restarts.
 
 Free-face search and replay likewise share one state, ``_Shrinking``: a
 present-mask and coface counts over the complex's simplex index, updated in
@@ -30,7 +33,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .complexes import SimplexIndex, SimplicialComplex
-from .errors import EmptyObject, EmptySpace, InvariantViolation, TargetNotInduced
+from .errors import (
+    EmptyObject,
+    EmptySpace,
+    InvariantViolation,
+    MalformedSpec,
+    TargetNotInduced,
+)
 from .homology import HomologyResult, homology_of_poset, reduced_homology
 from .posets import FinitePoset, _ids
 
@@ -200,16 +209,36 @@ def _peel(
     """Remove from the mask alive the first point outside the mask keep, in
     element order, that has one of the kinds, round after round, until no
     such point is left or only ``size`` points remain.  Returns the removals
-    and what is left alive."""
+    and what is left alive.
+
+    A point's kind reads only its punctured set within alive, so a point
+    that failed stays failed until a point comparable to it is removed.  The
+    scan therefore moves forward once and never restarts.  Removing the
+    point i marks dirty the alive points outside keep, at or before the scan
+    position, that lie below or above i; dirty points are retested first,
+    lowest first, before the scan moves on.  Every round removes the point a
+    rescan from the first point would find, so certificates are unchanged.
+    """
     steps: list[PointRemoval] = []
-    while alive.bit_count() > size:
-        for i in _ids(alive & ~keep):
-            if kind := _first_kind(X, alive, i, kinds):
-                steps.append(PointRemoval(X.elements[i], kind))
-                alive ^= 1 << i
-                break
+    todo = alive & ~keep
+    ahead = iter(_ids(todo))
+    count = alive.bit_count()
+    dirty = 0
+    while count > size:
+        if dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            i = low.bit_length() - 1
         else:
-            break
+            i = pos = next(ahead, None)
+            if i is None:
+                break
+        if kind := _first_kind(X, alive, i, kinds):
+            steps.append(PointRemoval(X.elements[i], kind))
+            alive ^= 1 << i
+            todo ^= 1 << i
+            count -= 1
+            dirty |= (X._below[i] | X._above[i]) & todo & ((2 << pos) - 1)
     return CollapseCertificate(tuple(steps)), alive
 
 
@@ -426,6 +455,12 @@ def collapses_to_vertices(index: SimplexIndex, ids: Sequence[int]) -> bool:
     return _collapse_run(index, frozenset(), chi, None, ids) is not None
 
 
+def check_restarts(restarts: int) -> None:
+    """Raise MalformedSpec on a negative number of restarts."""
+    if restarts < 0:
+        raise MalformedSpec(f"restarts must be non-negative, got {restarts}")
+
+
 def _free_face_search(
     index: SimplexIndex,
     keep: frozenset[int],
@@ -441,8 +476,10 @@ def _free_face_search(
     Any index that holds the subcomplex lists its simplices in the same
     relative (dimension, lexicographic) order, so the first free face and
     the position a restart draws are the same on each, and so is the
-    certificate.
+    certificate.  A negative ``restarts`` raises MalformedSpec: no schedule
+    would run, and Unknown would report a search that never happened.
     """
+    check_restarts(restarts)
     for attempt in range(restarts + 1):
         rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
         cert = _collapse_run(index, keep, size, rng, ids)

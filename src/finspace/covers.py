@@ -12,7 +12,8 @@ parent's simplex ids for a complex and over element positions for a finite
 space, and validates the cover on those masks.  An intersection is an AND
 of masks, and every containment question the checkers ask (does the
 intersection over an index set, a member or a reduced-nerve class hold this
-point or simplex) is one bit test.
+point or simplex) is one bit test; each point's I_x is decided as a mask
+over N0.
 
 Classification verdicts are three-valued and Unknown intersections are
 never silently treated as trivial or collapsible: the N0 constructions
@@ -428,6 +429,16 @@ def _holding(masks: dict, keys, i: int) -> set:
     return {k for k in keys if masks[k] >> i & 1}
 
 
+def _height(P: FinitePoset, mask: int) -> int:
+    """Length (edge count) of the longest chain in the subspace mask of P,
+    read along P's linear extension."""
+    height: dict[int, int] = {}
+    for j in P._order:
+        if mask >> j & 1:
+            height[j] = 1 + max(map(height.__getitem__, _ids(P._below[j] & mask)), default=-1)
+    return max(height.values(), default=0)
+
+
 def n_zero_subspace(
     cover: Cover,
     mode: str = "trivial",
@@ -583,17 +594,15 @@ def check_nerve_theorem(
             report[f"n0_{bound}_ok"] = P.height() <= cap if len(P) else True
         per_element = {}
         bounds_ok = True
-        if space:  # I_x per point x
-            test = clp.greedy_collapse_space
-            if mode == "trivial":
-                test = clp.is_homotopically_trivial_poset
+        if space:  # I_x per point x, a mask over N0
+            decide = clp._triviality if mode == "trivial" else clp._weak_collapse
             for i, x in enumerate(X.elements):
-                ix = P.restrict(_holding(by_id, P.elements, i))
-                if not len(ix):
+                ix = P._mask(_holding(by_id, P.elements, i))
+                if not ix:
                     per_element[x] = clp.TriStateResult("no", note="I_x is empty")
                     continue
-                per_element[x] = test(ix)
-                bounds_ok &= not reduced or ix.height() <= cap - X.height_of(x)
+                per_element[x] = decide(P, ix)
+                bounds_ok &= not reduced or _height(P, ix) <= cap - X.height_of(x)
         else:  # S_sigma per simplex sigma
             test = clp.greedy_collapse_complex if reduced else clp.is_homotopically_trivial_complex
             for i, s in enumerate(X.all_simplices()):

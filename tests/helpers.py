@@ -4,7 +4,8 @@ The brute-force ones deliberately avoid the library's own algorithms:
 contractibility is decided by searching every beat-point removal order,
 chains are enumerated from the raw order relation, and transitive closures
 are recomputed from scratch.  The slow collapse engine further down is the
-reference for the indexed one, the string-set cylinder checkers after it
+reference for the indexed one, the rescanning point peel in it the
+reference for the worklist peel, the string-set cylinder checkers after it
 (pair scans and a subposet per hypothesis set) the reference for the
 mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, homology on every sub-union) the
@@ -59,7 +60,7 @@ from finspace.homology import (
     smith_normal_form,
 )
 from finspace.persistence import PersistenceDiagram
-from finspace.posets import FinitePoset, build_poset
+from finspace.posets import FinitePoset, _ids, build_poset
 
 
 def brute_contractible(X: FinitePoset) -> bool:
@@ -248,6 +249,21 @@ def _slow_remove_points(X, kinds, keep=frozenset(), size=0):
         else:
             break
     return current, CollapseCertificate(tuple(steps))
+
+
+def rescan_peel(X: FinitePoset, alive: int, kinds, keep: int = 0, size: int = 0):
+    """The point peel before its worklist: after every removal the scan
+    restarts from the first alive point outside keep."""
+    steps = []
+    while alive.bit_count() > size:
+        for i in _ids(alive & ~keep):
+            if kind := clp._first_kind(X, alive, i, kinds):
+                steps.append(PointRemoval(X.elements[i], kind))
+                alive ^= 1 << i
+                break
+        else:
+            break
+    return CollapseCertificate(tuple(steps)), alive
 
 
 def slow_core(X: FinitePoset):

@@ -333,3 +333,27 @@ def test_readme_flag_table_matches_the_parser():
     """Each subcommand's option strings and --mode choices in the README are
     the parser's, so a flag added or removed without the README fails."""
     assert _readme_flag_table() == _parser_flag_table()
+
+
+_RESTARTS_ARGV = {
+    "complex": (["complex", "--mode", "collapse"], _COMPLEX),
+    "cover classify": (["cover", "classify"], _COVER),
+    "verify": (["verify", "good-complex"], _COVER),
+    "suite": (["suite"], None),
+}
+
+
+def test_negative_restarts_exits_2_with_one_line(tmp_path, capsys):
+    """No schedule runs for a negative count; the collapsible path once came
+    out "unknown" with exit 0."""
+    takes_restarts = {name for name, flags in _parser_flag_table().items() if "--restarts" in flags}
+    assert set(_RESTARTS_ARGV) == takes_restarts
+    for argv, doc in _RESTARTS_ARGV.values():
+        if doc is not None:
+            p = tmp_path / "in.json"
+            p.write_text(json.dumps(doc))
+            argv = argv + ["--in", str(p)]
+        code = main(argv + ["--restarts", "-5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == ["error: restarts must be non-negative, got -5"]

@@ -24,7 +24,7 @@ from finspace.collapse import (
     weak_points,
 )
 from finspace.complexes import simplex_boundary, solid_simplex
-from finspace.errors import EmptySpace
+from finspace.errors import EmptySpace, MalformedSpec
 from finspace.fixtures import dunce_hat, finite_circle, two_triangles
 from finspace.generators import generate_poset
 from finspace.posets import antichain, build_poset, chain
@@ -135,6 +135,13 @@ def test_greedy_collapse_sphere_is_no():
     res = greedy_collapse_complex(simplex_boundary(2))
     assert res.verdict == "no"
     assert res.witness is not None
+
+
+def test_negative_restarts_raise():
+    # a negative count runs no schedule, not even the deterministic pass
+    for restarts in (-1, -5):
+        with pytest.raises(MalformedSpec):
+            greedy_collapse_complex(solid_simplex(["a", "b"]), restarts=restarts)
 
 
 def test_dunce_hat_unknown():

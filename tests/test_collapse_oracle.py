@@ -35,6 +35,7 @@ from finspace.complexes import SimplicialComplex, cone, order_complex, simplex_b
 from finspace.cylinders import (
     _execute_target_removal,
     _hypothesis_masks,
+    _side,
     compose_relations,
     relation_cylinder,
 )
@@ -43,6 +44,9 @@ from finspace.generators import generate_complex, generate_composite_instance, g
 from finspace.posets import FinitePoset
 
 from helpers import (
+    nerve_relation,
+    rescan_peel,
+    sd_boundary,
     slow_collapse_run,
     slow_core,
     slow_execute_target_removal,
@@ -52,6 +56,7 @@ from helpers import (
     slow_points,
     slow_replay_complex,
     slow_replay_space,
+    star_cover,
 )
 
 
@@ -143,6 +148,66 @@ def test_space_searches_match_oracle():
         assert _plain(greedy_collapse_space(X, target=keep)) == _plain(
             slow_greedy_collapse_space(X, target=keep)
         )
+
+
+def _peel_cases():
+    """(X, alive, kinds, keep, size) for the worklist peel against the rescan."""
+    for seed in range(60):
+        X = generate_poset(seed, 6 + seed % 9)
+        rng = random.Random(seed)
+        everything = (1 << len(X)) - 1
+        for kinds in (BEAT_KINDS, WEAK_KINDS):
+            yield X, everything, kinds, 0, 0
+            alive = rng.getrandbits(len(X)) | 1
+            keep = rng.getrandbits(len(X)) & alive & rng.getrandbits(len(X))
+            yield X, alive, kinds, keep, rng.randint(0, alive.bit_count())
+    relations = [R for seed in range(10) for R in generate_composite_instance(seed)]
+    relations.append(nerve_relation(star_cover(sd_boundary(2))))
+    for R in relations:
+        for side in ("left", "right"):
+            kept = _side(R, side)[0]
+            for mask in set(_hypothesis_masks(R, side)) - {0}:
+                for kinds in (BEAT_KINDS, WEAK_KINDS):
+                    yield kept, mask, kinds, 0, 0
+                    yield kept, mask, kinds, 0, 1
+    B = relation_cylinder(relations[-1])
+    for kinds in (BEAT_KINDS, WEAK_KINDS):
+        yield B, (1 << len(B)) - 1, kinds, 0, 0
+
+
+def _peel_results(cases):
+    return [(cert.to_json(), alive) for cert, alive in (clp._peel(*c) for c in cases)]
+
+
+def test_worklist_peel_matches_rescan_oracle(monkeypatch):
+    cases = list(_peel_cases())
+    ours = _peel_results(cases)
+    # the oracle rescans in nested contractions too
+    monkeypatch.setattr(clp, "_peel", rescan_peel)
+    assert ours == _peel_results(cases)
+    # the cases reach removals, stuck searches and searches stopped at size
+    assert any(cert != '{"steps": []}' for cert, _ in ours)
+    assert any(alive.bit_count() > c[4] for (_, alive), c in zip(ours, cases))
+    assert any(alive.bit_count() == c[4] > 1 for (_, alive), c in zip(ours, cases))
+
+
+def test_worklist_peel_retests_fewer_points(monkeypatch):
+    # 109 weak tests against 193 when every removal restarts the scan
+    N = nerve_relation(star_cover(sd_boundary(2))).target
+    first_kind = clp._first_kind
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return first_kind(*args)
+
+    monkeypatch.setattr(clp, "_first_kind", counting)
+    tests = []
+    for peel in (clp._peel, rescan_peel):
+        calls.clear()
+        peel(N, (1 << len(N)) - 1, WEAK_KINDS)
+        tests.append(len(calls))
+    assert tests == [109, 193]
 
 
 def test_cylinder_executor_matches_oracle():

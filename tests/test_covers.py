@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from finspace import collapse as clp
@@ -26,10 +28,14 @@ from finspace.fixtures import (
     finite_circle_cover,
     two_triangle_cover,
 )
-from finspace.generators import generate_good_space_cover, generate_strong_good_cover
+from finspace.generators import (
+    generate_good_space_cover,
+    generate_poset,
+    generate_strong_good_cover,
+)
 from finspace.homology import homology_equal, homology_of_poset
 from finspace.persistence import check_truncation_theorem
-from finspace.posets import build_poset, chain
+from finspace.posets import FinitePoset, build_poset, chain
 
 from helpers import sd_boundary, star_cover
 
@@ -459,3 +465,54 @@ def test_subnerve_complex_check_builds_n0_once(monkeypatch):
     assert len(calls) == 1
     assert len(report["per_simplex"]) == len(cov.parent.all_simplices()) == 74
     assert report["hypothesis_verdict"] == "yes" and report["conclusion_homology_match"]
+
+
+_SPACE_FLAVORS = {
+    "trivial-subnerve-space": ("trivial", False),
+    "collapsible-subnerve-space": ("collapsible", False),
+    "reduced-space": ("collapsible", True),
+}
+
+
+def _space_covers():
+    return [finite_circle_cover()] + [generate_good_space_cover(seed)[1] for seed in range(5)]
+
+
+def test_i_x_verdicts_match_the_restricted_subposets():
+    for cov in _space_covers():
+        for flavor, (mode, reduced) in _SPACE_FLAVORS.items():
+            report = check_nerve_theorem(cov, flavor)
+            n0 = n_zero_subspace(cov, mode=mode, reduced=reduced)
+            test = clp.greedy_collapse_space
+            if mode == "trivial":
+                test = clp.is_homotopically_trivial_poset
+            for x in cov.parent.elements:
+                ix = containing_intersections(cov, x, n0=n0)
+                expected = test(ix).to_doc() if len(ix) else {"verdict": "no", "note": "I_x is empty"}
+                assert report["per_point"][x] == expected
+
+
+def test_space_nerve_checks_restrict_only_to_build_n0(monkeypatch):
+    # one more restrict per point when each I_x was a subposet
+    calls = []
+    restrict = FinitePoset.restrict
+
+    def counting(self, members):
+        calls.append(self)
+        return restrict(self, members)
+
+    monkeypatch.setattr(FinitePoset, "restrict", counting)
+    for cov in _space_covers():
+        for flavor in _SPACE_FLAVORS:
+            calls.clear()
+            check_nerve_theorem(cov, flavor)
+            assert len(calls) == 1
+
+
+def test_mask_height_matches_the_subposet():
+    rng = random.Random(0)
+    for seed in range(30):
+        P = generate_poset(seed, 5 + seed % 8)
+        for _ in range(5):
+            mask = rng.getrandbits(len(P))
+            assert covers._height(P, mask) == P.restrict(P._members(mask)).height()

@@ -29,6 +29,7 @@ from finspace.posets import FinitePoset
 
 from helpers import (
     nerve_relation,
+    rescan_peel,
     sd_boundary,
     slow_check_collapse,
     slow_gamma_points,
@@ -86,6 +87,19 @@ def test_star_cover_nerve_relation_reports_match_oracle():
     for ours, oracle in _reports([R]):
         assert ours == oracle
         assert ours["collapse"]["verdict"] == "yes"
+
+
+def test_star_cover_of_sd_boundary_3_certifies_as_with_the_rescan(monkeypatch):
+    """74 + 830 points; the worklist peel leaves every certificate as the
+    rescanning peel builds it."""
+    R = nerve_relation(star_cover(sd_boundary(3)))
+    assert (len(R.source), len(R.target)) == (74, 830)
+    ours = [check(R) for check in CHECKS.values()]
+    for report in ours:
+        assert report["hypothesis_triviality"] == report["hypothesis_collapsibility"] == "yes"
+        assert report["collapse"]["verdict"] == "yes" and report["collapse"]["proof_identity"]
+    monkeypatch.setattr(clp, "_peel", rescan_peel)
+    assert ours == [check(R) for check in CHECKS.values()]
 
 
 def test_hypothesis_sets_match_the_pair_scan():
