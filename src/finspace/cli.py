@@ -25,7 +25,7 @@ from .collapse import (
     replay_space_certificate,
 )
 from .complexes import SimplicialComplex
-from .covers import FLAVORS, Cover, classify_cover, check_nerve_theorem, nerve, non_hausdorff_nerve, reduced_nerve
+from .covers import FLAVORS, MAX_MEMBERS, Cover, classify_cover, check_nerve_theorem, nerve, non_hausdorff_nerve, reduced_nerve
 from .cylinders import (
     RIGHT,
     CylinderSpec,
@@ -409,7 +409,7 @@ _FLAGS = {
     "--out": {"default": None},
     "--seed": {"type": int, "default": 0},
     "--restarts": {"type": int, "default": 8},
-    "--max-subsets": {"type": int, "default": 20},
+    "--max-subsets": {"type": int, "default": MAX_MEMBERS},
     "--fixtures": {"default": None},
 }
 

@@ -21,7 +21,9 @@ point comparable to it was removed, and the scan never restarts.
 
 Free-face search and replay likewise share one state, ``_Shrinking``: a
 present-mask and coface counts over the complex's simplex index, updated in
-O(dim) per removed pair, so no complex is rebuilt per step.
+O(dim) per removed pair, so no complex is rebuilt per step.  A subcomplex
+is searched as its simplex ids on its parent's index, and a stuck search
+reads the homology of the same ids.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     MalformedSpec,
     TargetNotInduced,
 )
-from .homology import HomologyResult, homology_of_poset, reduced_homology
+from .homology import HomologyResult, _homology, homology_of_poset, reduced_homology
 from .posets import FinitePoset, _ids
 
 DOWN_BEAT = "down-beat"
@@ -488,15 +490,26 @@ def _free_face_search(
     return None
 
 
-def _search_verdict(
-    cert: CollapseCertificate | None,
-    K: SimplicialComplex,
-    target: SimplicialComplex | None = None,
+def _free_face_verdict(
+    index: SimplexIndex,
+    ids: Sequence[int] | None,
+    target: Sequence[int] | None,
+    restarts: int,
+    seed: int,
 ) -> TriStateResult:
-    """Verdict on collapsing K (onto target) given what the free-face search found."""
+    """Verdict on collapsing the subcomplex ids of index (ascending, closed
+    under faces; None for all of it) to a point, or onto the subcomplex
+    made of the ascending ids target.  When every schedule gets stuck, the
+    homology of those ids, read on the same index, decides No or Unknown."""
+    # target simplices are never removed, so the target is reached exactly
+    # when as many simplices remain as it has
+    keep, size = (frozenset(), 1) if target is None else (frozenset(target), len(target))
+    cert = _free_face_search(index, keep, size, restarts, seed, ids)
     if cert is not None:
         return yes(cert)
-    return _stuck(reduced_homology, K, target, "no free faces left on any attempted schedule")
+    whole = range(len(index.simplices)) if ids is None else ids
+    note = "no free faces left on any attempted schedule"
+    return _stuck(lambda part: _homology(index, part), whole, target, note)
 
 
 def greedy_collapse_complex(
@@ -514,14 +527,9 @@ def greedy_collapse_complex(
     if target is not None and not target.is_subcomplex_of(K):
         raise TargetNotInduced("target is not a subcomplex")
     index = K.index()
-    # target simplices are never removed, so the target is reached exactly
-    # when as many simplices remain as it has
-    if target is None:
-        keep, size = frozenset(), 1
-    else:
-        keep = frozenset(index.id_of[s] for s in target.all_simplices())
-        size = len(keep)
-    return _search_verdict(_free_face_search(index, keep, size, restarts, seed), K, target)
+    if target is not None:
+        target = sorted(index.id_of[s] for s in target.all_simplices())
+    return _free_face_verdict(index, None, target, restarts, seed)
 
 
 def staged_union_collapse(
@@ -588,7 +596,8 @@ def replay_complex_certificate(
 
 
 def triviality_from_collapse(obj, collapsibility: TriStateResult) -> TriStateResult:
-    """Triviality verdict of obj given its greedy collapsibility verdict.
+    """Triviality verdict given a greedy collapsibility verdict, for the
+    finite space obj or for a subcomplex of the complex obj.
 
     Yes carries over (collapsible implies homotopically trivial) and so does
     No (its witness is non-trivial homology).  After Unknown the object is
@@ -605,19 +614,23 @@ def _after_collapse(X: FinitePoset, alive: int, collapsibility: TriStateResult) 
     """``triviality_from_collapse`` for the subspace alive of X."""
     if collapsibility.verdict != "unknown":
         return collapsibility
-    cert = _contraction(X, alive)
-    if cert is not None:
-        return yes(cert)
-    return unknown("acyclic but neither core nor greedy collapse reach a point")
+    return _triviality(X, alive, collapsibility)
 
 
-def _triviality(X: FinitePoset, alive: int) -> TriStateResult:
+def _triviality(
+    X: FinitePoset, alive: int, collapsibility: TriStateResult | None = None
+) -> TriStateResult:
     """Triviality of the non-empty subspace alive of X: a contraction by beat
-    points when its core is a point, else the verdict after greedy collapse."""
+    points when its core is a point, else the verdict of its greedy collapse
+    (``collapsibility`` when already known), with Unknown for an acyclic
+    space."""
     cert = _contraction(X, alive)
     if cert is not None:
         return yes(cert)
-    return _after_collapse(X, alive, _weak_collapse(X, alive))
+    collapsibility = collapsibility or _weak_collapse(X, alive)
+    if collapsibility.verdict != "unknown":
+        return collapsibility
+    return unknown("acyclic but neither core nor greedy collapse reach a point")
 
 
 def is_homotopically_trivial_poset(X: FinitePoset) -> TriStateResult:
@@ -632,14 +645,6 @@ def is_homotopically_trivial_complex(
     if K.is_empty():
         raise EmptyObject("the empty complex is not homotopically trivial")
     return triviality_from_collapse(K, greedy_collapse_complex(K, restarts=restarts, seed=seed))
-
-
-def is_homotopically_trivial(obj, restarts: int = 8, seed: int = 0) -> TriStateResult:
-    if isinstance(obj, FinitePoset):
-        return is_homotopically_trivial_poset(obj)
-    if isinstance(obj, SimplicialComplex):
-        return is_homotopically_trivial_complex(obj, restarts=restarts, seed=seed)
-    raise TypeError(f"unsupported object {obj!r}")
 
 
 def shadow_report(K: SimplicialComplex, restarts: int = 8, seed: int = 0) -> dict:

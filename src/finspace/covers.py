@@ -12,8 +12,11 @@ parent's simplex ids for a complex and over element positions for a finite
 space, and validates the cover on those masks.  An intersection is an AND
 of masks, and every containment question the checkers ask (does the
 intersection over an index set, a member or a reduced-nerve class hold this
-point or simplex) is one bit test; each point's I_x is decided as a mask
-over N0.
+point or simplex) is one bit test.  A complex intersection is classified as
+the simplex ids of its mask on the parent's index, and each S_sigma as the
+ids, on the index of N0 or of K(reduced N0), of the simplices whose
+vertices all hold sigma; each point's I_x is a mask over N0.  Only
+``Cover.intersection`` builds an intersection as an object of its own.
 
 Classification verdicts are three-valued and Unknown intersections are
 never silently treated as trivial or collapsible: the N0 constructions
@@ -43,6 +46,8 @@ from .posets import FinitePoset, _bits, _ids, build_poset
 
 COMPLEX = "complex"
 POSET = "poset"
+# the most members whose index sets are enumerated
+MAX_MEMBERS = 20
 
 
 @dataclass(frozen=True)
@@ -131,12 +136,14 @@ class Cover:
         """Mask of the union of the members in J (0 for an empty J)."""
         return reduce(or_, self._member_masks(J), 0)
 
-    def _object(self, J: tuple[str, ...], mask: int):
-        """The intersection over the sorted index set J, built from its mask.
+    def intersection(self, names):
+        """The intersection over the index set names, built from its mask.
 
         A single member is returned as it is.  For complexes the facets are
         the masked simplices with no masked coface.
         """
+        J = tuple(sorted(names))
+        mask = self._mask(J)
         if len(J) == 1:
             return self.member(J[0])
         if self.kind == COMPLEX:
@@ -147,10 +154,6 @@ class Cover:
                 if not any(mask >> c & 1 for c in index.cofaces[i])
             )
         return self.parent._members(mask)
-
-    def intersection(self, names):
-        J = tuple(sorted(names))
-        return self._object(J, self._mask(J))
 
     def subunion(self, names) -> object:
         """K_J: union of the members indexed by J (empty J gives the empty object)."""
@@ -164,25 +167,14 @@ class Cover:
 
     def to_json(self) -> str:
         if self.kind == COMPLEX:
-            return json.dumps(
-                {
-                    "kind": self.kind,
-                    "parent": json.loads(self.parent.to_json()),
-                    "members": [
-                        {"name": n, "facets": sorted(sorted(f) for f in sub.facets)}
-                        for n, sub in self.members
-                    ],
-                }
-            )
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "parent": json.loads(self.parent.to_json()),
-                "members": [
-                    {"name": n, "elements": sorted(sub)} for n, sub in self.members
-                ],
-            }
-        )
+            members = [
+                {"name": n, "facets": sorted(sorted(f) for f in sub.facets)}
+                for n, sub in self.members
+            ]
+        else:
+            members = [{"name": n, "elements": sorted(sub)} for n, sub in self.members]
+        parent = json.loads(self.parent.to_json())
+        return json.dumps({"kind": self.kind, "parent": parent, "members": members})
 
     @staticmethod
     def from_json(text: str) -> "Cover":
@@ -252,7 +244,7 @@ def nerve(cover: Cover) -> SimplicialComplex:
         masks = cover._masks
         N = SimplicialComplex(
             J
-            for J, m in _index_sets(cover, 20, nerve_simplices_only=True)
+            for J, m in _index_sets(cover, MAX_MEMBERS, nerve_simplices_only=True)
             if not any(m & masks[n] for n in masks if n not in J)
         )
         cover._memo["nerve"] = N
@@ -270,12 +262,11 @@ class ReducedNerve:
 
     Equal intersections are identified; each class is named by the simplex id
     of its smallest index set.  ``classes`` maps that id to all index sets in
-    the class, ``intersections`` to the literal intersection object.
+    the class.
     """
 
     poset: FinitePoset
     classes: dict[str, tuple[tuple[str, ...], ...]]
-    intersections: dict[str, object]
 
 
 def reduced_nerve(cover: Cover) -> ReducedNerve:
@@ -284,7 +275,7 @@ def reduced_nerve(cover: Cover) -> ReducedNerve:
     if rn is not None:
         return rn
     groups: dict[int, list[tuple[str, ...]]] = {}
-    for J, m in _index_sets(cover, 20, nerve_simplices_only=True):
+    for J, m in _index_sets(cover, MAX_MEMBERS, nerve_simplices_only=True):
         groups.setdefault(m, []).append(J)
     # index sets arrive in (size, lexicographic) order: each class's first is its smallest
     reps = {m: simplex_id(Js[0]) for m, Js in groups.items()}
@@ -292,8 +283,7 @@ def reduced_nerve(cover: Cover) -> ReducedNerve:
     pairs = [(reps[a], reps[b]) for a in groups for b in groups if a != b and a & b == b]
     poset = build_poset(reps.values(), pairs)
     classes = {reps[m]: tuple(sorted(Js)) for m, Js in groups.items()}
-    intersections = {reps[m]: cover._object(Js[0], m) for m, Js in groups.items()}
-    rn = cover._memo["reduced_nerve"] = ReducedNerve(poset, classes, intersections)
+    rn = cover._memo["reduced_nerve"] = ReducedNerve(poset, classes)
     return rn
 
 
@@ -305,7 +295,6 @@ def reduced_nerve_complex(cover: Cover) -> SimplicialComplex:
 @dataclass(frozen=True)
 class IntersectionRecord:
     index_set: tuple[str, ...]
-    object: object
     empty: bool
     triviality: clp.TriStateResult | None
     collapsibility: clp.TriStateResult | None
@@ -327,7 +316,7 @@ class CoverClassification:
 
 def classify_cover(
     cover: Cover,
-    max_subsets: int = 20,
+    max_subsets: int = MAX_MEMBERS,
     nerve_simplices_only: bool = False,
     restarts: int = 8,
     seed: int = 0,
@@ -336,22 +325,20 @@ def classify_cover(
 
     Empty intersections are recorded and skipped.  Each distinct non-empty
     intersection is searched once: every index set with the same mask shares
-    its object and verdicts, which the cover keeps per (restarts, seed), so
+    its verdicts, which the cover keeps per (restarts, seed), so
     a later classification of the same cover runs no search.  The
     triviality verdict is derived from the collapsibility verdict (see
     ``triviality_from_collapse``).
     """
     known = cover._memo.setdefault(("verdicts", restarts, seed), {})
     records = []
-    empty = SimplicialComplex([]) if cover.kind == COMPLEX else frozenset()
     for J, mask in _index_sets(cover, max_subsets, nerve_simplices_only):
         if not mask:
-            records.append(IntersectionRecord(J, empty, True, None, None))
+            records.append(IntersectionRecord(J, True, None, None))
             continue
         if mask not in known:
-            known[mask] = _classify_intersection(cover, J, mask, restarts, seed)
-        obj, triviality, collapsibility = known[mask]
-        records.append(IntersectionRecord(J, obj, False, triviality, collapsibility))
+            known[mask] = _classify_intersection(cover, mask, restarts, seed)
+        records.append(IntersectionRecord(J, False, *known[mask]))
     nonempty = [r for r in records if not r.empty]
     good = clp.aggregate_verdict(r.triviality.verdict for r in nonempty)
     strong = clp.aggregate_verdict(r.collapsibility.verdict for r in nonempty)
@@ -361,26 +348,21 @@ def classify_cover(
 
 
 def _classify_intersection(
-    cover: Cover, J: tuple[str, ...], mask: int, restarts: int, seed: int
-) -> tuple[object, clp.TriStateResult, clp.TriStateResult]:
-    """The object, triviality and collapsibility of the non-empty
-    intersection over J with the given mask.
-
-    A complex intersection is searched on the parent's simplex index, on
-    the ids of its mask; its own index is built only when every schedule
-    gets stuck and its homology decides between No and Unknown.  A space
-    intersection is collapsed as the subspace mask of the parent, and a
-    subposet is built only for the homology of a stuck search.
-    """
-    obj = cover._object(J, mask)
+    cover: Cover, mask: int, restarts: int, seed: int
+) -> tuple[clp.TriStateResult, clp.TriStateResult]:
+    """The triviality and collapsibility of the non-empty intersection with
+    the given mask, decided on the parent's masks: a complex intersection
+    as the simplex ids of the mask on the parent's index, with the homology
+    of those ids when every schedule gets stuck; a space intersection as the
+    subspace mask of the parent, with a subposet built only for the
+    homology of a stuck search."""
+    X = cover.parent
     if cover.kind == COMPLEX:
-        cert = clp._free_face_search(
-            cover.parent.index(), frozenset(), 1, restarts, seed, _ids(mask)
-        )
-        collapsibility = clp._search_verdict(cert, obj)
-        return obj, clp.triviality_from_collapse(obj, collapsibility), collapsibility
-    collapsibility = clp._weak_collapse(cover.parent, mask)
-    return obj, clp._after_collapse(cover.parent, mask, collapsibility), collapsibility
+        collapsibility = clp._free_face_verdict(X.index(), _ids(mask), None, restarts, seed)
+        # the complex rule reads only the verdict, so the parent stands in
+        return clp.triviality_from_collapse(X, collapsibility), collapsibility
+    collapsibility = clp._weak_collapse(X, mask)
+    return clp._after_collapse(X, mask, collapsibility), collapsibility
 
 
 @dataclass(frozen=True)
@@ -418,7 +400,7 @@ def _masks_by_id(cover: Cover) -> dict[str, int]:
     masks = cover._memo.get("masks_by_id")
     if masks is None:
         masks = cover._memo["masks_by_id"] = {
-            simplex_id(J): m for J, m in _index_sets(cover, 20, nerve_simplices_only=True)
+            simplex_id(J): m for J, m in _index_sets(cover, MAX_MEMBERS, nerve_simplices_only=True)
         }
     return masks
 
@@ -542,12 +524,6 @@ FLAVORS = (
 )
 
 
-def _parent_homology(cover: Cover):
-    if cover.kind == COMPLEX:
-        return reduced_homology(cover.parent)
-    return homology_of_poset(cover.parent)
-
-
 def check_nerve_theorem(
     cover: Cover,
     flavor: str,
@@ -567,13 +543,11 @@ def check_nerve_theorem(
     report: dict = {"flavor": flavor}
     mode = "collapsible" if ("strong" in flavor or "collapsible" in flavor or "reduced" in flavor) else "trivial"
 
+    X = cover.parent
+    # L is the nerve object as a complex
     if flavor in ("good-complex", "strong-good-complex", "good-space", "strong-good-space"):
         report["hypothesis_verdict"] = cls.strong_good if mode == "collapsible" else cls.good
-        nerve_obj_hom = (
-            reduced_homology(nerve(cover))
-            if cover.kind == COMPLEX
-            else homology_of_poset(non_hausdorff_nerve(cover))
-        )
+        L = nerve(cover) if cover.kind == COMPLEX else order_complex(non_hausdorff_nerve(cover))
     else:
         space = flavor.endswith("-space")
         if cover.kind != (POSET if space else COMPLEX):
@@ -581,12 +555,13 @@ def check_nerve_theorem(
                 f"{flavor} applies to covers of {'finite spaces' if space else 'complexes'}"
             )
         reduced = flavor.startswith("reduced")
-        X = cover.parent
         if flavor == "trivial-subnerve-complex":
-            n0c, excluded = n_zero_complex(cover, mode=mode, classification=cls)
+            L, excluded = n_zero_complex(cover, mode=mode, classification=cls)
+            vertex_masks = cover._masks
         else:
             n0 = n_zero_subspace(cover, mode=mode, reduced=reduced, classification=cls)
             excluded, P, by_id = n0.excluded_unknown, n0.poset, _masks_by_id(cover)
+            L, vertex_masks = order_complex(P), by_id  # K(P), built once
         if reduced:
             bound = "height" if space else "dim"
             cap = X.height() if space else X.dim()
@@ -603,18 +578,20 @@ def check_nerve_theorem(
                     continue
                 per_element[x] = decide(P, ix)
                 bounds_ok &= not reduced or _height(P, ix) <= cap - X.height_of(x)
-        else:  # S_sigma per simplex sigma
-            test = clp.greedy_collapse_complex if reduced else clp.is_homotopically_trivial_complex
+        else:  # S_sigma per simplex sigma, as simplex ids of L's index
+            index = L.index()
             for i, s in enumerate(X.all_simplices()):
-                if reduced:
-                    s_sigma = order_complex(P.restrict(_holding(by_id, P.elements, i)))
-                else:
-                    s_sigma = n0c.full_subcomplex(_holding(cover._masks, n0c.vertices, i))
-                if s_sigma.is_empty():
+                holding = _holding(vertex_masks, L.vertices, i)
+                ids = [j for j, t in enumerate(index.simplices) if holding.issuperset(t)]
+                if not ids:
                     per_element[simplex_id(s)] = clp.TriStateResult("no", note="S_sigma is empty")
                     continue
-                per_element[simplex_id(s)] = test(s_sigma, restarts=restarts, seed=seed)
-                bounds_ok &= not reduced or s_sigma.dim() <= cap - (len(s) - 1)
+                verdict = clp._free_face_verdict(index, ids, None, restarts, seed)
+                per_element[simplex_id(s)] = (
+                    verdict if reduced else clp.triviality_from_collapse(L, verdict)
+                )
+                dim = len(index.simplices[ids[-1]]) - 1  # S_sigma's, read off its last simplex
+                bounds_ok &= not reduced or dim <= cap - (len(s) - 1)
         report["per_point" if space else "per_simplex"] = {
             k: v.to_doc() for k, v in per_element.items()
         }
@@ -627,20 +604,15 @@ def check_nerve_theorem(
         report["hypothesis_verdict"] = clp.aggregate_verdict(
             verdicts + ["unknown"] * len(excluded)
         )
-        if flavor == "trivial-subnerve-complex":
-            if n0c.is_empty():
-                raise InvalidCover("N0 is empty; no verified intersections")
-            nerve_obj_hom = reduced_homology(n0c)
-        else:
-            if not len(P):
-                raise InvalidCover(
-                    f"{'reduced N0' if reduced else 'N0'} is empty; no verified intersections"
-                )
-            nerve_obj_hom = homology_of_poset(P)
+        if L.is_empty():
+            raise InvalidCover(
+                f"{'reduced N0' if reduced else 'N0'} is empty; no verified intersections"
+            )
         if reduced:
             report["assumption"] = REDUCED_NERVE_ASSUMPTION
 
-    parent_hom = _parent_homology(cover)
+    parent_hom = reduced_homology(X) if cover.kind == COMPLEX else homology_of_poset(X)
+    nerve_obj_hom = reduced_homology(L)
     report["parent_homology"] = parent_hom.summary()
     report["nerve_homology"] = nerve_obj_hom.summary()
     report["conclusion_homology_match"] = homology_equal(parent_hom, nerve_obj_hom)

@@ -271,12 +271,9 @@ def _subspace_verdicts(X: FinitePoset, mask: int) -> dict:
         return {"empty": True, "triviality": empty, "collapsibility": empty}
     # one collapse serves both verdicts; a point core's contraction comes first
     collapsibility = clp._weak_collapse(X, mask)
-    cert = clp._contraction(X, mask)
     return {
         "empty": False,
-        "triviality": (
-            clp.yes(cert) if cert is not None else clp._after_collapse(X, mask, collapsibility)
-        ),
+        "triviality": clp._triviality(X, mask, collapsibility),
         "collapsibility": collapsibility,
     }
 

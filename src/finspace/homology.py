@@ -1,36 +1,38 @@
 """Exact simplicial homology over the integers.
 
-``reduced_homology`` first coreduces the complex on its
-:class:`SimplexIndex` (Mrozek and Batko, *Coreduction homology algorithm*,
-DCG 41, 2009): the lowest vertex of each connected component goes, the
-first together with the empty simplex and each further one as a class of
-reduced H~0, and then, first in first out, every simplex with exactly one
-live face goes together with that face.  Boundary coefficients are ±1, so
-the boundary restricted to the simplices left has the same integral
-homology, torsion included.  On those simplices each d-simplex gives one
-sparse row ``{j: ±1}`` over the positions j of its remaining
+A subcomplex is an ascending, face-closed list of simplex ids on its
+parent's :class:`SimplexIndex`; ``reduced_homology`` of a complex is the
+case of all its ids, and covers and persistence ask for the homology of
+intersections and sub-unions by their ids, without building them.  The
+ids are first coreduced (Mrozek and Batko, *Coreduction homology
+algorithm*, DCG 41, 2009): the lowest vertex of each connected component
+goes, the first together with the empty simplex and each further one as a
+class of reduced H~0, and then, first in first out, every simplex with
+exactly one live face goes together with that face.  Boundary coefficients
+are ±1, so the boundary restricted to the simplices left has the same
+integral homology, torsion included.  On those simplices each d-simplex
+gives one sparse row ``{j: ±1}`` over the positions j of its remaining
 codimension-1 faces among the remaining (d-1)-simplices, signed by the
 sorted-vertex orientation; ``boundary_matrices`` builds the same rows for
 every simplex.  These rows form the transpose of the boundary matrix,
-which has the same rank and invariant factors.  Integral homology is read
-off Smith normal form invariant factors (arbitrary-precision Python ints,
-so no overflow is possible).  ``smith_normal_form`` takes the sparse rows
-as they are, eliminates unit (±1) pivots, then runs the dense
-minimal-pivot elimination ``_dense_snf`` only on the residual block, where
-any torsion lives (Dumas, Saunders and Villard, J. Symb. Comput. 32,
-2001).  Betti numbers over the binary field come from the index's face
-lists packed as bitmasks, for a whole complex or a subcomplex given by its
-simplex ids.  Smith normal form of the whole boundary, the dense boundary
-builder and the fraction-free rank live in the tests, as oracles for this
-path.
+which has the same rank and invariant factors.  ``smith_normal_form``
+takes them as they are (arbitrary-precision Python ints, so no overflow),
+eliminates unit (±1) pivots, then runs the dense minimal-pivot
+elimination ``_dense_snf`` only on the residual block, where any torsion
+lives (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).  Betti
+numbers over the binary field come from the same ids' face lists packed as
+bitmasks.  Smith normal form of the whole boundary, the dense boundary
+builder and the fraction-free rank live in the tests, as oracles.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from .complexes import SimplexIndex, SimplicialComplex, order_complex
 from .errors import EmptyComplex, EmptySpace
@@ -73,10 +75,11 @@ def _boundary_rows(
     return out
 
 
-def _coreduce(index: SimplexIndex) -> tuple[list[int], int]:
-    """Coreduction of the complex of index (Mrozek and Batko, DCG 41, 2009):
-    the ascending ids of the simplices it leaves, and the number of
-    connected components beyond the first.
+def _coreduce(index: SimplexIndex, ids: Sequence[int]) -> tuple[list[int], int]:
+    """Coreduction (Mrozek and Batko, DCG 41, 2009) of the subcomplex made of
+    the simplex ids of index, ascending and closed under faces: the
+    ascending ids of the simplices it leaves, and the number of connected
+    components beyond the first.
 
     The lowest vertex of each component goes first: the first one together
     with the empty simplex, each further one with an empty simplex of its
@@ -86,8 +89,13 @@ def _coreduce(index: SimplexIndex) -> tuple[list[int], int]:
     left has the homology of the whole over the integers, torsion included.
     """
     faces, cofaces = index.faces, index.cofaces
-    live = [len(f) for f in faces]  # live faces per simplex
-    alive = bytearray(b"\x01") * len(faces)
+    live = [len(f) for f in faces]  # live faces per simplex of ids
+    if len(ids) == len(faces):  # all of the index
+        alive = bytearray(b"\x01") * len(faces)
+    else:
+        alive = bytearray(len(faces))
+        for i in ids:
+            alive[i] = 1
     queue: deque[int] = deque()
 
     def remove(x: int) -> None:
@@ -100,25 +108,26 @@ def _coreduce(index: SimplexIndex) -> tuple[list[int], int]:
 
     components = 0
     seen = bytearray(len(faces))
-    for v in range(index.dim_start[1]):
+    for v in ids[: bisect_left(ids, index.dim_start[1])]:
         if seen[v]:
             continue
         components += 1
         seen[v] = 1
         stack = [v]
-        while stack:  # the component of v, through its edges
+        while stack:  # the component of v, through its edges among ids
             for e in cofaces[stack.pop()]:
-                for w in faces[e]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        stack.append(w)
+                if alive[e]:
+                    for w in faces[e]:
+                        if not seen[w]:
+                            seen[w] = 1
+                            stack.append(w)
         remove(v)
     while queue:
         c = queue.popleft()
         if alive[c] and live[c] == 1:
             remove(c)
             remove(next(f for f in faces[c] if alive[f]))
-    return [i for i, a in enumerate(alive) if a], components - 1
+    return list(compress(range(len(alive)), alive)), components - 1
 
 
 def smith_normal_form(M: Sequence[Mapping[int, int]]) -> tuple[list[int], int]:
@@ -316,20 +325,27 @@ def _reduced_betti(start: Sequence[int], ranks: Sequence[int]) -> list[int]:
 def reduced_homology(K: SimplicialComplex) -> HomologyResult:
     """Reduced integral homology of K: Smith normal form of the boundary
     restricted to the simplices a coreduction leaves."""
-    if K.is_empty():
-        raise EmptyComplex("homology of the empty complex is not defined here")
     index = K.index()
-    ids, extra = _coreduce(index)
-    cuts = index.dim_cuts(ids)
+    return _homology(index, range(len(index.simplices)))
+
+
+def _homology(index: SimplexIndex, ids: Sequence[int]) -> HomologyResult:
+    """Reduced integral homology of the subcomplex made of the simplex ids
+    of index (ascending, closed under faces), read in its own dimensions."""
+    if not ids:
+        raise EmptyComplex("homology of the empty complex is not defined here")
+    left, extra = _coreduce(index, ids)
+    top = len(index.simplices[ids[-1]])  # the subcomplex's dimension + 1
+    cuts = index.dim_cuts(left)[: top + 1]
     # (factors, rank) per degree 0..dim+1; degrees 0 and dim+1 have no boundary
     none = ((), 0)
-    rows = _boundary_rows(index, ids, cuts)
+    rows = _boundary_rows(index, left, cuts)
     snf = [none] + [smith_normal_form(degree) for degree in rows[1:]] + [none]
     betti = _reduced_betti(cuts, [rank for _, rank in snf])
     # the empty simplex went with the first component's lowest vertex; the
     # lowest vertex of each further component is one more class of H~0
     betti[0] += 1 + extra
-    torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(K.dim() + 1))
+    torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(top))
     return HomologyResult(tuple(betti), torsion, reduced=True)
 
 
@@ -349,9 +365,7 @@ def _betti_gf2(index: SimplexIndex, ids: Sequence[int]) -> list[int]:
     Each boundary row is the bitmask of a simplex's face ids; ranks need no
     renumbering, so the rows are read off the index as they are.
     """
-    cuts = index.dim_cuts(ids)
-    while cuts[-1] == cuts[-2]:  # no simplex of the top dimension
-        cuts.pop()
+    cuts = index.dim_cuts(ids)[: len(index.simplices[ids[-1]]) + 1]  # to the ids' dimension
     ranks = [0] * len(cuts)
     for d in range(1, len(cuts) - 1):
         ranks[d] = rank_gf2(_bits(index.faces[i]) for i in ids[cuts[d] : cuts[d + 1]])

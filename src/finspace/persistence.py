@@ -5,7 +5,10 @@ the chain of sub-unions K_J.  Reduction runs over the binary field (the
 vanishing statement needs no torsion bookkeeping) on the parent's simplex
 index; per-step bar counts are cross-checked against GF(2) Betti numbers of
 each sub-union, read off the same index restricted to the sub-union's ids by
-a rank computation of their own, independent of the column reduction.
+a rank computation of their own, independent of the column reduction.  The
+truncation checker likewise decides each sub-union, and computes the
+homology of one its collapse gets stuck on, on those ids: no sub-union is
+built.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import collapse as clp
 from .complexes import SimplexIndex
 from .covers import Cover, CoverClassification, classify_cover, nerve
 from .errors import InvalidCover, InvariantViolation, NotAChain
-from .homology import _betti_gf2, homology_equal, reduced_homology
+from .homology import _betti_gf2, _homology, homology_equal, reduced_homology
 from .posets import _ids
 
 
@@ -197,10 +200,11 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
     """Sub-unions K_J with homology in a positive degree, with that homology.
 
     A K_J that collapses to isolated vertices is acyclic in positive degrees,
-    so only one on which the deterministic free-face pass gets stuck is built
-    and has its homology computed.  Sub-unions are told apart by the OR of
-    their members' masks; the pass runs once per distinct one, on the
-    parent's simplex index restricted to its ids.
+    so only one on which the deterministic free-face pass gets stuck has its
+    homology computed.  Sub-unions are told apart by the OR of their
+    members' masks; the pass, and the homology when it gets stuck, run once
+    per distinct one, on the parent's simplex index restricted to its ids.
+    No sub-union is built.
     """
     index = cover.parent.index()
     failure_of: dict[int, dict | None] = {}
@@ -209,8 +213,9 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
         union = cover._union_mask(J)
         if union not in failure_of:
             failure_of[union] = None
-            if union and not clp.collapses_to_vertices(index, _ids(union)):
-                hom = reduced_homology(cover.subunion(J))
+            ids = _ids(union)
+            if ids and not clp.collapses_to_vertices(index, ids):
+                hom = _homology(index, ids)
                 if any(hom.betti[1:]) or any(hom.torsion):
                     failure_of[union] = hom.summary()
         if failure_of[union] is not None:

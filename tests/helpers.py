@@ -531,7 +531,6 @@ def slow_reduced_nerve(cover) -> ReducedNerve:
     return ReducedNerve(
         build_poset(reps.values(), pairs),
         {reps[k]: tuple(sorted(groups[k])) for k in groups},
-        {reps[k]: (SimplicialComplex(k) if cover.kind == COMPLEX else k) for k in groups},
     )
 
 
@@ -542,7 +541,7 @@ def slow_classify_cover(
     for J in slow_index_sets(cover, max_subsets, nerve_simplices_only):
         obj = slow_intersection(cover, J)
         if slow_intersection_is_empty(cover, J):
-            records.append(IntersectionRecord(J, obj, True, None, None))
+            records.append(IntersectionRecord(J, True, None, None))
             continue
         if cover.kind == COMPLEX:
             sub = obj
@@ -551,7 +550,7 @@ def slow_classify_cover(
             sub = cover.parent.restrict(obj)
             coll = clp.greedy_collapse_space(sub)
         records.append(
-            IntersectionRecord(J, obj, False, clp.triviality_from_collapse(sub, coll), coll)
+            IntersectionRecord(J, False, clp.triviality_from_collapse(sub, coll), coll)
         )
     nonempty = [r for r in records if not r.empty]
     return CoverClassification(

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from finspace import collapse as clp
+from finspace import cylinders
 from finspace.collapse import (
     CollapseCertificate,
     FreeFacePair,
@@ -149,6 +151,30 @@ def test_dunce_hat_unknown():
     assert free_faces(K) == []
     res = greedy_collapse_complex(K)
     assert res.verdict == "unknown"
+
+
+def test_the_whole_set_is_contracted_once(monkeypatch):
+    """The dunce hat's face poset has a larger core and a stuck weak-point
+    collapse: triviality is Unknown after one contraction of the whole set,
+    with no second one after the collapse."""
+    X = dunce_hat().face_poset()
+    whole = (1 << len(X)) - 1
+    calls = []
+    real = clp._contraction
+
+    def counting(Y, alive):
+        calls.append(alive == whole)
+        return real(Y, alive)
+
+    monkeypatch.setattr(clp, "_contraction", counting)
+    note = "acyclic but neither core nor greedy collapse reach a point"
+    stuck = TriStateResult("unknown", note=note)
+    assert is_homotopically_trivial_poset(X) == stuck
+    assert calls.count(True) == 1
+    calls.clear()
+    verdicts = cylinders._subspace_verdicts(X, whole)
+    assert verdicts["triviality"] == stuck and verdicts["collapsibility"].verdict == "unknown"
+    assert calls.count(True) == 1
 
 
 def test_shadow_report_dunce_hat():

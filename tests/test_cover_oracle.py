@@ -134,16 +134,27 @@ def test_index_sets_and_intersections_match_oracle():
 
 def test_classification_matches_oracle():
     """Classified twice per cover, the second time from the verdicts the
-    first kept; many covers list several index sets with one mask."""
+    first kept; many covers list several index sets with one mask.  Each
+    record's intersection, built only on request, is the oracle's."""
     shared = 0
     for cov in all_covers():
         masks = [m for _, m in _index_sets(cov, 20, True) if m]
         shared += len(set(masks)) < len(masks)
         for only in (False, True):
-            assert classify_cover(cov, nerve_simplices_only=only) == slow_classify_cover(
-                cov, nerve_simplices_only=only
-            )
+            cls = classify_cover(cov, nerve_simplices_only=only)
+            assert cls == slow_classify_cover(cov, nerve_simplices_only=only)
+        for r in cls.records:
+            assert cov.intersection(r.index_set) == slow_intersection(cov, r.index_set)
     assert shared >= 20
+
+
+def assert_class_intersections_match(cov, classes):
+    """Every index set of a reduced-nerve class meets in the oracle's
+    intersection of the class's first set, which Cover.intersection builds."""
+    for Js in classes.values():
+        first = slow_intersection(cov, Js[0])
+        assert cov.intersection(Js[0]) == first
+        assert all(slow_intersection(cov, J) == first for J in Js[1:])
 
 
 def test_nerves_match_oracle():
@@ -156,7 +167,7 @@ def test_nerves_match_oracle():
         assert rn.poset == slow.poset
         assert list(rn.poset.elements) == list(slow.poset.elements)
         assert rn.classes == slow.classes
-        assert rn.intersections == slow.intersections
+        assert_class_intersections_match(cov, rn.classes)
 
 
 def test_n_zero_matches_oracle():
@@ -182,11 +193,8 @@ def test_star_cover_of_sd_boundary_of_3_simplex_matches_oracle():
     assert len(cov.members) == 14
     assert nerve(cov) == slow_nerve(cov)
     rn, slow = reduced_nerve(cov), slow_reduced_nerve(cov)
-    assert (rn.poset, rn.classes, rn.intersections) == (
-        slow.poset,
-        slow.classes,
-        slow.intersections,
-    )
+    assert (rn.poset, rn.classes) == (slow.poset, slow.classes)
+    assert_class_intersections_match(cov, rn.classes)
 
 
 @pytest.mark.parametrize("cov", [circle_arc_cover(), finite_circle_cover()])

@@ -300,7 +300,7 @@ def test_index_sets_sharing_a_mask_share_one_search(searches):
     apex = parent.index().id_of[("a",)]
     assert searches[-1] == (apex,)
     shared = [r for r in cls.records if len(r.index_set) > 1]
-    assert all(r.object == SimplicialComplex([["a"]]) for r in shared)
+    assert all(cov.intersection(r.index_set) == SimplicialComplex([["a"]]) for r in shared)
     assert all(r.collapsibility is shared[0].collapsibility for r in shared)
     assert cls.strong_good == "yes"
 
@@ -429,25 +429,80 @@ def test_reduced_nerve_is_built_once_per_cover(monkeypatch):
     assert len(built) == 2
 
 
-def test_star_cover_nerve_builds_in_proportion_to_its_classes(monkeypatch):
-    """14 members, 2^14 index sets: the nerve and the reduced nerve build one
-    complex for the nerve and at most one per reduced-nerve class."""
-    cov = star_cover(sd_boundary(3))
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """Every SimplicialComplex constructed while the test runs."""
+    seen = []
     init = SimplicialComplex.__init__
 
     def counting(self, facets):
-        built.append(self)
+        seen.append(self)
         init(self, facets)
 
     monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    return seen
+
+
+def _fresh(cov: Cover) -> Cover:
+    """An equal cover, with none of the nerves or verdicts kept with cov."""
+    return Cover(cov.kind, cov.parent, cov.members)
+
+
+def test_star_cover_nerve_builds_one_complex(built):
+    """14 members, 2^14 index sets: the nerve and the reduced nerve build one
+    complex between them, the nerve; a reduced-nerve class is a mask."""
+    cov = star_cover(sd_boundary(3))
+    built.clear()
     N = nerve(cov)
     rn = reduced_nerve(cov)
     assert len(cov.members) == 14
     assert len(N.all_simplices()) == 830 and N.euler_characteristic() == 2
     assert len(rn.poset) == len(rn.classes) == 136
-    assert len(built) <= 1 + len(rn.classes)
+    assert len(built) == 1 and built[0] is N
 
+
+def test_classification_builds_no_complex(built):
+    """Every intersection is decided, and a stuck one's homology computed,
+    on the simplex ids of its mask in the parent's index."""
+    D = dunce_hat()
+    triangle = SimplicialComplex([min(sorted(f) for f in D.facets)])
+    covs = [generate_strong_good_cover(seed)[1] for seed in range(6)]
+    covs += [star_cover(sd_boundary(3)), Cover("complex", D, (("D", D), ("T", triangle)))]
+    covs = [_fresh(cov) for cov in covs]
+    built.clear()
+    verdicts = [classify_cover(cov) for cov in covs]
+    assert built == []
+    assert [cls.strong_good for cls in verdicts] == ["yes"] * 7 + ["unknown"]
+    assert verdicts[-1].record(["D"]).collapsibility.witness is None
+
+
+def test_more_members_than_the_cap_are_refused():
+    """21 members exceed the subset-enumeration cap in the library, as they
+    do on the command line."""
+    verts = [f"v{i:02d}" for i in range(covers.MAX_MEMBERS + 1)]
+    cov = Cover(
+        "complex",
+        SimplicialComplex([[v] for v in verts]),
+        tuple((v, SimplicialComplex([[v]])) for v in verts),
+    )
+    for call in (nerve, reduced_nerve, classify_cover):
+        with pytest.raises(InvalidCover, match="21 members exceed the subset-enumeration cap 20"):
+            call(cov)
+
+
+def test_s_sigma_flavors_build_no_complex_per_simplex(built):
+    """S_sigma is a list of simplex ids on the index of N0, or of K(reduced
+    N0): the complexes a check builds do not grow with the parent."""
+    for flavor in ("trivial-subnerve-complex", "reduced-complex"):
+        counts = {}
+        for n in (2, 3):
+            cov = star_cover(sd_boundary(n))
+            classify_cover(cov, nerve_simplices_only=True)
+            built.clear()
+            report = check_nerve_theorem(cov, flavor)
+            assert {v["verdict"] for v in report["per_simplex"].values()} == {"yes"}
+            counts[cov.parent.num_simplices()] = len(built)
+        assert counts == {12: 1, 74: 1}  # N0, or K(reduced N0)
 
 
 def test_subnerve_complex_check_builds_n0_once(monkeypatch):

@@ -14,6 +14,7 @@ from finspace.fixtures import dunce_hat, projective_plane
 from finspace.generators import generate_complex, generate_poset
 from finspace.homology import (
     _coreduce,
+    _homology,
     _dense_snf,
     betti_numbers_gf2,
     boundary_matrices,
@@ -30,6 +31,7 @@ from helpers import (
     dense_boundary_matrices,
     full_snf_homology,
     homology_oracle,
+    polygon_arc_cover,
     rank_fraction_free,
     sd_boundary,
     sparse,
@@ -278,7 +280,7 @@ def test_coreduced_homology_matches_both_oracles():
 def test_coreduction_leaves_one_cell_of_the_subdivided_six_sphere():
     # a last-in first-out queue leaves 22,053 of the 47,292 simplices
     index = sd_boundary(6).index()
-    ids, extra = _coreduce(index)
+    ids, extra = _coreduce(index, range(len(index.simplices)))
     assert len(index.simplices) == 47292
     assert (len(ids), extra) == (1, 0)
     assert len(index.simplices[ids[0]]) == 6  # the class of H~5
@@ -287,9 +289,10 @@ def test_coreduction_leaves_one_cell_of_the_subdivided_six_sphere():
 def test_coreduction_counts_the_components_beyond_the_first():
     point = SimplicialComplex([["p"]])
     K = _disjoint_union([point, projective_plane(), point, point])
-    assert _coreduce(K.index())[1] == 3
+    assert _coreduce(K.index(), range(K.num_simplices()))[1] == 3
     for K in [*_disjoint_unions(), *_homology_families()]:
-        assert _coreduce(K.index())[1] == homology_oracle(K).unreduced_betti0() - 1
+        extra = _coreduce(K.index(), range(K.num_simplices()))[1]
+        assert extra == homology_oracle(K).unreduced_betti0() - 1
 
 
 def test_betti_oracles_agree():
@@ -324,3 +327,43 @@ def test_homology_equal():
 def test_empty_complex_raises():
     with pytest.raises(EmptyComplex):
         reduced_homology(SimplicialComplex([]))
+
+
+def _subcomplexes():
+    """(parent, subcomplex) pairs: seeded facet subsets and skeletons of
+    random complexes, disconnected arc sub-unions, RP^2 next to a triangle, the dunce hat and
+    one of its triangles, and a single vertex."""
+    for seed in range(40):
+        K = generate_complex(seed)
+        rng = random.Random(f"subcomplex:{seed}")
+        facets = sorted(sorted(f) for f in K.facets)
+        yield K, SimplicialComplex(rng.sample(facets, rng.randint(1, len(facets))))
+        if K.dim() > 0:
+            yield K, SimplicialComplex(K.all_simplices(K.dim() - 1))  # a skeleton
+    arcs = polygon_arc_cover(12, [0, 3, 6, 9])
+    for J in (["A0", "A2"], ["A1", "A3"], ["A0", "A1", "A2"], ["A0", "A1", "A2", "A3"]):
+        yield arcs.parent, arcs.subunion(J)
+    P = _disjoint_union([projective_plane(), solid_simplex(["a", "b", "c"])])
+    rp2 = SimplicialComplex(f for f in P.facets if not any(v.startswith("1.") for v in f))
+    yield from ((P, P), (P, rp2), (P, solid_simplex(["1.a", "1.b", "1.c"])))
+    D = dunce_hat()
+    yield from ((D, D), (D, SimplicialComplex([min(sorted(f) for f in D.facets)])))
+    yield D, SimplicialComplex([[min(D.vertices)]])
+
+
+def test_homology_of_ids_matches_the_built_subcomplex():
+    """The homology of a subcomplex's ids in its parent's index is that of
+    the subcomplex built as a complex of its own."""
+    results, lower = [], 0
+    for parent, sub in _subcomplexes():
+        index = parent.index()
+        ids = sorted(index.id_of[s] for s in sub.all_simplices())
+        hom = _homology(index, ids)
+        assert hom == reduced_homology(sub) == full_snf_homology(sub), sorted(sub.facets)
+        results.append(hom)
+        lower += sub.dim() < parent.dim()
+    assert sum(1 for h in results if h.betti[0]) >= 3  # disconnected ones
+    assert sum(1 for h in results if h.torsion[1:2] == ((2,),)) == 2  # RP^2, alone or not
+    assert lower >= 40  # read in the subcomplex's own dimensions
+    with pytest.raises(EmptyComplex):
+        _homology(dunce_hat().index(), [])

@@ -6,7 +6,7 @@ import pytest
 from finspace import persistence
 from finspace.collapse import collapses_to_vertices
 from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary
-from finspace.covers import Cover, nerve
+from finspace.covers import Cover, classify_cover, nerve
 from finspace.errors import InvalidCover, NotAChain, UnknownMember
 from finspace.fixtures import (
     circle_arc_cover,
@@ -15,7 +15,7 @@ from finspace.fixtures import (
     projective_plane,
 )
 from finspace.generators import generate_good_space_cover, generate_strong_good_cover
-from finspace.homology import _betti_gf2, betti_numbers_gf2
+from finspace.homology import _betti_gf2, betti_numbers_gf2, reduced_homology
 from finspace.persistence import check_truncation_theorem, persistence_over_chain
 from finspace.posets import _ids
 
@@ -226,14 +226,43 @@ def test_cone_cover_part2_computes_no_homology(homology_calls):
         assert homology_calls == [cov.parent, nerve(cov)]
 
 
-def test_arc_cover_part2_computes_only_the_circle(homology_calls):
-    cov = polygon_arc_cover(12, [0, 3, 6, 9])
+def check_part2(monkeypatch, cov):
+    """The truncation report of cov, the complexes its check builds and the
+    simplex ids it computes homology on past part 1.  The nerve and the
+    classification, kept with the cover, are made first.  Each failure
+    witness must be the homology of its sub-union, built here only."""
+    classify_cover(cov, nerve_simplices_only=True)
+    nerve(cov)
+    built, homology = [], []
+    init, real = SimplicialComplex.__init__, persistence._homology
+
+    def building(self, facets):
+        built.append(self)
+        init(self, facets)
+
+    def counting(index, ids):
+        homology.append(list(ids))
+        return real(index, ids)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", building)
+    monkeypatch.setattr(persistence, "_homology", counting)
     report = check_truncation_theorem(cov)
+    monkeypatch.undo()
+    for failure in report["part2_failures"]:
+        K_J = cov.subunion(failure["index_set"])
+        assert failure["homology"] == reduced_homology(K_J).summary()
+    return report, built, homology
+
+
+def test_arc_cover_part2_computes_only_the_circle(monkeypatch):
+    cov = polygon_arc_cover(12, [0, 3, 6, 9])
+    report, built, homology = check_part2(monkeypatch, cov)
     # opposite arcs are disjoint: their sub-unions are disconnected
     assert cov.intersection_is_empty(["A0", "A2"]) and cov.intersection_is_empty(["A1", "A3"])
     assert report["subsets_checked"] == 15
     assert [f["index_set"] for f in report["part2_failures"]] == [["A0", "A1", "A2", "A3"]]
-    assert homology_calls[2:] == [cov.parent]
+    assert built == []
+    assert homology == [list(range(cov.parent.num_simplices()))]
     assert report == slow_check_truncation_theorem(cov)
 
 
@@ -248,25 +277,26 @@ def test_disconnected_subunion_collapses_to_its_components():
     assert collapses_to_vertices(parent, ids)
 
 
-def test_dunce_hat_subunion_falls_back_to_homology(homology_calls):
+def test_dunce_hat_subunion_falls_back_to_homology(monkeypatch):
     D = dunce_hat()
     triangle = SimplicialComplex([min(sorted(f) for f in D.facets)])
     cov = Cover("complex", D, (("D", D), ("T", triangle)))
-    report = check_truncation_theorem(cov)
+    report, built, homology = check_part2(monkeypatch, cov)
     assert report["part2_subunions_acyclic"]
     assert not report["part2_failures"]
     # K_D and K_{D,T} are both the dunce hat: one homology computation
-    assert homology_calls[2:] == [D]
+    assert built == []
+    assert homology == [list(range(D.num_simplices()))]
 
 
-def test_projective_plane_subunion_still_fails(homology_calls):
+def test_projective_plane_subunion_still_fails(monkeypatch):
     P = projective_plane()
     triangle = SimplicialComplex([min(sorted(f) for f in P.facets)])
     cov = Cover("complex", P, (("P", P), ("T", triangle)))
-    report = check_truncation_theorem(cov)
+    report, built, homology = check_part2(monkeypatch, cov)
     assert not report["part2_subunions_acyclic"]
     assert [f["index_set"] for f in report["part2_failures"]] == [["P"], ["P", "T"]]
     assert report["part2_failures"][0]["homology"]["degrees"][1]["torsion"] == [2]
     assert report == slow_check_truncation_theorem(cov)
-    assert homology_calls[2:] == [P]
-
+    assert built == []
+    assert homology == [list(range(P.num_simplices()))]

@@ -108,6 +108,15 @@ def test_tracer_finds_every_listed_function():
     assert not missing, f"untraced LAYERS entries: {missing}"
 
 
+def test_every_export_resolves_once():
+    """Each name in finspace.__all__ is bound on the package and listed
+    once, so deleting a function cannot leave a dangling export."""
+    finspace = importlib.import_module("finspace")
+    names = finspace.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(finspace, n)] == []
+
+
 def test_tier1_workflow_runs_the_full_suite_after_the_tests():
     """The end-to-end suite runs in full mode; a failed check exits non-zero."""
     yaml = pytest.importorskip("yaml")
