@@ -195,29 +195,28 @@ def _cylinder_spec_from_doc(doc: dict) -> CylinderSpec:
 
 
 def _write_certificate(report: dict, out: str | None) -> dict:
-    """Move certificates out of a report into a file, leaving a reference."""
-    def strip(node):
+    """Move certificates out of a report into a file, leaving a reference.
+
+    A single certificate is written as it is; several, as one JSON object
+    keyed by the report path of the entry holding each (``"factor/collapse"``).
+    """
+    certs = {}
+
+    def strip(node, path):
+        if isinstance(node, CollapseCertificate):
+            certs["/".join(path[:-1])] = node
+            return None
         if isinstance(node, dict):
-            return {
-                k: (None if isinstance(v, CollapseCertificate) else strip(v))
-                for k, v in node.items()
-            }
+            return {k: strip(v, path + (k,)) for k, v in node.items()}
         return node
 
-    certs = []
-
-    def collect(node):
-        if isinstance(node, dict):
-            for v in node.values():
-                collect(v)
-        elif isinstance(node, CollapseCertificate):
-            certs.append(node)
-
-    collect(report)
-    stripped = strip(report)
+    stripped = strip(report, ())
     if out and certs:
         with open(out, "w") as fh:
-            fh.write(certs[0].to_json())
+            if len(certs) == 1:
+                fh.write(next(iter(certs.values())).to_json())
+            else:
+                json.dump({p: json.loads(c.to_json()) for p, c in certs.items()}, fh)
         stripped["certificate_file"] = out
     return stripped
 

@@ -7,16 +7,15 @@ non-Hausdorff nerve is its face poset; the reduced nerve identifies index
 sets with literally equal intersections and orders the distinct
 intersections by reverse inclusion.
 
-Constructing a cover turns each member into an int bitmask, over the
-parent's simplex ids for a complex and over element positions for a finite
-space, and validates the cover on those masks.  An intersection is an AND
-of masks, and every containment question the checkers ask (does the
-intersection over an index set, a member or a reduced-nerve class hold this
-point or simplex) is one bit test.  A complex intersection is classified as
-the simplex ids of its mask on the parent's index, and each S_sigma as the
-ids, on the index of N0 or of K(reduced N0), of the simplices whose
-vertices all hold sigma; each point's I_x is a mask over N0.  Only
-``Cover.intersection`` builds an intersection as an object of its own.
+Each member is an int bitmask over the parent's simplex ids (a complex) or
+element positions (a finite space); an intersection is an AND of masks.
+The nerve's index sets and their masks are enumerated once per cover into
+one nerve table, which the nerves, classification and every checker read.
+``FLAVORS`` gives each nerve-theorem flavor its cover kind, verdict mode
+and nerve object.  One inversion pass over masks gives every point's I_x
+(a mask over N0) and every simplex's S_sigma (the ids, on the index of N0
+or of K(reduced N0), of the simplices whose vertices all hold sigma).
+Only ``Cover.intersection`` builds an intersection as an object of its own.
 
 Classification verdicts are three-valued and Unknown intersections are
 never silently treated as trivial or collapsible: the N0 constructions
@@ -28,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
 from operator import and_, or_
 
 from . import collapse as clp
@@ -55,16 +53,14 @@ class Cover:
     """Named subobjects covering a complex or a finite space.
 
     For ``kind == "complex"`` members map names to subcomplexes; for posets,
-    to downward closed element sets.
-
-    Construction builds and validates, in one pass, one int bitmask per
-    member: for a complex, the member's facets looked up in the parent's
-    simplex index and closed downward through its faces; for a finite space,
-    the member's element positions.  The members cover the parent when the
-    OR of their masks is full.  ``_masks`` is the cover's only record of
-    what each member contains; the nerve, the reduced nerve and the
-    classification verdicts per intersection mask are built on first use
-    and kept in ``_memo``.  Neither takes part in equality or hashing.
+    to downward closed element sets.  Construction builds and validates one
+    int bitmask per member, ``_masks``, the cover's only record of what each
+    member contains: for a complex, the member's facets looked up in the
+    parent's simplex index and closed downward; for a finite space, its
+    element positions.  The members cover the parent when the OR of the
+    masks is full.  The nerve table, the nerves and the verdicts per
+    intersection mask are built on first use and kept in ``_memo``.  Neither
+    takes part in equality or hashing.
     """
 
     kind: str
@@ -234,20 +230,34 @@ def _index_sets(cover: Cover, max_subsets: int, nerve_simplices_only: bool):
         ]
 
 
-def nerve(cover: Cover) -> SimplicialComplex:
-    """N(U): simplices are index sets with non-empty intersection.
+def _nerve_table(cover: Cover, cap: int = MAX_MEMBERS) -> dict[tuple[str, ...], int]:
+    """The nerve's index sets with their intersection masks, in
+    ``_index_sets`` order: the one enumeration per cover that every nerve
+    construction and check reads."""
+    table = cover._memo.get("nerve_table")
+    if table is None or len(cover.members) > cap:  # the enumeration refuses the latter
+        table = cover._memo["nerve_table"] = dict(_index_sets(cover, cap, True))
+    return table
 
-    Built once per cover from its maximal index sets.
-    """
+
+def _id_masks(cover: Cover, ids) -> list[int]:
+    """The nerve table's masks of the index sets with the given simplex ids,
+    the elements naming them in the (reduced) non-Hausdorff nerve."""
+    by_id = {simplex_id(J): m for J, m in _nerve_table(cover).items()}
+    return [by_id[i] for i in ids]
+
+
+def nerve(cover: Cover) -> SimplicialComplex:
+    """N(U): simplices are index sets with non-empty intersection.  Built
+    once per cover from the maximal index sets of its nerve table."""
     N = cover._memo.get("nerve")
     if N is None:
         masks = cover._masks
-        N = SimplicialComplex(
+        N = cover._memo["nerve"] = SimplicialComplex(
             J
-            for J, m in _index_sets(cover, MAX_MEMBERS, nerve_simplices_only=True)
+            for J, m in _nerve_table(cover).items()
             if not any(m & masks[n] for n in masks if n not in J)
         )
-        cover._memo["nerve"] = N
     return N
 
 
@@ -258,12 +268,9 @@ def non_hausdorff_nerve(cover: Cover) -> FinitePoset:
 
 @dataclass(frozen=True)
 class ReducedNerve:
-    """Distinct non-empty intersections ordered by reverse inclusion.
-
-    Equal intersections are identified; each class is named by the simplex id
-    of its smallest index set.  ``classes`` maps that id to all index sets in
-    the class.
-    """
+    """Distinct non-empty intersections ordered by reverse inclusion.  Equal
+    intersections are identified; each class is named by the simplex id of
+    its smallest index set, which ``classes`` maps to all the class's sets."""
 
     poset: FinitePoset
     classes: dict[str, tuple[tuple[str, ...], ...]]
@@ -275,7 +282,7 @@ def reduced_nerve(cover: Cover) -> ReducedNerve:
     if rn is not None:
         return rn
     groups: dict[int, list[tuple[str, ...]]] = {}
-    for J, m in _index_sets(cover, MAX_MEMBERS, nerve_simplices_only=True):
+    for J, m in _nerve_table(cover).items():
         groups.setdefault(m, []).append(J)
     # index sets arrive in (size, lexicographic) order: each class's first is its smallest
     reps = {m: simplex_id(Js[0]) for m, Js in groups.items()}
@@ -331,8 +338,12 @@ def classify_cover(
     ``triviality_from_collapse``).
     """
     known = cover._memo.setdefault(("verdicts", restarts, seed), {})
+    if nerve_simplices_only:
+        index_sets = _nerve_table(cover, max_subsets).items()
+    else:
+        index_sets = _index_sets(cover, max_subsets, nerve_simplices_only=False)
     records = []
-    for J, mask in _index_sets(cover, max_subsets, nerve_simplices_only):
+    for J, mask in index_sets:
         if not mask:
             records.append(IntersectionRecord(J, True, None, None))
             continue
@@ -351,11 +362,9 @@ def _classify_intersection(
     cover: Cover, mask: int, restarts: int, seed: int
 ) -> tuple[clp.TriStateResult, clp.TriStateResult]:
     """The triviality and collapsibility of the non-empty intersection with
-    the given mask, decided on the parent's masks: a complex intersection
-    as the simplex ids of the mask on the parent's index, with the homology
-    of those ids when every schedule gets stuck; a space intersection as the
-    subspace mask of the parent, with a subposet built only for the
-    homology of a stuck search."""
+    the given mask: the simplex ids of the mask on the parent's index, or
+    the parent's subspace mask, with a subposet built only for the homology
+    of a stuck search on a finite space."""
     X = cover.parent
     if cover.kind == COMPLEX:
         collapsibility = clp._free_face_verdict(X.index(), _ids(mask), None, restarts, seed)
@@ -367,12 +376,9 @@ def _classify_intersection(
 
 @dataclass(frozen=True)
 class NZeroResult:
-    """N0: the sub-nerve of verified intersections.
-
-    ``poset`` is the induced subposet of the (reduced) non-Hausdorff nerve on
-    index sets whose verdict is Yes under the chosen mode; Unknowns are
-    excluded and listed, never treated as verified.
-    """
+    """N0: the induced subposet of the (reduced) non-Hausdorff nerve on the
+    index sets whose verdict is Yes under the chosen mode.  Unknowns are
+    excluded and listed, never treated as verified."""
 
     poset: FinitePoset
     included: tuple[tuple[str, ...], ...]
@@ -380,8 +386,11 @@ class NZeroResult:
 
 
 def _verdicts(cover: Cover, mode: str, classification, restarts: int = 8, seed: int = 0):
-    """Each non-empty index set's verdict under mode, and the sorted index
-    sets whose verdict is Unknown."""
+    """Each non-empty index set's verdict under mode, in size order, and the
+    sorted index sets whose verdict is Unknown.  Every N0 construction
+    checks its mode here."""
+    if mode not in ("trivial", "collapsible"):
+        raise MalformedSpec(f"mode must be trivial or collapsible, got {mode!r}")
     cls = classification or classify_cover(
         cover, nerve_simplices_only=True, restarts=restarts, seed=seed
     )
@@ -393,22 +402,26 @@ def _verdicts(cover: Cover, mode: str, classification, restarts: int = 8, seed: 
     return verdict_of, tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
 
 
-def _masks_by_id(cover: Cover) -> dict[str, int]:
-    """The mask of every nerve index set, keyed by the set's simplex id: the
-    element naming it in the non-Hausdorff nerve and, for the smallest set
-    of a class, in the reduced nerve.  Built once per cover."""
-    masks = cover._memo.get("masks_by_id")
-    if masks is None:
-        masks = cover._memo["masks_by_id"] = {
-            simplex_id(J): m for J, m in _index_sets(cover, MAX_MEMBERS, nerve_simplices_only=True)
-        }
-    return masks
+def _holders(masks, size: int) -> list[list[int]]:
+    """For each of size positions, the ascending indices of the masks holding it."""
+    holders: list[list[int]] = [[] for _ in range(size)]
+    for k, m in enumerate(masks):
+        for i in _ids(m):
+            holders[i].append(k)
+    return holders
 
 
-def _holding(masks: dict, keys, i: int) -> set:
-    """The keys whose mask holds position i: a point's position in the
-    covered space, or a simplex id in the covered complex's index."""
-    return {k for k in keys if masks[k] >> i & 1}
+def _i_x_masks(cover: Cover, P: FinitePoset) -> list[int]:
+    """I_x for every point x of the covered space, by x's position: the mask
+    over P (N0 or reduced N0) of the elements whose intersection holds x."""
+    return [_bits(ks) for ks in _holders(_id_masks(cover, P.elements), len(cover.parent))]
+
+
+def _s_sigma_ids(cover: Cover, L: SimplicialComplex, vertex_masks: dict) -> list[list[int]]:
+    """S_sigma for every simplex sigma of the covered complex, by sigma's id:
+    the ascending ids of L's simplices whose vertices' masks all hold sigma."""
+    masks = [reduce(and_, map(vertex_masks.__getitem__, t)) for t in L.index().simplices]
+    return _holders(masks, len(cover.parent.index().simplices))
 
 
 def _height(P: FinitePoset, mask: int) -> int:
@@ -429,20 +442,15 @@ def n_zero_subspace(
     restarts: int = 8,
     seed: int = 0,
 ) -> NZeroResult:
-    if mode not in ("trivial", "collapsible"):
-        raise MalformedSpec(f"mode must be trivial or collapsible, got {mode!r}")
     verdict_of, excluded = _verdicts(cover, mode, classification, restarts, seed)
     included = tuple(sorted(J for J, v in verdict_of.items() if v == "yes"))
     if reduced:
         rn = reduced_nerve(cover)
-        yes = set(included)
         poset = rn.poset.restrict(
-            rep for rep, Js in rn.classes.items() if any(J in yes for J in Js)
+            rep for rep, Js in rn.classes.items() if any(verdict_of[J] == "yes" for J in Js)
         )
     else:
-        chi = non_hausdorff_nerve(cover)
-        keep = {simplex_id(J) for J in included}
-        poset = chi.restrict(keep & set(chi.elements))
+        poset = non_hausdorff_nerve(cover).restrict(simplex_id(J) for J in included)
     return NZeroResult(poset, included, excluded)
 
 
@@ -461,7 +469,7 @@ def containing_intersections(
         raise UnknownElement(f"{x!r} is not a point of the covered space")
     n0 = n0 or n_zero_subspace(cover, mode=mode, reduced=reduced, classification=classification)
     P = n0.poset
-    return P.restrict(_holding(_masks_by_id(cover), P.elements, cover.parent._at(x)))
+    return P.restrict(P._members(_i_x_masks(cover, P)[cover.parent._at(x)]))
 
 
 def n_zero_complex(
@@ -471,22 +479,16 @@ def n_zero_complex(
 ) -> tuple[SimplicialComplex, tuple[tuple[str, ...], ...]]:
     """Subcomplex of the nerve on verified index sets, with the excluded list.
 
-    Only index sets all of whose non-empty subsets are also verified are kept,
-    so the result is honestly downward closed.
+    Walking the index sets in size order, a verified set is kept when all
+    its codimension-1 faces were kept, that is when all its non-empty
+    subsets are verified, so the result is honestly downward closed.
     """
     verdict_of, excluded = _verdicts(cover, mode, classification)
-    ok = {J for J, v in verdict_of.items() if v == "yes"}
-    closed = [
-        J
-        for J in ok
-        if all(
-            tuple(sub) in ok
-            for k in range(1, len(J))
-            for sub in combinations(J, k)
-            if tuple(sub) in verdict_of
-        )
-    ]
-    return SimplicialComplex(closed), excluded
+    kept: set[tuple[str, ...]] = set()
+    for J, v in verdict_of.items():
+        if v == "yes" and (len(J) == 1 or all(J[:k] + J[k + 1:] in kept for k in range(len(J)))):
+            kept.add(J)
+    return SimplicialComplex(kept), excluded
 
 
 def chains_containing(
@@ -504,24 +506,26 @@ def chains_containing(
     if i is None:
         raise UnknownSimplex(f"{sorted(s)} is not a simplex of the parent")
     n0, _ = n_zero_complex(cover, mode=mode, classification=classification)
-    return n0.full_subcomplex(_holding(cover._masks, n0.vertices, i))
+    simplices = n0.index().simplices
+    return SimplicialComplex(simplices[j] for j in _s_sigma_ids(cover, n0, cover._masks)[i])
 
 
 # ---------------------------------------------------------------------------
 # nerve-theorem checkers
 # ---------------------------------------------------------------------------
 
-FLAVORS = (
-    "good-complex",
-    "strong-good-complex",
-    "good-space",
-    "strong-good-space",
-    "trivial-subnerve-space",
-    "collapsible-subnerve-space",
-    "trivial-subnerve-complex",
-    "reduced-space",
-    "reduced-complex",
-)
+# flavor: (the cover kind it applies to, None for both; verdict mode; nerve object)
+FLAVORS = {
+    "good-complex": (None, "trivial", "nerve"),
+    "strong-good-complex": (None, "collapsible", "nerve"),
+    "good-space": (None, "trivial", "nerve"),
+    "strong-good-space": (None, "collapsible", "nerve"),
+    "trivial-subnerve-space": (POSET, "trivial", "N0"),
+    "collapsible-subnerve-space": (POSET, "collapsible", "N0"),
+    "trivial-subnerve-complex": (COMPLEX, "trivial", "N0"),
+    "reduced-space": (POSET, "collapsible", "reduced N0"),
+    "reduced-complex": (COMPLEX, "collapsible", "reduced N0"),
+}
 
 
 def check_nerve_theorem(
@@ -538,30 +542,28 @@ def check_nerve_theorem(
     homotopy equivalence itself is not decided.
     """
     if flavor not in FLAVORS:
-        raise MalformedSpec(f"unknown flavor {flavor!r}; choose from {FLAVORS}")
+        raise MalformedSpec(f"unknown flavor {flavor!r}; choose from {tuple(FLAVORS)}")
+    kind, mode, nerve_object = FLAVORS[flavor]
     cls = classify_cover(cover, nerve_simplices_only=True, restarts=restarts, seed=seed)
     report: dict = {"flavor": flavor}
-    mode = "collapsible" if ("strong" in flavor or "collapsible" in flavor or "reduced" in flavor) else "trivial"
 
     X = cover.parent
     # L is the nerve object as a complex
-    if flavor in ("good-complex", "strong-good-complex", "good-space", "strong-good-space"):
+    if nerve_object == "nerve":
         report["hypothesis_verdict"] = cls.strong_good if mode == "collapsible" else cls.good
         L = nerve(cover) if cover.kind == COMPLEX else order_complex(non_hausdorff_nerve(cover))
     else:
-        space = flavor.endswith("-space")
-        if cover.kind != (POSET if space else COMPLEX):
+        space, reduced = kind == POSET, nerve_object == "reduced N0"
+        if cover.kind != kind:
             raise InvalidCover(
                 f"{flavor} applies to covers of {'finite spaces' if space else 'complexes'}"
             )
-        reduced = flavor.startswith("reduced")
-        if flavor == "trivial-subnerve-complex":
-            L, excluded = n_zero_complex(cover, mode=mode, classification=cls)
-            vertex_masks = cover._masks
-        else:
+        if space or reduced:
             n0 = n_zero_subspace(cover, mode=mode, reduced=reduced, classification=cls)
-            excluded, P, by_id = n0.excluded_unknown, n0.poset, _masks_by_id(cover)
-            L, vertex_masks = order_complex(P), by_id  # K(P), built once
+            excluded, P = n0.excluded_unknown, n0.poset
+            L = order_complex(P)  # K(P), built once
+        else:
+            L, excluded = n_zero_complex(cover, mode=mode, classification=cls)
         if reduced:
             bound = "height" if space else "dim"
             cap = X.height() if space else X.dim()
@@ -571,18 +573,17 @@ def check_nerve_theorem(
         bounds_ok = True
         if space:  # I_x per point x, a mask over N0
             decide = clp._triviality if mode == "trivial" else clp._weak_collapse
-            for i, x in enumerate(X.elements):
-                ix = P._mask(_holding(by_id, P.elements, i))
+            for x, ix in zip(X.elements, _i_x_masks(cover, P)):
                 if not ix:
                     per_element[x] = clp.TriStateResult("no", note="I_x is empty")
                     continue
                 per_element[x] = decide(P, ix)
                 bounds_ok &= not reduced or _height(P, ix) <= cap - X.height_of(x)
         else:  # S_sigma per simplex sigma, as simplex ids of L's index
-            index = L.index()
-            for i, s in enumerate(X.all_simplices()):
-                holding = _holding(vertex_masks, L.vertices, i)
-                ids = [j for j, t in enumerate(index.simplices) if holding.issuperset(t)]
+            index, vertex_masks = L.index(), cover._masks
+            if reduced:
+                vertex_masks = dict(zip(L.vertices, _id_masks(cover, L.vertices)))
+            for s, ids in zip(X.all_simplices(), _s_sigma_ids(cover, L, vertex_masks)):
                 if not ids:
                     per_element[simplex_id(s)] = clp.TriStateResult("no", note="S_sigma is empty")
                     continue
@@ -605,9 +606,7 @@ def check_nerve_theorem(
             verdicts + ["unknown"] * len(excluded)
         )
         if L.is_empty():
-            raise InvalidCover(
-                f"{'reduced N0' if reduced else 'N0'} is empty; no verified intersections"
-            )
+            raise InvalidCover(f"{nerve_object} is empty; no verified intersections")
         if reduced:
             report["assumption"] = REDUCED_NERVE_ASSUMPTION
 

@@ -13,7 +13,7 @@ import random
 
 from .collapse import _contraction
 from .complexes import SimplicialComplex, cone
-from .covers import MAX_MEMBERS, Cover, _index_sets, classify_cover
+from .covers import Cover, _nerve_table, classify_cover
 from .cylinders import RIGHT, Relation, graph_relation
 from .errors import GenerationExhausted
 from .posets import FinitePoset, build_poset
@@ -160,7 +160,7 @@ def generate_good_space_cover(seed: int) -> tuple[FinitePoset, Cover]:
             continue
         members = tuple((f"U{i + 1}", X.down_set(x)) for i, x in enumerate(maxima))
         cover = Cover("poset", X, members)
-        masks = (m for _, m in _index_sets(cover, MAX_MEMBERS, nerve_simplices_only=True))
+        masks = _nerve_table(cover).values()
         if all(_contraction(X, m) is not None for m in masks):
             return X, cover
     raise GenerationExhausted(f"no good space cover within 60 attempts for seed {seed}")

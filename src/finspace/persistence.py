@@ -149,8 +149,9 @@ def check_truncation_theorem(
     and torsion).  Part 2: every sub-union K_J is acyclic in positive
     degrees; a K_J that collapses to isolated vertices passes without a
     homology computation.  Index sets are enumerated exhaustively up to
-    ``max_enum`` members; beyond that, nerve simplices plus a seeded random
-    sample, with the cap recorded in the report.
+    ``max_enum`` members; beyond that, nerve facets plus a seeded random
+    sample, up to ``sample_size`` sets or all 2^n - 1 of them when there
+    are fewer, with the cap recorded in the report.
     """
     if cover.kind != "complex":
         raise InvalidCover("the truncation checker needs a cover of a complex")
@@ -166,7 +167,7 @@ def check_truncation_theorem(
     else:
         rng = random.Random(seed)
         subsets = {tuple(sorted(f)) for f in N.facets}
-        while len(subsets) < sample_size:
+        while len(subsets) < min(sample_size, 2 ** len(names) - 1):
             k = rng.randint(1, len(names))
             subsets.add(tuple(sorted(rng.sample(names, k))))
         subsets = sorted(subsets)

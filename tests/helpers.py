@@ -578,6 +578,60 @@ def slow_n_zero_subspace(cover, mode, reduced, classification) -> NZeroResult:
     return NZeroResult(poset, included, excluded)
 
 
+def slow_n_zero_complex(cover, mode, classification):
+    """N0 as a complex: a verified index set is kept when every non-empty
+    proper subset of it that is a nerve set is verified too."""
+    verdict_of = {}
+    for r in classification.records:
+        if not r.empty:
+            verdict_of[r.index_set] = (r.triviality if mode == "trivial" else r.collapsibility).verdict
+    ok = {J for J, v in verdict_of.items() if v == "yes"}
+    closed = [
+        J
+        for J in ok
+        if all(
+            sub in ok
+            for k in range(1, len(J))
+            for sub in combinations(J, k)
+            if sub in verdict_of
+        )
+    ]
+    excluded = tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
+    return SimplicialComplex(closed), excluded
+
+
+# The checkers read I_x and S_sigma off one inversion of masks
+# (``covers._holders``).  Below is the scan it replaced: per parent position,
+# the keys whose mask holds it, and every simplex of L tested against them.
+
+
+def holding(masks: dict, keys, i: int) -> set:
+    """The keys whose mask holds position i: a point's position in the
+    covered space, or a simplex id in the covered complex's index."""
+    return {k for k in keys if masks[k] >> i & 1}
+
+
+def slow_id_masks(cover) -> dict:
+    """The intersection mask of every nerve index set, by its simplex id."""
+    return {simplex_id(J): cover._mask(J) for J in slow_index_sets(cover, 20, True)}
+
+
+def slow_i_x_masks(cover, P: FinitePoset) -> list[int]:
+    """I_x of every point of the covered space, as a mask over P."""
+    by_id = slow_id_masks(cover)
+    return [P._mask(holding(by_id, P.elements, i)) for i in range(len(cover.parent))]
+
+
+def slow_s_sigma_ids(cover, L: SimplicialComplex, vertex_masks: dict) -> list[list[int]]:
+    """S_sigma of every simplex of the covered complex, as ids on L's index."""
+    index = L.index()
+    out = []
+    for i in range(len(cover.parent.index().simplices)):
+        held = holding(vertex_masks, L.vertices, i)
+        out.append([j for j, t in enumerate(index.simplices) if held.issuperset(t)])
+    return out
+
+
 def slow_subunion(cover, names) -> SimplicialComplex:
     out = SimplicialComplex([])
     for n in sorted(set(names)):
@@ -597,7 +651,7 @@ def slow_check_truncation_theorem(
     else:
         rng = random.Random(seed)
         subsets = {tuple(sorted(f)) for f in slow_nerve(cover).facets}
-        while len(subsets) < sample_size:
+        while len(subsets) < min(sample_size, 2 ** len(names) - 1):
             k = rng.randint(1, len(names))
             subsets.add(tuple(sorted(rng.sample(names, k))))
         subsets = sorted(subsets)

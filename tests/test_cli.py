@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from finspace.cli import build_parser, main
-from finspace.collapse import greedy_collapse_complex
+from finspace.cli import _cylinder_spec_from_doc, build_parser, main
+from finspace.collapse import CollapseCertificate, greedy_collapse_complex, replay_space_certificate
+from finspace.cylinders import compose_relations, relation_cylinder, tag
 from finspace.fixtures import (
     circle_arc_cover,
     dunce_hat,
@@ -14,6 +15,7 @@ from finspace.fixtures import (
     two_triangles,
     worked_example_spec,
 )
+from finspace.generators import generate_composite_instance
 
 
 @pytest.fixture
@@ -206,6 +208,41 @@ def test_collapse_certificate_written_to_file(paths, capsys, tmp_path):
     assert cert_path.exists()
     steps = json.loads(cert_path.read_text())["steps"]
     assert len(steps) == 5
+
+
+def test_intermediate_out_writes_both_certificates(capsys, tmp_path):
+    """Both one-sided collapses certify on composite seed 0; the file keys
+    each certificate by its report path, and each replays onto the source
+    copy of its own relation cylinder."""
+    R1, R2 = generate_composite_instance(0)
+    spaces = (("X", R1.source), ("Xm", R1.target), ("Z", R2.target))
+    doc = {
+        "spaces": [
+            {"name": n, "elements": list(X.elements), "relations": sorted(map(list, X.hasse))}
+            for n, X in spaces
+        ],
+        "relations": [
+            {"source": "X", "target": "Xm", "pairs": sorted(map(list, R1.pairs))},
+            {"source": "Xm", "target": "Z", "pairs": sorted(map(list, R2.pairs))},
+        ],
+    }
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    cert_path = tmp_path / "certs.json"
+    code, out = run(
+        capsys, "cylinder", "--in", str(p), "--mode", "intermediate-left", "--out", str(cert_path)
+    )
+    report = json.loads(out)
+    assert code == 0 and report["certificate_file"] == str(cert_path)
+    certs = json.loads(cert_path.read_text())
+    assert sorted(certs) == ["composite/collapse", "factor/collapse"]
+    factor, middle = _cylinder_spec_from_doc(doc).relations
+    for key, R in (("factor", factor), ("composite", compose_relations(factor, middle))):
+        assert report[key]["collapse"]["certificate"] is None
+        cert = CollapseCertificate.from_json(json.dumps(certs[f"{key}/collapse"]))
+        kept = {tag(R.source_name, x) for x in R.source.elements}
+        assert replay_space_certificate(relation_cylinder(R), cert, target=kept)
+    assert [len(certs[k]["steps"]) for k in sorted(certs)] == [4, 7]
 
 
 _POSET = {"elements": ["a", "b"], "relations": [["a", "b"]]}

@@ -1,7 +1,8 @@
 """The mask-based cover layer against the code it replaced (tests/helpers.py).
 
-Index-set order, intersections, classifications, nerves, reduced nerves, N0
-and truncation reports must be equal on every family below.
+Index-set order, intersections, classifications, nerves, reduced nerves, N0,
+the checkers' I_x and S_sigma, and truncation reports must be equal on every
+family below.
 """
 
 from __future__ import annotations
@@ -10,11 +11,14 @@ import random
 
 import pytest
 
-from finspace.complexes import SimplicialComplex, simplex_boundary
+from finspace import covers
+from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary
 from finspace.covers import (
+    COMPLEX,
     Cover,
     _index_sets,
     classify_cover,
+    n_zero_complex,
     n_zero_subspace,
     nerve,
     non_hausdorff_nerve,
@@ -41,12 +45,16 @@ from helpers import (
     sd_boundary,
     slow_check_truncation_theorem,
     slow_classify_cover,
+    slow_i_x_masks,
+    slow_id_masks,
     slow_index_sets,
     slow_intersection,
     slow_intersection_is_empty,
+    slow_n_zero_complex,
     slow_n_zero_subspace,
     slow_nerve,
     slow_reduced_nerve,
+    slow_s_sigma_ids,
     slow_subunion,
     star_cover,
 )
@@ -178,6 +186,31 @@ def test_n_zero_matches_oracle():
                 assert n_zero_subspace(
                     cov, mode=mode, reduced=reduced, classification=cls
                 ) == slow_n_zero_subspace(cov, mode, reduced, cls)
+
+
+def test_n_zero_complex_matches_the_subset_closure():
+    for cov in complex_covers():
+        cls = slow_classify_cover(cov, nerve_simplices_only=True)
+        for mode in ("trivial", "collapsible"):
+            expected = slow_n_zero_complex(cov, mode, cls)
+            assert n_zero_complex(cov, mode=mode, classification=cls) == expected
+
+
+def test_inverted_i_x_and_s_sigma_match_the_scan():
+    """Per parent position, the inversion's I_x masks over N0 and reduced N0,
+    and its S_sigma ids on N0 and K(reduced N0), equal the per-key scan."""
+    larger = [star_cover(sd_boundary(3))]
+    larger += [generate_good_space_cover(seed)[1] for seed in range(3, 6)]
+    for cov in all_covers() + larger:
+        if cov.kind == COMPLEX:
+            n0, _ = n_zero_complex(cov)
+            K = order_complex(n_zero_subspace(cov, mode="collapsible", reduced=True).poset)
+            for L, masks in ((n0, cov._masks), (K, slow_id_masks(cov))):
+                assert covers._s_sigma_ids(cov, L, masks) == slow_s_sigma_ids(cov, L, masks)
+        else:
+            for mode, reduced in (("trivial", False), ("collapsible", False), ("collapsible", True)):
+                P = n_zero_subspace(cov, mode=mode, reduced=reduced).poset
+                assert covers._i_x_masks(cov, P) == slow_i_x_masks(cov, P)
 
 
 def test_truncation_reports_match_oracle():

@@ -547,6 +547,43 @@ def test_i_x_verdicts_match_the_restricted_subposets():
                 assert report["per_point"][x] == expected
 
 
+def test_an_unknown_mode_is_refused_by_every_n0_construction():
+    """n_zero_complex and chains_containing once read any mode other than
+    "trivial" as collapsible."""
+    cov, space = two_triangle_cover(), finite_circle_cover()
+    for call in (
+        lambda: n_zero_complex(cov, mode="bogus"),
+        lambda: chains_containing(cov, ("v0", "v2"), mode="bogus"),
+        lambda: n_zero_subspace(space, mode="bogus"),
+        lambda: containing_intersections(space, "x2", mode="bogus"),
+    ):
+        with pytest.raises(MalformedSpec, match="mode must be trivial or collapsible, got 'bogus'"):
+            call()
+
+
+def test_index_sets_are_enumerated_once_per_cover(monkeypatch):
+    """The nerve, the reduced nerve, nerve-mode classification and every
+    applicable nerve-theorem check read one nerve table."""
+    calls = []
+    enumerate_sets = covers._index_sets
+
+    def counting(cov, *args, **kwargs):
+        calls.append(cov)
+        return enumerate_sets(cov, *args, **kwargs)
+
+    fresh = [_fresh(star_cover(sd_boundary(2))), _fresh(generate_good_space_cover(3)[1])]
+    monkeypatch.setattr(covers, "_index_sets", counting)
+    for cov in fresh:
+        calls.clear()
+        nerve(cov)
+        reduced_nerve(cov)
+        classify_cover(cov, nerve_simplices_only=True)
+        for flavor, (kind, _, _) in covers.FLAVORS.items():
+            if kind in (None, cov.kind):
+                check_nerve_theorem(cov, flavor)
+        assert calls == [cov]
+
+
 def test_space_nerve_checks_restrict_only_to_build_n0(monkeypatch):
     # one more restrict per point when each I_x was a subposet
     calls = []

@@ -1,4 +1,4 @@
-"""Pinned digest of every nerve-theorem report on fixed and seeded covers.
+"""Pinned digests of every nerve-theorem report on fixed and seeded covers.
 
 Each flavor runs on each cover; a flavor that does not apply to a cover's
 kind, or whose N0 is empty, records the exception type and message instead.
@@ -18,6 +18,8 @@ from finspace.generators import generate_good_space_cover, generate_strong_good_
 from helpers import sd_boundary, star_cover
 
 PINNED = "e1515d85e3ade995d3bc09700742be444a018298556f1e427d7ee36a1f0500a2"
+# the larger inputs: the 14-member star cover of sd ∂Δ³ and good-space seeds 3-5
+PINNED_LARGE = "d4c3c46f221bb4dfd3f8179df11f64b2b11b6406eee6f4dc013b858261600488"
 
 
 def _covers():
@@ -31,9 +33,15 @@ def _covers():
         yield generate_good_space_cover(seed)[1]
 
 
-def _reports():
+def _large_covers():
+    yield star_cover(sd_boundary(3))
+    for seed in range(3, 6):
+        yield generate_good_space_cover(seed)[1]
+
+
+def _reports(covers):
     out = []
-    for cover in _covers():
+    for cover in covers:
         for flavor in FLAVORS:
             try:
                 out.append(check_nerve_theorem(cover, flavor))
@@ -42,6 +50,13 @@ def _reports():
     return out
 
 
+def _digest(covers) -> str:
+    return hashlib.sha256(json.dumps(_reports(covers)).encode()).hexdigest()
+
+
 def test_nerve_theorem_reports_are_pinned():
-    digest = hashlib.sha256(json.dumps(_reports()).encode()).hexdigest()
-    assert digest == PINNED
+    assert _digest(_covers()) == PINNED
+
+
+def test_nerve_theorem_reports_on_larger_covers_are_pinned():
+    assert _digest(_large_covers()) == PINNED_LARGE

@@ -199,6 +199,16 @@ def test_truncation_sampling_label_beyond_cap():
     assert report["part2_subunions_acyclic"]
 
 
+def test_truncation_sample_is_capped_by_the_index_sets_there_are():
+    """Three arcs give 7 non-empty index sets, fewer than the default sample
+    of 64: the sample takes all 7 and stops, with the sampled label."""
+    cov = circle_arc_cover()
+    report = check_truncation_theorem(cov, max_enum=1)
+    assert report["enumeration"] == "sampled (cap 1 exceeded, seed 0)"
+    assert report["subsets_checked"] == 7
+    assert report == slow_check_truncation_theorem(cov, max_enum=1)
+
+
 # -- part 2 by collapse, homology only where the collapse gets stuck ---------
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import json
@@ -126,3 +127,30 @@ def test_tier1_workflow_runs_the_full_suite_after_the_tests():
     tier1 = next(i for i, r in enumerate(runs) if "python -m pytest" in r)
     suite = [i for i, r in enumerate(runs) if "finspace suite --mode full" in r]
     assert len(suite) == 1 and suite[0] > tier1
+
+
+def _readme_flavor_table() -> dict:
+    """flavor -> (cover kind or None for "either", mode, nerve object), from
+    the README's table of nerve-theorem flavors."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| flavor | cover kind | mode | nerve object |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        flavor, kind, mode, nerve_object = (cell.strip() for cell in line.strip("|").split("|"))
+        table[flavor.strip("`")] = (None if kind == "either" else kind, mode, nerve_object)
+    return table
+
+
+def test_flavors_agree_across_readme_library_and_parser():
+    """The README lists covers.FLAVORS, rows in order, and `verify` offers
+    exactly those flavors plus the three other checks."""
+    flavors = importlib.import_module("finspace.covers").FLAVORS
+    assert list(_readme_flavor_table().items()) == list(flavors.items())
+    parser = importlib.import_module("finspace.cli").build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verify = commands.choices["verify"]
+    choices = next(a.choices for a in verify._actions if a.dest == "flavor")
+    assert choices == list(flavors) + ["truncation", "replay-complex", "replay-space"]
