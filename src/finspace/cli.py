@@ -279,13 +279,15 @@ def cmd_cylinder(args) -> int:
             if len(rels) != 2:
                 raise MalformedSpec("intermediate checks need exactly two relations")
             report = check_intermediate(rels[0], rels[1], args.mode.split("-")[1])
+            checks = [report["factor"], report["composite"]]
         else:
             R = rels[0] if len(rels) == 1 else compose_relations(rels[0], rels[1])
             check = check_collapse_left if args.mode == "check-left" else check_collapse_right
             report = check(R)
+            checks = [report]
         _emit(_write_certificate(report, args.out))
-        verdict = report.get("collapse", {}).get("verdict", report.get("verdict"))
-        return 0 if verdict in ("yes", "not-attempted") else 1
+        # a hypothesis that does not hold is reported; only a failed collapse is a mismatch
+        return 1 if any(c["collapse"]["verdict"] == "failed" for c in checks) else 0
     B = multiple_cylinder(spec)
     _emit({"cylinder": B, "height": B.height()})
     return 0
@@ -361,7 +363,8 @@ def cmd_verify(args) -> int:
     doc = _load(args.infile)
     if args.flavor == "truncation":
         cover = _cover_from_doc(doc)
-        report = check_truncation_theorem(cover, seed=args.seed)
+        cls = classify_cover(cover, nerve_simplices_only=True, restarts=args.restarts, seed=args.seed)
+        report = check_truncation_theorem(cover, seed=args.seed, classification=cls)
         report["seed"] = args.seed
         _emit(report)
         implied = report["strong_good"] == "yes" and not report["has_empty_intersections"]

@@ -42,7 +42,13 @@ from .errors import (
     MalformedSpec,
     TargetNotInduced,
 )
-from .homology import HomologyResult, _homology, homology_of_poset, reduced_homology
+from .homology import (
+    HomologyResult,
+    _homology,
+    homology_equal,
+    homology_of_poset,
+    reduced_homology,
+)
 from .posets import FinitePoset, _ids
 
 DOWN_BEAT = "down-beat"
@@ -102,6 +108,8 @@ class TriStateResult:
         # empty subobjects carry a note instead of a homology witness
         if self.verdict == "no" and self.witness is None and not self.note:
             raise InvariantViolation("a no verdict needs a homology witness or a note")
+        if self.verdict == "no" and self.witness is not None and self.witness.is_trivial():
+            raise InvariantViolation("a no verdict cannot rest on trivial homology")
 
     def is_yes(self) -> bool:
         return self.verdict == "yes"
@@ -281,7 +289,7 @@ def _stuck(homology, whole, target, note: str) -> TriStateResult:
             return no(hom, "non-trivial reduced homology")
     else:
         target_hom = homology(target)
-        if hom.summary() != target_hom.summary():
+        if not homology_equal(hom, target_hom):
             witness = hom if not hom.is_trivial() else target_hom
             return no(witness, "homology differs from target")
     return unknown(note)

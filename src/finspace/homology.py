@@ -16,13 +16,15 @@ codimension-1 faces among the remaining (d-1)-simplices, signed by the
 sorted-vertex orientation; ``boundary_matrices`` builds the same rows for
 every simplex.  These rows form the transpose of the boundary matrix,
 which has the same rank and invariant factors.  ``smith_normal_form``
-takes them as they are (arbitrary-precision Python ints, so no overflow),
-eliminates unit (±1) pivots, then runs the dense minimal-pivot
-elimination ``_dense_snf`` only on the residual block, where any torsion
-lives (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).  Betti
-numbers over the binary field come from the same ids' face lists packed as
-bitmasks.  Smith normal form of the whole boundary, the dense boundary
-builder and the fraction-free rank live in the tests, as oracles.
+takes them as they are (arbitrary-precision Python ints, so no overflow)
+and runs one sparse elimination that always pivots on an entry of least
+absolute value: a unit (±1) pivot drops out at once with its row and
+column, and a larger one gives way to its smaller remainders until it
+divides what is left of its row and column, where any torsion lives.
+Betti numbers over the binary field come from the same ids' face lists
+packed as bitmasks.  Smith normal form of the whole boundary, the dense
+boundary builder, the dense minimal-pivot elimination ``_dense_snf`` and
+the fraction-free rank live in the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 
 from .complexes import SimplexIndex, SimplicialComplex, order_complex
 from .errors import EmptyComplex, EmptySpace
@@ -133,39 +136,51 @@ def _coreduce(index: SimplexIndex, ids: Sequence[int]) -> tuple[list[int], int]:
 def smith_normal_form(M: Sequence[Mapping[int, int]]) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... and the rank of a sparse integer matrix.
 
-    Each row of M maps column indices to values; M is not modified.  Unit
-    pivots are eliminated first: each step takes the shortest row holding a
-    ±1 entry (a lazy heap on row length, lowest row index on ties) and,
-    within it, the ±1 entry whose column has the fewest entries (lowest
-    column index on ties).  A unit pivot contributes the factor 1 and its
-    row and column drop out.  Whatever is left, where any torsion lives,
-    goes to the dense ``_dense_snf``.
+    Each row of M maps column indices to values; M is not modified.  Each
+    step pivots on an entry of least absolute value in the whole matrix: the
+    shortest row holding one (a lazy heap on (least value, length, row
+    index), pushed again whenever a row changes), and within it the column
+    with the fewest entries (lowest column index on ties).  Row operations
+    reduce the pivot's column to remainders.  If none is left, column
+    operations, which then change the pivot's row alone, reduce its row.  A
+    pivot with no remainder left in its row or column is a diagonal entry
+    and drops out with both; a unit (±1) pivot always does.  Otherwise a
+    remainder smaller than the pivot is the next pivot, so the loop ends by
+    Euclid's argument.  The diagonal entries above 1 are brought to a
+    divisibility chain by replacing pairs with their gcd and lcm.
     """
     rows = [{j: v for j, v in row.items() if v} for row in M]
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heap = [(_least(row), len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
     units = 0
+    factors: list[int] = []
     while heap:
-        length, r = heapq.heappop(heap)
+        least, length, r = heapq.heappop(heap)
         row = rows[r]
         if length != len(row):
-            continue  # stale entry: the row changed or was eliminated
-        candidates = [j for j, v in row.items() if v == 1 or v == -1]
+            continue  # stale entry: the row changed or dropped out
+        # every live row's current key is in the heap, so an entry that
+        # still finds its value in the row holds the least in the matrix
+        candidates = [j for j, v in row.items() if v == least or v == -least]
         if not candidates:
-            continue  # pushed again if a later elimination changes it
+            continue  # stale entry: the row changed
         c = min(candidates, key=lambda j: (len(cols[j]), j))
         p = row.pop(c)
         below = cols.pop(c)
         below.discard(r)
+        kept = set()  # rows left holding a remainder in column c
         for i in below:
             target = rows[i]
-            f = target.pop(c) * p  # p is ±1, its own inverse
+            q, rest = divmod(target.pop(c), p)
+            if rest:
+                target[c] = rest
+                kept.add(i)
             for j, v in row.items():
-                w = target.get(j, 0) - f * v
+                w = target.get(j, 0) - q * v
                 if w:
                     if j not in target:
                         cols[j].add(i)
@@ -174,94 +189,42 @@ def smith_normal_form(M: Sequence[Mapping[int, int]]) -> tuple[list[int], int]:
                     del target[j]
                     cols[j].discard(i)
             if target:
-                heapq.heappush(heap, (len(target), i))
-        for j in row:
-            cols[j].discard(r)
-        rows[r] = {}
-        units += 1
-    live = [row for row in rows if row]
-    used = sorted({j for row in live for j in row})
-    factors, rank = _dense_snf([[row.get(j, 0) for j in used] for row in live])
-    return [1] * units + factors, units + rank
-
-
-def _dense_snf(M: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """Smith normal form by repeated minimal-pivot elimination on a dense copy."""
-    A = [list(row) for row in M]
-    n = len(A)
-    m = len(A[0]) if n else 0
-    factors: list[int] = []
-    t = 0
-    while True:
-        # find a pivot of minimal absolute value in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                v = A[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        A[t], A[i] = A[i], A[t]
-        for row in A:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            p = A[t][t]
-            done = True
-            for i in range(t + 1, n):
-                if A[i][t]:
-                    q = A[i][t] // p
-                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                    done = done and A[i][t] == 0
-            for j in range(t + 1, m):
-                if A[t][j]:
-                    q = A[t][j] // p
-                    for row in A:
-                        row[j] -= q * row[t]
-                    done = done and A[t][j] == 0
-            if done:
-                break
-            # remainder smaller than |p| moved into the block; reselect
-            best_ij = min(
-                ((i, j) for i in range(t, n) for j in range(t, m) if A[i][j]),
-                key=lambda ij: abs(A[ij[0]][ij[1]]),
-            )
-            i, j = best_ij
-            A[t], A[i] = A[i], A[t]
-            for row in A:
-                row[t], row[j] = row[j], row[t]
-        # enforce divisibility of later entries by the pivot
-        p = abs(A[t][t])
-        bad = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if A[i][j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            A[t] = [a + b for a, b in zip(A[t], A[bad])]
-            continue  # redo this pivot with the merged row
-        factors.append(p)
-        t += 1
-    # normalize divisibility chain (pivoting by minimal value already gives it,
-    # but the merge path above can land slightly out of order)
+                heapq.heappush(heap, (_least(target), len(target), i))
+        if kept:  # a remainder in column c is the next, smaller pivot
+            row[c] = p
+            kept.add(r)
+            cols[c] = kept
+        else:
+            # column c holds the pivot alone, so column operations by it
+            # change row r alone: its entries go to their remainders mod p,
+            # which are all 0 for a unit
+            left = {j: w for j, v in row.items() if (w := v % p)} if least > 1 else {}
+            for j in row:
+                if j not in left:
+                    cols[j].discard(r)
+            if not left:
+                rows[r] = {}
+                if least == 1:
+                    units += 1
+                else:
+                    factors.append(least)
+                continue
+            row = rows[r] = left
+            row[c] = p
+            cols[c] = {r}
+        heapq.heappush(heap, (_least(row), len(row), r))
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             a, b = factors[i], factors[j]
-            g = _gcd(a, b)
+            g = gcd(a, b)
             factors[i], factors[j] = g, a * b // g
-    return factors, len(factors)
+    return [1] * units + factors, units + len(factors)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _least(row: Mapping[int, int]) -> int:
+    """Least absolute value among the (nonzero) entries of a sparse row."""
+    values = row.values()
+    return 1 if 1 in values or -1 in values else min(map(abs, values))
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

@@ -10,8 +10,9 @@ reference for the worklist peel, the string-set cylinder checkers after it
 mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, homology on every sub-union) the
 reference for the mask-based one, the dense chain complex after that
-(dense boundary matrices, fraction-free and dense GF(2) ranks, persistence
-over rebuilt sub-unions) the reference for the sparse rows, Smith normal
+(dense boundary matrices, fraction-free and dense GF(2) ranks, dense Smith
+normal form, persistence over rebuilt sub-unions) the reference for the
+sparse rows and the sparse Smith normal form elimination, Smith normal
 form on every simplex's boundary row the reference for homology after
 coreduction, and the
 string-set poset at the end (frozenset reachability, cubic reduction,
@@ -22,7 +23,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Sequence
 from itertools import combinations
+from math import gcd
 
 from finspace import collapse as clp
 from finspace.collapse import (
@@ -51,7 +54,6 @@ from finspace.cylinders import Relation, relation_cylinder, tag
 from finspace.errors import CycleDetected
 from finspace.homology import (
     HomologyResult,
-    _dense_snf,
     _reduced_betti,
     boundary_matrices,
     homology_equal,
@@ -693,9 +695,10 @@ def slow_check_truncation_theorem(
 # The library reads sparse boundary rows off the simplex index and reduces
 # persistence on the parent's index.  Below are the paths it replaced: dense
 # row-major boundary matrices over tuple-keyed bases, a fraction-free rank,
-# a dense GF(2) rank, and a persistence reduction over an index rebuilt from
-# the sub-unions' simplices.  Homology from them uses the dense ``_dense_snf``
-# only, never the sparse elimination.  Homology with the sparse elimination
+# a dense GF(2) rank, a dense minimal-pivot Smith normal form and a
+# persistence reduction over an index rebuilt from the sub-unions' simplices.
+# Homology from them uses the dense ``_dense_snf`` only, never the sparse
+# elimination.  Homology with the sparse elimination
 # on every row, before the library coreduced the complex first, is kept too.
 
 
@@ -772,6 +775,79 @@ def dense_rank_gf2(M) -> int:
         rows = [r ^ piv if r & low else r for r in rows]
         rows = [r for r in rows if r]
     return rank
+
+
+def _dense_snf(M: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Smith normal form by repeated minimal-pivot elimination on a dense copy."""
+    A = [list(row) for row in M]
+    n = len(A)
+    m = len(A[0]) if n else 0
+    factors: list[int] = []
+    t = 0
+    while True:
+        # find a pivot of minimal absolute value in the remaining block
+        pivot = None
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                v = A[i][j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        A[t], A[i] = A[i], A[t]
+        for row in A:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            p = A[t][t]
+            done = True
+            for i in range(t + 1, n):
+                if A[i][t]:
+                    q = A[i][t] // p
+                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
+                    done = done and A[i][t] == 0
+            for j in range(t + 1, m):
+                if A[t][j]:
+                    q = A[t][j] // p
+                    for row in A:
+                        row[j] -= q * row[t]
+                    done = done and A[t][j] == 0
+            if done:
+                break
+            # remainder smaller than |p| moved into the block; reselect
+            best_ij = min(
+                ((i, j) for i in range(t, n) for j in range(t, m) if A[i][j]),
+                key=lambda ij: abs(A[ij[0]][ij[1]]),
+            )
+            i, j = best_ij
+            A[t], A[i] = A[i], A[t]
+            for row in A:
+                row[t], row[j] = row[j], row[t]
+        # enforce divisibility of later entries by the pivot
+        p = abs(A[t][t])
+        bad = None
+        for i in range(t + 1, n):
+            for j in range(t + 1, m):
+                if A[i][j] % p:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+            continue  # redo this pivot with the merged row
+        factors.append(p)
+        t += 1
+    # normalize divisibility chain (pivoting by minimal value already gives it,
+    # but the merge path above can land slightly out of order)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = gcd(a, b)
+            factors[i], factors[j] = g, a * b // g
+    return factors, len(factors)
 
 
 def _dense_per_boundary(K, fn, default):

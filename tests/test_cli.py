@@ -5,9 +5,10 @@ import re
 
 import pytest
 
+from finspace import cli
 from finspace.cli import _cylinder_spec_from_doc, build_parser, main
 from finspace.collapse import CollapseCertificate, greedy_collapse_complex, replay_space_certificate
-from finspace.cylinders import compose_relations, relation_cylinder, tag
+from finspace.cylinders import Relation, compose_relations, relation_cylinder, tag
 from finspace.fixtures import (
     circle_arc_cover,
     dunce_hat,
@@ -16,6 +17,7 @@ from finspace.fixtures import (
     worked_example_spec,
 )
 from finspace.generators import generate_composite_instance
+from finspace.posets import build_poset
 
 
 @pytest.fixture
@@ -141,6 +143,23 @@ def test_verify_truncation_exit_zero(paths, capsys):
     assert not doc["part2_subunions_acyclic"]
 
 
+def test_verify_truncation_classifies_with_the_given_restarts_and_seed(
+    paths, capsys, monkeypatch
+):
+    seen = []
+    real = cli.classify_cover
+
+    def recording(cover, **kwargs):
+        seen.append(kwargs)
+        return real(cover, **kwargs)
+
+    monkeypatch.setattr(cli, "classify_cover", recording)
+    argv = ["verify", "truncation", "--in", str(paths["cover"]), "--restarts", "3", "--seed", "5"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["seed"] == 5
+    assert seen == [{"nerve_simplices_only": True, "restarts": 3, "seed": 5}]
+
+
 def test_verify_nerve_flavor(paths, capsys):
     code, out = run(capsys, "verify", "good-complex", "--in", str(paths["cover"]))
     doc = json.loads(out)
@@ -210,11 +229,8 @@ def test_collapse_certificate_written_to_file(paths, capsys, tmp_path):
     assert len(steps) == 5
 
 
-def test_intermediate_out_writes_both_certificates(capsys, tmp_path):
-    """Both one-sided collapses certify on composite seed 0; the file keys
-    each certificate by its report path, and each replays onto the source
-    copy of its own relation cylinder."""
-    R1, R2 = generate_composite_instance(0)
+def _two_relations(tmp_path, R1, R2):
+    """A cylinder spec file for X -R1-> Xm -R2-> Z, and its document."""
     spaces = (("X", R1.source), ("Xm", R1.target), ("Z", R2.target))
     doc = {
         "spaces": [
@@ -228,6 +244,14 @@ def test_intermediate_out_writes_both_certificates(capsys, tmp_path):
     }
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(doc))
+    return p, doc
+
+
+def test_intermediate_out_writes_both_certificates(capsys, tmp_path):
+    """Both one-sided collapses certify on composite seed 0; the file keys
+    each certificate by its report path, and each replays onto the source
+    copy of its own relation cylinder."""
+    p, doc = _two_relations(tmp_path, *generate_composite_instance(0))
     cert_path = tmp_path / "certs.json"
     code, out = run(
         capsys, "cylinder", "--in", str(p), "--mode", "intermediate-left", "--out", str(cert_path)
@@ -243,6 +267,46 @@ def test_intermediate_out_writes_both_certificates(capsys, tmp_path):
         kept = {tag(R.source_name, x) for x in R.source.elements}
         assert replay_space_certificate(relation_cylinder(R), cert, target=kept)
     assert [len(certs[k]["steps"]) for k in sorted(certs)] == [4, 7]
+
+
+def test_intermediate_exit_code_follows_the_collapses_alone(capsys, tmp_path):
+    """A hypothesis that does not hold is reported, not a mismatch: on
+    composite seed 0 neither right-hand hypothesis holds and no collapse is
+    attempted, so intermediate-right exits 0, as check-right does."""
+    p, _ = _two_relations(tmp_path, *generate_composite_instance(0))
+    code, out = run(capsys, "cylinder", "--in", str(p), "--mode", "intermediate-right")
+    report = json.loads(out)
+    assert report["verdict"] == "no" and code == 0
+    assert [report[k]["collapse"]["verdict"] for k in ("factor", "composite")] == [
+        "not-attempted",
+        "not-attempted",
+    ]
+    assert run(capsys, "cylinder", "--in", str(p), "--mode", "check-right")[0] == 0
+
+
+def test_intermediate_right_out_writes_both_certificates(capsys, tmp_path):
+    """Identity relations X -> Xm -> Z on the poset a < b, a < c: both
+    right-hand collapses certify and each certificate replays onto the target
+    copy of its own relation cylinder."""
+    X = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    identity = frozenset((x, x) for x in X.elements)
+    R1 = Relation(X, X, identity, source_name="X", target_name="Xm")
+    R2 = Relation(X, X, identity, source_name="Xm", target_name="Z")
+    p, doc = _two_relations(tmp_path, R1, R2)
+    cert_path = tmp_path / "certs.json"
+    code, out = run(
+        capsys, "cylinder", "--in", str(p), "--mode", "intermediate-right", "--out", str(cert_path)
+    )
+    report = json.loads(out)
+    assert code == 0 and report["certificate_file"] == str(cert_path)
+    certs = json.loads(cert_path.read_text())
+    assert sorted(certs) == ["composite/collapse", "factor/collapse"]
+    first, factor = _cylinder_spec_from_doc(doc).relations
+    for key, R in (("factor", factor), ("composite", compose_relations(first, factor))):
+        assert report[key]["collapse"]["verdict"] == "yes"
+        cert = CollapseCertificate.from_json(json.dumps(certs[f"{key}/collapse"]))
+        kept = {tag(R.target_name, z) for z in R.target.elements}
+        assert replay_space_certificate(relation_cylinder(R), cert, target=kept)
 
 
 _POSET = {"elements": ["a", "b"], "relations": [["a", "b"]]}

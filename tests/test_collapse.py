@@ -26,7 +26,7 @@ from finspace.collapse import (
     weak_points,
 )
 from finspace.complexes import simplex_boundary, solid_simplex
-from finspace.errors import EmptySpace, MalformedSpec
+from finspace.errors import EmptySpace, InvariantViolation, MalformedSpec
 from finspace.fixtures import dunce_hat, finite_circle, two_triangles
 from finspace.generators import generate_poset
 from finspace.posets import antichain, build_poset, chain
@@ -151,6 +151,21 @@ def test_dunce_hat_unknown():
     assert free_faces(K) == []
     res = greedy_collapse_complex(K)
     assert res.verdict == "unknown"
+
+
+def test_a_stuck_search_onto_an_acyclic_target_of_lower_dimension_is_unknown():
+    """The dunce hat and a vertex or an edge are all acyclic, though their
+    homology is listed up to different dimensions: no No."""
+    K = dunce_hat()
+    X = K.face_poset()
+    res = greedy_collapse_space(X, target=["v1"])
+    assert res.verdict == "unknown" and res.witness is None
+    res = greedy_collapse_complex(K, target=solid_simplex(["v1", "v2"]))
+    assert res.verdict == "unknown" and res.witness is None
+    acyclic = clp.reduced_homology(K)
+    assert acyclic.is_trivial()
+    with pytest.raises(InvariantViolation):
+        TriStateResult("no", witness=acyclic, note="homology differs from target")
 
 
 def test_the_whole_set_is_contracted_once(monkeypatch):

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from finspace import homology
 from finspace.complexes import (
     SimplicialComplex,
     cone,
@@ -15,7 +17,6 @@ from finspace.generators import generate_complex, generate_poset
 from finspace.homology import (
     _coreduce,
     _homology,
-    _dense_snf,
     betti_numbers_gf2,
     boundary_matrices,
     homology_equal,
@@ -25,6 +26,7 @@ from finspace.homology import (
 )
 
 from helpers import (
+    _dense_snf,
     betti_numbers_gf2_oracle,
     betti_numbers_oracle,
     boundary_of_boundary,
@@ -59,19 +61,29 @@ def test_snf_rank_matches_fraction_free():
         assert smith_normal_form(sparse(M))[1] == rank_fraction_free(M)
 
 
-def _random_matrix(rng, rows, cols, density):
-    """Integer matrix mixing unit and non-unit entries."""
-    values = (1, -1, 2, -2, 3, -4, 6, 9)
+def _random_matrix(rng, rows, cols, density, entry):
+    """Integer matrix of random density with entries drawn by entry(rng)."""
     return [
-        [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+        [entry(rng) if rng.random() < density else 0 for _ in range(cols)]
         for _ in range(rows)
     ]
 
 
+# (label suffix, largest side, entry): units mixed with small non-units, and
+# large entries, mostly coprime, whose elimination re-pivots through long
+# Euclidean chains of remainders
+FAMILIES = (
+    ("", 7, lambda rng: rng.choice((1, -1, 2, -2, 3, -4, 6, 9))),
+    ("-large", 10, lambda rng: rng.randint(-1000, 1000)),
+)
+
+
 def _random_matrices(label, count):
-    rng = random.Random(label)
-    for _ in range(count):
-        yield _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), rng.random())
+    for suffix, side, entry in FAMILIES:
+        rng = random.Random(label + suffix)
+        for _ in range(count):
+            size = rng.randint(1, side), rng.randint(1, side)
+            yield _random_matrix(rng, *size, rng.random(), entry)
 
 
 def _boundaries(K):
@@ -90,6 +102,16 @@ def test_snf_mixed_unit_and_torsion_blocks():
     # a unit pivot whose elimination leaves the torsion entry 2 behind
     M = [[1, 1, 0], [1, -1, 0], [0, 0, 0]]
     assert smith_normal_form(sparse(M)) == ([1, 2], 2) == _dense_snf(M)
+
+
+def test_snf_chains_only_the_diagonal_above_one(monkeypatch):
+    """Unit pivots drop out uncounted, whatever their row length; only the
+    diagonal entries above 1 meet in the gcd/lcm chain."""
+    calls = []
+    monkeypatch.setattr(homology, "gcd", lambda a, b: calls.append((a, b)) or math.gcd(a, b))
+    M = [[1, 5, 7, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]
+    assert smith_normal_form(sparse(M)) == ([1, 1, 1, 6], 4) == _dense_snf(M)
+    assert calls == [(2, 3)]
 
 
 @pytest.mark.parametrize(
