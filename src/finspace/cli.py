@@ -351,6 +351,9 @@ def cmd_persistence(args) -> int:
     cover = _cover_from_doc(_load(args.infile))
     if args.mode:
         chain = [step.split(",") for step in args.mode.split("<")]
+        for k, names in enumerate(chain, start=1):
+            if "" in names:
+                raise MalformedSpec(f"empty index set at step {k}")
     else:
         names = sorted(cover.names())
         chain = [names[: i + 1] for i in range(len(names))]

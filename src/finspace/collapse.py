@@ -21,16 +21,19 @@ point comparable to it was removed, and the scan never restarts.
 
 Free-face search and replay likewise share one state, ``_Shrinking``: a
 present-mask and coface counts over the complex's simplex index, updated in
-O(dim) per removed pair, so no complex is rebuilt per step.  A subcomplex
-is searched as its simplex ids on its parent's index, and a stuck search
-reads the homology of the same ids.
+O(dim) per removed pair, so no complex is rebuilt per step.  Every search
+runs one loop on ints, ``_collapse_run``, over that state's arrays; it
+records (face id, coface id) pairs, and a certificate is built once, for
+the schedule that succeeded, so a verdict-only caller builds none.  A
+subcomplex is searched as its simplex ids on its parent's index, and a
+stuck search reads the homology of the same ids.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -371,15 +374,16 @@ class _Shrinking:
             self.cosum = [sum(c) for c in index.cofaces]
             self.size = n
             return
-        self.present = [False] * n
-        self.count = [0] * n
-        self.cosum = [0] * n
+        present = self.present = [False] * n
+        count = self.count = [0] * n
+        cosum = self.cosum = [0] * n
         self.size = len(ids)
+        faces = index.faces
         for i in ids:
-            self.present[i] = True
-            for f in index.faces[i]:
-                self.count[f] += 1
-                self.cosum[f] += i
+            present[i] = True
+            for f in faces[i]:
+                count[f] += 1
+                cosum[f] += i
 
     def coface_if_free(self, s: int) -> int | None:
         """The coface of s when s is present, outside keep and free; else None."""
@@ -390,21 +394,18 @@ class _Shrinking:
     def free_ids(self) -> list[int]:
         """The free simplices, ascending; only the starting ids are scanned,
         since they hold every present simplex."""
-        return [s for s in self.start if self.coface_if_free(s) is not None]
+        present, count, keep = self.present, self.count, self.keep
+        return [s for s in self.start if count[s] == 1 and present[s] and s not in keep]
 
-    def remove_pair(self, s: int, t: int) -> list[int]:
-        """Remove the free face s with its coface t.  Returns the simplices
-        whose freeness may have changed, which are the faces of the pair (s
-        among them): no other simplex's coface count moved."""
+    def remove_pair(self, s: int, t: int) -> None:
+        """Remove the free face s with its coface t.  Only the coface counts
+        of the pair's faces move, so only those can change freeness."""
         self.present[s] = self.present[t] = False
         self.size -= 2
-        touched = []
         for gone in (t, s):
             for f in self.index.faces[gone]:
                 self.count[f] -= 1
                 self.cosum[f] -= gone
-                touched.append(f)
-        return touched
 
 
 def free_faces(K: SimplicialComplex) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -420,34 +421,45 @@ def _collapse_run(
     size: int,
     rng: random.Random | None,
     ids: Sequence[int] | None = None,
-) -> CollapseCertificate | None:
+) -> list[tuple[int, int]] | None:
     """One greedy pass down to ``size`` simplices without touching keep,
     starting from the subcomplex ``ids`` (ascending; default: all of the
-    index).
+    index).  Returns the removed (face id, coface id) pairs in order, or
+    None when stuck.
 
     The free faces are kept as a sorted id list, which is the order of
     ``free_faces``: the deterministic pass takes the first, a restart draws
-    from the whole list.  Returns the certificate, or None when stuck.
+    from the whole list.  The loop runs on the arrays of a ``_Shrinking``
+    state and tests freeness inline.  The faces of a coface t and of its
+    free face s have different dimensions, so each face of the pair is
+    updated once and its freeness is final when it is retested.
     """
     state = _Shrinking(index, keep, ids)
+    present, count, cosum, faces = state.present, state.count, state.cosum, index.faces
     free = state.free_ids()
     listed = set(free)
-    steps: list[FreeFacePair] = []
-    while state.size != size:
+    steps: list[tuple[int, int]] = []
+    left = state.size
+    while left != size:
         if not free:
             return None
         s = free[0] if rng is None else rng.choice(free)
-        t = state.cosum[s]
-        steps.append(FreeFacePair(index.simplices[s], index.simplices[t]))
-        for u in state.remove_pair(s, t):
-            if (state.coface_if_free(u) is not None) != (u in listed):
-                if u in listed:
+        t = cosum[s]
+        steps.append((s, t))
+        present[s] = present[t] = False
+        left -= 2
+        for gone in (t, s):
+            for u in faces[gone]:
+                above = count[u] = count[u] - 1
+                cosum[u] -= gone
+                if above == 1 and present[u] and u not in keep:
+                    if u not in listed:
+                        listed.add(u)
+                        insort(free, u)
+                elif u in listed:
                     listed.remove(u)
-                    del free[bisect_left(free, u)]
-                else:
-                    listed.add(u)
-                    insort(free, u)
-    return CollapseCertificate(tuple(steps))
+                    free.remove(u)
+    return steps
 
 
 def collapses_to_vertices(index: SimplexIndex, ids: Sequence[int]) -> bool:
@@ -492,9 +504,12 @@ def _free_face_search(
     check_restarts(restarts)
     for attempt in range(restarts + 1):
         rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
-        cert = _collapse_run(index, keep, size, rng, ids)
-        if cert is not None:
-            return cert
+        steps = _collapse_run(index, keep, size, rng, ids)
+        if steps is not None:
+            simplices = index.simplices
+            return CollapseCertificate(
+                tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in steps)
+            )
     return None
 
 

@@ -193,7 +193,17 @@ class FinitePoset:
 
 
 def _ids(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
+    """Positions of the set bits of mask, ascending.
+
+    Peeling the lowest set bit costs a few big-int operations per set bit,
+    each linear in the length of the mask; a scan of its binary digits costs
+    a step per digit.  The peel runs while the set bits are few: below a
+    quarter of the length for short masks, and fewer as masks grow past
+    about a thousand bits.  Either way the cost stays linear in the length.
+    """
+    length = mask.bit_length()
+    if mask.bit_count() * (length + 1024) > length << 8:
+        return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
     out = []
     while mask:
         low = mask & -mask

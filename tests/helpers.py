@@ -4,7 +4,8 @@ The brute-force ones deliberately avoid the library's own algorithms:
 contractibility is decided by searching every beat-point removal order,
 chains are enumerated from the raw order relation, and transitive closures
 are recomputed from scratch.  The slow collapse engine further down is the
-reference for the indexed one, the rescanning point peel in it the
+reference for the indexed one, the method-call free-face pass in it the
+reference for the inlined loop on ids, the rescanning point peel in it the
 reference for the worklist peel, the string-set cylinder checkers after it
 (pair scans and a subposet per hypothesis set) the reference for the
 mask-based ones, the cover layer after them (pairwise
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left, insort
 from collections.abc import Sequence
 from itertools import combinations
 from math import gcd
@@ -187,6 +189,31 @@ def slow_collapse_run(K, keep, rng):
         face, coface = pairs[0] if rng is None else rng.choice(pairs)
         steps.append(FreeFacePair(face, coface))
         current = slow_without(current, [face, coface])
+
+
+def shrinking_collapse_run(index, keep, size, rng, ids=None):
+    """The free-face pass on ``_Shrinking`` methods, one certificate step
+    built per removal; the certificate, or None when stuck."""
+    state = clp._Shrinking(index, keep, ids)
+    free = state.free_ids()
+    listed = set(free)
+    steps = []
+    while state.size != size:
+        if not free:
+            return None
+        s = free[0] if rng is None else rng.choice(free)
+        t = state.cosum[s]
+        steps.append(FreeFacePair(index.simplices[s], index.simplices[t]))
+        state.remove_pair(s, t)
+        for u in index.faces[t] + index.faces[s]:
+            if (state.coface_if_free(u) is not None) != (u in listed):
+                if u in listed:
+                    listed.remove(u)
+                    del free[bisect_left(free, u)]
+                else:
+                    listed.add(u)
+                    insort(free, u)
+    return CollapseCertificate(tuple(steps))
 
 
 def slow_greedy_collapse_complex(K, target=None, restarts=8, seed=0):
@@ -474,6 +501,19 @@ def polygon_arc_cover(n: int, cuts: list[int]) -> Cover:
         span = (b - a) % n or n
         members.append((f"A{i}", SimplicialComplex(edges[(a + t) % n] for t in range(span))))
     return Cover("complex", SimplicialComplex(edges), tuple(members))
+
+
+def seeded_cone_cover(seed: int, members: int) -> Cover:
+    """Members are cones with the shared apex "a" over three random edges
+    of a six-vertex pool."""
+    rng = random.Random(seed)
+    pool = [f"b{i}" for i in range(6)]
+    cones = [
+        (f"U{i + 1}", SimplicialComplex(rng.sample(pool, 2) + ["a"] for _ in range(3)))
+        for i in range(members)
+    ]
+    parent = SimplicialComplex(f for _, K in cones for f in K.facets)
+    return Cover("complex", parent, tuple(cones))
 
 
 def slow_intersection(cover, names):

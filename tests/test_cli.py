@@ -134,6 +134,16 @@ def test_persistence_command(paths, capsys):
     assert {"degree": 1, "birth": 3, "death": None} in lines
 
 
+@pytest.mark.parametrize(
+    "chain, step", [("U1<<U1,U2", 2), ("U1<U1,U2<", 3), ("U1<U1,U2,", 2), ("<U1", 1)]
+)
+def test_persistence_empty_step_exits_2(paths, capsys, chain, step):
+    code = main(["persistence", "--in", str(paths["cover"]), "--mode", chain])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: empty index set at step {step}\n"
+
+
 def test_verify_truncation_exit_zero(paths, capsys):
     # the circle cover has an empty triple intersection, so part 2's failure
     # is expected rather than a mismatch

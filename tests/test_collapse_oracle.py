@@ -4,7 +4,9 @@ The library searches and replays complexes on a simplex index and spaces on
 a shrinking set of points; ``helpers`` keeps the old engine, which rescans
 and rebuilds at every step.  On seeded families both must give equal
 verdicts, certificates and free-face lists, and their replays must accept
-and reject the same certificates.
+and reject the same certificates.  The free-face loop on ids is also checked
+step for step against the pass on ``_Shrinking`` methods it replaced, and
+searches must build a certificate only for the schedule that succeeds.
 """
 
 import random
@@ -32,6 +34,7 @@ from finspace.collapse import (
     weak_points,
 )
 from finspace.complexes import SimplicialComplex, cone, order_complex, simplex_boundary
+from finspace.covers import Cover, classify_cover
 from finspace.cylinders import (
     _execute_target_removal,
     _hypothesis_masks,
@@ -40,13 +43,22 @@ from finspace.cylinders import (
     relation_cylinder,
 )
 from finspace.fixtures import dunce_hat, projective_plane, two_triangles
-from finspace.generators import generate_complex, generate_composite_instance, generate_poset
-from finspace.posets import FinitePoset
+from finspace.generators import (
+    generate_complex,
+    generate_composite_instance,
+    generate_poset,
+    generate_strong_good_cover,
+)
+from finspace.persistence import check_truncation_theorem
+from finspace.posets import FinitePoset, _ids
 
 from helpers import (
     nerve_relation,
+    polygon_arc_cover,
     rescan_peel,
     sd_boundary,
+    seeded_cone_cover,
+    shrinking_collapse_run,
     slow_collapse_run,
     slow_core,
     slow_execute_target_removal,
@@ -117,9 +129,94 @@ def test_random_schedules_match_oracle():
         base = frozenset(index.id_of[s] for s in K.all_simplices())
         for r in range(3):
             for keep, size, target in ((frozenset(), 1, None), (base, len(base), K)):
-                ours = clp._collapse_run(index, keep, size, random.Random(f"{seed}:{r}"))
+                pairs = clp._collapse_run(index, keep, size, random.Random(f"{seed}:{r}"))
+                ours = None if pairs is None else _certificate(index, pairs)
                 theirs = slow_collapse_run(C, target, random.Random(f"{seed}:{r}"))
                 assert ours == theirs
+
+
+def _certificate(index, pairs) -> CollapseCertificate:
+    simplices = index.simplices
+    return CollapseCertificate(tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in pairs))
+
+
+def _subunion_covers():
+    """Seeded cone covers of 3-8 members, arc covers of 12, 16 and 20-gons,
+    strong-good covers and the dunce hat and RP2 each with a triangle."""
+    for seed in range(6):
+        yield seeded_cone_cover(seed, 3 + seed)
+    for seed, (n, arcs) in enumerate(((12, 4), (16, 6), (20, 8))):
+        yield polygon_arc_cover(n, sorted(random.Random(seed).sample(range(n), arcs)))
+    for seed in range(5):
+        yield generate_strong_good_cover(seed)[1]
+    for K in (dunce_hat(), projective_plane()):
+        triangle = SimplicialComplex([min(sorted(f) for f in K.facets)])
+        yield Cover("complex", K, (("K", K), ("T", triangle)))
+
+
+def test_subunion_passes_match_the_method_call_oracle():
+    """The inlined loop removes the same pairs as the pass on ``_Shrinking``
+    methods, on every distinct sub-union the truncation checker collapses,
+    for the deterministic pass and three seeded restarts."""
+    runs = stuck = 0
+    for seed, cov in enumerate(_subunion_covers()):
+        index = cov.parent.index()
+        names = sorted(cov.names())
+        masks = {
+            cov._union_mask(J)
+            for k in range(1, len(names) + 1)
+            for J in combinations(names, k)
+        }
+        for mask in masks:
+            ids = _ids(mask)
+            chi = sum((-1) ** (len(index.simplices[i]) - 1) for i in ids)
+            for r in (None, 0, 1, 2):
+                rngs = [None if r is None else random.Random(f"{seed}:{r}") for _ in range(2)]
+                pairs = clp._collapse_run(index, frozenset(), chi, rngs[0], ids)
+                theirs = shrinking_collapse_run(index, frozenset(), chi, rngs[1], ids)
+                assert (None if pairs is None else _certificate(index, pairs)) == theirs
+                runs += 1
+                stuck += pairs is None
+    # the families reach both collapses and stuck passes
+    assert runs > 2000 and 0 < stuck < runs
+
+
+@pytest.fixture
+def pairs_built(monkeypatch):
+    """The free-face certificate steps the collapse module constructs."""
+    made = []
+    real = clp.FreeFacePair
+
+    def counting(face, coface):
+        made.append((face, coface))
+        return real(face, coface)
+
+    monkeypatch.setattr(clp, "FreeFacePair", counting)
+    return made
+
+
+def test_truncation_part2_builds_no_certificate(pairs_built):
+    cov = seeded_cone_cover(5, 8)
+    cls = classify_cover(cov, nerve_simplices_only=True)
+    pairs_built.clear()
+    report = check_truncation_theorem(cov, classification=cls)
+    assert report["subsets_checked"] == 255 and report["part2_subunions_acyclic"]
+    assert pairs_built == []
+
+
+def test_searches_build_one_certificate_on_success(pairs_built):
+    for seed, K, C in list(_complexes())[:10]:
+        res = greedy_collapse_complex(C, restarts=8, seed=seed)
+        steps = res.certificate.steps
+        assert pairs_built == [(p.face, p.coface) for p in steps]
+        assert res.certificate == shrinking_collapse_run(C.index(), frozenset(), 1, None)
+        pairs_built.clear()
+    # a dunce hat with a triangle hung on a vertex: every schedule removes
+    # the triangle and gets stuck on the hat
+    D = dunce_hat()
+    hung = D.union(SimplicialComplex([[min(D.vertices), "x", "y"]]))
+    assert greedy_collapse_complex(hung, restarts=3).verdict == "unknown"
+    assert pairs_built == []
 
 
 def test_staged_union_matches_oracle(monkeypatch):

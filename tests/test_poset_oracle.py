@@ -184,3 +184,26 @@ def test_restrict_core_and_collapse_search_build_no_poset_from_relations(builds)
         greedy_collapse_space(X, target=X.down_set(X.elements[0]))
         is_contractible_space(X)
     assert builds == []
+
+
+def _peeled_ids(mask: int) -> list[int]:
+    """Set-bit positions by peeling the lowest set bit, one bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_set_bit_positions_match_the_bit_peel():
+    rng = random.Random(16)
+    masks = [0, 1, 1 << 9999, (1 << 64) - 1, (1 << 10000) - 1]
+    for length in (3, 17, 64, 200, 1500, 10000):
+        for density in (0.01, 0.1, 0.25, 0.5, 0.9):
+            bits = [i for i in range(length - 1) if rng.random() < density]
+            masks.append(posets._bits(bits) | 1 << length - 1)
+    # 5,000 of 10,000 bits set, the dense case the peel took quadratic time on
+    masks.append(posets._bits(rng.sample(range(10000), 5000)))
+    for mask in masks:
+        assert posets._ids(mask) == _peeled_ids(mask)
