@@ -349,7 +349,7 @@ def cmd_homology(args) -> int:
 
 def cmd_persistence(args) -> int:
     cover = _cover_from_doc(_load(args.infile))
-    if args.mode:
+    if args.mode is not None:
         chain = [step.split(",") for step in args.mode.split("<")]
         for k, names in enumerate(chain, start=1):
             if "" in names:

@@ -135,7 +135,8 @@ def test_persistence_command(paths, capsys):
 
 
 @pytest.mark.parametrize(
-    "chain, step", [("U1<<U1,U2", 2), ("U1<U1,U2<", 3), ("U1<U1,U2,", 2), ("<U1", 1)]
+    "chain, step",
+    [("U1<<U1,U2", 2), ("U1<U1,U2<", 3), ("U1<U1,U2,", 2), ("<U1", 1), ("", 1)],
 )
 def test_persistence_empty_step_exits_2(paths, capsys, chain, step):
     code = main(["persistence", "--in", str(paths["cover"]), "--mode", chain])

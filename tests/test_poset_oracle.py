@@ -198,7 +198,7 @@ def _peeled_ids(mask: int) -> list[int]:
 
 def test_set_bit_positions_match_the_bit_peel():
     rng = random.Random(16)
-    masks = [0, 1, 1 << 9999, (1 << 64) - 1, (1 << 10000) - 1]
+    masks = [*range(1 << 10), 1 << 9999, (1 << 64) - 1, (1 << 10000) - 1]
     for length in (3, 17, 64, 200, 1500, 10000):
         for density in (0.01, 0.1, 0.25, 0.5, 0.9):
             bits = [i for i in range(length - 1) if rng.random() < density]
