@@ -1,19 +1,23 @@
 """Abstract simplicial complexes stored by facets.
 
 Bridges to finite spaces: the order complex K(X) of a poset and the face
-poset of a complex.  Simplices are materialized once per complex, on first
-use, into a :class:`SimplexIndex`; the empty complex is representable but
-the empty simplex is never a member.
+poset of a complex.  Simplices are materialized once per complex into a
+:class:`SimplexIndex`, linked in one step from per-dimension levels: a
+complex given by facets builds them on first use, top-down from its facets;
+``order_complex`` lists the chains of X level by level and returns the
+complex with its index already linked.  The empty complex is representable
+but the empty simplex is never a member.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import combinations
+from itertools import accumulate, chain, combinations, compress, count, repeat
+from operator import not_
 from typing import Iterable, Sequence
 
-from .posets import FinitePoset, build_poset
+from .posets import FinitePoset, _ids, build_poset
 
 Simplex = frozenset
 
@@ -37,29 +41,46 @@ class SimplexIndex:
     ascending; the k-th face of a d-simplex omits its vertex at position
     d - k.  The ids of dimension d run from ``dim_start[d]`` up to
     ``dim_start[d + 1]``.
+
+    Every index is linked by ``_link`` from levels: one list per dimension,
+    ascending from the vertices, each already in lexicographic order.  Built
+    from facets, the levels are made top-down: a level is its dimension's
+    facets together with the codimension-1 faces of the level above, so
+    each simplex is hashed once per coface.  ``order_complex`` lists its
+    chains straight into levels.
     """
 
     __slots__ = ("simplices", "id_of", "faces", "cofaces", "dim_start")
 
     def __init__(self, facets: Iterable[Simplex]):
-        seen: set[tuple[str, ...]] = set()
-        for f in facets:
-            fs = sorted(f)
-            for k in range(1, len(fs) + 1):
-                seen.update(combinations(fs, k))
-        self.simplices: list[tuple[str, ...]] = sorted(seen, key=lambda s: (len(s), s))
-        self.id_of: dict[tuple[str, ...], int] = {s: i for i, s in enumerate(self.simplices)}
-        self.faces: list[tuple[int, ...]] = []
-        self.cofaces: list[list[int]] = [[] for _ in self.simplices]
-        self.dim_start: list[int] = []
-        for i, s in enumerate(self.simplices):
-            if len(s) > len(self.dim_start):
-                self.dim_start.append(i)
-            faces = tuple(self.id_of[t] for t in combinations(s, len(s) - 1) if t)
-            for f in faces:
-                self.cofaces[f].append(i)
-            self.faces.append(faces)
-        self.dim_start.append(len(self.simplices))
+        by_size: dict[int, list[tuple[str, ...]]] = {}
+        for f in map(tuple, map(sorted, facets)):
+            by_size.setdefault(len(f), []).append(f)
+        levels: list[list[tuple[str, ...]]] = []
+        above: list[tuple[str, ...]] = []
+        for k in range(max(by_size, default=0), 0, -1):
+            level = set(by_size.get(k, ()))
+            level.update(chain.from_iterable(map(combinations, above, repeat(k))))
+            above = sorted(level)
+            levels.append(above)
+        levels.reverse()
+        self._link(levels)
+
+    def _link(self, levels: list[list[tuple[str, ...]]]) -> None:
+        """Number the simplices of levels in order and link each to its
+        faces and cofaces: the one step that makes every index."""
+        self.simplices: list[tuple[str, ...]] = list(chain.from_iterable(levels))
+        self.id_of: dict[tuple[str, ...], int] = dict(zip(self.simplices, count()))
+        self.dim_start: list[int] = list(accumulate(map(len, levels), initial=0))
+        face_id = self.id_of.__getitem__
+        faces: list[tuple[int, ...]] = [()] * len(levels[0]) if levels else []  # a vertex has none
+        for d, level in enumerate(levels[1:], 1):
+            faces += [tuple(map(face_id, combinations(s, d))) for s in level]
+        cofaces: list[list[int]] = [[] for _ in faces]
+        for i, ids in enumerate(faces):
+            for f in ids:
+                cofaces[f].append(i)
+        self.faces, self.cofaces = faces, cofaces
 
     def dim_cuts(self, ids: Sequence[int]) -> list[int]:
         """For ascending ids, the positions in ids where each dimension's
@@ -78,9 +99,26 @@ class SimplicialComplex:
     __slots__ = ("facets", "vertices", "_index")
 
     def __init__(self, facets: Iterable[Iterable[str]]):
-        self.facets: frozenset[Simplex] = _maximalize(frozenset(map(frozenset, facets)))
-        self.vertices: frozenset[str] = frozenset(v for f in self.facets for v in f)
-        self._index: SimplexIndex | None = None
+        self._assign(_maximalize(frozenset(map(frozenset, facets))), None)
+
+    def _assign(self, facets: frozenset[Simplex], index: SimplexIndex | None) -> None:
+        """Store the facets and the index, when it is already built: the one
+        step that makes every complex."""
+        self.facets: frozenset[Simplex] = facets
+        self.vertices: frozenset[str] = frozenset().union(*facets)
+        self._index: SimplexIndex | None = index
+
+    @classmethod
+    def _from_levels(cls, levels: list[list[tuple[str, ...]]]) -> "SimplicialComplex":
+        """The complex of the simplices in levels (see ``SimplexIndex``),
+        which must be closed under faces, with its index linked from them;
+        the facets are the simplices with no coface."""
+        index = SimplexIndex.__new__(SimplexIndex)
+        index._link(levels)
+        K = cls.__new__(cls)
+        maximal = compress(index.simplices, map(not_, index.cofaces))
+        K._assign(frozenset(map(frozenset, maximal)), index)
+        return K
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
@@ -190,22 +228,24 @@ def _maximalize(faces: frozenset[Simplex]) -> frozenset[Simplex]:
 
 
 def order_complex(X: FinitePoset) -> SimplicialComplex:
-    """K(X): simplices are the non-empty chains of X, facets the maximal chains."""
-    maximal_chains: list[frozenset[str]] = []
+    """K(X): simplices are the non-empty chains of X, facets the maximal chains.
 
-    def extend(chain: list[str], x: str) -> None:
-        chain.append(x)
-        uppers = [y for y in X.covers_above(x)]
-        if not uppers:
-            maximal_chains.append(frozenset(chain))
-        else:
-            for y in uppers:
-                extend(chain, y)
-        chain.pop()
-
-    for x in X.minimal_elements():
-        extend([], x)
-    return SimplicialComplex(maximal_chains)
+    The chains are listed level by level over X's positions, which follow
+    its sorted element names: a chain is extended only by the positions
+    after its last one that are comparable to every member, carried as a
+    mask.  So each chain is listed once, and each level comes out in
+    lexicographic order, as the index wants it.
+    """
+    names = X.elements
+    singles = [(x,) for x in names]
+    # the positions after i comparable to i
+    later = [(b | a) & -(2 << i) for i, (b, a) in enumerate(zip(X._below, X._above))]
+    level = list(zip(singles, later))
+    levels = []
+    while level:
+        levels.append([c for c, _ in level])
+        level = [(c + singles[j], m & later[j]) for c, m in level if m for j in _ids(m)]
+    return SimplicialComplex._from_levels(levels)
 
 
 def simplex_boundary(n: int, prefix: str = "v") -> SimplicialComplex:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import groupby
 from operator import and_, or_
 
 from . import collapse as clp
@@ -247,17 +248,18 @@ def _id_masks(cover: Cover, ids) -> list[int]:
     return [by_id[i] for i in ids]
 
 
+def _levels(index_sets) -> list[list[tuple[str, ...]]]:
+    """Index sets in (size, lexicographic) order, closed under faces, as the
+    levels of their complex (see ``SimplexIndex``)."""
+    return [list(level) for _, level in groupby(index_sets, len)]
+
+
 def nerve(cover: Cover) -> SimplicialComplex:
     """N(U): simplices are index sets with non-empty intersection.  Built
-    once per cover from the maximal index sets of its nerve table."""
+    once per cover, its index linked straight from the nerve table."""
     N = cover._memo.get("nerve")
     if N is None:
-        masks = cover._masks
-        N = cover._memo["nerve"] = SimplicialComplex(
-            J
-            for J, m in _nerve_table(cover).items()
-            if not any(m & masks[n] for n in masks if n not in J)
-        )
+        N = cover._memo["nerve"] = SimplicialComplex._from_levels(_levels(_nerve_table(cover)))
     return N
 
 
@@ -481,14 +483,15 @@ def n_zero_complex(
 
     Walking the index sets in size order, a verified set is kept when all
     its codimension-1 faces were kept, that is when all its non-empty
-    subsets are verified, so the result is honestly downward closed.
+    subsets are verified, so the result is honestly downward closed.  The
+    kept sets, in the nerve table's order, are the complex's levels.
     """
     verdict_of, excluded = _verdicts(cover, mode, classification)
-    kept: set[tuple[str, ...]] = set()
+    kept: dict[tuple[str, ...], None] = {}
     for J, v in verdict_of.items():
         if v == "yes" and (len(J) == 1 or all(J[:k] + J[k + 1:] in kept for k in range(len(J)))):
-            kept.add(J)
-    return SimplicialComplex(kept), excluded
+            kept[J] = None
+    return SimplicialComplex._from_levels(_levels(kept)), excluded
 
 
 def chains_containing(

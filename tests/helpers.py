@@ -3,7 +3,9 @@
 The brute-force ones deliberately avoid the library's own algorithms:
 contractibility is decided by searching every beat-point removal order,
 chains are enumerated from the raw order relation, and transitive closures
-are recomputed from scratch.  The slow collapse engine further down is the
+are recomputed from scratch.  The facet-subset index build and the
+maximal-chain order complex are the reference for the level-built index and
+the chain-listing order complex.  The slow collapse engine further down is the
 reference for the indexed one, the method-call free-face pass in it the
 reference for the inlined loop on ids, the rescanning point peel in it the
 reference for the worklist peel, the string-set cylinder checkers after it
@@ -41,7 +43,13 @@ from finspace.collapse import (
     _stuck,
     yes,
 )
-from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary, simplex_id
+from finspace.complexes import (
+    SimplexIndex,
+    SimplicialComplex,
+    order_complex,
+    simplex_boundary,
+    simplex_id,
+)
 from finspace.covers import (
     COMPLEX,
     Cover,
@@ -95,6 +103,51 @@ def brute_contractible(X: FinitePoset) -> bool:
         return result
 
     return search(frozenset(X.elements))
+
+
+def subset_simplex_index(facets) -> SimplexIndex:
+    """The facet-subset index build: every subset of every facet into one
+    set, sorted by (size, lexicographic) key, then each simplex's faces
+    looked up one by one and appended to their coface lists."""
+    seen: set[tuple[str, ...]] = set()
+    for f in facets:
+        fs = sorted(f)
+        for k in range(1, len(fs) + 1):
+            seen.update(combinations(fs, k))
+    index = SimplexIndex.__new__(SimplexIndex)
+    index.simplices = sorted(seen, key=lambda s: (len(s), s))
+    index.id_of = {s: i for i, s in enumerate(index.simplices)}
+    index.faces = []
+    index.cofaces = [[] for _ in index.simplices]
+    index.dim_start = []
+    for i, s in enumerate(index.simplices):
+        if len(s) > len(index.dim_start):
+            index.dim_start.append(i)
+        faces = tuple(index.id_of[t] for t in combinations(s, len(s) - 1) if t)
+        for f in faces:
+            index.cofaces[f].append(i)
+        index.faces.append(faces)
+    index.dim_start.append(len(index.simplices))
+    return index
+
+
+def maximal_chain_order_complex(X: FinitePoset) -> SimplicialComplex:
+    """K(X) from its maximal chains, each found by a depth-first walk up
+    the covering relation from a minimal element."""
+    maximal_chains: list[frozenset[str]] = []
+
+    def extend(chain: list[str], x: str) -> None:
+        chain.append(x)
+        uppers = X.covers_above(x)
+        if not uppers:
+            maximal_chains.append(frozenset(chain))
+        for y in uppers:
+            extend(chain, y)
+        chain.pop()
+
+    for x in X.minimal_elements():
+        extend([], x)
+    return SimplicialComplex(maximal_chains)
 
 
 def brute_chains(X: FinitePoset) -> set[frozenset]:

@@ -57,6 +57,7 @@ from helpers import (
     slow_s_sigma_ids,
     slow_subunion,
     star_cover,
+    subset_simplex_index,
 )
 
 
@@ -194,6 +195,21 @@ def test_n_zero_complex_matches_the_subset_closure():
         for mode in ("trivial", "collapsible"):
             expected = slow_n_zero_complex(cov, mode, cls)
             assert n_zero_complex(cov, mode=mode, classification=cls) == expected
+
+
+def test_nerve_and_n0_indexes_match_the_subset_build():
+    """The nerve and N0 link their indexes straight from the nerve table;
+    the facet-subset build of their facets gives the same index."""
+    fields = ("simplices", "id_of", "faces", "cofaces", "dim_start")
+    for cov in all_covers() + [star_cover(sd_boundary(3))]:
+        complexes = [nerve(cov)]
+        if cov.kind == COMPLEX:
+            complexes += [n_zero_complex(cov, mode=mode)[0] for mode in ("trivial", "collapsible")]
+        for K in complexes:
+            oracle = subset_simplex_index(K.facets)
+            assert K == SimplicialComplex(K.facets)  # facets maximal, as given
+            for field in fields:
+                assert getattr(K.index(), field) == getattr(oracle, field), field
 
 
 def test_inverted_i_x_and_s_sigma_match_the_scan():

@@ -142,22 +142,24 @@ def test_cover_validation_messages(kind, parent, members, message):
 def test_cover_construction_builds_no_member_index(monkeypatch):
     """The members' masks come from the parent's index: constructing the 14
     vertex stars of sd ∂Δ³ over a fresh parent and reading the masks
-    builds that one index and no complex."""
+    builds that one index and no complex.  Every index is linked by
+    ``SimplexIndex._link`` and every complex stored by
+    ``SimplicialComplex._assign``, so those are counted."""
     members = star_cover(sd_boundary(3)).members
-    parent = sd_boundary(3)
+    parent = SimplicialComplex(sd_boundary(3).facets)  # an order complex comes indexed
     built = {"index": 0, "complex": 0}
-    index_init, complex_init = complexes.SimplexIndex.__init__, SimplicialComplex.__init__
+    link, assign = complexes.SimplexIndex._link, SimplicialComplex._assign
 
-    def counting_index(self, facets):
+    def counting_index(self, levels):
         built["index"] += 1
-        index_init(self, facets)
+        link(self, levels)
 
-    def counting_complex(self, facets):
+    def counting_complex(self, facets, index):
         built["complex"] += 1
-        complex_init(self, facets)
+        assign(self, facets, index)
 
-    monkeypatch.setattr(complexes.SimplexIndex, "__init__", counting_index)
-    monkeypatch.setattr(SimplicialComplex, "__init__", counting_complex)
+    monkeypatch.setattr(complexes.SimplexIndex, "_link", counting_index)
+    monkeypatch.setattr(SimplicialComplex, "_assign", counting_complex)
     cov = Cover("complex", parent, members)
     masks = cov._masks
     assert built == {"index": 1, "complex": 0}
@@ -431,15 +433,16 @@ def test_reduced_nerve_is_built_once_per_cover(monkeypatch):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every SimplicialComplex constructed while the test runs."""
+    """Every SimplicialComplex constructed while the test runs: each one,
+    from facets or from levels, is stored by ``_assign``."""
     seen = []
-    init = SimplicialComplex.__init__
+    assign = SimplicialComplex._assign
 
-    def counting(self, facets):
+    def counting(self, facets, index):
         seen.append(self)
-        init(self, facets)
+        assign(self, facets, index)
 
-    monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    monkeypatch.setattr(SimplicialComplex, "_assign", counting)
     return seen
 
 
