@@ -26,7 +26,10 @@ runs one loop on ints, ``_collapse_run``, over that state's arrays; it
 records (face id, coface id) pairs, and a certificate is built once, for
 the schedule that succeeded, so a verdict-only caller builds none.  A
 subcomplex is searched as its simplex ids on its parent's index, and a
-stuck search reads the homology of the same ids.
+stuck search reads the homology of the same ids.  The verdict-only pass of
+the truncation checker, ``collapses_onto``, keeps its state in dicts sized
+to the ids it may remove, so it can run on the simplices one sub-union adds
+to another.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import json
 import random
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .complexes import SimplexIndex, SimplicialComplex
@@ -462,19 +466,54 @@ def _collapse_run(
     return steps
 
 
-def collapses_to_vertices(index: SimplexIndex, ids: Sequence[int]) -> bool:
-    """Whether the deterministic free-face pass takes the subcomplex made of
-    the simplex ids (closed under faces) down to isolated vertices, one per
-    connected component.
+def collapses_onto(index: SimplexIndex, ids: Sequence[int]) -> bool:
+    """Whether the deterministic free-face pass removes every simplex of
+    positive dimension among the ids, keeping every simplex outside them.
 
-    A collapse keeps the Euler characteristic and the components, and a
-    state of chi simplices has no edge (edges count against chi), so chi is
-    the target size, counted per dimension by bisecting the ascending ids.
-    A True makes the subcomplex acyclic in positive degrees.
+    The ids (ascending) are what a complex K on the index has beyond a
+    subcomplex L, so every coface in K of an id is an id: the count and id
+    sum of an id's cofaces are read off the ids alone, in dicts sized to
+    them.  The pass removes the lowest free id with its coface until no id
+    of positive dimension is left, or returns False when none is free.  A
+    True collapses K onto L plus isolated vertices; on all the ids of K (L
+    empty) it collapses K to isolated vertices, one per component.
+
+    The pass stops on the ids' dimensions, never on an Euler count: the
+    ids' own Euler count can balance with nothing removed (a triangle
+    filling a disk's boundary adds +1 simplex and +1 to chi, and makes a
+    sphere).
     """
-    cuts = index.dim_cuts(ids)
-    chi = sum((-1) ** d * (hi - lo) for d, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
-    return _collapse_run(index, frozenset(), chi, None, ids) is not None
+    faces = index.faces
+    # present ids -> number and id sum of their present cofaces
+    count = dict.fromkeys(ids, 0)
+    cosum = dict.fromkeys(ids, 0)
+    left = 0  # present ids of positive dimension
+    for i in ids:
+        if faces[i]:
+            left += 1
+            for f in faces[i]:
+                if f in count:
+                    count[f] += 1
+                    cosum[f] += i
+    # a heap of free candidates: a count only falls, so an id enters once
+    free = [s for s in ids if count[s] == 1]
+    while left:
+        while free and count.get(free[0]) != 1:
+            heappop(free)
+        if not free:
+            return False
+        s = heappop(free)
+        t = cosum[s]
+        del count[s], count[t]
+        left -= 2 if faces[s] else 1
+        for gone in (t, s):
+            for u in faces[gone]:
+                if u in count:
+                    above = count[u] = count[u] - 1
+                    cosum[u] -= gone
+                    if above == 1:
+                        heappush(free, u)
+    return True
 
 
 def check_restarts(restarts: int) -> None:

@@ -5,10 +5,16 @@ the chain of sub-unions K_J.  Reduction runs over the binary field (the
 vanishing statement needs no torsion bookkeeping) on the parent's simplex
 index; per-step bar counts are cross-checked against GF(2) Betti numbers of
 each sub-union, read off the same index restricted to the sub-union's ids by
-a rank computation of their own, independent of the column reduction.  The
-truncation checker likewise decides each sub-union, and computes the
-homology of one its collapse gets stuck on, on those ids: no sub-union is
-built.
+a rank computation of their own, independent of the column reduction.
+
+The truncation checker likewise decides each sub-union on its ids, and
+builds none.  It walks the index sets along the sub-union lattice, in the
+order they are enumerated: K_J is K_{J-j} plus what member j adds, and
+collapses compose, so K_J passes when its added simplices collapse away
+onto the largest K_{J-j} already shown to collapse to isolated vertices.
+That relative pass stops when no added simplex of positive dimension is
+left, not on an Euler count.  When it gets stuck, the full pass runs on all
+of K_J's ids, and when that gets stuck too, their homology decides.
 """
 
 from __future__ import annotations
@@ -69,11 +75,13 @@ def persistence_over_chain(cover: Cover, chain) -> PersistenceDiagram:
     if cover.kind != "complex":
         raise InvalidCover("persistence needs a cover of a simplicial complex")
     chain = [tuple(sorted(J)) for J in chain]
+    # an unknown name raises before the order is checked
+    masks = [cover._union_mask(J) for J in chain]
     for a, b in zip(chain, chain[1:]):
         if not set(a) < set(b):
             raise NotAChain(f"{a} is not strictly contained in {b}")
-    # the ids of each step's sub-union, ascending; an unknown name raises
-    steps = [_ids(cover._union_mask(J)) for J in chain]
+    # the ids of each step's sub-union, ascending
+    steps = [_ids(mask) for mask in masks]
     index = cover.parent.index()
     appearance: dict[int, int] = {}
     for t, ids in enumerate(steps, start=1):
@@ -200,23 +208,48 @@ def check_truncation_theorem(
 def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
     """Sub-unions K_J with homology in a positive degree, with that homology.
 
-    A K_J that collapses to isolated vertices is acyclic in positive degrees,
-    so only one on which the deterministic free-face pass gets stuck has its
-    homology computed.  Sub-unions are told apart by the OR of their
-    members' masks; the pass, and the homology when it gets stuck, run once
-    per distinct one, on the parent's simplex index restricted to its ids.
-    No sub-union is built.
+    The index sets are walked in their given order; an index set's mask of
+    members keys a table of the union masks met so far, and the union of J
+    is the union of some J minus one member j, taken from the table, OR
+    the mask of j (OR over all members when no such set came before, as
+    can happen in the sampled mode).  Sub-unions are told apart by their
+    union masks, and each distinct one is decided once, on the parent's
+    simplex index restricted to its ids.  No sub-union is built.
+
+    A K_J that collapses to isolated vertices is acyclic in positive
+    degrees.  Collapses compose, so K_J passes when it collapses onto a
+    sub-union K_{J-j} already shown to collapse to vertices: the pass runs
+    only on the ids K_J adds, with K_{J-j}'s simplices kept, from the
+    largest such predecessor (the empty one for a first member).  The pass
+    stops when no added simplex of positive dimension is left, never on an
+    Euler count, which can balance on a sphere.  When the relative pass
+    gets stuck, the full pass runs on all the ids of K_J, and when that
+    gets stuck too, the homology of those ids decides.
     """
     index = cover.parent.index()
+    names = cover.names()
+    bit = {n: 1 << k for k, n in enumerate(names)}
+    member = dict(zip(bit.values(), cover._member_masks(names)))  # member bit -> mask
+    union_of = {0: 0}  # index set as a mask of member bits -> union mask
+    collapsed = {0}  # union masks shown to collapse to isolated vertices
     failure_of: dict[int, dict | None] = {}
     failures = []
     for J in subsets:
-        union = cover._union_mask(J)
+        bits = [bit[n] for n in J]
+        key = sum(bits)
+        # (union of J minus b, b) for the members b whose J minus b came before
+        below = [(union_of[key ^ b], b) for b in bits if key ^ b in union_of]
+        union = below[0][0] | member[below[0][1]] if below else cover._union_mask(J)
+        union_of[key] = union
         if union not in failure_of:
             failure_of[union] = None
-            ids = _ids(union)
-            if ids and not clp.collapses_to_vertices(index, ids):
-                hom = _homology(index, ids)
+            best = max((u for u, _ in below if u in collapsed), key=int.bit_count, default=0)
+            if clp.collapses_onto(index, _ids(union & ~best)) or (
+                best and clp.collapses_onto(index, _ids(union))
+            ):
+                collapsed.add(union)
+            else:
+                hom = _homology(index, _ids(union))
                 if any(hom.betti[1:]) or any(hom.torsion):
                     failure_of[union] = hom.summary()
         if failure_of[union] is not None:

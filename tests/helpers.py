@@ -11,8 +11,10 @@ reference for the inlined loop on ids, the rescanning point peel in it the
 reference for the worklist peel, the string-set cylinder checkers after it
 (pair scans and a subposet per hypothesis set) the reference for the
 mask-based ones, the cover layer after them (pairwise
-intersections, all 2^n index sets, homology on every sub-union) the
-reference for the mask-based one, the dense chain complex after that
+intersections, all 2^n index sets, homology on every sub-union, and a
+full free-face pass per sub-union) the reference for the mask-based one
+and for the truncation pass along the sub-union lattice, the dense chain
+complex after that
 (dense boundary matrices, fraction-free and dense GF(2) ranks, dense Smith
 normal form, persistence over rebuilt sub-unions) the reference for the
 sparse rows and the sparse Smith normal form elimination, Smith normal
@@ -64,6 +66,7 @@ from finspace.cylinders import Relation, relation_cylinder, tag
 from finspace.errors import CycleDetected
 from finspace.homology import (
     HomologyResult,
+    _homology,
     _reduced_betti,
     boundary_matrices,
     homology_equal,
@@ -780,6 +783,37 @@ def slow_check_truncation_theorem(
             "intersection is collapsible"
         )
     return report
+
+
+def chi_collapses_to_vertices(index: SimplexIndex, ids: Sequence[int]) -> bool:
+    """Whether the deterministic free-face pass takes the subcomplex ids
+    (closed under faces) down to isolated vertices: the pass on parent-sized
+    arrays, stopped at the Euler characteristic, which a collapse keeps and
+    which a state without edges has as its size."""
+    cuts = index.dim_cuts(ids)
+    chi = sum((-1) ** d * (hi - lo) for d, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
+    return clp._collapse_run(index, frozenset(), chi, None, ids) is not None
+
+
+def per_union_positive_degree_failures(cover: Cover, subsets) -> list[dict]:
+    """The part-2 failures with one full free-face pass per distinct
+    sub-union, each union the OR of all its members' masks, and the
+    homology of every union that pass gets stuck on."""
+    index = cover.parent.index()
+    failure_of: dict[int, dict | None] = {}
+    failures = []
+    for J in subsets:
+        union = cover._union_mask(J)
+        if union not in failure_of:
+            failure_of[union] = None
+            ids = _ids(union)
+            if ids and not chi_collapses_to_vertices(index, ids):
+                hom = _homology(index, ids)
+                if any(hom.betti[1:]) or any(hom.torsion):
+                    failure_of[union] = hom.summary()
+        if failure_of[union] is not None:
+            failures.append({"index_set": list(J), "homology": failure_of[union]})
+    return failures
 
 
 

@@ -145,6 +145,16 @@ def test_persistence_empty_step_exits_2(paths, capsys, chain, step):
     assert captured.err == f"error: empty index set at step {step}\n"
 
 
+@pytest.mark.parametrize("chain", ["U1<Z", "Z<U1", "U1<U1,Z", "U2<U1"])
+def test_persistence_unknown_member_exits_2_naming_it(paths, capsys, chain):
+    # names are resolved before the chain's order is checked
+    code = main(["persistence", "--in", str(paths["cover"]), "--mode", chain])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    expected = "no cover member named 'Z'" if "Z" in chain else "is not strictly contained in"
+    assert expected in captured.err and captured.err.count("\n") == 1
+
+
 def test_verify_truncation_exit_zero(paths, capsys):
     # the circle cover has an empty triple intersection, so part 2's failure
     # is expected rather than a mismatch

@@ -6,7 +6,9 @@ and rebuilds at every step.  On seeded families both must give equal
 verdicts, certificates and free-face lists, and their replays must accept
 and reject the same certificates.  The free-face loop on ids is also checked
 step for step against the pass on ``_Shrinking`` methods it replaced, and
-searches must build a certificate only for the schedule that succeeds.
+searches must build a certificate only for the schedule that succeeds.  The
+truncation checker's passes along the sub-union lattice are checked against
+one full pass per sub-union, stopped at the Euler characteristic.
 """
 
 import random
@@ -16,6 +18,7 @@ from itertools import combinations
 import pytest
 
 from finspace import collapse as clp
+from finspace import persistence
 from finspace.collapse import (
     BEAT_KINDS,
     WEAK_KINDS,
@@ -52,8 +55,11 @@ from finspace.generators import (
 from finspace.persistence import check_truncation_theorem
 from finspace.posets import FinitePoset, _ids
 
+import helpers
 from helpers import (
+    chi_collapses_to_vertices,
     nerve_relation,
+    per_union_positive_degree_failures,
     polygon_arc_cover,
     rescan_peel,
     sd_boundary,
@@ -179,6 +185,80 @@ def test_subunion_passes_match_the_method_call_oracle():
                 stuck += pairs is None
     # the families reach both collapses and stuck passes
     assert runs > 2000 and 0 < stuck < runs
+
+
+def test_full_pass_on_a_subunion_is_the_euler_count_pass():
+    """On all of a sub-union's ids, the pass that stops when no simplex of
+    positive dimension is left decides as the parent-sized pass stopped at
+    the Euler characteristic, on every distinct sub-union of the families."""
+    seen = Counter()
+    for cov in _subunion_covers():
+        index = cov.parent.index()
+        names = sorted(cov.names())
+        masks = {
+            cov._union_mask(J)
+            for k in range(1, len(names) + 1)
+            for J in combinations(names, k)
+        }
+        for mask in masks:
+            ids = _ids(mask)
+            verdict = clp.collapses_onto(index, ids)
+            assert verdict == chi_collapses_to_vertices(index, ids)
+            seen[verdict] += 1
+    # the circles, the dunce hat and RP2 get stuck
+    assert seen[True] > 600 and seen[False] >= 4
+
+
+def _recording(real, seen, what):
+    def recorded(index, ids):
+        seen.append(what(ids))
+        return real(index, ids)
+
+    return recorded
+
+
+def _lattice_and_oracle(monkeypatch, cov, **kw):
+    """The truncation report of cov along the sub-union lattice and with the
+    per-union oracle; with each, the ids handed to homology and the number
+    of ids handed to free-face passes."""
+    runs = []
+    for failures in (persistence._positive_degree_failures, per_union_positive_degree_failures):
+        homology, passed = [], []
+        monkeypatch.setattr(persistence, "_positive_degree_failures", failures)
+        for module, name, seen, what in (
+            (persistence, "_homology", homology, tuple),
+            (helpers, "_homology", homology, tuple),
+            (clp, "collapses_onto", passed, len),
+            (helpers, "chi_collapses_to_vertices", passed, len),
+        ):
+            monkeypatch.setattr(module, name, _recording(getattr(module, name), seen, what))
+        report = check_truncation_theorem(cov, **kw)
+        monkeypatch.undo()
+        runs.append((report, homology, sum(passed)))
+    return runs
+
+
+@pytest.mark.parametrize("mode", [{}, {"max_enum": 2, "sample_size": 6}])
+def test_truncation_along_the_lattice_matches_the_per_union_oracle(monkeypatch, mode):
+    """Equal reports on cone covers of 3-8 members, arc covers of 12, 16 and
+    20-gons, strong-good seeds 0-4 and the dunce-hat and RP2 covers, both
+    exhaustive and sampled; homology runs only on sub-unions the oracle
+    computes it on, and the passes see fewer simplices in all."""
+    failing = ours_total = theirs_total = 0
+    for cov in _subunion_covers():
+        (report, homology, passed), (oracle, oracle_homology, oracle_passed) = (
+            _lattice_and_oracle(monkeypatch, cov, **mode)
+        )
+        assert report == oracle
+        assert len(set(homology)) == len(homology)
+        assert set(homology) <= set(oracle_homology)
+        assert passed <= 2 * oracle_passed
+        failing += bool(report["part2_failures"])
+        ours_total += passed
+        theirs_total += oracle_passed
+    # RP2 and the circles fail, in both modes
+    assert failing >= 2
+    assert ours_total < theirs_total
 
 
 @pytest.fixture

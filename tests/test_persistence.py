@@ -4,7 +4,8 @@ import random
 import pytest
 
 from finspace import persistence
-from finspace.collapse import collapses_to_vertices
+from finspace import collapse as clp
+from finspace.collapse import collapses_onto
 from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary
 from finspace.covers import Cover, classify_cover, nerve
 from finspace.errors import InvalidCover, NotAChain, UnknownMember
@@ -137,6 +138,12 @@ def test_restricted_betti_numbers_match_each_subunion_of_its_own():
 def test_persistence_rejects_unknown_member_names():
     with pytest.raises(UnknownMember, match="no cover member named 'nope'"):
         persistence_over_chain(circle_arc_cover(), [["U1"], ["U1", "nope"]])
+
+
+@pytest.mark.parametrize("chain", [[["U1"], ["nope"]], [["nope"], ["U1"]]])
+def test_persistence_resolves_names_before_checking_the_order(chain):
+    with pytest.raises(UnknownMember, match="no cover member named 'nope'"):
+        persistence_over_chain(circle_arc_cover(), chain)
 
 
 def test_persistence_sees_degree_one_bars_and_torsion_mod_2():
@@ -280,11 +287,61 @@ def test_disconnected_subunion_collapses_to_its_components():
     cov = polygon_arc_cover(12, [0, 3, 6, 9])
     for K, expected in ((cov.subunion(["A0", "A2"]), True), (cov.parent, False)):
         ids = list(range(K.num_simplices()))
-        assert collapses_to_vertices(K.index(), ids) is expected
+        assert collapses_onto(K.index(), ids) is expected
     # the sub-union inside the parent's index
     parent = cov.parent.index()
     ids = sorted(parent.id_of[s] for s in cov.subunion(["A0", "A2"]).all_simplices())
-    assert collapses_to_vertices(parent, ids)
+    assert collapses_onto(parent, ids)
+
+
+def test_relative_pass_stops_on_dimensions_not_on_the_euler_count(monkeypatch):
+    """A is the cone a * boundary(xyz), a disk, and B the triangle xyz.
+    K_{A,B} adds only xyz to K_A: the added simplices' Euler count equals
+    their number with nothing removed, yet K_{A,B} is the 2-sphere."""
+    disk = SimplicialComplex([("a", "x", "y"), ("a", "x", "z"), ("a", "y", "z")])
+    triangle = SimplicialComplex([("x", "y", "z")])
+    cov = Cover("complex", disk.union(triangle), (("A", disk), ("B", triangle)))
+    index = cov.parent.index()
+    added = _ids(cov._union_mask(["A", "B"]) & ~cov._union_mask(["A"]))
+    assert [index.simplices[i] for i in added] == [("x", "y", "z")]
+    assert not collapses_onto(index, added)
+    report, built, homology = check_part2(monkeypatch, cov)
+    assert [f["index_set"] for f in report["part2_failures"]] == [["A", "B"]]
+    degrees = report["part2_failures"][0]["homology"]["degrees"]
+    assert [(d["betti"], d["torsion"]) for d in degrees] == [(0, []), (0, []), (1, [])]
+    assert report == slow_check_truncation_theorem(cov)
+    assert built == [] and homology == [list(range(len(index.simplices)))]
+
+
+def test_relative_pass_stuck_on_a_joining_arc_falls_back_to_the_full_pass(monkeypatch):
+    """On a path, B's arc joins the disjoint arcs A and C.  The largest
+    collapsed predecessor of {A, B, C} is K_{A,C}, two components; the
+    relative pass gets stuck on B's interior, and the full pass still
+    collapses the path to a vertex, so no homology is computed."""
+    verts = [f"p{i:02d}" for i in range(13)]
+    edges = [[verts[i], verts[i + 1]] for i in range(12)]
+    members = (
+        ("A", SimplicialComplex(edges[:5])),
+        ("B", SimplicialComplex(edges[5:7])),
+        ("C", SimplicialComplex(edges[7:])),
+    )
+    cov = Cover("complex", SimplicialComplex(edges), members)
+    passes, real = [], clp.collapses_onto
+
+    def recording(index, ids):
+        verdict = real(index, ids)
+        passes.append(([index.simplices[i] for i in ids], verdict))
+        return verdict
+
+    monkeypatch.setattr(clp, "collapses_onto", recording)
+    report, built, homology = check_part2(monkeypatch, cov)
+    assert report["part2_subunions_acyclic"] and homology == []
+    assert report == slow_check_truncation_theorem(cov)
+    # the last two passes decide K_{A,B,C}: B's interior, then the whole path
+    (joining, stuck), (whole, collapsed) = passes[-2:]
+    assert joining == [("p06",), ("p05", "p06"), ("p06", "p07")]
+    assert not stuck
+    assert len(whole) == 25 and collapsed
 
 
 def test_dunce_hat_subunion_falls_back_to_homology(monkeypatch):
