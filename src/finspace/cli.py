@@ -12,6 +12,8 @@ import sys
 
 from . import __version__
 from .collapse import (
+    BEAT_KINDS,
+    WEAK_KINDS,
     CollapseCertificate,
     TriStateResult,
     beat_points,
@@ -161,8 +163,11 @@ def _certificate_from_doc(doc) -> CollapseCertificate:
         if kind == "free-pair":
             _ids(_field(step, "face", "a free-pair step"), "a step face")
             _ids(_field(step, "coface", "a free-pair step"), "a step coface")
-        else:
+        elif kind in BEAT_KINDS + WEAK_KINDS:
             _string(_field(step, "element", "a point-removal step"), "a step element")
+        else:
+            kinds = ", ".join(("free-pair",) + BEAT_KINDS + WEAK_KINDS)
+            raise MalformedSpec(f"a step kind must be one of {kinds}, got {kind!r}")
     return CollapseCertificate.from_json(json.dumps(doc))
 
 

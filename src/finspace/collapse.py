@@ -15,9 +15,16 @@ reachability masks; one weak-point collapse and one triviality fallback act
 on such masks for whole spaces, links, cylinder hypothesis sets and cover
 intersections, with the certificates of the subposets they stand for.  A
 subposet is built only for the homology of a stuck search.  Every search
-removes points through one worklist loop, ``_peel``: since a point's kind
-reads only its punctured set, a point that failed is retested only after a
-point comparable to it was removed, and the scan never restarts.
+that returns a certificate removes points through one worklist loop,
+``_peel``: since a point's kind reads only its punctured set, a point that
+failed is retested only after a point comparable to it was removed, and the
+scan never restarts.  A beat test walks once to an extreme point of the
+punctured set and checks that the rest of the set lies below (or above) it,
+``_one_extreme``.  A weak test asks only whether the punctured set is
+contractible, and ``_contractible`` answers that on ints with the same beat
+test, building no removal steps: the core of a finite space is unique up to
+homeomorphism (Stong), so every maximal run of beat-point removals ends at
+the same number of points, and the verdict does not depend on their order.
 
 Free-face search and replay likewise share one state, ``_Shrinking``: a
 present-mask and coface counts over the complex's simplex index, updated in
@@ -175,17 +182,32 @@ def removable(X: FinitePoset, alive: int, i: int, kind: str) -> bool:
     kind is never removable.
     """
     if kind in (DOWN_BEAT, DOWN_WEAK):
-        punctured, beyond = X._below[i] & alive, X._above
+        strict, beyond = X._below, X._above
     elif kind in (UP_BEAT, UP_WEAK):
-        punctured, beyond = X._above[i] & alive, X._below
+        strict, beyond = X._above, X._below
     else:
         return False
+    punctured = strict[i] & alive
     if not punctured:
         return False
     if kind in WEAK_KINDS:
-        return _contraction(X, punctured) is not None
-    extremes = sum(1 for y in _ids(punctured) if not beyond[y] & punctured)
-    return extremes == 1
+        return _contractible(X, punctured)
+    return _one_extreme(punctured, beyond, strict)
+
+
+def _one_extreme(mask: int, beyond: list[int], strict: list[int]) -> bool:
+    """Whether the non-empty mask has exactly one maximal point, where
+    ``beyond`` holds each position's strict up-set and ``strict`` its strict
+    down-set; with the two swapped, exactly one minimal point.
+
+    A finite set has exactly one maximal element when it has a maximum, so
+    one walk along ``beyond`` inside the mask reaches a maximal point m, and
+    one containment decides: every other point of the mask lies below m.
+    """
+    m = mask.bit_length() - 1
+    while further := beyond[m] & mask:
+        m = further.bit_length() - 1
+    return not (mask ^ 1 << m) & ~strict[m]
 
 
 def _first_kind(X: FinitePoset, alive: int, i: int, kinds: tuple[str, str]) -> str | None:
@@ -266,6 +288,33 @@ def _contraction(X: FinitePoset, alive: int) -> CollapseCertificate | None:
     return cert if left.bit_count() == 1 else None
 
 
+def _contractible(X: FinitePoset, alive: int) -> bool:
+    """Whether beat-point removals take the non-empty subspace alive of X to
+    a point: the verdict of ``_contraction``, with no certificate built.
+
+    The core is unique up to homeomorphism (Stong), so every maximal run of
+    beat-point removals ends at the same number of points, whatever the
+    order.  The loop takes the points of a worklist, highest position first,
+    and removes each that is a beat point; as in ``_peel``, a point's test
+    reads only its punctured sets, so a removal puts back on the worklist
+    just the points comparable to it.
+    """
+    below, above = X._below, X._above
+    count = alive.bit_count()
+    todo = alive
+    while count > 1 and todo:
+        i = todo.bit_length() - 1
+        todo ^= 1 << i
+        down = below[i] & alive
+        if (down and _one_extreme(down, above, below)) or (
+            (up := above[i] & alive) and _one_extreme(up, below, above)
+        ):
+            alive ^= 1 << i
+            count -= 1
+            todo |= (below[i] | above[i]) & alive
+    return count == 1
+
+
 def core(X: FinitePoset) -> tuple[FinitePoset, CollapseCertificate]:
     """Remove beat points (lexicographically first each round) until none remain."""
     cert, alive = _peel(X, _everything(X), BEAT_KINDS)
@@ -275,7 +324,7 @@ def core(X: FinitePoset) -> tuple[FinitePoset, CollapseCertificate]:
 def is_contractible_space(X: FinitePoset) -> bool:
     if not len(X):
         raise EmptySpace("contractibility of the empty space is not defined")
-    return _contraction(X, _everything(X)) is not None
+    return _contractible(X, _everything(X))
 
 
 def gamma_points(X: FinitePoset) -> list[tuple[str, TriStateResult]]:
@@ -320,16 +369,26 @@ def greedy_collapse_space(
     """Collapse X to a point (or onto a target subposet) by weak-point removals."""
     if not len(X):
         raise EmptySpace("cannot collapse the empty space")
-    keep = frozenset(target) if target is not None else None
-    if keep is not None and not keep <= set(X.elements):
+    return _weak_collapse(X, _everything(X), _target_mask(X, target))
+
+
+def _target_mask(X: FinitePoset, target: Iterable[str] | None) -> int | None:
+    """The mask of a target subspace, or None for no target; a target naming
+    an element outside X raises TargetNotInduced."""
+    if target is None:
+        return None
+    keep = frozenset(target)
+    if not keep <= set(X.elements):
         raise TargetNotInduced(f"target {sorted(keep)} is not a subset of the space")
-    return _weak_collapse(X, _everything(X), None if keep is None else X._mask(keep))
+    return X._mask(keep)
 
 
 def replay_space_certificate(
     X: FinitePoset, cert: CollapseCertificate, target: Iterable[str] | None = None
 ) -> bool:
-    """Check each removal is valid for its declared kind; verify the end state."""
+    """Check each removal is valid for its declared kind; verify the end state.
+    A target naming an element outside X raises TargetNotInduced."""
+    keep = _target_mask(X, target)
     alive = _everything(X)
     for step in cert.steps:
         if not isinstance(step, PointRemoval) or step.element not in X:
@@ -338,8 +397,8 @@ def replay_space_certificate(
         if not alive >> i & 1 or not removable(X, alive, i, step.kind):
             return False
         alive ^= 1 << i
-    if target is not None:
-        return X._members(alive) == set(target)
+    if keep is not None:
+        return alive == keep
     return alive.bit_count() == 1
 
 

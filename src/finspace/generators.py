@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import random
 
-from .collapse import _contraction
+from .collapse import _contractible
 from .complexes import SimplicialComplex, cone
 from .covers import Cover, _nerve_table, classify_cover
 from .cylinders import RIGHT, Relation, graph_relation
@@ -161,6 +161,6 @@ def generate_good_space_cover(seed: int) -> tuple[FinitePoset, Cover]:
         members = tuple((f"U{i + 1}", X.down_set(x)) for i, x in enumerate(maxima))
         cover = Cover("poset", X, members)
         masks = _nerve_table(cover).values()
-        if all(_contraction(X, m) is not None for m in masks):
+        if all(_contractible(X, m) for m in masks):
             return X, cover
     raise GenerationExhausted(f"no good space cover within 60 attempts for seed {seed}")

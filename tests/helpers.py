@@ -8,7 +8,10 @@ maximal-chain order complex are the reference for the level-built index and
 the chain-listing order complex.  The slow collapse engine further down is the
 reference for the indexed one, the method-call free-face pass in it the
 reference for the inlined loop on ids, the rescanning point peel in it the
-reference for the worklist peel, the string-set cylinder checkers after it
+reference for the worklist peel, the counting point predicates (a beat
+test that counts extremes, a weak test that builds the contraction's
+certificate) the reference for the one-walk beat test and the verdict-only
+contraction, the string-set cylinder checkers after them
 (pair scans and a subposet per hypothesis set) the reference for the
 mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, homology on every sub-union, and a
@@ -349,6 +352,46 @@ def rescan_peel(X: FinitePoset, alive: int, kinds, keep: int = 0, size: int = 0)
         else:
             break
     return CollapseCertificate(tuple(steps)), alive
+
+
+def counting_one_extreme(mask: int, beyond) -> bool:
+    """The beat test before its one walk: count the points of mask with
+    nothing of mask beyond them."""
+    return sum(1 for y in _ids(mask) if not beyond[y] & mask) == 1
+
+
+def counting_removable(X: FinitePoset, alive: int, i: int, kind: str) -> bool:
+    """``removable`` before the one-walk beat test and the verdict-only
+    contraction: beat kinds count the extremes of the punctured set, weak
+    kinds build the certificate of its contraction."""
+    if kind in (DOWN_BEAT, DOWN_WEAK):
+        punctured, beyond = X._below[i] & alive, X._above
+    elif kind in (UP_BEAT, UP_WEAK):
+        punctured, beyond = X._above[i] & alive, X._below
+    else:
+        return False
+    if not punctured:
+        return False
+    if kind in (DOWN_WEAK, UP_WEAK):
+        return counting_contraction(X, punctured) is not None
+    return counting_one_extreme(punctured, beyond)
+
+
+def counting_contraction(X: FinitePoset, alive: int) -> CollapseCertificate | None:
+    """Beat-point removals taking the non-empty subspace alive of X to a
+    point, each the first beat point in element order by the counting test,
+    or None when its core is larger."""
+    steps = []
+    while alive.bit_count() > 1:
+        for i in _ids(alive):
+            kind = next((k for k in (DOWN_BEAT, UP_BEAT) if counting_removable(X, alive, i, k)), None)
+            if kind:
+                steps.append(PointRemoval(X.elements[i], kind))
+                alive ^= 1 << i
+                break
+        else:
+            return None
+    return CollapseCertificate(tuple(steps))
 
 
 def slow_core(X: FinitePoset):

@@ -381,6 +381,9 @@ _CYCLIC = {
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": _CERT, "target": "a"})),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "up-beat"}]}})),
         (["poset"], json.dumps(_CYCLIC)),
+        (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
+        (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": []}, "target": ["z"]})),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):

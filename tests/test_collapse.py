@@ -26,7 +26,7 @@ from finspace.collapse import (
     weak_points,
 )
 from finspace.complexes import simplex_boundary, solid_simplex
-from finspace.errors import EmptySpace, InvariantViolation, MalformedSpec
+from finspace.errors import EmptySpace, InvariantViolation, MalformedSpec, TargetNotInduced
 from finspace.fixtures import dunce_hat, finite_circle, two_triangles
 from finspace.generators import generate_poset
 from finspace.posets import antichain, build_poset, chain
@@ -115,6 +115,11 @@ def test_collapse_space_onto_target():
     res = greedy_collapse_space(X, target={"t"})
     assert res.is_yes()
     assert replay_space_certificate(X, res.certificate, target={"t"})
+    # a target outside the space is an input error, not a failed replay
+    with pytest.raises(TargetNotInduced):
+        greedy_collapse_space(X, target={"t", "z"})
+    with pytest.raises(TargetNotInduced):
+        replay_space_certificate(X, res.certificate, target={"z"})
 
 
 def test_free_faces_solid_triangle():

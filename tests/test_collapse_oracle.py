@@ -28,6 +28,7 @@ from finspace.collapse import (
     beat_points,
     core,
     free_faces,
+    gamma_points,
     greedy_collapse_complex,
     greedy_collapse_space,
     is_contractible_space,
@@ -45,7 +46,7 @@ from finspace.cylinders import (
     compose_relations,
     relation_cylinder,
 )
-from finspace.fixtures import dunce_hat, projective_plane, two_triangles
+from finspace.fixtures import dunce_hat, finite_circle, projective_plane, two_triangles
 from finspace.generators import (
     generate_complex,
     generate_composite_instance,
@@ -57,7 +58,11 @@ from finspace.posets import FinitePoset, _ids
 
 import helpers
 from helpers import (
+    brute_contractible,
     chi_collapses_to_vertices,
+    counting_contraction,
+    counting_one_extreme,
+    counting_removable,
     nerve_relation,
     per_union_positive_degree_failures,
     polygon_arc_cover,
@@ -359,7 +364,6 @@ def _peel_results(cases):
 def test_worklist_peel_matches_rescan_oracle(monkeypatch):
     cases = list(_peel_cases())
     ours = _peel_results(cases)
-    # the oracle rescans in nested contractions too
     monkeypatch.setattr(clp, "_peel", rescan_peel)
     assert ours == _peel_results(cases)
     # the cases reach removals, stuck searches and searches stopped at size
@@ -369,13 +373,15 @@ def test_worklist_peel_matches_rescan_oracle(monkeypatch):
 
 
 def test_worklist_peel_retests_fewer_points(monkeypatch):
-    # 109 weak tests against 193 when every removal restarts the scan
+    # 28 weak tests against 56 when every removal restarts the scan; the
+    # contractions inside a weak test make no point tests of their own
     N = nerve_relation(star_cover(sd_boundary(2))).target
     first_kind = clp._first_kind
     calls = []
 
     def counting(*args):
-        calls.append(args[2])
+        if args[3] == WEAK_KINDS:
+            calls.append(args[2])
         return first_kind(*args)
 
     monkeypatch.setattr(clp, "_first_kind", counting)
@@ -384,7 +390,7 @@ def test_worklist_peel_retests_fewer_points(monkeypatch):
         calls.clear()
         peel(N, (1 << len(N)) - 1, WEAK_KINDS)
         tests.append(len(calls))
-    assert tests == [109, 193]
+    assert tests == [28, 56]
 
 
 def test_cylinder_executor_matches_oracle():
@@ -393,6 +399,102 @@ def test_cylinder_executor_matches_oracle():
             B = relation_cylinder(R)
             masks = _hypothesis_masks(R, side)
             assert _execute_target_removal(R, B, side, masks) == slow_execute_target_removal(R, side)
+
+
+# -- point predicates on ints ---------------------------------------------------
+
+
+def _predicate_posets():
+    """Face posets of cones over random graphs and relation cylinders of
+    composites (the collapse-certify shapes), generated posets, face posets
+    of cones over random complexes, the finite circle and the dunce hat."""
+    for seed in range(8):
+        rng = random.Random(seed)
+        edges = rng.sample(list(combinations(range(7), 2)), 6 + seed % 3)
+        yield cone("a", SimplicialComplex([[f"b{u}", f"b{v}"] for u, v in edges])).face_poset()
+    for R in list(_cylinder_relations())[:9]:
+        yield relation_cylinder(R)
+    yield relation_cylinder(nerve_relation(star_cover(sd_boundary(2))))
+    yield from _posets()
+    for _, _, C in list(_complexes())[:8]:
+        yield C.face_poset()
+    yield finite_circle()
+    yield dunce_hat().face_poset()
+
+
+def _masks(X: FinitePoset, rng: random.Random) -> list[int]:
+    """The whole space, random subspaces, and every punctured down and up set."""
+    full = (1 << len(X)) - 1
+    masks = [full] + [rng.getrandbits(len(X)) | 1 << rng.randrange(len(X)) for _ in range(6)]
+    return masks + [m for m in X._below + X._above if m]
+
+
+def test_one_walk_beat_test_matches_the_counting_oracle():
+    tested = Counter()
+    for X in _predicate_posets():
+        rng = random.Random(len(X))
+        for alive in _masks(X, rng):
+            for i in _ids(alive):
+                for strict, beyond in ((X._below, X._above), (X._above, X._below)):
+                    if punctured := strict[i] & alive:
+                        ours = clp._one_extreme(punctured, beyond, strict)
+                        assert ours == counting_one_extreme(punctured, beyond)
+                        tested[ours] += 1
+    assert tested[True] > 1000 and tested[False] > 1000
+
+
+def test_contractible_matches_the_certificate_building_oracle():
+    tested = Counter()
+    for X in _predicate_posets():
+        rng = random.Random(len(X))
+        for alive in _masks(X, rng):
+            cert = counting_contraction(X, alive)
+            assert clp._contractible(X, alive) == (cert is not None)
+            assert clp._contraction(X, alive) == cert
+            tested[cert is not None] += 1
+    assert tested[True] > 100 and tested[False] > 100
+
+
+def test_contractible_matches_brute_force_on_small_posets():
+    tested = Counter()
+    for seed in range(40):
+        X = generate_poset(seed, 4 + seed % 5)
+        rng = random.Random(seed)
+        for alive in _masks(X, rng):
+            ours = clp._contractible(X, alive)
+            assert ours == brute_contractible(X.restrict(X._members(alive)))
+            tested[ours] += 1
+    assert tested[True] and tested[False]
+
+
+def test_searches_replays_and_executor_match_under_the_counting_predicate(monkeypatch):
+    spaces = list(_predicate_posets())
+    replays = [
+        (X, cert, target)
+        for X in spaces
+        if (res := greedy_collapse_space(X)).verdict == "yes" and len(res.certificate.steps) > 1
+        for cert, target in _space_tampers(X, list(res.certificate.steps))
+    ]
+
+    def results():
+        out = []
+        for X in spaces:
+            keep = X.down_set(X.elements[-1])
+            out.append(_plain(greedy_collapse_space(X)))
+            out.append(_plain(greedy_collapse_space(X, target=keep)))
+            out.append(core(X))
+            out.append([(x, _plain(res)) for x, res in gamma_points(X)])
+        for R in _cylinder_relations():
+            for side in ("left", "right"):
+                B = relation_cylinder(R)
+                out.append(_execute_target_removal(R, B, side, _hypothesis_masks(R, side)))
+        out.append([replay_space_certificate(*case) for case in replays])
+        return out
+
+    ours = results()
+    monkeypatch.setattr(clp, "removable", counting_removable)
+    assert results() == ours
+    assert any(ours[-1]) and not all(ours[-1])
 
 
 def _complex_tampers(L: SimplicialComplex, steps: list):
