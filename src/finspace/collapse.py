@@ -26,26 +26,31 @@ test, building no removal steps: the core of a finite space is unique up to
 homeomorphism (Stong), so every maximal run of beat-point removals ends at
 the same number of points, and the verdict does not depend on their order.
 
-Free-face search and replay likewise share one state, ``_Shrinking``: a
-present-mask and coface counts over the complex's simplex index, updated in
-O(dim) per removed pair, so no complex is rebuilt per step.  Every search
-runs one loop on ints, ``_collapse_run``, over that state's arrays; it
-records (face id, coface id) pairs, and a certificate is built once, for
-the schedule that succeeded, so a verdict-only caller builds none.  A
+Free-face searches, the truncation checker, replay and ``free_faces`` share
+one state, built by ``_free_state``: per simplex of the index, whether it is
+present and the number and id sum of its present codimension-1 cofaces,
+updated in O(dim) per removed pair, so no complex is rebuilt per step.  One
+loop on ints, ``_collapse_run``, removes free pairs among given ids and
+never touches a simplex outside them; it stops when no id of positive
+dimension is left, records (face id, coface id) pairs, and a certificate is
+built once, for the schedule that succeeded, so a verdict-only caller
+builds none.  When the ids are what a complex K has beyond a subcomplex L,
+a coface in K of an id lies outside L too, so the counts over the ids are
+the counts in K: a pass that removes every id collapses K onto L, and one
+that leaves only vertices collapses K onto L plus isolated vertices.  The
+same loop therefore gives a collapse to a point (all of K's ids, one
+vertex left), a targeted collapse (L the target, none left) and the
+truncation checker's relative pass (L a sub-union already collapsed).  A
 subcomplex is searched as its simplex ids on its parent's index, and a
-stuck search reads the homology of the same ids.  The verdict-only pass of
-the truncation checker, ``collapses_onto``, keeps its state in dicts sized
-to the ids it may remove, so it can run on the simplices one sub-union adds
-to another.
+stuck search reads the homology of the same ids.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .complexes import SimplexIndex, SimplicialComplex
@@ -387,7 +392,10 @@ def replay_space_certificate(
     X: FinitePoset, cert: CollapseCertificate, target: Iterable[str] | None = None
 ) -> bool:
     """Check each removal is valid for its declared kind; verify the end state.
-    A target naming an element outside X raises TargetNotInduced."""
+    An empty X raises EmptySpace and a target naming an element outside X
+    raises TargetNotInduced, as a search would."""
+    if not len(X):
+        raise EmptySpace("cannot collapse the empty space")
     keep = _target_mask(X, target)
     alive = _everything(X)
     for step in cert.steps:
@@ -407,115 +415,84 @@ def replay_space_certificate(
 # ---------------------------------------------------------------------------
 
 
-class _Shrinking:
-    """A complex shrinking by free-pair removals, kept on its simplex index.
+def _free_state(
+    index: SimplexIndex, ids: Sequence[int] | None
+) -> tuple[list[bool], list[int], list[int]]:
+    """The state of the free-face loop on the ids (ascending; default: all
+    of the index): per simplex of the index, whether it is among the ids,
+    and the number and id sum of its codimension-1 cofaces among them; the
+    sum names the coface when there is one.
 
-    Per simplex it holds whether it is present and the number and id sum of
-    its present codimension-1 cofaces; the sum names the coface when there is
-    one.  A simplex s is free exactly when it has one such coface t: a larger
-    simplex s + {p, q} would bring the two cofaces s + {p} and s + {q}, so t
-    is maximal and the only simplex above s.  Simplices in ``keep`` are never
-    free.  ``ids``, when given, are the simplices present at the start, a
-    subcomplex (closed under faces) of the indexed one; by default all are.
+    A present simplex s is free exactly when it has one such coface t: a
+    larger simplex s + {p, q} would bring the two cofaces s + {p} and
+    s + {q}, so t is maximal and the only simplex above s.  The lists are
+    sized to the index and read by id.
     """
-
-    __slots__ = ("index", "keep", "start", "present", "count", "cosum", "size")
-
-    def __init__(
-        self,
-        index: SimplexIndex,
-        keep: frozenset[int] = frozenset(),
-        ids: Sequence[int] | None = None,
-    ):
-        self.index = index
-        self.keep = keep
-        n = len(index.simplices)
-        self.start = range(n) if ids is None else ids
-        if ids is None:
-            self.present = [True] * n
-            self.count = [len(c) for c in index.cofaces]
-            self.cosum = [sum(c) for c in index.cofaces]
-            self.size = n
-            return
-        present = self.present = [False] * n
-        count = self.count = [0] * n
-        cosum = self.cosum = [0] * n
-        self.size = len(ids)
-        faces = index.faces
-        for i in ids:
-            present[i] = True
-            for f in faces[i]:
-                count[f] += 1
-                cosum[f] += i
-
-    def coface_if_free(self, s: int) -> int | None:
-        """The coface of s when s is present, outside keep and free; else None."""
-        if self.present[s] and self.count[s] == 1 and s not in self.keep:
-            return self.cosum[s]
-        return None
-
-    def free_ids(self) -> list[int]:
-        """The free simplices, ascending; only the starting ids are scanned,
-        since they hold every present simplex."""
-        present, count, keep = self.present, self.count, self.keep
-        return [s for s in self.start if count[s] == 1 and present[s] and s not in keep]
-
-    def remove_pair(self, s: int, t: int) -> None:
-        """Remove the free face s with its coface t.  Only the coface counts
-        of the pair's faces move, so only those can change freeness."""
-        self.present[s] = self.present[t] = False
-        self.size -= 2
-        for gone in (t, s):
-            for f in self.index.faces[gone]:
-                self.count[f] -= 1
-                self.cosum[f] -= gone
+    n = len(index.simplices)
+    if ids is None:
+        cofaces = index.cofaces
+        return [True] * n, [len(c) for c in cofaces], [sum(c) for c in cofaces]
+    present, count, cosum = [False] * n, [0] * n, [0] * n
+    faces = index.faces
+    for i in ids:
+        present[i] = True
+        for f in faces[i]:
+            count[f] += 1
+            cosum[f] += i
+    return present, count, cosum
 
 
 def free_faces(K: SimplicialComplex) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Pairs (face, unique coface): the face lies in exactly one larger simplex."""
-    state = _Shrinking(K.index())
-    simplices = state.index.simplices
-    return [(simplices[s], simplices[state.cosum[s]]) for s in state.free_ids()]
+    index = K.index()
+    _, count, cosum = _free_state(index, None)
+    simplices = index.simplices
+    return [(simplices[s], simplices[cosum[s]]) for s, above in enumerate(count) if above == 1]
 
 
 def _collapse_run(
     index: SimplexIndex,
-    keep: frozenset[int],
-    size: int,
-    rng: random.Random | None,
     ids: Sequence[int] | None = None,
+    rng: random.Random | None = None,
 ) -> list[tuple[int, int]] | None:
-    """One greedy pass down to ``size`` simplices without touching keep,
-    starting from the subcomplex ``ids`` (ascending; default: all of the
-    index).  Returns the removed (face id, coface id) pairs in order, or
-    None when stuck.
+    """One greedy pass that removes free pairs among the ids (ascending;
+    default: all of the index), never touching a simplex outside them,
+    until no id of positive dimension is left.  Returns the removed (face
+    id, coface id) pairs in order, or None when stuck.
 
-    The free faces are kept as a sorted id list, which is the order of
+    The free ids are kept as a sorted list, which is the order of
     ``free_faces``: the deterministic pass takes the first, a restart draws
-    from the whole list.  The loop runs on the arrays of a ``_Shrinking``
-    state and tests freeness inline.  The faces of a coface t and of its
-    free face s have different dimensions, so each face of the pair is
-    updated once and its freeness is final when it is retested.
+    from the whole list.  A simplex outside the ids is never present, so it
+    is never listed.  The faces of a coface t and of its free face s have
+    different dimensions, so each face of the pair is updated once and its
+    freeness is final when it is retested.
+
+    The pass stops on dimensions, never on an Euler count: when the ids are
+    not closed under faces, their own Euler count can balance with nothing
+    removed (a triangle filling a disk's boundary adds +1 simplex and +1 to
+    chi, and makes a sphere).
     """
-    state = _Shrinking(index, keep, ids)
-    present, count, cosum, faces = state.present, state.count, state.cosum, index.faces
-    free = state.free_ids()
+    start = range(len(index.simplices)) if ids is None else ids
+    present, count, cosum = _free_state(index, ids)
+    faces = index.faces
+    free = [s for s in start if count[s] == 1]
     listed = set(free)
+    # the ids of positive dimension follow the vertices
+    left = len(start) and len(start) - bisect_left(start, index.dim_start[1])
     steps: list[tuple[int, int]] = []
-    left = state.size
-    while left != size:
+    while left:
         if not free:
             return None
         s = free[0] if rng is None else rng.choice(free)
         t = cosum[s]
         steps.append((s, t))
         present[s] = present[t] = False
-        left -= 2
+        left -= 2 if faces[s] else 1
         for gone in (t, s):
             for u in faces[gone]:
                 above = count[u] = count[u] - 1
                 cosum[u] -= gone
-                if above == 1 and present[u] and u not in keep:
+                if above == 1 and present[u]:
                     if u not in listed:
                         listed.add(u)
                         insort(free, u)
@@ -523,56 +500,6 @@ def _collapse_run(
                     listed.remove(u)
                     free.remove(u)
     return steps
-
-
-def collapses_onto(index: SimplexIndex, ids: Sequence[int]) -> bool:
-    """Whether the deterministic free-face pass removes every simplex of
-    positive dimension among the ids, keeping every simplex outside them.
-
-    The ids (ascending) are what a complex K on the index has beyond a
-    subcomplex L, so every coface in K of an id is an id: the count and id
-    sum of an id's cofaces are read off the ids alone, in dicts sized to
-    them.  The pass removes the lowest free id with its coface until no id
-    of positive dimension is left, or returns False when none is free.  A
-    True collapses K onto L plus isolated vertices; on all the ids of K (L
-    empty) it collapses K to isolated vertices, one per component.
-
-    The pass stops on the ids' dimensions, never on an Euler count: the
-    ids' own Euler count can balance with nothing removed (a triangle
-    filling a disk's boundary adds +1 simplex and +1 to chi, and makes a
-    sphere).
-    """
-    faces = index.faces
-    # present ids -> number and id sum of their present cofaces
-    count = dict.fromkeys(ids, 0)
-    cosum = dict.fromkeys(ids, 0)
-    left = 0  # present ids of positive dimension
-    for i in ids:
-        if faces[i]:
-            left += 1
-            for f in faces[i]:
-                if f in count:
-                    count[f] += 1
-                    cosum[f] += i
-    # a heap of free candidates: a count only falls, so an id enters once
-    free = [s for s in ids if count[s] == 1]
-    while left:
-        while free and count.get(free[0]) != 1:
-            heappop(free)
-        if not free:
-            return False
-        s = heappop(free)
-        t = cosum[s]
-        del count[s], count[t]
-        left -= 2 if faces[s] else 1
-        for gone in (t, s):
-            for u in faces[gone]:
-                if u in count:
-                    above = count[u] = count[u] - 1
-                    cosum[u] -= gone
-                    if above == 1:
-                        heappush(free, u)
-    return True
 
 
 def check_restarts(restarts: int) -> None:
@@ -583,27 +510,29 @@ def check_restarts(restarts: int) -> None:
 
 def _free_face_search(
     index: SimplexIndex,
-    keep: frozenset[int],
-    size: int,
+    ids: Sequence[int] | None,
+    end: int,
     restarts: int,
     seed: int,
-    ids: Sequence[int] | None = None,
 ) -> CollapseCertificate | None:
     """The deterministic pass, then ``restarts`` seeded random ones, on the
-    subcomplex ``ids`` (ascending; default: all of the index).  Returns the
-    first certificate found, or None when every schedule gets stuck.
+    ids (ascending; None for all of the index).  A pass succeeds when it
+    leaves ``end`` of the ids: 1 for a collapse to a point, 0 for a collapse
+    onto the simplices outside them.  Returns the first certificate found,
+    or None when every schedule gets stuck.
 
-    Any index that holds the subcomplex lists its simplices in the same
-    relative (dimension, lexicographic) order, so the first free face and
-    the position a restart draws are the same on each, and so is the
+    Any index that holds the simplices lists them in the same relative
+    (dimension, lexicographic) order, so the first free face and the
+    position a restart draws are the same on each, and so is the
     certificate.  A negative ``restarts`` raises MalformedSpec: no schedule
     would run, and Unknown would report a search that never happened.
     """
     check_restarts(restarts)
+    size = len(index.simplices) if ids is None else len(ids)
     for attempt in range(restarts + 1):
         rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
-        steps = _collapse_run(index, keep, size, rng, ids)
-        if steps is not None:
+        steps = _collapse_run(index, ids, rng)
+        if steps is not None and size - 2 * len(steps) == end:
             simplices = index.simplices
             return CollapseCertificate(
                 tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in steps)
@@ -622,15 +551,25 @@ def _free_face_verdict(
     under faces; None for all of it) to a point, or onto the subcomplex
     made of the ascending ids target.  When every schedule gets stuck, the
     homology of those ids, read on the same index, decides No or Unknown."""
-    # target simplices are never removed, so the target is reached exactly
-    # when as many simplices remain as it has
-    keep, size = (frozenset(), 1) if target is None else (frozenset(target), len(target))
-    cert = _free_face_search(index, keep, size, restarts, seed, ids)
+    whole = range(len(index.simplices)) if ids is None else ids
+    if target is None:
+        cert = _free_face_search(index, ids, 1, restarts, seed)
+    else:  # the search may remove every simplex outside the target
+        kept = frozenset(target)
+        cert = _free_face_search(index, [i for i in whole if i not in kept], 0, restarts, seed)
     if cert is not None:
         return yes(cert)
-    whole = range(len(index.simplices)) if ids is None else ids
     note = "no free faces left on any attempted schedule"
     return _stuck(lambda part: _homology(index, part), whole, target, note)
+
+
+def _check_collapse_input(K: SimplicialComplex, target: SimplicialComplex | None) -> None:
+    """Raise EmptyObject on an empty K and TargetNotInduced on a target that
+    is not a subcomplex of K."""
+    if K.is_empty():
+        raise EmptyObject("cannot collapse the empty complex")
+    if target is not None and not target.is_subcomplex_of(K):
+        raise TargetNotInduced("target is not a subcomplex")
 
 
 def greedy_collapse_complex(
@@ -643,10 +582,7 @@ def greedy_collapse_complex(
 
     Deterministic first pass: lowest dimension, lexicographic simplex order.
     """
-    if K.is_empty():
-        raise EmptyObject("cannot collapse the empty complex")
-    if target is not None and not target.is_subcomplex_of(K):
-        raise TargetNotInduced("target is not a subcomplex")
+    _check_collapse_input(K, target)
     index = K.index()
     if target is not None:
         target = sorted(index.id_of[s] for s in target.all_simplices())
@@ -689,26 +625,38 @@ def replay_complex_certificate(
     cert: CollapseCertificate,
     target: SimplicialComplex | None = None,
 ) -> bool:
-    """Re-execute free-face pairs, checking freeness at each step.
-
-    A face or coface may list its vertices in any order.
+    """Re-execute free-face pairs, checking freeness at each step, on the
+    simplices of K outside the target, and check that one vertex is left
+    (none outside a target).  A face or coface may list its vertices in any
+    order.  An empty K raises EmptyObject and a target that is not a
+    subcomplex of K raises TargetNotInduced, as a search would.
     """
-    state = _Shrinking(K.index())
-    id_of = state.index.id_of
+    _check_collapse_input(K, target)
+    index = K.index()
+    id_of, faces = index.id_of, index.faces
+    if target is None:
+        ids, left, end = None, len(index.simplices), 1
+    else:
+        kept = frozenset(map(id_of.__getitem__, target.all_simplices()))
+        ids = [i for i in range(len(index.simplices)) if i not in kept]
+        left, end = len(ids), 0
+    present, count, cosum = _free_state(index, ids)
     for step in cert.steps:
         if not isinstance(step, FreeFacePair):
             return False
         s = id_of.get(tuple(sorted(frozenset(step.face))))
-        t = None if s is None else state.coface_if_free(s)
-        if t is None or id_of.get(tuple(sorted(frozenset(step.coface)))) != t:
+        if s is None or not present[s] or count[s] != 1:
             return False
-        state.remove_pair(s, t)
-    if target is None:
-        return state.size == 1
-    remaining = target.all_simplices()
-    return state.size == len(remaining) and all(
-        (s := id_of.get(simplex)) is not None and state.present[s] for simplex in remaining
-    )
+        t = cosum[s]
+        if id_of.get(tuple(sorted(frozenset(step.coface)))) != t:
+            return False
+        present[s] = present[t] = False
+        left -= 2
+        for gone in (t, s):
+            for u in faces[gone]:
+                count[u] -= 1
+                cosum[u] -= gone
+    return left == end
 
 
 # ---------------------------------------------------------------------------

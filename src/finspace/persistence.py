@@ -244,8 +244,8 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
         if union not in failure_of:
             failure_of[union] = None
             best = max((u for u, _ in below if u in collapsed), key=int.bit_count, default=0)
-            if clp.collapses_onto(index, _ids(union & ~best)) or (
-                best and clp.collapses_onto(index, _ids(union))
+            if clp._collapse_run(index, _ids(union & ~best)) is not None or (
+                best and clp._collapse_run(index, _ids(union)) is not None
             ):
                 collapsed.add(union)
             else:

@@ -6,8 +6,10 @@ chains are enumerated from the raw order relation, and transitive closures
 are recomputed from scratch.  The facet-subset index build and the
 maximal-chain order complex are the reference for the level-built index and
 the chain-listing order complex.  The slow collapse engine further down is the
-reference for the indexed one, the method-call free-face pass in it the
-reference for the inlined loop on ids, the rescanning point peel in it the
+reference for the indexed one, the free-face engines after it (a state with
+methods, its parent-array pass stopped on a simplex count, and the
+truncation checker's old pass in dicts and a heap) the reference for the
+one loop on ids, the rescanning point peel in it the
 reference for the worklist peel, the counting point predicates (a beat
 test that counts extremes, a weak test that builds the contraction's
 certificate) the reference for the one-walk beat test and the verdict-only
@@ -250,10 +252,170 @@ def slow_collapse_run(K, keep, rng):
         current = slow_without(current, [face, coface])
 
 
+# -- the two free-face engines the one loop on ids replaced --------------------
+#
+# The library's ``_collapse_run`` removes free pairs among given ids until no
+# id of positive dimension is left.  Below are the engines it replaced: the
+# ``Shrinking`` state with methods, the parent-array pass on it that stops on
+# a simplex count and never removes ``keep``, and the verdict-only pass of
+# the truncation checker in dicts and a heap sized to its ids.
+
+
+class Shrinking:
+    """A complex shrinking by free-pair removals, kept on its simplex index.
+
+    Per simplex it holds whether it is present and the number and id sum of
+    its present codimension-1 cofaces; the sum names the coface when there is
+    one.  Simplices in ``keep`` are never free.  ``ids``, when given, are the
+    simplices present at the start, a subcomplex of the indexed one; by
+    default all are.
+    """
+
+    __slots__ = ("index", "keep", "start", "present", "count", "cosum", "size")
+
+    def __init__(self, index, keep=frozenset(), ids=None):
+        self.index = index
+        self.keep = keep
+        n = len(index.simplices)
+        self.start = range(n) if ids is None else ids
+        if ids is None:
+            self.present = [True] * n
+            self.count = [len(c) for c in index.cofaces]
+            self.cosum = [sum(c) for c in index.cofaces]
+            self.size = n
+            return
+        present = self.present = [False] * n
+        count = self.count = [0] * n
+        cosum = self.cosum = [0] * n
+        self.size = len(ids)
+        faces = index.faces
+        for i in ids:
+            present[i] = True
+            for f in faces[i]:
+                count[f] += 1
+                cosum[f] += i
+
+    def coface_if_free(self, s):
+        """The coface of s when s is present, outside keep and free; else None."""
+        if self.present[s] and self.count[s] == 1 and s not in self.keep:
+            return self.cosum[s]
+        return None
+
+    def free_ids(self):
+        """The free simplices, ascending."""
+        present, count, keep = self.present, self.count, self.keep
+        return [s for s in self.start if count[s] == 1 and present[s] and s not in keep]
+
+    def remove_pair(self, s, t):
+        """Remove the free face s with its coface t."""
+        self.present[s] = self.present[t] = False
+        self.size -= 2
+        for gone in (t, s):
+            for f in self.index.faces[gone]:
+                self.count[f] -= 1
+                self.cosum[f] -= gone
+
+
+def shrinking_free_faces(K: SimplicialComplex):
+    """``free_faces`` read off a ``Shrinking`` state."""
+    state = Shrinking(K.index())
+    simplices = state.index.simplices
+    return [(simplices[s], simplices[state.cosum[s]]) for s in state.free_ids()]
+
+
+def shrinking_replay_complex(K: SimplicialComplex, cert, target=None) -> bool:
+    """Replay on a ``Shrinking`` state of all of K, checking at the end that
+    exactly the target's simplices (or one simplex) are left."""
+    state = Shrinking(K.index())
+    id_of = state.index.id_of
+    for step in cert.steps:
+        if not isinstance(step, FreeFacePair):
+            return False
+        s = id_of.get(tuple(sorted(frozenset(step.face))))
+        t = None if s is None else state.coface_if_free(s)
+        if t is None or id_of.get(tuple(sorted(frozenset(step.coface)))) != t:
+            return False
+        state.remove_pair(s, t)
+    if target is None:
+        return state.size == 1
+    remaining = target.all_simplices()
+    return state.size == len(remaining) and all(
+        (s := id_of.get(simplex)) is not None and state.present[s] for simplex in remaining
+    )
+
+
+def parent_array_collapse_run(index, keep, size, rng, ids=None):
+    """One greedy pass down to ``size`` simplices without touching keep,
+    from the subcomplex ``ids`` (default: all of the index), inlined on the
+    arrays of a ``Shrinking`` state; the (face id, coface id) pairs, or None
+    when stuck."""
+    state = Shrinking(index, keep, ids)
+    present, count, cosum, faces = state.present, state.count, state.cosum, index.faces
+    free = state.free_ids()
+    listed = set(free)
+    steps = []
+    left = state.size
+    while left != size:
+        if not free:
+            return None
+        s = free[0] if rng is None else rng.choice(free)
+        t = cosum[s]
+        steps.append((s, t))
+        present[s] = present[t] = False
+        left -= 2
+        for gone in (t, s):
+            for u in faces[gone]:
+                above = count[u] = count[u] - 1
+                cosum[u] -= gone
+                if above == 1 and present[u] and u not in keep:
+                    if u not in listed:
+                        listed.add(u)
+                        insort(free, u)
+                elif u in listed:
+                    listed.remove(u)
+                    free.remove(u)
+    return steps
+
+
+def dict_heap_collapses_onto(index: SimplexIndex, ids: Sequence[int]) -> bool:
+    """Whether the deterministic free-face pass removes every simplex of
+    positive dimension among the ids, keeping every simplex outside them,
+    on dicts sized to the ids and a heap of free candidates."""
+    faces = index.faces
+    count = dict.fromkeys(ids, 0)
+    cosum = dict.fromkeys(ids, 0)
+    left = 0
+    for i in ids:
+        if faces[i]:
+            left += 1
+            for f in faces[i]:
+                if f in count:
+                    count[f] += 1
+                    cosum[f] += i
+    free = [s for s in ids if count[s] == 1]
+    while left:
+        while free and count.get(free[0]) != 1:
+            heapq.heappop(free)
+        if not free:
+            return False
+        s = heapq.heappop(free)
+        t = cosum[s]
+        del count[s], count[t]
+        left -= 2 if faces[s] else 1
+        for gone in (t, s):
+            for u in faces[gone]:
+                if u in count:
+                    above = count[u] = count[u] - 1
+                    cosum[u] -= gone
+                    if above == 1:
+                        heapq.heappush(free, u)
+    return True
+
+
 def shrinking_collapse_run(index, keep, size, rng, ids=None):
-    """The free-face pass on ``_Shrinking`` methods, one certificate step
+    """The free-face pass on ``Shrinking`` methods, one certificate step
     built per removal; the certificate, or None when stuck."""
-    state = clp._Shrinking(index, keep, ids)
+    state = Shrinking(index, keep, ids)
     free = state.free_ids()
     listed = set(free)
     steps = []
@@ -835,7 +997,7 @@ def chi_collapses_to_vertices(index: SimplexIndex, ids: Sequence[int]) -> bool:
     which a state without edges has as its size."""
     cuts = index.dim_cuts(ids)
     chi = sum((-1) ** d * (hi - lo) for d, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
-    return clp._collapse_run(index, frozenset(), chi, None, ids) is not None
+    return parent_array_collapse_run(index, frozenset(), chi, None, ids) is not None
 
 
 def per_union_positive_degree_failures(cover: Cover, subsets) -> list[dict]:

@@ -384,6 +384,9 @@ _CYCLIC = {
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": []}, "target": ["z"]})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": _CERT, "target": {"facets": [["a", "z"]]}})),
+        (["verify", "replay-complex"], json.dumps({"complex": {"facets": []}, "certificate": _CERT})),
+        (["verify", "replay-space"], json.dumps({"poset": {"elements": [], "relations": []}, "certificate": _CERT})),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):

@@ -25,8 +25,14 @@ from finspace.collapse import (
     triviality_from_collapse,
     weak_points,
 )
-from finspace.complexes import simplex_boundary, solid_simplex
-from finspace.errors import EmptySpace, InvariantViolation, MalformedSpec, TargetNotInduced
+from finspace.complexes import SimplicialComplex, simplex_boundary, solid_simplex
+from finspace.errors import (
+    EmptyObject,
+    EmptySpace,
+    InvariantViolation,
+    MalformedSpec,
+    TargetNotInduced,
+)
 from finspace.fixtures import dunce_hat, finite_circle, two_triangles
 from finspace.generators import generate_poset
 from finspace.posets import antichain, build_poset, chain
@@ -235,6 +241,21 @@ def test_corrupted_certificate_fails_replay():
     bogus = CollapseCertificate((FreeFacePair(("v0",), ("v0", "v9")),))
     assert not replay_complex_certificate(K, bogus)
 
+
+def test_replay_raises_on_the_inputs_a_search_rejects():
+    """A target outside the complex and an empty complex or space are bad
+    input to replay, as to a search, not a certificate that fails."""
+    K = two_triangles()
+    cert = greedy_collapse_complex(K).certificate
+    outside = SimplicialComplex([["v0", "z"]])
+    for check in (greedy_collapse_complex, replay_complex_certificate):
+        args = (K,) if check is greedy_collapse_complex else (K, cert)
+        with pytest.raises(TargetNotInduced):
+            check(*args, target=outside)
+    with pytest.raises(EmptyObject):
+        replay_complex_certificate(SimplicialComplex([]), cert)
+    with pytest.raises(EmptySpace):
+        replay_space_certificate(antichain([]), CollapseCertificate())
 
 def test_replay_space_accepts_any_valid_kind():
     # b is both a down-beat and an up-beat point of a < b < c

@@ -5,15 +5,17 @@ a shrinking set of points; ``helpers`` keeps the old engine, which rescans
 and rebuilds at every step.  On seeded families both must give equal
 verdicts, certificates and free-face lists, and their replays must accept
 and reject the same certificates.  The free-face loop on ids is also checked
-step for step against the pass on ``_Shrinking`` methods it replaced, and
-searches must build a certificate only for the schedule that succeeds.  The
-truncation checker's passes along the sub-union lattice are checked against
-one full pass per sub-union, stopped at the Euler characteristic.
+step for step against the engines it replaced (a state with methods, its
+parent-array pass stopped on a simplex count, and the truncation checker's
+pass in dicts and a heap), and searches must build a certificate only for
+the schedule that succeeds.  The truncation checker's passes along the
+sub-union lattice are checked against one full pass per sub-union, stopped
+at the Euler characteristic.
 """
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -63,13 +65,17 @@ from helpers import (
     counting_contraction,
     counting_one_extreme,
     counting_removable,
+    dict_heap_collapses_onto,
     nerve_relation,
+    parent_array_collapse_run,
     per_union_positive_degree_failures,
     polygon_arc_cover,
     rescan_peel,
     sd_boundary,
     seeded_cone_cover,
     shrinking_collapse_run,
+    shrinking_free_faces,
+    shrinking_replay_complex,
     slow_collapse_run,
     slow_core,
     slow_execute_target_removal,
@@ -138,12 +144,22 @@ def test_random_schedules_match_oracle():
     for seed, K, C in list(_complexes())[:12] + [(99, dunce_hat(), cone("z", dunce_hat()))]:
         index = C.index()
         base = frozenset(index.id_of[s] for s in K.all_simplices())
+        outside = [i for i in range(len(index.simplices)) if i not in base]
         for r in range(3):
-            for keep, size, target in ((frozenset(), 1, None), (base, len(base), K)):
-                pairs = clp._collapse_run(index, keep, size, random.Random(f"{seed}:{r}"))
-                ours = None if pairs is None else _certificate(index, pairs)
+            for ids, end, target in ((None, 1, None), (outside, 0, K)):
+                pairs = clp._collapse_run(index, ids, random.Random(f"{seed}:{r}"))
+                size = len(index.simplices) if ids is None else len(ids)
+                ours = _accepted(index, pairs, size, end)
                 theirs = slow_collapse_run(C, target, random.Random(f"{seed}:{r}"))
                 assert ours == theirs
+
+
+def _accepted(index, pairs, size, end):
+    """The certificate of a pass over size ids when it leaves end of them,
+    as a search accepts it; else None."""
+    if pairs is None or size - 2 * len(pairs) != end:
+        return None
+    return _certificate(index, pairs)
 
 
 def _certificate(index, pairs) -> CollapseCertificate:
@@ -166,9 +182,10 @@ def _subunion_covers():
 
 
 def test_subunion_passes_match_the_method_call_oracle():
-    """The inlined loop removes the same pairs as the pass on ``_Shrinking``
-    methods, on every distinct sub-union the truncation checker collapses,
-    for the deterministic pass and three seeded restarts."""
+    """The loop on ids removes the same pairs as the pass on ``Shrinking``
+    methods stopped at the Euler characteristic, on every distinct sub-union
+    the truncation checker collapses, for the deterministic pass and three
+    seeded restarts."""
     runs = stuck = 0
     for seed, cov in enumerate(_subunion_covers()):
         index = cov.parent.index()
@@ -183,7 +200,7 @@ def test_subunion_passes_match_the_method_call_oracle():
             chi = sum((-1) ** (len(index.simplices[i]) - 1) for i in ids)
             for r in (None, 0, 1, 2):
                 rngs = [None if r is None else random.Random(f"{seed}:{r}") for _ in range(2)]
-                pairs = clp._collapse_run(index, frozenset(), chi, rngs[0], ids)
+                pairs = clp._collapse_run(index, ids, rngs[0])
                 theirs = shrinking_collapse_run(index, frozenset(), chi, rngs[1], ids)
                 assert (None if pairs is None else _certificate(index, pairs)) == theirs
                 runs += 1
@@ -207,17 +224,80 @@ def test_full_pass_on_a_subunion_is_the_euler_count_pass():
         }
         for mask in masks:
             ids = _ids(mask)
-            verdict = clp.collapses_onto(index, ids)
+            verdict = clp._collapse_run(index, ids) is not None
             assert verdict == chi_collapses_to_vertices(index, ids)
             seen[verdict] += 1
     # the circles, the dunce hat and RP2 get stuck
     assert seen[True] > 600 and seen[False] >= 4
 
 
+def _lattice_passes(cov):
+    """(union mask, kept mask) of each pass the truncation checker can run
+    on cov: every distinct sub-union in full (nothing kept), and relative to
+    every distinct sub-union of one member fewer that it strictly contains."""
+    names = sorted(cov.names())
+    out = set()
+    for k in range(1, len(names) + 1):
+        for J in combinations(names, k):
+            union = cov._union_mask(J)
+            out.add((union, 0))
+            for j in J if k > 1 else ():
+                below = cov._union_mask([n for n in J if n != j])
+                if below != union:
+                    out.add((union, below))
+    return sorted(out)
+
+
+def test_one_loop_matches_the_engines_it_replaced():
+    """On every full and relative pass along the sub-union lattice of the
+    families, for the deterministic pass and three seeded restarts, the loop
+    on the ids a sub-union adds removes the same pairs as the parent-array
+    pass that keeps the smaller sub-union and stops at the Euler count of
+    the added ids; where the loop gets stuck, that pass either gets stuck
+    too or stops with an added simplex of positive dimension left.  The
+    deterministic verdict is the dict-and-heap pass's.  On the tamper
+    families, ``free_faces`` and replay agree with the ``Shrinking`` state."""
+    runs = Counter()
+    for seed, cov in enumerate(_subunion_covers()):
+        index = cov.parent.index()
+        for union, below in _lattice_passes(cov):
+            ids, kept = _ids(union & ~below), frozenset(_ids(below))
+            # a pass that leaves only vertices of the ids leaves chi of them
+            chi = sum((-1) ** (len(index.simplices[i]) - 1) for i in ids)
+            for r in (None, 0, 1, 2):
+                rngs = [None if r is None else random.Random(f"{seed}:{r}") for _ in range(2)]
+                pairs = clp._collapse_run(index, ids, rngs[0])
+                theirs = parent_array_collapse_run(
+                    index, kept, len(kept) + chi, rngs[1], _ids(union)
+                )
+                if pairs is not None:
+                    assert theirs == pairs
+                elif theirs is not None:
+                    gone = {i for pair in theirs for i in pair}
+                    assert any(index.faces[i] for i in ids if i not in gone)
+                if r is None:
+                    assert (pairs is not None) == dict_heap_collapses_onto(index, ids)
+                runs[bool(below), pairs is not None] += 1
+    # full and relative passes both collapse and get stuck
+    assert all(runs[kind] for kind in product((False, True), repeat=2))
+    verdicts = Counter()
+    for seed, K, C in _complexes():
+        for L in (K, C):
+            assert free_faces(L) == shrinking_free_faces(L)
+        res = greedy_collapse_complex(C)
+        if len(res.certificate.steps) < 2:
+            continue
+        for cert, target in _complex_tampers(C, list(res.certificate.steps)):
+            ours = replay_complex_certificate(C, cert, target)
+            assert ours == shrinking_replay_complex(C, cert, target)
+            verdicts[ours] += 1
+    assert verdicts[True] and verdicts[False] > verdicts[True]
+
+
 def _recording(real, seen, what):
-    def recorded(index, ids):
+    def recorded(index, ids, *rest):
         seen.append(what(ids))
-        return real(index, ids)
+        return real(index, ids, *rest)
 
     return recorded
 
@@ -225,7 +305,9 @@ def _recording(real, seen, what):
 def _lattice_and_oracle(monkeypatch, cov, **kw):
     """The truncation report of cov along the sub-union lattice and with the
     per-union oracle; with each, the ids handed to homology and the number
-    of ids handed to free-face passes."""
+    of ids handed to free-face passes.  The classification, kept with the
+    cover, is made first, so every pass recorded is a truncation pass."""
+    classify_cover(cov, nerve_simplices_only=True)
     runs = []
     for failures in (persistence._positive_degree_failures, per_union_positive_degree_failures):
         homology, passed = [], []
@@ -233,7 +315,7 @@ def _lattice_and_oracle(monkeypatch, cov, **kw):
         for module, name, seen, what in (
             (persistence, "_homology", homology, tuple),
             (helpers, "_homology", homology, tuple),
-            (clp, "collapses_onto", passed, len),
+            (clp, "_collapse_run", passed, len),
             (helpers, "chi_collapses_to_vertices", passed, len),
         ):
             monkeypatch.setattr(module, name, _recording(getattr(module, name), seen, what))

@@ -258,9 +258,9 @@ def searches(monkeypatch):
     seen = []
     search = clp._free_face_search
 
-    def counting(index, keep, size, restarts, seed, ids=None):
+    def counting(index, ids, end, restarts, seed):
         seen.append(None if ids is None else tuple(ids))
-        return search(index, keep, size, restarts, seed, ids)
+        return search(index, ids, end, restarts, seed)
 
     monkeypatch.setattr(clp, "_free_face_search", counting)
     return seen

@@ -5,7 +5,7 @@ import pytest
 
 from finspace import persistence
 from finspace import collapse as clp
-from finspace.collapse import collapses_onto
+from finspace.collapse import _collapse_run
 from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary
 from finspace.covers import Cover, classify_cover, nerve
 from finspace.errors import InvalidCover, NotAChain, UnknownMember
@@ -287,11 +287,11 @@ def test_disconnected_subunion_collapses_to_its_components():
     cov = polygon_arc_cover(12, [0, 3, 6, 9])
     for K, expected in ((cov.subunion(["A0", "A2"]), True), (cov.parent, False)):
         ids = list(range(K.num_simplices()))
-        assert collapses_onto(K.index(), ids) is expected
+        assert (_collapse_run(K.index(), ids) is not None) is expected
     # the sub-union inside the parent's index
     parent = cov.parent.index()
     ids = sorted(parent.id_of[s] for s in cov.subunion(["A0", "A2"]).all_simplices())
-    assert collapses_onto(parent, ids)
+    assert _collapse_run(parent, ids) is not None
 
 
 def test_relative_pass_stops_on_dimensions_not_on_the_euler_count(monkeypatch):
@@ -304,7 +304,7 @@ def test_relative_pass_stops_on_dimensions_not_on_the_euler_count(monkeypatch):
     index = cov.parent.index()
     added = _ids(cov._union_mask(["A", "B"]) & ~cov._union_mask(["A"]))
     assert [index.simplices[i] for i in added] == [("x", "y", "z")]
-    assert not collapses_onto(index, added)
+    assert _collapse_run(index, added) is None
     report, built, homology = check_part2(monkeypatch, cov)
     assert [f["index_set"] for f in report["part2_failures"]] == [["A", "B"]]
     degrees = report["part2_failures"][0]["homology"]["degrees"]
@@ -326,14 +326,14 @@ def test_relative_pass_stuck_on_a_joining_arc_falls_back_to_the_full_pass(monkey
         ("C", SimplicialComplex(edges[7:])),
     )
     cov = Cover("complex", SimplicialComplex(edges), members)
-    passes, real = [], clp.collapses_onto
+    passes, real = [], clp._collapse_run
 
-    def recording(index, ids):
-        verdict = real(index, ids)
-        passes.append(([index.simplices[i] for i in ids], verdict))
-        return verdict
+    def recording(index, ids=None, rng=None):
+        pairs = real(index, ids, rng)
+        passes.append(([index.simplices[i] for i in ids], pairs is not None))
+        return pairs
 
-    monkeypatch.setattr(clp, "collapses_onto", recording)
+    monkeypatch.setattr(clp, "_collapse_run", recording)
     report, built, homology = check_part2(monkeypatch, cov)
     assert report["part2_subunions_acyclic"] and homology == []
     assert report == slow_check_truncation_theorem(cov)
