@@ -286,6 +286,8 @@ def cmd_cylinder(args) -> int:
             report = check_intermediate(rels[0], rels[1], args.mode.split("-")[1])
             checks = [report["factor"], report["composite"]]
         else:
+            if len(rels) > 2:
+                raise MalformedSpec("collapse checks need one or two relations")
             R = rels[0] if len(rels) == 1 else compose_relations(rels[0], rels[1])
             check = check_collapse_left if args.mode == "check-left" else check_collapse_right
             report = check(R)

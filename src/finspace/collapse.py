@@ -596,9 +596,9 @@ def staged_union_collapse(
 
     Repeatedly peels the last part: the union collapses onto the union of the
     rest whenever the peeled part collapses onto its intersection with the
-    rest, then recurses; the final part is collapsed to a point.  Used as the
-    fallback schedule for unions of collapsible complexes with collapsible
-    intersections.
+    rest, then recurses; the final part is collapsed to a point.  A
+    schedule the library offers for unions of collapsible complexes with
+    collapsible intersections; no search in the library calls it.
     """
     if not parts:
         raise EmptyObject("no parts given")

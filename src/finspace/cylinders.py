@@ -13,6 +13,7 @@ masks over the kept end, decided once per distinct set on its own masks.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import collapse as clp
@@ -52,7 +53,7 @@ class Relation:
     target_name: str = "Y"
 
     def __post_init__(self):
-        for a, b in self.pairs:
+        for a, b in sorted(self.pairs):  # the least offending pair is named
             if a not in self.source:
                 raise UnknownElement(f"{a!r} not in source poset")
             if b not in self.target:
@@ -62,14 +63,14 @@ class Relation:
 
     def image(self, members) -> frozenset[str]:
         members = frozenset(members)
-        for x in members:
+        for x in sorted(members):
             if x not in self.source:
                 raise UnknownElement(f"{x!r} not in source poset")
         return frozenset(b for a, b in self.pairs if a in members)
 
     def preimage(self, members) -> frozenset[str]:
         members = frozenset(members)
-        for y in members:
+        for y in sorted(members):
             if y not in self.target:
                 raise UnknownElement(f"{y!r} not in target poset")
         return frozenset(a for a, b in self.pairs if b in members)
@@ -232,16 +233,6 @@ def multiple_mapping_cylinder(
 # ---------------------------------------------------------------------------
 
 
-def underline_preimage(R: Relation, y: str) -> frozenset[str]:
-    """Open hull in the source of the preimage of U_y."""
-    return R.source._members(_hypothesis_masks(R, "left")[R.target._at(y)])
-
-
-def overline_image(R: Relation, x: str) -> frozenset[str]:
-    """Closure in the target of the image of F_x."""
-    return R.target._members(_hypothesis_masks(R, "right")[R.source._at(x)])
-
-
 def _hypothesis_masks(R: Relation, side: str) -> list[int]:
     """Per far position, the hypothesis set as a mask over the kept space:
     the kept points related to the far point's down set (left) or up set
@@ -325,11 +316,14 @@ def _execute_target_removal(R: Relation, B: FinitePoset, side: str, masks: list[
     extension.
 
     Each removal is verified twice: the punctured set of the removed point in
-    the remaining poset must equal the tagged hypothesis set (``masks``, by
-    far position), and the point must be a weak point of the remaining poset
-    at removal time.
+    the remaining poset must equal its hypothesis set (``masks``, by far
+    position), and the point must be a weak point of the remaining poset at
+    removal time.  A copy's ids share the prefix ``<copy>.``, so its points
+    sit at consecutive positions of B in the copy's own order, and a mask
+    over the copy moves to B's positions by one shift.
     """
     kept, kept_name, far, far_name, kind = _side(R, side)
+    kept_at, far_at = (bisect_left(B.elements, tag(name, "")) for name in (kept_name, far_name))
     order = list(far._order)  # ascending: lower points first
     if kind == clp.UP_WEAK:  # upper points first
         order.reverse()
@@ -338,23 +332,21 @@ def _execute_target_removal(R: Relation, B: FinitePoset, side: str, masks: list[
     alive = (1 << len(B)) - 1
     identity_ok = True
     for k in order:
-        z = far.elements[k]
-        tz = tag(far_name, z)
-        i = B._at(tz)
-        if strict[i] & alive != B._mask(tag(kept_name, w) for w in kept._members(masks[k])):
+        i = far_at + k
+        if strict[i] & alive != masks[k] << kept_at:
             identity_ok = False
         if not clp.removable(B, alive, i, kind):
             return {
                 "verdict": "failed",
-                "failed_at": z,
+                "failed_at": far.elements[k],
                 "proof_identity": identity_ok,
                 "note": "removed point is not a weak point at removal time",
             }
-        steps.append(clp.PointRemoval(tz, kind))
+        steps.append(clp.PointRemoval(B.elements[i], kind))
         alive ^= 1 << i
     cert = clp.CollapseCertificate(tuple(steps))
-    target_elements = {tag(kept_name, x) for x in kept.elements}
-    replay_ok = clp.replay_space_certificate(B, cert, target=target_elements)
+    target = B.elements[kept_at : kept_at + len(kept)]
+    replay_ok = clp.replay_space_certificate(B, cert, target=target)
     return {
         "verdict": "yes" if replay_ok else "failed",
         "proof_identity": identity_ok,

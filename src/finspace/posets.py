@@ -2,10 +2,11 @@
 
 A finite T0-space is the same data as a finite poset: the minimal open set
 of a point is its down-set, the closure of a point is its up-set.  Posets
-are immutable.  The constructor indexes the elements by sorted position and
-builds, once, each position's strict down- and up-set as int bitmasks, cover
-lists and height; queries are mask operations.  All deterministic orderings
-tie-break by lexicographic element id.
+are immutable.  Every poset is built by one routine, ``_build``: it indexes
+the elements by sorted position and stores, once, each position's strict
+down- and up-set as int bitmasks, its height, a linear extension and the
+Hasse pairs; queries, covers included, are mask operations.  All
+deterministic orderings tie-break by lexicographic element id.
 """
 
 from __future__ import annotations
@@ -23,35 +24,20 @@ class FinitePoset:
     """Immutable finite poset given by its Hasse diagram.
 
     ``hasse`` holds covering pairs ``(a, b)`` meaning ``a < b`` with nothing
-    strictly between; a pair that is not covering raises MalformedSpec.  Use
-    :func:`build_poset` to construct one from an arbitrary acyclic
-    generating relation.
+    strictly between; MalformedSpec names the least pair that is not
+    covering.  Use :func:`build_poset` to construct one from an arbitrary
+    acyclic generating relation.
     """
 
-    __slots__ = (
-        "elements", "hasse", "_pos", "_covers_below", "_covers_above", "_below", "_above",
-        "_order", "_height_of",
-    )
+    __slots__ = ("elements", "hasse", "_pos", "_below", "_above", "_order", "_height_of")
 
     def __init__(self, elements: Iterable[str], hasse: Iterable[tuple[str, str]]):
-        hasse = frozenset((a, b) for a, b in hasse)
-        elements, pos, edges = _intern(elements, hasse, "hasse")
-        _, _, _, below, above, _ = closure = _closure(elements, edges)
-        for i, j in edges:
-            if above[i] & below[j]:
-                raise MalformedSpec(
-                    f"hasse pair ({elements[i]}, {elements[j]}) is not a covering pair"
-                )
-        self._assign(elements, pos, hasse, *closure)
-
-    def _assign(self, elements, pos, hasse, preds, succs, order, below, above, height):
-        """Store the interned elements, the Hasse diagram and their closure."""
-        self.elements: tuple[str, ...] = elements
-        self.hasse: frozenset[tuple[str, str]] = hasse
-        self._pos: dict[str, int] = pos
-        self._order, self._below, self._above, self._height_of = order, below, above, height
-        self._covers_below = [[elements[i] for i in ids] for ids in preds]
-        self._covers_above = [[elements[i] for i in ids] for ids in succs]
+        given = sorted({(a, b) for a, b in hasse})
+        elements, pos, edges = _intern(elements, given, "hasse")
+        _build(self, elements, pos, edges)
+        if len(self.hasse) != len(given):
+            a, b = next(p for p, (i, j) in zip(given, edges) if self._above[i] & self._below[j])
+            raise MalformedSpec(f"hasse pair ({a}, {b}) is not a covering pair")
 
     # -- basic queries -----------------------------------------------------
 
@@ -97,10 +83,10 @@ class FinitePoset:
         return a == b and a in self._pos or self.lt(a, b)
 
     def covers_below(self, x: str) -> list[str]:
-        return list(self._covers_below[self._at(x)])
+        return [self.elements[i] for i in _extremal(self._below[self._at(x)], self._above)]
 
     def covers_above(self, x: str) -> list[str]:
-        return list(self._covers_above[self._at(x)])
+        return [self.elements[i] for i in _extremal(self._above[self._at(x)], self._below)]
 
     # -- open / closed subsets ---------------------------------------------
 
@@ -134,10 +120,10 @@ class FinitePoset:
         return max(self._height_of, default=0)
 
     def maximal_elements(self) -> list[str]:
-        return [x for x, up in zip(self.elements, self._covers_above) if not up]
+        return [x for x, up in zip(self.elements, self._above) if not up]
 
     def minimal_elements(self) -> list[str]:
-        return [x for x, down in zip(self.elements, self._covers_below) if not down]
+        return [x for x, down in zip(self.elements, self._below) if not down]
 
     def has_maximum(self) -> bool:
         return len(self.maximal_elements()) == 1
@@ -146,7 +132,9 @@ class FinitePoset:
         return len(self.minimal_elements()) == 1
 
     def opposite(self) -> "FinitePoset":
-        return FinitePoset(self.elements, [(b, a) for a, b in self.hasse])
+        pos = self._pos
+        edges = [(pos[b], pos[a]) for a, b in self.hasse]
+        return _build(FinitePoset.__new__(FinitePoset), self.elements, pos, edges)
 
     def linear_extension(self) -> list[str]:
         """Total order respecting the partial order, lexicographic tie-break."""
@@ -156,14 +144,14 @@ class FinitePoset:
         """Induced subposet on a subset of elements: b covers a there when
         a < b and no member lies strictly between them."""
         keep = self._mask(members)
-        names = self.elements
-        hasse = []
-        for j in _ids(keep):
-            below = self._below[j] & keep
-            hasse.extend(
-                (names[i], names[j]) for i in _ids(below) if not self._above[i] & below
-            )
-        return FinitePoset(map(names.__getitem__, _ids(keep)), hasse)
+        kept = _ids(keep)
+        new = {i: k for k, i in enumerate(kept)}
+        edges = [
+            (new[i], new[j]) for j in kept for i in _extremal(self._below[j] & keep, self._above)
+        ]
+        names = tuple(map(self.elements.__getitem__, kept))
+        pos = {x: k for k, x in enumerate(names)}
+        return _build(FinitePoset.__new__(FinitePoset), names, pos, edges)
 
     def order_pairs(self) -> frozenset[tuple[str, str]]:
         """All strict order pairs (a, b) with a < b."""
@@ -224,6 +212,12 @@ def _bits(ids: Iterable[int]) -> int:
     return out
 
 
+def _extremal(mask: int, strict: list[int]) -> list[int]:
+    """Positions of mask whose strict set misses mask, ascending: the
+    maximal ones of mask for strict up sets, the minimal ones for down sets."""
+    return [i for i in _ids(mask) if not strict[i] & mask]
+
+
 def _hull(mask: int, strict: list[int]) -> int:
     """mask together with the strict sets of its positions."""
     out = mask
@@ -247,13 +241,28 @@ def _intern(elements: Iterable[str], pairs: Iterable[tuple[str, str]], what: str
     return elements, pos, edges
 
 
+def _build(X: FinitePoset, elements: tuple[str, ...], pos: dict[str, int], edges):
+    """Store on X the poset generated by edges (i, j), i below j, over the
+    positions of the sorted elements, and return X.  The stored Hasse
+    diagram is the transitive reduction: the edges with nothing both above
+    i and below j (a covering pair of the closure is an edge, as a longer
+    path passes an element between its ends)."""
+    order, below, above, height = _closure(elements, edges)
+    X.elements, X._pos = elements, pos
+    X._order, X._below, X._above, X._height_of = order, below, above, height
+    X.hasse = frozenset((elements[i], elements[j]) for i, j in edges if not above[i] & below[j])
+    return X
+
+
 def _closure(elements: Sequence[str], edges: Iterable[tuple[int, int]]):
     """The strict order generated by edges (i, j), i below j, over the
-    positions of elements: sorted predecessor and successor lists, the
-    topological order taking the least ready position first, below- and
-    above-masks (the transpose, built in reverse order) and heights (a
-    longest path along a generating relation is a longest chain).  Raises
-    CycleDetected when the edges close a cycle."""
+    positions of elements: the topological order taking the least ready
+    position first, below- and above-masks (the transpose, built in reverse
+    order) and heights (a longest path along a generating relation is a
+    longest chain).  The closure of the generating relation is the order
+    itself, with the same masks and heights, and its least-ready-first order
+    is the same: either edge set makes ready exactly the minimal unplaced
+    positions.  Raises CycleDetected when the edges close a cycle."""
     n = len(elements)
     preds: list[list[int]] = [[] for _ in range(n)]
     succs: list[list[int]] = [[] for _ in range(n)]
@@ -281,9 +290,7 @@ def _closure(elements: Sequence[str], edges: Iterable[tuple[int, int]]):
     for i in reversed(order):
         above[i] = reduce(or_, map(up.__getitem__, succs[i]), 0)
         up[i] = above[i] | 1 << i
-    for ids in (*preds, *succs):
-        ids.sort()
-    return preds, succs, order, below, above, height
+    return order, below, above, height
 
 
 def _find_cycle(succs: list[list[int]], indeg: list[int]) -> list[int]:
@@ -307,27 +314,14 @@ def _find_cycle(succs: list[list[int]], indeg: list[int]) -> list[int]:
 def build_poset(
     elements: Iterable[str], relation_pairs: Iterable[tuple[str, str]]
 ) -> FinitePoset:
-    """Build a poset from any acyclic generating relation.
-
-    The order is the transitive closure of ``relation_pairs``; the stored
-    Hasse diagram is its transitive reduction: the generating pairs (a, b)
-    with nothing both above a and below b (a covering pair of the closure
-    is generating, as a longer path passes an element between its ends).
+    """Build a poset from any acyclic generating relation: the order is its
+    transitive closure and the stored Hasse diagram its transitive reduction.
     """
     elements, pos, edges = _intern(elements, relation_pairs, "relation")
     for i, j in edges:
         if i == j:
             raise CycleDetected([elements[i]])
-    preds, succs, order, below, above, height = _closure(elements, set(edges))
-    # the closure of the generating relation is the order itself, with the
-    # same masks and heights, and its least-ready-first order is the same:
-    # either edge set makes ready exactly the minimal unplaced positions
-    preds = [[i for i in ids if not above[i] & below[j]] for j, ids in enumerate(preds)]
-    succs = [[j for j in ids if not above[i] & below[j]] for i, ids in enumerate(succs)]
-    hasse = frozenset((elements[i], elements[j]) for j, ids in enumerate(preds) for i in ids)
-    X = FinitePoset.__new__(FinitePoset)
-    X._assign(elements, pos, hasse, preds, succs, order, below, above, height)
-    return X
+    return _build(FinitePoset.__new__(FinitePoset), elements, pos, set(edges))
 
 
 def antichain(elements: Iterable[str]) -> FinitePoset:

@@ -67,7 +67,7 @@ from finspace.covers import (
     nerve,
     non_hausdorff_nerve,
 )
-from finspace.cylinders import Relation, relation_cylinder, tag
+from finspace.cylinders import Relation, _hypothesis_masks, relation_cylinder, tag
 from finspace.errors import CycleDetected
 from finspace.homology import (
     HomologyResult,
@@ -594,6 +594,13 @@ def slow_replay_space(X: FinitePoset, cert, target=None) -> bool:
 # set once on the kept space's masks.  The functions below are the checkers
 # it replaced: preimages and images by a scan of all pairs per point, and a
 # subposet built for every hypothesis set and every point link.
+
+
+def hypothesis_sets(R: Relation, side: str) -> dict[str, frozenset[str]]:
+    """The library's hypothesis masks read as names: per far point, the kept
+    points of its hypothesis set."""
+    kept, far = (R.source, R.target) if side == "left" else (R.target, R.source)
+    return {z: kept._members(m) for z, m in zip(far.elements, _hypothesis_masks(R, side))}
 
 
 def slow_underline_preimage(R: Relation, y: str) -> frozenset[str]:
@@ -1388,6 +1395,8 @@ def assert_same_poset(X: FinitePoset, S: SlowPoset) -> None:
         assert X.height_of(x) == S.height_of[x]
     assert X.linear_extension() == S.linear_extension
     assert X.height() == max(S.height_of.values(), default=0)
+    assert X.maximal_elements() == [x for x in S.elements if not S.above[x]]
+    assert X.minimal_elements() == [x for x in S.elements if not S.below[x]]
 
 
 def slow_maximalize(faces) -> frozenset:

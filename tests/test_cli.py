@@ -341,6 +341,11 @@ _CYLINDER = {
     "spaces": [{"name": "X", **_POSET}, {"name": "Y", **_POSET}],
     "relations": [{"source": "X", "target": "Y", "pairs": [["a", "a"]]}],
 }
+# A -> B -> C -> D: the collapse checks read one relation or the composite of two
+_CHAIN4 = {
+    "spaces": [{"name": n, **_POSET} for n in "ABCD"],
+    "relations": [{"source": s, "target": t, "pairs": [["a", "a"]]} for s, t in zip("ABC", "BCD")],
+}
 _CERT = {"steps": [{"kind": "free-pair", "face": ["a"], "coface": ["a", "b"]}]}
 # a cycle a < c < a whose least element's least successor, b, leads to no cycle
 _CYCLIC = {
@@ -387,6 +392,8 @@ _CYCLIC = {
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": _CERT, "target": {"facets": [["a", "z"]]}})),
         (["verify", "replay-complex"], json.dumps({"complex": {"facets": []}, "certificate": _CERT})),
         (["verify", "replay-space"], json.dumps({"poset": {"elements": [], "relations": []}, "certificate": _CERT})),
+        (["cylinder", "--mode", "check-left"], json.dumps(_CHAIN4)),
+        (["cylinder", "--mode", "check-right"], json.dumps(_CHAIN4)),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):
@@ -414,6 +421,41 @@ def test_malformed_input_exit_code_from_the_shell(tmp_path):
     )
     assert out.returncode == 2
     assert out.stderr.splitlines() == ["error: the document must be a JSON object"]
+
+
+def test_output_does_not_depend_on_the_hash_seed(paths, tmp_path):
+    """Stdout, stderr and exit codes agree under two hash seeds that order a
+    frozenset of a relation's three unknown pairs differently (on CPython
+    3.11, 'r' comes first under 0 and 'q' under 3); the least pair is named."""
+    import subprocess
+    import sys
+
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    pairs = [["p", "a"], ["q", "a"], ["r", "b"]]
+    bad.write_text(json.dumps({**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": pairs}]}))
+    good.write_text(json.dumps(_CYLINDER))
+    commands = [
+        ["cylinder", "--in", str(bad)],
+        ["cylinder", "--in", str(paths["cylinder"])],
+        ["cylinder", "--in", str(good), "--mode", "check-left"],
+        ["poset", "--in", str(paths["poset"]), "--mode", "collapse"],
+        ["nerve", "--in", str(paths["cover"]), "--mode", "reduced"],
+    ]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    runs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        runs.append([
+            subprocess.run(
+                [sys.executable, "-m", "finspace.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            for argv in commands
+        ])
+    first, second = ([(r.returncode, r.stdout, r.stderr) for r in rs] for rs in runs)
+    assert first == second
+    assert first[0] == (2, "", "error: 'p' not in source poset\n")
+    assert [code for code, _, _ in first[1:]] == [0, 0, 0, 0]
 
 
 def _readme_flag_table():

@@ -7,16 +7,19 @@ subposet per hypothesis set.  On seeded families both must give equal
 reports, certificates included.
 """
 
+from dataclasses import replace
+
 from finspace import collapse as clp
 from finspace import cylinders
 from finspace.collapse import gamma_points
 from finspace.covers import classify_cover
 from finspace.cylinders import (
+    _execute_target_removal,
+    _hypothesis_masks,
     check_collapse_left,
     check_collapse_right,
     compose_relations,
-    overline_image,
-    underline_preimage,
+    relation_cylinder,
 )
 from finspace.fixtures import dunce_hat, finite_circle
 from finspace.generators import (
@@ -28,10 +31,12 @@ from finspace.generators import (
 from finspace.posets import FinitePoset
 
 from helpers import (
+    hypothesis_sets,
     nerve_relation,
     rescan_peel,
     sd_boundary,
     slow_check_collapse,
+    slow_execute_target_removal,
     slow_gamma_points,
     slow_overline_image,
     slow_underline_preimage,
@@ -102,14 +107,29 @@ def test_star_cover_of_sd_boundary_3_certifies_as_with_the_rescan(monkeypatch):
     assert ours == [check(R) for check in CHECKS.values()]
 
 
+def test_the_executor_finds_each_copy_whatever_the_copy_names():
+    """The executor reads a copy's points of B(R) as a block of consecutive
+    positions; copy names that sort either way round, contain the escaped
+    characters or extend each other give the oracle's report, removal
+    failures included."""
+    names = [("X", "Y"), ("Y", "X"), ("A", "A-"), ("A.b", "A"), ("a\\", "a"), ("a.", "a\\.")]
+    relations = [*_composite_relations(), *_random_relations()]
+    for k, R in enumerate(relations):
+        source_name, target_name = names[k % len(names)]
+        R = replace(R, source_name=source_name, target_name=target_name)
+        B = relation_cylinder(R)
+        for side in ("left", "right"):
+            ours = _execute_target_removal(R, B, side, _hypothesis_masks(R, side))
+            assert ours == slow_execute_target_removal(R, side)
+
+
 def test_hypothesis_sets_match_the_pair_scan():
     relations = [*_composite_relations(), *_random_relations()]
     relations.append(nerve_relation(star_cover(sd_boundary(2))))
     for R in relations:
-        for y in R.target.elements:
-            assert underline_preimage(R, y) == slow_underline_preimage(R, y)
-        for x in R.source.elements:
-            assert overline_image(R, x) == slow_overline_image(R, x)
+        left, right = hypothesis_sets(R, "left"), hypothesis_sets(R, "right")
+        assert left == {y: slow_underline_preimage(R, y) for y in R.target.elements}
+        assert right == {x: slow_overline_image(R, x) for x in R.source.elements}
 
 
 def test_gamma_points_match_the_restrict_oracle():

@@ -71,7 +71,8 @@ def test_generated_posets_match_the_oracle(builds, size):
     _check_recorded(builds)
 
 
-def test_face_posets_cylinders_nerves_and_opposites_match_the_oracle(builds):
+def _build_families() -> None:
+    """Build the seeded face posets, cylinders and nerves."""
     for seed in range(12):
         generate_complex(seed).face_poset()
         cone("apex", generate_complex(seed + 100, max_card=3)).face_poset()
@@ -88,6 +89,10 @@ def test_face_posets_cylinders_nerves_and_opposites_match_the_oracle(builds):
     for cover in covers:
         non_hausdorff_nerve(cover)
         reduced_nerve(cover)
+
+
+def test_face_posets_cylinders_nerves_and_opposites_match_the_oracle(builds):
+    _build_families()
     _check_recorded(builds)
     for _, _, X in builds:
         assert_same_poset(X.opposite(), SlowPoset(X.elements, [(b, a) for a, b in X.hasse]))
@@ -104,6 +109,37 @@ def test_restrict_on_random_subsets_matches_the_oracle(size):
             assert_same_poset(X.restrict(members), S.restrict(members))
         x = rng.choice(X.elements)
         assert_same_poset(X.remove(x), S.restrict(set(X.elements) - {x}))
+
+
+def _fields(X: FinitePoset) -> dict:
+    return {name: getattr(X, name) for name in FinitePoset.__slots__}
+
+
+def test_every_build_path_stores_the_fields_build_poset_stores(builds):
+    """The constructor, restrict, remove and opposite store, field for
+    field, what build_poset stores for the same order, and answer every
+    query as the oracle does, on the seeded posets, face posets, cylinders
+    and nerves."""
+    for seed in range(6):
+        generate_poset(seed, 5 + 3 * seed)
+    _build_families()
+    recorded = list(builds)
+    rng = random.Random("build paths")
+    for elements, pairs, X in recorded:
+        S = SlowPoset(elements, pairs)
+        assert _fields(FinitePoset(X.elements, X.hasse)) == _fields(X)
+        flipped = [(b, a) for a, b in X.hasse]
+        assert _fields(X.opposite()) == _fields(build_poset(X.elements, flipped))
+        assert_same_poset(X.opposite(), SlowPoset(X.elements, flipped))
+        members = rng.sample(X.elements, rng.randint(1, len(X)))
+        induced = [(a, b) for a, b in X.order_pairs() if a in members and b in members]
+        assert _fields(X.restrict(members)) == _fields(build_poset(members, induced))
+        assert_same_poset(X.restrict(members), S.restrict(members))
+        x = rng.choice(X.elements)
+        rest = [y for y in X.elements if y != x]
+        induced = [(a, b) for a, b in X.order_pairs() if x not in (a, b)]
+        assert _fields(X.remove(x)) == _fields(build_poset(rest, induced))
+        assert_same_poset(X.remove(x), S.restrict(rest))
 
 
 def _cycle(make, pairs):
@@ -163,6 +199,14 @@ def test_a_non_covering_hasse_pair_is_rejected():
     assert FinitePoset("abc", [("a", "b"), ("b", "c")]) == build_poset(
         "abc", [("a", "b"), ("b", "c"), ("a", "c")]
     )
+
+
+def test_the_least_bad_hasse_pair_is_named():
+    """Not the first one a frozenset of the pairs happens to yield."""
+    with pytest.raises(MalformedSpec, match=r"\(b, d\) is not a covering pair"):
+        FinitePoset("abcde", [("c", "e"), ("b", "c"), ("c", "d"), ("b", "e"), ("b", "d")])
+    with pytest.raises(UnknownElement, match=r"\(b, x\)"):
+        FinitePoset("abc", [("c", "z"), ("b", "y"), ("b", "x"), ("a", "b")])
 
 
 def test_cover_lists_of_an_unknown_element_raise():

@@ -39,8 +39,13 @@ def test_tier1_workflow_runs_the_perf_smoke():
     assert '["missing_functions"]' in smoke[0]
 
 
-# the oracles that left the library; the tracer still lists them
-GONE = ["homology.rank_fraction_free", "homology.betti_numbers_oracle"]
+# the functions that left the library; the tracer still lists them
+GONE = [
+    "homology.rank_fraction_free",
+    "homology.betti_numbers_oracle",
+    "cylinders.underline_preimage",
+    "cylinders.overline_image",
+]
 
 
 @pytest.mark.parametrize(
