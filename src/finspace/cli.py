@@ -29,6 +29,7 @@ from .collapse import (
 from .complexes import SimplicialComplex
 from .covers import FLAVORS, MAX_MEMBERS, Cover, classify_cover, check_nerve_theorem, nerve, non_hausdorff_nerve, reduced_nerve
 from .cylinders import (
+    LEFT,
     RIGHT,
     CylinderSpec,
     Relation,
@@ -280,6 +281,12 @@ def cmd_cylinder(args) -> int:
     spec = _cylinder_spec_from_doc(doc)
     if args.mode in ("check-left", "check-right", "intermediate-left", "intermediate-right"):
         rels = list(spec.relations)
+        for R in rels:
+            if R.direction == LEFT:
+                raise MalformedSpec(
+                    f"relation {R.source_name} -> {R.target_name} is left-going;"
+                    " the check modes compose right-going relations only"
+                )
         if args.mode.startswith("intermediate"):
             if len(rels) != 2:
                 raise MalformedSpec("intermediate checks need exactly two relations")

@@ -13,18 +13,20 @@ so replay accepts any step that is valid for its declared kind.  A subspace
 is an int mask over its parent's element positions, read with the parent's
 reachability masks; one weak-point collapse and one triviality fallback act
 on such masks for whole spaces, links, cylinder hypothesis sets and cover
-intersections, with the certificates of the subposets they stand for.  A
-subposet is built only for the homology of a stuck search.  Every search
-that returns a certificate removes points through one worklist loop,
+intersections, with the certificates of the subposets they stand for.  No
+subposet is built: a stuck search reads the homology of its masks.  Every
+search that returns a certificate removes points through one worklist loop,
 ``_peel``: since a point's kind reads only its punctured set, a point that
 failed is retested only after a point comparable to it was removed, and the
-scan never restarts.  A beat test walks once to an extreme point of the
-punctured set and checks that the rest of the set lies below (or above) it,
-``_one_extreme``.  A weak test asks only whether the punctured set is
-contractible, and ``_contractible`` answers that on ints with the same beat
-test, building no removal steps: the core of a finite space is unique up to
-homeomorphism (Stong), so every maximal run of beat-point removals ends at
-the same number of points, and the verdict does not depend on their order.
+scan never restarts.  The point tests live in ``posets.py``.  A beat test
+walks once to an extreme point of the punctured set and checks that the
+rest of the set lies below (or above) it, ``_one_extreme``.  A weak test
+asks only whether the punctured set is contractible, and ``_contractible``
+answers that on ints with the same beat test, through the verdict-only
+worklist loop there, building no removal steps: the core of a finite space
+is unique up to homeomorphism (Stong), so every maximal run of beat-point
+removals ends at the same number of points, and the verdict does not
+depend on their order.
 
 Free-face searches, the truncation checker, replay and ``free_faces`` share
 one state, built by ``_free_state``: per simplex of the index, whether it is
@@ -64,11 +66,11 @@ from .errors import (
 from .homology import (
     HomologyResult,
     _homology,
+    _poset_homology,
     homology_equal,
-    homology_of_poset,
     reduced_homology,
 )
-from .posets import FinitePoset, _ids
+from .posets import FinitePoset, _contractible, _height, _ids, _one_extreme
 
 DOWN_BEAT = "down-beat"
 UP_BEAT = "up-beat"
@@ -200,21 +202,6 @@ def removable(X: FinitePoset, alive: int, i: int, kind: str) -> bool:
     return _one_extreme(punctured, beyond, strict)
 
 
-def _one_extreme(mask: int, beyond: list[int], strict: list[int]) -> bool:
-    """Whether the non-empty mask has exactly one maximal point, where
-    ``beyond`` holds each position's strict up-set and ``strict`` its strict
-    down-set; with the two swapped, exactly one minimal point.
-
-    A finite set has exactly one maximal element when it has a maximum, so
-    one walk along ``beyond`` inside the mask reaches a maximal point m, and
-    one containment decides: every other point of the mask lies below m.
-    """
-    m = mask.bit_length() - 1
-    while further := beyond[m] & mask:
-        m = further.bit_length() - 1
-    return not (mask ^ 1 << m) & ~strict[m]
-
-
 def _first_kind(X: FinitePoset, alive: int, i: int, kinds: tuple[str, str]) -> str | None:
     for kind in kinds:
         if removable(X, alive, i, kind):
@@ -293,33 +280,6 @@ def _contraction(X: FinitePoset, alive: int) -> CollapseCertificate | None:
     return cert if left.bit_count() == 1 else None
 
 
-def _contractible(X: FinitePoset, alive: int) -> bool:
-    """Whether beat-point removals take the non-empty subspace alive of X to
-    a point: the verdict of ``_contraction``, with no certificate built.
-
-    The core is unique up to homeomorphism (Stong), so every maximal run of
-    beat-point removals ends at the same number of points, whatever the
-    order.  The loop takes the points of a worklist, highest position first,
-    and removes each that is a beat point; as in ``_peel``, a point's test
-    reads only its punctured sets, so a removal puts back on the worklist
-    just the points comparable to it.
-    """
-    below, above = X._below, X._above
-    count = alive.bit_count()
-    todo = alive
-    while count > 1 and todo:
-        i = todo.bit_length() - 1
-        todo ^= 1 << i
-        down = below[i] & alive
-        if (down and _one_extreme(down, above, below)) or (
-            (up := above[i] & alive) and _one_extreme(up, below, above)
-        ):
-            alive ^= 1 << i
-            count -= 1
-            todo |= (below[i] | above[i]) & alive
-    return count == 1
-
-
 def core(X: FinitePoset) -> tuple[FinitePoset, CollapseCertificate]:
     """Remove beat points (lexicographically first each round) until none remain."""
     cert, alive = _peel(X, _everything(X), BEAT_KINDS)
@@ -359,13 +319,14 @@ def _stuck(homology, whole, target, note: str) -> TriStateResult:
 def _weak_collapse(X: FinitePoset, alive: int, target: int | None = None) -> TriStateResult:
     """Greedy weak-point collapse of the non-empty subspace alive of X to a
     point, or onto the subspace target (both masks over X's positions).  A
-    stuck search builds the subposets whose homology decides No or Unknown."""
+    stuck search reads the homology of the masks, each in its own degrees,
+    to decide No or Unknown."""
     size = 1 if target is None else target.bit_count()
     cert, left = _peel(X, alive, WEAK_KINDS, target or 0, size)
     if left.bit_count() == size:
         return yes(cert)
     note = "greedy weak-point removal got stuck"
-    return _stuck(lambda m: homology_of_poset(X.restrict(X._members(m))), alive, target, note)
+    return _stuck(lambda m: _poset_homology(X, m, _height(X, m) + 1), alive, target, note)
 
 
 def greedy_collapse_space(

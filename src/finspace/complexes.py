@@ -66,6 +66,14 @@ class SimplexIndex:
         levels.reverse()
         self._link(levels)
 
+    @classmethod
+    def _from_levels(cls, levels: list[list[tuple[str, ...]]]) -> "SimplexIndex":
+        """The index of the simplices in levels, which must be closed under
+        faces."""
+        index = cls.__new__(cls)
+        index._link(levels)
+        return index
+
     def _link(self, levels: list[list[tuple[str, ...]]]) -> None:
         """Number the simplices of levels in order and link each to its
         faces and cofaces: the one step that makes every index."""
@@ -113,8 +121,7 @@ class SimplicialComplex:
         """The complex of the simplices in levels (see ``SimplexIndex``),
         which must be closed under faces, with its index linked from them;
         the facets are the simplices with no coface."""
-        index = SimplexIndex.__new__(SimplexIndex)
-        index._link(levels)
+        index = SimplexIndex._from_levels(levels)
         K = cls.__new__(cls)
         maximal = compress(index.simplices, map(not_, index.cofaces))
         K._assign(frozenset(map(frozenset, maximal)), index)
@@ -228,24 +235,29 @@ def _maximalize(faces: frozenset[Simplex]) -> frozenset[Simplex]:
 
 
 def order_complex(X: FinitePoset) -> SimplicialComplex:
-    """K(X): simplices are the non-empty chains of X, facets the maximal chains.
+    """K(X): simplices are the non-empty chains of X, facets the maximal chains."""
+    return SimplicialComplex._from_levels(_chain_levels(X, (1 << len(X)) - 1))
+
+
+def _chain_levels(X: FinitePoset, mask: int) -> list[list[tuple[str, ...]]]:
+    """The levels (see ``SimplexIndex``) of K of the subspace mask of X: its
+    non-empty chains, by size.
 
     The chains are listed level by level over X's positions, which follow
-    its sorted element names: a chain is extended only by the positions
-    after its last one that are comparable to every member, carried as a
-    mask.  So each chain is listed once, and each level comes out in
+    its sorted element names: a chain is extended only by the positions of
+    mask after its last one that are comparable to every member, carried as
+    a mask.  So each chain is listed once, and each level comes out in
     lexicographic order, as the index wants it.
     """
-    names = X.elements
-    singles = [(x,) for x in names]
-    # the positions after i comparable to i
-    later = [(b | a) & -(2 << i) for i, (b, a) in enumerate(zip(X._below, X._above))]
-    level = list(zip(singles, later))
+    singles = [(x,) for x in X.elements]
+    # the positions of mask after i comparable to i
+    later = [(b | a) & mask & -(2 << i) for i, (b, a) in enumerate(zip(X._below, X._above))]
+    level = [(singles[i], later[i]) for i in _ids(mask)]
     levels = []
     while level:
         levels.append([c for c, _ in level])
         level = [(c + singles[j], m & later[j]) for c, m in level if m for j in _ids(m)]
-    return SimplicialComplex._from_levels(levels)
+    return levels
 
 
 def simplex_boundary(n: int, prefix: str = "v") -> SimplicialComplex:

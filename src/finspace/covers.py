@@ -41,7 +41,7 @@ from .errors import (
     UnknownSimplex,
 )
 from .homology import homology_equal, homology_of_poset, reduced_homology
-from .posets import FinitePoset, _bits, _ids, build_poset
+from .posets import FinitePoset, _bits, _height, _ids, build_poset
 
 COMPLEX = "complex"
 POSET = "poset"
@@ -426,16 +426,6 @@ def _s_sigma_ids(cover: Cover, L: SimplicialComplex, vertex_masks: dict) -> list
     return _holders(masks, len(cover.parent.index().simplices))
 
 
-def _height(P: FinitePoset, mask: int) -> int:
-    """Length (edge count) of the longest chain in the subspace mask of P,
-    read along P's linear extension."""
-    height: dict[int, int] = {}
-    for j in P._order:
-        if mask >> j & 1:
-            height[j] = 1 + max(map(height.__getitem__, _ids(P._below[j] & mask)), default=-1)
-    return max(height.values(), default=0)
-
-
 def n_zero_subspace(
     cover: Cover,
     mode: str = "trivial",
@@ -551,10 +541,15 @@ def check_nerve_theorem(
     report: dict = {"flavor": flavor}
 
     X = cover.parent
-    # L is the nerve object as a complex
+    # the nerve object: a finite space P standing for K(P), else a complex L;
+    # K(P) is built as L only where S_sigma reads its index
+    P = None
     if nerve_object == "nerve":
         report["hypothesis_verdict"] = cls.strong_good if mode == "collapsible" else cls.good
-        L = nerve(cover) if cover.kind == COMPLEX else order_complex(non_hausdorff_nerve(cover))
+        if cover.kind == COMPLEX:
+            L = nerve(cover)
+        else:
+            P = non_hausdorff_nerve(cover)
     else:
         space, reduced = kind == POSET, nerve_object == "reduced N0"
         if cover.kind != kind:
@@ -564,7 +559,8 @@ def check_nerve_theorem(
         if space or reduced:
             n0 = n_zero_subspace(cover, mode=mode, reduced=reduced, classification=cls)
             excluded, P = n0.excluded_unknown, n0.poset
-            L = order_complex(P)  # K(P), built once
+            if not space:
+                L = order_complex(P)  # K(P), built once
         else:
             L, excluded = n_zero_complex(cover, mode=mode, classification=cls)
         if reduced:
@@ -608,13 +604,13 @@ def check_nerve_theorem(
         report["hypothesis_verdict"] = clp.aggregate_verdict(
             verdicts + ["unknown"] * len(excluded)
         )
-        if L.is_empty():
+        if L.is_empty() if P is None else not len(P):
             raise InvalidCover(f"{nerve_object} is empty; no verified intersections")
         if reduced:
             report["assumption"] = REDUCED_NERVE_ASSUMPTION
 
     parent_hom = reduced_homology(X) if cover.kind == COMPLEX else homology_of_poset(X)
-    nerve_obj_hom = reduced_homology(L)
+    nerve_obj_hom = reduced_homology(L) if P is None else homology_of_poset(P)
     report["parent_homology"] = parent_hom.summary()
     report["nerve_homology"] = nerve_obj_hom.summary()
     report["conclusion_homology_match"] = homology_equal(parent_hom, nerve_obj_hom)

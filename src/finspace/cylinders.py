@@ -89,7 +89,10 @@ class Relation:
 def compose_relations(R1: Relation, R2: Relation) -> Relation:
     """R2 after R1: pairs (x, z) with some middle y related on both sides."""
     if R1.target != R2.source:
-        raise MismatchedSpaces("R1.target and R2.source differ")
+        raise MismatchedSpaces(
+            f"{R1.source_name} -> {R1.target_name} and {R2.source_name} -> {R2.target_name}"
+            " do not compose: the target of the first is not the source of the second"
+        )
     by_middle: dict[str, set[str]] = {}
     for y, z in R2.pairs:
         by_middle.setdefault(y, set()).add(z)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import logging
 import random
 
-from .collapse import _contractible
 from .complexes import SimplicialComplex, cone
 from .covers import Cover, _nerve_table, classify_cover
 from .cylinders import RIGHT, Relation, graph_relation
 from .errors import GenerationExhausted
-from .posets import FinitePoset, build_poset
+from .posets import FinitePoset, _contractible, build_poset
 
 log = logging.getLogger(__name__)
 

@@ -22,9 +22,15 @@ absolute value: a unit (±1) pivot drops out at once with its row and
 column, and a larger one gives way to its smaller remainders until it
 divides what is left of its row and column, where any torsion lives.
 Betti numbers over the binary field come from the same ids' face lists
-packed as bitmasks.  Smith normal form of the whole boundary, the dense
-boundary builder, the dense minimal-pivot elimination ``_dense_snf`` and
-the fraction-free rank live in the tests, as oracles.
+packed as bitmasks.  The homology of a finite space is that of its order
+complex, listed only on what weak-point removal leaves of the space
+(Barmak and Minian, *Simple homotopy types and finite spaces*, Adv. Math.
+218, 2008: removing a weak point collapses the order complex onto that of
+the rest) and padded with trivial degrees up to the space's height, the
+dimension of the whole order complex.  Smith normal form of the whole
+boundary, the dense boundary builder, the dense minimal-pivot elimination
+``_dense_snf``, the fraction-free rank and the homology of the whole order
+complex live in the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 
-from .complexes import SimplexIndex, SimplicialComplex, order_complex
+from .complexes import SimplexIndex, SimplicialComplex, _chain_levels
 from .errors import EmptyComplex, EmptySpace
-from .posets import FinitePoset, _bits
+from .posets import FinitePoset, _bits, _weak_reduction
 
 
 def boundary_matrices(K: SimplicialComplex) -> list[list[dict[int, int]]]:
@@ -336,9 +342,28 @@ def _betti_gf2(index: SimplexIndex, ids: Sequence[int]) -> list[int]:
 
 
 def homology_of_poset(X: FinitePoset) -> HomologyResult:
-    if not len(X):
+    """Reduced integral homology of X: that of its order complex K(X), in
+    K(X)'s degrees 0..height(X).  K is listed only on what weak-point
+    removal leaves of X, which has the same homology (Barmak and Minian),
+    and the degrees above that part's dimension read 0."""
+    return _poset_homology(X, (1 << len(X)) - 1, X.height() + 1)
+
+
+def _poset_homology(X: FinitePoset, alive: int, degrees: int) -> HomologyResult:
+    """Reduced integral homology of the order complex of the subspace alive
+    of X (a mask over X's positions), in ``degrees`` degrees.
+
+    Removing a weak point x gives a collapse K(X) onto K(X - x) (Barmak and
+    Minian, Adv. Math. 218, 2008), so the homology, torsion included, is
+    that of K of what weak-point removal leaves; its chains are listed on
+    the mask, and the degrees above its dimension are padded with zeros.
+    """
+    if not alive:
         raise EmptySpace("homology of the empty space is not defined here")
-    return reduced_homology(order_complex(X))
+    index = SimplexIndex._from_levels(_chain_levels(X, _weak_reduction(X, alive)))
+    hom = _homology(index, range(len(index.simplices)))
+    pad = degrees - len(hom.betti)
+    return HomologyResult(hom.betti + (0,) * pad, hom.torsion + ((),) * pad)
 
 
 def homology_equal(a: HomologyResult, b: HomologyResult) -> bool:

@@ -7,6 +7,13 @@ the elements by sorted position and stores, once, each position's strict
 down- and up-set as int bitmasks, its height, a linear extension and the
 Hasse pairs; queries, covers included, are mask operations.  All
 deterministic orderings tie-break by lexicographic element id.
+
+A subspace is a mask over the positions.  One worklist loop, ``_prune``,
+removes points of a subspace by a test of their punctured down or up sets.
+With the beat test ``_one_extreme`` (exactly one maximal or one minimal
+point) it decides contractibility, ``_contractible``; with contractibility
+of the punctured set as the test it removes weak points,
+``_weak_reduction``, which shrinks the input of poset homology.
 """
 
 from __future__ import annotations
@@ -224,6 +231,83 @@ def _hull(mask: int, strict: list[int]) -> int:
     for i in _ids(mask):
         out |= strict[i]
     return out
+
+
+def _height(X: FinitePoset, mask: int) -> int:
+    """Length (edge count) of the longest chain in the subspace mask of X,
+    read along X's linear extension."""
+    height: dict[int, int] = {}
+    for j in X._order:
+        if mask >> j & 1:
+            height[j] = 1 + max(map(height.__getitem__, _ids(X._below[j] & mask)), default=-1)
+    return max(height.values(), default=0)
+
+
+def _one_extreme(mask: int, beyond: list[int], strict: list[int]) -> bool:
+    """Whether the non-empty mask has exactly one maximal point, where
+    ``beyond`` holds each position's strict up-set and ``strict`` its strict
+    down-set; with the two swapped, exactly one minimal point.
+
+    A finite set has exactly one maximal element when it has a maximum, so
+    one walk along ``beyond`` inside the mask reaches a maximal point m, and
+    one containment decides: every other point of the mask lies below m.
+    """
+    m = mask.bit_length() - 1
+    while further := beyond[m] & mask:
+        m = further.bit_length() - 1
+    return not (mask ^ 1 << m) & ~strict[m]
+
+
+def _prune(X: FinitePoset, alive: int, test) -> int:
+    """What is left of the non-empty subspace alive of X after removing,
+    one at a time, each point whose punctured down set in what is left is
+    non-empty and passes ``test(down, above, below)``, or whose punctured up
+    set is non-empty and passes ``test(up, below, above)`` (X's strict
+    masks); the loop stops at one point.
+
+    The points wait on a worklist and the highest position goes first.  A
+    point's test reads only its punctured sets, so a removal puts back on
+    the worklist just the points comparable to it.
+    """
+    below, above = X._below, X._above
+    count = alive.bit_count()
+    todo = alive
+    while count > 1 and todo:
+        i = todo.bit_length() - 1
+        todo ^= 1 << i
+        down = below[i] & alive
+        if (down and test(down, above, below)) or (
+            (up := above[i] & alive) and test(up, below, above)
+        ):
+            alive ^= 1 << i
+            count -= 1
+            todo |= (below[i] | above[i]) & alive
+    return alive
+
+
+def _contractible(X: FinitePoset, alive: int) -> bool:
+    """Whether beat-point removals take the non-empty subspace alive of X to
+    a point.  A beat point's punctured down set has one maximal point, or
+    its punctured up set one minimal point: ``_one_extreme`` is the test.
+
+    The core is unique up to homeomorphism (Stong), so every maximal run of
+    beat-point removals ends at the same number of points, whatever the
+    order, and no removal steps are recorded.
+    """
+    return _prune(X, alive, _one_extreme).bit_count() == 1
+
+
+def _weak_reduction(X: FinitePoset, alive: int) -> int:
+    """What weak-point removals leave of the non-empty subspace alive of X:
+    first every beat point goes, then every point whose punctured down or up
+    set is contractible (a weak point).  The result depends on the order,
+    its homotopy type does not: removing a weak point x gives a collapse
+    K(X) onto K(X - x) (Barmak and Minian, Adv. Math. 218, 2008)."""
+
+    def weak(mask: int, beyond: list[int], strict: list[int]) -> bool:
+        return _contractible(X, mask)
+
+    return _prune(X, _prune(X, alive, _one_extreme), weak)
 
 
 def _intern(elements: Iterable[str], pairs: Iterable[tuple[str, str]], what: str):

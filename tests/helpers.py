@@ -24,7 +24,8 @@ complex after that
 normal form, persistence over rebuilt sub-unions) the reference for the
 sparse rows and the sparse Smith normal form elimination, Smith normal
 form on every simplex's boundary row the reference for homology after
-coreduction, and the
+coreduction, homology on the whole order complex the reference for poset
+homology after weak-point removal, and the
 string-set poset at the end (frozenset reachability, cubic reduction,
 restriction by rebuild) the reference for the bitmask poset index.
 """
@@ -75,7 +76,6 @@ from finspace.homology import (
     _reduced_betti,
     boundary_matrices,
     homology_equal,
-    homology_of_poset,
     reduced_homology,
     smith_normal_form,
 )
@@ -567,7 +567,7 @@ def slow_greedy_collapse_space(X: FinitePoset, target=None):
     if len(current) == size:
         return yes(cert)
     return _stuck(
-        homology_of_poset,
+        order_complex_homology,
         X,
         None if target is None else X.restrict(keep),
         "greedy weak-point removal got stuck",
@@ -1230,6 +1230,25 @@ def full_snf_homology(K: SimplicialComplex) -> HomologyResult:
     betti = _reduced_betti(K.index().dim_start, [rank for _, rank in snf])
     torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(K.dim() + 1))
     return HomologyResult(tuple(betti), torsion, reduced=True)
+
+
+def order_complex_homology(X: FinitePoset) -> HomologyResult:
+    """Reduced integral homology of X on its whole order complex K(X): the
+    library's path before it removed weak points first."""
+    return reduced_homology(order_complex(X))
+
+
+def graded_poset(rng: random.Random, widths, k: int) -> FinitePoset:
+    """Levels of the given widths, each point of a level above the first
+    lying above ``k`` random points of the level just below it."""
+    levels = [[f"g{i}{chr(97 + j)}" for j in range(w)] for i, w in enumerate(widths)]
+    pairs = [
+        (y, x)
+        for lo, hi in zip(levels, levels[1:])
+        for x in hi
+        for y in sorted(rng.sample(lo, min(k, len(lo))))
+    ]
+    return build_poset([x for level in levels for x in level], pairs)
 
 
 def slow_persistence_over_chain(cover, chain) -> PersistenceDiagram:

@@ -29,8 +29,15 @@ def paths(tmp_path):
     out["complex"].write_text(dunce_hat().to_json())
     out["poset"] = tmp_path / "poset.json"
     out["poset"].write_text(finite_circle().to_json())
-    spec = worked_example_spec()
-    doc = {
+    out["cylinder"] = tmp_path / "cylinder.json"
+    out["cylinder"].write_text(json.dumps(_spec_doc(worked_example_spec())))
+    out["tmp"] = tmp_path
+    return out
+
+
+def _spec_doc(spec) -> dict:
+    """The CLI document of a cylinder spec."""
+    return {
         "spaces": [
             {
                 "name": n,
@@ -49,10 +56,6 @@ def paths(tmp_path):
             for R in spec.relations
         ],
     }
-    out["cylinder"] = tmp_path / "cylinder.json"
-    out["cylinder"].write_text(json.dumps(doc))
-    out["tmp"] = tmp_path
-    return out
 
 
 def run(capsys, *argv):
@@ -394,6 +397,11 @@ _CYCLIC = {
         (["verify", "replay-space"], json.dumps({"poset": {"elements": [], "relations": []}, "certificate": _CERT})),
         (["cylinder", "--mode", "check-left"], json.dumps(_CHAIN4)),
         (["cylinder", "--mode", "check-right"], json.dumps(_CHAIN4)),
+        # X0 -> X1 right and X2 -> X1 left: the left-going relation is named
+        (["cylinder", "--mode", "check-left"], json.dumps(_spec_doc(worked_example_spec()))),
+        (["cylinder", "--mode", "check-right"], json.dumps(_spec_doc(worked_example_spec()))),
+        (["cylinder", "--mode", "intermediate-left"], json.dumps(_spec_doc(worked_example_spec()))),
+        (["cylinder", "--mode", "intermediate-right"], json.dumps(_spec_doc(worked_example_spec()))),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):
@@ -404,6 +412,19 @@ def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mode", ["check-left", "check-right", "intermediate-left", "intermediate-right"]
+)
+def test_check_modes_name_a_left_going_relation(paths, capsys, mode):
+    """The worked example's X2 -> X1 is left-going: the check modes would
+    compose it as stored, so they name it by its spec names and stop."""
+    assert main(["cylinder", "--in", str(paths["cylinder"]), "--mode", mode]) == 2
+    assert capsys.readouterr().err == (
+        "error: relation X2 -> X1 is left-going;"
+        " the check modes compose right-going relations only\n"
+    )
 
 
 def test_malformed_input_exit_code_from_the_shell(tmp_path):

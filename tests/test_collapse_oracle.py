@@ -414,6 +414,25 @@ def test_space_searches_match_oracle():
         )
 
 
+def test_subspace_collapse_matches_the_built_subposet():
+    """The weak-point collapse of a mask, with the homology a stuck search
+    reads in the subspace's own degrees, against the subposet built."""
+    rng = random.Random("subspace-collapse")
+    lower = 0
+    for X in _posets():
+        for _ in range(3):
+            alive = rng.getrandbits(len(X)) | 1
+            sub = X.restrict(X._members(alive))
+            ours = clp._weak_collapse(X, alive)
+            assert _plain(ours) == _plain(slow_greedy_collapse_space(sub))
+            keep = X._mask(sub.down_set(sub.elements[-1]))
+            assert _plain(clp._weak_collapse(X, alive, keep)) == _plain(
+                slow_greedy_collapse_space(sub, target=X._members(keep))
+            )
+            lower += ours.witness is not None and len(ours.witness.betti) <= X.height()
+    assert lower >= 5
+
+
 def _peel_cases():
     """(X, alive, kinds, keep, size) for the worklist peel against the rescan."""
     for seed in range(60):

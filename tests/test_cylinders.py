@@ -18,7 +18,7 @@ from finspace.cylinders import (
     relation_cylinder,
     tag,
 )
-from finspace.errors import MalformedSpec, NotOrderPreserving, UnknownElement
+from finspace.errors import MalformedSpec, MismatchedSpaces, NotOrderPreserving, UnknownElement
 from finspace.fixtures import worked_example_spec
 from finspace.generators import (
     generate_composite_instance,
@@ -95,6 +95,16 @@ def test_compose_relations():
     R1 = Relation(X, Y, frozenset({("x", "y1")}))
     R2 = Relation(Y, Z, frozenset({("y1", "z")}))
     assert compose_relations(R1, R2).pairs == frozenset({("x", "z")})
+
+
+def test_composing_mismatched_relations_names_both():
+    R0, R1 = worked_example_spec().relations  # X0 -> X1 and X2 -> X1
+    with pytest.raises(MismatchedSpaces) as err:
+        compose_relations(R0, R1)
+    assert str(err.value) == (
+        "X0 -> X1 and X2 -> X1 do not compose:"
+        " the target of the first is not the source of the second"
+    )
 
 
 def test_worked_example_cross_pairs():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from finspace import collapse as clp
 from finspace import homology
 from finspace.complexes import (
     SimplicialComplex,
@@ -11,15 +12,18 @@ from finspace.complexes import (
     simplex_boundary,
     solid_simplex,
 )
-from finspace.errors import EmptyComplex
-from finspace.fixtures import dunce_hat, projective_plane
+from finspace.errors import EmptyComplex, EmptySpace
+from finspace.fixtures import dunce_hat, finite_circle, projective_plane
 from finspace.generators import generate_complex, generate_poset
+from finspace.posets import _height, _weak_reduction, antichain, build_poset, chain
 from finspace.homology import (
     _coreduce,
     _homology,
     betti_numbers_gf2,
     boundary_matrices,
+    _poset_homology,
     homology_equal,
+    homology_of_poset,
     rank_gf2,
     reduced_homology,
     smith_normal_form,
@@ -32,7 +36,9 @@ from helpers import (
     boundary_of_boundary,
     dense_boundary_matrices,
     full_snf_homology,
+    graded_poset,
     homology_oracle,
+    order_complex_homology,
     polygon_arc_cover,
     rank_fraction_free,
     sd_boundary,
@@ -389,3 +395,72 @@ def test_homology_of_ids_matches_the_built_subcomplex():
     assert lower >= 40  # read in the subcomplex's own dimensions
     with pytest.raises(EmptyComplex):
         _homology(dunce_hat().index(), [])
+
+
+def _posets():
+    """Seeded posets, graded posets with k = 2 and 3 covers below each
+    point, face posets (RP^2 with its Z/2, the dunce hat, sd of simplex
+    boundaries), the finite circle, antichains, chains and a point; each
+    with its opposite."""
+    out = [generate_poset(seed, 3 + seed % 14) for seed in range(300)]
+    rng = random.Random("graded")
+    for widths, k in (((6, 6, 6), 3), ((5, 5, 5, 5), 2), ((6, 6, 6, 6), 2), ((5, 5, 5, 5), 3)):
+        out += [graded_poset(rng, widths, k) for _ in range(12)]
+    for K in (projective_plane(), dunce_hat(), sd_boundary(2), sd_boundary(3), simplex_boundary(4)):
+        out.append(K.face_poset())
+    out.append(finite_circle())
+    for n in (1, 2, 3, 5):
+        out += [antichain([f"a{i}" for i in range(n)]), chain([f"c{i}" for i in range(n)])]
+    return out + [X.opposite() for X in out]
+
+
+def test_poset_homology_matches_the_whole_order_complex():
+    """Homology after weak-point removal is the homology of K(X), degree
+    count, betti and torsion alike."""
+    torsion = shrunk = 0
+    for X in _posets():
+        hom = homology_of_poset(X)
+        assert hom == order_complex_homology(X), (X.elements, sorted(X.hasse))
+        assert len(hom.betti) == len(hom.torsion) == X.height() + 1
+        torsion += any(hom.torsion)
+        shrunk += _weak_reduction(X, (1 << len(X)) - 1).bit_count() < len(X)
+    assert torsion == 2  # the face poset of RP^2 and its opposite
+    assert shrunk >= 400
+
+
+def test_subspace_homology_matches_the_built_subposet():
+    """The masked routine, in the subspace's own degrees, against K of the
+    subposet built as a poset of its own."""
+    rng = random.Random("subspace")
+    for X in _posets()[::3]:
+        for _ in range(4):
+            mask = rng.getrandbits(len(X)) or 1
+            sub = X.restrict(X._members(mask))
+            assert _poset_homology(X, mask, _height(X, mask) + 1) == order_complex_homology(sub)
+    with pytest.raises(EmptySpace):
+        _poset_homology(finite_circle(), 0, 1)
+    with pytest.raises(EmptySpace):
+        homology_of_poset(antichain([]))
+
+
+def test_weak_reduction_leaves_no_weak_point():
+    for X in _posets():
+        whole = (1 << len(X)) - 1
+        left = _weak_reduction(X, whole)
+        assert left and left & whole == left
+        if left.bit_count() > 1:
+            for i in range(len(X)):
+                if left >> i & 1:
+                    assert not any(clp.removable(X, left, i, k) for k in clp.WEAK_KINDS)
+
+
+def test_a_contractible_space_reports_a_zero_degree_per_chain_length():
+    """A space with a maximum (so contractible) of height h reports h + 1
+    degrees, all trivial, though weak-point removal leaves one point."""
+    for seed in range(60):
+        X = generate_poset(seed, 2 + seed % 12)
+        top = build_poset(X.elements + ("top",), [(x, "top") for x in X.elements] + list(X.hasse))
+        h = top.height()
+        assert homology_of_poset(top) == homology.HomologyResult((0,) * (h + 1), ((),) * (h + 1))
+        assert _weak_reduction(top, (1 << len(top)) - 1).bit_count() == 1
+    assert homology_of_poset(chain(["a", "b", "c"])).betti == (0, 0, 0)
