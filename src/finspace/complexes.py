@@ -4,9 +4,10 @@ Bridges to finite spaces: the order complex K(X) of a poset and the face
 poset of a complex.  Simplices are materialized once per complex into a
 :class:`SimplexIndex`, linked in one step from per-dimension levels: a
 complex given by facets builds them on first use, top-down from its facets;
-``order_complex`` lists the chains of X level by level and returns the
-complex with its index already linked.  The empty complex is representable
-but the empty simplex is never a member.
+``_chain_levels`` lists the chains of a poset, or of a subspace given as a
+mask, level by level, and ``order_complex`` returns the complex of all of
+X's chains with its index already linked.  The empty complex is
+representable but the empty simplex is never a member.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class SimplexIndex:
     ascending from the vertices, each already in lexicographic order.  Built
     from facets, the levels are made top-down: a level is its dimension's
     facets together with the codimension-1 faces of the level above, so
-    each simplex is hashed once per coface.  ``order_complex`` lists its
-    chains straight into levels.
+    each simplex is hashed once per coface.  ``_chain_levels`` lists a
+    poset's chains straight into levels.
     """
 
     __slots__ = ("simplices", "id_of", "faces", "cofaces", "dim_start")

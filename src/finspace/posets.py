@@ -301,8 +301,8 @@ def _weak_reduction(X: FinitePoset, alive: int) -> int:
     """What weak-point removals leave of the non-empty subspace alive of X:
     first every beat point goes, then every point whose punctured down or up
     set is contractible (a weak point).  The result depends on the order,
-    its homotopy type does not: removing a weak point x gives a collapse
-    K(X) onto K(X - x) (Barmak and Minian, Adv. Math. 218, 2008)."""
+    its weak homotopy type does not: removing a weak point x gives a
+    collapse K(X) onto K(X - x) (Barmak and Minian, Adv. Math. 218, 2008)."""
 
     def weak(mask: int, beyond: list[int], strict: list[int]) -> bool:
         return _contractible(X, mask)
