@@ -6,27 +6,27 @@ those checkers answer with a three-valued verdict: Yes carries a replayable
 certificate, No carries a non-trivial homology witness, Unknown is honest
 failure of the greedy search.
 
-Each point-removal kind (down-beat, up-beat, down-weak, up-weak) is decided
-in one place, ``removable``, for a point given by its position.  The core and
-greedy searches, certificate replay and the cylinder executor all call it,
-so replay accepts any step that is valid for its declared kind.  A subspace
-is an int mask over its parent's element positions, read with the parent's
-reachability masks; one weak-point collapse and one triviality fallback act
-on such masks for whole spaces, links, cylinder hypothesis sets and cover
-intersections, with the certificates of the subposets they stand for.  No
-subposet is built: a stuck search reads the homology of its masks.  Every
-search that returns a certificate removes points through one worklist loop,
-``_peel``: since a point's kind reads only its punctured set, a point that
-failed is retested only after a point comparable to it was removed, and the
-scan never restarts.  The point tests live in ``posets.py``.  A beat test
-walks once to an extreme point of the punctured set and checks that the
-rest of the set lies below (or above) it, ``_one_extreme``.  A weak test
-asks only whether the punctured set is contractible, and ``_contractible``
-answers that on ints with the same beat test, through the verdict-only
-worklist loop there, building no removal steps: the core of a finite space
-is unique up to homeomorphism (Stong), so every maximal run of beat-point
-removals ends at the same number of points, and the verdict does not
-depend on their order.
+Each point-removal kind (down-beat, up-beat, down-weak, up-weak) names a
+side, the punctured down or up set of the point, and a test from
+``posets.py``.  The beat test, ``_one_extreme``, walks once to an extreme
+point of the punctured set and checks that the rest of the set lies below
+(or above) it.  The weak test asks only whether the punctured set is
+contractible, which ``_contractible`` answers on ints with the beat test,
+building no removal steps: the core of a finite space is unique up to
+homeomorphism (Stong), so the verdict does not depend on the order of the
+beat-point removals.  ``removable`` reads a kind's side and test from one
+table, and certificate replay and the cylinder executor call it, so replay
+accepts any step that is valid for its declared kind.  The core and greedy
+searches run the one point-removal loop, ``posets._prune``, with the same
+tests and name the (position, side) steps it records by kind.  Its
+worklist retests a point that failed only after a point comparable to it
+was removed, and taking the lowest position first, it removes the point a
+rescan from the first point would.  A subspace is an int mask over its
+parent's element positions, read with the parent's reachability masks; one
+weak-point collapse and one triviality fallback act on such masks for
+whole spaces, links, cylinder hypothesis sets and cover intersections,
+with the certificates of the subposets they stand for.  No subposet is
+built: a stuck search reads the homology of its masks.
 
 Free-face searches, the truncation checker, replay and ``free_faces`` share
 one state, built by ``_free_state``: per simplex of the index, whether it is
@@ -70,7 +70,7 @@ from .homology import (
     homology_equal,
     reduced_homology,
 )
-from .posets import FinitePoset, _contractible, _height, _ids, _one_extreme
+from .posets import FinitePoset, _contractible, _height, _one_extreme, _prune, _weak
 
 DOWN_BEAT = "down-beat"
 UP_BEAT = "up-beat"
@@ -175,6 +175,13 @@ def aggregate_verdict(verdicts: Iterable[str]) -> str:
 
 BEAT_KINDS = (DOWN_BEAT, UP_BEAT)
 WEAK_KINDS = (DOWN_WEAK, UP_WEAK)
+# per kind, the side of its punctured set (0 down, 1 up) and the test it passes
+_KIND_TESTS = {
+    DOWN_BEAT: (0, _one_extreme),
+    UP_BEAT: (1, _one_extreme),
+    DOWN_WEAK: (0, _weak),
+    UP_WEAK: (1, _weak),
+}
 
 
 def removable(X: FinitePoset, alive: int, i: int, kind: str) -> bool:
@@ -188,37 +195,29 @@ def removable(X: FinitePoset, alive: int, i: int, kind: str) -> bool:
     minimal element (up-beat), or be contractible (weak kinds).  An unknown
     kind is never removable.
     """
-    if kind in (DOWN_BEAT, DOWN_WEAK):
-        strict, beyond = X._below, X._above
-    elif kind in (UP_BEAT, UP_WEAK):
-        strict, beyond = X._above, X._below
-    else:
+    if kind not in _KIND_TESTS:
         return False
+    side, test = _KIND_TESTS[kind]
+    strict, beyond = (X._above, X._below) if side else (X._below, X._above)
     punctured = strict[i] & alive
-    if not punctured:
-        return False
-    if kind in WEAK_KINDS:
-        return _contractible(X, punctured)
-    return _one_extreme(punctured, beyond, strict)
-
-
-def _first_kind(X: FinitePoset, alive: int, i: int, kinds: tuple[str, str]) -> str | None:
-    for kind in kinds:
-        if removable(X, alive, i, kind):
-            return kind
-    return None
+    return bool(punctured) and test(X, punctured, beyond, strict)
 
 
 def _everything(X: FinitePoset) -> int:
     return (1 << len(X)) - 1
 
 
+def _point_kind(X: FinitePoset, x: str, kinds: tuple[str, str]) -> str | None:
+    i, alive = X._at(x), _everything(X)
+    return next((kind for kind in kinds if removable(X, alive, i, kind)), None)
+
+
 def beat_point_kind(X: FinitePoset, x: str) -> str | None:
-    return _first_kind(X, _everything(X), X._at(x), BEAT_KINDS)
+    return _point_kind(X, x, BEAT_KINDS)
 
 
 def weak_point_kind(X: FinitePoset, x: str) -> str | None:
-    return _first_kind(X, _everything(X), X._at(x), WEAK_KINDS)
+    return _point_kind(X, x, WEAK_KINDS)
 
 
 def _removable_points(X: FinitePoset, kind_of) -> list[tuple[str, str]]:
@@ -235,42 +234,19 @@ def weak_points(X: FinitePoset) -> list[tuple[str, str]]:
 
 
 def _peel(
-    X: FinitePoset, alive: int, kinds: tuple[str, str], keep: int = 0, size: int = 0
+    X: FinitePoset, alive: int, kinds: tuple[str, str], keep: int = 0, size: int = 1
 ) -> tuple[CollapseCertificate, int]:
     """Remove from the mask alive the first point outside the mask keep, in
-    element order, that has one of the kinds, round after round, until no
+    element order, that has one of the kinds (``BEAT_KINDS`` or
+    ``WEAK_KINDS``, the down kind tried first), round after round, until no
     such point is left or only ``size`` points remain.  Returns the removals
-    and what is left alive.
-
-    A point's kind reads only its punctured set within alive, so a point
-    that failed stays failed until a point comparable to it is removed.  The
-    scan therefore moves forward once and never restarts.  Removing the
-    point i marks dirty the alive points outside keep, at or before the scan
-    position, that lie below or above i; dirty points are retested first,
-    lowest first, before the scan moves on.  Every round removes the point a
-    rescan from the first point would find, so certificates are unchanged.
-    """
-    steps: list[PointRemoval] = []
-    todo = alive & ~keep
-    ahead = iter(_ids(todo))
-    count = alive.bit_count()
-    dirty = 0
-    while count > size:
-        if dirty:
-            low = dirty & -dirty
-            dirty ^= low
-            i = low.bit_length() - 1
-        else:
-            i = pos = next(ahead, None)
-            if i is None:
-                break
-        if kind := _first_kind(X, alive, i, kinds):
-            steps.append(PointRemoval(X.elements[i], kind))
-            alive ^= 1 << i
-            todo ^= 1 << i
-            count -= 1
-            dirty |= (X._below[i] | X._above[i]) & todo & ((2 << pos) - 1)
-    return CollapseCertificate(tuple(steps)), alive
+    and what is left alive.  The loop is ``posets._prune`` with the kinds'
+    test, recording (position, side)."""
+    steps: list[tuple[int, int]] = []
+    _, test = _KIND_TESTS[kinds[0]]  # both kinds share the test
+    left = _prune(X, alive, test, keep, size, steps)
+    names = X.elements
+    return CollapseCertificate(tuple(PointRemoval(names[i], kinds[s]) for i, s in steps)), left
 
 
 def _contraction(X: FinitePoset, alive: int) -> CollapseCertificate | None:
@@ -339,11 +315,13 @@ def greedy_collapse_space(
 
 
 def _target_mask(X: FinitePoset, target: Iterable[str] | None) -> int | None:
-    """The mask of a target subspace, or None for no target; a target naming
-    an element outside X raises TargetNotInduced."""
+    """The mask of a target subspace, or None for no target; an empty target
+    raises EmptySpace and one naming an element outside X TargetNotInduced."""
     if target is None:
         return None
     keep = frozenset(target)
+    if not keep:
+        raise EmptySpace("cannot collapse onto the empty space")
     if not keep <= set(X.elements):
         raise TargetNotInduced(f"target {sorted(keep)} is not a subset of the space")
     return X._mask(keep)
@@ -353,8 +331,8 @@ def replay_space_certificate(
     X: FinitePoset, cert: CollapseCertificate, target: Iterable[str] | None = None
 ) -> bool:
     """Check each removal is valid for its declared kind; verify the end state.
-    An empty X raises EmptySpace and a target naming an element outside X
-    raises TargetNotInduced, as a search would."""
+    An empty X or target raises EmptySpace and a target naming an element
+    outside X raises TargetNotInduced, as a search would."""
     if not len(X):
         raise EmptySpace("cannot collapse the empty space")
     keep = _target_mask(X, target)
@@ -525,10 +503,12 @@ def _free_face_verdict(
 
 
 def _check_collapse_input(K: SimplicialComplex, target: SimplicialComplex | None) -> None:
-    """Raise EmptyObject on an empty K and TargetNotInduced on a target that
-    is not a subcomplex of K."""
+    """Raise EmptyObject on an empty K or an empty target and
+    TargetNotInduced on a target that is not a subcomplex of K."""
     if K.is_empty():
         raise EmptyObject("cannot collapse the empty complex")
+    if target is not None and target.is_empty():
+        raise EmptyObject("cannot collapse onto the empty complex")
     if target is not None and not target.is_subcomplex_of(K):
         raise TargetNotInduced("target is not a subcomplex")
 
@@ -589,8 +569,8 @@ def replay_complex_certificate(
     """Re-execute free-face pairs, checking freeness at each step, on the
     simplices of K outside the target, and check that one vertex is left
     (none outside a target).  A face or coface may list its vertices in any
-    order.  An empty K raises EmptyObject and a target that is not a
-    subcomplex of K raises TargetNotInduced, as a search would.
+    order.  An empty K or target raises EmptyObject and a target that is
+    not a subcomplex of K raises TargetNotInduced, as a search would.
     """
     _check_collapse_input(K, target)
     index = K.index()

@@ -9,10 +9,13 @@ Hasse pairs; queries, covers included, are mask operations.  All
 deterministic orderings tie-break by lexicographic element id.
 
 A subspace is a mask over the positions.  One worklist loop, ``_prune``,
-removes points of a subspace by a test of their punctured down or up sets.
-With the beat test ``_one_extreme`` (exactly one maximal or one minimal
-point) it decides contractibility, ``_contractible``; with contractibility
-of the punctured set as the test it removes weak points,
+is the only routine that removes points from a subspace: a point goes when
+its punctured down or up set passes a test, the beat test ``_one_extreme``
+(exactly one maximal or one minimal point) or the weak test ``_weak`` (the
+punctured set is contractible).  Asked to record its removals, the loop
+takes the lowest position first, so certificates follow element order; a
+verdict-only run takes the highest first.  With the beat test it decides
+contractibility, ``_contractible``; beat then weak removals give
 ``_weak_reduction``, which shrinks the input of poset homology.
 """
 
@@ -243,10 +246,12 @@ def _height(X: FinitePoset, mask: int) -> int:
     return max(height.values(), default=0)
 
 
-def _one_extreme(mask: int, beyond: list[int], strict: list[int]) -> bool:
-    """Whether the non-empty mask has exactly one maximal point, where
-    ``beyond`` holds each position's strict up-set and ``strict`` its strict
-    down-set; with the two swapped, exactly one minimal point.
+def _one_extreme(X: FinitePoset, mask: int, beyond: list[int], strict: list[int]) -> bool:
+    """The beat test: whether the non-empty subspace mask of X has exactly
+    one maximal point, where ``beyond`` holds each position's strict up-set
+    and ``strict`` its strict down-set; with the two swapped, exactly one
+    minimal point.  A point whose punctured down set passes is a down-beat
+    point, one whose punctured up set passes (swapped) an up-beat point.
 
     A finite set has exactly one maximal element when it has a maximum, so
     one walk along ``beyond`` inside the mask reaches a maximal point m, and
@@ -258,37 +263,56 @@ def _one_extreme(mask: int, beyond: list[int], strict: list[int]) -> bool:
     return not (mask ^ 1 << m) & ~strict[m]
 
 
-def _prune(X: FinitePoset, alive: int, test) -> int:
-    """What is left of the non-empty subspace alive of X after removing,
-    one at a time, each point whose punctured down set in what is left is
-    non-empty and passes ``test(down, above, below)``, or whose punctured up
-    set is non-empty and passes ``test(up, below, above)`` (X's strict
-    masks); the loop stops at one point.
+def _weak(X: FinitePoset, mask: int, beyond: list[int], strict: list[int]) -> bool:
+    """The weak test: whether the non-empty subspace mask of X (a punctured
+    down or up set) is contractible; the direction does not matter."""
+    return _contractible(X, mask)
 
-    The points wait on a worklist and the highest position goes first.  A
-    point's test reads only its punctured sets, so a removal puts back on
-    the worklist just the points comparable to it.
+
+def _prune(
+    X: FinitePoset, alive: int, test, keep: int = 0, size: int = 1, steps: list | None = None
+) -> int:
+    """What is left of the non-empty subspace alive of X after removing,
+    one at a time, points outside the mask keep whose punctured down set in
+    what is left is non-empty and passes ``test(X, down, above, below)``, or
+    whose punctured up set is non-empty and passes ``test(X, up, below,
+    above)`` (X's strict masks); the loop stops at ``size`` points.
+
+    The points wait on a worklist.  A point's test reads only its punctured
+    sets, so a point that failed can pass again only after a point
+    comparable to it was removed, and a removal puts back on the worklist
+    just those points: every point off the worklist would fail.  When
+    ``steps`` is a list, each removal is appended to it as (position, side),
+    side 0 for the down set and 1 for the up set, and the lowest position
+    goes first: that is the first removable point in element order, the one
+    a rescan from the first point would remove, so certificates follow
+    element order.  Otherwise the highest position goes first, which on
+    graded posets runs fewer tests.
     """
     below, above = X._below, X._above
     count = alive.bit_count()
-    todo = alive
-    while count > 1 and todo:
-        i = todo.bit_length() - 1
+    free = ~keep
+    todo = alive & free
+    while count > size and todo:
+        i = (todo & -todo if steps is not None else todo).bit_length() - 1
         todo ^= 1 << i
-        down = below[i] & alive
-        if (down and test(down, above, below)) or (
-            (up := above[i] & alive) and test(up, below, above)
-        ):
-            alive ^= 1 << i
-            count -= 1
-            todo |= (below[i] | above[i]) & alive
+        if (down := below[i] & alive) and test(X, down, above, below):
+            side = 0
+        elif (up := above[i] & alive) and test(X, up, below, above):
+            side = 1
+        else:
+            continue
+        alive ^= 1 << i
+        count -= 1
+        todo |= (below[i] | above[i]) & alive & free
+        if steps is not None:
+            steps.append((i, side))
     return alive
 
 
 def _contractible(X: FinitePoset, alive: int) -> bool:
     """Whether beat-point removals take the non-empty subspace alive of X to
-    a point.  A beat point's punctured down set has one maximal point, or
-    its punctured up set one minimal point: ``_one_extreme`` is the test.
+    a point.
 
     The core is unique up to homeomorphism (Stong), so every maximal run of
     beat-point removals ends at the same number of points, whatever the
@@ -303,11 +327,7 @@ def _weak_reduction(X: FinitePoset, alive: int) -> int:
     set is contractible (a weak point).  The result depends on the order,
     its weak homotopy type does not: removing a weak point x gives a
     collapse K(X) onto K(X - x) (Barmak and Minian, Adv. Math. 218, 2008)."""
-
-    def weak(mask: int, beyond: list[int], strict: list[int]) -> bool:
-        return _contractible(X, mask)
-
-    return _prune(X, _prune(X, alive, _one_extreme), weak)
+    return _prune(X, _prune(X, alive, _one_extreme), _weak)
 
 
 def _intern(elements: Iterable[str], pairs: Iterable[tuple[str, str]], what: str):

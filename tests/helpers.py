@@ -9,8 +9,9 @@ the chain-listing order complex.  The slow collapse engine further down is the
 reference for the indexed one, the free-face engines after it (a state with
 methods, its parent-array pass stopped on a simplex count, and the
 truncation checker's old pass in dicts and a heap) the reference for the
-one loop on ids, the rescanning point peel in it the
-reference for the worklist peel, the counting point predicates (a beat
+one loop on ids, the rescanning point peel in it, the dirty-scan
+peel and the verdict-only highest-first loop the reference for the one
+point-removal loop, the counting point predicates (a beat
 test that counts extremes, a weak test that builds the contraction's
 certificate) the reference for the one-walk beat test and the verdict-only
 contraction, the string-set cylinder checkers after them
@@ -501,19 +502,93 @@ def _slow_remove_points(X, kinds, keep=frozenset(), size=0):
     return current, CollapseCertificate(tuple(steps))
 
 
+def first_kind(X: FinitePoset, alive: int, i: int, kinds) -> str | None:
+    """The first of the kinds the point at position i has in alive."""
+    return next((kind for kind in kinds if clp.removable(X, alive, i, kind)), None)
+
+
 def rescan_peel(X: FinitePoset, alive: int, kinds, keep: int = 0, size: int = 0):
     """The point peel before its worklist: after every removal the scan
     restarts from the first alive point outside keep."""
     steps = []
     while alive.bit_count() > size:
         for i in _ids(alive & ~keep):
-            if kind := clp._first_kind(X, alive, i, kinds):
+            if kind := first_kind(X, alive, i, kinds):
                 steps.append(PointRemoval(X.elements[i], kind))
                 alive ^= 1 << i
                 break
         else:
             break
     return CollapseCertificate(tuple(steps)), alive
+
+
+def dirty_scan_peel(
+    X: FinitePoset, alive: int, kinds, keep: int = 0, size: int = 0
+) -> tuple[CollapseCertificate, int]:
+    """The certificate-building point loop before it ran on
+    ``posets._prune``: the scan moves forward once, and removing the point i
+    marks dirty the alive points outside keep, at or before the scan
+    position, that lie below or above i; dirty points are retested first,
+    lowest first, before the scan moves on."""
+    steps: list[PointRemoval] = []
+    todo = alive & ~keep
+    ahead = iter(_ids(todo))
+    count = alive.bit_count()
+    dirty = 0
+    while count > size:
+        if dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            i = low.bit_length() - 1
+        else:
+            i = pos = next(ahead, None)
+            if i is None:
+                break
+        if kind := first_kind(X, alive, i, kinds):
+            steps.append(PointRemoval(X.elements[i], kind))
+            alive ^= 1 << i
+            todo ^= 1 << i
+            count -= 1
+            dirty |= (X._below[i] | X._above[i]) & todo & ((2 << pos) - 1)
+    return CollapseCertificate(tuple(steps)), alive
+
+
+def verdict_prune(X: FinitePoset, alive: int, test) -> int:
+    """The verdict-only point loop before it recorded steps: the highest
+    position goes first, a removal requeues the alive points comparable to
+    it, and ``test(mask, beyond, strict)`` takes no poset."""
+    below, above = X._below, X._above
+    count = alive.bit_count()
+    todo = alive
+    while count > 1 and todo:
+        i = todo.bit_length() - 1
+        todo ^= 1 << i
+        down = below[i] & alive
+        if (down and test(down, above, below)) or (
+            (up := above[i] & alive) and test(up, below, above)
+        ):
+            alive ^= 1 << i
+            count -= 1
+            todo |= (below[i] | above[i]) & alive
+    return alive
+
+
+def _counting_beat(mask: int, beyond, strict) -> bool:
+    return counting_one_extreme(mask, beyond)
+
+
+def verdict_contractible(X: FinitePoset, alive: int) -> bool:
+    """Contractibility by ``verdict_prune`` with the counting beat test."""
+    return verdict_prune(X, alive, _counting_beat).bit_count() == 1
+
+
+def verdict_weak_reduction(X: FinitePoset, alive: int) -> int:
+    """Beat points, then weak points, removed by ``verdict_prune``."""
+
+    def weak(mask: int, beyond, strict) -> bool:
+        return verdict_contractible(X, mask)
+
+    return verdict_prune(X, verdict_prune(X, alive, _counting_beat), weak)
 
 
 def counting_one_extreme(mask: int, beyond) -> bool:

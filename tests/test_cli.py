@@ -402,6 +402,8 @@ _CYCLIC = {
         (["cylinder", "--mode", "check-right"], json.dumps(_spec_doc(worked_example_spec()))),
         (["cylinder", "--mode", "intermediate-left"], json.dumps(_spec_doc(worked_example_spec()))),
         (["cylinder", "--mode", "intermediate-right"], json.dumps(_spec_doc(worked_example_spec()))),
+        (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": []}, "target": []})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": _CERT, "target": {"facets": []}})),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):

@@ -243,8 +243,9 @@ def test_corrupted_certificate_fails_replay():
 
 
 def test_replay_raises_on_the_inputs_a_search_rejects():
-    """A target outside the complex and an empty complex or space are bad
-    input to replay, as to a search, not a certificate that fails."""
+    """A target outside the complex, an empty target and an empty complex or
+    space are bad input to replay, as to a search, not a certificate that
+    fails."""
     K = two_triangles()
     cert = greedy_collapse_complex(K).certificate
     outside = SimplicialComplex([["v0", "z"]])
@@ -252,10 +253,18 @@ def test_replay_raises_on_the_inputs_a_search_rejects():
         args = (K,) if check is greedy_collapse_complex else (K, cert)
         with pytest.raises(TargetNotInduced):
             check(*args, target=outside)
+        with pytest.raises(EmptyObject):
+            check(*args, target=SimplicialComplex([]))
     with pytest.raises(EmptyObject):
         replay_complex_certificate(SimplicialComplex([]), cert)
     with pytest.raises(EmptySpace):
         replay_space_certificate(antichain([]), CollapseCertificate())
+    X = chain(["a", "b", "c"])
+    with pytest.raises(EmptySpace):
+        greedy_collapse_space(X, target=[])
+    with pytest.raises(EmptySpace):
+        replay_space_certificate(X, greedy_collapse_space(X).certificate, target=[])
+
 
 def test_replay_space_accepts_any_valid_kind():
     # b is both a down-beat and an up-beat point of a < b < c

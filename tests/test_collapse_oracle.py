@@ -20,7 +20,7 @@ from itertools import combinations, product
 import pytest
 
 from finspace import collapse as clp
-from finspace import persistence
+from finspace import persistence, posets
 from finspace.collapse import (
     BEAT_KINDS,
     WEAK_KINDS,
@@ -66,6 +66,7 @@ from helpers import (
     counting_one_extreme,
     counting_removable,
     dict_heap_collapses_onto,
+    dirty_scan_peel,
     nerve_relation,
     parent_array_collapse_run,
     per_union_positive_degree_failures,
@@ -86,6 +87,8 @@ from helpers import (
     slow_replay_complex,
     slow_replay_space,
     star_cover,
+    verdict_contractible,
+    verdict_weak_reduction,
 )
 
 
@@ -474,24 +477,52 @@ def test_worklist_peel_matches_rescan_oracle(monkeypatch):
 
 
 def test_worklist_peel_retests_fewer_points(monkeypatch):
-    # 28 weak tests against 56 when every removal restarts the scan; the
-    # contractions inside a weak test make no point tests of their own
+    # 29 weak tests (28 points, one tested on both sides) against 57 when
+    # every removal restarts the scan; each weak test is one contractibility
+    # verdict, and the contractions inside it make no weak tests of their own
     N = nerve_relation(star_cover(sd_boundary(2))).target
-    first_kind = clp._first_kind
+    contractible = posets._contractible
     calls = []
 
-    def counting(*args):
-        if args[3] == WEAK_KINDS:
-            calls.append(args[2])
-        return first_kind(*args)
+    def counting(X, mask):
+        calls.append(mask)
+        return contractible(X, mask)
 
-    monkeypatch.setattr(clp, "_first_kind", counting)
+    monkeypatch.setattr(posets, "_contractible", counting)
     tests = []
-    for peel in (clp._peel, rescan_peel):
+    for peel in (clp._peel, dirty_scan_peel, rescan_peel):
         calls.clear()
         peel(N, (1 << len(N)) - 1, WEAK_KINDS)
         tests.append(len(calls))
-    assert tests == [28, 56]
+    assert tests == [29, 29, 57]
+
+
+def test_one_point_loop_matches_the_loops_it_replaced():
+    """``posets._prune`` recording steps gives the dirty-scan peel's
+    certificates and masks, keep and size included; without steps it gives
+    the old verdict-only loop's contractibility verdicts and weak-point
+    reductions, removal order included."""
+    cases = list(_peel_cases())
+    ours = [clp._peel(*case) for case in cases]
+    assert ours == [dirty_scan_peel(*case) for case in cases]
+    assert any(case[3] and cert.steps for case, (cert, _) in zip(cases, ours))
+    rng = random.Random("one point loop")
+    spaces = [generate_poset(seed, 4 + seed % 13) for seed in range(80)]
+    for widths, k in (((5, 5, 5, 5), 2), ((6, 6, 6), 3), ((6, 6, 6, 6), 2)):
+        spaces += [helpers.graded_poset(rng, widths, k) for _ in range(6)]
+    for K in (sd_boundary(2), sd_boundary(3), dunce_hat(), projective_plane()):
+        spaces.append(K.face_poset())
+    tested = Counter()
+    for X in spaces + [X.opposite() for X in spaces]:
+        for alive in _masks(X, rng):
+            verdict = posets._contractible(X, alive)
+            assert verdict == verdict_contractible(X, alive)
+            reduced = posets._weak_reduction(X, alive)
+            assert reduced == verdict_weak_reduction(X, alive)
+            core_size = posets._prune(X, alive, posets._one_extreme).bit_count()
+            tested[verdict, reduced.bit_count() < core_size] += 1
+    # contractible masks, and cores that weak points shrink or leave alone
+    assert len(tested) == 3 and min(tested.values()) >= 40, tested
 
 
 def test_cylinder_executor_matches_oracle():
@@ -538,7 +569,7 @@ def test_one_walk_beat_test_matches_the_counting_oracle():
             for i in _ids(alive):
                 for strict, beyond in ((X._below, X._above), (X._above, X._below)):
                     if punctured := strict[i] & alive:
-                        ours = clp._one_extreme(punctured, beyond, strict)
+                        ours = clp._one_extreme(X, punctured, beyond, strict)
                         assert ours == counting_one_extreme(punctured, beyond)
                         tested[ours] += 1
     assert tested[True] > 1000 and tested[False] > 1000

@@ -17,7 +17,7 @@ def test_tier1_workflow_parses():
     with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
         doc = yaml.safe_load(fh)
     job = doc["jobs"]["tests"]
-    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
     runs = [step.get("run", "") for step in job["steps"]]
     assert any('pip install -e ".[test]"' in r for r in runs)
     assert any("python -m pytest -q --continue-on-collection-errors" in r for r in runs)
