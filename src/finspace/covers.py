@@ -10,7 +10,10 @@ intersections by reverse inclusion.
 Each member is an int bitmask over the parent's simplex ids (a complex) or
 element positions (a finite space); an intersection is an AND of masks.
 The nerve's index sets and their masks are enumerated once per cover into
-one nerve table, which the nerves, classification and every checker read.
+one nerve table, which the nerves, classification and every checker read;
+an index set outside it has an empty intersection, so a classification
+of every index set and the truncation checker walk no intersections of
+their own.
 ``FLAVORS`` gives each nerve-theorem flavor its cover kind, verdict mode
 and nerve object.  One inversion pass over masks gives every point's I_x
 (a mask over N0) and every simplex's S_sigma (the ids, on the index of N0
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import and_, or_
 
 from . import collapse as clp
@@ -201,25 +204,17 @@ def _down_closure(faces: list[tuple[int, ...]], ids) -> int:
     return _bits(seen)
 
 
-def _index_sets(cover: Cover, max_subsets: int, nerve_simplices_only: bool):
-    """Non-empty index sets J with the mask of their intersection, in
+def _index_sets(cover: Cover):
+    """The nerve's index sets J with the masks of their intersections, in
     deterministic order (size, then lexicographic).
 
-    Level by level, each J is extended only by names after its last one.
-    With ``nerve_simplices_only`` only sets with a non-empty intersection are
-    listed and extended; the nerve is downward closed, so none is lost.
+    Level by level, each J with a non-empty intersection is extended only
+    by names after its last one; the nerve is downward closed, so none is
+    lost.
     """
     names = sorted(cover.names())
-    if len(names) > max_subsets:
-        raise InvalidCover(
-            f"{len(names)} members exceed the subset-enumeration cap {max_subsets}"
-        )
     masks = [cover._masks[n] for n in names]
-    level = [
-        ((n,), m, k)
-        for k, (n, m) in enumerate(zip(names, masks))
-        if m or not nerve_simplices_only
-    ]
+    level = [((n,), m, k) for k, (n, m) in enumerate(zip(names, masks)) if m]
     while level:
         for J, m, _ in level:
             yield J, m
@@ -227,18 +222,28 @@ def _index_sets(cover: Cover, max_subsets: int, nerve_simplices_only: bool):
             (J + (names[k],), meet, k)
             for J, m, last in level
             for k in range(last + 1, len(names))
-            if (meet := m & masks[k]) or not nerve_simplices_only
+            if (meet := m & masks[k])
         ]
 
 
 def _nerve_table(cover: Cover, cap: int = MAX_MEMBERS) -> dict[tuple[str, ...], int]:
     """The nerve's index sets with their intersection masks, in
     ``_index_sets`` order: the one enumeration per cover that every nerve
-    construction and check reads."""
+    construction, classification and check reads.  A cover of more than
+    cap members is refused."""
+    if len(cover.members) > cap:
+        raise InvalidCover(f"{len(cover.members)} members exceed the subset-enumeration cap {cap}")
     table = cover._memo.get("nerve_table")
-    if table is None or len(cover.members) > cap:  # the enumeration refuses the latter
-        table = cover._memo["nerve_table"] = dict(_index_sets(cover, cap, True))
+    if table is None:
+        table = cover._memo["nerve_table"] = dict(_index_sets(cover))
     return table
+
+
+def _all_index_sets(cover: Cover):
+    """Every non-empty index set, in the nerve table's order (size, then
+    lexicographic)."""
+    names = sorted(cover.names())
+    return (J for k in range(1, len(names) + 1) for J in combinations(names, k))
 
 
 def _id_masks(cover: Cover, ids) -> list[int]:
@@ -332,18 +337,22 @@ def classify_cover(
 ) -> CoverClassification:
     """Per-intersection triviality and collapsibility verdicts.
 
-    Empty intersections are recorded and skipped.  Each distinct non-empty
-    intersection is searched once: every index set with the same mask shares
-    its verdicts, which the cover keeps per (restarts, seed), so
-    a later classification of the same cover runs no search.  The
-    triviality verdict is derived from the collapsibility verdict (see
+    The index sets are the nerve table's, or with ``nerve_simplices_only``
+    false every index set in the same (size, lexicographic) order, those
+    outside the table being empty; a cover of more than max_subsets members
+    is refused.  Empty intersections are recorded and skipped.  Each
+    distinct non-empty intersection is searched once: every index set with
+    the same mask shares its verdicts, which the cover keeps per (restarts,
+    seed), so a later classification of the same cover runs no search.
+    The triviality verdict is derived from the collapsibility verdict (see
     ``triviality_from_collapse``).
     """
     known = cover._memo.setdefault(("verdicts", restarts, seed), {})
+    table = _nerve_table(cover, max_subsets)
     if nerve_simplices_only:
-        index_sets = _nerve_table(cover, max_subsets).items()
+        index_sets = table.items()
     else:
-        index_sets = _index_sets(cover, max_subsets, nerve_simplices_only=False)
+        index_sets = ((J, table.get(J, 0)) for J in _all_index_sets(cover))
     records = []
     for J, mask in index_sets:
         if not mask:

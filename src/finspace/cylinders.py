@@ -226,8 +226,10 @@ def multiple_mapping_cylinder(
         hi_name, hi = spaces[i + 1]
         if d == RIGHT:
             relations.append(graph_relation(f, lo, hi, RIGHT, lo_name, hi_name))
-        else:
+        elif d == LEFT:
             relations.append(graph_relation(f, hi, lo, LEFT, hi_name, lo_name))
+        else:
+            raise MalformedSpec(f"direction must be right or left, got {d!r}")
     return multiple_cylinder(CylinderSpec(tuple(spaces), tuple(relations)))
 
 

@@ -5,9 +5,10 @@ parent's :class:`SimplexIndex`; ``reduced_homology`` of a complex is the
 case of all its ids, and covers and persistence ask for the homology of
 intersections and sub-unions by their ids, without building them.  The
 ids are first coreduced (Mrozek and Batko, *Coreduction homology
-algorithm*, DCG 41, 2009): the lowest vertex of each connected component
-goes, the first together with the empty simplex and each further one as a
-class of reduced H~0, and then, first in first out, every simplex with
+algorithm*, DCG 41, 2009) in one scan of their vertices: each live vertex,
+the lowest of a connected component not yet reached, goes, the first
+together with the empty simplex and each further one as a class of reduced
+H~0, and its component drains: first in first out, every simplex with
 exactly one live face goes together with that face.  Boundary coefficients
 are ±1, so the boundary restricted to the simplices left has the same
 integral homology, torsion included.  On those simplices each d-simplex
@@ -90,10 +91,15 @@ def _coreduce(index: SimplexIndex, ids: Sequence[int]) -> tuple[list[int], int]:
     ascending ids of the simplices it leaves, and the number of connected
     components beyond the first.
 
-    The lowest vertex of each component goes first: the first one together
-    with the empty simplex, each further one with an empty simplex of its
-    own, which raises reduced H~0 by one.  Then, first in first out, every
-    simplex with exactly one live face goes together with that face.  All
+    One scan over the vertices, ascending: a live vertex is the lowest of
+    a component not yet reached.  It goes, the first one together with the
+    empty simplex and each further one with an empty simplex of its own,
+    which raises reduced H~0 by one, and then its component drains: first
+    in first out, every simplex with exactly one live face goes together
+    with that face.  The dead simplices always form a subcomplex, so a
+    drain leaves no live vertex in its component (a live edge on a dead
+    vertex has one live face and was queued), and components share no
+    cofaces, so each drains as it would in one queue for all.  All
     boundary coefficients are ±1, so the boundary restricted to what is
     left has the homology of the whole over the integers, torsion included.
     """
@@ -116,26 +122,16 @@ def _coreduce(index: SimplexIndex, ids: Sequence[int]) -> tuple[list[int], int]:
                     queue.append(c)
 
     components = 0
-    seen = bytearray(len(faces))
     for v in ids[: bisect_left(ids, index.dim_start[1])]:
-        if seen[v]:
-            continue
+        if not alive[v]:
+            continue  # a vertex of a component already drained
         components += 1
-        seen[v] = 1
-        stack = [v]
-        while stack:  # the component of v, through its edges among ids
-            for e in cofaces[stack.pop()]:
-                if alive[e]:
-                    for w in faces[e]:
-                        if not seen[w]:
-                            seen[w] = 1
-                            stack.append(w)
         remove(v)
-    while queue:
-        c = queue.popleft()
-        if alive[c] and live[c] == 1:
-            remove(c)
-            remove(next(f for f in faces[c] if alive[f]))
+        while queue:
+            c = queue.popleft()
+            if alive[c] and live[c] == 1:
+                remove(c)
+                remove(next(f for f in faces[c] if alive[f]))
     return list(compress(range(len(alive)), alive)), components - 1
 
 

@@ -23,11 +23,10 @@ import json
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import collapse as clp
 from .complexes import SimplexIndex
-from .covers import Cover, CoverClassification, classify_cover, nerve
+from .covers import Cover, CoverClassification, _all_index_sets, _nerve_table, classify_cover, nerve
 from .errors import InvalidCover, InvariantViolation, NotAChain
 from .homology import _betti_gf2, _homology, homology_equal, reduced_homology
 from .posets import _ids
@@ -168,9 +167,7 @@ def check_truncation_theorem(
     N = nerve(cover)
     part1 = homology_equal(reduced_homology(cover.parent), reduced_homology(N))
     if len(names) <= max_enum:
-        subsets = [
-            J for k in range(1, len(names) + 1) for J in combinations(names, k)
-        ]
+        subsets = list(_all_index_sets(cover))
         enumeration = "exhaustive"
     else:
         rng = random.Random(seed)
@@ -182,7 +179,7 @@ def check_truncation_theorem(
         enumeration = f"sampled (cap {max_enum} exceeded, seed {seed})"
     failures = _positive_degree_failures(cover, subsets)
     part2 = not failures
-    has_empty = not N.contains_simplex(frozenset(names))
+    has_empty = tuple(names) not in _nerve_table(cover)
     report = {
         "part1_nerve_homology_match": part1,
         "part2_subunions_acyclic": part2,

@@ -17,16 +17,18 @@ certificate) the reference for the one-walk beat test and the verdict-only
 contraction, the string-set cylinder checkers after them
 (pair scans and a subposet per hypothesis set) the reference for the
 mask-based ones, the cover layer after them (pairwise
-intersections, all 2^n index sets, homology on every sub-union, and a
-full free-face pass per sub-union) the reference for the mask-based one
-and for the truncation pass along the sub-union lattice, the dense chain
+intersections, all 2^n index sets, the index-set walk with an all-sets
+mode, homology on every sub-union, and a full free-face pass per
+sub-union) the reference for the mask-based one, its one nerve table and
+the truncation pass along the sub-union lattice, the dense chain
 complex after that
 (dense boundary matrices, fraction-free and dense GF(2) ranks, dense Smith
 normal form, persistence over rebuilt sub-unions) the reference for the
 sparse rows and the sparse Smith normal form elimination, Smith normal
 form on every simplex's boundary row the reference for homology after
-coreduction, homology on the whole order complex the reference for poset
-homology after weak-point removal, and the
+coreduction, the coreduction with a component pre-pass the reference for
+the one that finds components in its drain, homology on the whole order
+complex the reference for poset homology after weak-point removal, and the
 string-set poset at the end (frozenset reachability, cubic reduction,
 restriction by rebuild) the reference for the bitmask poset index.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, insort
+from collections import deque
 from collections.abc import Sequence
 from itertools import combinations
 from math import gcd
@@ -61,16 +64,18 @@ from finspace.complexes import (
 )
 from finspace.covers import (
     COMPLEX,
+    MAX_MEMBERS,
     Cover,
     CoverClassification,
     IntersectionRecord,
     NZeroResult,
     ReducedNerve,
+    _classify_intersection,
     nerve,
     non_hausdorff_nerve,
 )
 from finspace.cylinders import Relation, _hypothesis_masks, relation_cylinder, tag
-from finspace.errors import CycleDetected
+from finspace.errors import CycleDetected, InvalidCover
 from finspace.homology import (
     HomologyResult,
     _homology,
@@ -886,6 +891,34 @@ def slow_index_sets(cover, max_subsets: int, nerve_simplices_only: bool):
     ]
 
 
+def two_mode_index_sets(cover, max_subsets: int, nerve_simplices_only: bool):
+    """Index sets J with the mask of their intersection, in (size,
+    lexicographic) order: the library's ``_index_sets`` before it walked
+    the nerve alone.  Each level extends J only by later names; with
+    ``nerve_simplices_only`` only non-empty intersections are listed and
+    extended, else every index set is, an empty one with mask 0."""
+    names = sorted(cover.names())
+    if len(names) > max_subsets:
+        raise InvalidCover(
+            f"{len(names)} members exceed the subset-enumeration cap {max_subsets}"
+        )
+    masks = [cover._masks[n] for n in names]
+    level = [
+        ((n,), m, k)
+        for k, (n, m) in enumerate(zip(names, masks))
+        if m or not nerve_simplices_only
+    ]
+    while level:
+        for J, m, _ in level:
+            yield J, m
+        level = [
+            (J + (names[k],), meet, k)
+            for J, m, last in level
+            for k in range(last + 1, len(names))
+            if (meet := m & masks[k]) or not nerve_simplices_only
+        ]
+
+
 def slow_nerve(cover) -> SimplicialComplex:
     return SimplicialComplex(slow_index_sets(cover, 20, nerve_simplices_only=True))
 
@@ -937,6 +970,27 @@ def slow_classify_cover(
         records.append(
             IntersectionRecord(J, False, clp.triviality_from_collapse(sub, coll), coll)
         )
+    nonempty = [r for r in records if not r.empty]
+    return CoverClassification(
+        tuple(records),
+        clp.aggregate_verdict(r.triviality.verdict for r in nonempty),
+        clp.aggregate_verdict(r.collapsibility.verdict for r in nonempty),
+    )
+
+
+def walked_classify_cover(cover, nerve_simplices_only, restarts=8, seed=0) -> CoverClassification:
+    """``classify_cover`` on the two-mode walk: the index sets and masks it
+    lists, each distinct non-empty mask decided once by the library's
+    ``_classify_intersection``."""
+    known: dict = {}
+    records = []
+    for J, mask in two_mode_index_sets(cover, MAX_MEMBERS, nerve_simplices_only):
+        if not mask:
+            records.append(IntersectionRecord(J, True, None, None))
+            continue
+        if mask not in known:
+            known[mask] = _classify_intersection(cover, mask, restarts, seed)
+        records.append(IntersectionRecord(J, False, *known[mask]))
     nonempty = [r for r in records if not r.empty]
     return CoverClassification(
         tuple(records),
@@ -1305,6 +1359,52 @@ def full_snf_homology(K: SimplicialComplex) -> HomologyResult:
     betti = _reduced_betti(K.index().dim_start, [rank for _, rank in snf])
     torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(K.dim() + 1))
     return HomologyResult(tuple(betti), torsion, reduced=True)
+
+
+def prepass_coreduce(index: SimplexIndex, ids: Sequence[int]) -> tuple[list[int], int]:
+    """Coreduction with a component pre-pass: the library's ``_coreduce``
+    before it found the components in its own drain.  A walk over edges,
+    with its own seen array and stack, finds the lowest vertex of every
+    component and removes it; then one FIFO queue drains all components at
+    once.  Returns the ascending ids left and the components beyond the
+    first."""
+    faces, cofaces = index.faces, index.cofaces
+    live = [len(f) for f in faces]
+    alive = bytearray(len(faces))
+    for i in ids:
+        alive[i] = 1
+    queue: deque[int] = deque()
+
+    def remove(x: int) -> None:
+        alive[x] = 0
+        for c in cofaces[x]:
+            if alive[c]:
+                live[c] -= 1
+                if live[c] == 1:
+                    queue.append(c)
+
+    components = 0
+    seen = bytearray(len(faces))
+    for v in ids[: bisect_left(ids, index.dim_start[1])]:
+        if seen[v]:
+            continue
+        components += 1
+        seen[v] = 1
+        stack = [v]
+        while stack:
+            for e in cofaces[stack.pop()]:
+                if alive[e]:
+                    for w in faces[e]:
+                        if not seen[w]:
+                            seen[w] = 1
+                            stack.append(w)
+        remove(v)
+    while queue:
+        c = queue.popleft()
+        if alive[c] and live[c] == 1:
+            remove(c)
+            remove(next(f for f in faces[c] if alive[f]))
+    return [i for i, a in enumerate(alive) if a], components - 1
 
 
 def order_complex_homology(X: FinitePoset) -> HomologyResult:

@@ -40,7 +40,7 @@ from finspace.collapse import (
     weak_points,
 )
 from finspace.complexes import SimplicialComplex, cone, order_complex, simplex_boundary
-from finspace.covers import Cover, classify_cover
+from finspace.covers import Cover, _all_index_sets, _nerve_table, classify_cover
 from finspace.cylinders import (
     _execute_target_removal,
     _hypothesis_masks,
@@ -55,6 +55,7 @@ from finspace.generators import (
     generate_poset,
     generate_strong_good_cover,
 )
+from finspace.homology import _coreduce
 from finspace.persistence import check_truncation_theorem
 from finspace.posets import FinitePoset, _ids
 
@@ -71,6 +72,7 @@ from helpers import (
     parent_array_collapse_run,
     per_union_positive_degree_failures,
     polygon_arc_cover,
+    prepass_coreduce,
     rescan_peel,
     sd_boundary,
     seeded_cone_cover,
@@ -210,6 +212,24 @@ def test_subunion_passes_match_the_method_call_oracle():
                 stuck += pairs is None
     # the families reach both collapses and stuck passes
     assert runs > 2000 and 0 < stuck < runs
+
+
+def test_one_scan_coreduction_matches_the_prepass_on_cover_ids():
+    """On the ids of every intersection and every sub-union of the
+    families, the coreduction leaves the cells and counts the components
+    the pre-pass coreduction does; many of them are disconnected."""
+    runs = disconnected = 0
+    for cov in _subunion_covers():
+        index = cov.parent.index()
+        masks = {cov._union_mask(J) for J in _all_index_sets(cov)}
+        masks.update(_nerve_table(cov).values())
+        for mask in masks:
+            ids = _ids(mask)
+            left, extra = _coreduce(index, ids)
+            assert (left, extra) == prepass_coreduce(index, ids)
+            runs += 1
+            disconnected += extra > 0
+    assert runs > 700 and disconnected > 200
 
 
 def test_full_pass_on_a_subunion_is_the_euler_count_pass():

@@ -16,6 +16,7 @@ from finspace.complexes import SimplicialComplex, order_complex, simplex_boundar
 from finspace.covers import (
     COMPLEX,
     Cover,
+    _all_index_sets,
     _index_sets,
     classify_cover,
     n_zero_complex,
@@ -58,6 +59,8 @@ from helpers import (
     slow_subunion,
     star_cover,
     subset_simplex_index,
+    two_mode_index_sets,
+    walked_classify_cover,
 )
 
 
@@ -125,11 +128,13 @@ def test_families_have_empty_triple_intersections_and_hard_verdicts():
 
 def test_index_sets_and_intersections_match_oracle():
     for cov in all_covers():
-        for only in (False, True):
-            listed = list(_index_sets(cov, 20, only))
-            assert [J for J, _ in listed] == slow_index_sets(cov, 20, only)
-            for J, mask in listed:
-                assert (mask == 0) == slow_intersection_is_empty(cov, J)
+        listed = list(_index_sets(cov))
+        assert [J for J, _ in listed] == slow_index_sets(cov, 20, nerve_simplices_only=True)
+        assert list(_all_index_sets(cov)) == slow_index_sets(cov, 20, nerve_simplices_only=False)
+        # an index set outside the nerve table has an empty intersection
+        table = dict(listed)
+        for J in _all_index_sets(cov):
+            assert (table.get(J, 0) == 0) == slow_intersection_is_empty(cov, J)
         for J in slow_index_sets(cov, 20, nerve_simplices_only=False):
             assert cov.intersection(J) == slow_intersection(cov, J)
             assert cov.intersection(reversed(J)) == slow_intersection(cov, J)
@@ -143,15 +148,17 @@ def test_index_sets_and_intersections_match_oracle():
 
 def test_classification_matches_oracle():
     """Classified twice per cover, the second time from the verdicts the
-    first kept; many covers list several index sets with one mask.  Each
-    record's intersection, built only on request, is the oracle's."""
+    first kept; many covers list several index sets with one mask.  The
+    records are also those of the two-mode walk.  Each record's
+    intersection, built only on request, is the oracle's."""
     shared = 0
     for cov in all_covers():
-        masks = [m for _, m in _index_sets(cov, 20, True) if m]
+        masks = [m for _, m in _index_sets(cov)]
         shared += len(set(masks)) < len(masks)
         for only in (False, True):
             cls = classify_cover(cov, nerve_simplices_only=only)
             assert cls == slow_classify_cover(cov, nerve_simplices_only=only)
+            assert cls == walked_classify_cover(cov, only)
         for r in cls.records:
             assert cov.intersection(r.index_set) == slow_intersection(cov, r.index_set)
     assert shared >= 20
@@ -230,11 +237,20 @@ def test_inverted_i_x_and_s_sigma_match_the_scan():
 
 
 def test_truncation_reports_match_oracle():
+    """The exhaustive list and the empty-intersection flag are also the
+    two-mode walk's; both flags occur."""
+    flags = set()
     for cov in complex_covers():
-        assert check_truncation_theorem(cov) == slow_check_truncation_theorem(cov)
+        report = check_truncation_theorem(cov)
+        assert report == slow_check_truncation_theorem(cov)
+        walk = list(two_mode_index_sets(cov, 20, nerve_simplices_only=False))
+        assert report["subsets_checked"] == len(walk)
+        assert report["has_empty_intersections"] == any(not m for _, m in walk)
+        flags.add(report["has_empty_intersections"])
         assert check_truncation_theorem(
             cov, max_enum=2, sample_size=6, seed=3
         ) == slow_check_truncation_theorem(cov, max_enum=2, sample_size=6, seed=3)
+    assert flags == {True, False}
 
 
 def test_star_cover_of_sd_boundary_of_3_simplex_matches_oracle():

@@ -266,8 +266,9 @@ def searches(monkeypatch):
     return seen
 
 
-def _distinct_nonempty_masks(cov, nerve_simplices_only=False):
-    return {m for _, m in covers._index_sets(cov, 20, nerve_simplices_only) if m}
+def _distinct_nonempty_masks(cov):
+    """The distinct masks of the nerve's index sets, all of them non-empty."""
+    return {m for _, m in covers._index_sets(cov)}
 
 
 def test_classify_searches_each_intersection_once(searches):
@@ -319,7 +320,7 @@ def test_a_second_classification_runs_no_search(searches):
     assert searches == [] and report["strong_good"] == "yes"
     # other restarts or another seed are other verdicts, searched afresh
     again = classify_cover(cov, nerve_simplices_only=True, seed=1)
-    assert len(searches) == len(_distinct_nonempty_masks(cov, nerve_simplices_only=True))
+    assert len(searches) == len(_distinct_nonempty_masks(cov))
     assert again.strong_good == first.strong_good == "yes"
 
 
@@ -565,8 +566,9 @@ def test_an_unknown_mode_is_refused_by_every_n0_construction():
 
 
 def test_index_sets_are_enumerated_once_per_cover(monkeypatch):
-    """The nerve, the reduced nerve, nerve-mode classification and every
-    applicable nerve-theorem check read one nerve table."""
+    """The nerve, the reduced nerve, classification in either mode, every
+    applicable nerve-theorem check and the truncation checker read one
+    nerve table."""
     calls = []
     enumerate_sets = covers._index_sets
 
@@ -581,9 +583,20 @@ def test_index_sets_are_enumerated_once_per_cover(monkeypatch):
         nerve(cov)
         reduced_nerve(cov)
         classify_cover(cov, nerve_simplices_only=True)
+        classify_cover(cov)
         for flavor, (kind, _, _) in covers.FLAVORS.items():
             if kind in (None, cov.kind):
                 check_nerve_theorem(cov, flavor)
+        if cov.kind == "complex":
+            check_truncation_theorem(cov)
+        assert calls == [cov]
+    # classification of every index set, or truncation, first: still one walk
+    for check in (classify_cover, check_truncation_theorem):
+        cov = _fresh(star_cover(sd_boundary(2)))
+        calls.clear()
+        check(cov)
+        nerve(cov)
+        classify_cover(cov, nerve_simplices_only=True)
         assert calls == [cov]
 
 

@@ -159,6 +159,17 @@ def test_multiple_mapping_cylinder_coincides():
     assert B1.hasse == B2.hasse
 
 
+def test_multiple_mapping_cylinder_rejects_an_unknown_direction():
+    """A direction other than right or left is refused by name, for a map
+    either way round, rather than read as left or blamed on the map."""
+    spaces = [("X0", chain(["a", "b"])), ("X1", chain(["u", "v"]))]
+    forward, backward = {"a": "u", "b": "v"}, {"u": "a", "v": "b"}
+    assert len(multiple_mapping_cylinder([backward], spaces, [LEFT])) == 4
+    for f in (forward, backward):
+        with pytest.raises(MalformedSpec, match="direction must be right or left, got 'sideways'"):
+            multiple_mapping_cylinder([f], spaces, ["sideways"])
+
+
 def test_left_relations_put_later_space_below():
     # with a left relation the odd space sits above the even one on its right
     X1 = chain(["b"])

@@ -40,6 +40,7 @@ from helpers import (
     homology_oracle,
     order_complex_homology,
     polygon_arc_cover,
+    prepass_coreduce,
     rank_fraction_free,
     sd_boundary,
     sparse,
@@ -303,6 +304,21 @@ def test_coreduced_homology_matches_both_oracles():
     assert {d for h in results for d, t in enumerate(h.torsion) if t} == {1, 2, 3}
     assert sum(1 for h in results if any(h.torsion) and h.betti[0]) == 13
     assert sum(1 for h in results if h.betti[0]) == 49
+
+
+def test_one_scan_coreduction_matches_the_prepass_oracle():
+    """The cells left and the components counted equal the pre-pass
+    coreduction's on the coreduction families (the homology families among
+    them) and on seeded complexes, many of them disconnected."""
+    disconnected = 0
+    seeded = (generate_complex(seed) for seed in range(60, 400))
+    for K in [*_coreduction_families(), *seeded]:
+        index = K.index()
+        ids = range(len(index.simplices))
+        left, extra = _coreduce(index, ids)
+        assert (left, extra) == prepass_coreduce(index, ids)
+        disconnected += extra > 0
+    assert disconnected >= 80
 
 
 def test_coreduction_leaves_one_cell_of_the_subdivided_six_sphere():

@@ -86,6 +86,22 @@ def test_perf_smoke_check_fails_on_wrong_output_or_hook_errors(
     assert run.returncode == exit_code
 
 
+def test_perf_smoke_forgives_exactly_the_functions_that_left():
+    """The smoke's allow-list of untraced functions (the set literal in its
+    check) is GONE: an extra entry there would let a rename zero its counts
+    with no failure."""
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
+        doc = yaml.safe_load(fh)
+    runs = [step.get("run", "") for step in doc["jobs"]["tests"]["steps"]]
+    smoke = next(r for r in runs if "perfbench/run.py" in r)
+    check = next(line for line in smoke.splitlines() if "python3 -c" in line)
+    sets = [n for n in ast.walk(ast.parse(shlex.split(check)[-1])) if isinstance(n, ast.Set)]
+    assert len(sets) == 1
+    allowed = ast.literal_eval(sets[0])
+    assert allowed == set(GONE) and len(GONE) == len(set(GONE))
+
+
 def _tracer_layers() -> dict:
     """LAYERS of perfbench/tracer.py, read from its source without running
     the tracer."""
