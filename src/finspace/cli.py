@@ -27,7 +27,7 @@ from .collapse import (
     replay_space_certificate,
 )
 from .complexes import SimplicialComplex
-from .covers import FLAVORS, MAX_MEMBERS, Cover, classify_cover, check_nerve_theorem, nerve, non_hausdorff_nerve, reduced_nerve
+from .covers import COMPLEX, FLAVORS, MAX_MEMBERS, Cover, classify_cover, check_nerve_theorem, nerve, non_hausdorff_nerve, reduced_nerve
 from .cylinders import (
     LEFT,
     RIGHT,
@@ -45,29 +45,22 @@ from .persistence import check_truncation_theorem, persistence_over_chain
 from .posets import FinitePoset
 
 
-def _jsonable(obj):
-    """Recursively convert report values to plain JSON data."""
+def _plain(obj):
+    """The JSON data of a report value json cannot write by itself; json
+    walks the dicts, lists and tuples and calls this on each such value."""
     if isinstance(obj, TriStateResult):
-        return _jsonable(obj.to_doc())
-    if isinstance(obj, CollapseCertificate):
-        return json.loads(obj.to_json())
+        return obj.to_doc()
     if isinstance(obj, HomologyResult):
         return obj.summary()
-    if isinstance(obj, FinitePoset):
+    if isinstance(obj, (CollapseCertificate, FinitePoset, SimplicialComplex)):
         return json.loads(obj.to_json())
-    if isinstance(obj, SimplicialComplex):
-        return json.loads(obj.to_json())
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable(v) for v in obj)
-    return obj
+        return sorted(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(doc) -> None:
-    json.dump(_jsonable(doc), sys.stdout, indent=2, sort_keys=True)
+    json.dump(doc, sys.stdout, indent=2, sort_keys=True, default=_plain)
     sys.stdout.write("\n")
 
 
@@ -147,7 +140,7 @@ def _complex_from_doc(doc, what: str = "the complex") -> SimplicialComplex:
 
 def _cover_from_doc(doc) -> Cover:
     kind = _string(_field(doc, "kind", "the cover"), "the cover kind")
-    if kind == "complex":
+    if kind == COMPLEX:
         check, key, ids = _check_complex_doc, "facets", _id_lists
     else:
         check, key, ids = _check_poset_doc, "elements", _ids

@@ -44,7 +44,16 @@ same loop therefore gives a collapse to a point (all of K's ids, one
 vertex left), a targeted collapse (L the target, none left) and the
 truncation checker's relative pass (L a sub-union already collapsed).  A
 subcomplex is searched as its simplex ids on its parent's index, and a
-stuck search reads the homology of the same ids.
+stuck search reads the homology of the same ids.  A target is found on
+that index too, by its facets closed downward
+(``SimplexIndex.down_closure``), so no index of the target is built.  The
+loop's free list is its only record of which ids are free: the present ids
+with one present coface.
+
+A collapsibility verdict gives a triviality verdict by one rule per kind of
+object: Yes and No carry over; after Unknown a subcomplex has no test left
+(``_after_complex_collapse``) and a subspace has its core
+(``_after_collapse``).
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ from .homology import (
     homology_equal,
     reduced_homology,
 )
-from .posets import FinitePoset, _contractible, _height, _one_extreme, _prune, _weak
+from .posets import FinitePoset, _contractible, _height, _ids, _one_extreme, _prune, _weak
 
 DOWN_BEAT = "down-beat"
 UP_BEAT = "up-beat"
@@ -401,10 +410,14 @@ def _collapse_run(
 
     The free ids are kept as a sorted list, which is the order of
     ``free_faces``: the deterministic pass takes the first, a restart draws
-    from the whole list.  A simplex outside the ids is never present, so it
-    is never listed.  The faces of a coface t and of its free face s have
-    different dimensions, so each face of the pair is updated once and its
-    freeness is final when it is retested.
+    from the whole list.  The list holds exactly the present ids with one
+    present coface, so no second record of it is kept: a simplex outside
+    the ids is never present, so it is never listed; a face joins when its
+    count falls to 1 while present, and leaves when its count falls to 0
+    while present.  The free face s leaves when it is taken, and its coface
+    t is never listed: a coface above t would give s a second coface.  The
+    faces of t and of s have different dimensions, so each face of the pair
+    is updated once and its freeness is final when it is retested.
 
     The pass stops on dimensions, never on an Euler count: when the ids are
     not closed under faces, their own Euler count can balance with nothing
@@ -415,7 +428,6 @@ def _collapse_run(
     present, count, cosum = _free_state(index, ids)
     faces = index.faces
     free = [s for s in start if count[s] == 1]
-    listed = set(free)
     # the ids of positive dimension follow the vertices
     left = len(start) and len(start) - bisect_left(start, index.dim_start[1])
     steps: list[tuple[int, int]] = []
@@ -423,6 +435,7 @@ def _collapse_run(
         if not free:
             return None
         s = free[0] if rng is None else rng.choice(free)
+        free.remove(s)
         t = cosum[s]
         steps.append((s, t))
         present[s] = present[t] = False
@@ -431,13 +444,11 @@ def _collapse_run(
             for u in faces[gone]:
                 above = count[u] = count[u] - 1
                 cosum[u] -= gone
-                if above == 1 and present[u]:
-                    if u not in listed:
-                        listed.add(u)
+                if present[u]:
+                    if above == 1:
                         insort(free, u)
-                elif u in listed:
-                    listed.remove(u)
-                    free.remove(u)
+                    elif not above:
+                        free.remove(u)
     return steps
 
 
@@ -482,35 +493,48 @@ def _free_face_search(
 def _free_face_verdict(
     index: SimplexIndex,
     ids: Sequence[int] | None,
-    target: Sequence[int] | None,
+    target: int | None,
     restarts: int,
     seed: int,
 ) -> TriStateResult:
     """Verdict on collapsing the subcomplex ids of index (ascending, closed
-    under faces; None for all of it) to a point, or onto the subcomplex
-    made of the ascending ids target.  When every schedule gets stuck, the
-    homology of those ids, read on the same index, decides No or Unknown."""
+    under faces; None for all of it) to a point, or all of the index onto
+    the subcomplex whose mask over it is target.  When every schedule gets
+    stuck, the homology of those ids, read on the same index, decides No or
+    Unknown."""
     whole = range(len(index.simplices)) if ids is None else ids
     if target is None:
         cert = _free_face_search(index, ids, 1, restarts, seed)
     else:  # the search may remove every simplex outside the target
-        kept = frozenset(target)
-        cert = _free_face_search(index, [i for i in whole if i not in kept], 0, restarts, seed)
+        cert = _free_face_search(index, _outside(index, target), 0, restarts, seed)
+        target = _ids(target)
     if cert is not None:
         return yes(cert)
     note = "no free faces left on any attempted schedule"
     return _stuck(lambda part: _homology(index, part), whole, target, note)
 
 
-def _check_collapse_input(K: SimplicialComplex, target: SimplicialComplex | None) -> None:
-    """Raise EmptyObject on an empty K or an empty target and
+def _outside(index: SimplexIndex, mask: int) -> list[int]:
+    """The ids of index outside the mask, ascending."""
+    return _ids(((1 << len(index.simplices)) - 1) ^ mask)
+
+
+def _collapse_input(
+    K: SimplicialComplex, target: SimplicialComplex | None
+) -> tuple[SimplexIndex, int | None]:
+    """K's index and the target's mask over it (None for no target).
+    Raises EmptyObject on an empty K or an empty target and
     TargetNotInduced on a target that is not a subcomplex of K."""
     if K.is_empty():
         raise EmptyObject("cannot collapse the empty complex")
-    if target is not None and target.is_empty():
+    if target is None:
+        return K.index(), None
+    if target.is_empty():
         raise EmptyObject("cannot collapse onto the empty complex")
-    if target is not None and not target.is_subcomplex_of(K):
+    mask = K.index().down_closure(target.facets)
+    if mask is None:
         raise TargetNotInduced("target is not a subcomplex")
+    return K.index(), mask
 
 
 def greedy_collapse_complex(
@@ -523,10 +547,7 @@ def greedy_collapse_complex(
 
     Deterministic first pass: lowest dimension, lexicographic simplex order.
     """
-    _check_collapse_input(K, target)
-    index = K.index()
-    if target is not None:
-        target = sorted(index.id_of[s] for s in target.all_simplices())
+    index, target = _collapse_input(K, target)
     return _free_face_verdict(index, None, target, restarts, seed)
 
 
@@ -572,15 +593,10 @@ def replay_complex_certificate(
     order.  An empty K or target raises EmptyObject and a target that is
     not a subcomplex of K raises TargetNotInduced, as a search would.
     """
-    _check_collapse_input(K, target)
-    index = K.index()
+    index, target = _collapse_input(K, target)
     id_of, faces = index.id_of, index.faces
-    if target is None:
-        ids, left, end = None, len(index.simplices), 1
-    else:
-        kept = frozenset(map(id_of.__getitem__, target.all_simplices()))
-        ids = [i for i in range(len(index.simplices)) if i not in kept]
-        left, end = len(ids), 0
+    ids = None if target is None else _outside(index, target)
+    left, end = (len(index.simplices), 1) if ids is None else (len(ids), 0)
     present, count, cosum = _free_state(index, ids)
     for step in cert.steps:
         if not isinstance(step, FreeFacePair):
@@ -605,23 +621,22 @@ def replay_complex_certificate(
 # ---------------------------------------------------------------------------
 
 
-def triviality_from_collapse(obj, collapsibility: TriStateResult) -> TriStateResult:
-    """Triviality verdict given a greedy collapsibility verdict, for the
-    finite space obj or for a subcomplex of the complex obj.
+def _after_complex_collapse(collapsibility: TriStateResult) -> TriStateResult:
+    """Triviality of a subcomplex given its greedy collapsibility verdict.
 
     Yes carries over (collapsible implies homotopically trivial) and so does
-    No (its witness is non-trivial homology).  After Unknown the object is
-    acyclic; only a finite space has one more test left, its core.
+    No (its witness is non-trivial homology).  After Unknown the subcomplex
+    is acyclic and no test is left.
     """
-    if not isinstance(obj, SimplicialComplex):
-        return _after_collapse(obj, _everything(obj), collapsibility)
     if collapsibility.verdict != "unknown":
         return collapsibility
     return unknown("acyclic but greedy collapse got stuck")
 
 
 def _after_collapse(X: FinitePoset, alive: int, collapsibility: TriStateResult) -> TriStateResult:
-    """``triviality_from_collapse`` for the subspace alive of X."""
+    """Triviality of the subspace alive of X given its greedy collapsibility
+    verdict: as for a subcomplex, except that after Unknown a finite space
+    has one more test left, its core."""
     if collapsibility.verdict != "unknown":
         return collapsibility
     return _triviality(X, alive, collapsibility)
@@ -654,7 +669,7 @@ def is_homotopically_trivial_complex(
 ) -> TriStateResult:
     if K.is_empty():
         raise EmptyObject("the empty complex is not homotopically trivial")
-    return triviality_from_collapse(K, greedy_collapse_complex(K, restarts=restarts, seed=seed))
+    return _after_complex_collapse(greedy_collapse_complex(K, restarts=restarts, seed=seed))
 
 
 def shadow_report(K: SimplicialComplex, restarts: int = 8, seed: int = 0) -> dict:

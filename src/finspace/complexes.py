@@ -18,7 +18,7 @@ from itertools import accumulate, chain, combinations, compress, count, repeat
 from operator import not_
 from typing import Iterable, Sequence
 
-from .posets import FinitePoset, _ids, build_poset
+from .posets import FinitePoset, _bits, _ids, build_poset
 
 Simplex = frozenset
 
@@ -90,6 +90,19 @@ class SimplexIndex:
             for f in ids:
                 cofaces[f].append(i)
         self.faces, self.cofaces = faces, cofaces
+
+    def down_closure(self, facets: Iterable[Iterable[str]]) -> int | None:
+        """The mask over the ids of the given simplices and all their faces,
+        or None when one of them is not in the index: a subcomplex of the
+        indexed complex, given by its facets, found on this index."""
+        ids = [self.id_of.get(tuple(sorted(f))) for f in facets]
+        if None in ids:
+            return None
+        seen, level = set(), set(ids)
+        while level:
+            seen |= level
+            level = {f for i in level for f in self.faces[i]} - seen
+        return _bits(seen)
 
     def dim_cuts(self, ids: Sequence[int]) -> list[int]:
         """For ascending ids, the positions in ids where each dimension's

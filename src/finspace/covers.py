@@ -96,11 +96,10 @@ class Cover:
         if self.kind == COMPLEX:
             if not isinstance(sub, SimplicialComplex):
                 raise InvalidCover(f"member {name!r} is not a complex")
-            index = self.parent.index()
-            ids = [index.id_of.get(tuple(sorted(f))) for f in sub.facets]
-            if None in ids:
+            mask = self.parent.index().down_closure(sub.facets)
+            if mask is None:
                 raise InvalidCover(f"member {name!r} is not a subcomplex of the parent")
-            return _down_closure(index.faces, ids)
+            return mask
         X = self.parent
         if not all(x in X for x in sub):
             raise InvalidCover(f"member {name!r} is not a subset of the space")
@@ -190,18 +189,6 @@ class Cover:
                 (m["name"], frozenset(m["elements"])) for m in doc["members"]
             )
         return Cover(doc["kind"], parent, members)
-
-
-def _down_closure(faces: list[tuple[int, ...]], ids) -> int:
-    """Mask of the given simplex ids and all their faces."""
-    seen = set(ids)
-    todo = list(seen)
-    while todo:
-        for f in faces[todo.pop()]:
-            if f not in seen:
-                seen.add(f)
-                todo.append(f)
-    return _bits(seen)
 
 
 def _index_sets(cover: Cover):
@@ -344,8 +331,10 @@ def classify_cover(
     distinct non-empty intersection is searched once: every index set with
     the same mask shares its verdicts, which the cover keeps per (restarts,
     seed), so a later classification of the same cover runs no search.
-    The triviality verdict is derived from the collapsibility verdict (see
-    ``triviality_from_collapse``).
+    The triviality verdict is derived from the collapsibility verdict by
+    the rule for the cover's kind: ``collapse._after_complex_collapse`` for
+    an intersection of subcomplexes, ``collapse._after_collapse`` for one
+    of open subsets.
     """
     known = cover._memo.setdefault(("verdicts", restarts, seed), {})
     table = _nerve_table(cover, max_subsets)
@@ -379,8 +368,7 @@ def _classify_intersection(
     X = cover.parent
     if cover.kind == COMPLEX:
         collapsibility = clp._free_face_verdict(X.index(), _ids(mask), None, restarts, seed)
-        # the complex rule reads only the verdict, so the parent stands in
-        return clp.triviality_from_collapse(X, collapsibility), collapsibility
+        return clp._after_complex_collapse(collapsibility), collapsibility
     collapsibility = clp._weak_collapse(X, mask)
     return clp._after_collapse(X, mask, collapsibility), collapsibility
 
@@ -597,7 +585,7 @@ def check_nerve_theorem(
                     continue
                 verdict = clp._free_face_verdict(index, ids, None, restarts, seed)
                 per_element[simplex_id(s)] = (
-                    verdict if reduced else clp.triviality_from_collapse(L, verdict)
+                    verdict if reduced else clp._after_complex_collapse(verdict)
                 )
                 dim = len(index.simplices[ids[-1]]) - 1  # S_sigma's, read off its last simplex
                 bounds_ok &= not reduced or dim <= cap - (len(s) - 1)

@@ -244,25 +244,24 @@ def rank_gf2(rows: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """Betti numbers and torsion coefficients per degree.
+    """Reduced Betti numbers and torsion coefficients per degree.
 
-    ``betti`` and ``torsion`` are indexed by degree.  When ``reduced`` is
-    true, degree 0 counts components minus one.
+    ``betti`` and ``torsion`` are indexed by degree; degree 0 counts
+    components minus one.
     """
 
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
-    reduced: bool = True
 
     def is_trivial(self) -> bool:
         return all(b == 0 for b in self.betti) and all(not t for t in self.torsion)
 
     def unreduced_betti0(self) -> int:
-        return self.betti[0] + (1 if self.reduced else 0)
+        return self.betti[0] + 1
 
     def summary(self) -> dict:
         return {
-            "reduced": self.reduced,
+            "reduced": True,
             "degrees": [
                 {"degree": d, "betti": b, "torsion": list(t)}
                 for d, (b, t) in enumerate(zip(self.betti, self.torsion))
@@ -311,7 +310,7 @@ def _homology(index: SimplexIndex, ids: Sequence[int]) -> HomologyResult:
     # lowest vertex of each further component is one more class of H~0
     betti[0] += 1 + extra
     torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(top))
-    return HomologyResult(tuple(betti), torsion, reduced=True)
+    return HomologyResult(tuple(betti), torsion)
 
 
 def betti_numbers_gf2(K: SimplicialComplex) -> list[int]:

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 from . import collapse as clp
 from .complexes import SimplexIndex
-from .covers import Cover, CoverClassification, _all_index_sets, _nerve_table, classify_cover, nerve
+from .covers import (
+    COMPLEX, Cover, CoverClassification, _all_index_sets, _nerve_table, classify_cover, nerve,
+)
 from .errors import InvalidCover, InvariantViolation, NotAChain
 from .homology import _betti_gf2, _homology, homology_equal, reduced_homology
 from .posets import _ids
@@ -71,7 +73,7 @@ def persistence_over_chain(cover: Cover, chain) -> PersistenceDiagram:
     first step whose sub-union holds it, and the filtration orders simplices
     by (step, id).
     """
-    if cover.kind != "complex":
+    if cover.kind != COMPLEX:
         raise InvalidCover("persistence needs a cover of a simplicial complex")
     chain = [tuple(sorted(J)) for J in chain]
     # an unknown name raises before the order is checked
@@ -160,7 +162,7 @@ def check_truncation_theorem(
     sample, up to ``sample_size`` sets or all 2^n - 1 of them when there
     are fewer, with the cap recorded in the report.
     """
-    if cover.kind != "complex":
+    if cover.kind != COMPLEX:
         raise InvalidCover("the truncation checker needs a cover of a complex")
     names = sorted(cover.names())
     cls = classification or classify_cover(cover, nerve_simplices_only=True)

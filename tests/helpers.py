@@ -5,26 +5,27 @@ contractibility is decided by searching every beat-point removal order,
 chains are enumerated from the raw order relation, and transitive closures
 are recomputed from scratch.  The facet-subset index build and the
 maximal-chain order complex are the reference for the level-built index and
-the chain-listing order complex.  The slow collapse engine further down is the
-reference for the indexed one, the free-face engines after it (a state with
-methods, its parent-array pass stopped on a simplex count, and the
-truncation checker's old pass in dicts and a heap) the reference for the
-one loop on ids, the rescanning point peel in it, the dirty-scan
-peel and the verdict-only highest-first loop the reference for the one
-point-removal loop, the counting point predicates (a beat
-test that counts extremes, a weak test that builds the contraction's
-certificate) the reference for the one-walk beat test and the verdict-only
-contraction, the string-set cylinder checkers after them
-(pair scans and a subposet per hypothesis set) the reference for the
-mask-based ones, the cover layer after them (pairwise
+the chain-listing order complex.  The slow collapse engine further down is
+the reference for the indexed one, the free-face engines after it (a state
+with methods, its parent-array pass stopped on a simplex count, and the
+truncation checker's old pass in dicts and a heap, the loop with a set
+mirroring its free list) the reference for the one loop on ids, the
+facet-by-facet target lookup and the set walk that closed a cover member
+downward the reference for the closure on the parent's index, the
+rescanning point peel in it, the dirty-scan peel and the verdict-only
+highest-first loop the reference for the one point-removal loop, the
+counting point predicates (a beat test that counts extremes, a weak test
+that builds the contraction's certificate) the reference for the one-walk
+beat test and the verdict-only contraction, the string-set cylinder
+checkers after them (pair scans and a subposet per hypothesis set) the
+reference for the mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, the index-set walk with an all-sets
-mode, homology on every sub-union, and a full free-face pass per
-sub-union) the reference for the mask-based one, its one nerve table and
-the truncation pass along the sub-union lattice, the dense chain
-complex after that
-(dense boundary matrices, fraction-free and dense GF(2) ranks, dense Smith
-normal form, persistence over rebuilt sub-unions) the reference for the
-sparse rows and the sparse Smith normal form elimination, Smith normal
+mode, homology on every sub-union, and a full free-face pass per sub-union)
+the reference for the mask-based one, its one nerve table and the
+truncation pass along the sub-union lattice, the dense chain complex after
+that (dense boundary matrices, fraction-free and dense GF(2) ranks, dense
+Smith normal form, persistence over rebuilt sub-unions) the reference for
+the sparse rows and the sparse Smith normal form elimination, Smith normal
 form on every simplex's boundary row the reference for homology after
 coreduction, the coreduction with a component pre-pass the reference for
 the one that finds components in its drain, homology on the whole order
@@ -75,7 +76,7 @@ from finspace.covers import (
     non_hausdorff_nerve,
 )
 from finspace.cylinders import Relation, _hypothesis_masks, relation_cylinder, tag
-from finspace.errors import CycleDetected, InvalidCover
+from finspace.errors import CycleDetected, EmptyObject, InvalidCover, TargetNotInduced
 from finspace.homology import (
     HomologyResult,
     _homology,
@@ -264,7 +265,9 @@ def slow_collapse_run(K, keep, rng):
 # id of positive dimension is left.  Below are the engines it replaced: the
 # ``Shrinking`` state with methods, the parent-array pass on it that stops on
 # a simplex count and never removes ``keep``, and the verdict-only pass of
-# the truncation checker in dicts and a heap sized to its ids.
+# the truncation checker in dicts and a heap sized to its ids.  Then the loop
+# itself as it was while a set mirrored its free list, and the targets as
+# collapses, replays and covers found them before the parent's index did.
 
 
 class Shrinking:
@@ -441,6 +444,72 @@ def shrinking_collapse_run(index, keep, size, rng, ids=None):
                     listed.add(u)
                     insort(free, u)
     return CollapseCertificate(tuple(steps))
+
+
+def listed_collapse_run(index, ids=None, rng=None):
+    """``_collapse_run`` with a set of the listed ids beside its free list,
+    consulted before each insertion and removal; the (face id, coface id)
+    pairs, or None when stuck."""
+    start = range(len(index.simplices)) if ids is None else ids
+    present, count, cosum = clp._free_state(index, ids)
+    faces = index.faces
+    free = [s for s in start if count[s] == 1]
+    listed = set(free)
+    left = len(start) and len(start) - bisect_left(start, index.dim_start[1])
+    steps = []
+    while left:
+        if not free:
+            return None
+        s = free[0] if rng is None else rng.choice(free)
+        t = cosum[s]
+        steps.append((s, t))
+        present[s] = present[t] = False
+        left -= 2 if faces[s] else 1
+        for gone in (t, s):
+            for u in faces[gone]:
+                above = count[u] = count[u] - 1
+                cosum[u] -= gone
+                if above == 1 and present[u]:
+                    if u not in listed:
+                        listed.add(u)
+                        insort(free, u)
+                elif u in listed:
+                    listed.remove(u)
+                    free.remove(u)
+    return steps
+
+
+def facet_scan_target_ids(K: SimplicialComplex, target: SimplicialComplex) -> list[int]:
+    """The ascending ids on K's index of a target's simplices, found as
+    before: emptiness checks, a facet-by-facet subcomplex scan, and the
+    target's own simplices, listed on its own index, looked up in K's."""
+    if K.is_empty():
+        raise EmptyObject("cannot collapse the empty complex")
+    if target.is_empty():
+        raise EmptyObject("cannot collapse onto the empty complex")
+    if not target.is_subcomplex_of(K):
+        raise TargetNotInduced("target is not a subcomplex")
+    return sorted(K.index().id_of[s] for s in target.all_simplices())
+
+
+def set_walk_down_closure(index: SimplexIndex, facets) -> int | None:
+    """The mask of the given simplices and their faces on index, closed by a
+    walk over a set of ids (None when one of them is not in the index): the
+    cover's member lookup before the index had one."""
+    ids = [index.id_of.get(tuple(sorted(f))) for f in facets]
+    if None in ids:
+        return None
+    seen = set(ids)
+    todo = list(seen)
+    while todo:
+        for f in index.faces[todo.pop()]:
+            if f not in seen:
+                seen.add(f)
+                todo.append(f)
+    out = 0
+    for i in seen:
+        out |= 1 << i
+    return out
 
 
 def slow_greedy_collapse_complex(K, target=None, restarts=8, seed=0):
@@ -962,14 +1031,13 @@ def slow_classify_cover(
             records.append(IntersectionRecord(J, True, None, None))
             continue
         if cover.kind == COMPLEX:
-            sub = obj
-            coll = clp.greedy_collapse_complex(sub, restarts=restarts, seed=seed)
+            coll = clp.greedy_collapse_complex(obj, restarts=restarts, seed=seed)
+            triviality = clp._after_complex_collapse(coll)
         else:
             sub = cover.parent.restrict(obj)
             coll = clp.greedy_collapse_space(sub)
-        records.append(
-            IntersectionRecord(J, False, clp.triviality_from_collapse(sub, coll), coll)
-        )
+            triviality = clp._after_collapse(sub, clp._everything(sub), coll)
+        records.append(IntersectionRecord(J, False, triviality, coll))
     nonempty = [r for r in records if not r.empty]
     return CoverClassification(
         tuple(records),
@@ -1347,7 +1415,7 @@ def homology_oracle(K: SimplicialComplex) -> HomologyResult:
     bases, snf = _dense_per_boundary(K, _dense_snf, ((), 0))
     betti = _dense_betti(bases, [rank for _, rank in snf])
     torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(len(bases)))
-    return HomologyResult(tuple(betti), torsion, reduced=True)
+    return HomologyResult(tuple(betti), torsion)
 
 
 def full_snf_homology(K: SimplicialComplex) -> HomologyResult:
@@ -1358,7 +1426,7 @@ def full_snf_homology(K: SimplicialComplex) -> HomologyResult:
     snf = [none] + [smith_normal_form(rows) for rows in boundary_matrices(K)[1:]] + [none]
     betti = _reduced_betti(K.index().dim_start, [rank for _, rank in snf])
     torsion = tuple(tuple(f for f in snf[d + 1][0] if f > 1) for d in range(K.dim() + 1))
-    return HomologyResult(tuple(betti), torsion, reduced=True)
+    return HomologyResult(tuple(betti), torsion)
 
 
 def prepass_coreduce(index: SimplexIndex, ids: Sequence[int]) -> tuple[list[int], int]:

@@ -22,7 +22,6 @@ from finspace.collapse import (
     replay_space_certificate,
     shadow_report,
     staged_union_collapse,
-    triviality_from_collapse,
     weak_points,
 )
 from finspace.complexes import SimplicialComplex, simplex_boundary, solid_simplex
@@ -33,7 +32,7 @@ from finspace.errors import (
     MalformedSpec,
     TargetNotInduced,
 )
-from finspace.fixtures import dunce_hat, finite_circle, two_triangles
+from finspace.fixtures import dunce_hat, finite_circle, projective_plane, two_triangles
 from finspace.generators import generate_poset
 from finspace.posets import antichain, build_poset, chain
 
@@ -218,6 +217,22 @@ def test_staged_union_collapse():
     assert replay_complex_certificate(A.union(B), res.certificate)
 
 
+def test_staged_union_collapse_returns_the_stage_that_did_not_collapse():
+    """A triangle hung on a vertex of the dunce hat: peeled last, the hat
+    cannot collapse onto the triangle; peeled first, the triangle collapses
+    onto the hat, whose own collapse then gets stuck.  Both stuck stages
+    read Unknown on the acyclic hat and No on RP2."""
+    for K, verdict in ((dunce_hat(), "unknown"), (projective_plane(), "no")):
+        T = solid_simplex([min(K.vertices), "x", "y"])
+        onto_triangle = staged_union_collapse([T, K], restarts=2)
+        assert onto_triangle == greedy_collapse_complex(K.union(T), target=T, restarts=2)
+        assert onto_triangle.verdict == verdict
+        last = staged_union_collapse([K, T], restarts=2)
+        assert greedy_collapse_complex(K.union(T), target=K, restarts=2).is_yes()
+        assert last == greedy_collapse_complex(K, restarts=2)
+        assert last.verdict == verdict
+
+
 def test_certificate_json_round_trip():
     cert = CollapseCertificate(
         (
@@ -287,15 +302,23 @@ def test_replay_space_rejects_invalid_steps():
 
 
 def test_triviality_from_collapse():
+    """The space rule and the subcomplex rule that turn a collapsibility
+    verdict into a triviality verdict."""
     X = chain(["a", "b", "c"])
     found = greedy_collapse_space(X)
-    assert triviality_from_collapse(X, found) is found
+    assert clp._after_collapse(X, clp._everything(X), found) is found
     # after Unknown, a space still gets its core test
-    res = triviality_from_collapse(X, TriStateResult("unknown", note="stuck"))
+    stuck = TriStateResult("unknown", note="stuck")
+    res = clp._after_collapse(X, clp._everything(X), stuck)
     assert res.is_yes() and replay_space_certificate(X, res.certificate)
-    res = triviality_from_collapse(dunce_hat().face_poset(), TriStateResult("unknown", note="stuck"))
+    F = dunce_hat().face_poset()
+    res = clp._after_collapse(F, clp._everything(F), stuck)
     assert res.verdict == "unknown" and "core" in res.note
-    res = triviality_from_collapse(dunce_hat(), greedy_collapse_complex(dunce_hat(), restarts=1))
+    # a subcomplex has no test left: Yes and No carry over, Unknown stays
+    for K in (two_triangles(), projective_plane()):
+        verdict = greedy_collapse_complex(K)
+        assert clp._after_complex_collapse(verdict) is verdict
+    res = clp._after_complex_collapse(greedy_collapse_complex(dunce_hat(), restarts=1))
     assert res.verdict == "unknown" and res.note == "acyclic but greedy collapse got stuck"
 
 

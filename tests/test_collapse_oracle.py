@@ -48,6 +48,7 @@ from finspace.cylinders import (
     compose_relations,
     relation_cylinder,
 )
+from finspace.errors import EmptyObject, TargetNotInduced
 from finspace.fixtures import dunce_hat, finite_circle, projective_plane, two_triangles
 from finspace.generators import (
     generate_complex,
@@ -68,6 +69,8 @@ from helpers import (
     counting_removable,
     dict_heap_collapses_onto,
     dirty_scan_peel,
+    facet_scan_target_ids,
+    listed_collapse_run,
     nerve_relation,
     parent_array_collapse_run,
     per_union_positive_degree_failures,
@@ -76,6 +79,7 @@ from helpers import (
     rescan_peel,
     sd_boundary,
     seeded_cone_cover,
+    set_walk_down_closure,
     shrinking_collapse_run,
     shrinking_free_faces,
     shrinking_replay_complex,
@@ -315,6 +319,91 @@ def test_one_loop_matches_the_engines_it_replaced():
             assert ours == shrinking_replay_complex(C, cert, target)
             verdicts[ours] += 1
     assert verdicts[True] and verdicts[False] > verdicts[True]
+
+
+def test_one_loop_matches_the_loop_with_a_listed_set():
+    """The free list alone, with no set mirroring it, removes the same pairs
+    and gets stuck at the same point as the loop that kept one: on every
+    full and relative pass along the sub-union lattice of the families and
+    on each parent's whole index, for the deterministic pass and three
+    seeded restarts."""
+    runs = Counter()
+    for seed, cov in enumerate(_subunion_covers()):
+        index = cov.parent.index()
+        passes = [(None, False)] + [(_ids(u & ~b), bool(b)) for u, b in _lattice_passes(cov)]
+        for ids, relative in passes:
+            for r in (None, 0, 1, 2):
+                rngs = [None if r is None else random.Random(f"{seed}:{r}") for _ in range(2)]
+                pairs = clp._collapse_run(index, ids, rngs[0])
+                assert pairs == listed_collapse_run(index, ids, rngs[1])
+                runs[relative, pairs is not None] += 1
+    assert all(runs[kind] for kind in product((False, True), repeat=2))
+
+
+def _targets():
+    """(K, target): each seeded cone onto its base, as the certificate
+    digest collapses it, the first stage of staged unions of two and three
+    parts, and seeded subcomplexes spanned by random simplices of the
+    cone."""
+    for seed, K, C in _complexes():
+        yield C, K.intersection(C)
+        point = cone("apex", SimplicialComplex([["w0"]]))
+        other = cone("apex", generate_complex(seed + 100, max_vertices=5, max_facets=4, max_card=3))
+        yield C.union(point), C
+        yield C.union(other).union(point), C.union(other)
+        rng = random.Random(f"target:{seed}")
+        simplices = C.all_simplices()
+        for size in (1, 3, 6):
+            yield C, SimplicialComplex(rng.sample(simplices, min(size, len(simplices))))
+
+
+def test_targets_on_the_parent_index_match_the_facet_scan():
+    """A target found on its parent's index has the ids the facet scan and
+    the target's own index gave and the mask the set walk gave, so does
+    each member of a complex cover, and a target that is empty or not a
+    subcomplex raises as it did."""
+    for K, target in _targets():
+        index = K.index()
+        mask = index.down_closure(target.facets)
+        assert clp._collapse_input(K, target) == (index, mask)
+        assert mask == set_walk_down_closure(index, target.facets)
+        assert _ids(mask) == facet_scan_target_ids(K, target)
+    for cov in _subunion_covers():  # complex covers build their members the same way
+        index = cov.parent.index()
+        for name, sub in cov.members:
+            assert cov._masks[name] == set_walk_down_closure(index, sub.facets)
+    T = two_triangles()
+    # an edge of neither triangle, and a vertex outside T
+    outside = ([["v1", "v3"]], [["v0", "v2"], ["v0", "z"]])
+    assert [T.index().down_closure(facets) for facets in outside] == [None, None]
+    for K, target in [(T, SimplicialComplex(f)) for f in outside] + [
+        (T, SimplicialComplex([])),
+        (SimplicialComplex([]), T),
+    ]:
+        with pytest.raises((EmptyObject, TargetNotInduced)) as expected:
+            facet_scan_target_ids(K, target)
+        for run in (
+            lambda: clp._collapse_input(K, target),
+            lambda: greedy_collapse_complex(K, target=target),
+            lambda: replay_complex_certificate(K, CollapseCertificate(), target),
+        ):
+            with pytest.raises(expected.type) as raised:
+                run()
+            assert str(raised.value) == str(expected.value)
+
+
+def test_targeted_search_and_replay_build_no_index_of_the_target():
+    """The target is read off its facets on the parent's index, for the
+    search, its replay and the homology a stuck search reads."""
+    verdicts = Counter()
+    for K, given in _targets():
+        target = SimplicialComplex(given.facets)  # a parent earlier may have an index
+        res = greedy_collapse_complex(K, target=target, restarts=1)
+        cert = res.certificate if res.is_yes() else CollapseCertificate()
+        assert replay_complex_certificate(K, cert, target) == res.is_yes()
+        assert target._index is None
+        verdicts[res.verdict] += 1
+    assert verdicts["yes"] and verdicts["no"]
 
 
 def _recording(real, seen, what):

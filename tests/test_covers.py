@@ -624,3 +624,30 @@ def test_mask_height_matches_the_subposet():
         for _ in range(5):
             mask = rng.getrandbits(len(P))
             assert covers._height(P, mask) == P.restrict(P._members(mask)).height()
+
+
+def test_points_and_simplices_in_no_verified_intersection_are_reported_empty():
+    """A circle beside a point, each its own member: N0 holds only the
+    point's member, so every point or simplex of the circle lies in no
+    verified intersection and its entry is a No noting the empty I_x or
+    S_sigma, while the extra point's entry is a Yes."""
+    C = circle_complex()
+    Z = SimplicialComplex([["z"]])
+    complex_cover = Cover("complex", C.union(Z), (("C", C), ("Z", Z)))
+    for flavor in ("trivial-subnerve-complex", "reduced-complex"):
+        report = check_nerve_theorem(complex_cover, flavor)
+        entries = report["per_simplex"]
+        assert entries.pop("z") == {"verdict": "yes"}
+        assert len(entries) == len(C.all_simplices())
+        assert all(v == {"verdict": "no", "note": "S_sigma is empty"} for v in entries.values())
+        assert report["hypothesis_verdict"] == "no"
+    X = finite_circle()
+    P = build_poset(list(X.elements) + ["e"], list(X.hasse))
+    space_cover = Cover("poset", P, (("C", frozenset(X.elements)), ("E", frozenset(["e"]))))
+    for flavor in ("trivial-subnerve-space", "collapsible-subnerve-space", "reduced-space"):
+        report = check_nerve_theorem(space_cover, flavor)
+        entries = report["per_point"]
+        assert entries.pop("e") == {"verdict": "yes"}
+        assert sorted(entries) == sorted(X.elements)
+        assert all(v == {"verdict": "no", "note": "I_x is empty"} for v in entries.values())
+        assert report["hypothesis_verdict"] == "no"

@@ -1,6 +1,6 @@
 import pytest
 
-from finspace import cylinders
+from finspace import cylinders, suite
 from finspace.collapse import replay_space_certificate
 from finspace.cylinders import (
     LEFT,
@@ -294,3 +294,39 @@ def test_cylinder_spec_validation():
     X = chain(["a"])
     with pytest.raises(MalformedSpec):
         CylinderSpec((("X0", X),), ())
+
+
+def test_suite_coincidence_check_reads_the_definition(monkeypatch):
+    """The suite's cylinder check compares each cylinder with the order its
+    definition gives, so a cylinder builder that drops a related pair fails
+    it, although all three cylinders would still agree with each other."""
+    assert suite._suite_coincidence(0, 20) == (True, {"count": 20, "failures": []})
+    real = cylinders._cylinder
+
+    def dropping(spaces, cross):
+        return real(spaces, [(lo, hi, sorted(pairs)[1:]) for lo, hi, pairs in cross])
+
+    monkeypatch.setattr(cylinders, "_cylinder", dropping)
+    ok, detail = suite._suite_coincidence(0, 20)
+    assert not ok
+    kinds = {f["kind"] for f in detail["failures"]}
+    assert kinds == {"relation", "map"}
+
+
+def test_executor_reports_a_hypothesis_set_that_is_not_the_punctured_set(monkeypatch):
+    """Identity relation on a < b, a < c: with b's hypothesis set given as
+    {a} instead of {a, b}, every set is still contractible and the collapse
+    still replays, but the executor reports that the proof's identity fails."""
+    X = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    R = Relation(X, X, frozenset((x, x) for x in X.elements), source_name="X", target_name="Y")
+    assert check_collapse_left(R)["collapse"]["proof_identity"] is True
+    real = cylinders._hypothesis_masks
+
+    def wrong(R, side):
+        masks = real(R, side)
+        masks[X._at("b")] = 1 << X._at("a")
+        return masks
+
+    monkeypatch.setattr(cylinders, "_hypothesis_masks", wrong)
+    collapse = check_collapse_left(R)["collapse"]
+    assert collapse["verdict"] == "yes" and collapse["proof_identity"] is False

@@ -480,3 +480,11 @@ def test_a_contractible_space_reports_a_zero_degree_per_chain_length():
         assert homology_of_poset(top) == homology.HomologyResult((0,) * (h + 1), ((),) * (h + 1))
         assert _weak_reduction(top, (1 << len(top)) - 1).bit_count() == 1
     assert homology_of_poset(chain(["a", "b", "c"])).betti == (0, 0, 0)
+
+
+def test_homology_result_prints_its_non_zero_degrees():
+    assert str(reduced_homology(projective_plane())) == "H~1 = Z^0 + Z/2"
+    assert str(reduced_homology(solid_simplex(["a", "b", "c"]))) == "trivial"
+    assert str(homology.HomologyResult((1, 2), ((), (3,)))) == "H~0 = Z^1; H~1 = Z^2 + Z/3"
+    # every result is reduced, and says so in its summary
+    assert reduced_homology(projective_plane()).summary()["reduced"] is True

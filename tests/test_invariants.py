@@ -40,7 +40,7 @@ def test_barcode_disagreeing_with_betti_numbers():
 
 
 def test_collapsible_cover_must_classify_good(monkeypatch):
-    monkeypatch.setattr(clp, "triviality_from_collapse", lambda obj, res: clp.unknown("forced"))
+    monkeypatch.setattr(clp, "_after_complex_collapse", lambda res: clp.unknown("forced"))
     with pytest.raises(InvariantViolation):
         classify_cover(circle_arc_cover())
 
