@@ -1,7 +1,9 @@
 """Command line surface: one JSON document per invocation on stdout.
 
 Exit codes: 0 all checks pass, 1 verification mismatch, 2 input error.
-Certificates go to files (--out), never inline into reports.
+Certificates go to files (--out), never inline into reports.  Each input
+document is read, and checked, by its type's ``from_doc``; the CLI checks
+only that a file holds a JSON object and the keys of its replay documents.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import sys
 
 from . import __version__
 from .collapse import (
-    BEAT_KINDS,
-    WEAK_KINDS,
     CollapseCertificate,
     TriStateResult,
     beat_points,
@@ -27,19 +27,17 @@ from .collapse import (
     replay_space_certificate,
 )
 from .complexes import SimplicialComplex
-from .covers import COMPLEX, FLAVORS, MAX_MEMBERS, Cover, classify_cover, check_nerve_theorem, nerve, non_hausdorff_nerve, reduced_nerve
+from .covers import FLAVORS, MAX_MEMBERS, Cover, classify_cover, check_nerve_theorem, nerve, non_hausdorff_nerve, reduced_nerve
 from .cylinders import (
     LEFT,
-    RIGHT,
     CylinderSpec,
-    Relation,
     check_collapse_left,
     check_collapse_right,
     check_intermediate,
     compose_relations,
     multiple_cylinder,
 )
-from .errors import FinspaceError, MalformedSpec
+from .errors import Document, FinspaceError, MalformedSpec, _field, _object, _string_ids
 from .homology import HomologyResult, homology_of_poset, reduced_homology
 from .persistence import check_truncation_theorem, persistence_over_chain
 from .posets import FinitePoset
@@ -48,12 +46,10 @@ from .posets import FinitePoset
 def _plain(obj):
     """The JSON data of a report value json cannot write by itself; json
     walks the dicts, lists and tuples and calls this on each such value."""
-    if isinstance(obj, TriStateResult):
+    if isinstance(obj, (Document, TriStateResult)):
         return obj.to_doc()
     if isinstance(obj, HomologyResult):
         return obj.summary()
-    if isinstance(obj, (CollapseCertificate, FinitePoset, SimplicialComplex)):
-        return json.loads(obj.to_json())
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -71,126 +67,6 @@ def _load(path: str) -> dict:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedSpec(f"{path} is not valid JSON: {exc}") from None
     return _object(doc, "the document")
-
-
-# -- document checks: each raises MalformedSpec naming the offending part ----
-
-
-def _object(doc, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise MalformedSpec(f"{what} must be a JSON object")
-    return doc
-
-
-def _field(doc: dict, key: str, what: str):
-    if key not in doc:
-        raise MalformedSpec(f"{what} needs a {key!r} key")
-    return doc[key]
-
-
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise MalformedSpec(f"{what} must be a string id")
-    return value
-
-
-def _ids(value, what: str, size: int | None = None) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise MalformedSpec(f"{what} must be a list of string ids")
-    if size is not None and len(value) != size:
-        raise MalformedSpec(f"{what} must hold {size} ids")
-    return value
-
-
-def _id_lists(value, what: str, size: int | None = None) -> list:
-    if not isinstance(value, list):
-        raise MalformedSpec(f"{what} must be a list")
-    for item in value:
-        _ids(item, f"each entry of {what}", size)
-    return value
-
-
-def _objects(doc: dict, key: str, what: str) -> list:
-    items = _field(doc, key, what)
-    if not isinstance(items, list):
-        raise MalformedSpec(f"{what} {key!r} must be a list")
-    return [_object(item, f"each entry of {what} {key!r}") for item in items]
-
-
-def _check_poset_doc(doc, what: str) -> dict:
-    doc = _object(doc, what)
-    _ids(_field(doc, "elements", what), f"{what} elements")
-    _id_lists(_field(doc, "relations", what), f"{what} relations", size=2)
-    return doc
-
-
-def _check_complex_doc(doc, what: str) -> dict:
-    doc = _object(doc, what)
-    _id_lists(_field(doc, "facets", what), f"{what} facets")
-    return doc
-
-
-def _poset_from_doc(doc, what: str = "the poset") -> FinitePoset:
-    return FinitePoset.from_json(json.dumps(_check_poset_doc(doc, what)))
-
-
-def _complex_from_doc(doc, what: str = "the complex") -> SimplicialComplex:
-    return SimplicialComplex(_check_complex_doc(doc, what)["facets"])
-
-
-def _cover_from_doc(doc) -> Cover:
-    kind = _string(_field(doc, "kind", "the cover"), "the cover kind")
-    if kind == COMPLEX:
-        check, key, ids = _check_complex_doc, "facets", _id_lists
-    else:
-        check, key, ids = _check_poset_doc, "elements", _ids
-    check(_field(doc, "parent", "the cover"), "the cover parent")
-    for m in _objects(doc, "members", "the cover"):
-        _string(_field(m, "name", "a cover member"), "a cover member name")
-        ids(_field(m, key, "a cover member"), f"member {key}")
-    return Cover.from_json(json.dumps(doc))
-
-
-def _certificate_from_doc(doc) -> CollapseCertificate:
-    for step in _objects(_object(doc, "the certificate"), "steps", "the certificate"):
-        kind = _string(_field(step, "kind", "a certificate step"), "a step kind")
-        if kind == "free-pair":
-            _ids(_field(step, "face", "a free-pair step"), "a step face")
-            _ids(_field(step, "coface", "a free-pair step"), "a step coface")
-        elif kind in BEAT_KINDS + WEAK_KINDS:
-            _string(_field(step, "element", "a point-removal step"), "a step element")
-        else:
-            kinds = ", ".join(("free-pair",) + BEAT_KINDS + WEAK_KINDS)
-            raise MalformedSpec(f"a step kind must be one of {kinds}, got {kind!r}")
-    return CollapseCertificate.from_json(json.dumps(doc))
-
-
-def _cylinder_spec_from_doc(doc: dict) -> CylinderSpec:
-    spaces = [
-        (_string(_field(s, "name", "a space"), "a space name"), _poset_from_doc(s, "a space"))
-        for s in _objects(doc, "spaces", "the cylinder")
-    ]
-    by_name = dict(spaces)
-
-    def space(r, key):
-        name = _string(_field(r, key, "a relation"), f"a relation {key}")
-        if name not in by_name:
-            raise MalformedSpec(f"relation {key} {name!r} names no space")
-        return by_name[name]
-
-    relations = []
-    for r in _objects(doc, "relations", "the cylinder"):
-        relations.append(
-            Relation(
-                space(r, "source"),
-                space(r, "target"),
-                frozenset(map(tuple, _id_lists(_field(r, "pairs", "a relation"), "pairs", 2))),
-                _string(r.get("direction", RIGHT), "a relation direction"),
-                source_name=r["source"],
-                target_name=r["target"],
-            )
-        )
-    return CylinderSpec(tuple(spaces), tuple(relations))
 
 
 def _write_certificate(report: dict, out: str | None) -> dict:
@@ -215,7 +91,7 @@ def _write_certificate(report: dict, out: str | None) -> dict:
             if len(certs) == 1:
                 fh.write(next(iter(certs.values())).to_json())
             else:
-                json.dump({p: json.loads(c.to_json()) for p, c in certs.items()}, fh)
+                json.dump({p: c.to_doc() for p, c in certs.items()}, fh)
         stripped["certificate_file"] = out
     return stripped
 
@@ -224,7 +100,7 @@ def _write_certificate(report: dict, out: str | None) -> dict:
 
 
 def cmd_poset(args) -> int:
-    X = _poset_from_doc(_load(args.infile))
+    X = FinitePoset.from_doc(_load(args.infile))
     cr, cert = core(X)
     report = {
         "elements": list(X.elements),
@@ -249,7 +125,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    K = _complex_from_doc(_load(args.infile))
+    K = SimplicialComplex.from_doc(_load(args.infile))
     report = {
         "dim": K.dim(),
         "num_simplices": [len(K.simplices_of_dim(d)) for d in range(K.dim() + 1)],
@@ -270,8 +146,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_cylinder(args) -> int:
-    doc = _load(args.infile)
-    spec = _cylinder_spec_from_doc(doc)
+    spec = CylinderSpec.from_doc(_load(args.infile))
     if args.mode in ("check-left", "check-right", "intermediate-left", "intermediate-right"):
         rels = list(spec.relations)
         for R in rels:
@@ -301,7 +176,7 @@ def cmd_cylinder(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    cover = _cover_from_doc(_load(args.infile))
+    cover = Cover.from_doc(_load(args.infile))
     if args.mode == "face-poset":
         _emit({"face_poset": non_hausdorff_nerve(cover)})
     elif args.mode == "reduced":
@@ -318,7 +193,7 @@ def cmd_nerve(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    cover = _cover_from_doc(_load(args.infile))
+    cover = Cover.from_doc(_load(args.infile))
     cls = classify_cover(
         cover,
         max_subsets=args.max_subsets,
@@ -347,15 +222,15 @@ def cmd_cover(args) -> int:
 def cmd_homology(args) -> int:
     doc = _load(args.infile)
     if args.mode == "poset":
-        hom = homology_of_poset(_poset_from_doc(doc))
+        hom = homology_of_poset(FinitePoset.from_doc(doc))
     else:
-        hom = reduced_homology(_complex_from_doc(doc))
+        hom = reduced_homology(SimplicialComplex.from_doc(doc))
     _emit(hom.summary()["degrees"])
     return 0
 
 
 def cmd_persistence(args) -> int:
-    cover = _cover_from_doc(_load(args.infile))
+    cover = Cover.from_doc(_load(args.infile))
     if args.mode is not None:
         chain = [step.split(",") for step in args.mode.split("<")]
         for k, names in enumerate(chain, start=1):
@@ -372,7 +247,7 @@ def cmd_persistence(args) -> int:
 def cmd_verify(args) -> int:
     doc = _load(args.infile)
     if args.flavor == "truncation":
-        cover = _cover_from_doc(doc)
+        cover = Cover.from_doc(doc)
         cls = classify_cover(cover, nerve_simplices_only=True, restarts=args.restarts, seed=args.seed)
         report = check_truncation_theorem(cover, seed=args.seed, classification=cls)
         report["seed"] = args.seed
@@ -381,20 +256,20 @@ def cmd_verify(args) -> int:
         holds = report["part1_nerve_homology_match"] and report["part2_subunions_acyclic"]
         return 1 if implied and not holds else 0
     if args.flavor == "replay-complex":
-        K = _complex_from_doc(_field(doc, "complex", "a replay document"))
-        cert = _certificate_from_doc(_field(doc, "certificate", "a replay document"))
-        target = _complex_from_doc(doc["target"], "the target") if "target" in doc else None
+        K = SimplicialComplex.from_doc(_field(doc, "complex", "a replay document"))
+        cert = CollapseCertificate.from_doc(_field(doc, "certificate", "a replay document"))
+        target = SimplicialComplex.from_doc(doc["target"], "the target") if "target" in doc else None
         ok = replay_complex_certificate(K, cert, target=target)
         _emit({"replay_ok": ok})
         return 0 if ok else 1
     if args.flavor == "replay-space":
-        X = _poset_from_doc(_field(doc, "poset", "a replay document"))
-        cert = _certificate_from_doc(_field(doc, "certificate", "a replay document"))
-        target = frozenset(_ids(doc["target"], "the target")) if "target" in doc else None
+        X = FinitePoset.from_doc(_field(doc, "poset", "a replay document"))
+        cert = CollapseCertificate.from_doc(_field(doc, "certificate", "a replay document"))
+        target = frozenset(_string_ids(doc["target"], "the target")) if "target" in doc else None
         ok = replay_space_certificate(X, cert, target=target)
         _emit({"replay_ok": ok})
         return 0 if ok else 1
-    cover = _cover_from_doc(doc)
+    cover = Cover.from_doc(doc)
     report = check_nerve_theorem(cover, args.flavor, restarts=args.restarts, seed=args.seed)
     report["seed"] = args.seed
     _emit(report)

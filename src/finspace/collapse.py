@@ -58,7 +58,6 @@ object: Yes and No carry over; after Unknown a subcomplex has no test left
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -66,11 +65,16 @@ from typing import Iterable, Sequence
 
 from .complexes import SimplexIndex, SimplicialComplex
 from .errors import (
+    Document,
     EmptyObject,
     EmptySpace,
     InvariantViolation,
     MalformedSpec,
     TargetNotInduced,
+    _field,
+    _objects,
+    _string,
+    _string_ids,
 )
 from .homology import (
     HomologyResult,
@@ -106,22 +110,29 @@ class FreeFacePair:
 
 
 @dataclass(frozen=True)
-class CollapseCertificate:
+class CollapseCertificate(Document):
     """Ordered removal steps witnessing a collapse onto the declared target."""
 
     steps: tuple = ()
 
-    def to_json(self) -> str:
-        return json.dumps({"steps": [s.to_doc() for s in self.steps]})
+    def to_doc(self) -> dict:
+        return {"steps": [s.to_doc() for s in self.steps]}
 
     @staticmethod
-    def from_json(text: str) -> "CollapseCertificate":
+    def from_doc(doc, what: str = "the certificate") -> "CollapseCertificate":
         steps = []
-        for doc in json.loads(text)["steps"]:
-            if doc["kind"] == "free-pair":
-                steps.append(FreeFacePair(tuple(doc["face"]), tuple(doc["coface"])))
+        for step in _objects(doc, "steps", what):
+            kind = _string(_field(step, "kind", "a certificate step"), "a step kind")
+            if kind == "free-pair":
+                face = _string_ids(_field(step, "face", "a free-pair step"), "a step face")
+                coface = _string_ids(_field(step, "coface", "a free-pair step"), "a step coface")
+                steps.append(FreeFacePair(tuple(face), tuple(coface)))
+            elif kind in BEAT_KINDS + WEAK_KINDS:
+                element = _field(step, "element", "a point-removal step")
+                steps.append(PointRemoval(_string(element, "a step element"), kind))
             else:
-                steps.append(PointRemoval(doc["element"], doc["kind"]))
+                kinds = ", ".join(("free-pair",) + BEAT_KINDS + WEAK_KINDS)
+                raise MalformedSpec(f"a step kind must be one of {kinds}, got {kind!r}")
         return CollapseCertificate(tuple(steps))
 
 

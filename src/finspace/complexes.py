@@ -12,12 +12,12 @@ representable but the empty simplex is never a member.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from itertools import accumulate, chain, combinations, compress, count, repeat
 from operator import not_
 from typing import Iterable, Sequence
 
+from .errors import Document, _field, _id_lists
 from .posets import FinitePoset, _bits, _ids, build_poset
 
 Simplex = frozenset
@@ -111,7 +111,7 @@ class SimplexIndex:
         return [bisect_left(ids, start) for start in self.dim_start]
 
 
-class SimplicialComplex:
+class SimplicialComplex(Document):
     """Immutable abstract simplicial complex.
 
     ``facets`` are the maximal simplices; no facet contains another.
@@ -223,12 +223,13 @@ class SimplicialComplex:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps({"facets": sorted(sorted(f) for f in self.facets)})
+    def to_doc(self) -> dict:
+        return {"facets": sorted(sorted(f) for f in self.facets)}
 
     @staticmethod
-    def from_json(text: str) -> "SimplicialComplex":
-        return SimplicialComplex(json.loads(text)["facets"])
+    def from_doc(doc, what: str = "the complex") -> "SimplicialComplex":
+        facets = _field(doc, "facets", what)
+        return SimplicialComplex(_id_lists(facets, f"{what} facets"))
 
 
 def _maximalize(faces: frozenset[Simplex]) -> frozenset[Simplex]:

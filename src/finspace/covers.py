@@ -27,7 +27,6 @@ exclude them and list them separately.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, groupby
@@ -36,12 +35,18 @@ from operator import and_, or_
 from . import collapse as clp
 from .complexes import SimplicialComplex, order_complex, simplex_id
 from .errors import (
+    Document,
     InvalidCover,
     InvariantViolation,
     MalformedSpec,
     UnknownElement,
     UnknownMember,
     UnknownSimplex,
+    _field,
+    _id_lists,
+    _objects,
+    _string,
+    _string_ids,
 )
 from .homology import homology_equal, homology_of_poset, reduced_homology
 from .posets import FinitePoset, _bits, _height, _ids, build_poset
@@ -53,7 +58,7 @@ MAX_MEMBERS = 20
 
 
 @dataclass(frozen=True)
-class Cover:
+class Cover(Document):
     """Named subobjects covering a complex or a finite space.
 
     For ``kind == "complex"`` members map names to subcomplexes; for posets,
@@ -164,31 +169,33 @@ class Cover:
     def intersection_is_empty(self, names) -> bool:
         return not self._mask(tuple(sorted(names)))
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
         if self.kind == COMPLEX:
-            members = [
-                {"name": n, "facets": sorted(sorted(f) for f in sub.facets)}
-                for n, sub in self.members
-            ]
+            members = [{"name": n, **sub.to_doc()} for n, sub in self.members]
         else:
             members = [{"name": n, "elements": sorted(sub)} for n, sub in self.members]
-        parent = json.loads(self.parent.to_json())
-        return json.dumps({"kind": self.kind, "parent": parent, "members": members})
+        return {"kind": self.kind, "parent": self.parent.to_doc(), "members": members}
 
     @staticmethod
-    def from_json(text: str) -> "Cover":
-        doc = json.loads(text)
-        if doc["kind"] == COMPLEX:
-            parent = SimplicialComplex(doc["parent"]["facets"])
-            members = tuple(
-                (m["name"], SimplicialComplex(m["facets"])) for m in doc["members"]
-            )
-        else:
-            parent = FinitePoset.from_json(json.dumps(doc["parent"]))
-            members = tuple(
-                (m["name"], frozenset(m["elements"])) for m in doc["members"]
-            )
-        return Cover(doc["kind"], parent, members)
+    def from_doc(doc, what: str = "the cover") -> "Cover":
+        """Check the document as the cover is built: its kind first, then its
+        parent, then each member's name and facets (a complex cover) or
+        elements (a finite space)."""
+        kind = _string(_field(doc, "kind", what), f"{what} kind")
+        if kind not in (COMPLEX, POSET):
+            raise InvalidCover(f"unknown cover kind {kind!r}")
+        parent_type = SimplicialComplex if kind == COMPLEX else FinitePoset
+        parent = parent_type.from_doc(_field(doc, "parent", what), f"{what} parent")
+        members = []
+        for m in _objects(doc, "members", what):
+            name = _string(_field(m, "name", "a cover member"), "a cover member name")
+            if kind == COMPLEX:
+                facets = _field(m, "facets", "a cover member")
+                members.append((name, SimplicialComplex(_id_lists(facets, "member facets"))))
+            else:
+                elements = _field(m, "elements", "a cover member")
+                members.append((name, frozenset(_string_ids(elements, "member elements"))))
+        return Cover(kind, parent, tuple(members))
 
 
 def _index_sets(cover: Cover):

@@ -12,16 +12,20 @@ masks over the kept end, decided once per distinct set on its own masks.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import collapse as clp
 from .errors import (
+    Document,
     MalformedSpec,
     MismatchedSpaces,
     NotOrderPreserving,
     UnknownElement,
+    _field,
+    _id_lists,
+    _objects,
+    _string,
 )
 from .posets import FinitePoset, _hull, _ids, build_poset
 
@@ -74,16 +78,6 @@ class Relation:
             if y not in self.target:
                 raise UnknownElement(f"{y!r} not in target poset")
         return frozenset(a for a, b in self.pairs if b in members)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "source": self.source_name,
-                "target": self.target_name,
-                "direction": self.direction,
-                "pairs": sorted(map(list, self.pairs)),
-            }
-        )
 
 
 def compose_relations(R1: Relation, R2: Relation) -> Relation:
@@ -170,11 +164,14 @@ def mapping_cylinder(
 
 
 @dataclass(frozen=True)
-class CylinderSpec:
+class CylinderSpec(Document):
     """Spaces X_0..X_n and direction-tagged relations R_0..R_{n-1}.
 
     ``spaces`` is a list of (copy name, poset).  A right relation R_i has
-    source X_i and target X_{i+1}; a left one the other way around.
+    source X_i and target X_{i+1}; a left one the other way around.  In the
+    document each space is a poset document with a ``name`` and each
+    relation names its source and target spaces; its direction defaults to
+    right.
     """
 
     spaces: tuple[tuple[str, FinitePoset], ...]
@@ -194,6 +191,44 @@ class CylinderSpec:
                 raise MalformedSpec(f"relation {i} marked right does not match X{i}->X{i+1}")
             if R.direction == LEFT and (R.source, R.target) != (hi, lo):
                 raise MalformedSpec(f"relation {i} marked left does not match X{i+1}->X{i}")
+
+    def to_doc(self) -> dict:
+        return {
+            "spaces": [{"name": n, **X.to_doc()} for n, X in self.spaces],
+            "relations": [
+                {
+                    "source": R.source_name,
+                    "target": R.target_name,
+                    "direction": R.direction,
+                    "pairs": sorted(map(list, R.pairs)),
+                }
+                for R in self.relations
+            ],
+        }
+
+    @staticmethod
+    def from_doc(doc, what: str = "the cylinder") -> "CylinderSpec":
+        spaces = []
+        for s in _objects(doc, "spaces", what):
+            name = _string(_field(s, "name", "a space"), "a space name")
+            spaces.append((name, FinitePoset.from_doc(s, "a space")))
+        by_name = dict(spaces)
+
+        def space(r, key):
+            name = _string(_field(r, key, "a relation"), f"a relation {key}")
+            if name not in by_name:
+                raise MalformedSpec(f"relation {key} {name!r} names no space")
+            return name, by_name[name]
+
+        relations = []
+        for r in _objects(doc, "relations", what):
+            (sn, source), (tn, target) = space(r, "source"), space(r, "target")
+            pairs = _id_lists(_field(r, "pairs", "a relation"), "pairs", 2)
+            direction = _string(r.get("direction", RIGHT), "a relation direction")
+            relations.append(
+                Relation(source, target, frozenset(map(tuple, pairs)), direction, sn, tn)
+            )
+        return CylinderSpec(tuple(spaces), tuple(relations))
 
 
 def multiple_cylinder(spec: CylinderSpec) -> FinitePoset:

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON document plumbing.
+
+Each document type (a poset, a complex, a cover, a cylinder spec, a
+collapse certificate) has one reader, ``from_doc(doc, what=...)``, which
+checks the document with the field checks below as it builds the object,
+and one writer, ``to_doc()``; ``Document`` derives the text forms from
+them.  A check raises MalformedSpec naming the offending part, labelled by
+``what`` ("the poset", "the cover parent", ...).
+"""
+
+import json
 
 
 class FinspaceError(Exception):
@@ -69,3 +79,62 @@ class GenerationExhausted(FinspaceError):
 
 class InvariantViolation(FinspaceError):
     """An internal consistency check failed: a bug, not bad input."""
+
+
+class Document:
+    """A type with one JSON document format: ``from_doc`` and ``to_doc``
+    are its own; the text forms are those of json."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_doc(json.loads(text))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc())
+
+
+# -- document checks: each raises MalformedSpec naming the offending part ----
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise MalformedSpec(f"{what} must be a JSON object")
+    return doc
+
+
+def _field(doc, key: str, what: str):
+    """doc[key], where doc must be a JSON object holding key."""
+    if key not in _object(doc, what):
+        raise MalformedSpec(f"{what} needs a {key!r} key")
+    return doc[key]
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedSpec(f"{what} must be a string id")
+    return value
+
+
+def _string_ids(value, what: str, size: int | None = None) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MalformedSpec(f"{what} must be a list of string ids")
+    if size is not None and len(value) != size:
+        raise MalformedSpec(f"{what} must hold {size} ids")
+    return value
+
+
+def _id_lists(value, what: str, size: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise MalformedSpec(f"{what} must be a list")
+    for item in value:
+        _string_ids(item, f"each entry of {what}", size)
+    return value
+
+
+def _objects(doc, key: str, what: str) -> list:
+    items = _field(doc, key, what)
+    if not isinstance(items, list):
+        raise MalformedSpec(f"{what} {key!r} must be a list")
+    return [_object(item, f"each entry of {what} {key!r}") for item in items]

@@ -22,15 +22,23 @@ contractibility, ``_contractible``; beat then weak removals give
 from __future__ import annotations
 
 import heapq
-import json
 from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .errors import CycleDetected, DuplicateElement, MalformedSpec, UnknownElement
+from .errors import (
+    CycleDetected,
+    Document,
+    DuplicateElement,
+    MalformedSpec,
+    UnknownElement,
+    _field,
+    _id_lists,
+    _string_ids,
+)
 
 
-class FinitePoset:
+class FinitePoset(Document):
     """Immutable finite poset given by its Hasse diagram.
 
     ``hasse`` holds covering pairs ``(a, b)`` meaning ``a < b`` with nothing
@@ -176,18 +184,14 @@ class FinitePoset:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "elements": list(self.elements),
-                "relations": sorted(map(list, self.hasse)),
-            }
-        )
+    def to_doc(self) -> dict:
+        return {"elements": list(self.elements), "relations": sorted(map(list, self.hasse))}
 
     @staticmethod
-    def from_json(text: str) -> "FinitePoset":
-        doc = json.loads(text)
-        return build_poset(doc["elements"], [tuple(p) for p in doc["relations"]])
+    def from_doc(doc, what: str = "the poset") -> "FinitePoset":
+        elements = _string_ids(_field(doc, "elements", what), f"{what} elements")
+        relations = _id_lists(_field(doc, "relations", what), f"{what} relations", size=2)
+        return build_poset(elements, relations)
 
 
 def _ids(mask: int) -> list[int]:

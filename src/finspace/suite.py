@@ -29,6 +29,7 @@ from .cylinders import (
     relation_cylinder,
     tag,
 )
+from .errors import MalformedSpec
 from .homology import homology_equal, homology_of_poset, reduced_homology
 from .persistence import check_truncation_theorem, persistence_over_chain
 
@@ -299,14 +300,11 @@ def _check_fixture_drift(fixtures_dir: str) -> tuple[bool, dict]:
             continue
         with open(path) as fh:
             try:
-                doc = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                doc = None
-        facets = doc.get("facets") if isinstance(doc, dict) else None
-        if not isinstance(facets, list) or not all(
-            isinstance(f, list) and all(isinstance(v, str) for v in f) for f in facets
-        ):
+                on_disk = SimplicialComplex.from_doc(json.load(fh))
+            except (json.JSONDecodeError, UnicodeDecodeError, MalformedSpec):
+                on_disk = None
+        if on_disk is None:
             mismatches.append({"file": name, "reason": "malformed"})
-        elif SimplicialComplex(facets) != K:
+        elif on_disk != K:
             mismatches.append({"file": name, "reason": "content"})
     return not mismatches, {"mismatches": mismatches}

@@ -6,9 +6,12 @@ import re
 import pytest
 
 from finspace import cli
-from finspace.cli import _cylinder_spec_from_doc, build_parser, main
+from finspace.cli import build_parser, main
 from finspace.collapse import CollapseCertificate, greedy_collapse_complex, replay_space_certificate
-from finspace.cylinders import Relation, compose_relations, relation_cylinder, tag
+from finspace.complexes import SimplicialComplex
+from finspace.covers import Cover
+from finspace.cylinders import CylinderSpec, Relation, compose_relations, relation_cylinder, tag
+from finspace.errors import CycleDetected, FinspaceError, InvalidCover, MalformedSpec
 from finspace.fixtures import (
     circle_arc_cover,
     dunce_hat,
@@ -17,7 +20,7 @@ from finspace.fixtures import (
     worked_example_spec,
 )
 from finspace.generators import generate_composite_instance
-from finspace.posets import build_poset
+from finspace.posets import FinitePoset, build_poset
 
 
 @pytest.fixture
@@ -30,32 +33,9 @@ def paths(tmp_path):
     out["poset"] = tmp_path / "poset.json"
     out["poset"].write_text(finite_circle().to_json())
     out["cylinder"] = tmp_path / "cylinder.json"
-    out["cylinder"].write_text(json.dumps(_spec_doc(worked_example_spec())))
+    out["cylinder"].write_text(worked_example_spec().to_json())
     out["tmp"] = tmp_path
     return out
-
-
-def _spec_doc(spec) -> dict:
-    """The CLI document of a cylinder spec."""
-    return {
-        "spaces": [
-            {
-                "name": n,
-                "elements": list(X.elements),
-                "relations": sorted(map(list, X.hasse)),
-            }
-            for n, X in spec.spaces
-        ],
-        "relations": [
-            {
-                "source": R.source_name,
-                "target": R.target_name,
-                "direction": R.direction,
-                "pairs": sorted(map(list, R.pairs)),
-            }
-            for R in spec.relations
-        ],
-    }
 
 
 def run(capsys, *argv):
@@ -284,7 +264,7 @@ def test_intermediate_out_writes_both_certificates(capsys, tmp_path):
     assert code == 0 and report["certificate_file"] == str(cert_path)
     certs = json.loads(cert_path.read_text())
     assert sorted(certs) == ["composite/collapse", "factor/collapse"]
-    factor, middle = _cylinder_spec_from_doc(doc).relations
+    factor, middle = CylinderSpec.from_doc(doc).relations
     for key, R in (("factor", factor), ("composite", compose_relations(factor, middle))):
         assert report[key]["collapse"]["certificate"] is None
         cert = CollapseCertificate.from_json(json.dumps(certs[f"{key}/collapse"]))
@@ -325,7 +305,7 @@ def test_intermediate_right_out_writes_both_certificates(capsys, tmp_path):
     assert code == 0 and report["certificate_file"] == str(cert_path)
     certs = json.loads(cert_path.read_text())
     assert sorted(certs) == ["composite/collapse", "factor/collapse"]
-    first, factor = _cylinder_spec_from_doc(doc).relations
+    first, factor = CylinderSpec.from_doc(doc).relations
     for key, R in (("factor", factor), ("composite", compose_relations(first, factor))):
         assert report[key]["collapse"]["verdict"] == "yes"
         cert = CollapseCertificate.from_json(json.dumps(certs[f"{key}/collapse"]))
@@ -357,40 +337,79 @@ _CYCLIC = {
 }
 
 
+def _rejected(argv, text, error=MalformedSpec):
+    """A case whose error comes from reading one of its documents: the
+    library's reader of that document raises error with the CLI's message."""
+    return pytest.param(argv, text, marks=pytest.mark.rejected_by_reader.with_args(error))
+
+
+def _library_error(argv, text):
+    """The first error of the library's from_json on the documents the CLI
+    reads from text for argv, in the CLI's order, or None.  A file that is
+    not a JSON object, and the keys of a replay document, are the CLI's own
+    to check."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    if argv[:2] == ["verify", "replay-complex"]:
+        parts = [("complex", SimplicialComplex), ("certificate", CollapseCertificate)]
+    elif argv[:2] == ["verify", "replay-space"]:
+        parts = [("poset", FinitePoset), ("certificate", CollapseCertificate)]
+    elif argv[0] == "cylinder":
+        parts = [(None, CylinderSpec)]
+    elif argv[0] == "poset" or argv == ["homology", "--mode", "poset"]:
+        parts = [(None, FinitePoset)]
+    elif argv[0] in ("complex", "homology"):
+        parts = [(None, SimplicialComplex)]
+    else:
+        parts = [(None, Cover)]
+    for key, reader in parts:
+        if key is not None and key not in doc:
+            break
+        try:
+            reader.from_json(json.dumps(doc if key is None else doc[key]))
+        except FinspaceError as exc:
+            return exc
+    return None
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
         (["poset"], "[1, 2]"),
         (["poset"], '{"elements": ["a", "b"], "relations": [["a"'),
-        (["poset"], json.dumps({"elements": ["a"]})),
-        (["poset"], json.dumps({"elements": [1, 2], "relations": []})),
-        (["poset"], json.dumps({"elements": ["a", "b"], "relations": [["a"]]})),
-        (["poset"], json.dumps({"elements": ["a"], "relations": "ab"})),
-        (["homology", "--mode", "poset"], json.dumps({"elements": [["a"]], "relations": []})),
+        _rejected(["poset"], json.dumps({"elements": ["a"]})),
+        _rejected(["poset"], json.dumps({"elements": [1, 2], "relations": []})),
+        _rejected(["poset"], json.dumps({"elements": ["a", "b"], "relations": [["a"]]})),
+        _rejected(["poset"], json.dumps({"elements": ["a"], "relations": "ab"})),
+        _rejected(["homology", "--mode", "poset"], json.dumps({"elements": [["a"]], "relations": []})),
         (["complex"], '"facets"'),
-        (["complex"], json.dumps({"facets": [[1, 2]]})),
-        (["complex"], json.dumps({"facets": "ab"})),
-        (["homology"], json.dumps({"facets": [["a"], None]})),
-        (["nerve"], json.dumps({k: v for k, v in _COVER.items() if k != "members"})),
-        (["nerve"], json.dumps({**_COVER, "parent": [["a", "b"]]})),
-        (["nerve"], json.dumps({**_COVER, "kind": 3})),
-        (["cover", "classify"], json.dumps({**_COVER, "members": [{"name": 1, "facets": []}]})),
-        (["cover", "classify"], json.dumps({**_COVER, "members": ["U"]})),
+        _rejected(["complex"], json.dumps({"facets": [[1, 2]]})),
+        _rejected(["complex"], json.dumps({"facets": "ab"})),
+        _rejected(["homology"], json.dumps({"facets": [["a"], None]})),
+        _rejected(["nerve"], json.dumps({k: v for k, v in _COVER.items() if k != "members"})),
+        _rejected(["nerve"], json.dumps({**_COVER, "parent": [["a", "b"]]})),
+        _rejected(["nerve"], json.dumps({**_COVER, "kind": 3})),
+        _rejected(["cover", "classify"], json.dumps({**_COVER, "members": [{"name": 1, "facets": []}]})),
+        _rejected(["cover", "classify"], json.dumps({**_COVER, "members": ["U"]})),
         (["persistence"], "[]"),
         (["verify", "truncation"], "null"),
-        (["verify", "good-complex"], json.dumps({**_COVER, "members": {"U": []}})),
-        (["cylinder"], json.dumps({**_CYLINDER, "spaces": "X"})),
-        (["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "Z", "target": "Y", "pairs": []}]})),
-        (["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a"]]}]})),
-        (["cylinder"], json.dumps({"spaces": [{"name": "X", "elements": ["a"]}], "relations": []})),
+        _rejected(["verify", "good-complex"], json.dumps({**_COVER, "members": {"U": []}})),
+        _rejected(["cylinder"], json.dumps({**_CYLINDER, "spaces": "X"})),
+        _rejected(["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "Z", "target": "Y", "pairs": []}]})),
+        _rejected(["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a"]]}]})),
+        _rejected(["cylinder"], json.dumps({"spaces": [{"name": "X", "elements": ["a"]}], "relations": []})),
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX})),
-        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{}]}})),
-        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": [_CERT]})),
+        _rejected(["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{}]}})),
+        _rejected(["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": [_CERT]})),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": _CERT, "target": "a"})),
-        (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "up-beat"}]}})),
-        (["poset"], json.dumps(_CYCLIC)),
-        (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
-        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
+        _rejected(["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "up-beat"}]}})),
+        _rejected(["poset"], json.dumps(_CYCLIC), CycleDetected),
+        _rejected(["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
+        _rejected(["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": []}, "target": ["z"]})),
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": _CERT, "target": {"facets": [["a", "z"]]}})),
         (["verify", "replay-complex"], json.dumps({"complex": {"facets": []}, "certificate": _CERT})),
@@ -398,15 +417,24 @@ _CYCLIC = {
         (["cylinder", "--mode", "check-left"], json.dumps(_CHAIN4)),
         (["cylinder", "--mode", "check-right"], json.dumps(_CHAIN4)),
         # X0 -> X1 right and X2 -> X1 left: the left-going relation is named
-        (["cylinder", "--mode", "check-left"], json.dumps(_spec_doc(worked_example_spec()))),
-        (["cylinder", "--mode", "check-right"], json.dumps(_spec_doc(worked_example_spec()))),
-        (["cylinder", "--mode", "intermediate-left"], json.dumps(_spec_doc(worked_example_spec()))),
-        (["cylinder", "--mode", "intermediate-right"], json.dumps(_spec_doc(worked_example_spec()))),
+        (["cylinder", "--mode", "check-left"], worked_example_spec().to_json()),
+        (["cylinder", "--mode", "check-right"], worked_example_spec().to_json()),
+        (["cylinder", "--mode", "intermediate-left"], worked_example_spec().to_json()),
+        (["cylinder", "--mode", "intermediate-right"], worked_example_spec().to_json()),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": []}, "target": []})),
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": _CERT, "target": {"facets": []}})),
+        # string values the library's readers once read as lists of letters
+        _rejected(["poset"], json.dumps({"elements": "ab", "relations": []})),
+        _rejected(["complex"], json.dumps({"facets": ["ab"]})),
+        _rejected(["nerve"], json.dumps({"kind": "poset", "parent": _POSET, "members": [{"name": "U", "elements": "ab"}]})),
+        _rejected(["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{**_CERT["steps"][0], "face": "a"}]}})),
+        _rejected(["nerve"], json.dumps({**_COVER, "kind": "sphere"}), InvalidCover),
     ],
 )
-def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):
+def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys, request):
+    """Exit 2 with one line; where reading a document fails, the library's
+    from_json on that document raises the CLI's message, and elsewhere it
+    reads every document the CLI reads."""
     p = tmp_path / "bad.json"
     p.write_text(text)
     code = main(argv + ["--in", str(p)])
@@ -414,6 +442,12 @@ def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    rejected = request.node.get_closest_marker("rejected_by_reader")
+    exc = _library_error(argv, text)
+    if rejected is None:
+        assert exc is None
+    else:
+        assert type(exc) is rejected.args[0] and f"error: {exc}\n" == err
 
 
 @pytest.mark.parametrize(

@@ -175,3 +175,82 @@ def test_flavors_agree_across_readme_library_and_parser():
     verify = commands.choices["verify"]
     choices = next(a.choices for a in verify._actions if a.dest == "flavor")
     assert choices == list(flavors) + ["truncation", "replay-complex", "replay-space"]
+
+
+def _readme_block(heading: str, fence: str) -> str:
+    """The first fenced block of the given language after a README line."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    after = text[text.index(heading):]
+    start = after.index(f"```{fence}\n") + len(fence) + 4
+    return after[start:after.index("```", start)]
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    """Each print of the README's library example writes the line its
+    trailing comment gives (the part before any " - " remark)."""
+    code = _readme_block("## Library example", "python")
+    expected = [
+        line.split("#", 1)[1].split(" - ")[0].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected == ["yes 5", "[(3, None)]"]
+
+
+def test_readme_file_formats_read_and_write_back():
+    """The complete examples under "File formats" (poset, complex,
+    certificate) are read by the library and written back as they are."""
+    from finspace.collapse import CollapseCertificate
+    from finspace.complexes import SimplicialComplex
+    from finspace.posets import FinitePoset
+
+    examples, name = {}, None
+    for line in _readme_block("File formats:", "jsonc").splitlines():
+        if line.startswith("// "):
+            name = line[3:].split(" (")[0]
+            examples[name] = ""
+        else:
+            examples[name] += line
+    readers = {"poset": FinitePoset, "complex": SimplicialComplex, "certificate": CollapseCertificate}
+    assert set(readers) < set(examples)
+    for name, reader in readers.items():
+        assert reader.from_json(examples[name]).to_doc() == json.loads(examples[name])
+
+
+def _json_round_trips(path: str) -> list:
+    """The lines of a module that read a document back from text it just
+    wrote: ``X.from_json(json.dumps(...))`` or ``json.loads(x.to_json())``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+
+    def is_call(node, attr, owner=None):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr
+            and (owner is None or isinstance(node.func.value, ast.Name) and node.func.value.id == owner)
+        )
+
+    def round_trip(node):
+        if is_call(node, "from_json") and node.args:
+            return is_call(node.args[0], "dumps", "json")
+        if is_call(node, "loads", "json") and node.args:
+            return is_call(node.args[0], "to_json")
+        return False
+
+    return sorted(node.lineno for node in ast.walk(tree) if round_trip(node))
+
+
+def test_the_library_reads_no_document_back_from_its_own_text():
+    """Each document type reads and writes its document with from_doc and
+    to_doc; going through JSON text between two of the library's own calls
+    would bring back a second reader of the format."""
+    package = os.path.join(ROOT, "src", "finspace")
+    found = {
+        name: lines
+        for name in sorted(os.listdir(package))
+        if name.endswith(".py") and (lines := _json_round_trips(os.path.join(package, name)))
+    }
+    assert found == {}
