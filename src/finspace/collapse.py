@@ -119,9 +119,9 @@ class CollapseCertificate(Document):
         return {"steps": [s.to_doc() for s in self.steps]}
 
     @staticmethod
-    def from_doc(doc, what: str = "the certificate") -> "CollapseCertificate":
+    def from_doc(doc) -> "CollapseCertificate":
         steps = []
-        for step in _objects(doc, "steps", what):
+        for step in _objects(doc, "steps", "the certificate"):
             kind = _string(_field(step, "kind", "a certificate step"), "a step kind")
             if kind == "free-pair":
                 face = _string_ids(_field(step, "face", "a free-pair step"), "a step face")

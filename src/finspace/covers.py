@@ -55,6 +55,12 @@ COMPLEX = "complex"
 POSET = "poset"
 # the most members whose index sets are enumerated
 MAX_MEMBERS = 20
+# per cover kind: the parent type, and the key, id check and type of a
+# member in a cover document
+_KINDS = {
+    COMPLEX: (SimplicialComplex, "facets", _id_lists, SimplicialComplex),
+    POSET: (FinitePoset, "elements", _string_ids, frozenset),
+}
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,7 @@ class Cover(Document):
             raise InvalidCover("duplicate member names")
         if not self.members:
             raise InvalidCover("a cover needs at least one member")
-        if self.kind not in (COMPLEX, POSET):
-            raise InvalidCover(f"unknown cover kind {self.kind!r}")
+        _kind(self.kind)
         masks = {name: self._validated_mask(name, sub) for name, sub in self.members}
         if self.kind == COMPLEX:
             size, whole = len(self.parent.index().simplices), "parent complex"
@@ -177,25 +182,27 @@ class Cover(Document):
         return {"kind": self.kind, "parent": self.parent.to_doc(), "members": members}
 
     @staticmethod
-    def from_doc(doc, what: str = "the cover") -> "Cover":
+    def from_doc(doc) -> "Cover":
         """Check the document as the cover is built: its kind first, then its
-        parent, then each member's name and facets (a complex cover) or
-        elements (a finite space)."""
-        kind = _string(_field(doc, "kind", what), f"{what} kind")
-        if kind not in (COMPLEX, POSET):
-            raise InvalidCover(f"unknown cover kind {kind!r}")
-        parent_type = SimplicialComplex if kind == COMPLEX else FinitePoset
-        parent = parent_type.from_doc(_field(doc, "parent", what), f"{what} parent")
+        parent (checked and built), then each member's name and facets (a
+        complex cover) or elements (a finite space)."""
+        kind = _string(_field(doc, "kind", "the cover"), "the cover kind")
+        parent_type, key, ids, member_type = _kind(kind)
+        parent = parent_type.from_doc(_field(doc, "parent", "the cover"), "the cover parent")
         members = []
-        for m in _objects(doc, "members", what):
+        for m in _objects(doc, "members", "the cover"):
             name = _string(_field(m, "name", "a cover member"), "a cover member name")
-            if kind == COMPLEX:
-                facets = _field(m, "facets", "a cover member")
-                members.append((name, SimplicialComplex(_id_lists(facets, "member facets"))))
-            else:
-                elements = _field(m, "elements", "a cover member")
-                members.append((name, frozenset(_string_ids(elements, "member elements"))))
+            sub = member_type(ids(_field(m, key, "a cover member"), f"member {key}"))
+            members.append((name, sub))
         return Cover(kind, parent, tuple(members))
+
+
+def _kind(kind: str):
+    """The parent type of a cover kind, and its members' document key, id
+    check and type; an unknown kind raises InvalidCover."""
+    if kind not in _KINDS:
+        raise InvalidCover(f"unknown cover kind {kind!r}")
+    return _KINDS[kind]
 
 
 def _index_sets(cover: Cover):

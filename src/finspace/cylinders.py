@@ -207,9 +207,9 @@ class CylinderSpec(Document):
         }
 
     @staticmethod
-    def from_doc(doc, what: str = "the cylinder") -> "CylinderSpec":
+    def from_doc(doc) -> "CylinderSpec":
         spaces = []
-        for s in _objects(doc, "spaces", what):
+        for s in _objects(doc, "spaces", "the cylinder"):
             name = _string(_field(s, "name", "a space"), "a space name")
             spaces.append((name, FinitePoset.from_doc(s, "a space")))
         by_name = dict(spaces)
@@ -221,7 +221,7 @@ class CylinderSpec(Document):
             return name, by_name[name]
 
         relations = []
-        for r in _objects(doc, "relations", what):
+        for r in _objects(doc, "relations", "the cylinder"):
             (sn, source), (tn, target) = space(r, "source"), space(r, "target")
             pairs = _id_lists(_field(r, "pairs", "a relation"), "pairs", 2)
             direction = _string(r.get("direction", RIGHT), "a relation direction")

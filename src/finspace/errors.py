@@ -1,11 +1,13 @@
 """Exception types shared across the package, and the JSON document plumbing.
 
 Each document type (a poset, a complex, a cover, a cylinder spec, a
-collapse certificate) has one reader, ``from_doc(doc, what=...)``, which
-checks the document with the field checks below as it builds the object,
-and one writer, ``to_doc()``; ``Document`` derives the text forms from
-them.  A check raises MalformedSpec naming the offending part, labelled by
-``what`` ("the poset", "the cover parent", ...).
+collapse certificate) has one reader, ``from_doc(doc)``, which checks the
+document with the field checks below as it builds the object, and one
+writer, ``to_doc()``; ``Document`` derives the text forms from them.  A
+check raises MalformedSpec naming the offending part.  The poset and
+complex readers also read documents nested in others, so they take the
+label of the part they read, ``from_doc(doc, what)`` ("the poset", "the
+cover parent", "a space", "the target").
 """
 
 import json

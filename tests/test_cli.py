@@ -11,7 +11,13 @@ from finspace.collapse import CollapseCertificate, greedy_collapse_complex, repl
 from finspace.complexes import SimplicialComplex
 from finspace.covers import Cover
 from finspace.cylinders import CylinderSpec, Relation, compose_relations, relation_cylinder, tag
-from finspace.errors import CycleDetected, FinspaceError, InvalidCover, MalformedSpec
+from finspace.errors import (
+    CycleDetected,
+    DuplicateElement,
+    FinspaceError,
+    InvalidCover,
+    MalformedSpec,
+)
 from finspace.fixtures import (
     circle_arc_cover,
     dunce_hat,
@@ -337,79 +343,40 @@ _CYCLIC = {
 }
 
 
-def _rejected(argv, text, error=MalformedSpec):
-    """A case whose error comes from reading one of its documents: the
-    library's reader of that document raises error with the CLI's message."""
-    return pytest.param(argv, text, marks=pytest.mark.rejected_by_reader.with_args(error))
-
-
-def _library_error(argv, text):
-    """The first error of the library's from_json on the documents the CLI
-    reads from text for argv, in the CLI's order, or None.  A file that is
-    not a JSON object, and the keys of a replay document, are the CLI's own
-    to check."""
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        return None
-    if not isinstance(doc, dict):
-        return None
-    if argv[:2] == ["verify", "replay-complex"]:
-        parts = [("complex", SimplicialComplex), ("certificate", CollapseCertificate)]
-    elif argv[:2] == ["verify", "replay-space"]:
-        parts = [("poset", FinitePoset), ("certificate", CollapseCertificate)]
-    elif argv[0] == "cylinder":
-        parts = [(None, CylinderSpec)]
-    elif argv[0] == "poset" or argv == ["homology", "--mode", "poset"]:
-        parts = [(None, FinitePoset)]
-    elif argv[0] in ("complex", "homology"):
-        parts = [(None, SimplicialComplex)]
-    else:
-        parts = [(None, Cover)]
-    for key, reader in parts:
-        if key is not None and key not in doc:
-            break
-        try:
-            reader.from_json(json.dumps(doc if key is None else doc[key]))
-        except FinspaceError as exc:
-            return exc
-    return None
-
-
 @pytest.mark.parametrize(
     "argv, text",
     [
         (["poset"], "[1, 2]"),
         (["poset"], '{"elements": ["a", "b"], "relations": [["a"'),
-        _rejected(["poset"], json.dumps({"elements": ["a"]})),
-        _rejected(["poset"], json.dumps({"elements": [1, 2], "relations": []})),
-        _rejected(["poset"], json.dumps({"elements": ["a", "b"], "relations": [["a"]]})),
-        _rejected(["poset"], json.dumps({"elements": ["a"], "relations": "ab"})),
-        _rejected(["homology", "--mode", "poset"], json.dumps({"elements": [["a"]], "relations": []})),
+        (["poset"], json.dumps({"elements": ["a"]})),
+        (["poset"], json.dumps({"elements": [1, 2], "relations": []})),
+        (["poset"], json.dumps({"elements": ["a", "b"], "relations": [["a"]]})),
+        (["poset"], json.dumps({"elements": ["a"], "relations": "ab"})),
+        (["homology", "--mode", "poset"], json.dumps({"elements": [["a"]], "relations": []})),
         (["complex"], '"facets"'),
-        _rejected(["complex"], json.dumps({"facets": [[1, 2]]})),
-        _rejected(["complex"], json.dumps({"facets": "ab"})),
-        _rejected(["homology"], json.dumps({"facets": [["a"], None]})),
-        _rejected(["nerve"], json.dumps({k: v for k, v in _COVER.items() if k != "members"})),
-        _rejected(["nerve"], json.dumps({**_COVER, "parent": [["a", "b"]]})),
-        _rejected(["nerve"], json.dumps({**_COVER, "kind": 3})),
-        _rejected(["cover", "classify"], json.dumps({**_COVER, "members": [{"name": 1, "facets": []}]})),
-        _rejected(["cover", "classify"], json.dumps({**_COVER, "members": ["U"]})),
+        (["complex"], json.dumps({"facets": [[1, 2]]})),
+        (["complex"], json.dumps({"facets": "ab"})),
+        (["homology"], json.dumps({"facets": [["a"], None]})),
+        (["nerve"], json.dumps({k: v for k, v in _COVER.items() if k != "members"})),
+        (["nerve"], json.dumps({**_COVER, "parent": [["a", "b"]]})),
+        (["nerve"], json.dumps({**_COVER, "kind": 3})),
+        (["cover", "classify"], json.dumps({**_COVER, "members": [{"name": 1, "facets": []}]})),
+        (["cover", "classify"], json.dumps({**_COVER, "members": ["U"]})),
         (["persistence"], "[]"),
         (["verify", "truncation"], "null"),
-        _rejected(["verify", "good-complex"], json.dumps({**_COVER, "members": {"U": []}})),
-        _rejected(["cylinder"], json.dumps({**_CYLINDER, "spaces": "X"})),
-        _rejected(["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "Z", "target": "Y", "pairs": []}]})),
-        _rejected(["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a"]]}]})),
-        _rejected(["cylinder"], json.dumps({"spaces": [{"name": "X", "elements": ["a"]}], "relations": []})),
+        (["verify", "good-complex"], json.dumps({**_COVER, "members": {"U": []}})),
+        (["cylinder"], json.dumps({**_CYLINDER, "spaces": "X"})),
+        (["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "Z", "target": "Y", "pairs": []}]})),
+        (["cylinder"], json.dumps({**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a"]]}]})),
+        (["cylinder"], json.dumps({"spaces": [{"name": "X", "elements": ["a"]}], "relations": []})),
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX})),
-        _rejected(["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{}]}})),
-        _rejected(["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": [_CERT]})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{}]}})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": [_CERT]})),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": _CERT, "target": "a"})),
-        _rejected(["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "up-beat"}]}})),
-        _rejected(["poset"], json.dumps(_CYCLIC), CycleDetected),
-        _rejected(["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
-        _rejected(["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
+        (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "up-beat"}]}})),
+        (["poset"], json.dumps(_CYCLIC)),
+        (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{"kind": "sideways", "element": "a"}]}})),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": []}, "target": ["z"]})),
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": _CERT, "target": {"facets": [["a", "z"]]}})),
         (["verify", "replay-complex"], json.dumps({"complex": {"facets": []}, "certificate": _CERT})),
@@ -423,18 +390,16 @@ def _library_error(argv, text):
         (["cylinder", "--mode", "intermediate-right"], worked_example_spec().to_json()),
         (["verify", "replay-space"], json.dumps({"poset": _POSET, "certificate": {"steps": []}, "target": []})),
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": _CERT, "target": {"facets": []}})),
-        # string values the library's readers once read as lists of letters
-        _rejected(["poset"], json.dumps({"elements": "ab", "relations": []})),
-        _rejected(["complex"], json.dumps({"facets": ["ab"]})),
-        _rejected(["nerve"], json.dumps({"kind": "poset", "parent": _POSET, "members": [{"name": "U", "elements": "ab"}]})),
-        _rejected(["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{**_CERT["steps"][0], "face": "a"}]}})),
-        _rejected(["nerve"], json.dumps({**_COVER, "kind": "sphere"}), InvalidCover),
+        # string values the library's readers once read as lists of letters,
+        # and an unknown cover kind
+        (["poset"], json.dumps({"elements": "ab", "relations": []})),
+        (["complex"], json.dumps({"facets": ["ab"]})),
+        (["nerve"], json.dumps({"kind": "poset", "parent": _POSET, "members": [{"name": "U", "elements": "ab"}]})),
+        (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{**_CERT["steps"][0], "face": "a"}]}})),
+        (["nerve"], json.dumps({**_COVER, "kind": "sphere"})),
     ],
 )
-def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys, request):
-    """Exit 2 with one line; where reading a document fails, the library's
-    from_json on that document raises the CLI's message, and elsewhere it
-    reads every document the CLI reads."""
+def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(text)
     code = main(argv + ["--in", str(p)])
@@ -442,12 +407,64 @@ def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys, req
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
-    rejected = request.node.get_closest_marker("rejected_by_reader")
-    exc = _library_error(argv, text)
-    if rejected is None:
-        assert exc is None
-    else:
-        assert type(exc) is rejected.args[0] and f"error: {exc}\n" == err
+
+
+_STEPS_ONE_OF = "a step kind must be one of free-pair, down-beat, up-beat, down-weak, up-weak"
+
+
+@pytest.mark.parametrize(
+    "reader, doc, error, message",
+    [
+        (FinitePoset, {"elements": ["a"]}, MalformedSpec, "the poset needs a 'relations' key"),
+        (FinitePoset, {"elements": [1, 2], "relations": []}, MalformedSpec, "the poset elements must be a list of string ids"),
+        (FinitePoset, {"elements": "ab", "relations": []}, MalformedSpec, "the poset elements must be a list of string ids"),
+        (FinitePoset, {"elements": ["a", "b"], "relations": [["a"]]}, MalformedSpec, "each entry of the poset relations must hold 2 ids"),
+        (FinitePoset, {"elements": ["a"], "relations": "ab"}, MalformedSpec, "the poset relations must be a list"),
+        (FinitePoset, _CYCLIC, CycleDetected, "relation contains a cycle: a < c < a"),
+        (SimplicialComplex, {"facets": [[1, 2]]}, MalformedSpec, "each entry of the complex facets must be a list of string ids"),
+        (SimplicialComplex, {"facets": ["ab"]}, MalformedSpec, "each entry of the complex facets must be a list of string ids"),
+        (SimplicialComplex, {"facets": "ab"}, MalformedSpec, "the complex facets must be a list"),
+        (Cover, {k: v for k, v in _COVER.items() if k != "members"}, MalformedSpec, "the cover needs a 'members' key"),
+        (Cover, {**_COVER, "parent": [["a", "b"]]}, MalformedSpec, "the cover parent must be a JSON object"),
+        (Cover, {**_COVER, "kind": 3}, MalformedSpec, "the cover kind must be a string id"),
+        (Cover, {**_COVER, "kind": "sphere"}, InvalidCover, "unknown cover kind 'sphere'"),
+        (Cover, {**_COVER, "members": {"U": []}}, MalformedSpec, "the cover 'members' must be a list"),
+        (Cover, {**_COVER, "members": ["U"]}, MalformedSpec, "each entry of the cover 'members' must be a JSON object"),
+        (Cover, {**_COVER, "members": [{"name": 1, "facets": []}]}, MalformedSpec, "a cover member name must be a string id"),
+        (Cover, {"kind": "poset", "parent": _POSET, "members": [{"name": "U", "elements": "ab"}]}, MalformedSpec, "member elements must be a list of string ids"),
+        (CylinderSpec, {**_CYLINDER, "spaces": "X"}, MalformedSpec, "the cylinder 'spaces' must be a list"),
+        (CylinderSpec, {"spaces": [{"name": "X", "elements": ["a"]}], "relations": []}, MalformedSpec, "a space needs a 'relations' key"),
+        (CylinderSpec, {**_CYLINDER, "relations": [{"source": "Z", "target": "Y", "pairs": []}]}, MalformedSpec, "relation source 'Z' names no space"),
+        (CylinderSpec, {**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a"]]}]}, MalformedSpec, "each entry of pairs must hold 2 ids"),
+        (CollapseCertificate, [_CERT], MalformedSpec, "the certificate must be a JSON object"),
+        (CollapseCertificate, {"steps": [{}]}, MalformedSpec, "a certificate step needs a 'kind' key"),
+        (CollapseCertificate, {"steps": [{"kind": "up-beat"}]}, MalformedSpec, "a point-removal step needs a 'element' key"),
+        (CollapseCertificate, {"steps": [{**_CERT["steps"][0], "face": "a"}]}, MalformedSpec, "a step face must be a list of string ids"),
+        (CollapseCertificate, {"steps": [{"kind": "sideways", "element": "a"}]}, MalformedSpec, f"{_STEPS_ONE_OF}, got 'sideways'"),
+    ],
+)
+def test_readers_reject_malformed_documents(reader, doc, error, message):
+    """Each type's from_json rejects a malformed document with the message
+    the CLI prints for it after "error: "."""
+    with pytest.raises(FinspaceError) as exc:
+        reader.from_json(json.dumps(doc))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_a_cover_with_a_bad_parent_and_a_bad_member_names_the_parent(tmp_path, capsys):
+    """The parent is read and built before any member is checked."""
+    doc = {
+        "kind": "poset",
+        "parent": {"elements": ["a", "a"], "relations": []},
+        "members": [{"name": "U", "elements": "a"}],
+    }
+    message = "duplicate element ids in ['a', 'a']"
+    with pytest.raises(DuplicateElement, match=re.escape(message)):
+        Cover.from_doc(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["nerve", "--in", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
