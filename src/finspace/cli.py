@@ -50,8 +50,6 @@ def _plain(obj):
         return obj.to_doc()
     if isinstance(obj, HomologyResult):
         return obj.summary()
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -1,10 +1,12 @@
 """Collapse predicates for finite spaces and simplicial complexes.
 
 Contractibility of a finite space is decidable (iterated beat-point removal
-down to the core).  Collapsibility and homotopical triviality are not, so
-those checkers answer with a three-valued verdict: Yes carries a replayable
-certificate, No carries a non-trivial homology witness, Unknown is honest
-failure of the greedy search.
+down to the core).  Collapsibility of a finite complex is decidable too, by
+exhaustive search over removal orders, but deciding it is NP-complete from
+dimension 3 (Tancer, DCG 55, 2016), so the library searches greedily.  The
+collapse and triviality checkers answer with a three-valued verdict: Yes
+carries a replayable certificate, No carries a non-trivial homology
+witness, and Unknown means that the greedy search got stuck.
 
 Each point-removal kind (down-beat, up-beat, down-weak, up-weak) names a
 side, the punctured down or up set of the point, and a test from
@@ -50,10 +52,16 @@ that index too, by its facets closed downward
 loop's free list is its only record of which ids are free: the present ids
 with one present coface.
 
-A collapsibility verdict gives a triviality verdict by one rule per kind of
-object: Yes and No carry over; after Unknown a subcomplex has no test left
-(``_after_complex_collapse``) and a subspace has its core
-(``_after_collapse``).
+A triviality verdict comes from two tests, the greedy collapse and, for a
+subspace, the beat-point contraction.  A Yes or No of the collapse carries
+over, and after its Unknown a subcomplex has no test left
+(``_after_complex_collapse``).  A subspace has two rules.  Cover
+classification reads the collapse verdict first and tries the contraction
+only after Unknown (``_after_collapse``).  Cylinder hypothesis sets, point
+links, I_x and ``is_homotopically_trivial_poset`` try the contraction first
+and read the collapse verdict only when the core is larger
+(``_triviality``).  Both rules give the same verdict, but a Yes may carry a
+different certificate.
 """
 
 from __future__ import annotations
@@ -375,12 +383,13 @@ def replay_space_certificate(
 
 
 def _free_state(
-    index: SimplexIndex, ids: Sequence[int] | None
+    index: SimplexIndex, ids: Sequence[int]
 ) -> tuple[list[bool], list[int], list[int]]:
-    """The state of the free-face loop on the ids (ascending; default: all
-    of the index): per simplex of the index, whether it is among the ids,
-    and the number and id sum of its codimension-1 cofaces among them; the
-    sum names the coface when there is one.
+    """The state of the free-face loop on the ids (ascending): per simplex
+    of the index, whether it is among the ids, and the number and id sum of
+    its codimension-1 cofaces among them; the sum names the coface when
+    there is one.  When the ids are all of the index, the counts and sums
+    are read off its coface lists.
 
     A present simplex s is free exactly when it has one such coface t: a
     larger simplex s + {p, q} would bring the two cofaces s + {p} and
@@ -388,7 +397,7 @@ def _free_state(
     sized to the index and read by id.
     """
     n = len(index.simplices)
-    if ids is None:
+    if len(ids) == n:
         cofaces = index.cofaces
         return [True] * n, [len(c) for c in cofaces], [sum(c) for c in cofaces]
     present, count, cosum = [False] * n, [0] * n, [0] * n
@@ -404,20 +413,18 @@ def _free_state(
 def free_faces(K: SimplicialComplex) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Pairs (face, unique coface): the face lies in exactly one larger simplex."""
     index = K.index()
-    _, count, cosum = _free_state(index, None)
+    _, count, cosum = _free_state(index, range(len(index.simplices)))
     simplices = index.simplices
     return [(simplices[s], simplices[cosum[s]]) for s, above in enumerate(count) if above == 1]
 
 
 def _collapse_run(
-    index: SimplexIndex,
-    ids: Sequence[int] | None = None,
-    rng: random.Random | None = None,
+    index: SimplexIndex, ids: Sequence[int], rng: random.Random | None = None
 ) -> list[tuple[int, int]] | None:
-    """One greedy pass that removes free pairs among the ids (ascending;
-    default: all of the index), never touching a simplex outside them,
-    until no id of positive dimension is left.  Returns the removed (face
-    id, coface id) pairs in order, or None when stuck.
+    """One greedy pass that removes free pairs among the ids (ascending),
+    never touching a simplex outside them, until no id of positive
+    dimension is left.  Returns the removed (face id, coface id) pairs in
+    order, or None when stuck.
 
     The free ids are kept as a sorted list, which is the order of
     ``free_faces``: the deterministic pass takes the first, a restart draws
@@ -435,12 +442,11 @@ def _collapse_run(
     removed (a triangle filling a disk's boundary adds +1 simplex and +1 to
     chi, and makes a sphere).
     """
-    start = range(len(index.simplices)) if ids is None else ids
     present, count, cosum = _free_state(index, ids)
     faces = index.faces
-    free = [s for s in start if count[s] == 1]
+    free = [s for s in ids if count[s] == 1]
     # the ids of positive dimension follow the vertices
-    left = len(start) and len(start) - bisect_left(start, index.dim_start[1])
+    left = len(ids) and len(ids) - bisect_left(ids, index.dim_start[1])
     steps: list[tuple[int, int]] = []
     while left:
         if not free:
@@ -471,16 +477,16 @@ def check_restarts(restarts: int) -> None:
 
 def _free_face_search(
     index: SimplexIndex,
-    ids: Sequence[int] | None,
+    ids: Sequence[int],
     end: int,
     restarts: int,
     seed: int,
 ) -> CollapseCertificate | None:
     """The deterministic pass, then ``restarts`` seeded random ones, on the
-    ids (ascending; None for all of the index).  A pass succeeds when it
-    leaves ``end`` of the ids: 1 for a collapse to a point, 0 for a collapse
-    onto the simplices outside them.  Returns the first certificate found,
-    or None when every schedule gets stuck.
+    ids (ascending).  A pass succeeds when it leaves ``end`` of the ids: 1
+    for a collapse to a point, 0 for a collapse onto the simplices outside
+    them.  Returns the first certificate found, or None when every schedule
+    gets stuck.
 
     Any index that holds the simplices lists them in the same relative
     (dimension, lexicographic) order, so the first free face and the
@@ -489,11 +495,10 @@ def _free_face_search(
     would run, and Unknown would report a search that never happened.
     """
     check_restarts(restarts)
-    size = len(index.simplices) if ids is None else len(ids)
     for attempt in range(restarts + 1):
         rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
         steps = _collapse_run(index, ids, rng)
-        if steps is not None and size - 2 * len(steps) == end:
+        if steps is not None and len(ids) - 2 * len(steps) == end:
             simplices = index.simplices
             return CollapseCertificate(
                 tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in steps)
@@ -503,17 +508,16 @@ def _free_face_search(
 
 def _free_face_verdict(
     index: SimplexIndex,
-    ids: Sequence[int] | None,
+    ids: Sequence[int],
     target: int | None,
     restarts: int,
     seed: int,
 ) -> TriStateResult:
     """Verdict on collapsing the subcomplex ids of index (ascending, closed
-    under faces; None for all of it) to a point, or all of the index onto
+    under faces) to a point, or, when the ids are all of the index, onto
     the subcomplex whose mask over it is target.  When every schedule gets
     stuck, the homology of those ids, read on the same index, decides No or
     Unknown."""
-    whole = range(len(index.simplices)) if ids is None else ids
     if target is None:
         cert = _free_face_search(index, ids, 1, restarts, seed)
     else:  # the search may remove every simplex outside the target
@@ -522,7 +526,7 @@ def _free_face_verdict(
     if cert is not None:
         return yes(cert)
     note = "no free faces left on any attempted schedule"
-    return _stuck(lambda part: _homology(index, part), whole, target, note)
+    return _stuck(lambda part: _homology(index, part), ids, target, note)
 
 
 def _outside(index: SimplexIndex, mask: int) -> list[int]:
@@ -559,7 +563,7 @@ def greedy_collapse_complex(
     Deterministic first pass: lowest dimension, lexicographic simplex order.
     """
     index, target = _collapse_input(K, target)
-    return _free_face_verdict(index, None, target, restarts, seed)
+    return _free_face_verdict(index, range(len(index.simplices)), target, restarts, seed)
 
 
 def staged_union_collapse(
@@ -606,8 +610,11 @@ def replay_complex_certificate(
     """
     index, target = _collapse_input(K, target)
     id_of, faces = index.id_of, index.faces
-    ids = None if target is None else _outside(index, target)
-    left, end = (len(index.simplices), 1) if ids is None else (len(ids), 0)
+    if target is None:
+        ids, end = range(len(index.simplices)), 1
+    else:
+        ids, end = _outside(index, target), 0
+    left = len(ids)
     present, count, cosum = _free_state(index, ids)
     for step in cert.steps:
         if not isinstance(step, FreeFacePair):

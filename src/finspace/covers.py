@@ -552,15 +552,15 @@ def check_nerve_theorem(
     report: dict = {"flavor": flavor}
 
     X = cover.parent
-    # the nerve object: a finite space P standing for K(P), else a complex L;
-    # K(P) is built as L only where S_sigma reads its index
+    # the nerve object: the nerve L for the nerve flavours, of either cover
+    # kind (the order complex of its face poset, the non-Hausdorff nerve, is
+    # sd L, so the two have one homology; McCord 1966); for the N0 flavours
+    # a finite space P standing for K(P), else a complex L, with K(P) built
+    # as L only where S_sigma reads its index
     P = None
     if nerve_object == "nerve":
         report["hypothesis_verdict"] = cls.strong_good if mode == "collapsible" else cls.good
-        if cover.kind == COMPLEX:
-            L = nerve(cover)
-        else:
-            P = non_hausdorff_nerve(cover)
+        L = nerve(cover)
     else:
         space, reduced = kind == POSET, nerve_object == "reduced N0"
         if cover.kind != kind:

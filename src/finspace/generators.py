@@ -68,17 +68,17 @@ def random_maximal_chain(rng: random.Random, X: FinitePoset) -> list[str]:
         out.append(rng.choice(ups))
 
 
-def generate_monotone_map(seed: int, X: FinitePoset, Y: FinitePoset) -> dict[str, str]:
-    """Order-preserving map sending x to a chain element picked by height.
-
-    The image is a random maximal chain of Y; x < x' forces a strictly
-    larger height, so the assignment preserves order.
-    """
-    rng = random.Random(f"map:{seed}")
+def _chain_map(rng: random.Random, X: FinitePoset, Y: FinitePoset) -> dict[str, str]:
+    """Order-preserving map from X onto a random maximal chain of Y, sending
+    x to the chain element picked by its height: x < x' forces a strictly
+    larger height, so the assignment preserves order."""
     chain = random_maximal_chain(rng, Y)
-    return {
-        x: chain[min(X.height_of(x), len(chain) - 1)] for x in X.elements
-    }
+    return {x: chain[min(X.height_of(x), len(chain) - 1)] for x in X.elements}
+
+
+def generate_monotone_map(seed: int, X: FinitePoset, Y: FinitePoset) -> dict[str, str]:
+    """Order-preserving map sending x to a chain element picked by height."""
+    return _chain_map(random.Random(f"map:{seed}"), X, Y)
 
 
 def generate_composite_instance(seed: int) -> tuple[Relation, Relation]:
@@ -91,8 +91,7 @@ def generate_composite_instance(seed: int) -> tuple[Relation, Relation]:
     rng = random.Random(f"composite:{seed}")
     X = generate_poset(rng.randrange(2**31), rng.randint(3, 7), height_cap=3)
     Z = generate_poset(rng.randrange(2**31), rng.randint(2, 5), height_cap=3)
-    chain = random_maximal_chain(rng, X)
-    g = {z: chain[min(Z.height_of(z), len(chain) - 1)] for z in Z.elements}
+    g = _chain_map(rng, Z, X)
     R1 = graph_relation(
         {x: x for x in X.elements}, X, X, RIGHT, source_name="X", target_name="Xm"
     )

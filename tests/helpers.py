@@ -22,16 +22,18 @@ reference for the mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, the index-set walk with an all-sets
 mode, homology on every sub-union, and a full free-face pass per sub-union)
 the reference for the mask-based one, its one nerve table and the
-truncation pass along the sub-union lattice, the dense chain complex after
-that (dense boundary matrices, fraction-free and dense GF(2) ranks, dense
-Smith normal form, persistence over rebuilt sub-unions) the reference for
-the sparse rows and the sparse Smith normal form elimination, Smith normal
-form on every simplex's boundary row the reference for homology after
-coreduction, the coreduction with a component pre-pass the reference for
-the one that finds components in its drain, homology on the whole order
-complex the reference for poset homology after weak-point removal, and the
-string-set poset at the end (frozenset reachability, cubic reduction,
-restriction by rebuild) the reference for the bitmask poset index.
+truncation pass along the sub-union lattice, the nerve's face poset the
+reference for the nerve's homology in the nerve-theorem checker, the dense
+chain complex after that (dense boundary matrices, fraction-free and dense
+GF(2) ranks, dense Smith normal form, persistence over rebuilt sub-unions)
+the reference for the sparse rows and the sparse Smith normal form
+elimination, Smith normal form on every simplex's boundary row the
+reference for homology after coreduction, the coreduction with a component
+pre-pass the reference for the one that finds components in its drain,
+homology on the whole order complex the reference for poset homology after
+weak-point removal, and the string-set poset at the end (frozenset
+reachability, cubic reduction, restriction by rebuild) the reference for
+the bitmask poset index.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from finspace.homology import (
     _reduced_betti,
     boundary_matrices,
     homology_equal,
+    homology_of_poset,
     reduced_homology,
     smith_normal_form,
 )
@@ -451,7 +454,7 @@ def listed_collapse_run(index, ids=None, rng=None):
     consulted before each insertion and removal; the (face id, coface id)
     pairs, or None when stuck."""
     start = range(len(index.simplices)) if ids is None else ids
-    present, count, cosum = clp._free_state(index, ids)
+    present, count, cosum = clp._free_state(index, start)
     faces = index.faces
     free = [s for s in start if count[s] == 1]
     listed = set(free)
@@ -990,6 +993,12 @@ def two_mode_index_sets(cover, max_subsets: int, nerve_simplices_only: bool):
 
 def slow_nerve(cover) -> SimplicialComplex:
     return SimplicialComplex(slow_index_sets(cover, 20, nerve_simplices_only=True))
+
+
+def face_poset_nerve_homology(cover) -> HomologyResult:
+    """The nerve's homology read off its face poset, the non-Hausdorff
+    nerve, as the nerve-theorem checker read it for finite-space covers."""
+    return homology_of_poset(non_hausdorff_nerve(cover))
 
 
 def _as_set(key) -> frozenset:

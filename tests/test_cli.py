@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from finspace import cli
+from finspace import cli, covers
 from finspace.cli import build_parser, main
 from finspace.collapse import CollapseCertificate, greedy_collapse_complex, replay_space_certificate
 from finspace.complexes import SimplicialComplex
@@ -20,8 +20,10 @@ from finspace.errors import (
 )
 from finspace.fixtures import (
     circle_arc_cover,
+    circle_complex,
     dunce_hat,
     finite_circle,
+    projective_plane,
     two_triangles,
     worked_example_spec,
 )
@@ -214,6 +216,37 @@ def test_suite_quick(paths, capsys, tmp_path):
     assert code == 0
     assert doc["failed"] == 0
     assert any(c["name"] == "golden/worked-example" for c in doc["checks"])
+
+
+_FIXTURE_FILES = {
+    "dunce-hat.json": dunce_hat,
+    "projective-plane.json": projective_plane,
+    "two-triangles.json": two_triangles,
+    "circle.json": circle_complex,
+}
+
+
+@pytest.mark.parametrize(
+    "drift, code, mismatches",
+    [
+        (None, 0, []),
+        ("edit", 1, [{"file": "circle.json", "reason": "content"}]),
+        ("remove", 1, [{"file": "circle.json", "reason": "missing"}]),
+    ],
+)
+def test_suite_checks_fixture_drift(drift, code, mismatches, capsys, tmp_path):
+    """The four bundled fixtures written with to_json pass the drift check;
+    an edited file fails it on content and a removed one as missing."""
+    for name, build in _FIXTURE_FILES.items():
+        (tmp_path / name).write_text(build().to_json())
+    if drift == "edit":
+        (tmp_path / "circle.json").write_text(two_triangles().to_json())
+    elif drift == "remove":
+        (tmp_path / "circle.json").unlink()
+    got, out = run(capsys, "suite", "--seed", "0", "--fixtures", str(tmp_path))
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "golden/fixture-drift")
+    assert (got, check["passed"]) == (code, not mismatches)
+    assert check["detail"] == {"mismatches": mismatches}
 
 
 def test_collapse_certificate_written_to_file(paths, capsys, tmp_path):
@@ -478,6 +511,53 @@ def test_check_modes_name_a_left_going_relation(paths, capsys, mode):
         "error: relation X2 -> X1 is left-going;"
         " the check modes compose right-going relations only\n"
     )
+
+
+_BACKWARDS = {
+    "spaces": [{"name": "X0", **_POSET}, {"name": "X1", "elements": ["c"], "relations": []}],
+    "relations": [{"source": "X1", "target": "X0", "pairs": [], "direction": "right"}],
+}
+_ONE_MEMBER_DUNCE_HAT = Cover("complex", dunce_hat(), (("D", dunce_hat()),)).to_doc()
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["verify", "trivial-subnerve-complex"], _ONE_MEMBER_DUNCE_HAT, "N0 is empty; no verified intersections"),
+        (["verify", "reduced-complex"], _ONE_MEMBER_DUNCE_HAT, "reduced N0 is empty; no verified intersections"),
+        (["cylinder", "--mode", "intermediate-left"], _CYLINDER, "intermediate checks need exactly two relations"),
+        (["cylinder"], _BACKWARDS, "relation 0 marked right does not match X0->X1"),
+        (["cylinder"], {**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a", "zz"]]}]}, "'zz' not in target poset"),
+    ],
+)
+def test_input_errors_exit_2_with_their_message(argv, doc, message, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code = main(argv + ["--in", str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "step",
+    [_CERT["steps"][0], {"kind": "down-beat", "element": "zz"}],
+    ids=["free-pair-step", "unknown-element"],
+)
+def test_replay_space_rejects_a_step_it_cannot_take(step, tmp_path, capsys):
+    p = tmp_path / "replay.json"
+    p.write_text(json.dumps({"poset": _POSET, "certificate": {"steps": [step]}}))
+    code, out = run(capsys, "verify", "replay-space", "--in", str(p))
+    assert (code, json.loads(out)) == (1, {"replay_ok": False})
+
+
+def test_verify_exits_1_when_the_hypotheses_hold_and_the_homologies_differ(
+    paths, capsys, monkeypatch
+):
+    monkeypatch.setattr(covers, "homology_equal", lambda a, b: False)
+    code, out = run(capsys, "verify", "good-complex", "--in", str(paths["cover"]))
+    doc = json.loads(out)
+    assert (doc["hypothesis_verdict"], doc["conclusion_homology_match"]) == ("yes", False)
+    assert code == 1
 
 
 def test_malformed_input_exit_code_from_the_shell(tmp_path):

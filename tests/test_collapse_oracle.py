@@ -155,10 +155,9 @@ def test_random_schedules_match_oracle():
         base = frozenset(index.id_of[s] for s in K.all_simplices())
         outside = [i for i in range(len(index.simplices)) if i not in base]
         for r in range(3):
-            for ids, end, target in ((None, 1, None), (outside, 0, K)):
+            for ids, end, target in ((range(len(index.simplices)), 1, None), (outside, 0, K)):
                 pairs = clp._collapse_run(index, ids, random.Random(f"{seed}:{r}"))
-                size = len(index.simplices) if ids is None else len(ids)
-                ours = _accepted(index, pairs, size, end)
+                ours = _accepted(index, pairs, len(ids), end)
                 theirs = slow_collapse_run(C, target, random.Random(f"{seed}:{r}"))
                 assert ours == theirs
 
@@ -330,7 +329,8 @@ def test_one_loop_matches_the_loop_with_a_listed_set():
     runs = Counter()
     for seed, cov in enumerate(_subunion_covers()):
         index = cov.parent.index()
-        passes = [(None, False)] + [(_ids(u & ~b), bool(b)) for u, b in _lattice_passes(cov)]
+        whole = range(len(index.simplices))
+        passes = [(whole, False)] + [(_ids(u & ~b), bool(b)) for u, b in _lattice_passes(cov)]
         for ids, relative in passes:
             for r in (None, 0, 1, 2):
                 rngs = [None if r is None else random.Random(f"{seed}:{r}") for _ in range(2)]

@@ -42,6 +42,7 @@ from finspace.generators import (
 from finspace.persistence import check_truncation_theorem
 
 from helpers import (
+    face_poset_nerve_homology,
     polygon_arc_cover,
     sd_boundary,
     slow_check_truncation_theorem,
@@ -184,6 +185,21 @@ def test_nerves_match_oracle():
         assert list(rn.poset.elements) == list(slow.poset.elements)
         assert rn.classes == slow.classes
         assert_class_intersections_match(cov, rn.classes)
+
+
+NERVE_FLAVORS = [f for f, (_, _, obj) in covers.FLAVORS.items() if obj == "nerve"]
+
+
+def test_nerve_flavors_read_the_face_poset_homology_off_the_nerve():
+    """The nerve flavours take the nerve's homology from the nerve for
+    finite-space covers too; the order complex of its face poset is the
+    nerve's barycentric subdivision, so the face poset's homology is the
+    same, on the finite circle and every good-space cover of seeds 0-59."""
+    assert len(NERVE_FLAVORS) == 4
+    for cov in [finite_circle_cover()] + [generate_good_space_cover(s)[1] for s in range(60)]:
+        expected = face_poset_nerve_homology(cov).summary()
+        for flavor in NERVE_FLAVORS:
+            assert covers.check_nerve_theorem(cov, flavor)["nerve_homology"] == expected
 
 
 def test_n_zero_matches_oracle():

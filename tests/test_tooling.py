@@ -254,3 +254,34 @@ def test_the_library_reads_no_document_back_from_its_own_text():
         if name.endswith(".py") and (lines := _json_round_trips(os.path.join(package, name)))
     }
     assert found == {}
+
+
+def _none_ids(path: str) -> list:
+    """The lines of a module that test ``ids is None`` or give a parameter
+    named ids a None default."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name):
+            if node.left.id == "ids" and any(
+                isinstance(op, (ast.Is, ast.IsNot)) and is_none(right)
+                for op, right in zip(node.ops, node.comparators)
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.arguments):
+            positional = node.posonlyargs + node.args
+            pairs = list(zip(positional[len(positional) - len(node.defaults):], node.defaults))
+            pairs += [(a, d) for a, d in zip(node.kwonlyargs, node.kw_defaults) if d is not None]
+            lines += [d.lineno for a, d in pairs if a.arg == "ids" and is_none(d)]
+    return sorted(lines)
+
+
+def test_the_free_face_layer_has_one_form_for_the_whole_index():
+    """The free-face functions take their ids as a sequence only; the whole
+    index is ``range(len(index.simplices))``, never a None standing for it."""
+    assert _none_ids(os.path.join(ROOT, "src", "finspace", "collapse.py")) == []
