@@ -77,14 +77,21 @@ class SimplexIndex:
 
     def _link(self, levels: list[list[tuple[str, ...]]]) -> None:
         """Number the simplices of levels in order and link each to its
-        faces and cofaces: the one step that makes every index."""
+        faces and cofaces: the one step that makes every index.
+
+        The faces of a dimension are looked up in one flat stream, the
+        codimension-1 faces of each of its simplices in turn, and grouped
+        back into tuples of d + 1 by one iterator zipped with itself; the
+        cofaces are appended face by face, in id order.
+        """
         self.simplices: list[tuple[str, ...]] = list(chain.from_iterable(levels))
         self.id_of: dict[tuple[str, ...], int] = dict(zip(self.simplices, count()))
         self.dim_start: list[int] = list(accumulate(map(len, levels), initial=0))
         face_id = self.id_of.__getitem__
         faces: list[tuple[int, ...]] = [()] * len(levels[0]) if levels else []  # a vertex has none
         for d, level in enumerate(levels[1:], 1):
-            faces += [tuple(map(face_id, combinations(s, d))) for s in level]
+            stream = map(face_id, chain.from_iterable(map(combinations, level, repeat(d))))
+            faces += zip(*[stream] * (d + 1))
         cofaces: list[list[int]] = [[] for _ in faces]
         for i, ids in enumerate(faces):
             for f in ids:

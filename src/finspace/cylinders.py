@@ -170,8 +170,9 @@ class CylinderSpec(Document):
     ``spaces`` is a list of (copy name, poset).  A right relation R_i has
     source X_i and target X_{i+1}; a left one the other way around.  In the
     document each space is a poset document with a ``name`` and each
-    relation names its source and target spaces; its direction defaults to
-    right.
+    relation names its source and target spaces, which must be its two
+    copies in the order of its direction even when their posets are equal;
+    its direction defaults to right.
     """
 
     spaces: tuple[tuple[str, FinitePoset], ...]
@@ -187,10 +188,7 @@ class CylinderSpec(Document):
             raise MalformedSpec("duplicate copy names")
         for i, R in enumerate(self.relations):
             lo, hi = self.spaces[i][1], self.spaces[i + 1][1]
-            if R.direction == RIGHT and (R.source, R.target) != (lo, hi):
-                raise MalformedSpec(f"relation {i} marked right does not match X{i}->X{i+1}")
-            if R.direction == LEFT and (R.source, R.target) != (hi, lo):
-                raise MalformedSpec(f"relation {i} marked left does not match X{i+1}->X{i}")
+            _check_direction(i, R.direction, (R.source, R.target), lo, hi)
 
     def to_doc(self) -> dict:
         return {
@@ -228,7 +226,23 @@ class CylinderSpec(Document):
             relations.append(
                 Relation(source, target, frozenset(map(tuple, pairs)), direction, sn, tn)
             )
-        return CylinderSpec(tuple(spaces), tuple(relations))
+        spec = CylinderSpec(tuple(spaces), tuple(relations))
+        # equal posets pass the check above, so the document's names decide
+        for i, R in enumerate(relations):
+            lo, hi = spaces[i][0], spaces[i + 1][0]
+            _check_direction(i, R.direction, (R.source_name, R.target_name), lo, hi)
+        return spec
+
+
+def _check_direction(i: int, direction: str, ends: tuple, lo, hi) -> None:
+    """Raise MalformedSpec unless the ends of relation i, its (source,
+    target), run from lo to hi when it is marked right and from hi to lo
+    when it is marked left: lo and hi stand for copies i and i + 1, as
+    posets or as names."""
+    if direction == RIGHT and ends != (lo, hi):
+        raise MalformedSpec(f"relation {i} marked right does not match X{i}->X{i+1}")
+    if direction == LEFT and ends != (hi, lo):
+        raise MalformedSpec(f"relation {i} marked left does not match X{i+1}->X{i}")
 
 
 def multiple_cylinder(spec: CylinderSpec) -> FinitePoset:

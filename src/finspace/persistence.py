@@ -224,6 +224,12 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
     Euler count, which can balance on a sphere.  When the relative pass
     gets stuck, the full pass runs on all the ids of K_J, and when that
     gets stuck too, the homology of those ids decides.
+
+    The deterministic pass is a function of its ids alone, and different
+    sub-unions often hand it the same ids (what K_J adds to K_{J-j} can be
+    what another union adds to its predecessor), so each id mask is passed
+    once per call and its outcome kept, for the relative and the full pass
+    alike.
     """
     index = cover.parent.index()
     names = cover.names()
@@ -231,6 +237,13 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
     member = dict(zip(bit.values(), cover._member_masks(names)))  # member bit -> mask
     union_of = {0: 0}  # index set as a mask of member bits -> union mask
     collapsed = {0}  # union masks shown to collapse to isolated vertices
+    passed: dict[int, bool] = {}  # id mask -> whether the pass on its ids succeeded
+
+    def passes(mask: int) -> bool:
+        if mask not in passed:
+            passed[mask] = clp._collapse_run(index, _ids(mask)) is not None
+        return passed[mask]
+
     failure_of: dict[int, dict | None] = {}
     failures = []
     for J in subsets:
@@ -243,9 +256,7 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
         if union not in failure_of:
             failure_of[union] = None
             best = max((u for u, _ in below if u in collapsed), key=int.bit_count, default=0)
-            if clp._collapse_run(index, _ids(union & ~best)) is not None or (
-                best and clp._collapse_run(index, _ids(union)) is not None
-            ):
+            if passes(union & ~best) or (best and passes(union)):
                 collapsed.add(union)
             else:
                 hom = _homology(index, _ids(union))

@@ -5,8 +5,9 @@ contractibility is decided by searching every beat-point removal order,
 chains are enumerated from the raw order relation, and transitive closures
 are recomputed from scratch.  The facet-subset index build and the
 maximal-chain order complex are the reference for the level-built index and
-the chain-listing order complex.  The slow collapse engine further down is
-the reference for the indexed one, the free-face engines after it (a state
+the chain-listing order complex, and the per-simplex link the reference for
+the one that looks up each dimension's faces in one stream.  The slow
+collapse engine further down is the reference for the indexed one, the free-face engines after it (a state
 with methods, its parent-array pass stopped on a simplex count, and the
 truncation checker's old pass in dicts and a heap, the loop with a set
 mirroring its free list) the reference for the one loop on ids, the
@@ -30,8 +31,9 @@ the reference for the sparse rows and the sparse Smith normal form
 elimination, Smith normal form on every simplex's boundary row the
 reference for homology after coreduction, the coreduction with a component
 pre-pass the reference for the one that finds components in its drain,
-homology on the whole order complex the reference for poset homology after
-weak-point removal, and the string-set poset at the end (frozenset
+the coreduction with a call per removed simplex the reference for the
+inline drain, homology on the whole order complex the reference for poset
+homology after weak-point removal, and the string-set poset at the end (frozenset
 reachability, cubic reduction, restriction by rebuild) the reference for
 the bitmask poset index.
 """
@@ -43,7 +45,7 @@ import random
 from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Sequence
-from itertools import combinations
+from itertools import accumulate, chain, combinations, count
 from math import gcd
 
 from finspace import collapse as clp
@@ -146,6 +148,27 @@ def subset_simplex_index(facets) -> SimplexIndex:
             index.cofaces[f].append(i)
         index.faces.append(faces)
     index.dim_start.append(len(index.simplices))
+    return index
+
+
+def per_simplex_index(levels) -> SimplexIndex:
+    """The index linked from levels (see ``SimplexIndex``) one simplex at
+    a time: ``SimplexIndex._link`` before it looked up a dimension's faces
+    in one stream.  Each simplex's face tuple is built by a comprehension
+    of its own, and the coface lists are appended in id order."""
+    index = SimplexIndex.__new__(SimplexIndex)
+    index.simplices = list(chain.from_iterable(levels))
+    index.id_of = dict(zip(index.simplices, count()))
+    index.dim_start = list(accumulate(map(len, levels), initial=0))
+    face_id = index.id_of.__getitem__
+    faces = [()] * len(levels[0]) if levels else []
+    for d, level in enumerate(levels[1:], 1):
+        faces += [tuple(map(face_id, combinations(s, d))) for s in level]
+    cofaces = [[] for _ in faces]
+    for i, ids in enumerate(faces):
+        for f in ids:
+            cofaces[f].append(i)
+    index.faces, index.cofaces = faces, cofaces
     return index
 
 
@@ -1481,6 +1504,44 @@ def prepass_coreduce(index: SimplexIndex, ids: Sequence[int]) -> tuple[list[int]
         if alive[c] and live[c] == 1:
             remove(c)
             remove(next(f for f in faces[c] if alive[f]))
+    return [i for i, a in enumerate(alive) if a], components - 1
+
+
+def closure_coreduce(index: SimplexIndex, ids: Sequence[int]) -> tuple[list[int], int]:
+    """The library's ``_coreduce`` before its drain ran inline: a nested
+    ``remove`` called once per removed simplex, and the live face of a
+    queued coface found by a generator.  The same one scan of the vertices
+    and the same FIFO queue; returns the ascending ids left and the
+    components beyond the first."""
+    faces, cofaces = index.faces, index.cofaces
+    live = [len(f) for f in faces]
+    if len(ids) == len(faces):
+        alive = bytearray(b"\x01") * len(faces)
+    else:
+        alive = bytearray(len(faces))
+        for i in ids:
+            alive[i] = 1
+    queue: deque[int] = deque()
+
+    def remove(x: int) -> None:
+        alive[x] = 0
+        for c in cofaces[x]:
+            if alive[c]:
+                live[c] -= 1
+                if live[c] == 1:
+                    queue.append(c)
+
+    components = 0
+    for v in ids[: bisect_left(ids, index.dim_start[1])]:
+        if not alive[v]:
+            continue
+        components += 1
+        remove(v)
+        while queue:
+            c = queue.popleft()
+            if alive[c] and live[c] == 1:
+                remove(c)
+                remove(next(f for f in faces[c] if alive[f]))
     return [i for i, a in enumerate(alive) if a], components - 1
 
 

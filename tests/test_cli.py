@@ -528,6 +528,9 @@ _ONE_MEMBER_DUNCE_HAT = Cover("complex", dunce_hat(), (("D", dunce_hat()),)).to_
         (["cylinder", "--mode", "intermediate-left"], _CYLINDER, "intermediate checks need exactly two relations"),
         (["cylinder"], _BACKWARDS, "relation 0 marked right does not match X0->X1"),
         (["cylinder"], {**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a", "zz"]]}]}, "'zz' not in target poset"),
+        # X and Y are equal posets, so only the names show the wrong way
+        (["cylinder"], {**_CYLINDER, "relations": [{"source": "Y", "target": "X", "pairs": [["a", "a"]], "direction": "right"}]}, "relation 0 marked right does not match X0->X1"),
+        (["cylinder"], {**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a", "a"]], "direction": "left"}]}, "relation 0 marked left does not match X1->X0"),
     ],
 )
 def test_input_errors_exit_2_with_their_message(argv, doc, message, tmp_path, capsys):

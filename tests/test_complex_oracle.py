@@ -3,8 +3,10 @@ code they replaced (tests/helpers.py).
 
 ``SimplexIndex`` from facets must equal the facet-subset build field for
 field, and ``order_complex`` must equal the maximal-chain walk in facets,
-vertices and index, on every family below.  The nerve and N0, whose indexes
-are linked from the nerve table, are checked in test_cover_oracle.py.
+vertices and index, on every family below, and ``SimplexIndex._link``
+must equal the per-simplex link on the same levels.  The nerve and N0,
+whose indexes are linked from the nerve table, are checked in
+test_cover_oracle.py.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ from finspace.fixtures import dunce_hat, projective_plane
 from finspace.generators import generate_complex, generate_poset
 from finspace.posets import FinitePoset, antichain, build_poset, chain
 
-from helpers import maximal_chain_order_complex, sd_boundary, subset_simplex_index
+from helpers import (
+    maximal_chain_order_complex,
+    per_simplex_index,
+    sd_boundary,
+    subset_simplex_index,
+)
 
 FIELDS = ("simplices", "id_of", "faces", "cofaces", "dim_start")
 
@@ -104,6 +111,19 @@ def test_order_complex_matches_the_maximal_chains():
         assert K.facets == oracle.facets
         assert K.vertices == oracle.vertices == frozenset(X.elements)
         assert_same_index(K.index(), subset_simplex_index(oracle.facets))
+
+
+def test_link_matches_the_per_simplex_link():
+    """One face stream per dimension links the index that one face tuple
+    per simplex does: facet-built indexes, order complexes (the graded
+    posets among them) and sd of the n-simplex boundary for n <= 4."""
+    indexes = [SimplexIndex(map(frozenset, facets)) for facets in facet_family()]
+    indexes += [order_complex(X).index() for X in poset_family()]
+    indexes += [sd_boundary(n).index() for n in range(1, 5)]
+    for index in indexes:
+        levels = [index.simplices[a:b] for a, b in zip(index.dim_start, index.dim_start[1:])]
+        assert_same_index(index, per_simplex_index(levels))
+    assert max(len(index.dim_start) for index in indexes) == 10  # a 9-chain's 8-simplex
 
 
 def test_empty_poset_gives_the_empty_complex():

@@ -296,6 +296,22 @@ def test_cylinder_spec_validation():
         CylinderSpec((("X0", X),), ())
 
 
+def test_a_document_orients_a_relation_between_equal_posets_by_its_names():
+    """Between two equal posets only the names orient a relation: named
+    in its direction, it reads either way and puts the even copy below;
+    the worked example reads back from its document."""
+    twins = [{"name": n, "elements": ["a", "b"], "relations": [["a", "b"]]} for n in ("X0", "X1")]
+    for direction, ends, below in ((RIGHT, ("X0", "X1"), ("X0.a", "X1.b")),
+                                   (LEFT, ("X1", "X0"), ("X0.b", "X1.a"))):
+        relation = dict(zip(("source", "target"), ends), direction=direction, pairs=[["a", "b"]])
+        doc = {"spaces": twins, "relations": [relation]}
+        spec = CylinderSpec.from_doc(doc)
+        assert spec.to_doc() == doc
+        assert multiple_cylinder(spec).lt(*below)
+    spec = worked_example_spec()
+    assert CylinderSpec.from_doc(spec.to_doc()) == spec
+
+
 def test_suite_coincidence_check_reads_the_definition(monkeypatch):
     """The suite's cylinder check compares each cylinder with the order its
     definition gives, so a cylinder builder that drops a related pair fails

@@ -15,7 +15,7 @@ from finspace.complexes import (
 from finspace.errors import EmptyComplex, EmptySpace
 from finspace.fixtures import dunce_hat, finite_circle, projective_plane
 from finspace.generators import generate_complex, generate_poset
-from finspace.posets import _height, _weak_reduction, antichain, build_poset, chain
+from finspace.posets import _height, _ids, _weak_reduction, antichain, build_poset, chain
 from finspace.homology import (
     _coreduce,
     _homology,
@@ -34,6 +34,7 @@ from helpers import (
     betti_numbers_gf2_oracle,
     betti_numbers_oracle,
     boundary_of_boundary,
+    closure_coreduce,
     dense_boundary_matrices,
     full_snf_homology,
     graded_poset,
@@ -319,6 +320,24 @@ def test_one_scan_coreduction_matches_the_prepass_oracle():
         assert (left, extra) == prepass_coreduce(index, ids)
         disconnected += extra > 0
     assert disconnected >= 80
+
+
+def test_inline_drain_matches_the_closure_oracle():
+    """The cells left and the components counted equal those of the drain
+    with a call per removed simplex, on the homology families' whole
+    indexes and on seeded face-closed subsets of their ids."""
+    partial = 0
+    for n, K in enumerate(_homology_families()):
+        index = K.index()
+        whole = range(len(index.simplices))
+        assert _coreduce(index, whole) == closure_coreduce(index, whole)
+        rng = random.Random(f"coreduce:{n}")
+        facets = sorted(sorted(f) for f in K.facets)
+        for _ in range(3):
+            ids = _ids(index.down_closure(rng.sample(facets, rng.randint(1, len(facets)))))
+            assert _coreduce(index, ids) == closure_coreduce(index, ids)
+            partial += len(ids) < len(whole)
+    assert partial >= 100  # of 246 subsets, the rest all of K
 
 
 def test_coreduction_leaves_one_cell_of_the_subdivided_six_sphere():

@@ -39,6 +39,8 @@ X = build_poset(["a", "b"], [("a", "b")])
 Y = build_poset(["c"], [])
 R = Relation(X, Y, frozenset({("a", "c")}))
 EMPTY_POSET = build_poset([], [])
+# two equal posets: a relation between them is told apart by its names only
+_TWINS = [{"name": n, "elements": ["a", "b"], "relations": [["a", "b"]]} for n in ("X0", "X1")]
 EMPTY_COMPLEX = SimplicialComplex([])
 
 
@@ -70,6 +72,18 @@ CASES = {
     ),
     "left-relation-stored-forwards": (
         lambda: CylinderSpec((("X0", X), ("X1", Y)), (Relation(X, Y, R.pairs, LEFT),)),
+        MalformedSpec, "relation 0 marked left does not match X1->X0",
+    ),
+    "right-relation-named-backwards-between-equal-posets": (
+        lambda: CylinderSpec.from_doc({"spaces": _TWINS, "relations": [
+            {"source": "X1", "target": "X0", "pairs": [], "direction": "right"}
+        ]}),
+        MalformedSpec, "relation 0 marked right does not match X0->X1",
+    ),
+    "left-relation-named-forwards-between-equal-posets": (
+        lambda: CylinderSpec.from_doc({"spaces": _TWINS, "relations": [
+            {"source": "X0", "target": "X1", "pairs": [], "direction": "left"}
+        ]}),
         MalformedSpec, "relation 0 marked left does not match X1->X0",
     ),
     "mapping-cylinder-counts": (

@@ -7,7 +7,7 @@ from finspace import persistence
 from finspace import collapse as clp
 from finspace.collapse import _collapse_run
 from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary
-from finspace.covers import Cover, classify_cover, nerve
+from finspace.covers import Cover, _all_index_sets, classify_cover, nerve
 from finspace.errors import InvalidCover, NotAChain, UnknownMember
 from finspace.fixtures import (
     circle_arc_cover,
@@ -22,8 +22,10 @@ from finspace.posets import _ids
 
 from helpers import (
     betti_numbers_gf2_oracle,
+    per_union_positive_degree_failures,
     polygon_arc_cover,
     sd_boundary,
+    seeded_cone_cover,
     slow_check_truncation_theorem,
     slow_persistence_over_chain,
     star_cover,
@@ -342,6 +344,32 @@ def test_relative_pass_stuck_on_a_joining_arc_falls_back_to_the_full_pass(monkey
     assert joining == [("p06",), ("p05", "p06"), ("p06", "p07")]
     assert not stuck
     assert len(whole) == 25 and collapsed
+
+
+def test_each_distinct_pass_runs_once(monkeypatch):
+    """The walk passes each id mask at most once per call, whether it asks
+    for the mask as what a union adds or as a whole union, and its failures
+    are those of one full pass per distinct sub-union."""
+    runs, real = [], clp._collapse_run
+
+    def recording(index, ids, rng=None):
+        runs.append(tuple(ids))
+        return real(index, ids, rng)
+
+    monkeypatch.setattr(clp, "_collapse_run", recording)
+    covers = [polygon_arc_cover(12, [0, 3, 6, 9]), polygon_arc_cover(9, [0, 2, 3, 7, 8])]
+    covers += [seeded_cone_cover(seed, 6) for seed in range(4)]
+    covers += [star_cover(sd_boundary(2)), star_cover(simplex_boundary(3))]
+    counts = []
+    for cov in covers:
+        subsets = list(_all_index_sets(cov))
+        runs.clear()
+        failures = persistence._positive_degree_failures(cov, subsets)
+        assert len(runs) == len(set(runs))
+        counts.append(len(runs))
+        assert failures == per_union_positive_degree_failures(cov, subsets)
+    # the walk asks for 20, 40, 39, 51, 55, 44, 35 and 6 passes
+    assert counts == [17, 22, 21, 26, 32, 23, 32, 6]
 
 
 def test_dunce_hat_subunion_falls_back_to_homology(monkeypatch):

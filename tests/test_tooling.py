@@ -86,6 +86,26 @@ def test_perf_smoke_check_fails_on_wrong_output_or_hook_errors(
     assert run.returncode == exit_code
 
 
+@pytest.mark.parametrize("correct, exit_code", [(True, 0), (False, 1)])
+def test_perf_smoke_runs_each_workload_untraced_too(tmp_path, correct, exit_code):
+    """After each traced pass, the smoke runs the workload untraced, the
+    path the benchmark times, and its check fails unless the result line
+    says the outputs were correct."""
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as fh:
+        doc = yaml.safe_load(fh)
+    runs = [step.get("run", "") for step in doc["jobs"]["tests"]["steps"]]
+    lines = next(r for r in runs if "perfbench/run.py" in r).splitlines()
+    untraced = next(i for i, line in enumerate(lines) if "--seed 1 --seconds 1 --trace 0" in line)
+    assert untraced > next(i for i, line in enumerate(lines) if "--trace 1" in line)
+    assert "python3 -c" in lines[untraced + 1]
+    result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1}
+    (tmp_path / "smoke.out").write_text("{}\n" + json.dumps(result) + "\n")
+    code = shlex.split(lines[untraced + 1])[-1]
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, timeout=60)
+    assert run.returncode == exit_code
+
+
 def test_perf_smoke_forgives_exactly_the_functions_that_left():
     """The smoke's allow-list of untraced functions (the set literal in its
     check) is GONE: an extra entry there would let a rename zero its counts
