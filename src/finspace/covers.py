@@ -28,7 +28,7 @@ exclude them and list them separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, groupby
 from operator import and_, or_
 
@@ -240,10 +240,10 @@ def _nerve_table(cover: Cover, cap: int = MAX_MEMBERS) -> dict[tuple[str, ...], 
     return table
 
 
-def _all_index_sets(cover: Cover):
-    """Every non-empty index set, in the nerve table's order (size, then
-    lexicographic)."""
-    names = sorted(cover.names())
+def _all_index_sets(names):
+    """Every non-empty index set over the names, in the nerve table's order
+    (size, then lexicographic)."""
+    names = sorted(names)
     return (J for k in range(1, len(names) + 1) for J in combinations(names, k))
 
 
@@ -315,18 +315,58 @@ class IntersectionRecord:
     collapsibility: clp.TriStateResult | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverClassification:
-    records: tuple[IntersectionRecord, ...]
+    """The good and strong-good verdicts of a cover, with a record per
+    index set built on first read.
+
+    ``table`` maps the listed index sets to the masks of their
+    intersections, a falsy mask meaning an empty one, and ``verdicts``
+    each distinct non-empty mask to its (triviality, collapsibility).  With
+    ``names``, the records list every non-empty index set over those names
+    in (size, lexicographic) order, an index set outside the table being
+    empty; without, they list the table's index sets in its order.
+    Equality compares the records and both verdicts.
+    """
+
     good: str
     strong_good: str
+    table: dict = field(repr=False)
+    verdicts: dict = field(repr=False)
+    names: tuple[str, ...] | None = None
+
+    @cached_property
+    def records(self) -> tuple[IntersectionRecord, ...]:
+        index_sets = self.table if self.names is None else _all_index_sets(self.names)
+        return tuple(map(self._record, index_sets))
+
+    def _record(self, J: tuple[str, ...]) -> IntersectionRecord:
+        mask = self.table.get(J)
+        if not mask:
+            return IntersectionRecord(J, True, None, None)
+        return IntersectionRecord(J, False, *self.verdicts[mask])
 
     def record(self, J) -> IntersectionRecord:
+        """The record of the index set J, read off the table and the
+        verdicts; UnknownMember when the records do not list J."""
         J = tuple(sorted(J))
-        for r in self.records:
-            if r.index_set == J:
-                return r
-        raise UnknownMember(f"no record for index set {J}")
+        if self.names is None:
+            listed = J in self.table
+        else:
+            listed = 0 < len(J) == len(set(J)) and set(J) <= set(self.names)
+        if not listed:
+            raise UnknownMember(f"no record for index set {J}")
+        return self._record(J)
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverClassification):
+            return NotImplemented
+        return (self.records, self.good, self.strong_good) == (
+            other.records, other.good, other.strong_good
+        )
+
+    def __hash__(self):
+        return hash((self.records, self.good, self.strong_good))
 
 
 def classify_cover(
@@ -341,35 +381,28 @@ def classify_cover(
     The index sets are the nerve table's, or with ``nerve_simplices_only``
     false every index set in the same (size, lexicographic) order, those
     outside the table being empty; a cover of more than max_subsets members
-    is refused.  Empty intersections are recorded and skipped.  Each
-    distinct non-empty intersection is searched once: every index set with
-    the same mask shares its verdicts, which the cover keeps per (restarts,
-    seed), so a later classification of the same cover runs no search.
-    The triviality verdict is derived from the collapsibility verdict by
-    the rule for the cover's kind: ``collapse._after_complex_collapse`` for
-    an intersection of subcomplexes, ``collapse._after_collapse`` for one
-    of open subsets.
+    is refused.  Each distinct non-empty intersection mask of the table is
+    decided once, and every index set with that mask shares its verdicts,
+    which the cover keeps per (restarts, seed), so a later classification
+    of the same cover runs no search.  The good and strong-good verdicts
+    aggregate those distinct verdicts, and the per-index-set records are
+    built only when read, from the table and the verdicts.  The triviality
+    verdict is derived from the collapsibility verdict by the rule for the
+    cover's kind: ``collapse._after_complex_collapse`` for an intersection
+    of subcomplexes, ``collapse._after_collapse`` for one of open subsets.
     """
-    known = cover._memo.setdefault(("verdicts", restarts, seed), {})
     table = _nerve_table(cover, max_subsets)
-    if nerve_simplices_only:
-        index_sets = table.items()
-    else:
-        index_sets = ((J, table.get(J, 0)) for J in _all_index_sets(cover))
-    records = []
-    for J, mask in index_sets:
-        if not mask:
-            records.append(IntersectionRecord(J, True, None, None))
-            continue
+    # the cover's only writer of its verdicts: they hold the table's masks alone
+    known = cover._memo.setdefault(("verdicts", restarts, seed), {})
+    for mask in table.values():
         if mask not in known:
             known[mask] = _classify_intersection(cover, mask, restarts, seed)
-        records.append(IntersectionRecord(J, False, *known[mask]))
-    nonempty = [r for r in records if not r.empty]
-    good = clp.aggregate_verdict(r.triviality.verdict for r in nonempty)
-    strong = clp.aggregate_verdict(r.collapsibility.verdict for r in nonempty)
+    good = clp.aggregate_verdict(t.verdict for t, _ in known.values())
+    strong = clp.aggregate_verdict(c.verdict for _, c in known.values())
     if strong == "yes" and good != "yes":
         raise InvariantViolation("collapsible intersections must classify as good")
-    return CoverClassification(tuple(records), good, strong)
+    names = None if nerve_simplices_only else tuple(sorted(cover.names()))
+    return CoverClassification(good, strong, table, known, names)
 
 
 def _classify_intersection(
@@ -407,11 +440,8 @@ def _verdicts(cover: Cover, mode: str, classification, restarts: int = 8, seed: 
     cls = classification or classify_cover(
         cover, nerve_simplices_only=True, restarts=restarts, seed=seed
     )
-    verdict_of = {
-        r.index_set: (r.triviality if mode == "trivial" else r.collapsibility).verdict
-        for r in cls.records
-        if not r.empty
-    }
+    k = 0 if mode == "trivial" else 1  # the verdict's place in (triviality, collapsibility)
+    verdict_of = {J: cls.verdicts[m][k].verdict for J, m in cls.table.items() if m}
     return verdict_of, tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
 
 

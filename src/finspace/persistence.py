@@ -11,10 +11,12 @@ The truncation checker likewise decides each sub-union on its ids, and
 builds none.  It walks the index sets along the sub-union lattice, in the
 order they are enumerated: K_J is K_{J-j} plus what member j adds, and
 collapses compose, so K_J passes when its added simplices collapse away
-onto the largest K_{J-j} already shown to collapse to isolated vertices.
-That relative pass stops when no added simplex of positive dimension is
-left, not on an Euler count.  When it gets stuck, the full pass runs on all
-of K_J's ids, and when that gets stuck too, their homology decides.
+onto any K_{J-j} already shown to collapse to isolated vertices.  Each such
+predecessor is tried in turn, the largest first, by a relative pass that
+stops when no added simplex of positive dimension is left, not on an Euler
+count.  When every one gets stuck, the full pass runs on all of K_J's ids,
+and when that gets stuck too, their homology decides.  The work is paid
+once per distinct sub-union, not once per index set.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def check_truncation_theorem(
     N = nerve(cover)
     part1 = homology_equal(reduced_homology(cover.parent), reduced_homology(N))
     if len(names) <= max_enum:
-        subsets = list(_all_index_sets(cover))
+        subsets = list(_all_index_sets(names))
         enumeration = "exhaustive"
     else:
         rng = random.Random(seed)
@@ -208,22 +210,27 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
     """Sub-unions K_J with homology in a positive degree, with that homology.
 
     The index sets are walked in their given order; an index set's mask of
-    members keys a table of the union masks met so far, and the union of J
-    is the union of some J minus one member j, taken from the table, OR
-    the mask of j (OR over all members when no such set came before, as
-    can happen in the sampled mode).  Sub-unions are told apart by their
-    union masks, and each distinct one is decided once, on the parent's
-    simplex index restricted to its ids.  No sub-union is built.
+    members, the OR of their bits, keys a table of the union masks met so
+    far, and the union of J is the union of J minus its last member, taken
+    from the table, OR that member's mask (OR over all members when that
+    set did not come before, as can happen in the sampled mode).
+    Sub-unions are told apart by their union masks, and only a union not
+    met before costs more than those lookups: each distinct one is decided
+    once, on the parent's simplex index restricted to its ids.  No
+    sub-union is built.
 
     A K_J that collapses to isolated vertices is acyclic in positive
-    degrees.  Collapses compose, so K_J passes when it collapses onto a
-    sub-union K_{J-j} already shown to collapse to vertices: the pass runs
-    only on the ids K_J adds, with K_{J-j}'s simplices kept, from the
-    largest such predecessor (the empty one for a first member).  The pass
-    stops when no added simplex of positive dimension is left, never on an
-    Euler count, which can balance on a sphere.  When the relative pass
-    gets stuck, the full pass runs on all the ids of K_J, and when that
-    gets stuck too, the homology of those ids decides.
+    degrees.  Collapses compose, so K_J passes when it collapses onto any
+    sub-union K_{J-j} already shown to collapse to vertices: a relative
+    pass runs only on the ids K_J adds, with K_{J-j}'s simplices kept.
+    Every such predecessor is tried in turn, the largest first (the empty
+    one for a first member), until one pass succeeds.  The pass stops when
+    no added simplex of positive dimension is left, never on an Euler
+    count, which can balance on a sphere.  When every relative pass gets
+    stuck, or no predecessor has collapsed, the full pass runs on all the
+    ids of K_J, and when that gets stuck too, the homology of those ids
+    decides.  The verdict does not depend on the route: a union fails
+    exactly when it has homology in a positive degree.
 
     The deterministic pass is a function of its ids alone, and different
     sub-unions often hand it the same ids (what K_J adds to K_{J-j} can be
@@ -238,26 +245,29 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
     union_of = {0: 0}  # index set as a mask of member bits -> union mask
     collapsed = {0}  # union masks shown to collapse to isolated vertices
     passed: dict[int, bool] = {}  # id mask -> whether the pass on its ids succeeded
-
-    def passes(mask: int) -> bool:
-        if mask not in passed:
-            passed[mask] = clp._collapse_run(index, _ids(mask)) is not None
-        return passed[mask]
-
     failure_of: dict[int, dict | None] = {}
     failures = []
     for J in subsets:
-        bits = [bit[n] for n in J]
-        key = sum(bits)
-        # (union of J minus b, b) for the members b whose J minus b came before
-        below = [(union_of[key ^ b], b) for b in bits if key ^ b in union_of]
-        union = below[0][0] | member[below[0][1]] if below else cover._union_mask(J)
+        key = 0
+        for n in J:
+            key |= bit[n]
+        last = bit[J[-1]]
+        rest = union_of.get(key ^ last)
+        union = cover._union_mask(J) if rest is None else rest | member[last]
         union_of[key] = union
         if union not in failure_of:
             failure_of[union] = None
-            best = max((u for u, _ in below if u in collapsed), key=int.bit_count, default=0)
-            if passes(union & ~best) or (best and passes(union)):
-                collapsed.add(union)
+            # the collapsed unions of J minus one member, largest first
+            bases = [u for n in J if (u := union_of.get(key ^ bit[n])) in collapsed]
+            bases.sort(key=int.bit_count, reverse=True)
+            # what K_J adds to each of them, then all of K_J
+            for mask in [union & ~u for u in bases] + [union]:
+                ok = passed.get(mask)
+                if ok is None:
+                    ok = passed[mask] = clp._collapse_run(index, _ids(mask)) is not None
+                if ok:
+                    collapsed.add(union)
+                    break
             else:
                 hom = _homology(index, _ids(union))
                 if any(hom.betti[1:]) or any(hom.torsion):

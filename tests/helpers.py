@@ -21,9 +21,11 @@ beat test and the verdict-only contraction, the string-set cylinder
 checkers after them (pair scans and a subposet per hypothesis set) the
 reference for the mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, the index-set walk with an all-sets
-mode, homology on every sub-union, and a full free-face pass per sub-union)
-the reference for the mask-based one, its one nerve table and the
-truncation pass along the sub-union lattice, the nerve's face poset the
+mode, records built per index set, homology on every sub-union, a full
+free-face pass per sub-union, and the lattice walk that tried the largest
+collapsed predecessor only) the reference for the mask-based one, its one
+nerve table, its records built on first read and the truncation pass
+along the sub-union lattice, the nerve's face poset the
 reference for the nerve's homology in the nerve-theorem checker, the dense
 chain complex after that (dense boundary matrices, fraction-free and dense
 GF(2) ranks, dense Smith normal form, persistence over rebuilt sub-unions)
@@ -81,6 +83,8 @@ from finspace.covers import (
 )
 from finspace.cylinders import Relation, _hypothesis_masks, relation_cylinder, tag
 from finspace.errors import CycleDetected, EmptyObject, InvalidCover, TargetNotInduced
+from finspace.fixtures import dunce_hat, projective_plane
+from finspace.generators import generate_strong_good_cover
 from finspace.homology import (
     HomologyResult,
     _homology,
@@ -959,6 +963,20 @@ def seeded_cone_cover(seed: int, members: int) -> Cover:
     return Cover("complex", parent, tuple(cones))
 
 
+def subunion_covers():
+    """Seeded cone covers of 3-8 members, arc covers of 12, 16 and 20-gons,
+    strong-good covers and the dunce hat and RP2 each with a triangle."""
+    for seed in range(6):
+        yield seeded_cone_cover(seed, 3 + seed)
+    for seed, (n, arcs) in enumerate(((12, 4), (16, 6), (20, 8))):
+        yield polygon_arc_cover(n, sorted(random.Random(seed).sample(range(n), arcs)))
+    for seed in range(5):
+        yield generate_strong_good_cover(seed)[1]
+    for K in (dunce_hat(), projective_plane()):
+        triangle = SimplicialComplex([min(sorted(f) for f in K.facets)])
+        yield Cover("complex", K, (("K", K), ("T", triangle)))
+
+
 def slow_intersection(cover, names):
     names = sorted(names)
     out = cover.member(names[0])
@@ -1070,12 +1088,7 @@ def slow_classify_cover(
             coll = clp.greedy_collapse_space(sub)
             triviality = clp._after_collapse(sub, clp._everything(sub), coll)
         records.append(IntersectionRecord(J, False, triviality, coll))
-    nonempty = [r for r in records if not r.empty]
-    return CoverClassification(
-        tuple(records),
-        clp.aggregate_verdict(r.triviality.verdict for r in nonempty),
-        clp.aggregate_verdict(r.collapsibility.verdict for r in nonempty),
-    )
+    return listed_classification(records)
 
 
 def walked_classify_cover(cover, nerve_simplices_only, restarts=8, seed=0) -> CoverClassification:
@@ -1091,11 +1104,19 @@ def walked_classify_cover(cover, nerve_simplices_only, restarts=8, seed=0) -> Co
         if mask not in known:
             known[mask] = _classify_intersection(cover, mask, restarts, seed)
         records.append(IntersectionRecord(J, False, *known[mask]))
+    return listed_classification(records)
+
+
+def listed_classification(records) -> CoverClassification:
+    """The classification that lists the given records in their order, its
+    verdicts aggregated over every non-empty record, not over distinct
+    masks: each index set is its own key in the table, () an empty one."""
     nonempty = [r for r in records if not r.empty]
     return CoverClassification(
-        tuple(records),
         clp.aggregate_verdict(r.triviality.verdict for r in nonempty),
         clp.aggregate_verdict(r.collapsibility.verdict for r in nonempty),
+        {r.index_set: () if r.empty else r.index_set for r in records},
+        {r.index_set: (r.triviality, r.collapsibility) for r in nonempty},
     )
 
 
@@ -1250,6 +1271,48 @@ def per_union_positive_degree_failures(cover: Cover, subsets) -> list[dict]:
             ids = _ids(union)
             if ids and not chi_collapses_to_vertices(index, ids):
                 hom = _homology(index, ids)
+                if any(hom.betti[1:]) or any(hom.torsion):
+                    failure_of[union] = hom.summary()
+        if failure_of[union] is not None:
+            failures.append({"index_set": list(J), "homology": failure_of[union]})
+    return failures
+
+
+
+def largest_predecessor_positive_degree_failures(cover: Cover, subsets) -> list[dict]:
+    """The part-2 failures by the walk along the sub-union lattice that
+    tries one collapsed predecessor only: each new union K_J is collapsed
+    relative to the largest K_{J-j} already shown to collapse to vertices,
+    and when that relative pass gets stuck, the full pass runs on all of
+    K_J's ids, then their homology.  Each id mask is passed once per call."""
+    index = cover.parent.index()
+    names = cover.names()
+    bit = {n: 1 << k for k, n in enumerate(names)}
+    member = dict(zip(bit.values(), cover._member_masks(names)))
+    union_of = {0: 0}
+    collapsed = {0}
+    passed: dict[int, bool] = {}
+
+    def passes(mask: int) -> bool:
+        if mask not in passed:
+            passed[mask] = clp._collapse_run(index, _ids(mask)) is not None
+        return passed[mask]
+
+    failure_of: dict[int, dict | None] = {}
+    failures = []
+    for J in subsets:
+        bits = [bit[n] for n in J]
+        key = sum(bits)
+        below = [(union_of[key ^ b], b) for b in bits if key ^ b in union_of]
+        union = below[0][0] | member[below[0][1]] if below else cover._union_mask(J)
+        union_of[key] = union
+        if union not in failure_of:
+            failure_of[union] = None
+            best = max((u for u, _ in below if u in collapsed), key=int.bit_count, default=0)
+            if passes(union & ~best) or (best and passes(union)):
+                collapsed.add(union)
+            else:
+                hom = _homology(index, _ids(union))
                 if any(hom.betti[1:]) or any(hom.torsion):
                     failure_of[union] = hom.summary()
         if failure_of[union] is not None:

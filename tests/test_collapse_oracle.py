@@ -40,7 +40,7 @@ from finspace.collapse import (
     weak_points,
 )
 from finspace.complexes import SimplicialComplex, cone, order_complex, simplex_boundary
-from finspace.covers import Cover, _all_index_sets, _nerve_table, classify_cover
+from finspace.covers import _all_index_sets, _nerve_table, classify_cover
 from finspace.cylinders import (
     _execute_target_removal,
     _hypothesis_masks,
@@ -54,7 +54,6 @@ from finspace.generators import (
     generate_complex,
     generate_composite_instance,
     generate_poset,
-    generate_strong_good_cover,
 )
 from finspace.homology import _coreduce
 from finspace.persistence import check_truncation_theorem
@@ -74,7 +73,6 @@ from helpers import (
     nerve_relation,
     parent_array_collapse_run,
     per_union_positive_degree_failures,
-    polygon_arc_cover,
     prepass_coreduce,
     rescan_peel,
     sd_boundary,
@@ -93,6 +91,7 @@ from helpers import (
     slow_replay_complex,
     slow_replay_space,
     star_cover,
+    subunion_covers,
     verdict_contractible,
     verdict_weak_reduction,
 )
@@ -175,27 +174,13 @@ def _certificate(index, pairs) -> CollapseCertificate:
     return CollapseCertificate(tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in pairs))
 
 
-def _subunion_covers():
-    """Seeded cone covers of 3-8 members, arc covers of 12, 16 and 20-gons,
-    strong-good covers and the dunce hat and RP2 each with a triangle."""
-    for seed in range(6):
-        yield seeded_cone_cover(seed, 3 + seed)
-    for seed, (n, arcs) in enumerate(((12, 4), (16, 6), (20, 8))):
-        yield polygon_arc_cover(n, sorted(random.Random(seed).sample(range(n), arcs)))
-    for seed in range(5):
-        yield generate_strong_good_cover(seed)[1]
-    for K in (dunce_hat(), projective_plane()):
-        triangle = SimplicialComplex([min(sorted(f) for f in K.facets)])
-        yield Cover("complex", K, (("K", K), ("T", triangle)))
-
-
 def test_subunion_passes_match_the_method_call_oracle():
     """The loop on ids removes the same pairs as the pass on ``Shrinking``
     methods stopped at the Euler characteristic, on every distinct sub-union
     the truncation checker collapses, for the deterministic pass and three
     seeded restarts."""
     runs = stuck = 0
-    for seed, cov in enumerate(_subunion_covers()):
+    for seed, cov in enumerate(subunion_covers()):
         index = cov.parent.index()
         names = sorted(cov.names())
         masks = {
@@ -222,9 +207,9 @@ def test_one_scan_coreduction_matches_the_prepass_on_cover_ids():
     families, the coreduction leaves the cells and counts the components
     the pre-pass coreduction does; many of them are disconnected."""
     runs = disconnected = 0
-    for cov in _subunion_covers():
+    for cov in subunion_covers():
         index = cov.parent.index()
-        masks = {cov._union_mask(J) for J in _all_index_sets(cov)}
+        masks = {cov._union_mask(J) for J in _all_index_sets(cov.names())}
         masks.update(_nerve_table(cov).values())
         for mask in masks:
             ids = _ids(mask)
@@ -240,7 +225,7 @@ def test_full_pass_on_a_subunion_is_the_euler_count_pass():
     positive dimension is left decides as the parent-sized pass stopped at
     the Euler characteristic, on every distinct sub-union of the families."""
     seen = Counter()
-    for cov in _subunion_covers():
+    for cov in subunion_covers():
         index = cov.parent.index()
         names = sorted(cov.names())
         masks = {
@@ -284,7 +269,7 @@ def test_one_loop_matches_the_engines_it_replaced():
     deterministic verdict is the dict-and-heap pass's.  On the tamper
     families, ``free_faces`` and replay agree with the ``Shrinking`` state."""
     runs = Counter()
-    for seed, cov in enumerate(_subunion_covers()):
+    for seed, cov in enumerate(subunion_covers()):
         index = cov.parent.index()
         for union, below in _lattice_passes(cov):
             ids, kept = _ids(union & ~below), frozenset(_ids(below))
@@ -327,7 +312,7 @@ def test_one_loop_matches_the_loop_with_a_listed_set():
     on each parent's whole index, for the deterministic pass and three
     seeded restarts."""
     runs = Counter()
-    for seed, cov in enumerate(_subunion_covers()):
+    for seed, cov in enumerate(subunion_covers()):
         index = cov.parent.index()
         whole = range(len(index.simplices))
         passes = [(whole, False)] + [(_ids(u & ~b), bool(b)) for u, b in _lattice_passes(cov)]
@@ -368,7 +353,7 @@ def test_targets_on_the_parent_index_match_the_facet_scan():
         assert clp._collapse_input(K, target) == (index, mask)
         assert mask == set_walk_down_closure(index, target.facets)
         assert _ids(mask) == facet_scan_target_ids(K, target)
-    for cov in _subunion_covers():  # complex covers build their members the same way
+    for cov in subunion_covers():  # complex covers build their members the same way
         index = cov.parent.index()
         for name, sub in cov.members:
             assert cov._masks[name] == set_walk_down_closure(index, sub.facets)
@@ -444,7 +429,7 @@ def test_truncation_along_the_lattice_matches_the_per_union_oracle(monkeypatch, 
     exhaustive and sampled; homology runs only on sub-unions the oracle
     computes it on, and the passes see fewer simplices in all."""
     failing = ours_total = theirs_total = 0
-    for cov in _subunion_covers():
+    for cov in subunion_covers():
         (report, homology, passed), (oracle, oracle_homology, oracle_passed) = (
             _lattice_and_oracle(monkeypatch, cov, **mode)
         )

@@ -131,10 +131,10 @@ def test_index_sets_and_intersections_match_oracle():
     for cov in all_covers():
         listed = list(_index_sets(cov))
         assert [J for J, _ in listed] == slow_index_sets(cov, 20, nerve_simplices_only=True)
-        assert list(_all_index_sets(cov)) == slow_index_sets(cov, 20, nerve_simplices_only=False)
+        assert list(_all_index_sets(cov.names())) == slow_index_sets(cov, 20, nerve_simplices_only=False)
         # an index set outside the nerve table has an empty intersection
         table = dict(listed)
-        for J in _all_index_sets(cov):
+        for J in _all_index_sets(cov.names()):
             assert (table.get(J, 0) == 0) == slow_intersection_is_empty(cov, J)
         for J in slow_index_sets(cov, 20, nerve_simplices_only=False):
             assert cov.intersection(J) == slow_intersection(cov, J)
@@ -163,6 +163,24 @@ def test_classification_matches_oracle():
         for r in cls.records:
             assert cov.intersection(r.index_set) == slow_intersection(cov, r.index_set)
     assert shared >= 20
+
+
+def test_records_read_late_match_the_oracles_records():
+    """The records a classification builds on first read, and each record
+    read alone off the table, are the oracles' records in both modes; the
+    good and strong-good verdicts, aggregated over distinct masks, are
+    those the oracles aggregate over every record."""
+    for cov in all_covers():
+        for only in (False, True):
+            cls = classify_cover(cov, nerve_simplices_only=only)
+            slow = slow_classify_cover(cov, nerve_simplices_only=only)
+            walked = walked_classify_cover(cov, only)
+            assert "records" not in vars(cls)
+            assert [cls.record(r.index_set) for r in slow.records] == list(slow.records)
+            assert "records" not in vars(cls)
+            assert cls.records == slow.records == walked.records
+            assert (cls.good, cls.strong_good) == (slow.good, slow.strong_good)
+            assert (cls.good, cls.strong_good) == (walked.good, walked.strong_good)
 
 
 def assert_class_intersections_match(cov, classes):

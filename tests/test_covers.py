@@ -19,7 +19,7 @@ from finspace.covers import (
     reduced_nerve,
     reduced_nerve_complex,
 )
-from finspace.errors import InvalidCover, MalformedSpec
+from finspace.errors import InvalidCover, MalformedSpec, UnknownMember
 from finspace.fixtures import (
     circle_arc_cover,
     circle_complex,
@@ -322,6 +322,67 @@ def test_a_second_classification_runs_no_search(searches):
     again = classify_cover(cov, nerve_simplices_only=True, seed=1)
     assert len(searches) == len(_distinct_nonempty_masks(cov))
     assert again.strong_good == first.strong_good == "yes"
+
+
+def test_verdicts_alone_build_no_record(monkeypatch):
+    """Read for its good and strong-good verdicts only, as the truncation
+    checker and the benchmark read it, a classification builds no
+    IntersectionRecord and decides each distinct non-empty mask once; a
+    second classification decides none, and records are built on first
+    read."""
+    built, decided = [], []
+    init, decide = covers.IntersectionRecord.__init__, covers._classify_intersection
+
+    def building(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    def deciding(cover, mask, restarts, seed):
+        decided.append(mask)
+        return decide(cover, mask, restarts, seed)
+
+    monkeypatch.setattr(covers.IntersectionRecord, "__init__", building)
+    monkeypatch.setattr(covers, "_classify_intersection", deciding)
+    covs = [generate_strong_good_cover(seed)[1] for seed in range(4)]
+    covs += [circle_arc_cover(), star_cover(sd_boundary(2)), finite_circle_cover()]
+    for cov in map(_fresh, covs):
+        decided.clear()
+        for only in (False, True):
+            cls = classify_cover(cov, nerve_simplices_only=only)
+            if cov.kind == "complex":
+                report = check_truncation_theorem(cov, classification=cls)
+                assert (report["good"], report["strong_good"]) == (cls.good, cls.strong_good)
+        assert built == []
+        assert sorted(decided) == sorted(_distinct_nonempty_masks(cov))
+        assert len(cls.records) == len(covers._nerve_table(cov))
+        assert built == [r.index_set for r in cls.records]
+        assert cls.records is cls.records
+        built.clear()
+
+
+def test_a_record_is_read_off_the_table(monkeypatch):
+    """``record`` resolves an index set through the nerve table and the
+    verdicts, building no records: in full mode an empty intersection gives
+    its empty record, in nerve-only mode an index set outside the nerve is
+    unknown, and an unknown name, a repeated one or no name is unknown in
+    both."""
+    cov = circle_arc_cover()
+    full = classify_cover(cov)
+    nerve_only = classify_cover(cov, nerve_simplices_only=True)
+    assert full.record(["U3", "U1", "U2"]) == covers.IntersectionRecord(
+        ("U1", "U2", "U3"), True, None, None
+    )
+    for cls in (full, nerve_only):
+        pair = cls.record(["U2", "U1"])
+        assert not pair.empty and pair.collapsibility.verdict == "yes"
+        for J in (["U1", "U9"], ["U1", "U1"], []):
+            with pytest.raises(UnknownMember, match="no record for index set"):
+                cls.record(J)
+        assert "records" not in vars(cls)
+    with pytest.raises(UnknownMember, match=r"no record for index set \('U1', 'U2', 'U3'\)"):
+        nerve_only.record(["U1", "U2", "U3"])
+    for cls in (full, nerve_only):
+        assert [cls.record(r.index_set) for r in cls.records] == list(cls.records)
 
 
 def test_strong_good_implies_good():

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +23,7 @@ from finspace.posets import _ids
 
 from helpers import (
     betti_numbers_gf2_oracle,
+    largest_predecessor_positive_degree_failures,
     per_union_positive_degree_failures,
     polygon_arc_cover,
     sd_boundary,
@@ -29,6 +31,7 @@ from helpers import (
     slow_check_truncation_theorem,
     slow_persistence_over_chain,
     star_cover,
+    subunion_covers,
 )
 
 
@@ -315,19 +318,8 @@ def test_relative_pass_stops_on_dimensions_not_on_the_euler_count(monkeypatch):
     assert built == [] and homology == [list(range(len(index.simplices)))]
 
 
-def test_relative_pass_stuck_on_a_joining_arc_falls_back_to_the_full_pass(monkeypatch):
-    """On a path, B's arc joins the disjoint arcs A and C.  The largest
-    collapsed predecessor of {A, B, C} is K_{A,C}, two components; the
-    relative pass gets stuck on B's interior, and the full pass still
-    collapses the path to a vertex, so no homology is computed."""
-    verts = [f"p{i:02d}" for i in range(13)]
-    edges = [[verts[i], verts[i + 1]] for i in range(12)]
-    members = (
-        ("A", SimplicialComplex(edges[:5])),
-        ("B", SimplicialComplex(edges[5:7])),
-        ("C", SimplicialComplex(edges[7:])),
-    )
-    cov = Cover("complex", SimplicialComplex(edges), members)
+def recorded_passes(monkeypatch):
+    """The passes the truncation checker runs, as (simplices, collapsed)."""
     passes, real = [], clp._collapse_run
 
     def recording(index, ids=None, rng=None):
@@ -336,14 +328,55 @@ def test_relative_pass_stuck_on_a_joining_arc_falls_back_to_the_full_pass(monkey
         return pairs
 
     monkeypatch.setattr(clp, "_collapse_run", recording)
+    return passes
+
+
+def test_relative_pass_stuck_on_a_joining_arc_tries_the_other_predecessors(monkeypatch):
+    """On a path, B's arc joins the disjoint arcs A and C.  The largest
+    collapsed predecessor of {A, B, C} is K_{A,C}, two components, and the
+    relative pass gets stuck on B's interior.  The next largest, K_{B,C}
+    (as large as K_{A,B}, and met first), takes A's arc as what K_J adds,
+    which collapses onto it: no full pass and no homology."""
+    verts = [f"p{i:02d}" for i in range(13)]
+    edges = [[verts[i], verts[i + 1]] for i in range(12)]
+    members = (
+        ("A", SimplicialComplex(edges[:5])),
+        ("B", SimplicialComplex(edges[5:7])),
+        ("C", SimplicialComplex(edges[7:])),
+    )
+    cov = Cover("complex", SimplicialComplex(edges), members)
+    passes = recorded_passes(monkeypatch)
     report, built, homology = check_part2(monkeypatch, cov)
     assert report["part2_subunions_acyclic"] and homology == []
     assert report == slow_check_truncation_theorem(cov)
-    # the last two passes decide K_{A,B,C}: B's interior, then the whole path
-    (joining, stuck), (whole, collapsed) = passes[-2:]
+    # the last two passes decide K_{A,B,C}: B's interior, then A's arc
+    (joining, stuck), (arc, collapsed) = passes[-2:]
     assert joining == [("p06",), ("p05", "p06"), ("p06", "p07")]
     assert not stuck
-    assert len(whole) == 25 and collapsed
+    assert arc == [(f"p{i:02d}",) for i in range(5)] + [
+        (f"p{i:02d}", f"p{i + 1:02d}") for i in range(5)
+    ]
+    assert collapsed
+    assert all(len(simplices) < 25 for simplices, _ in passes)  # no full pass on the path
+
+
+def test_every_stuck_predecessor_leaves_the_full_pass_and_homology(monkeypatch):
+    """Three arcs close a 12-gon.  Every pair of arcs is a path that
+    collapses, and each relative pass of the whole circle adds the third
+    arc's interior, which joins the path's two ends and gets stuck: the
+    full pass runs, gets stuck too, and homology finds the circle."""
+    cov = polygon_arc_cover(12, [0, 4, 8])
+    passes = recorded_passes(monkeypatch)
+    report, built, homology = check_part2(monkeypatch, cov)
+    assert [f["index_set"] for f in report["part2_failures"]] == [["A0", "A1", "A2"]]
+    assert report == slow_check_truncation_theorem(cov)
+    whole = cov.parent.num_simplices()
+    assert built == [] and homology == [list(range(whole))]
+    # the circle's passes: three relative ones, each adding an arc's 3
+    # interior vertices and 4 edges, then the full pass, all stuck
+    *relative, full = passes[-4:]
+    assert [(len(simplices), ok) for simplices, ok in relative] == [(7, False)] * 3
+    assert (len(full[0]), full[1]) == (whole, False)
 
 
 def test_each_distinct_pass_runs_once(monkeypatch):
@@ -362,14 +395,80 @@ def test_each_distinct_pass_runs_once(monkeypatch):
     covers += [star_cover(sd_boundary(2)), star_cover(simplex_boundary(3))]
     counts = []
     for cov in covers:
-        subsets = list(_all_index_sets(cov))
+        subsets = list(_all_index_sets(cov.names()))
         runs.clear()
         failures = persistence._positive_degree_failures(cov, subsets)
         assert len(runs) == len(set(runs))
         counts.append(len(runs))
         assert failures == per_union_positive_degree_failures(cov, subsets)
-    # the walk asks for 20, 40, 39, 51, 55, 44, 35 and 6 passes
-    assert counts == [17, 22, 21, 26, 32, 23, 32, 6]
+    # the walk asks for 23, 45, 39, 51, 55, 44, 37 and 7 passes
+    assert counts == [14, 19, 21, 26, 32, 23, 30, 7]
+
+
+def walk_families():
+    """The sub-union families, more arc and cone covers, and vertex-star
+    covers, each with the index sets the checker walks exhaustively (when
+    it has at most 12 members) and with a seeded sample of them."""
+    covers = list(subunion_covers())
+    covers += [polygon_arc_cover(n, sorted(random.Random(n).sample(range(n), k)))
+               for n, k in ((9, 3), (14, 5), (18, 7))]
+    covers += [seeded_cone_cover(seed, 5) for seed in range(10, 14)]
+    covers += [star_cover(sd_boundary(2)), star_cover(simplex_boundary(3))]
+    for seed, cov in enumerate(covers + [star_cover(sd_boundary(3))]):
+        names = sorted(cov.names())
+        if len(names) <= 12:
+            yield cov, list(_all_index_sets(names))
+        rng = random.Random(f"sample:{seed}")
+        sample = {tuple(sorted(rng.sample(names, rng.randint(1, len(names))))) for _ in range(24)}
+        yield cov, sorted(sample)
+
+
+def test_walk_matches_the_largest_predecessor_walk(monkeypatch):
+    """The walk that tries every collapsed predecessor finds the failures
+    of the walk that tried the largest one only, exhaustively and on seeded
+    samples.  It runs the full pass on a new union only after the relative
+    pass from each predecessor whose own full pass collapses has got stuck,
+    and over the families it runs fewer passes: a circle tries each of its
+    arcs before the full pass, but a path joined in the middle no longer
+    re-walks the whole path."""
+    masks = []
+    real = clp._collapse_run
+
+    def recording(index, ids, rng=None):
+        masks.append(sum(1 << i for i in ids))
+        return real(index, ids, rng)
+
+    monkeypatch.setattr(clp, "_collapse_run", recording)
+    walks = full_checked = fewer = 0
+    total = [0, 0]  # passes run by the walk and by the largest-predecessor walk
+    for cov, subsets in walk_families():
+        masks.clear()
+        old = largest_predecessor_positive_degree_failures(cov, subsets)
+        old_masks = list(masks)
+        masks.clear()
+        assert persistence._positive_degree_failures(cov, subsets) == old
+        fewer += len(masks) < len(old_masks)
+        total[0] += len(masks)
+        total[1] += len(old_masks)
+        walks += 1
+        # a full pass on a new union whose predecessors came before follows
+        # a stuck relative pass from every collapsed one
+        index, ran, seen = cov.parent.index(), set(masks), {}
+        for J in subsets:
+            union = cov._union_mask(J)
+            if union in seen.values():
+                seen[J] = union
+                continue
+            below = {seen[K] for K in combinations(J, len(J) - 1) if K in seen} - {union}
+            seen[J] = union
+            if len(J) == 1 or union not in ran:
+                continue
+            for u in below:
+                if real(index, _ids(u)) is not None:
+                    assert real(index, _ids(union & ~u)) is None
+                    full_checked += 1
+    assert walks == 51 and full_checked > 40 and fewer >= 5
+    assert total[0] < total[1]
 
 
 def test_dunce_hat_subunion_falls_back_to_homology(monkeypatch):
