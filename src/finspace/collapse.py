@@ -25,7 +25,7 @@ worklist retests a point that failed only after a point comparable to it
 was removed, and taking the lowest position first, it removes the point a
 rescan from the first point would.  A subspace is an int mask over its
 parent's element positions, read with the parent's reachability masks; one
-weak-point collapse and one triviality fallback act on such masks for
+weak-point collapse and one triviality rule act on such masks for
 whole spaces, links, cylinder hypothesis sets and cover intersections,
 with the certificates of the subposets they stand for.  No subposet is
 built: a stuck search reads the homology of its masks.
@@ -53,15 +53,17 @@ loop's free list is its only record of which ids are free: the present ids
 with one present coface.
 
 A triviality verdict comes from two tests, the greedy collapse and, for a
-subspace, the beat-point contraction.  A Yes or No of the collapse carries
-over, and after its Unknown a subcomplex has no test left
-(``_after_complex_collapse``).  A subspace has two rules.  Cover
-classification reads the collapse verdict first and tries the contraction
-only after Unknown (``_after_collapse``).  Cylinder hypothesis sets, point
-links, I_x and ``is_homotopically_trivial_poset`` try the contraction first
-and read the collapse verdict only when the core is larger
-(``_triviality``).  Both rules give the same verdict, but a Yes may carry a
-different certificate.
+subspace, the beat-point contraction, by one rule.  A collapse verdict
+already computed decides unless it is Unknown: its Yes is a collapse to a
+point, which certifies triviality, and its No carries a homology witness.
+Otherwise a subspace tries the contraction and then, if no collapse verdict
+was computed, the weak collapse (``_triviality``); after Unknown a
+subcomplex has no test left (``_after_complex_collapse``).
+``_space_verdicts`` and ``_complex_verdicts`` give the (triviality,
+collapsibility) of a subspace mask or of a subcomplex's ids from one
+search, and cylinder hypothesis sets, cover intersections and S_sigma read
+both there.  Point links, I_x and ``is_homotopically_trivial_poset``
+compute no collapse verdict, so their contraction comes first.
 """
 
 from __future__ import annotations
@@ -297,11 +299,13 @@ def is_contractible_space(X: FinitePoset) -> bool:
 
 
 def gamma_points(X: FinitePoset) -> list[tuple[str, TriStateResult]]:
-    """Per element, the triviality verdict of its link (punctured down + up sets)."""
+    """Per element, the triviality verdict of its link (punctured down + up
+    sets).  An isolated point's link is empty, and the empty space is not
+    homotopically trivial, so its verdict is No."""
     out = []
     for x, below, above in zip(X.elements, X._below, X._above):
         link = below | above
-        out.append((x, _triviality(X, link) if link else unknown("empty link")))
+        out.append((x, _triviality(X, link) if link else TriStateResult("no", note="empty link")))
     return out
 
 
@@ -651,22 +655,16 @@ def _after_complex_collapse(collapsibility: TriStateResult) -> TriStateResult:
     return unknown("acyclic but greedy collapse got stuck")
 
 
-def _after_collapse(X: FinitePoset, alive: int, collapsibility: TriStateResult) -> TriStateResult:
-    """Triviality of the subspace alive of X given its greedy collapsibility
-    verdict: as for a subcomplex, except that after Unknown a finite space
-    has one more test left, its core."""
-    if collapsibility.verdict != "unknown":
-        return collapsibility
-    return _triviality(X, alive, collapsibility)
-
-
 def _triviality(
     X: FinitePoset, alive: int, collapsibility: TriStateResult | None = None
 ) -> TriStateResult:
-    """Triviality of the non-empty subspace alive of X: a contraction by beat
-    points when its core is a point, else the verdict of its greedy collapse
-    (``collapsibility`` when already known), with Unknown for an acyclic
-    space."""
+    """Triviality of the non-empty subspace alive of X.  A greedy collapse
+    verdict already computed (``collapsibility``) decides unless it is
+    Unknown; otherwise a contraction by beat points when the core is a
+    point, else the verdict of the greedy collapse, run here when none was
+    computed, with Unknown for an acyclic space."""
+    if collapsibility is not None and collapsibility.verdict != "unknown":
+        return collapsibility
     cert = _contraction(X, alive)
     if cert is not None:
         return yes(cert)
@@ -674,6 +672,22 @@ def _triviality(
     if collapsibility.verdict != "unknown":
         return collapsibility
     return unknown("acyclic but neither core nor greedy collapse reach a point")
+
+
+def _space_verdicts(X: FinitePoset, mask: int) -> tuple[TriStateResult, TriStateResult]:
+    """The triviality and collapsibility of the non-empty subspace mask of
+    X, from one greedy collapse."""
+    collapsibility = _weak_collapse(X, mask)
+    return _triviality(X, mask, collapsibility), collapsibility
+
+
+def _complex_verdicts(
+    index: SimplexIndex, ids: Sequence[int], restarts: int, seed: int
+) -> tuple[TriStateResult, TriStateResult]:
+    """The triviality and collapsibility of the subcomplex ids of index
+    (ascending, closed under faces), from one free-face search."""
+    collapsibility = _free_face_verdict(index, ids, None, restarts, seed)
+    return _after_complex_collapse(collapsibility), collapsibility
 
 
 def is_homotopically_trivial_poset(X: FinitePoset) -> TriStateResult:

@@ -386,11 +386,13 @@ def classify_cover(
     which the cover keeps per (restarts, seed), so a later classification
     of the same cover runs no search.  The good and strong-good verdicts
     aggregate those distinct verdicts, and the per-index-set records are
-    built only when read, from the table and the verdicts.  The triviality
-    verdict is derived from the collapsibility verdict by the rule for the
-    cover's kind: ``collapse._after_complex_collapse`` for an intersection
-    of subcomplexes, ``collapse._after_collapse`` for one of open subsets.
+    built only when read, from the table and the verdicts.  Both verdicts
+    of an intersection come from ``collapse._complex_verdicts`` (subcomplexes)
+    or ``collapse._space_verdicts`` (open subsets), which hold the rule that
+    reads triviality off collapsibility.  A negative ``restarts`` raises
+    MalformedSpec for either kind of cover.
     """
+    clp.check_restarts(restarts)
     table = _nerve_table(cover, max_subsets)
     # the cover's only writer of its verdicts: they hold the table's masks alone
     known = cover._memo.setdefault(("verdicts", restarts, seed), {})
@@ -410,14 +412,11 @@ def _classify_intersection(
 ) -> tuple[clp.TriStateResult, clp.TriStateResult]:
     """The triviality and collapsibility of the non-empty intersection with
     the given mask: the simplex ids of the mask on the parent's index, or
-    the parent's subspace mask, with a subposet built only for the homology
-    of a stuck search on a finite space."""
+    the parent's subspace mask."""
     X = cover.parent
     if cover.kind == COMPLEX:
-        collapsibility = clp._free_face_verdict(X.index(), _ids(mask), None, restarts, seed)
-        return clp._after_complex_collapse(collapsibility), collapsibility
-    collapsibility = clp._weak_collapse(X, mask)
-    return clp._after_collapse(X, mask, collapsibility), collapsibility
+        return clp._complex_verdicts(X.index(), _ids(mask), restarts, seed)
+    return clp._space_verdicts(X, mask)
 
 
 @dataclass(frozen=True)
@@ -627,10 +626,8 @@ def check_nerve_theorem(
                 if not ids:
                     per_element[simplex_id(s)] = clp.TriStateResult("no", note="S_sigma is empty")
                     continue
-                verdict = clp._free_face_verdict(index, ids, None, restarts, seed)
-                per_element[simplex_id(s)] = (
-                    verdict if reduced else clp._after_complex_collapse(verdict)
-                )
+                verdicts = clp._complex_verdicts(index, ids, restarts, seed)
+                per_element[simplex_id(s)] = verdicts[mode == "collapsible"]
                 dim = len(index.simplices[ids[-1]]) - 1  # S_sigma's, read off its last simplex
                 bounds_ok &= not reduced or dim <= cap - (len(s) - 1)
         report["per_point" if space else "per_simplex"] = {

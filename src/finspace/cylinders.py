@@ -314,13 +314,8 @@ def _subspace_verdicts(X: FinitePoset, mask: int) -> dict:
     if not mask:
         empty = clp.TriStateResult("no", note="empty subspace")
         return {"empty": True, "triviality": empty, "collapsibility": empty}
-    # one collapse serves both verdicts; a point core's contraction comes first
-    collapsibility = clp._weak_collapse(X, mask)
-    return {
-        "empty": False,
-        "triviality": clp._triviality(X, mask, collapsibility),
-        "collapsibility": collapsibility,
-    }
+    triviality, collapsibility = clp._space_verdicts(X, mask)
+    return {"empty": False, "triviality": triviality, "collapsibility": collapsibility}
 
 
 def check_collapse_left(R: Relation) -> dict:

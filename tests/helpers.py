@@ -17,7 +17,9 @@ rescanning point peel in it, the dirty-scan peel and the verdict-only
 highest-first loop the reference for the one point-removal loop, the
 counting point predicates (a beat test that counts extremes, a weak test
 that builds the contraction's certificate) the reference for the one-walk
-beat test and the verdict-only contraction, the string-set cylinder
+beat test and the verdict-only contraction, the contraction-first
+triviality rule the reference for the one rule that reads a computed
+collapse verdict first, the string-set cylinder
 checkers after them (pair scans and a subposet per hypothesis set) the
 reference for the mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, the index-set walk with an all-sets
@@ -735,6 +737,27 @@ def counting_contraction(X: FinitePoset, alive: int) -> CollapseCertificate | No
     return CollapseCertificate(tuple(steps))
 
 
+def contraction_first_triviality(X: FinitePoset, alive: int) -> clp.TriStateResult:
+    """The triviality rule cylinder hypothesis sets followed before the
+    library's one rule: the beat-point contraction first, even when a
+    collapse verdict is already computed, then the greedy collapse, with
+    Unknown for an acyclic space."""
+    cert = clp._contraction(X, alive)
+    if cert is not None:
+        return yes(cert)
+    collapsibility = clp._weak_collapse(X, alive)
+    if collapsibility.verdict != "unknown":
+        return collapsibility
+    return clp.unknown("acyclic but neither core nor greedy collapse reach a point")
+
+
+def after_collapse(collapsibility, triviality) -> clp.TriStateResult:
+    """The library's triviality rule restated on public calls: a collapse
+    verdict that is not Unknown decides, else the object's own triviality
+    test, called only then."""
+    return collapsibility if collapsibility.verdict != "unknown" else triviality()
+
+
 def slow_core(X: FinitePoset):
     return _slow_remove_points(X, (DOWN_BEAT, UP_BEAT))
 
@@ -803,10 +826,11 @@ def slow_check_collapse(R: Relation, side: str) -> dict:
             per_element[z] = {"empty": True, "triviality": empty, "collapsibility": empty}
             continue
         sub = kept.restrict(members)
+        coll = clp.greedy_collapse_space(sub)
         per_element[z] = {
             "empty": False,
-            "triviality": clp.is_homotopically_trivial_poset(sub),
-            "collapsibility": clp.greedy_collapse_space(sub),
+            "triviality": after_collapse(coll, lambda: clp.is_homotopically_trivial_poset(sub)),
+            "collapsibility": coll,
         }
     report = {
         key: clp.aggregate_verdict(v[field].verdict for v in per_element.values())
@@ -829,7 +853,7 @@ def slow_gamma_points(X: FinitePoset):
     for x in X.elements:
         link = X.down_set(x, strict=True) | X.up_set(x, strict=True)
         if not link:
-            out.append((x, clp.unknown("empty link")))
+            out.append((x, clp.TriStateResult("no", note="empty link")))
             continue
         out.append((x, clp.is_homotopically_trivial_poset(X.restrict(link))))
     return out
@@ -1082,11 +1106,13 @@ def slow_classify_cover(
             continue
         if cover.kind == COMPLEX:
             coll = clp.greedy_collapse_complex(obj, restarts=restarts, seed=seed)
-            triviality = clp._after_complex_collapse(coll)
+            triviality = after_collapse(
+                coll, lambda: clp.is_homotopically_trivial_complex(obj, restarts, seed)
+            )
         else:
             sub = cover.parent.restrict(obj)
             coll = clp.greedy_collapse_space(sub)
-            triviality = clp._after_collapse(sub, clp._everything(sub), coll)
+            triviality = after_collapse(coll, lambda: clp.is_homotopically_trivial_poset(sub))
         records.append(IntersectionRecord(J, False, triviality, coll))
     return listed_classification(records)
 

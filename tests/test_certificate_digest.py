@@ -27,7 +27,7 @@ from finspace.collapse import (
 )
 from finspace.complexes import SimplicialComplex, cone
 from finspace.covers import Cover, classify_cover, check_nerve_theorem
-from finspace.cylinders import check_intermediate
+from finspace.cylinders import _hypothesis_masks, _side, check_intermediate, compose_relations
 from finspace.fixtures import (
     circle_arc_cover,
     dunce_hat,
@@ -43,7 +43,13 @@ from finspace.generators import (
     generate_strong_good_cover,
 )
 
-PINNED = "c6f14780c8dce536bc14484623f6672aa0c7e3a661b9053cff3cdc73da0a51c8"
+from helpers import contraction_first_triviality
+
+PINNED = "fc7933a625b28a23537cf880ffe6ebabe3ba2123a39369f357c44fb36f2a505b"
+# the digest while cylinder hypothesis sets tried the beat-point contraction
+# before reading their computed collapse verdict, and an isolated point's
+# empty link read Unknown
+PINNED_BEFORE_ONE_RULE = "c6f14780c8dce536bc14484623f6672aa0c7e3a661b9053cff3cdc73da0a51c8"
 
 
 def _plain(obj):
@@ -166,7 +172,58 @@ def _covers():
     return out
 
 
+def _doc():
+    return _plain([_spaces(), _complexes(), _cylinders(), _covers()])
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def test_certificate_digest_is_pinned():
-    doc = _plain([_spaces(), _complexes(), _cylinders(), _covers()])
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == PINNED
+    assert _digest(_doc()) == PINNED
+
+
+def _project_cylinders(cylinders) -> int:
+    """Put back, in place, the contraction-first triviality of every
+    non-empty hypothesis set of the cylinder entries; returns how many
+    entries that changes."""
+    changed = 0
+    for seed, reports in enumerate(cylinders):
+        R1, R2 = generate_composite_instance(seed)
+        for side, report in zip(("left", "right"), reports):
+            factor = R1 if side == "left" else R2
+            for key, R in (("factor", factor), ("composite", compose_relations(R1, R2))):
+                kept, _, far, _, _ = _side(R, side)
+                per_element = report[key]["per_element"]
+                for z, mask in zip(far.elements, _hypothesis_masks(R, side)):
+                    if mask:
+                        old = _plain(contraction_first_triviality(kept, mask))
+                        changed += per_element[z]["triviality"] != old
+                        per_element[z]["triviality"] = old
+    return changed
+
+
+def _project_isolated_points(spaces) -> int:
+    """Put back, in place, Unknown for the empty link of every isolated
+    point of the seeded spaces; returns how many entries that changes."""
+    changed = 0
+    for entry in spaces[:60:2]:  # per seed, its entry then its targeted collapse
+        for _, res in entry[3]:
+            if res["note"] == "empty link":
+                assert res["verdict"] == "no"
+                res["verdict"] = "unknown"
+                changed += 1
+    return changed
+
+
+def test_only_cylinder_trivialities_and_isolated_points_moved():
+    """Mapping back the two kinds of entry that the one triviality rule
+    changed gives the old digest: 56 Yes triviality certificates of the
+    cylinder hypothesis sets, now the collapse certificates already
+    computed, and the 17 isolated points' gamma verdicts, now No.
+    Everything else, verdicts and notes included, is as it was."""
+    spaces, complexes, cylinders, covers = _doc()
+    assert _project_cylinders(cylinders) == 56
+    assert _project_isolated_points(spaces) == 17
+    assert _digest([spaces, complexes, cylinders, covers]) == PINNED_BEFORE_ONE_RULE

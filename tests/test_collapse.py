@@ -98,6 +98,24 @@ def test_weak_points_are_gamma_yes():
             assert gammas[x].verdict == "yes"
 
 
+def test_isolated_points_are_not_gamma_points():
+    """An isolated point's link is empty, and the empty space is not
+    homotopically trivial: a decided No with a note, like every other empty
+    sub-object."""
+    spaces = [antichain(["p", "q", "r"])]
+    spaces += [generate_poset(seed, 6 + seed % 3) for seed in range(30)]
+    isolated = 0
+    for X in spaces:
+        for x, res in gamma_points(X):
+            if not X.down_set(x, strict=True) | X.up_set(x, strict=True):
+                assert res == TriStateResult("no", note="empty link")
+                isolated += 1
+            else:
+                assert res.note != "empty link"
+    # three in the antichain, 17 in the seeded family
+    assert isolated == 3 + 17
+
+
 def test_greedy_collapse_space_chain():
     res = greedy_collapse_space(chain(["a", "b", "c"]))
     assert res.is_yes() and len(res.certificate.steps) == 2
@@ -302,22 +320,38 @@ def test_replay_space_rejects_invalid_steps():
 
 
 def test_triviality_from_collapse():
-    """The space rule and the subcomplex rule that turn a collapsibility
-    verdict into a triviality verdict."""
+    """The one subspace rule and the subcomplex rule that turn a
+    collapsibility verdict into a triviality verdict."""
     X = chain(["a", "b", "c"])
+    everything = clp._everything(X)
+    # a computed Yes decides, and the contraction is not tried
     found = greedy_collapse_space(X)
-    assert clp._after_collapse(X, clp._everything(X), found) is found
+    assert clp._triviality(X, everything, found) is found
+    # with no verdict computed, the contraction comes first
+    res = clp._triviality(X, everything)
+    assert res.is_yes() and res.certificate == core(X)[1]
     # after Unknown, a space still gets its core test
     stuck = TriStateResult("unknown", note="stuck")
-    res = clp._after_collapse(X, clp._everything(X), stuck)
+    res = clp._triviality(X, everything, stuck)
     assert res.is_yes() and replay_space_certificate(X, res.certificate)
     F = dunce_hat().face_poset()
-    res = clp._after_collapse(F, clp._everything(F), stuck)
+    res = clp._triviality(F, clp._everything(F), stuck)
     assert res.verdict == "unknown" and "core" in res.note
+    # a computed No decides
+    C = finite_circle()
+    ruled_out = greedy_collapse_space(C)
+    assert ruled_out.verdict == "no"
+    assert clp._triviality(C, clp._everything(C), ruled_out) is ruled_out
+    # one greedy collapse gives a subspace both verdicts
+    assert clp._space_verdicts(X, everything) == (found, found)
+    assert clp._space_verdicts(C, clp._everything(C)) == (ruled_out, ruled_out)
     # a subcomplex has no test left: Yes and No carry over, Unknown stays
     for K in (two_triangles(), projective_plane()):
         verdict = greedy_collapse_complex(K)
         assert clp._after_complex_collapse(verdict) is verdict
+        index = K.index()
+        ids = range(len(index.simplices))
+        assert clp._complex_verdicts(index, ids, 8, 0) == (verdict, verdict)
     res = clp._after_complex_collapse(greedy_collapse_complex(dunce_hat(), restarts=1))
     assert res.verdict == "unknown" and res.note == "acyclic but greedy collapse got stuck"
 

@@ -31,6 +31,7 @@ from finspace.generators import (
 from finspace.posets import FinitePoset
 
 from helpers import (
+    contraction_first_triviality,
     hypothesis_sets,
     nerve_relation,
     rescan_peel,
@@ -105,6 +106,32 @@ def test_star_cover_of_sd_boundary_3_certifies_as_with_the_rescan(monkeypatch):
         assert report["collapse"]["verdict"] == "yes" and report["collapse"]["proof_identity"]
     monkeypatch.setattr(clp, "_peel", rescan_peel)
     assert ours == [check(R) for check in CHECKS.values()]
+
+
+def test_the_one_triviality_rule_agrees_with_the_contraction_first_rule():
+    """On every distinct non-empty hypothesis set of the composite family
+    (seeds 0-39, which hold the collapse oracle's cylinder relations) and of
+    the star-cover nerve relations, the verdicts and notes equal those of
+    the rule that tried the contraction first, and every triviality Yes
+    replays on its hypothesis set as a subposet of its own."""
+    relations = list(_composite_relations())
+    relations += [nerve_relation(star_cover(sd_boundary(n))) for n in (2, 3)]
+    sets = moved = 0
+    for R in relations:
+        for side, check in CHECKS.items():
+            kept = cylinders._side(R, side)[0]
+            per_element = check(R)["per_element"]
+            masks = cylinders._hypothesis_masks(R, side)
+            decided = {m: per_element[z] for z, m in zip(per_element, masks) if m}
+            for mask, verdicts in decided.items():
+                ours, old = verdicts["triviality"], contraction_first_triviality(kept, mask)
+                assert (ours.verdict, ours.note) == (old.verdict, old.note)
+                if ours.is_yes():
+                    sub = kept.restrict(kept._members(mask))
+                    assert clp.replay_space_certificate(sub, ours.certificate)
+                    moved += ours.certificate != old.certificate
+                sets += 1
+    assert moved and sets > 638
 
 
 def test_the_executor_finds_each_copy_whatever_the_copy_names():

@@ -119,6 +119,14 @@ CASES = {
         lambda: chains_containing(circle_arc_cover(), ["zz"]),
         UnknownSimplex, "['zz'] is not a simplex of the parent",
     ),
+    "negative-restarts-classifying-a-space-cover": (
+        lambda: classify_cover(finite_circle_cover(), restarts=-1),
+        MalformedSpec, "restarts must be non-negative, got -1",
+    ),
+    "negative-restarts-checking-a-space-cover": (
+        lambda: check_nerve_theorem(finite_circle_cover(), "good-space", restarts=-1),
+        MalformedSpec, "restarts must be non-negative, got -1",
+    ),
     "empty-n0": (
         lambda: check_nerve_theorem(_dunce_hat_cover(), "trivial-subnerve-complex"),
         InvalidCover, "N0 is empty; no verified intersections",

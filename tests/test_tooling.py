@@ -305,3 +305,33 @@ def test_the_free_face_layer_has_one_form_for_the_whole_index():
     """The free-face functions take their ids as a sequence only; the whole
     index is ``range(len(index.simplices))``, never a None standing for it."""
     assert _none_ids(os.path.join(ROOT, "src", "finspace", "collapse.py")) == []
+
+
+def _defined_and_referenced(path: str) -> tuple[set, set]:
+    """The function names a module defines, and every name or attribute it
+    references."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    referenced = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    referenced |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    referenced |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return defined, referenced
+
+
+def test_the_library_has_one_triviality_rule():
+    """A subspace's triviality follows from its collapse verdict by one
+    rule, ``collapse._triviality``, and a subcomplex's by
+    ``_after_complex_collapse``, which only ``collapse.py`` reads: covers
+    and cylinders ask that module for both verdicts."""
+    package = os.path.join(ROOT, "src", "finspace")
+    defines, reads = set(), set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            defined, referenced = _defined_and_referenced(os.path.join(package, name))
+            if "_after_collapse" in defined:
+                defines.add(name)
+            if "_after_complex_collapse" in referenced:
+                reads.add(name)
+    assert defines == set()
+    assert reads == {"collapse.py"}
