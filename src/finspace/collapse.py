@@ -36,12 +36,14 @@ present and the number and id sum of its present codimension-1 cofaces,
 updated in O(dim) per removed pair, so no complex is rebuilt per step.  One
 loop on ints, ``_collapse_run``, removes free pairs among given ids and
 never touches a simplex outside them; it stops when no id of positive
-dimension is left, records (face id, coface id) pairs, and a certificate is
-built once, for the schedule that succeeded, so a verdict-only caller
-builds none.  When the ids are what a complex K has beyond a subcomplex L,
-a coface in K of an id lies outside L too, so the counts over the ids are
-the counts in K: a pass that removes every id collapses K onto L, and one
-that leaves only vertices collapses K onto L plus isolated vertices.  The
+dimension is left and records (face id, coface id) pairs.  The certificate
+of the schedule that succeeded holds those pairs with the index's
+simplices and builds its steps on first read, so a caller that reads only
+the verdict builds none.  When the ids are what a complex K has beyond a
+subcomplex L, a coface in K of an id lies outside L too, so the counts
+over the ids are the counts in K: a pass that removes every id collapses K
+onto L, and one that leaves only vertices collapses K onto L plus isolated
+vertices.  The
 same loop therefore gives a collapse to a point (all of K's ids, one
 vertex left), a targeted collapse (L the target, none left) and the
 truncation checker's relative pass (L a sub-union already collapsed).  A
@@ -119,11 +121,47 @@ class FreeFacePair:
         return {"kind": "free-pair", "face": list(self.face), "coface": list(self.coface)}
 
 
-@dataclass(frozen=True)
 class CollapseCertificate(Document):
-    """Ordered removal steps witnessing a collapse onto the declared target."""
+    """Ordered removal steps witnessing a collapse onto the declared target.
 
-    steps: tuple = ()
+    A free-face search hands over its index's simplices and the (face id,
+    coface id) pairs it removed (``_of_pairs``), and the ``FreeFacePair``
+    steps are built from them on first read, so a caller that reads only
+    the verdict builds none.  Equality, hashing, repr and the document read
+    ``steps``, as those of a frozen dataclass with that one field do.
+    """
+
+    __slots__ = ("_steps", "_pairs")
+
+    def __init__(self, steps: tuple = ()):
+        self._steps, self._pairs = steps, None
+
+    @classmethod
+    def _of_pairs(
+        cls, simplices: Sequence, pairs: Sequence[tuple[int, int]]
+    ) -> "CollapseCertificate":
+        cert = cls.__new__(cls)
+        cert._steps, cert._pairs = None, (simplices, pairs)
+        return cert
+
+    @property
+    def steps(self) -> tuple:
+        if self._steps is None:
+            simplices, pairs = self._pairs
+            self._steps = tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in pairs)
+            self._pairs = None
+        return self._steps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self):
+        return hash((self.steps,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(steps={self.steps!r})"
 
     def to_doc(self) -> dict:
         return {"steps": [s.to_doc() for s in self.steps]}
@@ -490,7 +528,7 @@ def _free_face_search(
     ids (ascending).  A pass succeeds when it leaves ``end`` of the ids: 1
     for a collapse to a point, 0 for a collapse onto the simplices outside
     them.  Returns the first certificate found, or None when every schedule
-    gets stuck.
+    gets stuck; its steps are built when first read.
 
     Any index that holds the simplices lists them in the same relative
     (dimension, lexicographic) order, so the first free face and the
@@ -503,10 +541,7 @@ def _free_face_search(
         rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
         steps = _collapse_run(index, ids, rng)
         if steps is not None and len(ids) - 2 * len(steps) == end:
-            simplices = index.simplices
-            return CollapseCertificate(
-                tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in steps)
-            )
+            return CollapseCertificate._of_pairs(index.simplices, steps)
     return None
 
 

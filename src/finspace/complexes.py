@@ -164,10 +164,6 @@ class SimplicialComplex(Document):
         """Dimension; -1 for the empty complex."""
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def contains_simplex(self, simplex: Iterable[str]) -> bool:
-        s = frozenset(simplex)
-        return bool(s) and any(s <= f for f in self.facets)
-
     def index(self) -> SimplexIndex:
         """The simplex index, built on first use and kept with the complex."""
         if self._index is None:
@@ -194,9 +190,6 @@ class SimplicialComplex(Document):
         return sum((-1) ** d * (starts[d + 1] - starts[d]) for d in range(len(starts) - 1))
 
     # -- subcomplexes and combinations ---------------------------------------
-
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return all(other.contains_simplex(f) for f in self.facets)
 
     def full_subcomplex(self, vertex_subset: Iterable[str]) -> "SimplicialComplex":
         keep = frozenset(vertex_subset)

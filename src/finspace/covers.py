@@ -285,7 +285,22 @@ class ReducedNerve:
 
 
 def reduced_nerve(cover: Cover) -> ReducedNerve:
-    """The reduced nerve, built once per cover and kept with it."""
+    """The reduced nerve, built once per cover and kept with it.
+
+    Its order is generated by the one-member refinements: a class c lies
+    below c ∩ U_i (bigger intersection = lower) for each member U_i that
+    cuts it to a smaller non-empty intersection, at most classes × members
+    pairs, and ``build_poset`` closes them.  The closure is all of reverse
+    inclusion: an intersection c ∩ U_j ∩ ... ∩ U_k inside c is reached from
+    c one member at a time, through non-empty intersections.
+
+    It stands for the nerve: J ↦ {i : ∩J ⊆ U_i} is a closure operator on
+    the nerve's face poset, whose image, the closed index sets ordered by
+    inclusion, is the reduced nerve's poset.  The image of a closure
+    operator on a finite space is a strong deformation retract of it
+    (Stong 1966; Barmak, Algebraic Topology of Finite Topological Spaces
+    and Applications, LNM 2032, 2011), so the two have one homotopy type.
+    """
     rn = cover._memo.get("reduced_nerve")
     if rn is not None:
         return rn
@@ -294,8 +309,8 @@ def reduced_nerve(cover: Cover) -> ReducedNerve:
         groups.setdefault(m, []).append(J)
     # index sets arrive in (size, lexicographic) order: each class's first is its smallest
     reps = {m: simplex_id(Js[0]) for m, Js in groups.items()}
-    # bigger intersection = lower (reverse inclusion)
-    pairs = [(reps[a], reps[b]) for a in groups for b in groups if a != b and a & b == b]
+    members = cover._masks.values()
+    pairs = [(reps[c], reps[cut]) for c in groups for u in members if c != (cut := c & u) and cut]
     poset = build_poset(reps.values(), pairs)
     classes = {reps[m]: tuple(sorted(Js)) for m, Js in groups.items()}
     rn = cover._memo["reduced_nerve"] = ReducedNerve(poset, classes)

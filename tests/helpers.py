@@ -11,6 +11,8 @@ collapse engine further down is the reference for the indexed one, the free-face
 with methods, its parent-array pass stopped on a simplex count, and the
 truncation checker's old pass in dicts and a heap, the loop with a set
 mirroring its free list) the reference for the one loop on ids, the
+search that builds a certificate's steps at once the reference for the
+certificate that builds them on first read, the
 facet-by-facet target lookup and the set walk that closed a cover member
 downward the reference for the closure on the parent's index, the
 rescanning point peel in it, the dirty-scan peel and the verdict-only
@@ -24,10 +26,12 @@ checkers after them (pair scans and a subposet per hypothesis set) the
 reference for the mask-based ones, the cover layer after them (pairwise
 intersections, all 2^n index sets, the index-set walk with an all-sets
 mode, records built per index set, homology on every sub-union, a full
-free-face pass per sub-union, and the lattice walk that tried the largest
-collapsed predecessor only) the reference for the mask-based one, its one
-nerve table, its records built on first read and the truncation pass
-along the sub-union lattice, the nerve's face poset the
+free-face pass per sub-union, the lattice walk that tried the largest
+collapsed predecessor only, and the reduced-nerve order that tested every
+pair of classes) the reference for the mask-based one, its one nerve
+table, its records built on first read, the truncation pass along the
+sub-union lattice and the reduced nerve ordered by one-member refinements,
+the nerve's face poset the
 reference for the nerve's homology in the nerve-theorem checker, the dense
 chain complex after that (dense boundary matrices, fraction-free and dense
 GF(2) ranks, dense Smith normal form, persistence over rebuilt sub-unions)
@@ -80,6 +84,7 @@ from finspace.covers import (
     NZeroResult,
     ReducedNerve,
     _classify_intersection,
+    _nerve_table,
     nerve,
     non_hausdorff_nerve,
 )
@@ -89,6 +94,7 @@ from finspace.fixtures import dunce_hat, projective_plane
 from finspace.generators import generate_strong_good_cover
 from finspace.homology import (
     HomologyResult,
+    _betti_gf2,
     _homology,
     _reduced_betti,
     boundary_matrices,
@@ -233,6 +239,17 @@ def brute_transitive_closure(
 # and the stuck-verdict tail, and serve as its oracle.
 
 
+def contains_simplex(K: SimplicialComplex, simplex) -> bool:
+    """Whether the non-empty simplex lies in a facet of K."""
+    s = frozenset(simplex)
+    return bool(s) and any(s <= f for f in K.facets)
+
+
+def is_subcomplex(L: SimplicialComplex, K: SimplicialComplex) -> bool:
+    """Whether every facet of L lies in a facet of K."""
+    return all(contains_simplex(K, f) for f in L.facets)
+
+
 def slow_simplices(K: SimplicialComplex) -> list[frozenset]:
     """All simplices, by dimension then lexicographically, from the facets."""
     seen = set()
@@ -282,7 +299,7 @@ def slow_collapse_run(K, keep, rng):
             pairs = [
                 p
                 for p in pairs
-                if not keep.contains_simplex(p[0]) and not keep.contains_simplex(p[1])
+                if not contains_simplex(keep, p[0]) and not contains_simplex(keep, p[1])
             ]
         if not pairs:
             return None
@@ -511,6 +528,24 @@ def listed_collapse_run(index, ids=None, rng=None):
     return steps
 
 
+def eager_certificate(index: SimplexIndex, pairs) -> CollapseCertificate:
+    """The certificate of removed (face id, coface id) pairs with its steps
+    built at once."""
+    simplices = index.simplices
+    return CollapseCertificate(tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in pairs))
+
+
+def eager_free_face_search(index: SimplexIndex, ids, end: int, restarts: int, seed: int):
+    """``_free_face_search`` building the certificate's steps as soon as a
+    schedule succeeds."""
+    for attempt in range(restarts + 1):
+        rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
+        steps = clp._collapse_run(index, ids, rng)
+        if steps is not None and len(ids) - 2 * len(steps) == end:
+            return eager_certificate(index, steps)
+    return None
+
+
 def facet_scan_target_ids(K: SimplicialComplex, target: SimplicialComplex) -> list[int]:
     """The ascending ids on K's index of a target's simplices, found as
     before: emptiness checks, a facet-by-facet subcomplex scan, and the
@@ -519,7 +554,7 @@ def facet_scan_target_ids(K: SimplicialComplex, target: SimplicialComplex) -> li
         raise EmptyObject("cannot collapse the empty complex")
     if target.is_empty():
         raise EmptyObject("cannot collapse onto the empty complex")
-    if not target.is_subcomplex_of(K):
+    if not is_subcomplex(target, K):
         raise TargetNotInduced("target is not a subcomplex")
     return sorted(K.index().id_of[s] for s in target.all_simplices())
 
@@ -559,7 +594,7 @@ def slow_replay_complex(K, cert, target=None) -> bool:
             return False
         face = frozenset(step.face)
         coface = frozenset(step.coface)
-        if not current.contains_simplex(face):
+        if not contains_simplex(current, face):
             return False
         if _slow_unique_coface(slow_simplices(current), face) != coface:
             return False
@@ -1095,6 +1130,26 @@ def slow_reduced_nerve(cover) -> ReducedNerve:
     )
 
 
+def all_pairs_reduced_nerve(cover) -> ReducedNerve:
+    """``reduced_nerve`` ordered by testing every pair of classes for
+    reverse inclusion, grouping the nerve table's masks."""
+    groups: dict[int, list[tuple[str, ...]]] = {}
+    for J, m in _nerve_table(cover).items():
+        groups.setdefault(m, []).append(J)
+    reps = {m: simplex_id(Js[0]) for m, Js in groups.items()}
+    pairs = [(reps[a], reps[b]) for a in groups for b in groups if a != b and a & b == b]
+    poset = build_poset(reps.values(), pairs)
+    return ReducedNerve(poset, {reps[m]: tuple(sorted(Js)) for m, Js in groups.items()})
+
+
+def closed_index_sets(cover) -> list[str]:
+    """The simplex ids of the nerve's closed index sets: per distinct
+    non-empty intersection, the members that contain it."""
+    names = sorted(cover.names())
+    masks = set(_nerve_table(cover).values())
+    return [simplex_id(n for n in names if m & cover._masks[n] == m) for m in masks]
+
+
 def slow_classify_cover(
     cover, max_subsets=20, nerve_simplices_only=False, restarts=8, seed=0
 ) -> CoverClassification:
@@ -1250,7 +1305,7 @@ def slow_check_truncation_theorem(
         hom = reduced_homology(K_J)
         if not (all(b == 0 for b in hom.betti[1:]) and all(not t for t in hom.torsion)):
             failures.append({"index_set": list(J), "homology": hom.summary()})
-    has_empty = not slow_nerve(cover).contains_simplex(frozenset(names))
+    has_empty = not contains_simplex(slow_nerve(cover), frozenset(names))
     report = {
         "part1_nerve_homology_match": part1,
         "part2_subunions_acyclic": not failures,

@@ -68,6 +68,8 @@ from helpers import (
     counting_removable,
     dict_heap_collapses_onto,
     dirty_scan_peel,
+    eager_certificate,
+    eager_free_face_search,
     facet_scan_target_ids,
     listed_collapse_run,
     nerve_relation,
@@ -166,12 +168,7 @@ def _accepted(index, pairs, size, end):
     as a search accepts it; else None."""
     if pairs is None or size - 2 * len(pairs) != end:
         return None
-    return _certificate(index, pairs)
-
-
-def _certificate(index, pairs) -> CollapseCertificate:
-    simplices = index.simplices
-    return CollapseCertificate(tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in pairs))
+    return eager_certificate(index, pairs)
 
 
 def test_subunion_passes_match_the_method_call_oracle():
@@ -195,7 +192,7 @@ def test_subunion_passes_match_the_method_call_oracle():
                 rngs = [None if r is None else random.Random(f"{seed}:{r}") for _ in range(2)]
                 pairs = clp._collapse_run(index, ids, rngs[0])
                 theirs = shrinking_collapse_run(index, frozenset(), chi, rngs[1], ids)
-                assert (None if pairs is None else _certificate(index, pairs)) == theirs
+                assert (None if pairs is None else eager_certificate(index, pairs)) == theirs
                 runs += 1
                 stuck += pairs is None
     # the families reach both collapses and stuck passes
@@ -481,6 +478,77 @@ def test_searches_build_one_certificate_on_success(pairs_built):
     hung = D.union(SimplicialComplex([[min(D.vertices), "x", "y"]]))
     assert greedy_collapse_complex(hung, restarts=3).verdict == "unknown"
     assert pairs_built == []
+
+
+def _dunce_hat_times_interval() -> SimplicialComplex:
+    """The dunce hat times an interval, each prism cut into three
+    tetrahedra along the vertex order.  The deterministic pass gets stuck
+    on it, and some seeded restarts reach a point."""
+    facets = []
+    for f in dunce_hat().facets:
+        a, b, c = sorted(f)
+        facets += [[a + "0", b + "0", c + "0", c + "1"], [a + "0", b + "0", b + "1", c + "1"]]
+        facets.append([a + "0", a + "1", b + "1", c + "1"])
+    return SimplicialComplex(facets)
+
+
+def _search_cases():
+    """(complex, target or None, seed): each seeded complex and its cone,
+    searched to a point, the cone onto its base, and the fixed complexes."""
+    for seed, K, C in _complexes():
+        yield K, None, seed
+        yield C, None, seed
+        yield C, K, seed
+    hung = dunce_hat().union(SimplicialComplex([[min(dunce_hat().vertices), "x", "y"]]))
+    for seed, L in enumerate((dunce_hat(), projective_plane(), cone("z", dunce_hat()), hung)):
+        yield L, None, seed
+    for seed in range(3):
+        yield _dunce_hat_times_interval(), None, seed
+
+
+def test_lazy_certificates_equal_eager_ones(monkeypatch):
+    """A certificate from ``_free_face_search`` builds no step until read,
+    and read fresh through each of ==, hash, repr and the JSON text it is
+    the certificate built at once from the same pairs, and it replays; for
+    the deterministic pass alone and with seeded restarts."""
+    made = []
+    real = clp.FreeFacePair
+
+    def counting(face, coface):
+        made.append((face, coface))
+        return real(face, coface)
+
+    found = from_restart = 0
+    for L, target, seed in _search_cases():
+        index = L.index()
+        if target is None:
+            ids, end = range(len(index.simplices)), 1
+        else:
+            ids, end = clp._outside(index, index.down_closure(target.facets)), 0
+        for restarts in (0, 8):
+            eager = eager_free_face_search(index, ids, end, restarts, seed)
+
+            def search():
+                return clp._free_face_search(index, ids, end, restarts, seed)
+
+            if eager is None:
+                assert search() is None
+                continue
+            assert search() == eager and eager == search()
+            assert hash(search()) == hash(eager)
+            assert repr(search()) == repr(eager)
+            assert search().to_json() == eager.to_json()
+            with monkeypatch.context() as m:
+                m.setattr(clp, "FreeFacePair", counting)
+                made.clear()
+                cert = search()
+                assert made == []
+                assert cert.steps is cert.steps
+                assert made == [(p.face, p.coface) for p in eager.steps]
+            assert replay_complex_certificate(L, search(), target)
+            found += 1
+            from_restart += restarts and eager_free_face_search(index, ids, end, 0, seed) is None
+    assert found > 60 and from_restart > 0
 
 
 def test_staged_union_matches_oracle(monkeypatch):

@@ -11,8 +11,10 @@ import random
 
 import pytest
 
+from finspace import collapse as clp
 from finspace import covers
-from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary
+from finspace.collapse import replay_space_certificate
+from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary, simplex_id
 from finspace.covers import (
     COMPLEX,
     Cover,
@@ -40,11 +42,15 @@ from finspace.generators import (
     generate_strong_good_cover,
 )
 from finspace.persistence import check_truncation_theorem
+from finspace.posets import FinitePoset
 
 from helpers import (
+    all_pairs_reduced_nerve,
+    closed_index_sets,
     face_poset_nerve_homology,
     polygon_arc_cover,
     sd_boundary,
+    seeded_cone_cover,
     slow_check_truncation_theorem,
     slow_classify_cover,
     slow_i_x_masks,
@@ -60,6 +66,7 @@ from helpers import (
     slow_subunion,
     star_cover,
     subset_simplex_index,
+    subunion_covers,
     two_mode_index_sets,
     walked_classify_cover,
 )
@@ -294,6 +301,45 @@ def test_star_cover_of_sd_boundary_of_3_simplex_matches_oracle():
     rn, slow = reduced_nerve(cov), slow_reduced_nerve(cov)
     assert (rn.poset, rn.classes) == (slow.poset, slow.classes)
     assert_class_intersections_match(cov, rn.classes)
+
+
+def _poset_fields(X: FinitePoset) -> dict:
+    return {name: getattr(X, name) for name in FinitePoset.__slots__}
+
+
+def test_refinement_order_is_the_all_pairs_order():
+    """On every cover family in the tests, the reduced nerve ordered from
+    one-member refinements stores, field for field, the poset that testing
+    every pair of classes for reverse inclusion gave."""
+    families = all_covers() + list(subunion_covers()) + [star_cover(sd_boundary(3))]
+    families += [seeded_cone_cover(seed, 3 + seed % 6) for seed in range(12)]
+    for cov in families:
+        ours, theirs = reduced_nerve(cov), all_pairs_reduced_nerve(cov)
+        assert _poset_fields(ours.poset) == _poset_fields(theirs.poset)
+        assert ours.classes == theirs.classes
+
+
+def test_the_nerve_retracts_onto_the_reduced_nerve_by_beat_points():
+    """J -> {i : the intersection over J lies in U_i} is a closure operator
+    on the nerve's face poset.  A non-closed set maximal among those left is
+    an up-beat point, its closure the least point above it, so removing beat
+    points outside the closed sets ends exactly on them, and the removals
+    replay.  The closed sets, ordered by inclusion, are the reduced nerve:
+    each is the largest index set of its class."""
+    retracted = 0
+    for cov in all_covers() + list(subunion_covers()):
+        X = non_hausdorff_nerve(cov)
+        closed = closed_index_sets(cov)
+        keep = X._mask(closed)
+        cert, left = clp._peel(X, (1 << len(X)) - 1, clp.BEAT_KINDS, keep=keep)
+        assert left == keep
+        retracted += len(closed) < len(X)
+        assert replay_space_certificate(X, cert, target=closed)
+        rn = reduced_nerve(cov)
+        name = {simplex_id(max(Js, key=len)): rep for rep, Js in rn.classes.items()}
+        hasse = {(name[a], name[b]) for a, b in X.restrict(closed).hasse}
+        assert sorted(name) == sorted(closed) and hasse == rn.poset.hasse
+    assert retracted >= 30
 
 
 @pytest.mark.parametrize("cov", [circle_arc_cover(), finite_circle_cover()])

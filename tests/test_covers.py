@@ -37,7 +37,7 @@ from finspace.homology import homology_equal, homology_of_poset
 from finspace.persistence import check_truncation_theorem
 from finspace.posets import FinitePoset, build_poset, chain
 
-from helpers import sd_boundary, star_cover
+from helpers import contains_simplex, sd_boundary, star_cover
 
 
 def test_cover_must_cover_parent():
@@ -202,7 +202,7 @@ def test_nerve_downward_closed():
         for v in s:
             smaller = frozenset(s) - {v}
             if smaller:
-                assert N.contains_simplex(smaller)
+                assert contains_simplex(N, smaller)
 
 
 def test_reduced_nerve_identifies_equal_intersections():
@@ -360,6 +360,37 @@ def test_verdicts_alone_build_no_record(monkeypatch):
         built.clear()
 
 
+def test_certificates_build_their_steps_when_a_record_is_read(monkeypatch):
+    """Classification and the truncation checker build no free-face step;
+    reading a record's certificate builds that certificate's steps and no
+    other.  Index sets with one intersection share one certificate."""
+    built = []
+    real = clp.FreeFacePair
+
+    def building(face, coface):
+        built.append((face, coface))
+        return real(face, coface)
+
+    monkeypatch.setattr(clp, "FreeFacePair", building)
+    covs = [generate_strong_good_cover(seed)[1] for seed in range(4)]
+    covs += [circle_arc_cover(), star_cover(sd_boundary(2))]
+    read = 0
+    for cov in map(_fresh, covs):
+        for only in (False, True):
+            cls = classify_cover(cov, nerve_simplices_only=only)
+            check_truncation_theorem(cov, classification=cls)
+        assert built == []
+        certs = {id(r.collapsibility.certificate): r for r in cls.records if not r.empty}
+        for record in list(certs.values())[-2:]:
+            if record.collapsibility.verdict == "yes":
+                steps = record.collapsibility.certificate.steps
+                assert built == [(p.face, p.coface) for p in steps]
+                assert record.triviality.certificate.steps is steps
+                read += len(steps)
+                built.clear()
+    assert read > 0
+
+
 def test_a_record_is_read_off_the_table(monkeypatch):
     """``record`` resolves an index set through the nerve table and the
     verdicts, building no records: in full mode an empty intersection gives
@@ -416,7 +447,7 @@ def test_containing_intersections_circle():
 def test_chains_containing_two_triangles():
     cov = two_triangle_cover()
     s_sigma = chains_containing(cov, ("v0", "v2"))
-    assert s_sigma.contains_simplex({"A", "B"})
+    assert contains_simplex(s_sigma, {"A", "B"})
 
 
 def test_n_zero_complex_downward_closed():
@@ -426,7 +457,7 @@ def test_n_zero_complex_downward_closed():
         for v in s:
             smaller = frozenset(s) - {v}
             if smaller:
-                assert n0.contains_simplex(smaller)
+                assert contains_simplex(n0, smaller)
 
 
 def test_check_nerve_theorem_good_complex_circle():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from itertools import combinations
@@ -9,7 +10,7 @@ from finspace import collapse as clp
 from finspace.collapse import _collapse_run
 from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary
 from finspace.covers import Cover, _all_index_sets, classify_cover, nerve
-from finspace.errors import InvalidCover, NotAChain, UnknownMember
+from finspace.errors import InvalidCover, InvariantViolation, NotAChain, UnknownMember
 from finspace.fixtures import (
     circle_arc_cover,
     dunce_hat,
@@ -23,6 +24,7 @@ from finspace.posets import _ids
 
 from helpers import (
     betti_numbers_gf2_oracle,
+    contains_simplex,
     largest_predecessor_positive_degree_failures,
     per_union_positive_degree_failures,
     polygon_arc_cover,
@@ -140,6 +142,68 @@ def test_restricted_betti_numbers_match_each_subunion_of_its_own():
     assert checked == 9 * len(covers) and lower >= 5
 
 
+def _prefix_chains():
+    """(cover, chain): the prefix chain of each cover's members, in sorted
+    order and in a seeded shuffle, on the sub-union covers and the star
+    covers of sd of the boundaries of the 2- and 3-simplex."""
+    covers = list(subunion_covers()) + [star_cover(sd_boundary(2)), star_cover(sd_boundary(3))]
+    for seed, cov in enumerate(covers):
+        names = sorted(cov.names())
+        shuffled = random.Random(f"prefix:{seed}").sample(names, len(names))
+        for order in (names, shuffled):
+            yield cov, [order[:k] for k in range(1, len(order) + 1)]
+
+
+def _tampered(diagram):
+    """The diagram, and one copy per bar with that bar's birth one step
+    later, its death one step later, or the bar dropped."""
+    yield diagram
+    for n, (deg, bars) in enumerate(diagram.bars):
+        for i, (birth, death) in enumerate(bars):
+            for bar in ((birth + 1, death), (birth, None if death is None else death + 1), None):
+                changed = bars[:i] + ((bar,) if bar else ()) + bars[i + 1:]
+                yield dataclasses.replace(
+                    diagram, bars=diagram.bars[:n] + ((deg, changed),) + diagram.bars[n + 1:]
+                )
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except InvariantViolation as e:
+        return str(e)
+    return None
+
+
+def test_the_betti_check_names_the_first_count_a_tampered_bar_moves():
+    """Moving one bar's birth or death a step later, or dropping the bar,
+    makes the check raise at the first step and degree whose alive count
+    moved, with that count and the true one, also at a step that adds no
+    simplex (the dunce hat and RP2 covers add their triangle after the
+    whole complex); the untampered diagram passes."""
+    raised = unchanged = 0
+    for cov, chain in _prefix_chains():
+        index = cov.parent.index()
+        steps = [_ids(cov._union_mask(J)) for J in chain]
+        unchanged += sum(a == b for a, b in zip(steps, steps[1:]))
+        true, *tampered = _tampered(persistence_over_chain(cov, chain))
+        assert _raised(persistence._check_against_betti, true, index, steps) is None
+        cells = [
+            (t, k) for t, ids in enumerate(steps, start=1) if ids
+            for k in range(len(index.simplices[ids[-1]]))
+        ]
+        for diagram in tampered:
+            moved = [(t, k) for t, k in cells if diagram.alive_at(t, k) != true.alive_at(t, k)]
+            expected = None
+            if moved:
+                t, k = moved[0]
+                alive, b = diagram.alive_at(t, k) - (k == 0), true.alive_at(t, k) - (k == 0)
+                expected = f"bar count {alive} disagrees with betti_{k}={b} at step {t}"
+            assert _raised(persistence._check_against_betti, diagram, index, steps) == expected
+            raised += expected is not None
+    assert unchanged >= 2 and raised > 100
+
+
 def test_persistence_rejects_unknown_member_names():
     with pytest.raises(UnknownMember, match="no cover member named 'nope'"):
         persistence_over_chain(circle_arc_cover(), [["U1"], ["U1", "nope"]])
@@ -167,8 +231,8 @@ def test_persistence_sees_degree_one_bars_and_torsion_mod_2():
 def test_subunion():
     cov = circle_arc_cover()
     K = cov.subunion(["U1", "U2"])
-    assert K.contains_simplex({"w0", "w1"})
-    assert not K.contains_simplex({"w4", "w5"})
+    assert contains_simplex(K, {"w0", "w1"})
+    assert not contains_simplex(K, {"w4", "w5"})
     assert cov.subunion([]).is_empty()
 
 

@@ -335,3 +335,41 @@ def test_the_library_has_one_triviality_rule():
                 reads.add(name)
     assert defines == set()
     assert reads == {"collapse.py"}
+
+
+def _constructing(path: str, callee: str) -> set[str]:
+    """The qualified names of the functions and methods of a module that
+    call callee, by its name or as an attribute of a module."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
+                    found.add(scope or "<module>")
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_free_face_steps_are_built_on_first_read_only():
+    """A search's certificate builds its ``FreeFacePair`` steps when they
+    are first read, in ``CollapseCertificate.steps``; only a certificate
+    read from a document builds them at once.  No other library code
+    constructs one, so no eager second path builds steps nobody reads."""
+    package = os.path.join(ROOT, "src", "finspace")
+    builders = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            if found := _constructing(os.path.join(package, name), "FreeFacePair"):
+                builders[name] = found
+    assert builders == {
+        "collapse.py": {"CollapseCertificate.steps", "CollapseCertificate.from_doc"}
+    }
