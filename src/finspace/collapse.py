@@ -36,23 +36,35 @@ present and the number and id sum of its present codimension-1 cofaces,
 updated in O(dim) per removed pair, so no complex is rebuilt per step.  One
 loop on ints, ``_collapse_run``, removes free pairs among given ids and
 never touches a simplex outside them; it stops when no id of positive
-dimension is left and records (face id, coface id) pairs.  The certificate
-of the schedule that succeeded holds those pairs with the index's
-simplices and builds its steps on first read, so a caller that reads only
-the verdict builds none.  When the ids are what a complex K has beyond a
-subcomplex L, a coface in K of an id lies outside L too, so the counts
-over the ids are the counts in K: a pass that removes every id collapses K
-onto L, and one that leaves only vertices collapses K onto L plus isolated
-vertices.  The
-same loop therefore gives a collapse to a point (all of K's ids, one
-vertex left), a targeted collapse (L the target, none left) and the
-truncation checker's relative pass (L a sub-union already collapsed).  A
-subcomplex is searched as its simplex ids on its parent's index, and a
-stuck search reads the homology of the same ids.  A target is found on
-that index too, by its facets closed downward
-(``SimplexIndex.down_closure``), so no index of the target is built.  The
-loop's free list is its only record of which ids are free: the present ids
+dimension is left and records (face id, coface id) pairs, and only the
+schedule that succeeded keeps them, in its certificate.  When the ids are
+what a complex K has beyond a subcomplex L, a coface in K of an id lies
+outside L too, so the counts over the ids are the counts in K: a pass that
+removes every id collapses K onto L, and one that leaves only vertices
+collapses K onto L plus isolated vertices.  The same loop therefore gives
+a collapse to a point (all of K's ids, one vertex left), a targeted
+collapse (L the target, none left) and the truncation checker's relative
+pass (L a sub-union already collapsed).  A subcomplex is searched as its
+simplex ids on its parent's index, and a stuck search reads the homology
+of the same ids.  A target is found on that index too, by its facets
+closed downward (``SimplexIndex.down_closure``), so no index of the
+target is built.  The loop's free list is its only record of which ids are free: the present ids
 with one present coface.
+
+A certificate keeps the positions its search found, over the names it
+searched: an index's simplices with (face id, coface id) pairs, or a
+poset's elements with (position, kind) pairs from ``_peel`` or the
+cylinder executor.  Its steps are built from them on first read (replay
+by names, ``--out``, equality or JSON), so a caller that reads only the
+verdict builds none, and the positions are kept after that read.  Replay
+runs one loop per kind on positions over its target's numbering.  When
+the certificate was made over that very sequence of names, the target's
+``simplices`` or ``elements``, it reads the stored positions as they are;
+looking the names up would map each to its own position.  Any other
+certificate (read from a document, put together by
+``staged_union_collapse``, or made on an equal but distinct complex or
+poset) has its steps' names looked up on the target, and a free pair that
+repeats a vertex names no simplex.
 
 A triviality verdict comes from two tests, the greedy collapse and, for a
 subspace, the beat-point contraction, by one rule.  A collapse verdict
@@ -101,6 +113,8 @@ DOWN_BEAT = "down-beat"
 UP_BEAT = "up-beat"
 DOWN_WEAK = "down-weak"
 UP_WEAK = "up-weak"
+FREE_PAIR = "free-pair"
+POINT_REMOVAL = "point-removal"  # a step of one of the four kinds above
 
 
 @dataclass(frozen=True)
@@ -118,39 +132,55 @@ class FreeFacePair:
     coface: tuple[str, ...]
 
     def to_doc(self) -> dict:
-        return {"kind": "free-pair", "face": list(self.face), "coface": list(self.coface)}
+        return {"kind": FREE_PAIR, "face": list(self.face), "coface": list(self.coface)}
 
 
 class CollapseCertificate(Document):
     """Ordered removal steps witnessing a collapse onto the declared target.
 
-    A free-face search hands over its index's simplices and the (face id,
-    coface id) pairs it removed (``_of_pairs``), and the ``FreeFacePair``
-    steps are built from them on first read, so a caller that reads only
-    the verdict builds none.  Equality, hashing, repr and the document read
+    A certificate the library makes keeps the positions its search found,
+    over the names it searched (``_of_positions``): an index's
+    ``simplices`` with (face id, coface id) pairs, or a poset's
+    ``elements`` with (position, kind) pairs.  Its ``FreeFacePair`` or
+    ``PointRemoval`` steps are built from them on first read, so a caller
+    that reads only the verdict builds none, and the positions are kept
+    after that read.  Replay on that very sequence of names reads the
+    positions as they are (``_positions_over``); a certificate read from a
+    document or put together from others has steps only, and replay looks
+    their names up.  Equality, hashing, repr and the document read
     ``steps``, as those of a frozen dataclass with that one field do.
     """
 
-    __slots__ = ("_steps", "_pairs")
+    __slots__ = ("_steps", "_names", "_positions", "_kind")
 
     def __init__(self, steps: tuple = ()):
-        self._steps, self._pairs = steps, None
+        self._steps, self._names, self._positions, self._kind = steps, None, None, None
 
     @classmethod
-    def _of_pairs(
-        cls, simplices: Sequence, pairs: Sequence[tuple[int, int]]
+    def _of_positions(
+        cls, kind: str, names: Sequence, positions: Sequence
     ) -> "CollapseCertificate":
+        """The certificate of positions over names: (face id, coface id)
+        pairs over simplices for ``FREE_PAIR``, (position, kind) pairs over
+        elements for ``POINT_REMOVAL``."""
         cert = cls.__new__(cls)
-        cert._steps, cert._pairs = None, (simplices, pairs)
+        cert._steps, cert._names, cert._positions, cert._kind = None, names, positions, kind
         return cert
 
     @property
     def steps(self) -> tuple:
         if self._steps is None:
-            simplices, pairs = self._pairs
-            self._steps = tuple(FreeFacePair(simplices[s], simplices[t]) for s, t in pairs)
-            self._pairs = None
+            names = self._names
+            if self._kind == FREE_PAIR:
+                self._steps = tuple(FreeFacePair(names[s], names[t]) for s, t in self._positions)
+            else:
+                self._steps = tuple(PointRemoval(names[i], kind) for i, kind in self._positions)
         return self._steps
+
+    def _positions_over(self, names: Sequence) -> Sequence | None:
+        """The positions the certificate was made with when they are over
+        this very sequence of names, else None."""
+        return self._positions if names is self._names else None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -171,17 +201,24 @@ class CollapseCertificate(Document):
         steps = []
         for step in _objects(doc, "steps", "the certificate"):
             kind = _string(_field(step, "kind", "a certificate step"), "a step kind")
-            if kind == "free-pair":
+            if kind == FREE_PAIR:
                 face = _string_ids(_field(step, "face", "a free-pair step"), "a step face")
                 coface = _string_ids(_field(step, "coface", "a free-pair step"), "a step coface")
-                steps.append(FreeFacePair(tuple(face), tuple(coface)))
+                steps.append(FreeFacePair(_distinct(face, "face"), _distinct(coface, "coface")))
             elif kind in BEAT_KINDS + WEAK_KINDS:
                 element = _field(step, "element", "a point-removal step")
                 steps.append(PointRemoval(_string(element, "a step element"), kind))
             else:
-                kinds = ", ".join(("free-pair",) + BEAT_KINDS + WEAK_KINDS)
+                kinds = ", ".join((FREE_PAIR,) + BEAT_KINDS + WEAK_KINDS)
                 raise MalformedSpec(f"a step kind must be one of {kinds}, got {kind!r}")
         return CollapseCertificate(tuple(steps))
+
+
+def _distinct(ids: list, part: str) -> tuple:
+    """The ids of a step's face or coface, which must not repeat one."""
+    if len(set(ids)) != len(ids):
+        raise MalformedSpec(f"a step {part} repeats an id: {ids}")
+    return tuple(ids)
 
 
 @dataclass(frozen=True)
@@ -313,8 +350,9 @@ def _peel(
     steps: list[tuple[int, int]] = []
     _, test = _KIND_TESTS[kinds[0]]  # both kinds share the test
     left = _prune(X, alive, test, keep, size, steps)
-    names = X.elements
-    return CollapseCertificate(tuple(PointRemoval(names[i], kinds[s]) for i, s in steps)), left
+    return CollapseCertificate._of_positions(
+        POINT_REMOVAL, X.elements, [(i, kinds[s]) for i, s in steps]
+    ), left
 
 
 def _contraction(X: FinitePoset, alive: int) -> CollapseCertificate | None:
@@ -401,22 +439,38 @@ def replay_space_certificate(
     X: FinitePoset, cert: CollapseCertificate, target: Iterable[str] | None = None
 ) -> bool:
     """Check each removal is valid for its declared kind; verify the end state.
-    An empty X or target raises EmptySpace and a target naming an element
+    A certificate made on X's elements is replayed at the positions its
+    search found, any other at its steps' elements looked up in X.  An
+    empty X or target raises EmptySpace and a target naming an element
     outside X raises TargetNotInduced, as a search would."""
     if not len(X):
         raise EmptySpace("cannot collapse the empty space")
     keep = _target_mask(X, target)
-    alive = _everything(X)
-    for step in cert.steps:
-        if not isinstance(step, PointRemoval) or step.element not in X:
+    removals = cert._positions_over(X.elements)
+    if removals is None:
+        removals = _removals_by_name(X, cert)
+        if removals is None:
             return False
-        i = X._at(step.element)
-        if not alive >> i & 1 or not removable(X, alive, i, step.kind):
+    alive = _everything(X)
+    for i, kind in removals:
+        if not alive >> i & 1 or not removable(X, alive, i, kind):
             return False
         alive ^= 1 << i
     if keep is not None:
         return alive == keep
     return alive.bit_count() == 1
+
+
+def _removals_by_name(X: FinitePoset, cert: CollapseCertificate) -> list[tuple[int, str]] | None:
+    """The names route of space replay: each step's element looked up in X,
+    as (position, kind), or None when a step is not a point removal or
+    names no element of X."""
+    removals = []
+    for step in cert.steps:
+        if not isinstance(step, PointRemoval) or step.element not in X:
+            return None
+        removals.append((X._at(step.element), step.kind))
+    return removals
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +595,7 @@ def _free_face_search(
         rng = random.Random(f"restart:{seed}:{attempt - 1}") if attempt else None
         steps = _collapse_run(index, ids, rng)
         if steps is not None and len(ids) - 2 * len(steps) == end:
-            return CollapseCertificate._of_pairs(index.simplices, steps)
+            return CollapseCertificate._of_positions(FREE_PAIR, index.simplices, steps)
     return None
 
 
@@ -643,26 +697,28 @@ def replay_complex_certificate(
 ) -> bool:
     """Re-execute free-face pairs, checking freeness at each step, on the
     simplices of K outside the target, and check that one vertex is left
-    (none outside a target).  A face or coface may list its vertices in any
-    order.  An empty K or target raises EmptyObject and a target that is
-    not a subcomplex of K raises TargetNotInduced, as a search would.
+    (none outside a target).  A certificate made on K's index is replayed at
+    the ids its search found, any other at its steps' faces and cofaces
+    looked up on the index: they may list their vertices in any order, and
+    a step that repeats a vertex fails.  An empty K or target raises
+    EmptyObject and a target that is not a subcomplex of K raises
+    TargetNotInduced, as a search would.
     """
     index, target = _collapse_input(K, target)
-    id_of, faces = index.id_of, index.faces
+    pairs = cert._positions_over(index.simplices)
+    if pairs is None:
+        pairs = _pair_ids_by_name(index.id_of, cert)
+        if pairs is None:
+            return False
+    faces = index.faces
     if target is None:
         ids, end = range(len(index.simplices)), 1
     else:
         ids, end = _outside(index, target), 0
     left = len(ids)
     present, count, cosum = _free_state(index, ids)
-    for step in cert.steps:
-        if not isinstance(step, FreeFacePair):
-            return False
-        s = id_of.get(tuple(sorted(frozenset(step.face))))
-        if s is None or not present[s] or count[s] != 1:
-            return False
-        t = cosum[s]
-        if id_of.get(tuple(sorted(frozenset(step.coface)))) != t:
+    for s, t in pairs:
+        if not present[s] or count[s] != 1 or cosum[s] != t:
             return False
         present[s] = present[t] = False
         left -= 2
@@ -671,6 +727,27 @@ def replay_complex_certificate(
                 count[u] -= 1
                 cosum[u] -= gone
     return left == end
+
+
+def _pair_ids_by_name(
+    id_of: dict[tuple[str, ...], int], cert: CollapseCertificate
+) -> list[tuple[int, int]] | None:
+    """The names route of complex replay: each step's face and coface, in
+    any vertex order, looked up in id_of, as (face id, coface id), or None
+    when a step is not a free pair, repeats a vertex or names a simplex the
+    index lacks."""
+    pairs = []
+    for step in cert.steps:
+        if not isinstance(step, FreeFacePair):
+            return None
+        face, coface = sorted(set(step.face)), sorted(set(step.coface))
+        if len(face) != len(step.face) or len(coface) != len(step.coface):
+            return None
+        s, t = id_of.get(tuple(face)), id_of.get(tuple(coface))
+        if s is None or t is None:
+            return None
+        pairs.append((s, t))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

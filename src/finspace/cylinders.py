@@ -391,9 +391,9 @@ def _execute_target_removal(R: Relation, B: FinitePoset, side: str, masks: list[
                 "proof_identity": identity_ok,
                 "note": "removed point is not a weak point at removal time",
             }
-        steps.append(clp.PointRemoval(B.elements[i], kind))
+        steps.append((i, kind))
         alive ^= 1 << i
-    cert = clp.CollapseCertificate(tuple(steps))
+    cert = clp.CollapseCertificate._of_positions(clp.POINT_REMOVAL, B.elements, steps)
     target = B.elements[kept_at : kept_at + len(kept)]
     replay_ok = clp.replay_space_certificate(B, cert, target=target)
     return {

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -132,18 +133,32 @@ def _check_against_betti(
 ) -> None:
     """Raise InvariantViolation unless the bars alive at each step count the
     GF(2) Betti numbers of that step's sub-union, given by its simplex ids
-    on the index."""
+    on the index.
+
+    The alive counts (``alive_at``) are carried along the chain: per
+    degree, a bar adds one at its birth, a step from 1 on, and takes one
+    away at its death, or at its birth if it dies no later.
+    """
+    change: dict[int, Counter] = {}
+    for k, bars in diagram.bars:
+        delta = change[k] = Counter()
+        for birth, death in bars:
+            delta[birth] += 1
+            if death is not None:
+                delta[max(birth, death)] -= 1
+    alive = dict.fromkeys(change, 0)
     for t, ids in enumerate(steps, start=1):
+        for k, delta in change.items():
+            alive[k] += delta[t]
         if not ids:
             continue
         betti = _betti_gf2(index, ids)
         for k, b in enumerate(betti):
-            alive = diagram.alive_at(t, k)
-            if k == 0:
-                alive -= 1  # reduced convention: one essential component bar
-            if alive != b:
+            # reduced convention: one essential component bar
+            count = alive.get(k, 0) - (k == 0)
+            if count != b:
                 raise InvariantViolation(
-                    f"bar count {alive} disagrees with betti_{k}={b} at step {t}"
+                    f"bar count {count} disagrees with betti_{k}={b} at step {t}"
                 )
 
 

@@ -381,13 +381,19 @@ def shrinking_free_faces(K: SimplicialComplex):
     return [(simplices[s], simplices[state.cosum[s]]) for s in state.free_ids()]
 
 
+def _repeats_a_vertex(step) -> bool:
+    """Whether a free-pair step's face or coface lists a vertex twice: it
+    names no simplex, so replay fails on it."""
+    return any(len(set(part)) != len(part) for part in (step.face, step.coface))
+
+
 def shrinking_replay_complex(K: SimplicialComplex, cert, target=None) -> bool:
     """Replay on a ``Shrinking`` state of all of K, checking at the end that
     exactly the target's simplices (or one simplex) are left."""
     state = Shrinking(K.index())
     id_of = state.index.id_of
     for step in cert.steps:
-        if not isinstance(step, FreeFacePair):
+        if not isinstance(step, FreeFacePair) or _repeats_a_vertex(step):
             return False
         s = id_of.get(tuple(sorted(frozenset(step.face))))
         t = None if s is None else state.coface_if_free(s)
@@ -590,7 +596,7 @@ def slow_greedy_collapse_complex(K, target=None, restarts=8, seed=0):
 def slow_replay_complex(K, cert, target=None) -> bool:
     current = K
     for step in cert.steps:
-        if not isinstance(step, FreeFacePair):
+        if not isinstance(step, FreeFacePair) or _repeats_a_vertex(step):
             return False
         face = frozenset(step.face)
         coface = frozenset(step.coface)

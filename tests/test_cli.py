@@ -430,6 +430,8 @@ _CYCLIC = {
         (["nerve"], json.dumps({"kind": "poset", "parent": _POSET, "members": [{"name": "U", "elements": "ab"}]})),
         (["verify", "replay-complex"], json.dumps({"complex": _COMPLEX, "certificate": {"steps": [{**_CERT["steps"][0], "face": "a"}]}})),
         (["nerve"], json.dumps({**_COVER, "kind": "sphere"})),
+        # a step that repeats a vertex, which a set of its ids would drop
+        (["verify", "replay-complex"], json.dumps({"complex": {"facets": [["a", "b"]]}, "certificate": {"steps": [{"kind": "free-pair", "face": ["a", "a"], "coface": ["b", "a", "b"]}]}})),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):
@@ -474,6 +476,8 @@ _STEPS_ONE_OF = "a step kind must be one of free-pair, down-beat, up-beat, down-
         (CollapseCertificate, {"steps": [{"kind": "up-beat"}]}, MalformedSpec, "a point-removal step needs a 'element' key"),
         (CollapseCertificate, {"steps": [{**_CERT["steps"][0], "face": "a"}]}, MalformedSpec, "a step face must be a list of string ids"),
         (CollapseCertificate, {"steps": [{"kind": "sideways", "element": "a"}]}, MalformedSpec, f"{_STEPS_ONE_OF}, got 'sideways'"),
+        (CollapseCertificate, {"steps": [{**_CERT["steps"][0], "face": ["a", "a"]}]}, MalformedSpec, "a step face repeats an id: ['a', 'a']"),
+        (CollapseCertificate, {"steps": [{**_CERT["steps"][0], "coface": ["b", "a", "b"]}]}, MalformedSpec, "a step coface repeats an id: ['b', 'a', 'b']"),
     ],
 )
 def test_readers_reject_malformed_documents(reader, doc, error, message):

@@ -275,6 +275,21 @@ def test_corrupted_certificate_fails_replay():
     assert not replay_complex_certificate(K, bogus)
 
 
+def test_a_step_that_repeats_a_vertex_names_no_simplex():
+    """A face or coface listing a vertex twice is not a simplex: replay fails
+    on it, though dropping the repeat would make a valid step, and a
+    document holding one is malformed."""
+    K = SimplicialComplex([["a", "b"]])
+    valid = CollapseCertificate((FreeFacePair(("a",), ("a", "b")),))
+    assert replay_complex_certificate(K, valid)
+    for face, coface in ((("a", "a"), ("a", "b")), (("a",), ("b", "a", "b"))):
+        repeat = CollapseCertificate((FreeFacePair(face, coface),))
+        assert not replay_complex_certificate(K, repeat)
+        with pytest.raises(MalformedSpec, match="repeats an id"):
+            CollapseCertificate.from_json(repeat.to_json())
+    assert CollapseCertificate.from_json(valid.to_json()) == valid
+
+
 def test_replay_raises_on_the_inputs_a_search_rejects():
     """A target outside the complex, an empty target and an empty complex or
     space are bad input to replay, as to a search, not a certificate that

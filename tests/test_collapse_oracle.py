@@ -47,6 +47,7 @@ from finspace.cylinders import (
     _side,
     compose_relations,
     relation_cylinder,
+    tag,
 )
 from finspace.errors import EmptyObject, TargetNotInduced
 from finspace.fixtures import dunce_hat, finite_circle, projective_plane, two_triangles
@@ -916,3 +917,192 @@ def test_cone_over_sd_boundary_of_4_simplex_collapses_and_replays():
     res = greedy_collapse_complex(C)
     assert res.is_yes() and len(res.certificate.steps) == 540
     assert replay_complex_certificate(C, res.certificate)
+
+
+# -- replay by positions and by names ------------------------------------------
+#
+# A certificate the library makes keeps the positions its search found, and
+# replay on the very index or poset it was made on reads them as they are.
+# Any other certificate goes the names route, which stays the oracle: each
+# certificate, found or tampered, is replayed by positions, by names after a
+# trip through its document, and on an equal complex or poset with an index
+# or elements of its own, and all three must agree.
+
+
+def _fresh_complex(K: SimplicialComplex) -> SimplicialComplex:
+    L = SimplicialComplex(K.facets)
+    assert L == K and L.index().simplices is not K.index().simplices
+    return L
+
+
+def _fresh_poset(X: FinitePoset) -> FinitePoset:
+    Y = FinitePoset(X.elements, X.hasse)
+    assert Y == X and Y.elements is not X.elements
+    return Y
+
+
+def _tampered(positions: list, extra: list) -> list:
+    """The positions as found, and broken in one way each: swapped,
+    reversed, truncated, a step repeated, and with each extra step put
+    first (a wrong kind or coface, a face of the target, another face)."""
+    out = [positions, positions[::-1], positions[1:] + positions[:1], positions[:-1]]
+    out += [positions[:1] + positions] if positions else []
+    return out + [[step] + positions for step in extra]
+
+
+@pytest.fixture
+def by_name(monkeypatch):
+    """The number of replays that took the names route."""
+    calls = Counter()
+    for name in ("_pair_ids_by_name", "_removals_by_name"):
+
+        def counting(*args, _real=getattr(clp, name)):
+            calls["names"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(clp, name, counting)
+    return calls
+
+
+def _three_ways(replay, obj, fresh, cert, target, by_name) -> bool:
+    """The replay of cert by positions on obj, which it was made on, after
+    checking that by names and on the equal fresh object agree with it."""
+    before = by_name["names"]
+    ours = replay(obj, cert, target)
+    assert by_name["names"] == before
+    assert replay(obj, CollapseCertificate.from_doc(cert.to_doc()), target) == ours
+    assert replay(fresh, cert, target) == ours
+    assert by_name["names"] == before + 2
+    return ours
+
+
+def _complex_cases():
+    """(complex, target or None, certificate) for each Yes of the search
+    cases, to a point and onto a target."""
+    for L, target, seed in _search_cases():
+        res = greedy_collapse_complex(L, target=target, restarts=8, seed=seed)
+        if res.is_yes():
+            yield L, target, res.certificate
+
+
+def _space_cases():
+    """(poset, target or None, certificate) for each Yes of the weak-point
+    collapse, to a point and onto the down set of the last element, on the
+    oracle's posets, face posets of cones and relation cylinders."""
+    spaces = [cone("apex", K).face_poset() for _, K, _ in list(_complexes())[:8]]
+    spaces += list(_posets()) + [relation_cylinder(R) for R in _cylinder_relations()]
+    for X in spaces:
+        for target in (None, X.down_set(X.elements[-1])):
+            res = greedy_collapse_space(X, target=target)
+            if res.is_yes():
+                yield X, target, res.certificate
+
+
+def _executor_cases():
+    """(cylinder B(R), kept copy's points, certificate) of each collapse the
+    executor makes, on R1, R2 and their composite for composite seeds 0-39."""
+    for seed in range(40):
+        R1, R2 = generate_composite_instance(seed)
+        for R in (R1, R2, compose_relations(R1, R2)):
+            for side in ("left", "right"):
+                B = relation_cylinder(R)
+                report = _execute_target_removal(R, B, side, _hypothesis_masks(R, side))
+                if report["verdict"] == "yes":
+                    kept, kept_name = _side(R, side)[:2]
+                    yield B, {tag(kept_name, x) for x in kept.elements}, report["certificate"]
+
+
+def test_complex_replay_by_positions_agrees_with_the_names_route(by_name):
+    verdicts = Counter()
+    for L, target, cert in _complex_cases():
+        index, fresh = L.index(), _fresh_complex(L)
+        positions = list(cert._positions_over(index.simplices))
+        if not positions:
+            continue
+        # the first face with the last coface, and another face of the
+        # first coface with it, free or not
+        s, t = positions[0]
+        extra = [(s, positions[-1][1])] + [(f, t) for f in index.faces[t][-1:] if f != s]
+        if target is not None:  # a face of the target and its coface there
+            top = max(_ids(index.down_closure(target.facets)))
+            extra += [(index.faces[top][0], top)] if index.faces[top] else []
+        for tampered in _tampered(positions, extra):
+            made = CollapseCertificate._of_positions(clp.FREE_PAIR, index.simplices, tampered)
+            for end in {target, None}:
+                verdicts[_three_ways(replay_complex_certificate, L, fresh, made, end, by_name)] += 1
+        # a wrong kind: the steps of a space certificate
+        X = L.face_poset()
+        space = greedy_collapse_space(X)
+        if space.is_yes():
+            assert not replay_complex_certificate(L, space.certificate)
+            assert not replay_space_certificate(X, cert)
+    assert verdicts[True] > 100 and verdicts[False] > verdicts[True]
+
+
+def _removal_tampers(X: FinitePoset, positions: list, target) -> list:
+    """Point-removal steps put first: a kind flipped, a point that is not
+    removable, and a point of the target."""
+    flipped = dict(zip(BEAT_KINDS + WEAK_KINDS, BEAT_KINDS[::-1] + WEAK_KINDS[::-1]))
+    i, kind = positions[0]
+    extra = [(i, flipped[kind])]
+    stuck = [j for j, x in enumerate(X.elements) if not clp.weak_point_kind(X, x)]
+    extra += [(j, "down-weak") for j in stuck[:1]]
+    if target:
+        extra.append((X._at(min(target)), kind))
+    return _tampered(positions, extra)
+
+
+def test_space_replay_by_positions_agrees_with_the_names_route(by_name):
+    verdicts = Counter()
+    for X, target, cert in _space_cases():
+        fresh = _fresh_poset(X)
+        positions = list(cert._positions_over(X.elements))
+        if not positions:
+            continue
+        for tampered in _removal_tampers(X, positions, target):
+            made = CollapseCertificate._of_positions(clp.POINT_REMOVAL, X.elements, tampered)
+            for end in {target, None}:
+                verdicts[_three_ways(replay_space_certificate, X, fresh, made, end, by_name)] += 1
+    assert verdicts[True] > 50 and verdicts[False] > verdicts[True]
+
+
+def test_executor_replay_by_positions_agrees_with_the_names_route(by_name):
+    verdicts = Counter()
+    for B, kept, cert in _executor_cases():
+        fresh = _fresh_poset(B)
+        positions = list(cert._positions_over(B.elements))
+        for tampered in _removal_tampers(B, positions, kept):
+            made = CollapseCertificate._of_positions(clp.POINT_REMOVAL, B.elements, tampered)
+            for end in (kept, None):
+                verdicts[_three_ways(replay_space_certificate, B, fresh, made, end, by_name)] += 1
+    assert verdicts[True] > 50 and verdicts[False] > verdicts[True]
+
+
+READS = {
+    "steps": lambda cert: cert.steps,
+    "==": lambda cert: cert == CollapseCertificate(cert.steps),
+    "to_doc": lambda cert: cert.to_doc(),
+}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_reading_a_certificate_keeps_its_positions(read, by_name):
+    """A certificate read first through ``steps``, ``==`` or ``to_doc``, as
+    the tracer, ``--out`` and the checks read it, keeps the positions its
+    search found, and its replay still reads them, with the same result."""
+    cases = [
+        (replay_complex_certificate, L, target, cert, L.index().simplices)
+        for L, target, cert in list(_complex_cases())[:40]
+    ]
+    cases += [
+        (replay_space_certificate, X, target, cert, X.elements)
+        for X, target, cert in list(_space_cases())[:30] + list(_executor_cases())[:30]
+    ]
+    for replay, obj, target, cert, names in cases:
+        positions = cert._positions_over(names)
+        assert positions is not None
+        before = replay(obj, cert, target)
+        READS[read](cert)
+        assert cert._positions_over(names) is positions
+        assert replay(obj, cert, target) == before
+    assert by_name["names"] == 0

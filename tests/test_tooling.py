@@ -373,3 +373,57 @@ def test_free_face_steps_are_built_on_first_read_only():
     assert builders == {
         "collapse.py": {"CollapseCertificate.steps", "CollapseCertificate.from_doc"}
     }
+
+
+def test_point_removal_steps_are_built_on_first_read_only():
+    """Point-removal searches and the cylinder executor hand their
+    certificates (position, kind) pairs; the ``PointRemoval`` steps are
+    built when first read, in ``CollapseCertificate.steps``, or at once
+    from a document, and nowhere else in the library."""
+    package = os.path.join(ROOT, "src", "finspace")
+    builders = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            if found := _constructing(os.path.join(package, name), "PointRemoval"):
+                builders[name] = found
+    assert builders == {
+        "collapse.py": {"CollapseCertificate.steps", "CollapseCertificate.from_doc"}
+    }
+
+
+def _reading(path: str, attribute: str) -> set[str]:
+    """The qualified names of the functions and methods of a module that
+    read the attribute of some object."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Attribute) and child.attr == attribute:
+                found.add(scope or "<module>")
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_replay_reads_steps_only_on_the_names_route():
+    """Replay asks a certificate for positions over its target; only the
+    names route, taken for a certificate not made on that target, reads
+    its steps.  The other readers are equality, hashing, repr, the
+    document and the staged union, which joins two certificates' steps."""
+    readers = _reading(os.path.join(ROOT, "src", "finspace", "collapse.py"), "steps")
+    assert not {name for name in readers if "replay" in name}
+    assert readers == {
+        "CollapseCertificate.__eq__",
+        "CollapseCertificate.__hash__",
+        "CollapseCertificate.__repr__",
+        "CollapseCertificate.to_doc",
+        "_pair_ids_by_name",
+        "_removals_by_name",
+        "staged_union_collapse",
+    }
