@@ -16,15 +16,12 @@ from .collapse import (
     beat_points,
     core,
     free_faces,
-    gamma_points,
     greedy_collapse_complex,
     greedy_collapse_space,
     is_contractible_space,
     replay_complex_certificate,
     replay_space_certificate,
     shadow_report,
-    staged_union_collapse,
-    weak_points,
 )
 from .complexes import (
     SimplicialComplex,
@@ -44,7 +41,6 @@ from .covers import (
     nerve,
     non_hausdorff_nerve,
     reduced_nerve,
-    reduced_nerve_complex,
 )
 from .cylinders import (
     CylinderSpec,
@@ -62,7 +58,6 @@ from .cylinders import (
 from .errors import FinspaceError
 from .homology import (
     HomologyResult,
-    betti_numbers_gf2,
     homology_equal,
     homology_of_poset,
     reduced_homology,
@@ -92,7 +87,6 @@ __all__ = [
     "aggregate_verdict",
     "antichain",
     "beat_points",
-    "betti_numbers_gf2",
     "build_poset",
     "chain",
     "check_collapse_left",
@@ -105,7 +99,6 @@ __all__ = [
     "cone",
     "core",
     "free_faces",
-    "gamma_points",
     "graph_relation",
     "greedy_collapse_complex",
     "greedy_collapse_space",
@@ -123,7 +116,6 @@ __all__ = [
     "persistence_over_chain",
     "reduced_homology",
     "reduced_nerve",
-    "reduced_nerve_complex",
     "relation_cylinder",
     "replay_complex_certificate",
     "replay_space_certificate",
@@ -132,6 +124,4 @@ __all__ = [
     "simplex_id",
     "smith_normal_form",
     "solid_simplex",
-    "staged_union_collapse",
-    "weak_points",
 ]

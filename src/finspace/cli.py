@@ -37,7 +37,7 @@ from .cylinders import (
     compose_relations,
     multiple_cylinder,
 )
-from .errors import Document, FinspaceError, MalformedSpec, _field, _object, _string_ids
+from .errors import Document, FinspaceError, MalformedSpec, _field, _id_set, _object
 from .homology import HomologyResult, homology_of_poset, reduced_homology
 from .persistence import check_truncation_theorem, persistence_over_chain
 from .posets import FinitePoset
@@ -246,7 +246,7 @@ def cmd_verify(args) -> int:
     doc = _load(args.infile)
     if args.flavor == "truncation":
         cover = Cover.from_doc(doc)
-        cls = classify_cover(cover, nerve_simplices_only=True, restarts=args.restarts, seed=args.seed)
+        cls = classify_cover(cover, restarts=args.restarts, seed=args.seed)
         report = check_truncation_theorem(cover, seed=args.seed, classification=cls)
         report["seed"] = args.seed
         _emit(report)
@@ -263,7 +263,7 @@ def cmd_verify(args) -> int:
     if args.flavor == "replay-space":
         X = FinitePoset.from_doc(_field(doc, "poset", "a replay document"))
         cert = CollapseCertificate.from_doc(_field(doc, "certificate", "a replay document"))
-        target = frozenset(_string_ids(doc["target"], "the target")) if "target" in doc else None
+        target = frozenset(_id_set(doc["target"], "the target")) if "target" in doc else None
         ok = replay_space_certificate(X, cert, target=target)
         _emit({"replay_ok": ok})
         return 0 if ok else 1

@@ -26,8 +26,8 @@ was removed, and taking the lowest position first, it removes the point a
 rescan from the first point would.  A subspace is an int mask over its
 parent's element positions, read with the parent's reachability masks; one
 weak-point collapse and one triviality rule act on such masks for
-whole spaces, links, cylinder hypothesis sets and cover intersections,
-with the certificates of the subposets they stand for.  No subposet is
+whole spaces, cylinder hypothesis sets and cover intersections, with the
+certificates of the subposets they stand for.  No subposet is
 built: a stuck search reads the homology of its masks.
 
 Free-face searches, the truncation checker, replay and ``free_faces`` share
@@ -61,10 +61,9 @@ runs one loop per kind on positions over its target's numbering.  When
 the certificate was made over that very sequence of names, the target's
 ``simplices`` or ``elements``, it reads the stored positions as they are;
 looking the names up would map each to its own position.  Any other
-certificate (read from a document, put together by
-``staged_union_collapse``, or made on an equal but distinct complex or
-poset) has its steps' names looked up on the target, and a free pair that
-repeats a vertex names no simplex.
+certificate (read from a document, or made on an equal but distinct
+complex or poset) has its steps' names looked up on the target, and a
+free pair that repeats a vertex names no simplex.
 
 A triviality verdict comes from two tests, the greedy collapse and, for a
 subspace, the beat-point contraction, by one rule.  A collapse verdict
@@ -76,8 +75,8 @@ subcomplex has no test left (``_after_complex_collapse``).
 ``_space_verdicts`` and ``_complex_verdicts`` give the (triviality,
 collapsibility) of a subspace mask or of a subcomplex's ids from one
 search, and cylinder hypothesis sets, cover intersections and S_sigma read
-both there.  Point links, I_x and ``is_homotopically_trivial_poset``
-compute no collapse verdict, so their contraction comes first.
+both there.  I_x and ``is_homotopically_trivial_poset`` compute no
+collapse verdict, so their contraction comes first.
 """
 
 from __future__ import annotations
@@ -96,9 +95,9 @@ from .errors import (
     MalformedSpec,
     TargetNotInduced,
     _field,
+    _id_set,
     _objects,
     _string,
-    _string_ids,
 )
 from .homology import (
     HomologyResult,
@@ -146,9 +145,9 @@ class CollapseCertificate(Document):
     that reads only the verdict builds none, and the positions are kept
     after that read.  Replay on that very sequence of names reads the
     positions as they are (``_positions_over``); a certificate read from a
-    document or put together from others has steps only, and replay looks
-    their names up.  Equality, hashing, repr and the document read
-    ``steps``, as those of a frozen dataclass with that one field do.
+    document has steps only, and replay looks their names up.  Equality,
+    hashing, repr and the document read ``steps``, as those of a frozen
+    dataclass with that one field do.
     """
 
     __slots__ = ("_steps", "_names", "_positions", "_kind")
@@ -202,9 +201,9 @@ class CollapseCertificate(Document):
         for step in _objects(doc, "steps", "the certificate"):
             kind = _string(_field(step, "kind", "a certificate step"), "a step kind")
             if kind == FREE_PAIR:
-                face = _string_ids(_field(step, "face", "a free-pair step"), "a step face")
-                coface = _string_ids(_field(step, "coface", "a free-pair step"), "a step coface")
-                steps.append(FreeFacePair(_distinct(face, "face"), _distinct(coface, "coface")))
+                face = _id_set(_field(step, "face", "a free-pair step"), "a step face")
+                coface = _id_set(_field(step, "coface", "a free-pair step"), "a step coface")
+                steps.append(FreeFacePair(tuple(face), tuple(coface)))
             elif kind in BEAT_KINDS + WEAK_KINDS:
                 element = _field(step, "element", "a point-removal step")
                 steps.append(PointRemoval(_string(element, "a step element"), kind))
@@ -212,13 +211,6 @@ class CollapseCertificate(Document):
                 kinds = ", ".join((FREE_PAIR,) + BEAT_KINDS + WEAK_KINDS)
                 raise MalformedSpec(f"a step kind must be one of {kinds}, got {kind!r}")
         return CollapseCertificate(tuple(steps))
-
-
-def _distinct(ids: list, part: str) -> tuple:
-    """The ids of a step's face or coface, which must not repeat one."""
-    if len(set(ids)) != len(ids):
-        raise MalformedSpec(f"a step {part} repeats an id: {ids}")
-    return tuple(ids)
 
 
 @dataclass(frozen=True)
@@ -325,17 +317,9 @@ def weak_point_kind(X: FinitePoset, x: str) -> str | None:
     return _point_kind(X, x, WEAK_KINDS)
 
 
-def _removable_points(X: FinitePoset, kind_of) -> list[tuple[str, str]]:
-    return [(x, kind) for x in X.elements if (kind := kind_of(X, x))]
-
-
 def beat_points(X: FinitePoset) -> list[tuple[str, str]]:
     """All beat points with their kind, in element order."""
-    return _removable_points(X, beat_point_kind)
-
-
-def weak_points(X: FinitePoset) -> list[tuple[str, str]]:
-    return _removable_points(X, weak_point_kind)
+    return [(x, kind) for x in X.elements if (kind := beat_point_kind(X, x))]
 
 
 def _peel(
@@ -372,17 +356,6 @@ def is_contractible_space(X: FinitePoset) -> bool:
     if not len(X):
         raise EmptySpace("contractibility of the empty space is not defined")
     return _contractible(X, _everything(X))
-
-
-def gamma_points(X: FinitePoset) -> list[tuple[str, TriStateResult]]:
-    """Per element, the triviality verdict of its link (punctured down + up
-    sets).  An isolated point's link is empty, and the empty space is not
-    homotopically trivial, so its verdict is No."""
-    out = []
-    for x, below, above in zip(X.elements, X._below, X._above):
-        link = below | above
-        out.append((x, _triviality(X, link) if link else TriStateResult("no", note="empty link")))
-    return out
 
 
 def _stuck(homology, whole, target, note: str) -> TriStateResult:
@@ -657,37 +630,6 @@ def greedy_collapse_complex(
     """
     index, target = _collapse_input(K, target)
     return _free_face_verdict(index, range(len(index.simplices)), target, restarts, seed)
-
-
-def staged_union_collapse(
-    parts: list[SimplicialComplex], restarts: int = 8, seed: int = 0
-) -> TriStateResult:
-    """Collapse a union of complexes stage by stage.
-
-    Repeatedly peels the last part: the union collapses onto the union of the
-    rest whenever the peeled part collapses onto its intersection with the
-    rest, then recurses; the final part is collapsed to a point.  A
-    schedule the library offers for unions of collapsible complexes with
-    collapsible intersections; no search in the library calls it.
-    """
-    if not parts:
-        raise EmptyObject("no parts given")
-    if len(parts) == 1:
-        return greedy_collapse_complex(parts[0], restarts=restarts, seed=seed)
-    rest = parts[0]
-    for p in parts[1:-1]:
-        rest = rest.union(p)
-    last = parts[-1]
-    whole = rest.union(last)
-    step1 = greedy_collapse_complex(whole, target=rest, restarts=restarts, seed=seed)
-    if not step1.is_yes():
-        return step1
-    tail = staged_union_collapse(parts[:-1], restarts=restarts, seed=seed)
-    if not tail.is_yes():
-        return tail
-    return yes(
-        CollapseCertificate(step1.certificate.steps + tail.certificate.steps)
-    )
 
 
 def replay_complex_certificate(

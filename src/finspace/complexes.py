@@ -17,7 +17,7 @@ from itertools import accumulate, chain, combinations, compress, count, repeat
 from operator import not_
 from typing import Iterable, Sequence
 
-from .errors import Document, _field, _id_lists
+from .errors import Document, _field, _id_sets
 from .posets import FinitePoset, _bits, _ids, build_poset
 
 Simplex = frozenset
@@ -191,10 +191,6 @@ class SimplicialComplex(Document):
 
     # -- subcomplexes and combinations ---------------------------------------
 
-    def full_subcomplex(self, vertex_subset: Iterable[str]) -> "SimplicialComplex":
-        keep = frozenset(vertex_subset)
-        return SimplicialComplex(f & keep for f in self.facets if f & keep)
-
     def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
         return SimplicialComplex(list(self.facets) + list(other.facets))
 
@@ -229,7 +225,7 @@ class SimplicialComplex(Document):
     @staticmethod
     def from_doc(doc, what: str = "the complex") -> "SimplicialComplex":
         facets = _field(doc, "facets", what)
-        return SimplicialComplex(_id_lists(facets, f"{what} facets"))
+        return SimplicialComplex(_id_sets(facets, f"{what} facets"))
 
 
 def _maximalize(faces: frozenset[Simplex]) -> frozenset[Simplex]:

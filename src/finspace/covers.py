@@ -43,10 +43,10 @@ from .errors import (
     UnknownMember,
     UnknownSimplex,
     _field,
-    _id_lists,
+    _id_set,
+    _id_sets,
     _objects,
     _string,
-    _string_ids,
 )
 from .homology import homology_equal, homology_of_poset, reduced_homology
 from .posets import FinitePoset, _bits, _height, _ids, build_poset
@@ -58,8 +58,8 @@ MAX_MEMBERS = 20
 # per cover kind: the parent type, and the key, id check and type of a
 # member in a cover document
 _KINDS = {
-    COMPLEX: (SimplicialComplex, "facets", _id_lists, SimplicialComplex),
-    POSET: (FinitePoset, "elements", _string_ids, frozenset),
+    COMPLEX: (SimplicialComplex, "facets", _id_sets, SimplicialComplex),
+    POSET: (FinitePoset, "elements", _id_set, frozenset),
 }
 
 
@@ -317,11 +317,6 @@ def reduced_nerve(cover: Cover) -> ReducedNerve:
     return rn
 
 
-def reduced_nerve_complex(cover: Cover) -> SimplicialComplex:
-    """Simplicial counterpart of the reduced nerve: its order complex."""
-    return order_complex(reduced_nerve(cover).poset)
-
-
 @dataclass(frozen=True)
 class IntersectionRecord:
     index_set: tuple[str, ...]
@@ -335,43 +330,29 @@ class CoverClassification:
     """The good and strong-good verdicts of a cover, with a record per
     index set built on first read.
 
-    ``table`` maps the listed index sets to the masks of their
-    intersections, a falsy mask meaning an empty one, and ``verdicts``
-    each distinct non-empty mask to its (triviality, collapsibility).  With
-    ``names``, the records list every non-empty index set over those names
-    in (size, lexicographic) order, an index set outside the table being
-    empty; without, they list the table's index sets in its order.
-    Equality compares the records and both verdicts.
+    ``table`` maps index sets to the masks of their intersections, a falsy
+    mask meaning an empty one, and ``verdicts`` each distinct non-empty
+    mask to its (triviality, collapsibility).  The records list every
+    non-empty index set over ``names`` in (size, lexicographic) order, an
+    index set outside the table being empty.  Equality compares the
+    records and both verdicts.
     """
 
     good: str
     strong_good: str
     table: dict = field(repr=False)
     verdicts: dict = field(repr=False)
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...]
 
     @cached_property
     def records(self) -> tuple[IntersectionRecord, ...]:
-        index_sets = self.table if self.names is None else _all_index_sets(self.names)
-        return tuple(map(self._record, index_sets))
+        return tuple(map(self._record, _all_index_sets(self.names)))
 
     def _record(self, J: tuple[str, ...]) -> IntersectionRecord:
         mask = self.table.get(J)
         if not mask:
             return IntersectionRecord(J, True, None, None)
         return IntersectionRecord(J, False, *self.verdicts[mask])
-
-    def record(self, J) -> IntersectionRecord:
-        """The record of the index set J, read off the table and the
-        verdicts; UnknownMember when the records do not list J."""
-        J = tuple(sorted(J))
-        if self.names is None:
-            listed = J in self.table
-        else:
-            listed = 0 < len(J) == len(set(J)) and set(J) <= set(self.names)
-        if not listed:
-            raise UnknownMember(f"no record for index set {J}")
-        return self._record(J)
 
     def __eq__(self, other):
         if not isinstance(other, CoverClassification):
@@ -387,19 +368,18 @@ class CoverClassification:
 def classify_cover(
     cover: Cover,
     max_subsets: int = MAX_MEMBERS,
-    nerve_simplices_only: bool = False,
     restarts: int = 8,
     seed: int = 0,
 ) -> CoverClassification:
     """Per-intersection triviality and collapsibility verdicts.
 
-    The index sets are the nerve table's, or with ``nerve_simplices_only``
-    false every index set in the same (size, lexicographic) order, those
-    outside the table being empty; a cover of more than max_subsets members
-    is refused.  Each distinct non-empty intersection mask of the table is
-    decided once, and every index set with that mask shares its verdicts,
-    which the cover keeps per (restarts, seed), so a later classification
-    of the same cover runs no search.  The good and strong-good verdicts
+    The index sets are every non-empty set of member names in (size,
+    lexicographic) order, those outside the nerve table being empty; a
+    cover of more than max_subsets members is refused.  Each distinct
+    non-empty intersection mask of the table is decided once, and every
+    index set with that mask shares its verdicts, which the cover keeps
+    per (restarts, seed), so a later classification of the same cover
+    runs no search.  The good and strong-good verdicts
     aggregate those distinct verdicts, and the per-index-set records are
     built only when read, from the table and the verdicts.  Both verdicts
     of an intersection come from ``collapse._complex_verdicts`` (subcomplexes)
@@ -418,8 +398,7 @@ def classify_cover(
     strong = clp.aggregate_verdict(c.verdict for _, c in known.values())
     if strong == "yes" and good != "yes":
         raise InvariantViolation("collapsible intersections must classify as good")
-    names = None if nerve_simplices_only else tuple(sorted(cover.names()))
-    return CoverClassification(good, strong, table, known, names)
+    return CoverClassification(good, strong, table, known, tuple(sorted(cover.names())))
 
 
 def _classify_intersection(
@@ -451,9 +430,7 @@ def _verdicts(cover: Cover, mode: str, classification, restarts: int = 8, seed: 
     checks its mode here."""
     if mode not in ("trivial", "collapsible"):
         raise MalformedSpec(f"mode must be trivial or collapsible, got {mode!r}")
-    cls = classification or classify_cover(
-        cover, nerve_simplices_only=True, restarts=restarts, seed=seed
-    )
+    cls = classification or classify_cover(cover, restarts=restarts, seed=seed)
     k = 0 if mode == "trivial" else 1  # the verdict's place in (triviality, collapsibility)
     verdict_of = {J: cls.verdicts[m][k].verdict for J, m in cls.table.items() if m}
     return verdict_of, tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
@@ -592,7 +569,7 @@ def check_nerve_theorem(
     if flavor not in FLAVORS:
         raise MalformedSpec(f"unknown flavor {flavor!r}; choose from {tuple(FLAVORS)}")
     kind, mode, nerve_object = FLAVORS[flavor]
-    cls = classify_cover(cover, nerve_simplices_only=True, restarts=restarts, seed=seed)
+    cls = classify_cover(cover, restarts=restarts, seed=seed)
     report: dict = {"flavor": flavor}
 
     X = cover.parent

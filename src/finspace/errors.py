@@ -127,6 +127,23 @@ def _string_ids(value, what: str, size: int | None = None) -> list:
     return value
 
 
+def _distinct(ids, what: str):
+    """The ids of a list that names a set, which must not repeat one."""
+    if len(set(ids)) != len(ids):
+        raise MalformedSpec(f"{what} repeats an id: {ids}")
+    return ids
+
+
+def _id_set(value, what: str) -> list:
+    """A list of string ids that names a set."""
+    return _distinct(_string_ids(value, what), what)
+
+
+def _id_sets(value, what: str) -> list:
+    """A list of lists of string ids, each naming a set (a facet)."""
+    return [_id_set(ids, f"each entry of {what}") for ids in _id_lists(value, what)]
+
+
 def _id_lists(value, what: str, size: int | None = None) -> list:
     if not isinstance(value, list):
         raise MalformedSpec(f"{what} must be a list")

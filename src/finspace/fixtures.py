@@ -59,17 +59,6 @@ def two_triangles() -> SimplicialComplex:
     return SimplicialComplex([["v0", "v1", "v2"], ["v0", "v2", "v3"]])
 
 
-def two_triangle_cover() -> Cover:
-    return Cover(
-        "complex",
-        two_triangles(),
-        (
-            ("A", SimplicialComplex([["v0", "v1", "v2"]])),
-            ("B", SimplicialComplex([["v0", "v2", "v3"]])),
-        ),
-    )
-
-
 def dunce_hat() -> SimplicialComplex:
     """An 8-vertex, 24-edge, 17-triangle triangulation of the dunce hat.
 

@@ -323,14 +323,6 @@ def _homology(index: SimplexIndex, ids: Sequence[int]) -> HomologyResult:
     return HomologyResult(tuple(betti), torsion)
 
 
-def betti_numbers_gf2(K: SimplicialComplex) -> list[int]:
-    """Reduced Betti numbers over the binary field."""
-    if K.is_empty():
-        raise EmptyComplex("cannot build chain complex of the empty complex")
-    index = K.index()
-    return _betti_gf2(index, range(len(index.simplices)))
-
-
 def _betti_gf2(index: SimplexIndex, ids: Sequence[int]) -> list[int]:
     """Reduced Betti numbers over the binary field of the non-empty
     subcomplex made of the simplex ids of index (ascending, closed under

@@ -32,7 +32,7 @@ from .complexes import SimplexIndex
 from .covers import (
     COMPLEX, Cover, CoverClassification, _all_index_sets, _nerve_table, classify_cover, nerve,
 )
-from .errors import InvalidCover, InvariantViolation, NotAChain
+from .errors import InvalidCover, InvariantViolation, MalformedSpec, NotAChain, _distinct
 from .homology import _betti_gf2, _homology, homology_equal, reduced_homology
 from .posets import _ids
 
@@ -54,13 +54,6 @@ class PersistenceDiagram:
                 return list(bs)
         return []
 
-    def alive_at(self, step: int, k: int) -> int:
-        return sum(
-            1
-            for birth, death in self.bars_in_degree(k)
-            if birth <= step and (death is None or death > step)
-        )
-
     def to_json_lines(self) -> str:
         lines = []
         for deg, bs in self.bars:
@@ -74,11 +67,16 @@ def persistence_over_chain(cover: Cover, chain) -> PersistenceDiagram:
 
     The reduction runs on the parent's simplex index: a simplex enters at the
     first step whose sub-union holds it, and the filtration orders simplices
-    by (step, id).
+    by (step, id).  An index set that is empty or repeats a member raises
+    MalformedSpec.
     """
     if cover.kind != COMPLEX:
         raise InvalidCover("persistence needs a cover of a simplicial complex")
     chain = [tuple(sorted(J)) for J in chain]
+    for k, J in enumerate(chain, start=1):
+        if not J:
+            raise MalformedSpec(f"empty index set at step {k}")
+        _distinct(J, f"the index set at step {k}")
     # an unknown name raises before the order is checked
     masks = [cover._union_mask(J) for J in chain]
     for a, b in zip(chain, chain[1:]):
@@ -135,7 +133,7 @@ def _check_against_betti(
     GF(2) Betti numbers of that step's sub-union, given by its simplex ids
     on the index.
 
-    The alive counts (``alive_at``) are carried along the chain: per
+    The counts of bars alive at each step are carried along the chain: per
     degree, a bar adds one at its birth, a step from 1 on, and takes one
     away at its death, or at its birth if it dies no later.
     """
@@ -182,7 +180,7 @@ def check_truncation_theorem(
     if cover.kind != COMPLEX:
         raise InvalidCover("the truncation checker needs a cover of a complex")
     names = sorted(cover.names())
-    cls = classification or classify_cover(cover, nerve_simplices_only=True)
+    cls = classification or classify_cover(cover)
     N = nerve(cover)
     part1 = homology_equal(reduced_homology(cover.parent), reduced_homology(N))
     if len(names) <= max_enum:

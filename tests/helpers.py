@@ -43,7 +43,9 @@ the coreduction with a call per removed simplex the reference for the
 inline drain, homology on the whole order complex the reference for poset
 homology after weak-point removal, and the string-set poset at the end (frozenset
 reachability, cubic reduction, restriction by rebuild) the reference for
-the bitmask poset index.
+the bitmask poset index.  The compositions of library calls at the very end
+stand in for public functions the library no longer has, which the digests
+and some tests still read.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ from finspace.covers import (
 )
 from finspace.cylinders import Relation, _hypothesis_masks, relation_cylinder, tag
 from finspace.errors import CycleDetected, EmptyObject, InvalidCover, TargetNotInduced
-from finspace.fixtures import dunce_hat, projective_plane
+from finspace.fixtures import dunce_hat, projective_plane, two_triangles
 from finspace.generators import generate_strong_good_cover
 from finspace.homology import (
     HomologyResult,
@@ -1175,7 +1177,7 @@ def slow_classify_cover(
             coll = clp.greedy_collapse_space(sub)
             triviality = after_collapse(coll, lambda: clp.is_homotopically_trivial_poset(sub))
         records.append(IntersectionRecord(J, False, triviality, coll))
-    return listed_classification(records)
+    return listed_classification(cover, records)
 
 
 def walked_classify_cover(cover, nerve_simplices_only, restarts=8, seed=0) -> CoverClassification:
@@ -1191,19 +1193,21 @@ def walked_classify_cover(cover, nerve_simplices_only, restarts=8, seed=0) -> Co
         if mask not in known:
             known[mask] = _classify_intersection(cover, mask, restarts, seed)
         records.append(IntersectionRecord(J, False, *known[mask]))
-    return listed_classification(records)
+    return listed_classification(cover, records)
 
 
-def listed_classification(records) -> CoverClassification:
-    """The classification that lists the given records in their order, its
+def listed_classification(cover, records) -> CoverClassification:
+    """The classification of the cover with the given records, its
     verdicts aggregated over every non-empty record, not over distinct
-    masks: each index set is its own key in the table, () an empty one."""
+    masks: each index set is its own key in the table, () an empty one.
+    An index set the records do not list reads as empty."""
     nonempty = [r for r in records if not r.empty]
     return CoverClassification(
         clp.aggregate_verdict(r.triviality.verdict for r in nonempty),
         clp.aggregate_verdict(r.collapsibility.verdict for r in nonempty),
         {r.index_set: () if r.empty else r.index_set for r in records},
         {r.index_set: (r.triviality, r.collapsibility) for r in nonempty},
+        tuple(sorted(cover.names())),
     )
 
 
@@ -1885,3 +1889,80 @@ def slow_maximalize(faces) -> frozenset:
     """The non-empty faces contained in no other, each tested against all."""
     faces = frozenset(f for f in faces if f)
     return frozenset(f for f in faces if not any(f < g for g in faces))
+
+
+# -- compositions of library calls for functions the library no longer has ---
+#
+# The digests and some tests read point links, weak points, staged unions,
+# the two-triangle cover, alive counts, GF(2) Betti numbers of a whole
+# complex and single classification records.  The library keeps no public
+# function for them; these compose the calls that remain.
+
+
+def gamma_points(X: FinitePoset) -> list[tuple[str, clp.TriStateResult]]:
+    """Per element, the triviality verdict of its link (punctured down and
+    up sets) by the library's one rule on the link's mask.  An isolated
+    point's link is empty, and the empty space is not homotopically
+    trivial, so its verdict is No."""
+    out = []
+    for x, below, above in zip(X.elements, X._below, X._above):
+        link = below | above
+        out.append((x, clp._triviality(X, link) if link else clp.TriStateResult("no", note="empty link")))
+    return out
+
+
+def weak_points(X: FinitePoset) -> list[tuple[str, str]]:
+    """The weak points with their kind, in element order."""
+    return [(x, kind) for x in X.elements if (kind := clp.weak_point_kind(X, x))]
+
+
+def staged_union_collapse(parts, restarts: int = 8, seed: int = 0) -> clp.TriStateResult:
+    """Collapse a union of complexes stage by stage: the union collapses onto
+    the union of all parts but the last by a targeted collapse, then the
+    rest is collapsed the same way, the first part to a point.  The first
+    stage that does not collapse is the verdict; otherwise the stages'
+    steps, joined, are one certificate."""
+    if len(parts) == 1:
+        return clp.greedy_collapse_complex(parts[0], restarts=restarts, seed=seed)
+    rest = parts[0]
+    for p in parts[1:-1]:
+        rest = rest.union(p)
+    step1 = clp.greedy_collapse_complex(rest.union(parts[-1]), target=rest, restarts=restarts, seed=seed)
+    if not step1.is_yes():
+        return step1
+    tail = staged_union_collapse(parts[:-1], restarts=restarts, seed=seed)
+    if not tail.is_yes():
+        return tail
+    return yes(CollapseCertificate(step1.certificate.steps + tail.certificate.steps))
+
+
+def two_triangle_cover() -> Cover:
+    """Two solid triangles glued along the edge v0-v2, each a member."""
+    return Cover(
+        "complex",
+        two_triangles(),
+        (
+            ("A", SimplicialComplex([["v0", "v1", "v2"]])),
+            ("B", SimplicialComplex([["v0", "v2", "v3"]])),
+        ),
+    )
+
+
+def alive_at(diagram: PersistenceDiagram, step: int, k: int) -> int:
+    """The number of degree-k bars of the diagram alive at the step."""
+    return sum(
+        1
+        for birth, death in diagram.bars_in_degree(k)
+        if birth <= step and (death is None or death > step)
+    )
+
+
+def gf2_betti(K: SimplicialComplex) -> list[int]:
+    """Reduced Betti numbers of K over the binary field, on its whole index."""
+    index = K.index()
+    return _betti_gf2(index, range(len(index.simplices)))
+
+
+def record_of(cls: CoverClassification, J) -> IntersectionRecord:
+    """The record of the index set J among the classification's records."""
+    return next(r for r in cls.records if r.index_set == tuple(sorted(J)))

@@ -14,7 +14,6 @@ from finspace.collapse import (
     TriStateResult,
     beat_points,
     core,
-    gamma_points,
     greedy_collapse_complex,
     greedy_collapse_space,
     is_homotopically_trivial_complex,
@@ -22,8 +21,6 @@ from finspace.collapse import (
     replay_complex_certificate,
     replay_space_certificate,
     shadow_report,
-    staged_union_collapse,
-    weak_points,
 )
 from finspace.complexes import SimplicialComplex, cone
 from finspace.covers import Cover, classify_cover, check_nerve_theorem
@@ -34,7 +31,6 @@ from finspace.fixtures import (
     finite_circle,
     finite_circle_cover,
     projective_plane,
-    two_triangle_cover,
 )
 from finspace.generators import (
     generate_complex,
@@ -43,7 +39,13 @@ from finspace.generators import (
     generate_strong_good_cover,
 )
 
-from helpers import contraction_first_triviality
+from helpers import (
+    contraction_first_triviality,
+    gamma_points,
+    staged_union_collapse,
+    two_triangle_cover,
+    weak_points,
+)
 
 PINNED = "fc7933a625b28a23537cf880ffe6ebabe3ba2123a39369f357c44fb36f2a505b"
 # the digest while cylinder hypothesis sets tried the beat-point contraction

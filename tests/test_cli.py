@@ -169,7 +169,7 @@ def test_verify_truncation_classifies_with_the_given_restarts_and_seed(
     argv = ["verify", "truncation", "--in", str(paths["cover"]), "--restarts", "3", "--seed", "5"]
     code, out = run(capsys, *argv)
     assert code == 0 and json.loads(out)["seed"] == 5
-    assert seen == [{"nerve_simplices_only": True, "restarts": 3, "seed": 5}]
+    assert seen == [{"restarts": 3, "seed": 5}]
 
 
 def test_verify_nerve_flavor(paths, capsys):
@@ -432,6 +432,8 @@ _CYCLIC = {
         (["nerve"], json.dumps({**_COVER, "kind": "sphere"})),
         # a step that repeats a vertex, which a set of its ids would drop
         (["verify", "replay-complex"], json.dumps({"complex": {"facets": [["a", "b"]]}, "certificate": {"steps": [{"kind": "free-pair", "face": ["a", "a"], "coface": ["b", "a", "b"]}]}})),
+        # a filtration step that repeats a member
+        (["persistence", "--mode", "U,U<U,V"], json.dumps(_COVER)),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(argv, text, tmp_path, capsys):
@@ -478,6 +480,10 @@ _STEPS_ONE_OF = "a step kind must be one of free-pair, down-beat, up-beat, down-
         (CollapseCertificate, {"steps": [{"kind": "sideways", "element": "a"}]}, MalformedSpec, f"{_STEPS_ONE_OF}, got 'sideways'"),
         (CollapseCertificate, {"steps": [{**_CERT["steps"][0], "face": ["a", "a"]}]}, MalformedSpec, "a step face repeats an id: ['a', 'a']"),
         (CollapseCertificate, {"steps": [{**_CERT["steps"][0], "coface": ["b", "a", "b"]}]}, MalformedSpec, "a step coface repeats an id: ['b', 'a', 'b']"),
+        # lists that name a set, which a set of their ids would shorten
+        (SimplicialComplex, {"facets": [["a", "a", "b"]]}, MalformedSpec, "each entry of the complex facets repeats an id: ['a', 'a', 'b']"),
+        (Cover, {**_COVER, "members": [{"name": "U", "facets": [["a", "b", "a"]]}]}, MalformedSpec, "each entry of member facets repeats an id: ['a', 'b', 'a']"),
+        (Cover, {"kind": "poset", "parent": _POSET, "members": [{"name": "U", "elements": ["a", "a"]}]}, MalformedSpec, "member elements repeats an id: ['a', 'a']"),
     ],
 )
 def test_readers_reject_malformed_documents(reader, doc, error, message):
@@ -535,6 +541,8 @@ _ONE_MEMBER_DUNCE_HAT = Cover("complex", dunce_hat(), (("D", dunce_hat()),)).to_
         # X and Y are equal posets, so only the names show the wrong way
         (["cylinder"], {**_CYLINDER, "relations": [{"source": "Y", "target": "X", "pairs": [["a", "a"]], "direction": "right"}]}, "relation 0 marked right does not match X0->X1"),
         (["cylinder"], {**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a", "a"]], "direction": "left"}]}, "relation 0 marked left does not match X1->X0"),
+        (["verify", "replay-space"], {"poset": _POSET, "certificate": {"steps": []}, "target": ["a", "a"]}, "the target repeats an id: ['a', 'a']"),
+        (["persistence", "--mode", "U,U<U,V"], _COVER, "the index set at step 1 repeats an id: ('U', 'U')"),
     ],
 )
 def test_input_errors_exit_2_with_their_message(argv, doc, message, tmp_path, capsys):

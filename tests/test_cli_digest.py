@@ -24,12 +24,13 @@ from finspace.fixtures import (
     finite_circle,
     finite_circle_cover,
     projective_plane,
-    two_triangle_cover,
     two_triangles,
     worked_example_spec,
 )
 from finspace.generators import generate_composite_instance
 from finspace.posets import build_poset
+
+from helpers import two_triangle_cover
 
 PINNED = "bccb58ed3274982c1af67c416f9383c63b0810364a12c5df1140a511fe2e18e6"
 

@@ -12,8 +12,8 @@ from finspace.collapse import (
     aggregate_verdict,
     beat_points,
     core,
+    beat_point_kind,
     free_faces,
-    gamma_points,
     greedy_collapse_complex,
     greedy_collapse_space,
     is_contractible_space,
@@ -21,8 +21,7 @@ from finspace.collapse import (
     replay_complex_certificate,
     replay_space_certificate,
     shadow_report,
-    staged_union_collapse,
-    weak_points,
+    weak_point_kind,
 )
 from finspace.complexes import SimplicialComplex, simplex_boundary, solid_simplex
 from finspace.errors import (
@@ -36,7 +35,7 @@ from finspace.fixtures import dunce_hat, finite_circle, projective_plane, two_tr
 from finspace.generators import generate_poset
 from finspace.posets import antichain, build_poset, chain
 
-from helpers import brute_contractible
+from helpers import brute_contractible, staged_union_collapse
 
 
 def test_beat_points_on_chain():
@@ -84,34 +83,42 @@ def test_minimal_open_and_closed_sets_contractible():
 
 
 def test_beat_points_are_weak_points():
+    beat = 0
     for seed in range(25):
         X = generate_poset(seed, 7)
-        weak = {x for x, _ in weak_points(X)}
-        assert {x for x, _ in beat_points(X)} <= weak
+        for x in X.elements:
+            if beat_point_kind(X, x):
+                assert weak_point_kind(X, x)
+                beat += 1
+    assert beat
 
 
 def test_weak_points_are_gamma_yes():
+    """A weak point's link, the mask of its punctured down and up sets, is
+    homotopically trivial by the library's one triviality rule."""
+    weak = 0
     for seed in range(15):
         X = generate_poset(seed, 6)
-        gammas = dict(gamma_points(X))
-        for x, _ in weak_points(X):
-            assert gammas[x].verdict == "yes"
+        for i, x in enumerate(X.elements):
+            if weak_point_kind(X, x):
+                assert clp._triviality(X, X._below[i] | X._above[i]).verdict == "yes"
+                weak += 1
+    assert weak
 
 
 def test_isolated_points_are_not_gamma_points():
     """An isolated point's link is empty, and the empty space is not
-    homotopically trivial: a decided No with a note, like every other empty
-    sub-object."""
+    homotopically trivial: asked of it, the library refuses."""
     spaces = [antichain(["p", "q", "r"])]
     spaces += [generate_poset(seed, 6 + seed % 3) for seed in range(30)]
     isolated = 0
     for X in spaces:
-        for x, res in gamma_points(X):
-            if not X.down_set(x, strict=True) | X.up_set(x, strict=True):
-                assert res == TriStateResult("no", note="empty link")
+        for x in X.elements:
+            link = X.down_set(x, strict=True) | X.up_set(x, strict=True)
+            if not link:
+                with pytest.raises(EmptyObject, match="the empty space is not homotopically trivial"):
+                    is_homotopically_trivial_poset(X.restrict(link))
                 isolated += 1
-            else:
-                assert res.note != "empty link"
     # three in the antichain, 17 in the seeded family
     assert isolated == 3 + 17
 
@@ -228,6 +235,8 @@ def test_shadow_report_dunce_hat():
 
 
 def test_staged_union_collapse():
+    """Collapses compose: a targeted collapse of the union onto one part,
+    then that part's collapse, replay as one certificate by name."""
     A = solid_simplex(["a", "b", "c"])
     B = solid_simplex(["b", "c", "d"])
     res = staged_union_collapse([A, B])

@@ -30,14 +30,11 @@ from finspace.collapse import (
     beat_points,
     core,
     free_faces,
-    gamma_points,
     greedy_collapse_complex,
     greedy_collapse_space,
     is_contractible_space,
     replay_complex_certificate,
     replay_space_certificate,
-    staged_union_collapse,
-    weak_points,
 )
 from finspace.complexes import SimplicialComplex, cone, order_complex, simplex_boundary
 from finspace.covers import _all_index_sets, _nerve_table, classify_cover
@@ -72,6 +69,7 @@ from helpers import (
     eager_certificate,
     eager_free_face_search,
     facet_scan_target_ids,
+    gamma_points,
     listed_collapse_run,
     nerve_relation,
     parent_array_collapse_run,
@@ -93,10 +91,12 @@ from helpers import (
     slow_points,
     slow_replay_complex,
     slow_replay_space,
+    staged_union_collapse,
     star_cover,
     subunion_covers,
     verdict_contractible,
     verdict_weak_reduction,
+    weak_points,
 )
 
 
@@ -402,7 +402,7 @@ def _lattice_and_oracle(monkeypatch, cov, **kw):
     per-union oracle; with each, the ids handed to homology and the number
     of ids handed to free-face passes.  The classification, kept with the
     cover, is made first, so every pass recorded is a truncation pass."""
-    classify_cover(cov, nerve_simplices_only=True)
+    classify_cover(cov)
     runs = []
     for failures in (persistence._positive_degree_failures, per_union_positive_degree_failures):
         homology, passed = [], []
@@ -459,7 +459,7 @@ def pairs_built(monkeypatch):
 
 def test_truncation_part2_builds_no_certificate(pairs_built):
     cov = seeded_cone_cover(5, 8)
-    cls = classify_cover(cov, nerve_simplices_only=True)
+    cls = classify_cover(cov)
     pairs_built.clear()
     report = check_truncation_theorem(cov, classification=cls)
     assert report["subsets_checked"] == 255 and report["part2_subunions_acyclic"]
@@ -553,7 +553,8 @@ def test_lazy_certificates_equal_eager_ones(monkeypatch):
 
 
 def test_staged_union_matches_oracle(monkeypatch):
-    """staged_union_collapse peels parts with targeted collapses."""
+    """Unions peeled part by part with targeted collapses get the same
+    verdicts and certificates from the indexed engine and the rebuild one."""
     cases = []
     for seed, K, C in list(_complexes())[:15]:
         other = cone("apex", generate_complex(seed + 100, max_vertices=5, max_facets=4, max_card=3))

@@ -175,10 +175,3 @@ def test_empty_complex():
     K = SimplicialComplex([])
     assert K.is_empty()
     assert K.dim() == -1
-
-
-def test_full_subcomplex():
-    K = SimplicialComplex([["a", "b", "c"], ["c", "d"]])
-    L = K.full_subcomplex({"a", "b", "d"})
-    assert contains_simplex(L, {"a", "b"})
-    assert not contains_simplex(L, {"c"})

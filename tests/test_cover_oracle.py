@@ -33,7 +33,6 @@ from finspace.fixtures import (
     dunce_hat,
     finite_circle_cover,
     projective_plane,
-    two_triangle_cover,
 )
 from finspace.generators import (
     generate_complex,
@@ -68,6 +67,7 @@ from helpers import (
     subset_simplex_index,
     subunion_covers,
     two_mode_index_sets,
+    two_triangle_cover,
     walked_classify_cover,
 )
 
@@ -129,7 +129,7 @@ def test_families_have_empty_triple_intersections_and_hard_verdicts():
         for J in slow_index_sets(cov, 20, nerve_simplices_only=False):
             if len(J) == 3 and slow_intersection_is_empty(cov, J):
                 triples += 1
-        verdicts.add(classify_cover(cov, nerve_simplices_only=True).strong_good)
+        verdicts.add(classify_cover(cov).strong_good)
     assert triples >= 10
     assert verdicts == {"yes", "no", "unknown"}
 
@@ -157,14 +157,16 @@ def test_index_sets_and_intersections_match_oracle():
 def test_classification_matches_oracle():
     """Classified twice per cover, the second time from the verdicts the
     first kept; many covers list several index sets with one mask.  The
-    records are also those of the two-mode walk.  Each record's
-    intersection, built only on request, is the oracle's."""
+    records, every index set's, are also those of the oracles and of the
+    two-mode walk in either mode, an index set a nerve-only listing leaves
+    out reading as empty.  Each record's intersection, built only on
+    request, is the oracle's."""
     shared = 0
     for cov in all_covers():
         masks = [m for _, m in _index_sets(cov)]
         shared += len(set(masks)) < len(masks)
         for only in (False, True):
-            cls = classify_cover(cov, nerve_simplices_only=only)
+            cls = classify_cover(cov)
             assert cls == slow_classify_cover(cov, nerve_simplices_only=only)
             assert cls == walked_classify_cover(cov, only)
         for r in cls.records:
@@ -173,21 +175,17 @@ def test_classification_matches_oracle():
 
 
 def test_records_read_late_match_the_oracles_records():
-    """The records a classification builds on first read, and each record
-    read alone off the table, are the oracles' records in both modes; the
-    good and strong-good verdicts, aggregated over distinct masks, are
-    those the oracles aggregate over every record."""
+    """The records a classification builds on first read are the oracles'
+    records; the good and strong-good verdicts, aggregated over distinct
+    masks, are those the oracles aggregate over every record."""
     for cov in all_covers():
-        for only in (False, True):
-            cls = classify_cover(cov, nerve_simplices_only=only)
-            slow = slow_classify_cover(cov, nerve_simplices_only=only)
-            walked = walked_classify_cover(cov, only)
-            assert "records" not in vars(cls)
-            assert [cls.record(r.index_set) for r in slow.records] == list(slow.records)
-            assert "records" not in vars(cls)
-            assert cls.records == slow.records == walked.records
-            assert (cls.good, cls.strong_good) == (slow.good, slow.strong_good)
-            assert (cls.good, cls.strong_good) == (walked.good, walked.strong_good)
+        cls = classify_cover(cov)
+        slow = slow_classify_cover(cov)
+        walked = walked_classify_cover(cov, False)
+        assert "records" not in vars(cls)
+        assert cls.records == slow.records == walked.records
+        assert (cls.good, cls.strong_good) == (slow.good, slow.strong_good)
+        assert (cls.good, cls.strong_good) == (walked.good, walked.strong_good)
 
 
 def assert_class_intersections_match(cov, classes):
@@ -229,7 +227,7 @@ def test_nerve_flavors_read_the_face_poset_homology_off_the_nerve():
 
 def test_n_zero_matches_oracle():
     for cov in all_covers():
-        cls = slow_classify_cover(cov, nerve_simplices_only=True)
+        cls = slow_classify_cover(cov)
         for mode in ("trivial", "collapsible"):
             for reduced in (False, True):
                 assert n_zero_subspace(
@@ -239,7 +237,7 @@ def test_n_zero_matches_oracle():
 
 def test_n_zero_complex_matches_the_subset_closure():
     for cov in complex_covers():
-        cls = slow_classify_cover(cov, nerve_simplices_only=True)
+        cls = slow_classify_cover(cov)
         for mode in ("trivial", "collapsible"):
             expected = slow_n_zero_complex(cov, mode, cls)
             assert n_zero_complex(cov, mode=mode, classification=cls) == expected

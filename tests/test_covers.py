@@ -5,7 +5,7 @@ import pytest
 from finspace import collapse as clp
 from finspace import covers
 from finspace import complexes
-from finspace.complexes import SimplicialComplex, simplex_id, solid_simplex
+from finspace.complexes import SimplicialComplex, order_complex, simplex_id, solid_simplex
 from finspace.covers import (
     Cover,
     chains_containing,
@@ -17,16 +17,14 @@ from finspace.covers import (
     nerve,
     non_hausdorff_nerve,
     reduced_nerve,
-    reduced_nerve_complex,
 )
-from finspace.errors import InvalidCover, MalformedSpec, UnknownMember
+from finspace.errors import InvalidCover, MalformedSpec
 from finspace.fixtures import (
     circle_arc_cover,
     circle_complex,
     dunce_hat,
     finite_circle,
     finite_circle_cover,
-    two_triangle_cover,
 )
 from finspace.generators import (
     generate_good_space_cover,
@@ -37,7 +35,7 @@ from finspace.homology import homology_equal, homology_of_poset
 from finspace.persistence import check_truncation_theorem
 from finspace.posets import FinitePoset, build_poset, chain
 
-from helpers import contains_simplex, sd_boundary, star_cover
+from helpers import contains_simplex, record_of, sd_boundary, star_cover, two_triangle_cover
 
 
 def test_cover_must_cover_parent():
@@ -210,7 +208,7 @@ def test_reduced_nerve_identifies_equal_intersections():
     cov = Cover("complex", K, (("U", K), ("V", K)))
     rn = reduced_nerve(cov)
     assert len(rn.poset) == 1
-    assert len(reduced_nerve_complex(cov).all_simplices()) == 1
+    assert len(order_complex(rn.poset).all_simplices()) == 1
 
 
 def test_reduced_nerve_nested_pair_is_chain():
@@ -238,7 +236,7 @@ def test_classify_two_triangles_strong_good():
 def test_classify_circle_cover():
     cls = classify_cover(circle_arc_cover())
     assert cls.good == "yes" and cls.strong_good == "yes"
-    rec = cls.record(("U1", "U2", "U3"))
+    rec = record_of(cls, ("U1", "U2", "U3"))
     assert rec.empty
 
 
@@ -283,7 +281,7 @@ def test_classify_searches_each_intersection_once(searches):
     )
     cls = classify_cover(arcs)
     assert len(searches) == 3
-    assert cls.record(("A", "B")).triviality.verdict == "no"
+    assert record_of(cls, ("A", "B")).triviality.verdict == "no"
     searches.clear()
     cls = classify_cover(Cover("complex", dunce_hat(), (("D", dunce_hat()),)))
     assert len(searches) == 1
@@ -315,11 +313,11 @@ def test_a_second_classification_runs_no_search(searches):
     generated = len(searches)
     assert generated >= len(_distinct_nonempty_masks(cov))
     searches.clear()
-    first = classify_cover(cov, nerve_simplices_only=True)
+    first = classify_cover(cov)
     report = check_truncation_theorem(cov)
     assert searches == [] and report["strong_good"] == "yes"
     # other restarts or another seed are other verdicts, searched afresh
-    again = classify_cover(cov, nerve_simplices_only=True, seed=1)
+    again = classify_cover(cov, seed=1)
     assert len(searches) == len(_distinct_nonempty_masks(cov))
     assert again.strong_good == first.strong_good == "yes"
 
@@ -347,14 +345,14 @@ def test_verdicts_alone_build_no_record(monkeypatch):
     covs += [circle_arc_cover(), star_cover(sd_boundary(2)), finite_circle_cover()]
     for cov in map(_fresh, covs):
         decided.clear()
-        for only in (False, True):
-            cls = classify_cover(cov, nerve_simplices_only=only)
+        for _ in range(2):
+            cls = classify_cover(cov)
             if cov.kind == "complex":
                 report = check_truncation_theorem(cov, classification=cls)
                 assert (report["good"], report["strong_good"]) == (cls.good, cls.strong_good)
         assert built == []
         assert sorted(decided) == sorted(_distinct_nonempty_masks(cov))
-        assert len(cls.records) == len(covers._nerve_table(cov))
+        assert len(cls.records) == 2 ** len(cov.members) - 1
         assert built == [r.index_set for r in cls.records]
         assert cls.records is cls.records
         built.clear()
@@ -376,9 +374,8 @@ def test_certificates_build_their_steps_when_a_record_is_read(monkeypatch):
     covs += [circle_arc_cover(), star_cover(sd_boundary(2))]
     read = 0
     for cov in map(_fresh, covs):
-        for only in (False, True):
-            cls = classify_cover(cov, nerve_simplices_only=only)
-            check_truncation_theorem(cov, classification=cls)
+        cls = classify_cover(cov)
+        check_truncation_theorem(cov, classification=cls)
         assert built == []
         certs = {id(r.collapsibility.certificate): r for r in cls.records if not r.empty}
         for record in list(certs.values())[-2:]:
@@ -391,29 +388,22 @@ def test_certificates_build_their_steps_when_a_record_is_read(monkeypatch):
     assert read > 0
 
 
-def test_a_record_is_read_off_the_table(monkeypatch):
-    """``record`` resolves an index set through the nerve table and the
-    verdicts, building no records: in full mode an empty intersection gives
-    its empty record, in nerve-only mode an index set outside the nerve is
-    unknown, and an unknown name, a repeated one or no name is unknown in
-    both."""
+def test_a_record_is_read_off_the_table():
+    """The records list every index set, and each is read off the nerve
+    table and the verdicts: an index set outside the nerve gives its empty
+    record, one inside it the verdicts of its mask."""
     cov = circle_arc_cover()
-    full = classify_cover(cov)
-    nerve_only = classify_cover(cov, nerve_simplices_only=True)
-    assert full.record(["U3", "U1", "U2"]) == covers.IntersectionRecord(
-        ("U1", "U2", "U3"), True, None, None
-    )
-    for cls in (full, nerve_only):
-        pair = cls.record(["U2", "U1"])
-        assert not pair.empty and pair.collapsibility.verdict == "yes"
-        for J in (["U1", "U9"], ["U1", "U1"], []):
-            with pytest.raises(UnknownMember, match="no record for index set"):
-                cls.record(J)
-        assert "records" not in vars(cls)
-    with pytest.raises(UnknownMember, match=r"no record for index set \('U1', 'U2', 'U3'\)"):
-        nerve_only.record(["U1", "U2", "U3"])
-    for cls in (full, nerve_only):
-        assert [cls.record(r.index_set) for r in cls.records] == list(cls.records)
+    cls = classify_cover(cov)
+    assert "records" not in vars(cls)
+    by_set = {r.index_set: r for r in cls.records}
+    assert list(by_set) == list(covers._all_index_sets(cov.names()))
+    assert by_set[("U1", "U2", "U3")] == covers.IntersectionRecord(("U1", "U2", "U3"), True, None, None)
+    pair = by_set[("U1", "U2")]
+    assert not pair.empty and pair.collapsibility.verdict == "yes"
+    for J, record in by_set.items():
+        mask = cls.table.get(J)
+        assert record.empty == (not mask)
+        assert mask is None or (record.triviality, record.collapsibility) == cls.verdicts[mask]
 
 
 def test_strong_good_implies_good():
@@ -569,7 +559,7 @@ def test_classification_builds_no_complex(built):
     verdicts = [classify_cover(cov) for cov in covs]
     assert built == []
     assert [cls.strong_good for cls in verdicts] == ["yes"] * 7 + ["unknown"]
-    assert verdicts[-1].record(["D"]).collapsibility.witness is None
+    assert record_of(verdicts[-1], ["D"]).collapsibility.witness is None
 
 
 def test_more_members_than_the_cap_are_refused():
@@ -593,7 +583,7 @@ def test_s_sigma_flavors_build_no_complex_per_simplex(built):
         counts = {}
         for n in (2, 3):
             cov = star_cover(sd_boundary(n))
-            classify_cover(cov, nerve_simplices_only=True)
+            classify_cover(cov)
             built.clear()
             report = check_nerve_theorem(cov, flavor)
             assert {v["verdict"] for v in report["per_simplex"].values()} == {"yes"}
@@ -674,7 +664,7 @@ def test_index_sets_are_enumerated_once_per_cover(monkeypatch):
         calls.clear()
         nerve(cov)
         reduced_nerve(cov)
-        classify_cover(cov, nerve_simplices_only=True)
+        classify_cover(cov)
         classify_cover(cov)
         for flavor, (kind, _, _) in covers.FLAVORS.items():
             if kind in (None, cov.kind):
@@ -688,7 +678,7 @@ def test_index_sets_are_enumerated_once_per_cover(monkeypatch):
         calls.clear()
         check(cov)
         nerve(cov)
-        classify_cover(cov, nerve_simplices_only=True)
+        classify_cover(cov)
         assert calls == [cov]
 
 

@@ -11,7 +11,6 @@ from dataclasses import replace
 
 from finspace import collapse as clp
 from finspace import cylinders
-from finspace.collapse import gamma_points
 from finspace.covers import classify_cover
 from finspace.cylinders import (
     _execute_target_removal,
@@ -32,6 +31,7 @@ from finspace.posets import FinitePoset
 
 from helpers import (
     contraction_first_triviality,
+    gamma_points,
     hypothesis_sets,
     nerve_relation,
     rescan_peel,
@@ -160,6 +160,8 @@ def test_hypothesis_sets_match_the_pair_scan():
 
 
 def test_gamma_points_match_the_restrict_oracle():
+    """A point link's triviality, decided by the library's one rule on the
+    link's mask, is that of the link built as a subposet."""
     spaces = [generate_poset(seed, 6 + seed % 4) for seed in range(30)]
     spaces += [finite_circle(), dunce_hat().face_poset()]
     for X in spaces:

@@ -19,7 +19,6 @@ from finspace.posets import _height, _ids, _weak_reduction, antichain, build_pos
 from finspace.homology import (
     _coreduce,
     _homology,
-    betti_numbers_gf2,
     boundary_matrices,
     _poset_homology,
     homology_equal,
@@ -37,6 +36,7 @@ from helpers import (
     closure_coreduce,
     dense_boundary_matrices,
     full_snf_homology,
+    gf2_betti,
     graded_poset,
     homology_oracle,
     order_complex_homology,
@@ -255,7 +255,7 @@ def _homology_families():
 def test_homology_matches_dense_oracle():
     for K in _homology_families():
         assert reduced_homology(K) == homology_oracle(K)
-        assert betti_numbers_gf2(K) == betti_numbers_gf2_oracle(K)
+        assert gf2_betti(K) == betti_numbers_gf2_oracle(K)
     assert homology_oracle(projective_plane()).torsion[1] == (2,)
 
 
@@ -372,12 +372,12 @@ def test_gf2_betti_without_torsion_matches_rational():
         hom = reduced_homology(K)
         if any(t for t in hom.torsion):
             continue
-        assert list(hom.betti) == list(betti_numbers_gf2(K))
+        assert list(hom.betti) == list(gf2_betti(K))
 
 
 def test_gf2_betti_sees_torsion():
     # over the binary field RP^2 looks like it has homology in degrees 1 and 2
-    assert betti_numbers_gf2(projective_plane()) == [0, 1, 1]
+    assert gf2_betti(projective_plane()) == [0, 1, 1]
 
 
 def test_homology_equal():

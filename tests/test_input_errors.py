@@ -27,12 +27,12 @@ from finspace.errors import (
     InvalidCover,
     MalformedSpec,
     UnknownElement,
-    UnknownMember,
     UnknownSimplex,
 )
 from finspace.fixtures import circle_arc_cover, dunce_hat, finite_circle_cover
 from finspace.generators import generate_composite_instance
-from finspace.homology import betti_numbers_gf2, boundary_matrices
+from finspace.homology import boundary_matrices
+from finspace.persistence import persistence_over_chain
 from finspace.posets import build_poset
 
 X = build_poset(["a", "b"], [("a", "b")])
@@ -99,10 +99,6 @@ CASES = {
         lambda: circle_arc_cover().intersection([]),
         InvalidCover, "intersection of an empty index set",
     ),
-    "record-of-an-unlisted-set": (
-        lambda: classify_cover(circle_arc_cover()).record(["U9"]),
-        UnknownMember, "no record for index set ('U9',)",
-    ),
     "containing-intersections-of-a-complex-cover": (
         lambda: containing_intersections(circle_arc_cover(), "v0"),
         InvalidCover, "containing_intersections needs a cover of a finite space",
@@ -140,9 +136,6 @@ CASES = {
         lambda: clp.greedy_collapse_space(EMPTY_POSET),
         EmptySpace, "cannot collapse the empty space",
     ),
-    "staged-union-of-no-parts": (
-        lambda: clp.staged_union_collapse([]), EmptyObject, "no parts given",
-    ),
     "triviality-of-the-empty-space": (
         lambda: clp.is_homotopically_trivial_poset(EMPTY_POSET),
         EmptyObject, "the empty space is not homotopically trivial",
@@ -156,9 +149,14 @@ CASES = {
         lambda: boundary_matrices(EMPTY_COMPLEX),
         EmptyComplex, "cannot build chain complex of the empty complex",
     ),
-    "gf2-betti-numbers-of-the-empty-complex": (
-        lambda: betti_numbers_gf2(EMPTY_COMPLEX),
-        EmptyComplex, "cannot build chain complex of the empty complex",
+    # persistence
+    "persistence-over-an-empty-index-set": (
+        lambda: persistence_over_chain(circle_arc_cover(), [[], ["U1"]]),
+        MalformedSpec, "empty index set at step 1",
+    ),
+    "persistence-over-an-index-set-that-repeats-a-member": (
+        lambda: persistence_over_chain(circle_arc_cover(), [["U1", "U1"], ["U1", "U2"]]),
+        MalformedSpec, "the index set at step 1 repeats an id: ('U1', 'U1')",
     ),
 }
 

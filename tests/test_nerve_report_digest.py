@@ -12,10 +12,10 @@ import json
 
 from finspace.covers import FLAVORS, check_nerve_theorem
 from finspace.errors import FinspaceError
-from finspace.fixtures import circle_arc_cover, finite_circle_cover, two_triangle_cover
+from finspace.fixtures import circle_arc_cover, finite_circle_cover
 from finspace.generators import generate_good_space_cover, generate_strong_good_cover
 
-from helpers import sd_boundary, star_cover
+from helpers import sd_boundary, star_cover, two_triangle_cover
 
 PINNED = "e1515d85e3ade995d3bc09700742be444a018298556f1e427d7ee36a1f0500a2"
 # the larger inputs: the 14-member star cover of sd ∂Δ³ and good-space seeds 3-5

@@ -18,13 +18,15 @@ from finspace.fixtures import (
     projective_plane,
 )
 from finspace.generators import generate_good_space_cover, generate_strong_good_cover
-from finspace.homology import _betti_gf2, betti_numbers_gf2, reduced_homology
+from finspace.homology import _betti_gf2, reduced_homology
 from finspace.persistence import check_truncation_theorem, persistence_over_chain
 from finspace.posets import _ids
 
 from helpers import (
+    alive_at,
     betti_numbers_gf2_oracle,
     contains_simplex,
+    gf2_betti,
     largest_predecessor_positive_degree_failures,
     per_union_positive_degree_failures,
     polygon_arc_cover,
@@ -56,8 +58,8 @@ def test_circle_barcode():
     )
     assert diagram.bars_in_degree(0) == [(1, None)]
     assert diagram.bars_in_degree(1) == [(3, None)]
-    assert diagram.alive_at(2, 1) == 0
-    assert diagram.alive_at(3, 1) == 1
+    assert alive_at(diagram, 2, 1) == 0
+    assert alive_at(diagram, 3, 1) == 1
 
 
 def test_barcode_json_lines():
@@ -136,7 +138,7 @@ def test_restricted_betti_numbers_match_each_subunion_of_its_own():
         for J in subsets:
             K = cov.subunion(J)
             betti = _betti_gf2(index, _ids(cov._union_mask(J)))
-            assert betti == betti_numbers_gf2(K) == betti_numbers_gf2_oracle(K), (seed, J)
+            assert betti == gf2_betti(K) == betti_numbers_gf2_oracle(K), (seed, J)
             checked += 1
             lower += K.dim() < cov.parent.dim()
     assert checked == 9 * len(covers) and lower >= 5
@@ -193,11 +195,11 @@ def test_the_betti_check_names_the_first_count_a_tampered_bar_moves():
             for k in range(len(index.simplices[ids[-1]]))
         ]
         for diagram in tampered:
-            moved = [(t, k) for t, k in cells if diagram.alive_at(t, k) != true.alive_at(t, k)]
+            moved = [(t, k) for t, k in cells if alive_at(diagram, t, k) != alive_at(true, t, k)]
             expected = None
             if moved:
                 t, k = moved[0]
-                alive, b = diagram.alive_at(t, k) - (k == 0), true.alive_at(t, k) - (k == 0)
+                alive, b = alive_at(diagram, t, k) - (k == 0), alive_at(true, t, k) - (k == 0)
                 expected = f"bar count {alive} disagrees with betti_{k}={b} at step {t}"
             assert _raised(persistence._check_against_betti, diagram, index, steps) == expected
             raised += expected is not None
@@ -317,7 +319,7 @@ def check_part2(monkeypatch, cov):
     simplex ids it computes homology on past part 1.  The nerve and the
     classification, kept with the cover, are made first.  Each failure
     witness must be the homology of its sub-union, built here only."""
-    classify_cover(cov, nerve_simplices_only=True)
+    classify_cover(cov)
     nerve(cov)
     built, homology = [], []
     init, real = SimplicialComplex.__init__, persistence._homology

@@ -45,6 +45,10 @@ GONE = [
     "homology.betti_numbers_oracle",
     "cylinders.underline_preimage",
     "cylinders.overline_image",
+    "collapse.staged_union_collapse",
+    "complexes.SimplicialComplex.full_subcomplex",
+    "covers.reduced_nerve_complex",
+    "homology.betti_numbers_gf2",
 ]
 
 
@@ -414,8 +418,8 @@ def _reading(path: str, attribute: str) -> set[str]:
 def test_replay_reads_steps_only_on_the_names_route():
     """Replay asks a certificate for positions over its target; only the
     names route, taken for a certificate not made on that target, reads
-    its steps.  The other readers are equality, hashing, repr, the
-    document and the staged union, which joins two certificates' steps."""
+    its steps.  The other readers are equality, hashing, repr and the
+    document."""
     readers = _reading(os.path.join(ROOT, "src", "finspace", "collapse.py"), "steps")
     assert not {name for name in readers if "replay" in name}
     assert readers == {
@@ -425,5 +429,85 @@ def test_replay_reads_steps_only_on_the_names_route():
         "CollapseCertificate.to_doc",
         "_pair_ids_by_name",
         "_removals_by_name",
-        "staged_union_collapse",
     }
+
+
+# public functions and methods that no code of the package calls, each kept
+# for the one reason given; every other public one has a caller
+KEEP = {
+    "collapse.shadow_report": "acceptance criterion 4 and the README's dunce-hat example use it",
+    "collapse.weak_point_kind": "the weak-point test of the paper's collapses of finite spaces",
+    "collapse.is_homotopically_trivial_poset": "the paper's homotopical triviality of a finite space",
+    "collapse.is_homotopically_trivial_complex": "the paper's homotopical triviality of a complex",
+    "complexes.SimplicialComplex.num_simplices": "the tests size complexes with it",
+    "complexes.SimplicialComplex.without": "the oracles in tests/helpers.py remove simplices with it",
+    "complexes.simplex_boundary": "the boundary of a simplex, a sphere the test families are built on",
+    "complexes.solid_simplex": "the simplex, a ball the test families are built on",
+    "covers.Cover.subunion": "the paper's sub-union K_J",
+    "covers.Cover.intersection_is_empty": "whether U_J is empty, the test that defines the nerve",
+    "covers.containing_intersections": "the paper's I_x",
+    "covers.chains_containing": "the paper's S_sigma",
+    "cylinders.Relation.image": "the image of a point, whose closure is the paper's hypothesis set",
+    "cylinders.Relation.preimage": "the preimage of U_y, whose open hull is the paper's hypothesis set",
+    "cylinders.multiple_mapping_cylinder": "the paper's multiple mapping cylinder",
+    "errors.Document.from_json": "the README's file-format examples are read with it",
+    "homology.boundary_matrices": "the acceptance suite calls it",
+    "homology.HomologyResult.unreduced_betti0": "the README gives it next to the reduced convention",
+    "posets.FinitePoset.covers_below": "the oracles in tests/helpers.py are written with it",
+    "posets.FinitePoset.up_set": "the paper's F_x",
+    "posets.FinitePoset.open_hull": "the open hull of the paper's hypothesis sets",
+    "posets.FinitePoset.closure": "the closure of the paper's hypothesis sets",
+    "posets.FinitePoset.has_maximum": "the acceptance suite and the oracles in tests/helpers.py use it",
+    "posets.FinitePoset.has_minimum": "the oracles in tests/helpers.py are written with it",
+    "posets.FinitePoset.opposite": "the opposite of the non-Hausdorff nerve, which the paper's main claim reads",
+    "posets.FinitePoset.linear_extension": "the oracles in tests/helpers.py are written with it",
+    "posets.antichain": "acceptance criterion 8 uses it",
+}
+
+
+def _uncalled_public_functions() -> set[str]:
+    """The public functions of src/finspace and the public methods of its
+    classes ("module.function", "module.Class.method") that no code of the
+    package names outside their own body.  The re-exports of __init__.py
+    are no callers."""
+    package = os.path.join(ROOT, "src", "finspace")
+    defined, references = [], []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        module = name[:-3]
+
+        def visit(node, scope: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                    outer = not scope or isinstance(node, ast.ClassDef) and "." not in scope
+                    if isinstance(child, ast.FunctionDef) and outer and not child.name.startswith("_"):
+                        defined.append((module, inner, child.name))
+                elif isinstance(child, ast.Name):
+                    references.append((module, scope, child.id))
+                elif isinstance(child, ast.Attribute):
+                    references.append((module, scope, child.attr))
+                visit(child, inner)
+
+        with open(os.path.join(package, name)) as fh:
+            visit(ast.parse(fh.read()), "")
+
+    def called(module: str, qual: str, attr: str) -> bool:
+        return any(
+            name == attr and not (m == module and (s == qual or s.startswith(qual + ".")))
+            for m, s, name in references
+        )
+
+    return {f"{m}.{q}" for m, q, attr in defined if not called(m, q, attr)}
+
+
+def test_every_public_function_has_a_caller_or_a_reason_to_stay():
+    """A public function or method stays only if the package calls it or
+    KEEP gives its reason: the CLI, the suite, the acceptance suite, a
+    README example, the paper or the test oracles.  KEEP lists only names
+    that exist and have no caller."""
+    uncalled = _uncalled_public_functions()
+    assert sorted(uncalled - set(KEEP)) == []
+    assert sorted(set(KEEP) - uncalled) == []
