@@ -232,8 +232,10 @@ def cmd_persistence(args) -> int:
     if args.mode is not None:
         chain = [step.split(",") for step in args.mode.split("<")]
         for k, names in enumerate(chain, start=1):
-            if "" in names:
+            if names == [""]:
                 raise MalformedSpec(f"empty index set at step {k}")
+            if "" in names:
+                raise MalformedSpec(f"empty member name at step {k}")
     else:
         names = sorted(cover.names())
         chain = [names[: i + 1] for i in range(len(names))]

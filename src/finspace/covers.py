@@ -401,6 +401,18 @@ def classify_cover(
     return CoverClassification(good, strong, table, known, tuple(sorted(cover.names())))
 
 
+def _collapsible_masks(cover: Cover) -> list[int]:
+    """The intersection masks that some classification of the cover, under
+    any restarts and seed, found collapsible."""
+    return [
+        mask
+        for key, known in cover._memo.items()
+        if key[0] == "verdicts"
+        for mask, (_, collapsibility) in known.items()
+        if collapsibility.verdict == "yes"
+    ]
+
+
 def _classify_intersection(
     cover: Cover, mask: int, restarts: int, seed: int
 ) -> tuple[clp.TriStateResult, clp.TriStateResult]:

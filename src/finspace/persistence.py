@@ -11,12 +11,17 @@ The truncation checker likewise decides each sub-union on its ids, and
 builds none.  It walks the index sets along the sub-union lattice, in the
 order they are enumerated: K_J is K_{J-j} plus what member j adds, and
 collapses compose, so K_J passes when its added simplices collapse away
-onto any K_{J-j} already shown to collapse to isolated vertices.  Each such
-predecessor is tried in turn, the largest first, by a relative pass that
-stops when no added simplex of positive dimension is left, not on an Euler
-count.  When every one gets stuck, the full pass runs on all of K_J's ids,
-and when that gets stuck too, their homology decides.  The work is paid
-once per distinct sub-union, not once per index set.
+onto any K_{J-j} already shown to collapse to isolated vertices.  The
+base K_J was built from, K_{J-last}, is tried first, and only when that
+pass gets stuck are the other collapsed predecessors tried, the largest
+first; each is a relative pass that stops when no added simplex of
+positive dimension is left, not on an Euler count.  When every one gets
+stuck, the full pass runs on all of K_J's ids, and when that gets stuck
+too, their homology decides.  A set of ids that the cover's own
+classification found collapsible is not passed again: its collapse to a
+point is one to isolated vertices, also inside a union that adds it
+whole.  The work is paid once per distinct sub-union, not once per index
+set.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from dataclasses import dataclass
 from . import collapse as clp
 from .complexes import SimplexIndex
 from .covers import (
-    COMPLEX, Cover, CoverClassification, _all_index_sets, _nerve_table, classify_cover, nerve,
+    COMPLEX, Cover, CoverClassification, _all_index_sets, _collapsible_masks, _nerve_table,
+    classify_cover, nerve,
 )
 from .errors import InvalidCover, InvariantViolation, MalformedSpec, NotAChain, _distinct
 from .homology import _betti_gf2, _homology, homology_equal, reduced_homology
@@ -175,12 +181,16 @@ def check_truncation_theorem(
     homology computation.  Index sets are enumerated exhaustively up to
     ``max_enum`` members; beyond that, nerve facets plus a seeded random
     sample, up to ``sample_size`` sets or all 2^n - 1 of them when there
-    are fewer, with the cap recorded in the report.
+    are fewer, with the cap recorded in the report.  A classification
+    whose nerve table is not this cover's raises InvalidCover.
     """
     if cover.kind != COMPLEX:
         raise InvalidCover("the truncation checker needs a cover of a complex")
     names = sorted(cover.names())
+    table = _nerve_table(cover)
     cls = classification or classify_cover(cover)
+    if cls.table is not table and cls.table != table:
+        raise InvalidCover("the classification is not of this cover")
     N = nerve(cover)
     part1 = homology_equal(reduced_homology(cover.parent), reduced_homology(N))
     if len(names) <= max_enum:
@@ -196,7 +206,7 @@ def check_truncation_theorem(
         enumeration = f"sampled (cap {max_enum} exceeded, seed {seed})"
     failures = _positive_degree_failures(cover, subsets)
     part2 = not failures
-    has_empty = tuple(names) not in _nerve_table(cover)
+    has_empty = tuple(names) not in table
     report = {
         "part1_nerve_homology_match": part1,
         "part2_subunions_acyclic": part2,
@@ -230,15 +240,18 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
     Sub-unions are told apart by their union masks, and only a union not
     met before costs more than those lookups: each distinct one is decided
     once, on the parent's simplex index restricted to its ids.  No
-    sub-union is built.
+    sub-union is built.  The failures are gathered per distinct union and
+    listed at the end, in the given order of the index sets.
 
     A K_J that collapses to isolated vertices is acyclic in positive
     degrees.  Collapses compose, so K_J passes when it collapses onto any
     sub-union K_{J-j} already shown to collapse to vertices: a relative
     pass runs only on the ids K_J adds, with K_{J-j}'s simplices kept.
-    Every such predecessor is tried in turn, the largest first (the empty
-    one for a first member), until one pass succeeds.  The pass stops when
-    no added simplex of positive dimension is left, never on an Euler
+    The base K_J was built from, K_{J-last}, is tried first, when it
+    collapsed (the empty one for a first member); only when that pass gets
+    stuck, or that base did not collapse or was not walked, are the other
+    collapsed K_{J-j} tried in turn, the largest first.  The pass stops
+    when no added simplex of positive dimension is left, never on an Euler
     count, which can balance on a sphere.  When every relative pass gets
     stuck, or no predecessor has collapsed, the full pass runs on all the
     ids of K_J, and when that gets stuck too, the homology of those ids
@@ -249,7 +262,11 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
     sub-unions often hand it the same ids (what K_J adds to K_{J-j} can be
     what another union adds to its predecessor), so each id mask is passed
     once per call and its outcome kept, for the relative and the full pass
-    alike.
+    alike.  That table starts out holding every intersection mask the
+    cover's own classifications found collapsible: a collapse to a point
+    is one to isolated vertices, and a closed set of ids that is what a
+    union adds collapses the same way inside the union, since no coface of
+    an added simplex lies in the base.
     """
     index = cover.parent.index()
     names = cover.names()
@@ -257,34 +274,44 @@ def _positive_degree_failures(cover: Cover, subsets) -> list[dict]:
     member = dict(zip(bit.values(), cover._member_masks(names)))  # member bit -> mask
     union_of = {0: 0}  # index set as a mask of member bits -> union mask
     collapsed = {0}  # union masks shown to collapse to isolated vertices
-    passed: dict[int, bool] = {}  # id mask -> whether the pass on its ids succeeded
+    # id mask -> whether its ids collapse to isolated vertices
+    passed = dict.fromkeys(_collapsible_masks(cover), True)
+
+    def passes(mask: int) -> bool:
+        ok = passed.get(mask)
+        if ok is None:
+            ok = passed[mask] = clp._collapse_run(index, _ids(mask)) is not None
+        return ok
+
     failure_of: dict[int, dict | None] = {}
-    failures = []
+    keys = []
     for J in subsets:
         key = 0
         for n in J:
             key |= bit[n]
+        keys.append(key)
         last = bit[J[-1]]
         rest = union_of.get(key ^ last)
         union = cover._union_mask(J) if rest is None else rest | member[last]
         union_of[key] = union
-        if union not in failure_of:
-            failure_of[union] = None
-            # the collapsed unions of J minus one member, largest first
-            bases = [u for n in J if (u := union_of.get(key ^ bit[n])) in collapsed]
-            bases.sort(key=int.bit_count, reverse=True)
-            # what K_J adds to each of them, then all of K_J
-            for mask in [union & ~u for u in bases] + [union]:
-                ok = passed.get(mask)
-                if ok is None:
-                    ok = passed[mask] = clp._collapse_run(index, _ids(mask)) is not None
-                if ok:
-                    collapsed.add(union)
-                    break
-            else:
-                hom = _homology(index, _ids(union))
-                if any(hom.betti[1:]) or any(hom.torsion):
-                    failure_of[union] = hom.summary()
-        if failure_of[union] is not None:
-            failures.append({"index_set": list(J), "homology": failure_of[union]})
-    return failures
+        if union in failure_of:
+            continue
+        failure_of[union] = None
+        if rest in collapsed and passes(union & ~rest):
+            collapsed.add(union)
+            continue
+        # the other collapsed unions of J minus one member, largest first
+        bases = [u for n in J if (u := union_of.get(key ^ bit[n])) in collapsed and u != rest]
+        bases.sort(key=int.bit_count, reverse=True)
+        # what K_J adds to each of them, then all of K_J
+        if any(passes(union & ~u) for u in bases) or passes(union):
+            collapsed.add(union)
+            continue
+        hom = _homology(index, _ids(union))
+        if any(hom.betti[1:]) or any(hom.torsion):
+            failure_of[union] = hom.summary()
+    return [
+        {"index_set": list(J), "homology": failure}
+        for J, key in zip(subsets, keys)
+        if (failure := failure_of[union_of[key]]) is not None
+    ]

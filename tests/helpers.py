@@ -1411,6 +1411,48 @@ def largest_predecessor_positive_degree_failures(cover: Cover, subsets) -> list[
     return failures
 
 
+def every_predecessor_positive_degree_failures(cover: Cover, subsets) -> list[dict]:
+    """The part-2 failures by the walk along the sub-union lattice that
+    tries every collapsed predecessor in turn, the largest first: each new
+    union K_J is collapsed relative to each K_{J-j} already shown to
+    collapse to vertices, and when every relative pass gets stuck, the full
+    pass runs on all of K_J's ids, then their homology.  Each id mask is
+    passed once per call, and no classification is read."""
+    index = cover.parent.index()
+    names = cover.names()
+    bit = {n: 1 << k for k, n in enumerate(names)}
+    member = dict(zip(bit.values(), cover._member_masks(names)))
+    union_of = {0: 0}
+    collapsed = {0}
+    passed: dict[int, bool] = {}
+    failure_of: dict[int, dict | None] = {}
+    failures = []
+    for J in subsets:
+        key = sum(bit[n] for n in J)
+        last = bit[J[-1]]
+        rest = union_of.get(key ^ last)
+        union = cover._union_mask(J) if rest is None else rest | member[last]
+        union_of[key] = union
+        if union not in failure_of:
+            failure_of[union] = None
+            bases = [u for n in J if (u := union_of.get(key ^ bit[n])) in collapsed]
+            bases.sort(key=int.bit_count, reverse=True)
+            for mask in [union & ~u for u in bases] + [union]:
+                ok = passed.get(mask)
+                if ok is None:
+                    ok = passed[mask] = clp._collapse_run(index, _ids(mask)) is not None
+                if ok:
+                    collapsed.add(union)
+                    break
+            else:
+                hom = _homology(index, _ids(union))
+                if any(hom.betti[1:]) or any(hom.torsion):
+                    failure_of[union] = hom.summary()
+        if failure_of[union] is not None:
+            failures.append({"index_set": list(J), "homology": failure_of[union]})
+    return failures
+
+
 
 # -- the dense chain complex and the sub-union persistence reduction ---------
 #

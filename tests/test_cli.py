@@ -127,13 +127,19 @@ def test_persistence_command(paths, capsys):
 
 @pytest.mark.parametrize(
     "chain, step",
-    [("U1<<U1,U2", 2), ("U1<U1,U2<", 3), ("U1<U1,U2,", 2), ("<U1", 1), ("", 1)],
+    [
+        ("U1<<U1,U2", 2), ("U1<U1,U2<", 3), ("U1<U1,U2,", 2), ("<U1", 1), ("", 1),
+        ("U1,,U2", 1), ("U1<,U1,U2", 2), ("U1<U1,,U2<", 2),
+    ],
 )
 def test_persistence_empty_step_exits_2(paths, capsys, chain, step):
+    # a step with no name is an empty index set; a step naming members
+    # has an empty member name among them
     code = main(["persistence", "--in", str(paths["cover"]), "--mode", chain])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: empty index set at step {step}\n"
+    empty = "empty index set" if chain.split("<")[step - 1] == "" else "empty member name"
+    assert captured.err == f"error: {empty} at step {step}\n"
 
 
 @pytest.mark.parametrize("chain", ["U1<Z", "Z<U1", "U1<U1,Z", "U2<U1"])

@@ -32,7 +32,7 @@ from finspace.errors import (
 from finspace.fixtures import circle_arc_cover, dunce_hat, finite_circle_cover
 from finspace.generators import generate_composite_instance
 from finspace.homology import boundary_matrices
-from finspace.persistence import persistence_over_chain
+from finspace.persistence import check_truncation_theorem, persistence_over_chain
 from finspace.posets import build_poset
 
 X = build_poset(["a", "b"], [("a", "b")])
@@ -157,6 +157,12 @@ CASES = {
     "persistence-over-an-index-set-that-repeats-a-member": (
         lambda: persistence_over_chain(circle_arc_cover(), [["U1", "U1"], ["U1", "U2"]]),
         MalformedSpec, "the index set at step 1 repeats an id: ('U1', 'U1')",
+    ),
+    "truncation-with-the-classification-of-another-cover": (
+        lambda: check_truncation_theorem(
+            circle_arc_cover(), classification=classify_cover(_dunce_hat_cover())
+        ),
+        InvalidCover, "the classification is not of this cover",
     ),
 }
 

@@ -26,6 +26,7 @@ from helpers import (
     alive_at,
     betti_numbers_gf2_oracle,
     contains_simplex,
+    every_predecessor_positive_degree_failures,
     gf2_betti,
     largest_predecessor_positive_degree_failures,
     per_union_positive_degree_failures,
@@ -260,6 +261,13 @@ def test_truncation_positive_on_strong_good_instances():
         assert not report["predicted_failure_mode"]
 
 
+def test_truncation_reads_the_classification_of_an_equal_cover():
+    # the same document built twice: the nerve tables are equal, not the same
+    cov, other = circle_arc_cover(), circle_arc_cover()
+    report = check_truncation_theorem(cov, classification=classify_cover(other))
+    assert report == check_truncation_theorem(cov)
+
+
 def test_truncation_sampling_label_beyond_cap():
     # a path of 13 edges covered edge by edge: the nerve stays small, but the
     # member count exceeds the exhaustive-enumeration cap
@@ -398,24 +406,25 @@ def recorded_passes(monkeypatch):
 
 
 def test_relative_pass_stuck_on_a_joining_arc_tries_the_other_predecessors(monkeypatch):
-    """On a path, B's arc joins the disjoint arcs A and C.  The largest
-    collapsed predecessor of {A, B, C} is K_{A,C}, two components, and the
-    relative pass gets stuck on B's interior.  The next largest, K_{B,C}
-    (as large as K_{A,B}, and met first), takes A's arc as what K_J adds,
-    which collapses onto it: no full pass and no homology."""
+    """On a path, C's arc joins the disjoint arcs A and B.  K_{A,B,C} is
+    built from K_{A,B}, two components that collapsed, and the relative
+    pass from it gets stuck on C's interior.  The other collapsed
+    predecessors follow, the largest first: K_{B,C} (as large as K_{A,C},
+    and listed first, as J minus its first member) takes A's arc as what
+    K_J adds, which collapses onto it: no full pass and no homology."""
     verts = [f"p{i:02d}" for i in range(13)]
     edges = [[verts[i], verts[i + 1]] for i in range(12)]
     members = (
         ("A", SimplicialComplex(edges[:5])),
-        ("B", SimplicialComplex(edges[5:7])),
-        ("C", SimplicialComplex(edges[7:])),
+        ("B", SimplicialComplex(edges[7:])),
+        ("C", SimplicialComplex(edges[5:7])),
     )
     cov = Cover("complex", SimplicialComplex(edges), members)
     passes = recorded_passes(monkeypatch)
     report, built, homology = check_part2(monkeypatch, cov)
     assert report["part2_subunions_acyclic"] and homology == []
     assert report == slow_check_truncation_theorem(cov)
-    # the last two passes decide K_{A,B,C}: B's interior, then A's arc
+    # the last two passes decide K_{A,B,C}: C's interior, then A's arc
     (joining, stuck), (arc, collapsed) = passes[-2:]
     assert joining == [("p06",), ("p05", "p06"), ("p06", "p07")]
     assert not stuck
@@ -445,6 +454,14 @@ def test_every_stuck_predecessor_leaves_the_full_pass_and_homology(monkeypatch):
     assert (len(full[0]), full[1]) == (whole, False)
 
 
+def pass_count_covers():
+    """Two arc covers, four 6-member cone covers and two vertex-star covers,
+    on which the walk's passes are counted."""
+    covers = [polygon_arc_cover(12, [0, 3, 6, 9]), polygon_arc_cover(9, [0, 2, 3, 7, 8])]
+    covers += [seeded_cone_cover(seed, 6) for seed in range(4)]
+    return covers + [star_cover(sd_boundary(2)), star_cover(simplex_boundary(3))]
+
+
 def test_each_distinct_pass_runs_once(monkeypatch):
     """The walk passes each id mask at most once per call, whether it asks
     for the mask as what a union adds or as a whole union, and its failures
@@ -456,19 +473,43 @@ def test_each_distinct_pass_runs_once(monkeypatch):
         return real(index, ids, rng)
 
     monkeypatch.setattr(clp, "_collapse_run", recording)
-    covers = [polygon_arc_cover(12, [0, 3, 6, 9]), polygon_arc_cover(9, [0, 2, 3, 7, 8])]
-    covers += [seeded_cone_cover(seed, 6) for seed in range(4)]
-    covers += [star_cover(sd_boundary(2)), star_cover(simplex_boundary(3))]
     counts = []
-    for cov in covers:
+    for cov in pass_count_covers():
         subsets = list(_all_index_sets(cov.names()))
         runs.clear()
         failures = persistence._positive_degree_failures(cov, subsets)
         assert len(runs) == len(set(runs))
         counts.append(len(runs))
         assert failures == per_union_positive_degree_failures(cov, subsets)
-    # the walk asks for 23, 45, 39, 51, 55, 44, 37 and 7 passes
-    assert counts == [14, 19, 21, 26, 32, 23, 30, 7]
+    # the walk asks for 20, 40, 39, 51, 55, 44, 32 and 7 passes
+    assert counts == [14, 18, 28, 25, 32, 31, 24, 7]
+
+
+def test_a_mask_classified_collapsible_runs_no_pass(monkeypatch):
+    """After classify_cover, no id mask whose collapsibility it found Yes
+    is passed again, whether as a member, as what a union adds or as a
+    whole union, and the failures are those of the walk that reads no
+    classification."""
+    runs, real = [], clp._collapse_run
+
+    def recording(index, ids, rng=None):
+        runs.append(sum(1 << i for i in ids))
+        return real(index, ids, rng)
+
+    counts = []
+    for cov in pass_count_covers():
+        cls = classify_cover(cov)
+        yes = {mask for mask, (_, c) in cls.verdicts.items() if c.is_yes()}
+        subsets = list(_all_index_sets(cov.names()))
+        monkeypatch.setattr(clp, "_collapse_run", recording)
+        runs.clear()
+        failures = persistence._positive_degree_failures(cov, subsets)
+        monkeypatch.undo()
+        assert yes and not yes & set(runs)
+        counts.append(len(runs))
+        assert failures == every_predecessor_positive_degree_failures(cov, subsets)
+    # against 14, 18, 28, 25, 32, 31, 24 and 7 without the classification
+    assert counts == [10, 13, 22, 19, 26, 25, 18, 3]
 
 
 def walk_families():
@@ -489,13 +530,29 @@ def walk_families():
         yield cov, sorted(sample)
 
 
+@pytest.mark.parametrize("classified", [False, True])
+def test_walk_matches_the_every_predecessor_walk_and_one_pass_per_union(classified):
+    """The walk that tries the base each union was built from first finds
+    the failures of the walk that tries every collapsed predecessor, the
+    largest first, and of one full pass per distinct union, exhaustively
+    and on seeded samples, on a copy of each cover that keeps no
+    classification and on one classified first."""
+    for cov, subsets in walk_families():
+        cov = Cover(cov.kind, cov.parent, cov.members)
+        if classified:
+            classify_cover(cov)
+        failures = persistence._positive_degree_failures(cov, subsets)
+        assert failures == every_predecessor_positive_degree_failures(cov, subsets)
+        assert failures == per_union_positive_degree_failures(cov, subsets)
+
+
 def test_walk_matches_the_largest_predecessor_walk(monkeypatch):
-    """The walk that tries every collapsed predecessor finds the failures
-    of the walk that tried the largest one only, exhaustively and on seeded
-    samples.  It runs the full pass on a new union only after the relative
-    pass from each predecessor whose own full pass collapses has got stuck,
-    and over the families it runs fewer passes: a circle tries each of its
-    arcs before the full pass, but a path joined in the middle no longer
+    """The walk finds the failures of the walk that tried the largest
+    collapsed predecessor only, exhaustively and on seeded samples.  It
+    runs the full pass on a new union only after the relative pass from
+    each predecessor whose own full pass collapses has got stuck, and over
+    the families it runs fewer passes: a circle tries each of its arcs
+    before the full pass, but a path joined in the middle no longer
     re-walks the whole path."""
     masks = []
     real = clp._collapse_run
