@@ -15,10 +15,13 @@ an index set outside it has an empty intersection, so a classification
 of every index set and the truncation checker walk no intersections of
 their own.
 ``FLAVORS`` gives each nerve-theorem flavor its cover kind, verdict mode
-and nerve object.  One inversion pass over masks gives every point's I_x
-(a mask over N0) and every simplex's S_sigma (the ids, on the index of N0
-or of K(reduced N0), of the simplices whose vertices all hold sigma).
-Only ``Cover.intersection`` builds an intersection as an object of its own.
+and nerve object.  One inversion pass over masks gives, for every position
+of the cover's masks, the mask over a poset P (N0 or reduced N0) of the
+elements whose intersection holds it: a point's I_x, or, for reduced N0,
+the Q_sigma with S_sigma = K(Q_sigma), so K(reduced N0) is never built.
+Over the sub-nerve N0 of a complex, S_sigma is the ids, on N0's index, of
+the simplices whose vertices all hold sigma.  Only ``Cover.intersection``
+builds an intersection as an object of its own.
 
 Classification verdicts are three-valued and Unknown intersections are
 never silently treated as trivial or collapsible: the N0 constructions
@@ -92,11 +95,8 @@ class Cover(Document):
             raise InvalidCover("a cover needs at least one member")
         _kind(self.kind)
         masks = {name: self._validated_mask(name, sub) for name, sub in self.members}
-        if self.kind == COMPLEX:
-            size, whole = len(self.parent.index().simplices), "parent complex"
-        else:
-            size, whole = len(self.parent), "space"
-        if reduce(or_, masks.values()) != (1 << size) - 1:
+        if reduce(or_, masks.values()) != (1 << _positions(self)) - 1:
+            whole = "parent complex" if self.kind == COMPLEX else "space"
             raise InvalidCover(f"members do not cover the {whole}")
         object.__setattr__(self, "_masks", masks)
 
@@ -457,17 +457,25 @@ def _holders(masks, size: int) -> list[list[int]]:
     return holders
 
 
-def _i_x_masks(cover: Cover, P: FinitePoset) -> list[int]:
-    """I_x for every point x of the covered space, by x's position: the mask
-    over P (N0 or reduced N0) of the elements whose intersection holds x."""
-    return [_bits(ks) for ks in _holders(_id_masks(cover, P.elements), len(cover.parent))]
+def _positions(cover: Cover) -> int:
+    """The number of positions of the cover's masks: the parent's simplex
+    ids (a complex) or element positions (a finite space)."""
+    return len(cover.parent.index().simplices if cover.kind == COMPLEX else cover.parent)
 
 
-def _s_sigma_ids(cover: Cover, L: SimplicialComplex, vertex_masks: dict) -> list[list[int]]:
+def _holder_masks(cover: Cover, P: FinitePoset) -> list[int]:
+    """For each position of the cover's masks, the mask over P (N0 or
+    reduced N0) of the elements whose intersection holds it: a point's I_x,
+    or the Q_sigma of a simplex sigma, whose order complex is S_sigma."""
+    return [_bits(ks) for ks in _holders(_id_masks(cover, P.elements), _positions(cover))]
+
+
+def _s_sigma_ids(cover: Cover, L: SimplicialComplex) -> list[list[int]]:
     """S_sigma for every simplex sigma of the covered complex, by sigma's id:
-    the ascending ids of L's simplices whose vertices' masks all hold sigma."""
-    masks = [reduce(and_, map(vertex_masks.__getitem__, t)) for t in L.index().simplices]
-    return _holders(masks, len(cover.parent.index().simplices))
+    the ascending ids of the simplices of L, a subcomplex of the nerve,
+    whose vertices' members all hold sigma."""
+    masks = [reduce(and_, map(cover._masks.__getitem__, t)) for t in L.index().simplices]
+    return _holders(masks, _positions(cover))
 
 
 def n_zero_subspace(
@@ -505,7 +513,7 @@ def containing_intersections(
         raise UnknownElement(f"{x!r} is not a point of the covered space")
     n0 = n0 or n_zero_subspace(cover, mode=mode, reduced=reduced, classification=classification)
     P = n0.poset
-    return P.restrict(P._members(_i_x_masks(cover, P)[cover.parent._at(x)]))
+    return P.restrict(P._members(_holder_masks(cover, P)[cover.parent._at(x)]))
 
 
 def n_zero_complex(
@@ -544,7 +552,7 @@ def chains_containing(
         raise UnknownSimplex(f"{sorted(s)} is not a simplex of the parent")
     n0, _ = n_zero_complex(cover, mode=mode, classification=classification)
     simplices = n0.index().simplices
-    return SimplicialComplex(simplices[j] for j in _s_sigma_ids(cover, n0, cover._masks)[i])
+    return SimplicialComplex(simplices[j] for j in _s_sigma_ids(cover, n0)[i])
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +595,9 @@ def check_nerve_theorem(
     X = cover.parent
     # the nerve object: the nerve L for the nerve flavours, of either cover
     # kind (the order complex of its face poset, the non-Hausdorff nerve, is
-    # sd L, so the two have one homology; McCord 1966); for the N0 flavours
-    # a finite space P standing for K(P), else a complex L, with K(P) built
-    # as L only where S_sigma reads its index
+    # sd L, so the two have one homology; McCord 1966); for the sub-nerve
+    # N0 of a complex, a complex L; else a finite space P standing for K(P),
+    # which is never built
     P = None
     if nerve_object == "nerve":
         report["hypothesis_verdict"] = cls.strong_good if mode == "collapsible" else cls.good
@@ -603,8 +611,6 @@ def check_nerve_theorem(
         if space or reduced:
             n0 = n_zero_subspace(cover, mode=mode, reduced=reduced, classification=cls)
             excluded, P = n0.excluded_unknown, n0.poset
-            if not space:
-                L = order_complex(P)  # K(P), built once
         else:
             L, excluded = n_zero_complex(cover, mode=mode, classification=cls)
         if reduced:
@@ -614,26 +620,29 @@ def check_nerve_theorem(
             report[f"n0_{bound}_ok"] = P.height() <= cap if len(P) else True
         per_element = {}
         bounds_ok = True
-        if space:  # I_x per point x, a mask over N0
+        if P is not None:  # per point its I_x, per simplex its Q_sigma: masks over P
+            # S_sigma = K(Q_sigma), of dimension Q_sigma's height; a weak-point
+            # collapse of Q_sigma gives one of K(Q_sigma) (Barmak-Minian 2008)
             decide = clp._triviality if mode == "trivial" else clp._weak_collapse
-            for x, ix in zip(X.elements, _i_x_masks(cover, P)):
-                if not ix:
-                    per_element[x] = clp.TriStateResult("no", note="I_x is empty")
+            part, own = ("I_x", X.height_of) if space else ("S_sigma", lambda s: len(s) - 1)
+            for x, q in zip(X.elements if space else X.all_simplices(), _holder_masks(cover, P)):
+                key = x if space else simplex_id(x)
+                if not q:
+                    per_element[key] = clp.TriStateResult("no", note=f"{part} is empty")
                     continue
-                per_element[x] = decide(P, ix)
-                bounds_ok &= not reduced or _height(P, ix) <= cap - X.height_of(x)
-        else:  # S_sigma per simplex sigma, as simplex ids of L's index
-            index, vertex_masks = L.index(), cover._masks
-            if reduced:
-                vertex_masks = dict(zip(L.vertices, _id_masks(cover, L.vertices)))
-            for s, ids in zip(X.all_simplices(), _s_sigma_ids(cover, L, vertex_masks)):
+                per_element[key] = decide(P, q)
+                if not space and per_element[key].verdict == "unknown":  # stuck, acyclic
+                    K = order_complex(P.restrict(P._members(q)))
+                    per_element[key] = clp.greedy_collapse_complex(K, restarts=restarts, seed=seed)
+                bounds_ok &= not reduced or _height(P, q) <= cap - own(x)
+        else:  # S_sigma per simplex sigma, as simplex ids of N0's index
+            index = L.index()
+            for s, ids in zip(X.all_simplices(), _s_sigma_ids(cover, L)):
                 if not ids:
                     per_element[simplex_id(s)] = clp.TriStateResult("no", note="S_sigma is empty")
                     continue
                 verdicts = clp._complex_verdicts(index, ids, restarts, seed)
                 per_element[simplex_id(s)] = verdicts[mode == "collapsible"]
-                dim = len(index.simplices[ids[-1]]) - 1  # S_sigma's, read off its last simplex
-                bounds_ok &= not reduced or dim <= cap - (len(s) - 1)
         report["per_point" if space else "per_simplex"] = {
             k: v.to_doc() for k, v in per_element.items()
         }

@@ -32,7 +32,9 @@ pair of classes) the reference for the mask-based one, its one nerve
 table, its records built on first read, the truncation pass along the
 sub-union lattice and the reduced nerve ordered by one-member refinements,
 the nerve's face poset the
-reference for the nerve's homology in the nerve-theorem checker, the dense
+reference for the nerve's homology in the nerve-theorem checker, the
+reduced-complex check that built K(reduced N0) whole the reference for
+the one that decides each S_sigma on a subposet of reduced N0, the dense
 chain complex after that (dense boundary matrices, fraction-free and dense
 GF(2) ranks, dense Smith normal form, persistence over rebuilt sub-unions)
 the reference for the sparse rows and the sparse Smith normal form
@@ -80,6 +82,7 @@ from finspace.complexes import (
 from finspace.covers import (
     COMPLEX,
     MAX_MEMBERS,
+    REDUCED_NERVE_ASSUMPTION,
     Cover,
     CoverClassification,
     IntersectionRecord,
@@ -87,6 +90,8 @@ from finspace.covers import (
     ReducedNerve,
     _classify_intersection,
     _nerve_table,
+    classify_cover,
+    n_zero_subspace,
     nerve,
     non_hausdorff_nerve,
 )
@@ -1254,6 +1259,8 @@ def slow_n_zero_complex(cover, mode, classification):
 # The checkers read I_x and S_sigma off one inversion of masks
 # (``covers._holders``).  Below is the scan it replaced: per parent position,
 # the keys whose mask holds it, and every simplex of L tested against them.
+# After it, the reduced-complex check by the route that built K(reduced N0)
+# whole and read every S_sigma off its index.
 
 
 def holding(masks: dict, keys, i: int) -> set:
@@ -1267,10 +1274,14 @@ def slow_id_masks(cover) -> dict:
     return {simplex_id(J): cover._mask(J) for J in slow_index_sets(cover, 20, True)}
 
 
-def slow_i_x_masks(cover, P: FinitePoset) -> list[int]:
-    """I_x of every point of the covered space, as a mask over P."""
+def slow_holder_masks(cover, P: FinitePoset) -> list[int]:
+    """Per position of the cover's masks (a point of the covered space, or
+    a simplex id of the covered complex), the mask over P of the elements
+    whose intersection holds it."""
     by_id = slow_id_masks(cover)
-    return [P._mask(holding(by_id, P.elements, i)) for i in range(len(cover.parent))]
+    X = cover.parent
+    size = len(X.index().simplices) if cover.kind == COMPLEX else len(X)
+    return [P._mask(holding(by_id, P.elements, i)) for i in range(size)]
 
 
 def slow_s_sigma_ids(cover, L: SimplicialComplex, vertex_masks: dict) -> list[list[int]]:
@@ -1281,6 +1292,47 @@ def slow_s_sigma_ids(cover, L: SimplicialComplex, vertex_masks: dict) -> list[li
         held = holding(vertex_masks, L.vertices, i)
         out.append([j for j, t in enumerate(index.simplices) if held.issuperset(t)])
     return out
+
+
+def complex_route_reduced_report(cover, restarts: int = 8, seed: int = 0) -> dict:
+    """``check_nerve_theorem(cover, "reduced-complex")`` by the route that
+    built L = K(reduced N0) whole: each S_sigma is the ids of L's simplices
+    whose vertices' class masks all hold sigma, decided by the free-face
+    search on L's index, and its dimension is read off its last simplex."""
+    cls = classify_cover(cover, restarts=restarts, seed=seed)
+    n0 = n_zero_subspace(cover, mode="collapsible", reduced=True, classification=cls)
+    X, P = cover.parent, n0.poset
+    L = order_complex(P)
+    index, cap = L.index(), X.dim()
+    report = {"flavor": "reduced-complex", "dim_cap": cap}
+    report["n0_dim_ok"] = P.height() <= cap if len(P) else True
+    per_simplex, bounds_ok = {}, True
+    for s, ids in zip(X.all_simplices(), slow_s_sigma_ids(cover, L, slow_id_masks(cover))):
+        if not ids:
+            per_simplex[simplex_id(s)] = clp.TriStateResult("no", note="S_sigma is empty")
+            continue
+        per_simplex[simplex_id(s)] = clp._complex_verdicts(index, ids, restarts, seed)[1]
+        bounds_ok &= len(index.simplices[ids[-1]]) - 1 <= cap - (len(s) - 1)
+    report["per_simplex"] = {k: v.to_doc() for k, v in per_simplex.items()}
+    report["dim_bounds_ok"] = bounds_ok
+    verdicts = [v.verdict for v in per_simplex.values()]
+    if not bounds_ok or not report["n0_dim_ok"]:
+        verdicts.append("no")
+    excluded = n0.excluded_unknown
+    report["excluded_unknown"] = list(excluded)
+    report["hypothesis_verdict"] = clp.aggregate_verdict(verdicts + ["unknown"] * len(excluded))
+    if not len(P):
+        raise InvalidCover("reduced N0 is empty; no verified intersections")
+    report["assumption"] = REDUCED_NERVE_ASSUMPTION
+    parent_hom, n0_hom = reduced_homology(X), homology_of_poset(P)
+    report["parent_homology"] = parent_hom.summary()
+    report["nerve_homology"] = n0_hom.summary()
+    report["conclusion_homology_match"] = homology_equal(parent_hom, n0_hom)
+    report["note"] = (
+        "homology agreement is the computable shadow of the asserted "
+        "(simple) homotopy equivalence; the equivalence itself is not decided"
+    )
+    return report
 
 
 def slow_subunion(cover, names) -> SimplicialComplex:

@@ -7,6 +7,7 @@ family below.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from finspace import collapse as clp
 from finspace import covers
 from finspace.collapse import replay_space_certificate
-from finspace.complexes import SimplicialComplex, order_complex, simplex_boundary, simplex_id
+from finspace.complexes import SimplicialComplex, simplex_boundary, simplex_id
 from finspace.covers import (
     COMPLEX,
     Cover,
@@ -46,14 +47,14 @@ from finspace.posets import FinitePoset
 from helpers import (
     all_pairs_reduced_nerve,
     closed_index_sets,
+    complex_route_reduced_report,
     face_poset_nerve_homology,
     polygon_arc_cover,
     sd_boundary,
     seeded_cone_cover,
     slow_check_truncation_theorem,
     slow_classify_cover,
-    slow_i_x_masks,
-    slow_id_masks,
+    slow_holder_masks,
     slow_index_sets,
     slow_intersection,
     slow_intersection_is_empty,
@@ -259,20 +260,78 @@ def test_nerve_and_n0_indexes_match_the_subset_build():
 
 
 def test_inverted_i_x_and_s_sigma_match_the_scan():
-    """Per parent position, the inversion's I_x masks over N0 and reduced N0,
-    and its S_sigma ids on N0 and K(reduced N0), equal the per-key scan."""
+    """Per parent position, the inversion's masks over the posets the
+    checkers read them on (I_x of a point over N0 and reduced N0, Q_sigma of
+    a simplex over reduced N0) and its S_sigma ids on N0 equal the per-key
+    scan."""
     larger = [star_cover(sd_boundary(3))]
     larger += [generate_good_space_cover(seed)[1] for seed in range(3, 6)]
     for cov in all_covers() + larger:
         if cov.kind == COMPLEX:
             n0, _ = n_zero_complex(cov)
-            K = order_complex(n_zero_subspace(cov, mode="collapsible", reduced=True).poset)
-            for L, masks in ((n0, cov._masks), (K, slow_id_masks(cov))):
-                assert covers._s_sigma_ids(cov, L, masks) == slow_s_sigma_ids(cov, L, masks)
+            assert covers._s_sigma_ids(cov, n0) == slow_s_sigma_ids(cov, n0, cov._masks)
+            modes = [("collapsible", True)]
         else:
-            for mode, reduced in (("trivial", False), ("collapsible", False), ("collapsible", True)):
-                P = n_zero_subspace(cov, mode=mode, reduced=reduced).poset
-                assert covers._i_x_masks(cov, P) == slow_i_x_masks(cov, P)
+            modes = [("trivial", False), ("collapsible", False), ("collapsible", True)]
+        for mode, reduced in modes:
+            P = n_zero_subspace(cov, mode=mode, reduced=reduced).poset
+            assert covers._holder_masks(cov, P) == slow_holder_masks(cov, P)
+
+
+def reduced_complex_covers() -> list[Cover]:
+    """``complex_covers()``, which holds the star cover of sd ∂Δ² and the
+    strong-good covers of seeds 0-7, with the star cover of sd ∂Δ³ and the
+    strong-good covers of seeds 8-19."""
+    covs = complex_covers() + [star_cover(sd_boundary(3))]
+    return covs + [generate_strong_good_cover(seed)[1] for seed in range(8, 20)]
+
+
+def test_reduced_complex_on_the_poset_matches_the_complex_route():
+    """Each S_sigma decided on its subposet Q_sigma of reduced N0 (a weak
+    collapse, the height as the dimension) gives the whole report of the
+    route that built K(reduced N0) and searched free faces on its index."""
+    verdicts = set()
+    for cov in reduced_complex_covers():
+        for args in ((), (3, 7)):
+            report = covers.check_nerve_theorem(cov, "reduced-complex", *args)
+            assert report == complex_route_reduced_report(cov, *args)
+            verdicts |= {v["verdict"] for v in report["per_simplex"].values()}
+            verdicts.add(report["hypothesis_verdict"])
+    assert verdicts == {"yes", "no"}
+
+
+def test_a_stuck_poset_collapse_falls_back_to_the_free_face_search(monkeypatch):
+    """With every weak collapse the check runs stuck, each non-empty S_sigma
+    is decided by the free-face search on K(Q_sigma) built alone, with the
+    check's restarts and seed, and the report is the complex route's byte
+    for byte, each entry's note included."""
+    stuck, searched = [], []
+    search = clp.greedy_collapse_complex
+
+    def stuck_collapse(X, alive, target=None):
+        stuck.append(alive)
+        return clp.unknown("greedy weak-point removal got stuck")
+
+    def counting_search(K, **kwargs):
+        searched.append(tuple(kwargs.values()))
+        return search(K, **kwargs)
+
+    monkeypatch.setattr(clp, "_weak_collapse", stuck_collapse)
+    monkeypatch.setattr(clp, "greedy_collapse_complex", counting_search)
+    covs = [circle_arc_cover(), two_triangle_cover(), star_cover(sd_boundary(2))]
+    covs += [generate_strong_good_cover(seed)[1] for seed in range(4)]
+    covs += [polygon_arc_cover(9, [0, 2, 3, 7, 8]), with_hard_member(projective_plane())]
+    for cov in covs:
+        for args in ((), (3, 7)):
+            stuck.clear()
+            searched.clear()
+            report = covers.check_nerve_theorem(cov, "reduced-complex", *args)
+            oracle = complex_route_reduced_report(cov, *args)
+            entries = report["per_simplex"]
+            filled = [k for k, v in entries.items() if v.get("note") != "S_sigma is empty"]
+            assert len(stuck) == len(filled) > 0
+            assert searched == [args or (8, 0)] * len(filled)  # restarts and seed passed on
+            assert json.dumps(report) == json.dumps(oracle)  # every entry, note and witness
 
 
 def test_truncation_reports_match_oracle():

@@ -10,6 +10,7 @@ a different hash.
 import hashlib
 import json
 
+from finspace import covers
 from finspace.covers import FLAVORS, check_nerve_theorem
 from finspace.errors import FinspaceError
 from finspace.fixtures import circle_arc_cover, finite_circle_cover
@@ -20,6 +21,9 @@ from helpers import sd_boundary, star_cover, two_triangle_cover
 PINNED = "e1515d85e3ade995d3bc09700742be444a018298556f1e427d7ee36a1f0500a2"
 # the larger inputs: the 14-member star cover of sd ∂Δ³ and good-space seeds 3-5
 PINNED_LARGE = "d4c3c46f221bb4dfd3f8179df11f64b2b11b6406eee6f4dc013b858261600488"
+# the reduced-complex report on the 30-member star cover of sd ∂Δ⁴, computed
+# on the route that built K(reduced N0) whole (about 46 s there, 2 s on the poset route)
+PINNED_30 = "0bd4e99380047bed2bb59509a38783528bccb40b2f0e75b9aea67252aa874ae3"
 
 
 def _covers():
@@ -60,3 +64,19 @@ def test_nerve_theorem_reports_are_pinned():
 
 def test_nerve_theorem_reports_on_larger_covers_are_pinned():
     assert _digest(_large_covers()) == PINNED_LARGE
+
+
+def test_reduced_complex_report_on_the_30_member_star_cover_is_pinned(monkeypatch):
+    """30 members exceed the cap of 20, so the test raises it to 40.
+    Setting ``covers.MAX_MEMBERS`` alone would do nothing: ``_nerve_table``'s
+    cap and ``classify_cover``'s max_subsets take its value when they are
+    defined, so their ``__defaults__`` are raised as well."""
+    monkeypatch.setattr(covers, "MAX_MEMBERS", 40)
+    monkeypatch.setattr(covers._nerve_table, "__defaults__", (40,))
+    defaults = covers.classify_cover.__defaults__
+    monkeypatch.setattr(covers.classify_cover, "__defaults__", (40,) + defaults[1:])
+    cover = star_cover(sd_boundary(4))
+    assert len(cover.members) == 30
+    report = check_nerve_theorem(cover, "reduced-complex")
+    assert report["hypothesis_verdict"] == "no"
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == PINNED_30
