@@ -14,14 +14,16 @@ one nerve table, which the nerves, classification and every checker read;
 an index set outside it has an empty intersection, so a classification
 of every index set and the truncation checker walk no intersections of
 their own.
-``FLAVORS`` gives each nerve-theorem flavor its cover kind, verdict mode
-and nerve object.  One inversion pass over masks gives, for every position
-of the cover's masks, the mask over a poset P (N0 or reduced N0) of the
-elements whose intersection holds it: a point's I_x, or, for reduced N0,
-the Q_sigma with S_sigma = K(Q_sigma), so K(reduced N0) is never built.
-Over the sub-nerve N0 of a complex, S_sigma is the ids, on N0's index, of
-the simplices whose vertices all hold sigma.  Only ``Cover.intersection``
-builds an intersection as an object of its own.
+``FLAVORS`` gives each nerve-theorem flavor the one cover kind it applies
+to (the paper states the theorem for complexes and for finite spaces),
+its verdict mode and its nerve object.  Every N0 flavor inverts the
+intersection masks of its nerve object's elements once: for every position
+of the cover's masks, the ascending indices of the elements whose
+intersection holds it.  Over a poset P (N0 or reduced N0) these give a
+point's I_x, or, for reduced N0, the Q_sigma with S_sigma = K(Q_sigma), as
+a mask over P, so K(reduced N0) is never built; over the sub-nerve N0 of a
+complex they are S_sigma's simplex ids on N0's index.  Only
+``Cover.intersection`` builds an intersection as an object of its own.
 
 Classification verdicts are three-valued and Unknown intersections are
 never silently treated as trivial or collapsible: the N0 constructions
@@ -56,7 +58,8 @@ from .posets import FinitePoset, _bits, _height, _ids, build_poset
 
 COMPLEX = "complex"
 POSET = "poset"
-# the most members whose index sets are enumerated
+# the most members whose index sets are enumerated; read at each call, so
+# setting it raises the cap everywhere
 MAX_MEMBERS = 20
 # per cover kind: the parent type, and the key, id check and type of a
 # member in a cover document
@@ -227,11 +230,13 @@ def _index_sets(cover: Cover):
         ]
 
 
-def _nerve_table(cover: Cover, cap: int = MAX_MEMBERS) -> dict[tuple[str, ...], int]:
+def _nerve_table(cover: Cover, cap: int | None = None) -> dict[tuple[str, ...], int]:
     """The nerve's index sets with their intersection masks, in
     ``_index_sets`` order: the one enumeration per cover that every nerve
     construction, classification and check reads.  A cover of more than
-    cap members is refused."""
+    cap members (by default ``MAX_MEMBERS``, read when the call runs) is
+    refused."""
+    cap = MAX_MEMBERS if cap is None else cap
     if len(cover.members) > cap:
         raise InvalidCover(f"{len(cover.members)} members exceed the subset-enumeration cap {cap}")
     table = cover._memo.get("nerve_table")
@@ -330,11 +335,11 @@ class CoverClassification:
     """The good and strong-good verdicts of a cover, with a record per
     index set built on first read.
 
-    ``table`` maps index sets to the masks of their intersections, a falsy
-    mask meaning an empty one, and ``verdicts`` each distinct non-empty
-    mask to its (triviality, collapsibility).  The records list every
-    non-empty index set over ``names`` in (size, lexicographic) order, an
-    index set outside the table being empty.  Equality compares the
+    ``table`` maps the non-empty index sets to the masks of their
+    intersections, and ``verdicts`` each distinct mask to its (triviality,
+    collapsibility).  The records list every non-empty index set over
+    ``names`` in (size, lexicographic) order, an index set outside the
+    table being empty.  Equality compares the
     records and both verdicts.
     """
 
@@ -367,7 +372,7 @@ class CoverClassification:
 
 def classify_cover(
     cover: Cover,
-    max_subsets: int = MAX_MEMBERS,
+    max_subsets: int | None = None,
     restarts: int = 8,
     seed: int = 0,
 ) -> CoverClassification:
@@ -375,8 +380,9 @@ def classify_cover(
 
     The index sets are every non-empty set of member names in (size,
     lexicographic) order, those outside the nerve table being empty; a
-    cover of more than max_subsets members is refused.  Each distinct
-    non-empty intersection mask of the table is decided once, and every
+    cover of more than max_subsets members (by default ``MAX_MEMBERS``,
+    read when the call runs) is refused.  Each distinct non-empty
+    intersection mask of the table is decided once, and every
     index set with that mask shares its verdicts, which the cover keeps
     per (restarts, seed), so a later classification of the same cover
     runs no search.  The good and strong-good verdicts
@@ -444,17 +450,8 @@ def _verdicts(cover: Cover, mode: str, classification, restarts: int = 8, seed: 
         raise MalformedSpec(f"mode must be trivial or collapsible, got {mode!r}")
     cls = classification or classify_cover(cover, restarts=restarts, seed=seed)
     k = 0 if mode == "trivial" else 1  # the verdict's place in (triviality, collapsibility)
-    verdict_of = {J: cls.verdicts[m][k].verdict for J, m in cls.table.items() if m}
+    verdict_of = {J: cls.verdicts[m][k].verdict for J, m in cls.table.items()}
     return verdict_of, tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
-
-
-def _holders(masks, size: int) -> list[list[int]]:
-    """For each of size positions, the ascending indices of the masks holding it."""
-    holders: list[list[int]] = [[] for _ in range(size)]
-    for k, m in enumerate(masks):
-        for i in _ids(m):
-            holders[i].append(k)
-    return holders
 
 
 def _positions(cover: Cover) -> int:
@@ -463,19 +460,15 @@ def _positions(cover: Cover) -> int:
     return len(cover.parent.index().simplices if cover.kind == COMPLEX else cover.parent)
 
 
-def _holder_masks(cover: Cover, P: FinitePoset) -> list[int]:
-    """For each position of the cover's masks, the mask over P (N0 or
-    reduced N0) of the elements whose intersection holds it: a point's I_x,
-    or the Q_sigma of a simplex sigma, whose order complex is S_sigma."""
-    return [_bits(ks) for ks in _holders(_id_masks(cover, P.elements), _positions(cover))]
-
-
-def _s_sigma_ids(cover: Cover, L: SimplicialComplex) -> list[list[int]]:
-    """S_sigma for every simplex sigma of the covered complex, by sigma's id:
-    the ascending ids of the simplices of L, a subcomplex of the nerve,
-    whose vertices' members all hold sigma."""
-    masks = [reduce(and_, map(cover._masks.__getitem__, t)) for t in L.index().simplices]
-    return _holders(masks, _positions(cover))
+def _holders(cover: Cover, masks) -> list[list[int]]:
+    """For each position of the cover's masks (a point of the covered
+    space, or a simplex id of the covered complex), the ascending indices
+    of the given masks that hold it."""
+    holders: list[list[int]] = [[] for _ in range(_positions(cover))]
+    for k, m in enumerate(masks):
+        for i in _ids(m):
+            holders[i].append(k)
+    return holders
 
 
 def n_zero_subspace(
@@ -488,11 +481,9 @@ def n_zero_subspace(
 ) -> NZeroResult:
     verdict_of, excluded = _verdicts(cover, mode, classification, restarts, seed)
     included = tuple(sorted(J for J, v in verdict_of.items() if v == "yes"))
-    if reduced:
+    if reduced:  # a class's index sets share one mask, so one verdict
         rn = reduced_nerve(cover)
-        poset = rn.poset.restrict(
-            rep for rep, Js in rn.classes.items() if any(verdict_of[J] == "yes" for J in Js)
-        )
+        poset = rn.poset.restrict(rep for rep, Js in rn.classes.items() if verdict_of[Js[0]] == "yes")
     else:
         poset = non_hausdorff_nerve(cover).restrict(simplex_id(J) for J in included)
     return NZeroResult(poset, included, excluded)
@@ -512,8 +503,9 @@ def containing_intersections(
     if x not in cover.parent:
         raise UnknownElement(f"{x!r} is not a point of the covered space")
     n0 = n0 or n_zero_subspace(cover, mode=mode, reduced=reduced, classification=classification)
-    P = n0.poset
-    return P.restrict(P._members(_holder_masks(cover, P)[cover.parent._at(x)]))
+    P, i = n0.poset, cover.parent._at(x)
+    held = (simplex_id(J) for J, m in _nerve_table(cover).items() if m >> i & 1)
+    return P.restrict(p for p in held if p in P)
 
 
 def n_zero_complex(
@@ -551,20 +543,20 @@ def chains_containing(
     if i is None:
         raise UnknownSimplex(f"{sorted(s)} is not a simplex of the parent")
     n0, _ = n_zero_complex(cover, mode=mode, classification=classification)
-    simplices = n0.index().simplices
-    return SimplicialComplex(simplices[j] for j in _s_sigma_ids(cover, n0)[i])
+    table = _nerve_table(cover)
+    return SimplicialComplex(t for t in n0.index().simplices if table[t] >> i & 1)
 
 
 # ---------------------------------------------------------------------------
 # nerve-theorem checkers
 # ---------------------------------------------------------------------------
 
-# flavor: (the cover kind it applies to, None for both; verdict mode; nerve object)
+# flavor: (the one cover kind it applies to; verdict mode; nerve object)
 FLAVORS = {
-    "good-complex": (None, "trivial", "nerve"),
-    "strong-good-complex": (None, "collapsible", "nerve"),
-    "good-space": (None, "trivial", "nerve"),
-    "strong-good-space": (None, "collapsible", "nerve"),
+    "good-complex": (COMPLEX, "trivial", "nerve"),
+    "strong-good-complex": (COMPLEX, "collapsible", "nerve"),
+    "good-space": (POSET, "trivial", "nerve"),
+    "strong-good-space": (POSET, "collapsible", "nerve"),
     "trivial-subnerve-space": (POSET, "trivial", "N0"),
     "collapsible-subnerve-space": (POSET, "collapsible", "N0"),
     "trivial-subnerve-complex": (COMPLEX, "trivial", "N0"),
@@ -581,68 +573,66 @@ def check_nerve_theorem(
 ) -> dict:
     """Evaluate one nerve theorem's hypotheses and its homology shadow.
 
-    The conclusion (reduced homology of the parent equals that of the nerve
-    object, all degrees, betti and torsion) is computed regardless of the
-    hypothesis verdicts so counterexample hunting is possible.  Simple
-    homotopy equivalence itself is not decided.
+    A cover of the other kind than the flavor's is refused before any
+    intersection is classified.  The conclusion (reduced homology of the
+    parent equals that of the nerve object, all degrees, betti and torsion)
+    is computed regardless of the hypothesis verdicts so counterexample
+    hunting is possible.  Simple homotopy equivalence itself is not decided.
     """
     if flavor not in FLAVORS:
         raise MalformedSpec(f"unknown flavor {flavor!r}; choose from {tuple(FLAVORS)}")
     kind, mode, nerve_object = FLAVORS[flavor]
+    space, reduced = kind == POSET, nerve_object == "reduced N0"
+    if cover.kind != kind:
+        raise InvalidCover(f"{flavor} applies to covers of {'finite spaces' if space else 'complexes'}")
     cls = classify_cover(cover, restarts=restarts, seed=seed)
     report: dict = {"flavor": flavor}
 
     X = cover.parent
-    # the nerve object: the nerve L for the nerve flavours, of either cover
-    # kind (the order complex of its face poset, the non-Hausdorff nerve, is
-    # sd L, so the two have one homology; McCord 1966); for the sub-nerve
-    # N0 of a complex, a complex L; else a finite space P standing for K(P),
-    # which is never built
+    # the nerve object: the nerve L for the nerve flavours (for a space
+    # cover too: the order complex of its face poset, the non-Hausdorff
+    # nerve, is sd L, so the two have one homology; McCord 1966); for the
+    # sub-nerve N0 of a complex, a complex L; else a finite space P standing
+    # for K(P), which is never built
     P = None
     if nerve_object == "nerve":
         report["hypothesis_verdict"] = cls.strong_good if mode == "collapsible" else cls.good
         L = nerve(cover)
     else:
-        space, reduced = kind == POSET, nerve_object == "reduced N0"
-        if cover.kind != kind:
-            raise InvalidCover(
-                f"{flavor} applies to covers of {'finite spaces' if space else 'complexes'}"
-            )
         if space or reduced:
             n0 = n_zero_subspace(cover, mode=mode, reduced=reduced, classification=cls)
             excluded, P = n0.excluded_unknown, n0.poset
+            masks = _id_masks(cover, P.elements)
         else:
             L, excluded = n_zero_complex(cover, mode=mode, classification=cls)
+            masks = map(_nerve_table(cover).__getitem__, L.index().simplices)
         if reduced:
             bound = "height" if space else "dim"
             cap = X.height() if space else X.dim()
             report[f"{bound}_cap"] = cap
             report[f"n0_{bound}_ok"] = P.height() <= cap if len(P) else True
-        per_element = {}
-        bounds_ok = True
-        if P is not None:  # per point its I_x, per simplex its Q_sigma: masks over P
-            # S_sigma = K(Q_sigma), of dimension Q_sigma's height; a weak-point
-            # collapse of Q_sigma gives one of K(Q_sigma) (Barmak-Minian 2008)
-            decide = clp._triviality if mode == "trivial" else clp._weak_collapse
-            part, own = ("I_x", X.height_of) if space else ("S_sigma", lambda s: len(s) - 1)
-            for x, q in zip(X.elements if space else X.all_simplices(), _holder_masks(cover, P)):
-                key = x if space else simplex_id(x)
-                if not q:
-                    per_element[key] = clp.TriStateResult("no", note=f"{part} is empty")
-                    continue
+        # per point its I_x, per simplex its S_sigma: the nerve object's
+        # elements whose intersection holds it, decided as a mask over P or
+        # as ascending simplex ids of N0's index.  Over reduced N0, S_sigma =
+        # K(Q_sigma), of dimension Q_sigma's height, and a weak-point
+        # collapse of Q_sigma gives one of K(Q_sigma) (Barmak-Minian 2008)
+        decide = clp._triviality if mode == "trivial" else clp._weak_collapse
+        part, own = ("I_x", X.height_of) if space else ("S_sigma", lambda s: len(s) - 1)
+        per_element, bounds_ok = {}, True
+        for x, held in zip(X.elements if space else X.all_simplices(), _holders(cover, masks)):
+            key = x if space else simplex_id(x)
+            if not held:
+                per_element[key] = clp.TriStateResult("no", note=f"{part} is empty")
+            elif P is None:
+                verdicts = clp._complex_verdicts(L.index(), held, restarts, seed)
+                per_element[key] = verdicts[mode == "collapsible"]
+            else:
+                q = _bits(held)
                 per_element[key] = decide(P, q)
                 if not space and per_element[key].verdict == "unknown":  # stuck, acyclic
                     K = order_complex(P.restrict(P._members(q)))
                     per_element[key] = clp.greedy_collapse_complex(K, restarts=restarts, seed=seed)
                 bounds_ok &= not reduced or _height(P, q) <= cap - own(x)
-        else:  # S_sigma per simplex sigma, as simplex ids of N0's index
-            index = L.index()
-            for s, ids in zip(X.all_simplices(), _s_sigma_ids(cover, L)):
-                if not ids:
-                    per_element[simplex_id(s)] = clp.TriStateResult("no", note="S_sigma is empty")
-                    continue
-                verdicts = clp._complex_verdicts(index, ids, restarts, seed)
-                per_element[simplex_id(s)] = verdicts[mode == "collapsible"]
         report["per_point" if space else "per_simplex"] = {
             k: v.to_doc() for k, v in per_element.items()
         }
@@ -660,7 +650,7 @@ def check_nerve_theorem(
         if reduced:
             report["assumption"] = REDUCED_NERVE_ASSUMPTION
 
-    parent_hom = reduced_homology(X) if cover.kind == COMPLEX else homology_of_poset(X)
+    parent_hom = homology_of_poset(X) if space else reduced_homology(X)
     nerve_obj_hom = reduced_homology(L) if P is None else homology_of_poset(P)
     report["parent_homology"] = parent_hom.summary()
     report["nerve_homology"] = nerve_obj_hom.summary()

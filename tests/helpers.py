@@ -81,6 +81,7 @@ from finspace.complexes import (
 )
 from finspace.covers import (
     COMPLEX,
+    FLAVORS,
     MAX_MEMBERS,
     REDUCED_NERVE_ASSUMPTION,
     Cover,
@@ -1204,13 +1205,13 @@ def walked_classify_cover(cover, nerve_simplices_only, restarts=8, seed=0) -> Co
 def listed_classification(cover, records) -> CoverClassification:
     """The classification of the cover with the given records, its
     verdicts aggregated over every non-empty record, not over distinct
-    masks: each index set is its own key in the table, () an empty one.
-    An index set the records do not list reads as empty."""
+    masks: each non-empty index set is its own key in the table, and an
+    index set outside it reads as empty, as in the library's table."""
     nonempty = [r for r in records if not r.empty]
     return CoverClassification(
         clp.aggregate_verdict(r.triviality.verdict for r in nonempty),
         clp.aggregate_verdict(r.collapsibility.verdict for r in nonempty),
-        {r.index_set: () if r.empty else r.index_set for r in records},
+        {r.index_set: r.index_set for r in nonempty},
         {r.index_set: (r.triviality, r.collapsibility) for r in nonempty},
         tuple(sorted(cover.names())),
     )
@@ -1254,6 +1255,22 @@ def slow_n_zero_complex(cover, mode, classification):
     ]
     excluded = tuple(sorted(J for J, v in verdict_of.items() if v == "unknown"))
     return SimplicialComplex(closed), excluded
+
+
+# each nerve flavour, and the flavour of its mode for the other cover kind:
+# the pairs that ran as aliases on either kind of cover
+OTHER_KIND = {
+    "good-complex": "good-space",
+    "good-space": "good-complex",
+    "strong-good-complex": "strong-good-space",
+    "strong-good-space": "strong-good-complex",
+}
+
+
+def kind_refusal(flavor: str) -> str:
+    """The message that refuses a cover of the other kind than flavor's."""
+    whole = "finite spaces" if FLAVORS[flavor][0] == "poset" else "complexes"
+    return f"{flavor} applies to covers of {whole}"
 
 
 # The checkers read I_x and S_sigma off one inversion of masks

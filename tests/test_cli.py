@@ -80,7 +80,7 @@ def test_nerve_modes(paths, capsys):
     assert code == 0 and len(json.loads(out)["face_poset"]["elements"]) == 6
 
 
-def test_cover_classify(paths, capsys):
+def test_cover_classify(paths, capsys, monkeypatch):
     code, out = run(capsys, "cover", "classify", "--in", str(paths["cover"]))
     doc = json.loads(out)
     assert code == 0
@@ -89,6 +89,11 @@ def test_cover_classify(paths, capsys):
     assert code == 0 and json.loads(out)["good"] == "yes"
     # three members exceed a cap of two
     assert main(["cover", "classify", "--in", str(paths["cover"]), "--max-subsets", "2"]) == 2
+    # with no --max-subsets, the cap is covers.MAX_MEMBERS as it is when the command runs
+    capsys.readouterr()
+    monkeypatch.setattr(covers, "MAX_MEMBERS", 2)
+    assert main(["cover", "classify", "--in", str(paths["cover"])]) == 2
+    assert capsys.readouterr().err == "error: 3 members exceed the subset-enumeration cap 2\n"
 
 
 @pytest.mark.parametrize(
@@ -534,6 +539,7 @@ _BACKWARDS = {
     "relations": [{"source": "X1", "target": "X0", "pairs": [], "direction": "right"}],
 }
 _ONE_MEMBER_DUNCE_HAT = Cover("complex", dunce_hat(), (("D", dunce_hat()),)).to_doc()
+_SPACE_COVER = {"kind": "poset", "parent": _POSET, "members": [{"name": "U", "elements": ["a", "b"]}]}
 
 
 @pytest.mark.parametrize(
@@ -549,6 +555,11 @@ _ONE_MEMBER_DUNCE_HAT = Cover("complex", dunce_hat(), (("D", dunce_hat()),)).to_
         (["cylinder"], {**_CYLINDER, "relations": [{"source": "X", "target": "Y", "pairs": [["a", "a"]], "direction": "left"}]}, "relation 0 marked left does not match X1->X0"),
         (["verify", "replay-space"], {"poset": _POSET, "certificate": {"steps": []}, "target": ["a", "a"]}, "the target repeats an id: ['a', 'a']"),
         (["persistence", "--mode", "U,U<U,V"], _COVER, "the index set at step 1 repeats an id: ('U', 'U')"),
+        # a nerve flavour on a cover of the other kind
+        (["verify", "good-complex"], _SPACE_COVER, "good-complex applies to covers of complexes"),
+        (["verify", "strong-good-complex"], _SPACE_COVER, "strong-good-complex applies to covers of complexes"),
+        (["verify", "good-space"], _COVER, "good-space applies to covers of finite spaces"),
+        (["verify", "strong-good-space"], _COVER, "strong-good-space applies to covers of finite spaces"),
     ],
 )
 def test_input_errors_exit_2_with_their_message(argv, doc, message, tmp_path, capsys):

@@ -30,9 +30,9 @@ from finspace.fixtures import (
 from finspace.generators import generate_composite_instance
 from finspace.posets import build_poset
 
-from helpers import two_triangle_cover
+from helpers import OTHER_KIND, kind_refusal, two_triangle_cover
 
-PINNED = "bccb58ed3274982c1af67c416f9383c63b0810364a12c5df1140a511fe2e18e6"
+PINNED = "b2ad575c28801461ad3fa5d54d7e62af32731a27c7720d98c1097408075d2f18"
 
 
 def _cylinder_doc(spaces, relations) -> str:
@@ -169,17 +169,51 @@ def test_cli_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert _digest(_records(tmp_path, monkeypatch, capsys)) == PINNED
 
 
-# the digest while a cover of unknown kind was checked as a finite-space cover
+# the digest while the four nerve flavours ran on either kind of cover
+PINNED_EITHER_KIND = "bccb58ed3274982c1af67c416f9383c63b0810364a12c5df1140a511fe2e18e6"
+# the digest before that, while a cover of unknown kind was checked as a
+# finite-space cover
 PINNED_BEFORE_KIND_CHECK = "c73e2b9f19ce9523a46ae95cfb2ae97c6fd9621e212f93492e8478d9b7bb0f00"
 
 
+def _either_kind(records) -> tuple[list, int]:
+    """The records as they were when each nerve flavour ran on either kind
+    of cover, and how many moved: a nerve flavour's refusal of a cover of
+    the other kind becomes the record of the other kind's flavour of its
+    mode on the same cover, with the flavor renamed in its report."""
+    runs = {f: [r for r in records if r[0][:2] == ["verify", f]] for f in OTHER_KIND}
+    seen = dict.fromkeys(OTHER_KIND, 0)
+    projected, moved = [], 0
+    for argv, code, out, err, files in records:
+        flavor = argv[1] if argv[0] == "verify" and argv[1] in OTHER_KIND else None
+        if flavor:
+            k, seen[flavor] = seen[flavor], seen[flavor] + 1
+            if (code, out, err) == (2, "", f"error: {kind_refusal(flavor)}\n"):
+                other = OTHER_KIND[flavor]
+                _, code, out, err, files = runs[other][k]
+                out = out.replace(f'"flavor": "{other}"', f'"flavor": "{flavor}"')
+                moved += 1
+        projected.append([argv, code, out, err, files])
+    return projected, moved
+
+
+def test_only_the_cross_kind_nerve_flavour_entries_moved(tmp_path, monkeypatch, capsys):
+    """Mapping the six cross-kind nerve-flavour runs, now refused with exit
+    2, back to the reports they gave gives the old digest: every other exit
+    code, output and file is as it was."""
+    records, moved = _either_kind(_records(tmp_path, monkeypatch, capsys))
+    assert moved == 6
+    assert _digest(records) == PINNED_EITHER_KIND
+
+
 def test_only_the_unknown_cover_kind_entry_moved(tmp_path, monkeypatch, capsys):
-    """Mapping the one message that changed back to the old one gives the
-    old digest: the kind-"sphere" nerve input now names its kind, and every
-    other exit code, output and file is as it was."""
+    """Before the cross-kind refusals, mapping the one message that changed
+    back to the old one gives the digest before it: the kind-"sphere" nerve
+    input now names its kind, and every other exit code, output and file
+    is as it was."""
     new = "error: unknown cover kind 'sphere'\n"
     old = "error: the cover parent needs a 'elements' key\n"
-    records = _records(tmp_path, monkeypatch, capsys)
+    records, _ = _either_kind(_records(tmp_path, monkeypatch, capsys))
     moved = [r for r in records if r[3] == new]
     assert [(r[0][0], r[1]) for r in moved] == [("nerve", 2)]
     projected = [r[:3] + [old] + r[4:] if r[3] == new else r for r in records]

@@ -42,7 +42,7 @@ from finspace.generators import (
     generate_strong_good_cover,
 )
 from finspace.persistence import check_truncation_theorem
-from finspace.posets import FinitePoset
+from finspace.posets import FinitePoset, _bits
 
 from helpers import (
     all_pairs_reduced_nerve,
@@ -211,18 +211,20 @@ def test_nerves_match_oracle():
         assert_class_intersections_match(cov, rn.classes)
 
 
-NERVE_FLAVORS = [f for f, (_, _, obj) in covers.FLAVORS.items() if obj == "nerve"]
+SPACE_NERVE_FLAVORS = [
+    f for f, (kind, _, obj) in covers.FLAVORS.items() if (kind, obj) == ("poset", "nerve")
+]
 
 
 def test_nerve_flavors_read_the_face_poset_homology_off_the_nerve():
-    """The nerve flavours take the nerve's homology from the nerve for
-    finite-space covers too; the order complex of its face poset is the
-    nerve's barycentric subdivision, so the face poset's homology is the
-    same, on the finite circle and every good-space cover of seeds 0-59."""
-    assert len(NERVE_FLAVORS) == 4
+    """The nerve flavours of finite-space covers take the nerve's homology
+    from the nerve; the order complex of its face poset is the nerve's
+    barycentric subdivision, so the face poset's homology is the same, on
+    the finite circle and every good-space cover of seeds 0-59."""
+    assert SPACE_NERVE_FLAVORS == ["good-space", "strong-good-space"]
     for cov in [finite_circle_cover()] + [generate_good_space_cover(s)[1] for s in range(60)]:
         expected = face_poset_nerve_homology(cov).summary()
-        for flavor in NERVE_FLAVORS:
+        for flavor in SPACE_NERVE_FLAVORS:
             assert covers.check_nerve_theorem(cov, flavor)["nerve_homology"] == expected
 
 
@@ -260,22 +262,38 @@ def test_nerve_and_n0_indexes_match_the_subset_build():
 
 
 def test_inverted_i_x_and_s_sigma_match_the_scan():
-    """Per parent position, the inversion's masks over the posets the
-    checkers read them on (I_x of a point over N0 and reduced N0, Q_sigma of
-    a simplex over reduced N0) and its S_sigma ids on N0 equal the per-key
-    scan."""
+    """Per parent position, the checkers' one inversion of the nerve
+    object's intersection masks (I_x of a point over N0 and reduced N0,
+    Q_sigma of a simplex over reduced N0, as masks over the poset, and
+    S_sigma as simplex ids on N0's index) and the one-position reads of
+    ``containing_intersections`` and ``chains_containing`` equal the
+    per-key scan."""
     larger = [star_cover(sd_boundary(3))]
     larger += [generate_good_space_cover(seed)[1] for seed in range(3, 6)]
     for cov in all_covers() + larger:
+        X = cov.parent
         if cov.kind == COMPLEX:
             n0, _ = n_zero_complex(cov)
-            assert covers._s_sigma_ids(cov, n0) == slow_s_sigma_ids(cov, n0, cov._masks)
+            simplices = n0.index().simplices
+            table = covers._nerve_table(cov)
+            s_sigma = slow_s_sigma_ids(cov, n0, cov._masks)
+            assert covers._holders(cov, [table[t] for t in simplices]) == s_sigma
+            for sigma, ids in zip(X.all_simplices(), s_sigma):
+                expected = SimplicialComplex(simplices[j] for j in ids)
+                assert covers.chains_containing(cov, sigma) == expected
             modes = [("collapsible", True)]
         else:
             modes = [("trivial", False), ("collapsible", False), ("collapsible", True)]
         for mode, reduced in modes:
-            P = n_zero_subspace(cov, mode=mode, reduced=reduced).poset
-            assert covers._holder_masks(cov, P) == slow_holder_masks(cov, P)
+            n0 = n_zero_subspace(cov, mode=mode, reduced=reduced)
+            P = n0.poset
+            masks = slow_holder_masks(cov, P)
+            held = covers._holders(cov, covers._id_masks(cov, P.elements))
+            assert list(map(_bits, held)) == masks
+            if cov.kind != COMPLEX:
+                for x, q in zip(X.elements, masks):
+                    expected = P.restrict(P._members(q))
+                    assert covers.containing_intersections(cov, x, n0=n0) == expected
 
 
 def reduced_complex_covers() -> list[Cover]:

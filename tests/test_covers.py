@@ -562,18 +562,44 @@ def test_classification_builds_no_complex(built):
     assert record_of(verdicts[-1], ["D"]).collapsibility.witness is None
 
 
-def test_more_members_than_the_cap_are_refused():
+def test_more_members_than_the_cap_are_refused(monkeypatch):
     """21 members exceed the subset-enumeration cap in the library, as they
-    do on the command line."""
+    do on the command line.  The cap is ``covers.MAX_MEMBERS`` as it is
+    when each call runs, so raising the constant alone admits them."""
     verts = [f"v{i:02d}" for i in range(covers.MAX_MEMBERS + 1)]
     cov = Cover(
         "complex",
         SimplicialComplex([[v] for v in verts]),
         tuple((v, SimplicialComplex([[v]])) for v in verts),
     )
-    for call in (nerve, reduced_nerve, classify_cover):
+    for call in (nerve, reduced_nerve, classify_cover, lambda c: check_nerve_theorem(c, "good-complex")):
         with pytest.raises(InvalidCover, match="21 members exceed the subset-enumeration cap 20"):
             call(cov)
+    monkeypatch.setattr(covers, "MAX_MEMBERS", 21)
+    assert len(nerve(cov).vertices) == 21
+    assert classify_cover(cov).strong_good == "yes"
+    report = check_nerve_theorem(cov, "good-complex")
+    assert report["hypothesis_verdict"] == "yes" and report["conclusion_homology_match"]
+
+
+def test_a_flavor_of_the_other_cover_kind_classifies_nothing(monkeypatch):
+    """Every flavor refuses a cover of the other kind before any
+    intersection is classified."""
+    calls = []
+    classify = covers._classify_intersection
+
+    def counting(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(covers, "_classify_intersection", counting)
+    for flavor, (kind, _, _) in covers.FLAVORS.items():
+        cov = finite_circle_cover() if kind == "complex" else circle_arc_cover()
+        with pytest.raises(InvalidCover, match=f"^{flavor} applies to covers of "):
+            check_nerve_theorem(cov, flavor)
+    assert calls == []
+    check_nerve_theorem(circle_arc_cover(), "good-complex")
+    assert calls  # the count sees a same-kind check
 
 
 def test_s_sigma_flavors_build_no_complex_per_simplex(built):
@@ -668,7 +694,7 @@ def test_index_sets_are_enumerated_once_per_cover(monkeypatch):
         classify_cover(cov)
         classify_cover(cov)
         for flavor, (kind, _, _) in covers.FLAVORS.items():
-            if kind in (None, cov.kind):
+            if kind == cov.kind:
                 check_nerve_theorem(cov, flavor)
         if cov.kind == "complex":
             check_truncation_theorem(cov)

@@ -123,6 +123,23 @@ CASES = {
         lambda: check_nerve_theorem(finite_circle_cover(), "good-space", restarts=-1),
         MalformedSpec, "restarts must be non-negative, got -1",
     ),
+    # a nerve flavour on a cover of the other kind
+    "good-complex-on-a-space-cover": (
+        lambda: check_nerve_theorem(finite_circle_cover(), "good-complex"),
+        InvalidCover, "good-complex applies to covers of complexes",
+    ),
+    "strong-good-complex-on-a-space-cover": (
+        lambda: check_nerve_theorem(finite_circle_cover(), "strong-good-complex"),
+        InvalidCover, "strong-good-complex applies to covers of complexes",
+    ),
+    "good-space-on-a-complex-cover": (
+        lambda: check_nerve_theorem(circle_arc_cover(), "good-space"),
+        InvalidCover, "good-space applies to covers of finite spaces",
+    ),
+    "strong-good-space-on-a-complex-cover": (
+        lambda: check_nerve_theorem(circle_arc_cover(), "strong-good-space"),
+        InvalidCover, "strong-good-space applies to covers of finite spaces",
+    ),
     "empty-n0": (
         lambda: check_nerve_theorem(_dunce_hat_cover(), "trivial-subnerve-complex"),
         InvalidCover, "N0 is empty; no verified intersections",

@@ -16,11 +16,14 @@ from finspace.errors import FinspaceError
 from finspace.fixtures import circle_arc_cover, finite_circle_cover
 from finspace.generators import generate_good_space_cover, generate_strong_good_cover
 
-from helpers import sd_boundary, star_cover, two_triangle_cover
+from helpers import OTHER_KIND, kind_refusal, sd_boundary, star_cover, two_triangle_cover
 
-PINNED = "e1515d85e3ade995d3bc09700742be444a018298556f1e427d7ee36a1f0500a2"
+PINNED = "959bb94135d1c6319544c06c95e95fa79e85a79b075bb2ab2ab68968861340fa"
 # the larger inputs: the 14-member star cover of sd ∂Δ³ and good-space seeds 3-5
-PINNED_LARGE = "d4c3c46f221bb4dfd3f8179df11f64b2b11b6406eee6f4dc013b858261600488"
+PINNED_LARGE = "09ce1525440396aeaa161d1b888f8066483214ebfc670cdd438deb17fdb3f295"
+# both digests while the four nerve flavours ran on either kind of cover
+PINNED_EITHER_KIND = "e1515d85e3ade995d3bc09700742be444a018298556f1e427d7ee36a1f0500a2"
+PINNED_LARGE_EITHER_KIND = "d4c3c46f221bb4dfd3f8179df11f64b2b11b6406eee6f4dc013b858261600488"
 # the reduced-complex report on the 30-member star cover of sd ∂Δ⁴, computed
 # on the route that built K(reduced N0) whole (about 46 s there, 2 s on the poset route)
 PINNED_30 = "0bd4e99380047bed2bb59509a38783528bccb40b2f0e75b9aea67252aa874ae3"
@@ -66,15 +69,40 @@ def test_nerve_theorem_reports_on_larger_covers_are_pinned():
     assert _digest(_large_covers()) == PINNED_LARGE
 
 
+def _either_kind(reports: list) -> tuple[list, int]:
+    """The reports of the nerve flavours as they were when each ran on
+    either kind of cover, and how many moved: a nerve flavour's refusal of
+    a cover of the other kind becomes the report of the other kind's flavour
+    of its mode on the same cover, renamed."""
+    projected, moved = [], 0
+    for k in range(0, len(reports), len(FLAVORS)):
+        by_flavor = dict(zip(FLAVORS, reports[k:k + len(FLAVORS)]))
+        for flavor, report in by_flavor.items():
+            if flavor in OTHER_KIND and "raised" in report:
+                assert report["raised"] == "InvalidCover"
+                assert report["message"] == kind_refusal(flavor)
+                report = {**by_flavor[OTHER_KIND[flavor]], "flavor": flavor}
+                moved += 1
+            projected.append(report)
+    return projected, moved
+
+
+def test_only_the_cross_kind_nerve_flavour_entries_moved():
+    """Mapping each cross-kind refusal back to the report it replaced gives
+    the digests of the nerve flavours that ran on either kind of cover:
+    every same-kind report is as it was."""
+    for covs, n, pinned in (
+        (_covers(), 10, PINNED_EITHER_KIND),
+        (_large_covers(), 4, PINNED_LARGE_EITHER_KIND),
+    ):
+        projected, moved = _either_kind(_reports(covs))
+        assert moved == 2 * n  # two nerve flavours of the other kind per cover
+        assert hashlib.sha256(json.dumps(projected).encode()).hexdigest() == pinned
+
+
 def test_reduced_complex_report_on_the_30_member_star_cover_is_pinned(monkeypatch):
-    """30 members exceed the cap of 20, so the test raises it to 40.
-    Setting ``covers.MAX_MEMBERS`` alone would do nothing: ``_nerve_table``'s
-    cap and ``classify_cover``'s max_subsets take its value when they are
-    defined, so their ``__defaults__`` are raised as well."""
+    """30 members exceed the cap of 20, so the test raises it to 40."""
     monkeypatch.setattr(covers, "MAX_MEMBERS", 40)
-    monkeypatch.setattr(covers._nerve_table, "__defaults__", (40,))
-    defaults = covers.classify_cover.__defaults__
-    monkeypatch.setattr(covers.classify_cover, "__defaults__", (40,) + defaults[1:])
     cover = star_cover(sd_boundary(4))
     assert len(cover.members) == 30
     report = check_nerve_theorem(cover, "reduced-complex")

@@ -175,8 +175,8 @@ def test_tier1_workflow_runs_the_full_suite_after_the_tests():
 
 
 def _readme_flavor_table() -> dict:
-    """flavor -> (cover kind or None for "either", mode, nerve object), from
-    the README's table of nerve-theorem flavors."""
+    """flavor -> (cover kind, mode, nerve object), from the README's table
+    of nerve-theorem flavors."""
     with open(os.path.join(ROOT, "README.md")) as fh:
         lines = fh.read().splitlines()
     start = lines.index("| flavor | cover kind | mode | nerve object |") + 2
@@ -185,7 +185,7 @@ def _readme_flavor_table() -> dict:
         if not line.startswith("|"):
             break
         flavor, kind, mode, nerve_object = (cell.strip() for cell in line.strip("|").split("|"))
-        table[flavor.strip("`")] = (None if kind == "either" else kind, mode, nerve_object)
+        table[flavor.strip("`")] = (kind, mode, nerve_object)
     return table
 
 
@@ -199,6 +199,15 @@ def test_flavors_agree_across_readme_library_and_parser():
     verify = commands.choices["verify"]
     choices = next(a.choices for a in verify._actions if a.dest == "flavor")
     assert choices == list(flavors) + ["truncation", "replay-complex", "replay-space"]
+
+
+def test_every_flavor_names_one_cover_kind_and_no_two_are_aliases():
+    """Each nerve-theorem flavor applies to complex covers or to poset
+    covers, and no two flavors share a cover kind, a verdict mode and a
+    nerve object."""
+    flavors = importlib.import_module("finspace.covers").FLAVORS
+    assert {kind for kind, _, _ in flavors.values()} == {"complex", "poset"}
+    assert len(set(flavors.values())) == len(flavors)
 
 
 def _readme_block(heading: str, fence: str) -> str:
